@@ -13,7 +13,6 @@ from repro.analysis.figures import (
     figure4,
     figure9,
     figure10,
-    run_matrix,
     table1,
     table2,
     table3,
@@ -30,7 +29,6 @@ __all__ = [
     "table1",
     "table2",
     "table3",
-    "run_matrix",
     "bar_chart",
     "breakdown_chart",
     "format_table",

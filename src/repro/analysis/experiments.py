@@ -24,6 +24,7 @@ from repro.analysis.report import (
     format_speedup_matrix,
     format_table,
 )
+from repro.exp.engine import run_matrix
 from repro.workloads.registry import ALL_VARIANTS
 
 
@@ -188,12 +189,15 @@ def generate_report(
     ncores: int = 32,
     seed: int = 1,
     scale: float = 1.0,
+    config=None,
     jobs: int | None = 1,
     cache=None,
     refresh: bool = False,
     progress=None,
 ) -> str:
     """Run everything and render EXPERIMENTS.md's contents.
+
+    ``config`` overrides the Table 1 machine for every point.
 
     ``jobs``/``cache``/``refresh``/``progress`` are forwarded to the
     experiment engine (see :mod:`repro.exp.engine`): the full run
@@ -202,7 +206,8 @@ def generate_report(
     nearly instant.
     """
     engine_opts = dict(
-        jobs=jobs, cache=cache, refresh=refresh, progress=progress
+        config=config, jobs=jobs, cache=cache, refresh=refresh,
+        progress=progress,
     )
     out = io.StringIO()
 
@@ -230,7 +235,7 @@ def generate_report(
     w("## Table 1 — machine configuration")
     w()
     w("```")
-    w(format_table(["Parameter", "Value"], figures.table1()))
+    w(format_table(["Parameter", "Value"], figures.table1(config)))
     w("```")
     w()
     w("## Table 2 — workloads")
@@ -274,7 +279,7 @@ def generate_report(
     )
 
     # One shared run matrix backs Figures 3, 4, 9, 10 and Table 3.
-    matrix = figures.run_matrix(
+    matrix = run_matrix(
         ALL_VARIANTS, figures.EVAL_SYSTEMS,
         ncores=ncores, seed=seed, scale=scale, **engine_opts,
     )
@@ -346,25 +351,8 @@ def generate_report(
         **engine_opts,
     )
     data3 = {**bayes_row, **figures.table3(matrix=matrix)}
-    rows = []
-    for name, row in data3.items():
-        cells = [name]
-        for column in (
-            "blocks_lost", "blocks_tracked", "symbolic_registers",
-            "private_stores", "constraint_addresses", "commit_cycles",
-        ):
-            avg, peak = row[column]
-            cells.append(f"{avg:.1f} ({peak:.0f})")
-        cells.append(f"{row['commit_stall_percent']:.1f}")
-        rows.append(cells)
     w("```")
-    w(
-        format_table(
-            ["workload", "lost", "tracked", "sym regs",
-             "priv stores", "constr addrs", "commit cyc", "stall %"],
-            rows,
-        )
-    )
+    w(figures.format_table3(data3))
     w("```")
     w()
     _write_checks(w, table3_checks(data3))
@@ -381,48 +369,3 @@ def _write_checks(w, checks: list[ShapeCheck]) -> None:
             f"| {check.description} | {check.paper} | "
             f"{check.measured} | {mark} |"
         )
-
-
-def main(argv=None) -> int:
-    import argparse
-
-    from repro.exp.cache import ResultCache
-    from repro.exp.engine import stderr_progress
-
-    parser = argparse.ArgumentParser(
-        description="Run the full evaluation and write EXPERIMENTS.md"
-    )
-    parser.add_argument("--cores", type=int, default=32)
-    parser.add_argument("--scale", type=float, default=1.0)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("-o", "--output", default="EXPERIMENTS.md")
-    parser.add_argument(
-        "--jobs", type=int, default=None,
-        help="worker processes (default: $REPRO_JOBS or all cores)",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="do not read or write the on-disk result cache",
-    )
-    parser.add_argument(
-        "--refresh", action="store_true",
-        help="ignore cached results but store fresh ones",
-    )
-    args = parser.parse_args(argv)
-    report = generate_report(
-        ncores=args.cores,
-        seed=args.seed,
-        scale=args.scale,
-        jobs=args.jobs,
-        cache=None if args.no_cache else ResultCache(),
-        refresh=args.refresh,
-        progress=stderr_progress,
-    )
-    with open(args.output, "w") as handle:
-        handle.write(report)
-    print(f"wrote {args.output}")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

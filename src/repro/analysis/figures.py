@@ -1,11 +1,15 @@
 """Data series for every table and figure in the paper's evaluation.
 
-Each ``figureN``/``tableN`` function declares the required simulation
-grid and hands it to the experiment engine (:mod:`repro.exp`), which
-shares generated workloads and sequential baselines across systems,
-optionally fans points out over worker processes (``jobs``), and
-memoizes per-point results on disk (``cache``).  The functions return
-plain data (dicts) that the benchmark harness prints.
+A figure is a :class:`Figure` record — which points to run, how to
+reduce one finished point to a row, how to print the rows — and
+:meth:`Figure.collect` is the one driver that runs any of them through
+the experiment engine (:mod:`repro.exp`), which shares generated
+workloads and sequential baselines across systems, optionally fans
+points out over worker processes (``jobs``), and memoizes per-point
+results on disk (``cache``).  ``FIGURES`` is the registry
+``repro figure <name>`` looks records up in; the ``figureN``/``tableN``
+functions return the same data as plain dicts for the benchmark
+harness.
 
 The sizes are controlled by ``scale`` (per-thread work multiplier) and
 ``ncores``; the defaults match the paper's 32-core configuration with
@@ -14,12 +18,18 @@ inputs scaled to finish in minutes of wall time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from dataclasses import dataclass, replace
+from functools import partial
+from typing import Callable, Mapping, Optional, Sequence
 
-from repro.exp import engine as exp_engine
-from repro.exp.cache import ResultCache
-from repro.exp.engine import ProgressFn
+from repro.analysis.report import (
+    bar_chart,
+    breakdown_chart,
+    format_speedup_matrix,
+    format_table,
+)
+from repro.exp.engine import iter_points
+from repro.exp.spec import Point
 from repro.sim.config import MachineConfig
 from repro.sim.runner import WorkloadResult
 from repro.workloads.registry import (
@@ -27,60 +37,154 @@ from repro.workloads.registry import (
     FIGURE1_WORKLOADS,
     TABLE3_WORKLOADS,
 )
+from repro.workloads.service import SERVICE_WORKLOADS
 
 #: the three systems compared throughout the evaluation (Figures 9/10)
 EVAL_SYSTEMS = ("eager", "lazy-vb", "retcon")
 
+#: points paired with the path of their row in the collected data
+Labelled = list[tuple[tuple[str, ...], Point]]
 
-def run_matrix(
-    workloads: Sequence[str],
-    systems: Sequence[str],
-    ncores: int = 32,
-    seed: int = 1,
-    scale: float = 1.0,
-    config: MachineConfig | None = None,
-    jobs: int | None = 1,
-    cache: ResultCache | None = None,
-    refresh: bool = False,
-    progress: ProgressFn | None = None,
-) -> dict[tuple[str, str], WorkloadResult]:
-    """Run every (workload, system) pair via the experiment engine.
 
-    ``jobs=1`` (the default) keeps library calls serial and
-    dependency-free; pass ``jobs=None`` to use every core (or
-    ``$REPRO_JOBS``), as the CLI does.
+@dataclass(frozen=True)
+class Figure:
+    """One regenerable figure or table.
+
+    ``points(base, **options)`` stamps workloads, systems, and any
+    per-point machine overrides onto *base* (which carries ncores,
+    seed, scale, config, check, skew, burst) and labels each point
+    with the tuple path of its row; ``row(result, artifacts)`` reduces
+    one finished point; ``finish``, if set, post-processes the nested
+    ``{label[0]: {label[1]: ... row}}`` rows; ``render(data, ncores)``
+    prints them.  ``header`` is the markdown preamble a ``-o`` file
+    gets (a ``str.format`` template over the command line: cores,
+    scale, seed, flags, output, backend, backends) and ``options``
+    names the command-line arguments ``points`` accepts.
     """
-    return exp_engine.run_matrix(
-        workloads,
-        systems,
-        ncores=ncores,
-        seed=seed,
-        scale=scale,
-        config=config,
-        jobs=jobs,
-        cache=cache,
-        refresh=refresh,
-        progress=progress,
+
+    points: Callable[..., Labelled]
+    row: Callable[[WorkloadResult, Mapping[str, dict]], object]
+    render: Callable[[dict, int], str]
+    header: str = ""
+    options: tuple[str, ...] = ()
+    finish: Optional[Callable[[dict], dict]] = None
+
+    def collect(
+        self,
+        labelled: Labelled,
+        matrix: Mapping[tuple[str, str], WorkloadResult] | None = None,
+        jobs: int | None = 1,
+        **engine_opts,
+    ) -> dict:
+        """Run *labelled* (from ``self.points``) and nest the rows.
+
+        ``jobs=1`` (the default) keeps library calls serial and
+        dependency-free; pass ``jobs=None`` to use every core (or
+        ``$REPRO_JOBS``), as the CLI does.  A precomputed *matrix* of
+        ``{(workload, system): result}`` replaces the run and restricts
+        the rows to the pairs it holds.  A ``check=True`` point that
+        fails its correctness checks fails the figure.
+        """
+        if matrix is not None:
+            labelled = [
+                (label, point) for label, point in labelled
+                if (point.workload, point.system) in matrix
+            ]
+            finished = (
+                (point, matrix[point.workload, point.system], {})
+                for _label, point in labelled
+            )
+        else:
+            finished = iter_points(
+                [point for _label, point in labelled], jobs=jobs,
+                **engine_opts,
+            )
+        rows = {}
+        for point, result, artifacts in finished:
+            if point.check and not result.check_ok:
+                raise AssertionError(
+                    f"{point.workload}/{point.system}: correctness "
+                    "checks failed: "
+                    f"{result.failed_invariants() or result.oracle_violations}"
+                )
+            rows[point] = self.row(result, artifacts)
+        data: dict = {}
+        for label, point in labelled:
+            node = data
+            for key in label[:-1]:
+                node = node.setdefault(key, {})
+            node[label[-1]] = rows[point]
+        return self.finish(data) if self.finish else data
+
+    def series(
+        self,
+        ncores: int = 32,
+        seed: int = 1,
+        scale: float = 1.0,
+        config: MachineConfig | None = None,
+        workloads: Sequence[str] | None = None,
+        **engine_opts,
+    ) -> dict:
+        """The figure's data as a plain dict: what the module-level
+        ``figureN``/``tableN`` functions are bound to."""
+        options = {} if workloads is None else {"workloads": workloads}
+        base = Point("", "", ncores, seed, scale, config)
+        return self.collect(self.points(base, **options), **engine_opts)
+
+
+def _grid(workloads: Sequence[str], systems: Sequence[str]):
+    """Point builder for a workloads x systems grid, labelled
+    ``(workload, system)`` — or ``(workload,)`` for a single system."""
+
+    def points(base: Point, workloads: Sequence[str] = workloads):
+        return [
+            (
+                (name, system) if len(systems) > 1 else (name,),
+                replace(base, workload=name, system=system),
+            )
+            for name in workloads
+            for system in systems
+        ]
+
+    return points
+
+
+def _markdown(
+    corner: str, data: Mapping[str, Mapping[str, Mapping[str, str]]],
+    _ncores=None,
+) -> str:
+    """Render ``{workload: {label: {column: cell}}}``: one markdown
+    table per workload, a row per label, a column per key any of its
+    rows has (``—`` where a row lacks it)."""
+    lines: list[str] = []
+    for name, rows in data.items():
+        columns = list(
+            dict.fromkeys(c for cells in rows.values() for c in cells)
+        )
+        lines += [
+            f"### {name}",
+            "",
+            "| " + " | ".join((corner, *columns)) + " |",
+            "|---" * (len(columns) + 1) + "|",
+        ]
+        lines += [
+            "| "
+            + " | ".join((label, *(cells.get(c, "—") for c in columns)))
+            + " |"
+            for label, cells in rows.items()
+        ]
+        lines.append("")
+    return "\n".join(lines)
+
+
+def _bars(title: str):
+    return lambda data, ncores: bar_chart(
+        data, max_value=ncores, title=title
     )
 
 
-# ---------------------------------------------------------------------------
-# Figure 1: scalability of the aggressive eager HTM on the 8 base workloads
-# ---------------------------------------------------------------------------
-def figure1(
-    ncores: int = 32,
-    seed: int = 1,
-    scale: float = 1.0,
-    **engine_opts,
-) -> dict[str, float]:
-    matrix = run_matrix(
-        FIGURE1_WORKLOADS, ("eager",), ncores=ncores, seed=seed,
-        scale=scale, **engine_opts,
-    )
-    return {
-        name: matrix[(name, "eager")].speedup
-        for name in FIGURE1_WORKLOADS
-    }
+def _speedup(result: WorkloadResult, _artifacts) -> float:
+    return result.speedup
 
 
 # ---------------------------------------------------------------------------
@@ -96,41 +200,51 @@ class Figure2Point:
 
 
 FIGURE2_SYSTEMS = ("retcon", "datm", "eager-abort", "eager-stall", "lazy")
+FIGURE2_COUNTER = 4096
 
 
-def figure2(
-    txns_per_core: int = 4, increments: int = 2
-) -> dict[str, Figure2Point]:
-    """Two cores repeatedly double-incrementing a shared counter."""
+def figure2_machine(
+    system: str, txns_per_core: int, increments: int, tracer=None
+):
+    """Two cores repeatedly double-incrementing a shared counter: the
+    machine (not yet run) and its memory."""
     from repro.isa.program import Assembler
     from repro.isa.registers import R1
     from repro.mem.memory import MainMemory
     from repro.sim.machine import Machine
     from repro.sim.script import ThreadScript
 
+    memory = MainMemory()
+    scripts = []
+    for _core in range(2):
+        script = ThreadScript()
+        for _ in range(txns_per_core):
+            asm = Assembler()
+            for _ in range(increments):
+                asm.load(R1, FIGURE2_COUNTER)
+                asm.addi(R1, R1, 1)
+                asm.store(R1, FIGURE2_COUNTER)
+                asm.nop(5)
+            script.add_txn(asm.build(), label="counter")
+            script.add_work(3)
+        scripts.append(script)
+    machine = Machine(
+        MachineConfig(ncores=2), system, scripts, memory, tracer=tracer
+    )
+    return machine, memory
+
+
+def figure2(
+    txns_per_core: int = 4, increments: int = 2
+) -> dict[str, Figure2Point]:
     results = {}
     for system in FIGURE2_SYSTEMS:
-        memory = MainMemory()
-        addr = 4096
-        scripts = []
-        for _core in range(2):
-            script = ThreadScript()
-            for _ in range(txns_per_core):
-                asm = Assembler()
-                for _ in range(increments):
-                    asm.load(R1, addr)
-                    asm.addi(R1, R1, 1)
-                    asm.store(R1, addr)
-                    asm.nop(5)
-                script.add_txn(asm.build())
-                script.add_work(3)
-            scripts.append(script)
-        machine = Machine(
-            MachineConfig(ncores=2), system, scripts, memory
+        machine, memory = figure2_machine(
+            system, txns_per_core, increments
         )
         run = machine.run()
         expected = 2 * txns_per_core * increments
-        actual = memory.read(addr)
+        actual = memory.read(FIGURE2_COUNTER)
         if actual != expected:
             raise AssertionError(
                 f"{system}: counter {actual} != {expected}"
@@ -147,89 +261,43 @@ def figure2(
     return results
 
 
-# ---------------------------------------------------------------------------
-# Figure 3 / Figure 4: eager baseline across all 14 variants
-# ---------------------------------------------------------------------------
-def figure3(
-    ncores: int = 32,
-    seed: int = 1,
-    scale: float = 1.0,
-    matrix: Mapping[tuple[str, str], WorkloadResult] | None = None,
-    **engine_opts,
-) -> dict[str, float]:
-    matrix = matrix or run_matrix(
-        ALL_VARIANTS, ("eager",), ncores=ncores, seed=seed, scale=scale,
-        **engine_opts,
-    )
-    return {name: matrix[(name, "eager")].speedup for name in ALL_VARIANTS}
+def _render_figure2(_data, _ncores) -> str:
+    from repro.analysis.timeline import figure2_timelines
 
-
-def figure4(
-    ncores: int = 32,
-    seed: int = 1,
-    scale: float = 1.0,
-    matrix: Mapping[tuple[str, str], WorkloadResult] | None = None,
-    **engine_opts,
-) -> dict[str, dict[str, float]]:
-    matrix = matrix or run_matrix(
-        ALL_VARIANTS, ("eager",), ncores=ncores, seed=seed, scale=scale,
-        **engine_opts,
-    )
-    return {
-        name: matrix[(name, "eager")].breakdown for name in ALL_VARIANTS
-    }
+    parts = [
+        format_table(
+            ["system", "cycles", "commits", "aborts", "stalls"],
+            [(p.system, p.cycles, p.commits, p.aborts, p.stall_events)
+             for p in figure2().values()],
+        )
+    ]
+    for system, timeline in figure2_timelines().items():
+        parts.append(f"\n--- {system} ---\n{timeline}")
+    return "\n".join(parts)
 
 
 # ---------------------------------------------------------------------------
-# Figure 9 / Figure 10 / Table 3: the full three-system comparison
+# Figure 10: breakdowns plus runtimes normalized to the eager configuration
 # ---------------------------------------------------------------------------
-def figure9(
-    ncores: int = 32,
-    seed: int = 1,
-    scale: float = 1.0,
-    workloads: Sequence[str] = ALL_VARIANTS,
-    matrix: Mapping[tuple[str, str], WorkloadResult] | None = None,
-    **engine_opts,
-) -> dict[str, dict[str, float]]:
-    matrix = matrix or run_matrix(
-        workloads, EVAL_SYSTEMS, ncores=ncores, seed=seed, scale=scale,
-        **engine_opts,
-    )
-    return {
-        name: {
-            system: matrix[(name, system)].speedup
-            for system in EVAL_SYSTEMS
-        }
-        for name in workloads
-    }
+def _normalize_to_eager(data: dict) -> dict:
+    for systems in data.values():
+        eager_cycles = systems["eager"]["cycles"] or 1
+        for row in systems.values():
+            row["normalized_runtime"] = row.pop("cycles") / eager_cycles
+    return data
 
 
-def figure10(
-    ncores: int = 32,
-    seed: int = 1,
-    scale: float = 1.0,
-    workloads: Sequence[str] = ALL_VARIANTS,
-    matrix: Mapping[tuple[str, str], WorkloadResult] | None = None,
-    **engine_opts,
-) -> dict[str, dict[str, dict[str, float]]]:
-    """Breakdowns plus runtimes normalized to the eager configuration."""
-    matrix = matrix or run_matrix(
-        workloads, EVAL_SYSTEMS, ncores=ncores, seed=seed, scale=scale,
-        **engine_opts,
+def _render_figure10(data: dict, _ncores) -> str:
+    flat, scales = {}, {}
+    for name, systems in data.items():
+        for system, payload in systems.items():
+            label = f"{name}/{system}"
+            flat[label] = payload["breakdown"]
+            scales[label] = min(payload["normalized_runtime"], 1.5)
+    return breakdown_chart(
+        flat, scales=scales,
+        title="Figure 10: breakdown normalized to eager",
     )
-    out: dict[str, dict[str, dict[str, float]]] = {}
-    for name in workloads:
-        eager_cycles = matrix[(name, "eager")].cycles or 1
-        out[name] = {
-            system: {
-                "breakdown": matrix[(name, system)].breakdown,
-                "normalized_runtime": (
-                    matrix[(name, system)].cycles / eager_cycles
-                ),
-            }
-            for system in EVAL_SYSTEMS
-        }
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -248,37 +316,23 @@ def table2() -> list[tuple[str, str, str]]:
     ]
 
 
-def table3(
-    ncores: int = 32,
-    seed: int = 1,
-    scale: float = 1.0,
-    workloads: Sequence[str] = TABLE3_WORKLOADS,
-    matrix: Mapping[tuple[str, str], WorkloadResult] | None = None,
-    **engine_opts,
-) -> dict[str, dict[str, object]]:
-    """RETCON structure utilization (avg and max per transaction).
-
-    Includes ``bayes`` by default (the paper's Table 3 does), unless a
-    precomputed matrix restricts the rows.
-    """
-    if matrix is not None:
-        workloads = [
-            name
-            for name in workloads
-            if (name, "retcon") in matrix
-        ]
-    else:
-        matrix = run_matrix(
-            workloads, ("retcon",), ncores=ncores, seed=seed,
-            scale=scale, **engine_opts,
-        )
-    out = {}
-    for name in workloads:
-        result = matrix[(name, "retcon")]
-        row: dict[str, object] = dict(result.table3)
-        row["commit_stall_percent"] = result.commit_stall_percent
-        out[name] = row
-    return out
+def format_table3(data: Mapping[str, Mapping[str, object]], _ncores=None) -> str:
+    rows = []
+    for name, row in data.items():
+        cells = [name]
+        for column in (
+            "blocks_lost", "blocks_tracked", "symbolic_registers",
+            "private_stores", "constraint_addresses", "commit_cycles",
+        ):
+            avg, peak = row[column]
+            cells.append(f"{avg:.1f} ({peak:.0f})")
+        cells.append(f"{row['commit_stall_percent']:.1f}")
+        rows.append(cells)
+    return format_table(
+        ["workload", "lost", "tracked", "sym regs", "priv stores",
+         "constr addrs", "commit cyc", "stall %"],
+        rows,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -288,95 +342,71 @@ HYBRID_WORKLOADS = ("python_opt", "genome-sz", "kmeans")
 HYBRID_BUDGETS = (0, 1, 2, 4, 8)
 
 
-def figure_hybrid(
-    ncores: int = 32,
-    seed: int = 1,
-    scale: float = 1.0,
+def _hybrid_points(
+    base: Point,
+    backend: str = "hybrid-retcon",
     workloads: Sequence[str] = HYBRID_WORKLOADS,
     budgets: Sequence[int] = HYBRID_BUDGETS,
-    backend: str = "hybrid-retcon",
-    jobs: int | None = 1,
-    cache: ResultCache | None = None,
-    refresh: bool = False,
-    progress: ProgressFn | None = None,
-) -> dict[str, dict[str, dict[str, float]]]:
+) -> Labelled:
     """The headline HyTM tradeoff (after Brown & Ravi): sweeping the
     HTM retry budget trades software instrumentation overhead against
     concurrency lost to hardware/software synchronization.
 
     Runs *backend* at each retry budget, plus the pure hardware
-    (``retcon``) and pure software (``stm``) endpoints, and reports
-    per point: speedup over sequential, instrumentation instructions
-    per commit, the STM fallback rate, and aborts attributed to
-    HTM/STM synchronization (subscription dooms and owner vetoes).
-
-    Returns ``{workload: {column: {metric: value}}}`` where columns
-    are ``"htm"``, ``"rb=<n>"`` ... , ``"stm"``.
+    (``retcon``) and pure software (``stm``) endpoints; rows are
+    labelled ``"htm"``, ``"rb=<n>"`` ... , ``"stm"``.
     """
-    from repro.exp.engine import run_points
-    from repro.exp.spec import Point
-
-    columns: list[tuple[str, str, Point]] = []
+    config = base.resolved_config()
+    out: Labelled = []
     for name in workloads:
-        columns.append(
-            (name, "htm", Point(name, "retcon", ncores, seed, scale))
-        )
+        at = replace(base, workload=name)
+        out.append(((name, "htm"), replace(at, system="retcon")))
         for budget in budgets:
-            columns.append(
+            swept = replace(config, retry_budget=budget)
+            out.append(
                 (
-                    name,
-                    f"rb={budget}",
-                    Point(
-                        name, backend, ncores, seed, scale,
-                        retry_budget=budget,
-                    ),
+                    (name, f"rb={budget}"),
+                    replace(at, system=backend, config=swept),
                 )
             )
-        columns.append(
-            (name, "stm", Point(name, "stm", ncores, seed, scale))
-        )
-    results = run_points(
-        [point for _n, _c, point in columns],
-        jobs=jobs, cache=cache, refresh=refresh, progress=progress,
-    )
-    out: dict[str, dict[str, dict[str, float]]] = {}
-    for name, column, point in columns:
-        result = results[point]
-        commits = result.commits or 1
-        stm = result.stm
-        out.setdefault(name, {})[column] = {
-            "speedup": result.speedup,
-            "barrier_instrs_per_commit": (
-                stm.get("barrier_instrs", 0) / commits
-            ),
-            "fallback_rate": stm.get("fallback_rate", 0.0),
-            "subscription_aborts": stm.get("subscription_aborts", 0),
-            "aborts": result.aborts,
-            "cycles": result.cycles,
-        }
+        out.append(((name, "stm"), replace(at, system="stm")))
     return out
+
+
+def _hybrid_row(result: WorkloadResult, _artifacts) -> dict[str, str]:
+    """Speedup over sequential, instrumentation instructions per
+    commit, the STM fallback rate, aborts attributed to HTM/STM
+    synchronization (subscription dooms and owner vetoes), aborts."""
+    stm = result.stm
+    barriers = stm.get("barrier_instrs", 0) / (result.commits or 1)
+    return {
+        "speedup": f"{result.speedup:.2f}x",
+        "barrier instrs/commit": f"{barriers:.1f}",
+        "fallback rate": f"{stm.get('fallback_rate', 0.0) * 100:.0f}%",
+        "subscription aborts": str(int(stm.get("subscription_aborts", 0))),
+        "total aborts": str(int(result.aborts)),
+    }
 
 
 # ---------------------------------------------------------------------------
 # Capacity frontier: throughput vs. speculative-set size
 # ---------------------------------------------------------------------------
 CAPACITY_WORKLOADS = ("python_opt", "genome-sz", "kmeans")
-CAPACITY_STEPS: tuple[int | str, ...] = (1, 2, 4, 8, "unlimited")
+#: read/write-set bounds in blocks; None is the unlimited endpoint
+CAPACITY_STEPS: tuple[Optional[int], ...] = (1, 2, 4, 8, None)
 CAPACITY_BACKENDS = ("eager", "retcon", "hybrid-retcon")
 
 
-def figure_capacity(
-    ncores: int = 32,
-    seed: int = 1,
-    scale: float = 1.0,
+def _step_name(step: Optional[int]) -> str:
+    return "unlimited" if step is None else str(step)
+
+
+def _capacity_points(
+    base: Point,
     workloads: Sequence[str] = CAPACITY_WORKLOADS,
-    steps: Sequence[int | str] = CAPACITY_STEPS,
+    steps: Sequence[Optional[int]] = CAPACITY_STEPS,
     backends: Sequence[str] = CAPACITY_BACKENDS,
-    jobs: int | None = 1,
-    cache: ResultCache | None = None,
-    refresh: bool = False,
-    progress: ProgressFn | None = None,
-) -> dict[str, dict[str, dict[str, dict[str, float]]]]:
+) -> Labelled:
     """The capacity frontier (after Kafousis's limited-set HTM study):
     throughput vs. speculative read/write-set size, per backend.
 
@@ -387,54 +417,39 @@ def figure_capacity(
     baseline's is where repair substitutes for buffer area; where the
     hybrid overtakes both is where escalation beats bigger buffers.
 
-    Returns ``{workload: {backend: {step: {metric: value}}}}`` with
-    step keys ``"1"``, ``"2"``, ... , ``"unlimited"``.
+    Cells are labelled ``(workload, backend, "sets=<step>")`` with
+    steps ``1``, ``2``, ... , ``unlimited``.
     """
-    from repro.exp.engine import run_points
-    from repro.exp.spec import Point
-
-    columns: list[tuple[str, str, str, Point]] = []
+    config = base.resolved_config()
+    out: Labelled = []
     for name in workloads:
+        at = replace(base, workload=name)
         for backend in backends:
             for step in steps:
-                bound = None if step == "unlimited" else step
-                columns.append(
+                bounded = replace(
+                    config, read_set_entries=step, write_set_entries=step
+                )
+                out.append(
                     (
-                        name,
-                        backend,
-                        str(step),
-                        Point(
-                            name, backend, ncores, seed, scale,
-                            read_set_entries=(
-                                "unlimited" if bound is None else bound
-                            ),
-                            write_set_entries=(
-                                "unlimited" if bound is None else bound
-                            ),
-                        ),
+                        (name, backend, f"sets={_step_name(step)}"),
+                        replace(at, system=backend, config=bounded),
                     )
                 )
-        columns.append(
-            (name, "stm", "unlimited",
-             Point(name, "stm", ncores, seed, scale))
+        out.append(
+            ((name, "stm", "sets=unlimited"), replace(at, system="stm"))
         )
-    results = run_points(
-        [point for _n, _b, _s, point in columns],
-        jobs=jobs, cache=cache, refresh=refresh, progress=progress,
-    )
-    out: dict[str, dict[str, dict[str, dict[str, float]]]] = {}
-    for name, backend, step, point in columns:
-        result = results[point]
-        out.setdefault(name, {}).setdefault(backend, {})[step] = {
-            "speedup": result.speedup,
-            "capacity_aborts": result.aborts_by_reason.get(
-                "capacity", 0
-            ),
-            "aborts": result.aborts,
-            "fallback_rate": result.stm.get("fallback_rate", 0.0),
-            "cycles": result.cycles,
-        }
     return out
+
+
+def _capacity_cell(result: WorkloadResult, _artifacts) -> str:
+    cell = f"{result.speedup:.2f}x"
+    cap = result.aborts_by_reason.get("capacity", 0)
+    if cap:
+        cell += f" ({cap} cap)"
+    fallback_rate = result.stm.get("fallback_rate", 0.0)
+    if fallback_rate:
+        cell += f" [{fallback_rate * 100:.0f}% stm]"
+    return cell
 
 
 # ---------------------------------------------------------------------------
@@ -443,182 +458,168 @@ def figure_capacity(
 SERVICE_BACKENDS = ("eager", "retcon", "hybrid-retcon")
 
 
-def figure_service(
-    ncores: int = 32,
-    seed: int = 1,
-    scale: float = 1.0,
-    workloads: Sequence[str] | None = None,
+def _service_points(
+    base: Point,
     backends: Sequence[str] = SERVICE_BACKENDS,
-    skew: float | None = None,
-    burst: str | None = None,
-    check: bool = False,
-    cache: ResultCache | None = None,
-    refresh: bool = False,
-    progress: ProgressFn | None = None,
-) -> dict[str, dict[str, dict[str, float]]]:
+    workloads: Sequence[str] = SERVICE_WORKLOADS,
+) -> Labelled:
     """The service-traffic sweep: every service workload on every
-    backend, with traced runs so transaction-latency histograms and
-    the repair counter ride along.
-
-    Reports per (workload, backend): speedup over sequential, commit
-    count, abort rate, **repair rate** (commits that lost blocks and
-    committed anyway via symbolic repair — RETCON's work product on
-    the hot counters), STM fallback rate, and p50/p99 transaction
-    latency in cycles from the ``txn.duration_cycles`` histogram.
-
-    ``skew``/``burst`` override the traffic model for every workload
-    in the sweep (cache-key fields, so the overridden sweep memoizes
-    separately).  Returns ``{workload: {backend: {metric: value}}}``.
+    backend, as traced points so transaction-latency histograms and
+    the repair counter ride along.  The base point's ``skew``/``burst``
+    override the traffic model for every workload in the sweep
+    (cache-key fields, so the overridden sweep memoizes separately).
     """
-    import time
-    from dataclasses import replace
-
-    from repro.exp.engine import run_point_with_trace
-    from repro.exp.spec import Point
-    from repro.workloads.service import SERVICE_WORKLOADS
-
-    if workloads is None:
-        workloads = SERVICE_WORKLOADS
-    out: dict[str, dict[str, dict[str, float]]] = {}
-    done, total = 0, len(workloads) * len(backends)
-    for name in workloads:
-        for backend in backends:
-            point = Point(
-                name, backend, ncores, seed, scale,
-                check=check, skew=skew, burst=burst,
-            )
-            # A trace-cache hit needs both the result entry and the
-            # trace artifact (see run_point_with_trace); probe with
-            # the same promoted key so progress reports honestly.
-            traced = replace(point, obs="trace")
-            hit = (
-                cache is not None and not refresh
-                and cache.get(traced) is not None
-                and cache.get_artifact(traced, "trace") is not None
-            )
-            start = time.perf_counter()
-            result, _events, metrics = run_point_with_trace(
-                point, cache=cache, refresh=refresh
-            )
-            done += 1
-            if progress:
-                progress(
-                    done, total, point,
-                    "cached" if hit else "ran",
-                    0.0 if hit else time.perf_counter() - start,
-                )
-            if check and not result.check_ok:
-                raise AssertionError(
-                    f"{name}/{backend}: correctness checks failed: "
-                    f"{result.failed_invariants() or result.oracle_violations}"
-                )
-            commits = result.commits or 1
-            attempts = result.commits + result.aborts
-            latency = metrics.get("txn.duration_cycles", {}) or {}
-            out.setdefault(name, {})[backend] = {
-                "speedup": result.speedup,
-                "commits": result.commits,
-                "aborts": result.aborts,
-                "abort_rate": result.aborts / attempts if attempts else 0.0,
-                "repaired_commits": metrics.get("txn.repaired_commits", 0),
-                "repair_rate": (
-                    metrics.get("txn.repaired_commits", 0) / commits
-                ),
-                "fallback_rate": result.stm.get("fallback_rate", 0.0),
-                "p50_cycles": latency.get("p50", 0),
-                "p99_cycles": latency.get("p99", 0),
-                "mean_cycles": latency.get("mean", 0.0),
-            }
-    return out
-
-
-def format_service_traffic(
-    data: Mapping[str, Mapping[str, Mapping[str, float]]],
-) -> str:
-    """Render :func:`figure_service` output as markdown tables."""
-    lines: list[str] = []
-    for name, backends in data.items():
-        lines.append(f"### {name}")
-        lines.append("")
-        lines.append(
-            "| backend | speedup | commits | abort rate | "
-            "repair rate | stm fallback | p50 (cyc) | p99 (cyc) |"
+    return [
+        (
+            (name, backend),
+            replace(base, workload=name, system=backend, obs="trace"),
         )
-        lines.append("|---|---|---|---|---|---|---|---|")
-        for backend, row in backends.items():
-            lines.append(
-                f"| {backend} | {row['speedup']:.2f}x "
-                f"| {int(row['commits'])} "
-                f"| {row['abort_rate'] * 100:.0f}% "
-                f"| {row['repair_rate'] * 100:.0f}% "
-                f"| {row['fallback_rate'] * 100:.0f}% "
-                f"| {int(row['p50_cycles'])} "
-                f"| {int(row['p99_cycles'])} |"
-            )
-        lines.append("")
-    return "\n".join(lines)
+        for name in workloads
+        for backend in backends
+    ]
 
 
-def format_capacity_frontier(
-    data: Mapping[str, Mapping[str, Mapping[str, Mapping[str, float]]]],
-) -> str:
-    """Render :func:`figure_capacity` output as markdown tables."""
-    lines: list[str] = []
-    for name, backends in data.items():
-        steps: list[str] = []
-        for rows in backends.values():
-            for step in rows:
-                if step not in steps:
-                    steps.append(step)
-        lines.append(f"### {name}")
-        lines.append("")
-        lines.append(
-            "| backend | "
-            + " | ".join(f"sets={step}" for step in steps)
-            + " |"
-        )
-        lines.append("|---" * (len(steps) + 1) + "|")
-        for backend, rows in backends.items():
-            cells = []
-            for step in steps:
-                row = rows.get(step)
-                if row is None:
-                    cells.append("—")
-                    continue
-                cell = f"{row['speedup']:.2f}x"
-                cap = int(row["capacity_aborts"])
-                if cap:
-                    cell += f" ({cap} cap)"
-                if row["fallback_rate"]:
-                    cell += f" [{row['fallback_rate'] * 100:.0f}% stm]"
-                cells.append(cell)
-            lines.append(
-                f"| {backend} | " + " | ".join(cells) + " |"
-            )
-        lines.append("")
-    return "\n".join(lines)
+def _service_row(
+    result: WorkloadResult, artifacts: Mapping[str, dict]
+) -> dict[str, str]:
+    """Speedup over sequential, commit count, abort rate, **repair
+    rate** (commits that lost blocks and committed anyway via symbolic
+    repair — RETCON's work product on the hot counters), STM fallback
+    rate, and p50/p99 transaction latency in cycles from the
+    ``txn.duration_cycles`` histogram."""
+    metrics = artifacts["trace"].get("metrics", {})
+    attempts = result.commits + result.aborts
+    abort_rate = result.aborts / attempts if attempts else 0.0
+    repaired = metrics.get("txn.repaired_commits", 0)
+    latency = metrics.get("txn.duration_cycles", {}) or {}
+    return {
+        "speedup": f"{result.speedup:.2f}x",
+        "commits": str(int(result.commits)),
+        "abort rate": f"{abort_rate * 100:.0f}%",
+        "repair rate": f"{repaired / (result.commits or 1) * 100:.0f}%",
+        "stm fallback": f"{result.stm.get('fallback_rate', 0.0) * 100:.0f}%",
+        "p50 (cyc)": str(int(latency.get("p50", 0))),
+        "p99 (cyc)": str(int(latency.get("p99", 0))),
+    }
 
 
-def format_hybrid_tradeoff(
-    data: Mapping[str, Mapping[str, Mapping[str, float]]],
-) -> str:
-    """Render :func:`figure_hybrid` output as a markdown table set."""
-    lines: list[str] = []
-    for name, columns in data.items():
-        lines.append(f"### {name}")
-        lines.append("")
-        lines.append(
-            "| point | speedup | barrier instrs/commit | "
-            "fallback rate | subscription aborts | total aborts |"
-        )
-        lines.append("|---|---|---|---|---|---|")
-        for column, row in columns.items():
-            lines.append(
-                f"| {column} | {row['speedup']:.2f}x "
-                f"| {row['barrier_instrs_per_commit']:.1f} "
-                f"| {row['fallback_rate'] * 100:.0f}% "
-                f"| {int(row['subscription_aborts'])} "
-                f"| {int(row['aborts'])} |"
-            )
-        lines.append("")
-    return "\n".join(lines)
+# ---------------------------------------------------------------------------
+# The registry behind ``repro figure <name>``
+# ---------------------------------------------------------------------------
+_REGENERATE = (
+    "Regenerate with:\n\n    python -m repro figure {name} "
+    "--cores {{cores}} --scale {{scale}}{seed}{{flags}} -o {{output}}\n\n"
+)
+
+FIGURES: dict[str, Figure] = {
+    # scalability of the aggressive eager HTM on the 8 base workloads
+    "1": Figure(
+        points=_grid(FIGURE1_WORKLOADS, ("eager",)),
+        row=_speedup,
+        render=_bars("Figure 1: eager HTM scalability"),
+    ),
+    "2": Figure(
+        points=lambda base: [], row=None, render=_render_figure2
+    ),
+    # eager baseline across all 14 variants
+    "3": Figure(
+        points=_grid(ALL_VARIANTS, ("eager",)),
+        row=_speedup,
+        render=_bars("Figure 3: before/after restructurings"),
+    ),
+    "4": Figure(
+        points=_grid(ALL_VARIANTS, ("eager",)),
+        row=lambda result, _artifacts: result.breakdown,
+        render=lambda data, _ncores: breakdown_chart(
+            data, title="Figure 4: time breakdown (eager)"
+        ),
+    ),
+    # the full three-system comparison
+    "9": Figure(
+        points=_grid(ALL_VARIANTS, EVAL_SYSTEMS),
+        row=_speedup,
+        render=lambda data, _ncores: format_speedup_matrix(
+            data, EVAL_SYSTEMS,
+            title="Figure 9: speedup over sequential",
+        ),
+    ),
+    "10": Figure(
+        points=_grid(ALL_VARIANTS, EVAL_SYSTEMS),
+        row=lambda result, _artifacts: {
+            "breakdown": result.breakdown, "cycles": result.cycles
+        },
+        finish=_normalize_to_eager,
+        render=_render_figure10,
+    ),
+    "hybrid": Figure(
+        points=_hybrid_points,
+        row=_hybrid_row,
+        render=partial(_markdown, "point"),
+        options=("backend",),
+        header=(
+            "# HyTM tradeoff: instrumentation overhead vs. "
+            "concurrency\n\n"
+            "Backend `{backend}` swept over HTM retry budgets "
+            "(`rb=<n>`), bracketed by the pure-HTM (`htm` = retcon) "
+            "and pure-STM (`stm`) endpoints at "
+            "{cores} cores, scale {scale}, seed {seed}.  "
+            + _REGENERATE.format(name="hybrid", seed="")
+        ),
+    ),
+    "capacity": Figure(
+        points=_capacity_points,
+        row=_capacity_cell,
+        render=partial(_markdown, "backend"),
+        header=(
+            "# Capacity frontier: speedup vs. speculative set size\n\n"
+            "Read- and write-set bounds swept together over "
+            f"{', '.join(map(_step_name, CAPACITY_STEPS))} blocks on "
+            f"{', '.join(CAPACITY_BACKENDS)} (plus the pure-STM "
+            "endpoint, which tracks sets in software) at "
+            "{cores} cores, scale {scale}, seed {seed}.  "
+            + _REGENERATE.format(name="capacity", seed="")
+        ),
+    ),
+    "service": Figure(
+        points=_service_points,
+        row=_service_row,
+        render=partial(_markdown, "backend"),
+        options=("backends",),
+        header=(
+            "# Service traffic: commit, repair, and abort rates with "
+            "tail latency\n\n"
+            "The four production-traffic service workloads "
+            "(Zipf-popular users, diurnal arrivals, hot shared "
+            "counters) on {backends} at "
+            "{cores} cores, scale {scale}, seed {seed}.  "
+            "Repair rate = commits that lost blocks "
+            "to a conflicting writer and still committed via "
+            "symbolic repair; latency percentiles are "
+            "power-of-two-bucket upper bounds from the "
+            "`txn.duration_cycles` histogram.  "
+            + _REGENERATE.format(name="service", seed=" --seed {seed}")
+        ),
+    ),
+}
+
+#: RETCON structure utilization (avg and max per transaction).
+#: Includes ``bayes`` by default (the paper's Table 3 does), unless a
+#: precomputed matrix restricts the rows.
+TABLE3 = Figure(
+    points=_grid(TABLE3_WORKLOADS, ("retcon",)),
+    row=lambda result, _artifacts: {
+        **result.table3,
+        "commit_stall_percent": result.commit_stall_percent,
+    },
+    render=format_table3,
+)
+
+# The plain-dict series the benchmarks, tests, and EXPERIMENTS.md
+# consume: ``figure9(ncores=8, scale=0.5, jobs=4)``,
+# ``figure3(matrix=precomputed)``, ``table3(workloads=("bayes",))``.
+figure1 = FIGURES["1"].series
+figure3 = FIGURES["3"].series
+figure4 = FIGURES["4"].series
+figure9 = FIGURES["9"].series
+figure10 = FIGURES["10"].series
+table3 = TABLE3.series

@@ -15,8 +15,6 @@ so successive PRs can be compared point-for-point.
 from __future__ import annotations
 
 import json
-import os
-import re
 import time
 from dataclasses import asdict, dataclass
 
@@ -138,88 +136,3 @@ def write_bench(path: str, payload: dict) -> None:
     with open(path, "w") as handle:
         json.dump(payload, handle, indent=1, sort_keys=True)
         handle.write("\n")
-
-
-# ---------------------------------------------------------------------------
-# Perf regression gate (CI)
-# ---------------------------------------------------------------------------
-
-#: allowed relative drop in grid_cycles_per_second before the gate fails
-GATE_TOLERANCE = 0.05
-
-_BENCH_PATTERN = re.compile(r"BENCH_pr(\d+)\.json$")
-
-
-def latest_bench(root: str = ".") -> str | None:
-    """Path of the newest committed ``BENCH_pr<N>.json`` (highest N).
-
-    PR number order, not file mtime: a fresh checkout gives every file
-    the same timestamp, but the PR sequence is monotone by
-    construction.  Returns None when no bench file exists.
-    """
-    best: tuple[int, str] | None = None
-    for name in os.listdir(root):
-        match = _BENCH_PATTERN.match(name)
-        if match is None:
-            continue
-        number = int(match.group(1))
-        if best is None or number > best[0]:
-            best = (number, os.path.join(root, name))
-    return best[1] if best else None
-
-
-@dataclass
-class GateResult:
-    """Outcome of comparing a fresh profile against a baseline bench."""
-
-    baseline_path: str
-    baseline_label: str
-    baseline_cps: float
-    current_cps: float
-    tolerance: float
-
-    @property
-    def ratio(self) -> float:
-        """current / baseline grid cycles-per-second (>1 is faster)."""
-        if self.baseline_cps == 0:
-            return float("inf")
-        return self.current_cps / self.baseline_cps
-
-    @property
-    def ok(self) -> bool:
-        return self.ratio >= 1.0 - self.tolerance
-
-    def describe(self) -> str:
-        verdict = "ok" if self.ok else "REGRESSION"
-        return (
-            f"perf gate vs {self.baseline_path} "
-            f"(label={self.baseline_label}): "
-            f"{self.current_cps / 1e6:.2f} Mcycles/s vs baseline "
-            f"{self.baseline_cps / 1e6:.2f} Mcycles/s "
-            f"({(self.ratio - 1.0) * 100:+.1f}%, tolerance "
-            f"-{self.tolerance * 100:.0f}%) -> {verdict}"
-        )
-
-
-def gate_against(
-    payload: dict,
-    baseline_path: str,
-    tolerance: float = GATE_TOLERANCE,
-) -> GateResult:
-    """Compare a fresh :func:`bench_payload` against a committed bench.
-
-    The gate fails (``ok`` False) when ``grid_cycles_per_second``
-    dropped by more than *tolerance* relative to the baseline.  Only
-    the grid aggregate is gated: per-point times are noisy at
-    millisecond scale, while the aggregate is the metric the perf
-    trajectory tracks across PRs.
-    """
-    with open(baseline_path) as handle:
-        baseline = json.load(handle)
-    return GateResult(
-        baseline_path=baseline_path,
-        baseline_label=str(baseline.get("label", "?")),
-        baseline_cps=float(baseline.get("grid_cycles_per_second", 0.0)),
-        current_cps=float(payload.get("grid_cycles_per_second", 0.0)),
-        tolerance=tolerance,
-    )

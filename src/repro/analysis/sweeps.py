@@ -18,7 +18,7 @@ from typing import Sequence
 
 from repro.exp.cache import ResultCache
 from repro.exp.engine import ProgressFn, run_points
-from repro.exp.spec import Capacity, Point
+from repro.exp.spec import Point
 from repro.sim.config import MachineConfig
 
 DEFAULT_CORE_COUNTS = (1, 2, 4, 8, 16, 32)
@@ -46,12 +46,6 @@ def sweep_matrix(
     refresh: bool = False,
     progress: ProgressFn | None = None,
     check: bool = False,
-    retry_budget: int | None = None,
-    read_set_entries: Capacity = None,
-    write_set_entries: Capacity = None,
-    ivb_entries: Capacity = None,
-    constraint_entries: Capacity = None,
-    ssb_entries: Capacity = None,
     skew: float | None = None,
     burst: str | None = None,
 ) -> dict[str, list[SweepPoint]]:
@@ -71,12 +65,6 @@ def sweep_matrix(
             scale=scale,
             config=config,
             check=check,
-            retry_budget=retry_budget,
-            read_set_entries=read_set_entries,
-            write_set_entries=write_set_entries,
-            ivb_entries=ivb_entries,
-            constraint_entries=constraint_entries,
-            ssb_entries=ssb_entries,
             skew=skew,
             burst=burst,
         )
@@ -106,23 +94,13 @@ def core_sweep(
     workload: str,
     system: str,
     core_counts: Sequence[int] = DEFAULT_CORE_COUNTS,
-    seed: int = 1,
-    scale: float = 1.0,
-    config: MachineConfig | None = None,
-    jobs: int | None = 1,
-    cache: ResultCache | None = None,
+    **sweep_opts,
 ) -> list[SweepPoint]:
-    """Run *workload* on *system* at each core count."""
-    return sweep_matrix(
-        workload,
-        (system,),
-        core_counts,
-        seed=seed,
-        scale=scale,
-        config=config,
-        jobs=jobs,
-        cache=cache,
-    )[system]
+    """Run *workload* on *system* at each core count (``sweep_opts``
+    are :func:`sweep_matrix`'s)."""
+    return sweep_matrix(workload, (system,), core_counts, **sweep_opts)[
+        system
+    ]
 
 
 def crossover_core_count(
@@ -131,10 +109,7 @@ def crossover_core_count(
     worse: str,
     core_counts: Sequence[int] = DEFAULT_CORE_COUNTS,
     advantage: float = 1.25,
-    seed: int = 1,
-    scale: float = 1.0,
-    jobs: int | None = 1,
-    cache: ResultCache | None = None,
+    **sweep_opts,
 ) -> int | None:
     """Smallest core count where *better* outruns *worse* by
     *advantage*; None if it never does.
@@ -144,8 +119,7 @@ def crossover_core_count(
     crossover marks where conflict frequency makes repair matter.
     """
     curves = sweep_matrix(
-        workload, (better, worse), core_counts, seed=seed, scale=scale,
-        jobs=jobs, cache=cache,
+        workload, (better, worse), core_counts, **sweep_opts
     )
     for b, w in zip(curves[better], curves[worse]):
         if b.speedup >= advantage * max(w.speedup, 1e-9):

@@ -72,32 +72,11 @@ def figure2_tracer(
     """Run the Figure 2 counter scenario on *system* and return the
     trace: two cores repeatedly incrementing one shared counter — the
     canonical conflict the paper's Figure 2 walks through."""
-    from repro.isa.program import Assembler
-    from repro.isa.registers import R1
-    from repro.mem.memory import MainMemory
-    from repro.sim.config import MachineConfig
-    from repro.sim.machine import Machine
-    from repro.sim.script import ThreadScript
+    from repro.analysis.figures import figure2_machine
 
-    memory = MainMemory()
-    addr = 4096
-    scripts = []
-    for _core in range(2):
-        script = ThreadScript()
-        for _ in range(txns_per_core):
-            asm = Assembler()
-            for _ in range(increments):
-                asm.load(R1, addr)
-                asm.addi(R1, R1, 1)
-                asm.store(R1, addr)
-                asm.nop(5)
-            script.add_txn(asm.build(), label="counter")
-            script.add_work(3)
-        scripts.append(script)
     tracer = EventStream()
-    machine = Machine(
-        MachineConfig(ncores=2), system, scripts, memory,
-        tracer=tracer,
+    machine, _memory = figure2_machine(
+        system, txns_per_core, increments, tracer=tracer
     )
     machine.run()
     return tracer

@@ -17,6 +17,7 @@ Examples::
     python -m repro metrics python_opt --cores 4 --scale 0.1
     python -m repro check --smoke --jobs 2
     python -m repro profile -o BENCH_pr3.json
+    python -m repro figure capacity --ivb 8 -o capacity_ivb8.md
     python -m repro fuzz --smoke --jobs 2
     python -m repro fuzz --minutes 10 --backends eager lazy-vb retcon datm
 
@@ -24,6 +25,15 @@ Simulation commands accept ``--jobs N`` (default ``$REPRO_JOBS`` or
 all cores) to fan independent points out over worker processes, and
 memoize per-point results under ``.repro-cache/`` — use ``--no-cache``
 to bypass the cache or ``--refresh`` to re-simulate and overwrite it.
+
+How flags become simulations: the machine flags (``--retry-budget``,
+``--read-set``, ...) are one table, ``_CONFIG_FLAGS``, keyed by
+``MachineConfig`` field; ``_point_from_args`` is the one place a
+command line becomes a :class:`~repro.exp.Point` (machine flags as
+``Point.config``, ``--skew``/``--burst`` as its traffic fields), and
+every subcommand that registers those flags builds its points through
+it.  ``repro figure <name>`` and ``repro table 3`` look a record up in
+:mod:`repro.analysis.figures` and hand it to one driver, ``_show``.
 """
 
 from __future__ import annotations
@@ -31,15 +41,12 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import replace
+from pathlib import Path
 from typing import Sequence
 
 from repro.analysis import figures as fig
-from repro.analysis.report import (
-    bar_chart,
-    breakdown_chart,
-    format_speedup_matrix,
-    format_table,
-)
+from repro.analysis.report import format_table
 from repro.exp import (
     Point,
     ResultCache,
@@ -47,7 +54,15 @@ from repro.exp import (
     smoke_spec,
     stderr_progress,
 )
+from repro.exp.engine import run_point_with_trace
+from repro.sim.config import MachineConfig
+from repro.sim.runner import _resolve_workload
 from repro.workloads.registry import ALL_VARIANTS, WORKLOADS
+
+
+class UsageError(Exception):
+    """A flag combination the command cannot honour: main() prints the
+    message to stderr and exits 2 instead of running anything."""
 
 
 def _add_engine_args(parser: argparse.ArgumentParser) -> None:
@@ -74,10 +89,10 @@ def _engine_opts(args) -> dict:
     )
 
 
-def _capacity(value: str):
-    """Parse a capacity flag: an entry count or 'unlimited'."""
+def _entries(value: str):
+    """Parse a capacity flag: an entry count, or 'unlimited' (None)."""
     if value == "unlimited":
-        return value
+        return None
     try:
         n = int(value)
     except ValueError:
@@ -91,34 +106,56 @@ def _capacity(value: str):
     return n
 
 
-#: (flag, Point field) pairs for the per-structure capacity knobs
-_CAPACITY_ARGS = (
-    ("--read-set", "read_set_entries", "speculative read-set blocks"),
-    ("--write-set", "write_set_entries", "speculative write-set blocks"),
-    ("--ivb", "ivb_entries", "initial value buffer entries"),
-    ("--constraint-buffer", "constraint_entries",
-     "constraint buffer entries"),
-    ("--ssb", "ssb_entries", "symbolic store buffer entries"),
-)
+#: the machine-override flags, keyed by MachineConfig field name:
+#: (flag, parser, metavar, help).  Every subcommand that takes machine
+#: flags registers and reads them through this table, so a new swept
+#: knob is a MachineConfig field plus one row here.
+_CONFIG_FLAGS = {
+    "retry_budget": (
+        "--retry-budget", int, "N",
+        "HTM attempts before a hybrid backend escalates to STM",
+    ),
+    "read_set_entries": (
+        "--read-set", _entries, "N|unlimited",
+        "bound the speculative read-set blocks",
+    ),
+    "write_set_entries": (
+        "--write-set", _entries, "N|unlimited",
+        "bound the speculative write-set blocks",
+    ),
+    "ivb_entries": (
+        "--ivb", _entries, "N|unlimited",
+        "bound the initial value buffer entries",
+    ),
+    "constraint_entries": (
+        "--constraint-buffer", _entries, "N|unlimited",
+        "bound the constraint buffer entries",
+    ),
+    "ssb_entries": (
+        "--ssb", _entries, "N|unlimited",
+        "bound the symbolic store buffer entries",
+    ),
+}
 
 
-def _add_capacity_args(parser: argparse.ArgumentParser) -> None:
-    for flag, dest, what in _CAPACITY_ARGS:
+def _add_config_args(parser: argparse.ArgumentParser) -> None:
+    for field, (flag, parse, metavar, what) in _CONFIG_FLAGS.items():
+        # SUPPRESS: an absent flag leaves no attribute, which keeps
+        # "--ivb unlimited" (None) distinct from "not given".
         parser.add_argument(
-            flag, dest=dest, type=_capacity, default=None,
-            metavar="N|unlimited",
-            help=f"bound the {what} (default: the machine config's "
-                 "value)",
+            flag, dest=field, type=parse, metavar=metavar,
+            default=argparse.SUPPRESS,
+            help=f"{what} (default: the machine config's value)",
         )
 
 
-def _capacity_overrides(args) -> dict:
-    """Point/sweep keyword overrides from the capacity flags."""
-    return {
-        dest: value
-        for _flag, dest, _what in _CAPACITY_ARGS
-        if (value := getattr(args, dest, None)) is not None
+def _config_from_args(args) -> MachineConfig | None:
+    """The machine flags as a Point.config (None when none given)."""
+    given = {
+        field: getattr(args, field)
+        for field in _CONFIG_FLAGS if hasattr(args, field)
     }
+    return replace(MachineConfig(), **given) if given else None
 
 
 def _add_traffic_args(parser: argparse.ArgumentParser) -> None:
@@ -136,26 +173,65 @@ def _add_traffic_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _traffic_overrides(args) -> dict:
-    """Point/sweep keyword overrides from the traffic flags."""
-    return {
-        name: value
-        for name in ("skew", "burst")
-        if (value := getattr(args, name, None)) is not None
-    }
+def _reject_stray_traffic(points) -> None:
+    """--skew/--burst on a workload with no traffic model is a usage
+    error up front, not a traceback from the middle of the run."""
+    for point in points:
+        try:
+            _resolve_workload(point.workload, point.skew, point.burst)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
 
 
-def _add_run_args(parser: argparse.ArgumentParser) -> None:
+def _point_from_args(args, **extra) -> Point:
+    """The one place command-line flags become a :class:`Point`.
+
+    Subcommands without a flag (``sweep`` has no ``--cores``, ``table``
+    no workload) leave the field at a placeholder and stamp it via
+    *extra* or ``dataclasses.replace``; a point built without a
+    workload is such a template, and its users pass the points they
+    stamp from it through :func:`_reject_stray_traffic`.
+    """
+    fields = dict(
+        workload=getattr(args, "workload", None) or "",
+        system=getattr(args, "system", ""),
+        ncores=getattr(args, "cores", 0),
+        seed=args.seed,
+        scale=args.scale,
+        config=_config_from_args(args),
+        check=getattr(args, "check", False),
+        skew=getattr(args, "skew", None),
+        burst=getattr(args, "burst", None),
+    )
+    point = Point(**{**fields, **extra})
+    if point.workload:
+        _reject_stray_traffic([point])
+    return point
+
+
+def _flags_given(args) -> str:
+    """The machine/traffic flags of this command line, as typed (for
+    the 'Regenerate with' line of a figure's markdown header)."""
+    flags = ""
+    for field, (flag, *_rest) in _CONFIG_FLAGS.items():
+        if hasattr(args, field):
+            value = getattr(args, field)
+            flags += f" {flag} {'unlimited' if value is None else value}"
+    for name in ("skew", "burst"):
+        if getattr(args, name, None) is not None:
+            flags += f" --{name} {getattr(args, name)}"
+    return flags
+
+
+def _add_run_args(
+    parser: argparse.ArgumentParser, traffic: bool = True
+) -> None:
     parser.add_argument("--cores", type=int, default=32)
     parser.add_argument("--scale", type=float, default=1.0)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument(
-        "--retry-budget", type=int, default=None, metavar="N",
-        help="HTM attempts before a hybrid backend escalates to STM "
-             "(default: the machine config's value)",
-    )
-    _add_capacity_args(parser)
-    _add_traffic_args(parser)
+    _add_config_args(parser)
+    if traffic:
+        _add_traffic_args(parser)
     _add_engine_args(parser)
 
 
@@ -220,25 +296,15 @@ def _print_result(result) -> None:
 
 
 def _cmd_run(args) -> int:
+    point = _point_from_args(args)
     if args.trace is not None:
-        return _run_traced(args)
-    point = Point(
-        workload=args.workload,
-        system=args.system,
-        ncores=args.cores,
-        seed=args.seed,
-        scale=args.scale,
-        check=args.check,
-        retry_budget=args.retry_budget,
-        **_capacity_overrides(args),
-        **_traffic_overrides(args),
-    )
+        return _run_traced(args, point)
     result = run_points([point], **_engine_opts(args))[point]
     _print_result(result)
     return 0 if result.check_ok else 1
 
 
-def _run_traced(args) -> int:
+def _run_traced(args, point: Point) -> int:
     """``repro run --trace[=N]``: simulate with an event stream attached.
 
     A traced run is a distinct cache point (``obs="trace"``) whose
@@ -247,24 +313,10 @@ def _run_traced(args) -> int:
     and an untraced cache entry can never satisfy a trace request with
     an empty trace.
     """
-    from repro.exp.engine import run_point_with_trace
     from repro.obs.events import EventStream
 
-    point = Point(
-        workload=args.workload,
-        system=args.system,
-        ncores=args.cores,
-        seed=args.seed,
-        scale=args.scale,
-        check=args.check,
-        retry_budget=args.retry_budget,
-        **_capacity_overrides(args),
-        **_traffic_overrides(args),
-    )
     result, events, _metrics = run_point_with_trace(
-        point,
-        cache=None if args.no_cache else ResultCache(),
-        refresh=args.refresh,
+        point, **_engine_opts(args)
     )
     # Re-bound for display: --trace=N keeps the first N events, with
     # per-kind drop accounting for everything beyond the bound.
@@ -301,22 +353,8 @@ def _trace_source(args):
             figure2_tracer(args.system),
             {},
         )
-    from repro.exp.engine import run_point_with_trace
-
-    point = Point(
-        workload=args.workload,
-        system=args.system,
-        ncores=args.cores,
-        seed=args.seed,
-        scale=args.scale,
-        retry_budget=getattr(args, "retry_budget", None),
-        **_capacity_overrides(args),
-        **_traffic_overrides(args),
-    )
     _result, events, metrics = run_point_with_trace(
-        point,
-        cache=None if args.no_cache else ResultCache(),
-        refresh=args.refresh,
+        _point_from_args(args), **_engine_opts(args)
     )
     return f"{args.workload}/{args.system}", events, metrics
 
@@ -471,8 +509,6 @@ def _cmd_fuzz(args) -> int:
     the corpus, and ``--campaign ID --resume`` continues an
     interrupted campaign without re-screening any verdicted seed.
     """
-    from pathlib import Path
-
     from repro.fuzz.campaign import (
         CampaignError,
         CampaignOptions,
@@ -483,29 +519,17 @@ def _cmd_fuzz(args) -> int:
 
     for profile in args.profiles:
         if profile not in FUZZ_PROFILES:
-            print(
+            raise UsageError(
                 f"unknown fuzz profile {profile!r}; choose from "
-                f"{sorted(FUZZ_PROFILES)}",
-                file=sys.stderr,
+                f"{sorted(FUZZ_PROFILES)}"
             )
-            return 2
     if args.resume and not args.campaign:
-        print("--resume requires --campaign <id>", file=sys.stderr)
-        return 2
+        raise UsageError("--resume requires --campaign <id>")
     backends = tuple(
         dict.fromkeys(
             tuple(args.backends) + tuple(args.extra_backends or ())
         )
     )
-    config = None
-    capacity = _capacity_overrides(args)
-    if capacity:
-        from repro.sim.config import MachineConfig
-
-        config = MachineConfig(**{
-            name: (None if value == "unlimited" else value)
-            for name, value in capacity.items()
-        })
     common = dict(
         profiles=tuple(args.profiles),
         backends=backends,
@@ -516,7 +540,7 @@ def _cmd_fuzz(args) -> int:
         shrink=not args.no_shrink,
         emit=not args.no_emit,
         fault=args.fault,
-        config=config,
+        config=_config_from_args(args),
         corpus_root=Path(args.corpus),
         campaign=args.campaign,
         resume=args.resume,
@@ -534,8 +558,7 @@ def _cmd_fuzz(args) -> int:
     try:
         report = run_campaign(opts)
     except CampaignError as exc:
-        print(f"fuzz: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(str(exc)) from None
     print(report.summary())
     for profile, seed, detail in report.engine_failures:
         print(
@@ -552,26 +575,26 @@ def _cmd_fuzz(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    systems = args.systems.split(",")
-    matrix = fig.run_matrix(
-        (args.workload,), systems, ncores=args.cores, seed=args.seed,
-        scale=args.scale, **_engine_opts(args),
-    )
+    base = _point_from_args(args)
+    points = [
+        replace(base, system=system)
+        for system in args.systems.split(",")
+    ]
+    results = run_points(points, **_engine_opts(args))
     rows = []
     ok = True
-    for system in systems:
-        result = matrix[(args.workload, system)]
+    for point, result in results.items():
         ok = ok and result.invariants_ok
         rows.append(
             (
-                system,
+                point.system,
                 f"{result.speedup:.2f}x",
                 result.aborts,
                 f"{result.breakdown['conflict']:.1%}",
                 "ok" if result.invariants_ok else "FAILED",
             )
         )
-    seq = matrix[(args.workload, systems[0])].seq_cycles
+    seq = results[points[0]].seq_cycles
     print(f"{args.workload} on {args.cores} cores "
           f"(seq = {seq} cycles)")
     print(
@@ -583,221 +606,52 @@ def _cmd_compare(args) -> int:
     return 0 if ok else 1
 
 
+def _show(args, figure: fig.Figure) -> int:
+    """Run *figure* at the command line's point and print it — or,
+    with ``-o``, write it under the figure's markdown header (``-o``
+    on ``hybrid``/``capacity``/``service`` regenerates the committed
+    ``docs/*.md`` tables).  Every machine/traffic flag reaches every
+    point: the figure stamps its grid onto one base point."""
+    options = {name: getattr(args, name) for name in figure.options}
+    labelled = figure.points(_point_from_args(args), **options)
+    _reject_stray_traffic(point for _label, point in labelled)
+    data = figure.collect(labelled, **_engine_opts(args))
+    text = figure.render(data, args.cores)
+    output = getattr(args, "output", None)
+    if not output:
+        print(text)
+        return 0
+    header = figure.header.format(
+        cores=args.cores, scale=args.scale, seed=args.seed,
+        flags=_flags_given(args), output=output, backend=args.backend,
+        backends=", ".join(args.backends),
+    )
+    path = Path(output)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(header + text + "\n", encoding="utf-8")
+    print(f"wrote {path}")
+    return 0
+
+
 def _cmd_figure(args) -> int:
-    params = dict(
-        ncores=args.cores, seed=args.seed, scale=args.scale,
-        **_engine_opts(args),
-    )
-    if args.number == "hybrid":
-        return _figure_hybrid(args, params)
-    if args.number == "capacity":
-        return _figure_capacity(args, params)
-    if args.number == "service":
-        return _figure_service(args, params)
-    try:
-        number = int(args.number)
-    except ValueError:
-        print(f"no such figure: {args.number} "
-              "(have 1, 2, 3, 4, 9, 10, hybrid, capacity, service)",
-              file=sys.stderr)
-        return 2
-    if number == 1:
-        print(bar_chart(fig.figure1(**params), max_value=args.cores,
-                        title="Figure 1: eager HTM scalability"))
-    elif number == 2:
-        from repro.analysis.timeline import figure2_timelines
-
-        points = fig.figure2()
-        print(format_table(
-            ["system", "cycles", "commits", "aborts", "stalls"],
-            [(p.system, p.cycles, p.commits, p.aborts, p.stall_events)
-             for p in points.values()],
-        ))
-        for system, timeline in figure2_timelines().items():
-            print(f"\n--- {system} ---\n{timeline}")
-    elif number == 3:
-        print(bar_chart(fig.figure3(**params), max_value=args.cores,
-                        title="Figure 3: before/after restructurings"))
-    elif number == 4:
-        print(breakdown_chart(fig.figure4(**params),
-                              title="Figure 4: time breakdown (eager)"))
-    elif number == 9:
-        print(format_speedup_matrix(
-            fig.figure9(**params), fig.EVAL_SYSTEMS,
-            title="Figure 9: speedup over sequential",
-        ))
-    elif number == 10:
-        data = fig.figure10(**params)
-        flat, scales = {}, {}
-        for name, systems in data.items():
-            for system, payload in systems.items():
-                label = f"{name}/{system}"
-                flat[label] = payload["breakdown"]
-                scales[label] = min(payload["normalized_runtime"], 1.5)
-        print(breakdown_chart(
-            flat, scales=scales,
-            title="Figure 10: breakdown normalized to eager",
-        ))
-    else:
-        print(f"no such figure: {number} "
-              "(have 1, 2, 3, 4, 9, 10, hybrid, capacity, service)",
-              file=sys.stderr)
-        return 2
-    return 0
-
-
-def _figure_hybrid(args, params) -> int:
-    """``repro figure hybrid``: the HyTM retry-budget tradeoff table.
-
-    Sweeps the hybrid backend's retry budget across the smoke
-    workloads, bracketed by the pure-HTM (``retcon``) and pure-STM
-    endpoints, and renders markdown (``-o`` writes the committed
-    ``docs/hybrid_tradeoff.md``).
-    """
-    from pathlib import Path
-
-    data = fig.figure_hybrid(backend=args.backend, **params)
-    text = fig.format_hybrid_tradeoff(data)
-    if args.output:
-        path = Path(args.output)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        header = (
-            "# HyTM tradeoff: instrumentation overhead vs. "
-            "concurrency\n\n"
-            f"Backend `{args.backend}` swept over HTM retry budgets "
-            "(`rb=<n>`), bracketed by the pure-HTM (`htm` = retcon) "
-            "and pure-STM (`stm`) endpoints at "
-            f"{args.cores} cores, scale {args.scale}, seed "
-            f"{args.seed}.  Regenerate with:\n\n"
-            "    python -m repro figure hybrid --cores "
-            f"{args.cores} --scale {args.scale} -o {args.output}\n\n"
+    if args.number not in fig.FIGURES:
+        raise UsageError(
+            f"no such figure: {args.number} "
+            f"(have {', '.join(fig.FIGURES)})"
         )
-        path.write_text(header + text + "\n", encoding="utf-8")
-        print(f"wrote {path}")
-    else:
-        print(text)
-    return 0
-
-
-def _figure_capacity(args, params) -> int:
-    """``repro figure capacity``: the capacity-frontier table.
-
-    Sweeps the speculative read/write-set bound across the smoke
-    workloads on representative backends, bracketed by the unlimited
-    endpoint and pure STM, and renders markdown (``-o`` writes the
-    committed ``docs/capacity_frontier.md``).
-    """
-    from pathlib import Path
-
-    data = fig.figure_capacity(**params)
-    text = fig.format_capacity_frontier(data)
-    if args.output:
-        path = Path(args.output)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        steps = ", ".join(str(s) for s in fig.CAPACITY_STEPS)
-        header = (
-            "# Capacity frontier: speedup vs. speculative set size\n\n"
-            "Read- and write-set bounds swept together over "
-            f"{steps} blocks on "
-            f"{', '.join(fig.CAPACITY_BACKENDS)} (plus the pure-STM "
-            f"endpoint, which tracks sets in software) at "
-            f"{args.cores} cores, scale {args.scale}, seed "
-            f"{args.seed}.  Regenerate with:\n\n"
-            "    python -m repro figure capacity --cores "
-            f"{args.cores} --scale {args.scale} -o {args.output}\n\n"
-        )
-        path.write_text(header + text + "\n", encoding="utf-8")
-        print(f"wrote {path}")
-    else:
-        print(text)
-    return 0
-
-
-def _figure_service(args, params) -> int:
-    """``repro figure service``: the service-traffic sweep table.
-
-    Runs every service workload on the service backends (traced, so
-    latency histograms and the repair counter ride along) and renders
-    markdown (``-o`` writes the committed ``docs/service_traffic.md``).
-    """
-    from pathlib import Path
-
-    # Traced points run one at a time (each needs its event stream
-    # + metrics registry in-process); the engine's pool is unused.
-    params.pop("jobs", None)
-    backends = (
-        tuple(args.backends.split(","))
-        if args.backends else fig.SERVICE_BACKENDS
-    )
-    data = fig.figure_service(
-        backends=backends,
-        check=args.check,
-        **_traffic_overrides(args),
-        **params,
-    )
-    text = fig.format_service_traffic(data)
-    if args.output:
-        path = Path(args.output)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        traffic = "".join(
-            f" --{k} {v}" for k, v in _traffic_overrides(args).items()
-        )
-        header = (
-            "# Service traffic: commit, repair, and abort rates with "
-            "tail latency\n\n"
-            "The four production-traffic service workloads "
-            "(Zipf-popular users, diurnal arrivals, hot shared "
-            f"counters) on {', '.join(backends)} at "
-            f"{args.cores} cores, scale {args.scale}, seed "
-            f"{args.seed}.  Repair rate = commits that lost blocks "
-            "to a conflicting writer and still committed via "
-            "symbolic repair; latency percentiles are "
-            "power-of-two-bucket upper bounds from the "
-            "`txn.duration_cycles` histogram.  Regenerate with:\n\n"
-            "    python -m repro figure service --cores "
-            f"{args.cores} --scale {args.scale} --seed {args.seed}"
-            f"{traffic} -o {args.output}\n\n"
-        )
-        path.write_text(header + text + "\n", encoding="utf-8")
-        print(f"wrote {path}")
-    else:
-        print(text)
-    return 0
+    return _show(args, fig.FIGURES[args.number])
 
 
 def _cmd_table(args) -> int:
-    number = args.number
-    if number == 1:
+    if args.number == 1:
         print(format_table(["Parameter", "Value"], fig.table1()))
-    elif number == 2:
+    elif args.number == 2:
         print(format_table(["Workload", "Description", "Input"],
                            fig.table2()))
-    elif number == 3:
-        data = fig.table3(
-            ncores=args.cores, seed=args.seed, scale=args.scale,
-            **_engine_opts(args),
-        )
-        rows = []
-        for name, row in data.items():
-            cells = [name]
-            for column in (
-                "blocks_lost", "blocks_tracked", "symbolic_registers",
-                "private_stores", "constraint_addresses",
-                "commit_cycles",
-            ):
-                avg, peak = row[column]
-                cells.append(f"{avg:.1f} ({peak:.0f})")
-            cells.append(f"{row['commit_stall_percent']:.1f}")
-            rows.append(cells)
-        print(format_table(
-            ["workload", "lost", "tracked", "sym regs", "priv stores",
-             "constr addrs", "commit cyc", "stall %"],
-            rows,
-        ))
+    elif args.number == 3:
+        return _show(args, fig.TABLE3)
     else:
-        print(f"no such table: {number} (have 1, 2, 3)",
-              file=sys.stderr)
-        return 2
+        raise UsageError(f"no such table: {args.number} (have 1, 2, 3)")
     return 0
 
 
@@ -807,25 +661,26 @@ def _cmd_sweep(args) -> int:
     if args.smoke:
         return _run_smoke(args)
     if args.workload is None:
-        print("sweep: a workload is required unless --smoke is given",
-              file=sys.stderr)
-        return 2
+        raise UsageError(
+            "a workload is required unless --smoke is given"
+        )
     core_counts = tuple(
         int(n) for n in args.core_counts.split(",")
     )
     systems = (
         [args.backend] if args.backend else args.systems.split(",")
     )
+    base = _point_from_args(args)
     curves = sweep_matrix(
-        args.workload,
+        base.workload,
         systems,
         core_counts,
-        seed=args.seed,
-        scale=args.scale,
-        check=args.check,
-        retry_budget=args.retry_budget,
-        **_capacity_overrides(args),
-        **_traffic_overrides(args),
+        seed=base.seed,
+        scale=base.scale,
+        config=base.config,
+        check=base.check,
+        skew=base.skew,
+        burst=base.burst,
         **_engine_opts(args),
     )
     print(format_sweep(args.workload, curves))
@@ -849,20 +704,18 @@ def _run_smoke(args) -> int:
 
     ``--backend NAME`` swaps the system trio for a single system (the
     CI hybrid-smoke step runs it on ``hybrid-retcon`` alone), and
-    ``--check``/``--retry-budget`` apply to every smoke point.
+    ``--check`` and the machine flags apply to every smoke point.
     """
-    from dataclasses import replace as _replace
-
     if args.backend:
         spec = smoke_spec(systems=(args.backend,))
     else:
         spec = smoke_spec()
     points = [
-        _replace(
-            point, check=args.check, retry_budget=args.retry_budget,
-            **_capacity_overrides(args),
+        _point_from_args(
+            args, workload=p.workload, system=p.system, ncores=p.ncores,
+            seed=p.seed, scale=p.scale,
         )
-        for point in spec.points()
+        for p in spec.points()
     ]
     start = time.perf_counter()
     results = run_points(points, **_engine_opts(args))
@@ -903,8 +756,6 @@ def _cmd_profile(args) -> int:
     """
     from repro.analysis.profile import (
         bench_payload,
-        gate_against,
-        latest_bench,
         profile_smoke,
         write_bench,
     )
@@ -949,30 +800,19 @@ def _cmd_profile(args) -> int:
     if args.output:
         write_bench(args.output, payload)
         print(f"wrote {args.output}")
-    if args.gate:
-        baseline = args.baseline or latest_bench()
-        if baseline is None:
-            print("perf gate: no BENCH_pr*.json baseline found", file=sys.stderr)
-            return 1
-        result = gate_against(payload, baseline)
-        print(result.describe())
-        if not result.ok:
-            return 1
     return 0
 
 
 def _cmd_experiments(args) -> int:
-    from repro.analysis.experiments import main as experiments_main
+    from repro.analysis.experiments import generate_report
 
-    argv = ["--cores", str(args.cores), "--scale", str(args.scale),
-            "--seed", str(args.seed), "-o", args.output]
-    if args.jobs is not None:
-        argv += ["--jobs", str(args.jobs)]
-    if args.no_cache:
-        argv.append("--no-cache")
-    if args.refresh:
-        argv.append("--refresh")
-    return experiments_main(argv)
+    report = generate_report(
+        ncores=args.cores, seed=args.seed, scale=args.scale,
+        config=_config_from_args(args), **_engine_opts(args),
+    )
+    Path(args.output).write_text(report)
+    print(f"wrote {args.output}")
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1025,8 +865,8 @@ def build_parser() -> argparse.ArgumentParser:
     figure.add_argument("number")
     figure.add_argument(
         "-o", "--output", default=None, metavar="PATH",
-        help="write the 'hybrid'/'capacity'/'service' markdown here "
-             "instead of stdout",
+        help="write the figure here (under its markdown header, for "
+             "'hybrid'/'capacity'/'service') instead of stdout",
     )
     figure.add_argument(
         "--backend", default="hybrid-retcon",
@@ -1034,26 +874,27 @@ def build_parser() -> argparse.ArgumentParser:
              "(default hybrid-retcon)",
     )
     figure.add_argument(
-        "--backends", default=None, metavar="A,B,...",
+        "--backends", default=fig.SERVICE_BACKENDS, metavar="A,B,...",
+        type=lambda text: tuple(text.split(",")),
         help="comma-separated backend list for 'figure service' "
              "(default eager,retcon,hybrid-retcon)",
     )
     figure.add_argument(
         "--check", action="store_true",
         help="attach the repair oracle + golden differ to every "
-             "'figure service' point (fails on any violation)",
+             "point (fails on any violation)",
     )
     _add_run_args(figure)
 
     table = sub.add_parser("table", help="regenerate a paper table")
     table.add_argument("number", type=int)
-    _add_run_args(table)
+    _add_run_args(table, traffic=False)
 
     experiments = sub.add_parser(
         "experiments", help="run everything and write EXPERIMENTS.md"
     )
     experiments.add_argument("-o", "--output", default="EXPERIMENTS.md")
-    _add_run_args(experiments)
+    _add_run_args(experiments, traffic=False)
 
     sweep = sub.add_parser(
         "sweep", help="speedup vs core count for one workload"
@@ -1081,14 +922,10 @@ def build_parser() -> argparse.ArgumentParser:
              "system instead of the default eager/lazy-vb/retcon trio",
     )
     sweep.add_argument(
-        "--retry-budget", type=int, default=None, metavar="N",
-        help="HTM attempts before a hybrid backend escalates to STM",
-    )
-    sweep.add_argument(
         "--check", action="store_true",
         help="attach the repair oracle + golden differ to every point",
     )
-    _add_capacity_args(sweep)
+    _add_config_args(sweep)
     _add_traffic_args(sweep)
     _add_engine_args(sweep)
 
@@ -1111,16 +948,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument(
         "-o", "--output", default=None, metavar="FILE",
         help="write the JSON payload to FILE (e.g. BENCH_pr3.json)",
-    )
-    profile.add_argument(
-        "--gate", action="store_true",
-        help="compare against the newest committed BENCH_pr*.json and "
-             "exit 1 on a >5%% grid cycles/s regression",
-    )
-    profile.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help="explicit baseline BENCH json for --gate (default: "
-             "newest BENCH_pr*.json in the repo root)",
     )
 
     fuzz = sub.add_parser(
@@ -1199,7 +1026,7 @@ def build_parser() -> argparse.ArgumentParser:
              "coverage-guided (divergence-weighted, epsilon-greedy) "
              "scheduler used for --minutes campaigns",
     )
-    _add_capacity_args(fuzz)
+    _add_config_args(fuzz)
     _add_engine_args(fuzz)
 
     trace = sub.add_parser(
@@ -1283,7 +1110,11 @@ COMMANDS = {
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return COMMANDS[args.command](args)
+    try:
+        return COMMANDS[args.command](args)
+    except UsageError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -13,7 +13,6 @@ Three layers (see ``docs/experiment_engine.md``):
 
 from repro.exp.cache import DEFAULT_CACHE_DIR, ResultCache
 from repro.exp.engine import (
-    matrix_view,
     resolve_jobs,
     run_matrix,
     run_points,
@@ -27,7 +26,6 @@ __all__ = [
     "ExperimentSpec",
     "Point",
     "ResultCache",
-    "matrix_view",
     "point_key",
     "resolve_jobs",
     "run_matrix",

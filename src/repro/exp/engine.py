@@ -1,7 +1,8 @@
 """The experiment executor: baseline sharing, process pools, caching.
 
-:func:`run_points` is the single entry point every figure, table,
-sweep, benchmark, and CLI command funnels through.  It
+:func:`iter_points` is the single path every figure, table, sweep,
+benchmark, and CLI command funnels through (usually via its ordered
+collector :func:`run_points`).  It
 
 1. resolves cached points (unless ``refresh``),
 2. groups the misses by :meth:`Point.baseline_key` so each
@@ -9,7 +10,8 @@ sweep, benchmark, and CLI command funnels through.  It
    runs its sequential baseline exactly once, shared across systems,
 3. executes the groups — serially, or on a ``multiprocessing`` pool
    when ``jobs > 1`` — and streams per-point progress,
-4. stores fresh results in the cache and returns an ordered
+4. stores fresh results (and trace artifacts) in the cache and yields
+   them; :func:`run_points` returns an ordered
    ``{Point: WorkloadResult}`` mapping.
 
 Results are bit-identical between the serial and parallel paths: each
@@ -32,7 +34,7 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from repro.exp.cache import ResultCache
 from repro.exp.spec import ExperimentSpec, Point
@@ -214,6 +216,74 @@ def run_tasks(
                 yield index, item, future.result()
 
 
+def iter_points(
+    points: Iterable[Point],
+    jobs: Optional[int] = None,
+    cache: Optional[ResultCache] = None,
+    refresh: bool = False,
+    progress: Optional[ProgressFn] = None,
+):
+    """Resolve *points*, yielding ``(point, result, artifacts)`` as each
+    completes: cache hits first, then fresh runs in completion order.
+
+    This is the one path a point takes through the engine — cache
+    probe, baseline-shared execution, cache store, progress — and
+    everything else (:func:`run_points`, :func:`run_point_with_trace`,
+    the figure driver) is a thin consumer of it.  ``artifacts`` maps
+    artifact names to JSON payloads (``{"trace": ...}`` for
+    ``obs="trace"`` points, else empty) — the same payloads written to
+    the cache, handed back so callers need not re-read them.
+    """
+    ordered = list(dict.fromkeys(points))
+    total = len(ordered)
+    done = 0
+
+    pending: list[Point] = []
+    for point in ordered:
+        hit = None if (cache is None or refresh) else cache.get(point)
+        artifacts: dict = {}
+        if hit is not None and point.obs:
+            # A result without its observability artifact cannot
+            # satisfy a trace request — re-simulate instead of
+            # returning a result whose trace would be empty.
+            payload = cache.get_artifact(point, point.obs)
+            if payload is None:
+                hit = None
+            else:
+                artifacts[point.obs] = payload
+        if hit is None:
+            pending.append(point)
+            continue
+        done += 1
+        if progress:
+            progress(done, total, point, "cached", 0.0)
+        yield point, hit, artifacts
+
+    def finish(batches):
+        nonlocal done
+        for batch in batches:
+            for point, result, seconds, artifacts in batch:
+                if cache is not None:
+                    cache.put(point, result)
+                    for name, payload in artifacts.items():
+                        cache.put_artifact(point, name, payload)
+                done += 1
+                if progress:
+                    progress(done, total, point, "ran", seconds)
+                yield point, result, artifacts
+
+    groups = _group_by_baseline(pending)
+    njobs = min(resolve_jobs(jobs), max(len(groups), 1))
+    if njobs <= 1 or len(groups) <= 1:
+        yield from finish(map(_run_group, groups))
+    else:
+        _ensure_child_importable()
+        with _pool_context().Pool(processes=njobs) as pool:
+            yield from finish(
+                pool.imap_unordered(_run_group, groups, chunksize=1)
+            )
+
+
 def run_points(
     points: Iterable[Point],
     jobs: Optional[int] = None,
@@ -227,69 +297,18 @@ def run_points(
     overwrites) existing entries.  ``progress``, if given, is invoked
     once per point with status ``"cached"`` or ``"ran"``.
     """
-    ordered: list[Point] = []
-    seen: set[Point] = set()
-    for point in points:
-        if point not in seen:
-            seen.add(point)
-            ordered.append(point)
-
-    total = len(ordered)
-    results: dict[Point, WorkloadResult] = {}
-    done = 0
-
-    pending: list[Point] = []
-    for point in ordered:
-        hit = None if (cache is None or refresh) else cache.get(point)
-        if hit is not None and point.obs:
-            # A result without its observability artifact cannot
-            # satisfy a trace request — re-simulate instead of
-            # returning a result whose trace would be empty.
-            if cache.get_artifact(point, point.obs) is None:
-                hit = None
-        if hit is not None:
-            results[point] = hit
-            done += 1
-            if progress:
-                progress(done, total, point, "cached", 0.0)
-        else:
-            pending.append(point)
-
-    groups = _group_by_baseline(pending)
-    njobs = min(resolve_jobs(jobs), max(len(groups), 1))
-
-    def consume(
-        batch: list[tuple[Point, WorkloadResult, float, dict]]
-    ) -> None:
-        nonlocal done
-        for point, result, seconds, artifacts in batch:
-            results[point] = result
-            if cache is not None:
-                cache.put(point, result)
-                for name, payload in artifacts.items():
-                    cache.put_artifact(point, name, payload)
-            done += 1
-            if progress:
-                progress(done, total, point, "ran", seconds)
-
-    if njobs <= 1 or len(groups) <= 1:
-        for group in groups:
-            consume(_run_group(group))
-    else:
-        _ensure_child_importable()
-        ctx = _pool_context()
-        with ctx.Pool(processes=njobs) as pool:
-            for batch in pool.imap_unordered(_run_group, groups, chunksize=1):
-                consume(batch)
-
+    ordered = list(dict.fromkeys(points))
+    results = {
+        point: result
+        for point, result, _artifacts in iter_points(
+            ordered, jobs=jobs, cache=cache, refresh=refresh,
+            progress=progress,
+        )
+    }
     return {point: results[point] for point in ordered}
 
 
-def run_point_with_trace(
-    point: Point,
-    cache: Optional[ResultCache] = None,
-    refresh: bool = False,
-):
+def run_point_with_trace(point: Point, **engine_opts):
     """Run one point with tracing; returns ``(result, events, metrics)``.
 
     ``events`` is an :class:`repro.obs.events.EventStream` and
@@ -297,29 +316,17 @@ def run_point_with_trace(
     promoted to ``obs="trace"`` (a *different* cache key from the
     untraced run), so a warm untraced cache can never short-circuit a
     trace request; a cache hit requires both the result entry and its
-    trace artifact, and replays the persisted events.
+    trace artifact, and replays the persisted events.  ``engine_opts``
+    are :func:`iter_points`'s (``cache``, ``refresh``, ``progress``).
     """
     from dataclasses import replace
 
     from repro.obs.events import EventStream
 
-    if point.obs != "trace":
-        point = replace(point, obs="trace")
-    if cache is not None and not refresh:
-        result = cache.get(point)
-        payload = cache.get_artifact(point, "trace")
-        if result is not None and payload is not None:
-            return (
-                result,
-                EventStream.from_payload(payload),
-                dict(payload.get("metrics", ())),
-            )
-    batch = _run_group([point])
-    point, result, _seconds, artifacts = batch[0]
+    ((_point, result, artifacts),) = iter_points(
+        [replace(point, obs="trace")], **engine_opts
+    )
     payload = artifacts["trace"]
-    if cache is not None:
-        cache.put(point, result)
-        cache.put_artifact(point, "trace", payload)
     return (
         result,
         EventStream.from_payload(payload),
@@ -328,17 +335,10 @@ def run_point_with_trace(
 
 
 def run_spec(
-    spec: ExperimentSpec,
-    jobs: Optional[int] = None,
-    cache: Optional[ResultCache] = None,
-    refresh: bool = False,
-    progress: Optional[ProgressFn] = None,
+    spec: ExperimentSpec, **engine_opts
 ) -> dict[Point, WorkloadResult]:
     """Execute every point of *spec* (see :func:`run_points`)."""
-    return run_points(
-        spec.points(), jobs=jobs, cache=cache, refresh=refresh,
-        progress=progress,
-    )
+    return run_points(spec.points(), **engine_opts)
 
 
 def run_matrix(
@@ -348,38 +348,21 @@ def run_matrix(
     seed: int = 1,
     scale: float = 1.0,
     config: Optional[MachineConfig] = None,
-    jobs: Optional[int] = None,
-    cache: Optional[ResultCache] = None,
-    refresh: bool = False,
-    progress: Optional[ProgressFn] = None,
+    **engine_opts,
 ) -> dict[tuple[str, str], WorkloadResult]:
     """The classic (workload, system) grid, keyed by name pairs.
 
-    Drop-in replacement for the old serial
-    ``analysis.figures.run_matrix`` loop (which now delegates here).
+    ``engine_opts`` are :func:`run_points`'s; like it, this defaults
+    to every core — pass ``jobs=1`` to keep a library call serial.
     """
-    spec = ExperimentSpec(
-        name="matrix",
-        workloads=tuple(workloads),
-        systems=tuple(systems),
-        core_counts=(ncores,),
-        seeds=(seed,),
-        scale=scale,
-        config=config,
+    by_point = run_points(
+        [
+            Point(workload, system, ncores, seed, scale, config)
+            for workload in workloads
+            for system in systems
+        ],
+        **engine_opts,
     )
-    by_point = run_spec(
-        spec, jobs=jobs, cache=cache, refresh=refresh, progress=progress
-    )
-    return {
-        (point.workload, point.system): result
-        for point, result in by_point.items()
-    }
-
-
-def matrix_view(
-    by_point: Mapping[Point, WorkloadResult],
-) -> dict[tuple[str, str], WorkloadResult]:
-    """Re-key a point mapping by (workload, system) name pairs."""
     return {
         (point.workload, point.system): result
         for point, result in by_point.items()

@@ -15,33 +15,22 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, replace
-from typing import Iterator, Optional, Union
+from dataclasses import asdict, dataclass
+from typing import Iterator, Optional
 
 from repro.sim.config import MachineConfig
 
-#: capacity knobs a Point/ExperimentSpec can override on its config;
-#: each is None (keep the config), an int bound, or the string
-#: "unlimited" (capacity=None — distinct from "keep", which None means)
-CAPACITY_FIELDS = (
-    "read_set_entries",
-    "write_set_entries",
-    "ivb_entries",
-    "constraint_entries",
-    "ssb_entries",
-)
-
-#: short names for labels: read_set_entries=8 renders as "rs=8"
-_CAPACITY_SHORT = {
+#: short label names for the swept machine knobs: a point whose config
+#: has read_set_entries=8 renders as "rs=8"; any other overridden
+#: MachineConfig field is labelled by its full name
+_SHORT = {
+    "retry_budget": "rb",
     "read_set_entries": "rs",
     "write_set_entries": "ws",
     "ivb_entries": "ivb",
     "constraint_entries": "cb",
     "ssb_entries": "ssb",
 }
-
-#: type of a capacity override: int bound, "unlimited", or None (keep)
-Capacity = Optional[Union[int, str]]
 
 
 @dataclass(frozen=True)
@@ -53,6 +42,11 @@ class Point:
     ncores: int = 32
     seed: int = 1
     scale: float = 1.0
+    #: every machine override (retry budget, structure capacities,
+    #: latencies, ...) is spelled here and only here: None means
+    #: ``MachineConfig()`` defaults at this core count.  The resolved
+    #: config is cache-key material, so a swept knob is a grid of
+    #: distinct points.
     config: Optional[MachineConfig] = None
     #: attach the correctness oracle + golden-run differ to the run
     check: bool = False
@@ -66,19 +60,6 @@ class Point:
     #: points, so a warm untraced cache can never satisfy a trace
     #: request with an empty trace.
     obs: str = ""
-    #: HTM attempts before a hybrid backend escalates to STM; None
-    #: keeps the config's value.  Folded into resolved_config (and
-    #: hence the cache key) so retry-budget sweeps are distinct points.
-    retry_budget: Optional[int] = None
-    #: per-structure capacity overrides (see CAPACITY_FIELDS): None
-    #: keeps the config's value, an int bounds the structure, and the
-    #: string "unlimited" removes the bound.  Folded into
-    #: resolved_config, hence cache-key fields.
-    read_set_entries: Capacity = None
-    write_set_entries: Capacity = None
-    ivb_entries: Capacity = None
-    constraint_entries: Capacity = None
-    ssb_entries: Capacity = None
     #: traffic-model overrides for the service workloads: Zipf skew
     #: exponent and arrival-profile name (see
     #: repro.workloads.service.traffic).  None keeps the workload's
@@ -90,19 +71,7 @@ class Point:
 
     def resolved_config(self) -> MachineConfig:
         """The machine configuration this point actually runs with."""
-        config = (self.config or MachineConfig()).with_cores(self.ncores)
-        if self.retry_budget is not None:
-            config = replace(config, retry_budget=self.retry_budget)
-        overrides = {}
-        for name in CAPACITY_FIELDS:
-            value = getattr(self, name)
-            if value is not None:
-                overrides[name] = (
-                    None if value == "unlimited" else value
-                )
-        if overrides:
-            config = replace(config, **overrides)
-        return config
+        return (self.config or MachineConfig()).with_cores(self.ncores)
 
     def baseline_key(self) -> tuple:
         """Points with equal keys share one generated workload and one
@@ -137,20 +106,19 @@ class Point:
 
     def label(self) -> str:
         extras = ""
-        if self.config is not None:
-            extras = f" config={point_key(self, version='')[:8]}"
         if self.check:
             extras += " +check"
         if self.tag:
             extras += f" tag={self.tag}"
         if self.obs:
             extras += f" +{self.obs}"
-        if self.retry_budget is not None:
-            extras += f" rb={self.retry_budget}"
-        for name in CAPACITY_FIELDS:
-            value = getattr(self, name)
-            if value is not None:
-                extras += f" {_CAPACITY_SHORT[name]}={value}"
+        # Name exactly the machine fields that differ from the
+        # defaults: "rb=2 rs=4", None (no bound) shown as "unlimited".
+        default = asdict(MachineConfig().with_cores(self.ncores))
+        for name, value in asdict(self.resolved_config()).items():
+            if value != default[name]:
+                shown = "unlimited" if value is None else value
+                extras += f" {_SHORT.get(name, name)}={shown}"
         if self.skew is not None:
             extras += f" skew={self.skew}"
         if self.burst is not None:
@@ -200,18 +168,6 @@ class ExperimentSpec:
     tag: str = ""
     #: observability request propagated to every point (see Point.obs)
     obs: str = ""
-    #: hybrid retry budget propagated to every point (see
-    #: Point.retry_budget)
-    retry_budget: Optional[int] = None
-    #: capacity overrides propagated to every point (see Point)
-    read_set_entries: Capacity = None
-    write_set_entries: Capacity = None
-    ivb_entries: Capacity = None
-    constraint_entries: Capacity = None
-    ssb_entries: Capacity = None
-    #: traffic-model overrides propagated to every point (see Point)
-    skew: Optional[float] = None
-    burst: Optional[str] = None
 
     def __post_init__(self) -> None:
         # Tolerate lists/generators from callers; store tuples so the
@@ -234,14 +190,6 @@ class ExperimentSpec:
                 check=self.check,
                 tag=self.tag,
                 obs=self.obs,
-                retry_budget=self.retry_budget,
-                read_set_entries=self.read_set_entries,
-                write_set_entries=self.write_set_entries,
-                ivb_entries=self.ivb_entries,
-                constraint_entries=self.constraint_entries,
-                ssb_entries=self.ssb_entries,
-                skew=self.skew,
-                burst=self.burst,
             )
             for workload in self.workloads
             for ncores in self.core_counts

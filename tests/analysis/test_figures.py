@@ -3,6 +3,7 @@
 import pytest
 
 from repro.analysis import figures
+from repro.exp.engine import run_matrix
 from repro.workloads.registry import ALL_VARIANTS, FIGURE1_WORKLOADS
 
 # Full-matrix figure reproduction: slow on a cold cache, so it runs in
@@ -14,8 +15,8 @@ TINY = dict(ncores=2, seed=4, scale=0.05)
 
 @pytest.fixture(scope="module")
 def matrix():
-    return figures.run_matrix(
-        ALL_VARIANTS, figures.EVAL_SYSTEMS, **TINY
+    return run_matrix(
+        ALL_VARIANTS, figures.EVAL_SYSTEMS, jobs=1, **TINY
     )
 
 

@@ -96,49 +96,3 @@ class TestProfilePoint:
         point, _ = _profile_with(monkeypatch, [4.0, 2.0])
         assert point.cycles == FakeResult.cycles
         assert point.cycles_per_second == FakeResult.cycles / 2.0
-
-
-class TestPerfGate:
-    """``repro profile --gate`` regression gate (PR 6)."""
-
-    def _write(self, path, cps, label="x"):
-        prof.write_bench(
-            str(path), {"label": label, "grid_cycles_per_second": cps}
-        )
-
-    def test_latest_bench_picks_highest_pr_number(self, tmp_path):
-        for n in (3, 6, 12):
-            self._write(tmp_path / f"BENCH_pr{n}.json", 1e6, label=f"pr{n}")
-        (tmp_path / "BENCH_notes.txt").write_text("not a bench")
-        found = prof.latest_bench(str(tmp_path))
-        assert found is not None and found.endswith("BENCH_pr12.json")
-
-    def test_latest_bench_none_without_files(self, tmp_path):
-        assert prof.latest_bench(str(tmp_path)) is None
-
-    def test_gate_tolerates_small_regression(self, tmp_path):
-        baseline = tmp_path / "BENCH_pr6.json"
-        self._write(baseline, 100.0)
-        ok = prof.gate_against(
-            {"grid_cycles_per_second": 95.0}, str(baseline)
-        )
-        assert ok.ok and ok.ratio == 0.95
-
-    def test_gate_fails_beyond_tolerance(self, tmp_path):
-        baseline = tmp_path / "BENCH_pr6.json"
-        self._write(baseline, 100.0, label="pr6")
-        bad = prof.gate_against(
-            {"grid_cycles_per_second": 94.9}, str(baseline)
-        )
-        assert not bad.ok
-        assert "REGRESSION" in bad.describe()
-        assert "pr6" in bad.describe()
-
-    def test_gate_reports_improvement(self, tmp_path):
-        baseline = tmp_path / "BENCH_pr6.json"
-        self._write(baseline, 100.0)
-        good = prof.gate_against(
-            {"grid_cycles_per_second": 250.0}, str(baseline)
-        )
-        assert good.ok
-        assert "+150.0%" in good.describe()

@@ -95,42 +95,85 @@ class TestPointKey:
         assert point_key(implicit) == point_key(explicit)
 
 
+def _with(**overrides) -> MachineConfig:
+    """The one spelling of a machine override: Point(config=...)."""
+    return replace(MachineConfig(), **overrides)
+
+
 class TestRetryBudget:
     """The HyTM sweep knob must be cache-key material."""
 
     def test_budget_changes_the_point_key(self):
-        from repro.exp.spec import point_key
-
         base = Point(workload="kmeans", system="hybrid-retcon")
-        swept = Point(
-            workload="kmeans", system="hybrid-retcon", retry_budget=2
-        )
+        swept = replace(base, config=_with(retry_budget=2))
         assert point_key(base) != point_key(swept)
         assert point_key(swept) != point_key(
-            Point(
-                workload="kmeans", system="hybrid-retcon",
-                retry_budget=3,
-            )
+            replace(base, config=_with(retry_budget=3))
         )
 
     def test_none_budget_matches_config_default(self):
-        from repro.exp.spec import point_key
-        from repro.sim.config import MachineConfig
-
         default = MachineConfig().retry_budget
         implicit = Point(workload="kmeans", system="hybrid-retcon")
-        explicit = Point(
-            workload="kmeans", system="hybrid-retcon",
-            retry_budget=default,
-        )
+        explicit = replace(implicit, config=_with(retry_budget=default))
         assert point_key(implicit) == point_key(explicit)
 
     def test_budget_folds_into_resolved_config_and_label(self):
         point = Point(
-            workload="kmeans", system="hybrid-retcon", retry_budget=0
+            workload="kmeans", system="hybrid-retcon",
+            config=_with(retry_budget=0),
         )
         assert point.resolved_config().retry_budget == 0
         assert "rb=0" in point.label()
+
+
+class TestLabel:
+    def test_label_names_exactly_the_overridden_fields(self):
+        plain = Point("kmeans", "eager", ncores=4)
+        assert plain.label() == "kmeans/eager ncores=4 seed=1 scale=1.0"
+        # An explicit default config is still a plain point.
+        assert replace(plain, config=MachineConfig()).label() == plain.label()
+        swept = replace(
+            plain,
+            config=_with(retry_budget=2, read_set_entries=4,
+                         ivb_entries=None, dram_cycles=50),
+        )
+        extras = swept.label().removeprefix(plain.label()).split()
+        assert sorted(extras) == sorted(
+            ["rb=2", "rs=4", "ivb=unlimited", "dram_cycles=50"]
+        )
+
+    def test_label_does_not_depend_on_the_seed(self):
+        # Progress lines of one sweep must read alike across seeds.
+        a = Point("kmeans", "eager", seed=1, config=_with(hop_cycles=10))
+        b = replace(a, seed=2)
+        assert a.label().replace("seed=1", "seed=2") == b.label()
+
+
+class TestCacheKeyStability:
+    """Literal digests recorded at the commit before the override
+    fields were folded into ``Point.config`` (repro 1.7.0): warm
+    ``.repro-cache/`` entries must keep resolving."""
+
+    PINNED = {
+        "787fbd6499c5e2dde26f3902f41db791e40a6a9b2c8586e613ed5662c3ef3a0c":
+            Point("python_opt", "retcon"),
+        "54121539ec98b6db24283486be5859c56da683391030df41c583612a5d68c6e4":
+            Point("python_opt", "retcon", check=True),
+        "955b82134860ab750e9d171711af59aad5ce803c6d1a844fb434b7ec40df61d2":
+            Point("python_opt", "retcon", obs="trace"),
+        # was Point(..., retry_budget=2)
+        "93159680f2583e559198cc5236336e748c2a17b7cec36d09f121f348cc1080a7":
+            Point("kmeans", "hybrid-retcon", ncores=4, scale=0.1,
+                  config=_with(retry_budget=2)),
+        # was Point(..., read_set_entries=4, write_set_entries=4)
+        "288771209da850f0916ffae016970844aa2287a8ad62e32769e040342c607cfd":
+            Point("genome-sz", "eager", ncores=4, scale=0.1,
+                  config=_with(read_set_entries=4, write_set_entries=4)),
+    }
+
+    def test_point_keys_match_the_recorded_digests(self):
+        for digest, point in self.PINNED.items():
+            assert point_key(point, version="1.7.0") == digest, point
 
 
 class TestTrafficOverrides:
@@ -140,8 +183,6 @@ class TestTrafficOverrides:
     sequential baseline."""
 
     def test_skew_changes_the_point_key(self):
-        from repro.exp.spec import point_key
-
         base = Point(workload="service-limiter", system="retcon")
         swept = Point(
             workload="service-limiter", system="retcon", skew=1.6
@@ -152,8 +193,6 @@ class TestTrafficOverrides:
         )
 
     def test_burst_changes_the_point_key(self):
-        from repro.exp.spec import point_key
-
         base = Point(workload="service-session", system="eager")
         swept = Point(
             workload="service-session", system="eager", burst="bursty"
@@ -186,18 +225,3 @@ class TestTrafficOverrides:
         plain = Point(workload="service-checkout", system="retcon")
         assert "skew=" not in plain.label()
         assert "burst=" not in plain.label()
-
-    def test_spec_propagates_traffic_to_every_point(self):
-        spec = ExperimentSpec(
-            name="svc",
-            workloads=("service-limiter",),
-            systems=("eager", "retcon"),
-            core_counts=(2, 4),
-            seeds=(1,),
-            skew=1.6,
-            burst="steady",
-        )
-        points = spec.points()
-        assert points
-        assert all(p.skew == 1.6 for p in points)
-        assert all(p.burst == "steady" for p in points)

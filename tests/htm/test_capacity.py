@@ -23,7 +23,7 @@ from repro.core.constraints import (
     DEFAULT_CONSTRAINT_ENTRIES,
     ConstraintBuffer,
 )
-from repro.exp.spec import CAPACITY_FIELDS, Point, point_key
+from repro.exp.spec import Point, point_key
 from repro.obs.events import EventStream, TraceEvent
 from repro.obs.views import capacity_attribution, capacity_breakdown
 from repro.sim.config import MachineConfig
@@ -233,49 +233,58 @@ class TestCapacityViews:
 
 
 # ----------------------------------------------------------------------
-# Point-level capacity overrides: resolution, labels, cache keys
+# Point-level capacity overrides (spelled Point(config=...)):
+# resolution, labels, cache keys
 # ----------------------------------------------------------------------
+#: the five capacity knobs of MachineConfig
+CAPACITY_FIELDS = (
+    "read_set_entries",
+    "write_set_entries",
+    "ivb_entries",
+    "constraint_entries",
+    "ssb_entries",
+)
+
+
+def capped(**capacities) -> Point:
+    return Point("python_opt", "retcon", config=bounded(**capacities))
+
+
 class TestPointCapacityFields:
     def test_int_override_folds_into_config(self):
-        point = Point("python_opt", "retcon", read_set_entries=4,
-                      ssb_entries=8)
-        config = point.resolved_config()
+        config = capped(read_set_entries=4, ssb_entries=8).resolved_config()
         assert config.read_set_entries == 4
         assert config.ssb_entries == 8
         # untouched fields keep the config defaults
         assert config.ivb_entries == DEFAULT_IVB_ENTRIES
+        # ...and the point's core count, not the override's, wins
+        assert config.ncores == 32
 
     def test_unlimited_unbinds(self):
-        point = Point("python_opt", "retcon", ivb_entries="unlimited")
+        point = capped(ivb_entries=None)
         assert point.resolved_config().ivb_entries is None
+        assert "ivb=unlimited" in point.label()
 
     def test_every_capacity_field_is_cache_key_material(self):
         base = Point("python_opt", "retcon")
         for name in CAPACITY_FIELDS:
-            bounded_point = Point(
-                "python_opt", "retcon", **{name: 4}
-            )
-            assert point_key(bounded_point) != point_key(base), name
+            assert point_key(capped(**{name: 4})) != point_key(base), name
 
     def test_unlimited_sets_hash_like_the_seed_default(self):
         # read/write sets default to unbounded, so an explicit
-        # "unlimited" must resolve to the identical config and cache
-        # key — the bit-identity guarantee for unbounded runs.
+        # unlimited (None) must resolve to the identical config and
+        # cache key — the bit-identity guarantee for unbounded runs.
         base = Point("python_opt", "retcon")
-        explicit = Point(
-            "python_opt", "retcon",
-            read_set_entries="unlimited",
-            write_set_entries="unlimited",
-        )
+        explicit = capped(read_set_entries=None, write_set_entries=None)
         assert explicit.resolved_config() == base.resolved_config()
         assert point_key(explicit) == point_key(base)
+        assert explicit.baseline_key() == base.baseline_key()
 
     def test_label_mentions_bounds(self):
-        point = Point("python_opt", "retcon", read_set_entries=4,
-                      write_set_entries="unlimited")
-        label = point.label()
+        label = capped(read_set_entries=4, write_set_entries=None).label()
         assert "rs=4" in label
-        assert "ws=unlimited" in label
+        # the default (unbounded) write set is not an override
+        assert "ws=" not in label
 
 
 # ----------------------------------------------------------------------
