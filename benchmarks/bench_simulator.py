@@ -74,8 +74,7 @@ def test_engine_parallel_speedup(benchmark):
     with a worker pool.
 
     Records serial and parallel seconds (plus the ratio) in the
-    benchmark's ``extra_info`` so BENCH_*.json tracks the parallel
-    speedup across PRs.  On single-core CI runners the pool adds
+    benchmark's ``extra_info``.  On single-core CI runners the pool adds
     overhead instead of speedup, so the assertion only guards against
     pathological regressions (and checks result equivalence).
     """
@@ -120,34 +119,6 @@ def test_engine_parallel_speedup(benchmark):
     # The pool must never be catastrophically slower than serial (its
     # overhead is per-process startup, bounded regardless of host).
     assert parallel_s < 5.0 * serial_s + 2.0
-
-
-def test_smoke_grid_profile(benchmark):
-    """The ``repro profile`` harness end-to-end: wall seconds and
-    simulated cycles/second per smoke sweep point — the payload that
-    ``repro profile -o BENCH_pr3.json`` commits as the perf
-    trajectory."""
-    from repro.analysis.profile import bench_payload, profile_smoke
-
-    profiles = benchmark.pedantic(
-        lambda: profile_smoke(repeats=1), rounds=1, iterations=1
-    )
-    payload = bench_payload(profiles, label="bench")
-    benchmark.extra_info["grid_sim_seconds"] = payload["total_sim_seconds"]
-    benchmark.extra_info["grid_cycles_per_second"] = payload[
-        "grid_cycles_per_second"
-    ]
-    emit(
-        "Simulator hot-path profile (smoke grid)",
-        "\n".join(
-            f"{p.workload:12s} {p.system:8s} "
-            f"{p.sim_seconds * 1000:7.1f} ms "
-            f"{p.cycles_per_second / 1e6:6.2f} Mcycles/s"
-            for p in profiles
-        )
-        + f"\ngrid total {payload['total_sim_seconds'] * 1000:.1f} ms",
-    )
-    assert all(p.commits > 0 for p in profiles)
 
 
 def test_retcon_overhead_vs_eager(benchmark):

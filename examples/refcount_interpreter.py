@@ -26,7 +26,7 @@ def main() -> None:
     print(f"python_opt on {ncores} cores (scale={scale})")
     print(f"{'system':10s} {'speedup':>8s} {'aborts':>7s} "
           f"{'conflict%':>9s} {'refcounts':>10s}")
-    _, seq_cycles = generate_and_baseline(
+    generated, sequential = generate_and_baseline(
         "python_opt", ncores=ncores, scale=scale
     )
     for system in ("eager", "lazy-vb", "retcon"):
@@ -35,7 +35,8 @@ def main() -> None:
             system,
             ncores=ncores,
             scale=scale,
-            seq_cycles=seq_cycles,
+            sequential=sequential,
+            generated=generated,
         )
         refcounts = "exact" if result.invariants_ok else "BROKEN"
         print(

@@ -31,7 +31,10 @@ The package is organized as:
 * :mod:`repro.stm` — the software TM slow path (orec metadata in
   simulated memory, instrumented barriers, commit-time validation),
   used standalone (``stm``) and as the escalation target of the
-  hybrid family in :mod:`repro.htm.hytm`.
+  hybrid family.
+
+:data:`repro.htm.backends.BACKENDS` is the one table of TM systems;
+:data:`SYSTEMS` is its row names.
 """
 
 from repro.sim.config import MachineConfig
@@ -39,22 +42,14 @@ from repro.sim.machine import Machine, RunResult
 from repro.sim.runner import WorkloadResult, run_sequential, run_workload
 from repro.workloads.registry import WORKLOADS, get_workload
 
-SYSTEMS = (
-    "eager",
-    "eager-stall",
-    "lazy",
-    "lazy-vb",
-    "datm",
-    "retcon",
-    "stm",
-    "hybrid-retcon",
-    "hybrid-eager",
-    "hybrid-lazy-vb",
-    "progressive",
-)
+# After repro.sim: the table's classes import repro.sim.config, whose
+# package imports the Machine, which imports the table.
+from repro.htm.backends import BACKENDS  # isort: skip
+
+SYSTEMS = tuple(BACKENDS)
 """Names of the transactional-memory system variants that can be simulated."""
 
-__version__ = "1.7.0"
+__version__ = "1.7.1"
 
 __all__ = [
     "MachineConfig",

@@ -82,8 +82,10 @@ class Figure:
         dependency-free; pass ``jobs=None`` to use every core (or
         ``$REPRO_JOBS``), as the CLI does.  A precomputed *matrix* of
         ``{(workload, system): result}`` replaces the run and restricts
-        the rows to the pairs it holds.  A ``check=True`` point that
-        fails its correctness checks fails the figure.
+        the rows to the pairs it holds.  A point that fails a
+        correctness check fails the figure: workload invariants are
+        evaluated on every run, the oracle and golden diff on
+        ``check=True`` points.
         """
         if matrix is not None:
             labelled = [
@@ -101,7 +103,7 @@ class Figure:
             )
         rows = {}
         for point, result, artifacts in finished:
-            if point.check and not result.check_ok:
+            if not result.check_ok:
                 raise AssertionError(
                     f"{point.workload}/{point.system}: correctness "
                     "checks failed: "

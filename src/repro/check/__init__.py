@@ -17,7 +17,7 @@ Three pillars (see ``docs/correctness_oracle.md``):
 """
 
 from repro.check.faults import FAULT_POINTS, FaultInjector, FaultPoint
-from repro.check.golden import GoldenDiff, diff_memories, golden_diff, run_golden
+from repro.check.golden import GoldenDiff, diff_memories, golden_diff
 from repro.check.oracle import OracleError, OracleViolation, RepairOracle
 from repro.check.replay import ReplayLimitExceeded, ReplayResult, replay_program
 
@@ -34,5 +34,4 @@ __all__ = [
     "diff_memories",
     "golden_diff",
     "replay_program",
-    "run_golden",
 ]

@@ -4,7 +4,9 @@ The second pillar of the correctness subsystem (after the replay
 oracle): run the exact same generated workload *sequentially* — one
 core, every thread's transactions back to back, which trivially cannot
 lose updates or commit unserializably — then diff the parallel run's
-final state against it.
+final state against it.  The sequential run is the speedup baseline
+(:func:`repro.sim.runner.run_sequential`); its final memory is the
+golden image.
 
 Two comparison levels:
 
@@ -26,13 +28,9 @@ Two comparison levels:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.mem.address import BLOCK_SIZE, block_base, block_of
 from repro.mem.memory import MainMemory
-from repro.sim.config import MachineConfig
-from repro.sim.machine import Machine
-from repro.sim.script import concatenate
 from repro.workloads.base import GeneratedWorkload
 
 
@@ -88,24 +86,6 @@ class GoldenDiff:
         )
 
 
-def run_golden(
-    generated: GeneratedWorkload,
-    config: Optional[MachineConfig] = None,
-) -> MainMemory:
-    """Execute the workload's total work on one core; return its
-    final memory (the golden image)."""
-    config = (config or MachineConfig()).with_cores(1)
-    machine = Machine(
-        config,
-        "eager",
-        [concatenate(generated.scripts)],
-        generated.memory.clone(),
-        label="golden",
-    )
-    machine.run()
-    return machine.memory
-
-
 def diff_memories(
     golden: MainMemory,
     parallel: MainMemory,
@@ -154,18 +134,11 @@ def diff_memories(
 def golden_diff(
     generated: GeneratedWorkload,
     parallel_memory: MainMemory,
-    config: Optional[MachineConfig] = None,
-    golden_memory: Optional[MainMemory] = None,
+    golden_memory: MainMemory,
     strict_memory: bool = False,
 ) -> GoldenDiff:
-    """Diff *parallel_memory* against the workload's golden run.
-
-    Pass ``golden_memory`` (from a prior :func:`run_golden`) to avoid
-    re-running the sequential execution.
-    """
-    if golden_memory is None:
-        golden_memory = run_golden(generated, config)
-
+    """Diff *parallel_memory* against *golden_memory*, the final
+    memory of the workload's sequential run."""
     compared, blocks_diff, bytes_diff, samples = diff_memories(
         golden_memory, parallel_memory
     )

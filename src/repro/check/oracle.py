@@ -29,10 +29,13 @@ core/transaction/expression context; ``strict=True`` escalates the
 first one to an :class:`OracleError`.
 
 The oracle is pull-free: it holds no reference to the machine and is
-driven entirely by the hooks above, so it attaches to any
-:class:`~repro.htm.system.RetconTMSystem`-derived system.  (It is not
-meaningful for ``retcon-fwd``, whose forwarded speculative values are
-legitimately invisible to a committed-state replay.)
+driven entirely by the hooks above; hardware (RETCON) and software
+(STM) commits hand it the same record — a
+:class:`~repro.core.engine.CommitPlan`, memory, and the undo
+pre-images to read through.  (It is not meaningful for
+``retcon-fwd``, whose forwarded speculative values are legitimately
+invisible to a committed-state replay: that row of
+:data:`repro.htm.backends.BACKENDS` says ``oracle=False``.)
 """
 
 from __future__ import annotations
@@ -138,29 +141,37 @@ class RepairOracle:
     # ------------------------------------------------------------------
     # Commit-time checks (driven by the TM system / core)
     # ------------------------------------------------------------------
-    def check_commit(self, core, engine, undo, plan, memory) -> None:
+    def check_commit(
+        self, core, plan, memory, pre_images, engine=None
+    ) -> None:
         """Replay the committing transaction and diff it against *plan*.
 
         Called by the TM system after constraint validation produced
         the commit plan, before any store drains.  *memory* is the
         architectural memory at that instant: reacquired blocks hold
-        their fresh values, this transaction's eager stores are in
-        place (the replay reads through the undo-log pre-image for
-        those), and the buffered stores have not drained yet.
+        their fresh values and the buffered stores have not drained
+        yet.  *pre_images* are undo-log pre-images (byte addr -> byte)
+        the replay reads through: the committer's own for a hardware
+        commit (its eager stores are in place), every *other* active
+        transaction's for a software commit (their eager stores are
+        not committed state).  *engine* (the source of any register
+        repairs in *plan*) only adds the symbolic expression behind a
+        diverging value to the report.
         """
         record = self._records.get(core)
         if record is None:
             return  # system used without core recording hooks
         self.checked_commits += 1
 
-        pre_image = undo.pre_image()
+        pre_images = [pre for pre in pre_images if pre]
 
         def read_fn(addr: int, size: int) -> bytes:
             raw = bytearray(memory.read_bytes(addr, size))
-            for i in range(size):
-                byte = pre_image.get(addr + i)
-                if byte is not None:
-                    raw[i] = byte
+            for pre_image in pre_images:
+                for i in range(size):
+                    byte = pre_image.get(addr + i)
+                    if byte is not None:
+                        raw[i] = byte
             return bytes(raw)
 
         try:
@@ -216,9 +227,10 @@ class RepairOracle:
                 (value & mask).to_bytes(size, "little")
             ):
                 plan_bytes[addr + i] = byte
-        for entry in engine.ssb.entries():
-            for a in range(entry.addr, entry.end):
-                plan_syms[a] = repr(entry.sym)
+        if engine is not None:
+            for entry in engine.ssb.entries():
+                for a in range(entry.addr, entry.end):
+                    plan_syms[a] = repr(entry.sym)
 
         for addr, byte in replay.overlay.items():
             final = plan_bytes.get(addr)

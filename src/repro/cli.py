@@ -16,7 +16,6 @@ Examples::
     python -m repro timeline python_opt --cores 4 --scale 0.1
     python -m repro metrics python_opt --cores 4 --scale 0.1
     python -m repro check --smoke --jobs 2
-    python -m repro profile -o BENCH_pr3.json
     python -m repro figure capacity --ivb 8 -o capacity_ivb8.md
     python -m repro fuzz --smoke --jobs 2
     python -m repro fuzz --minutes 10 --backends eager lazy-vb retcon datm
@@ -55,6 +54,7 @@ from repro.exp import (
     stderr_progress,
 )
 from repro.exp.engine import run_point_with_trace
+from repro.htm.backends import BACKENDS
 from repro.sim.config import MachineConfig
 from repro.sim.runner import _resolve_workload
 from repro.workloads.registry import ALL_VARIANTS, WORKLOADS
@@ -173,10 +173,23 @@ def _add_traffic_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _reject_stray_traffic(points) -> None:
-    """--skew/--burst on a workload with no traffic model is a usage
-    error up front, not a traceback from the middle of the run."""
+def _known_backends(names) -> None:
+    """An unknown TM system is a usage error naming the known ones."""
+    unknown = [name for name in names if name not in BACKENDS]
+    if unknown:
+        raise UsageError(
+            f"unknown TM system {', '.join(map(repr, unknown))}; "
+            f"choose from {', '.join(BACKENDS)}"
+        )
+
+
+def _check_points(points) -> None:
+    """An unknown system, or --skew/--burst on a workload with no
+    traffic model, is a usage error up front — before any workload is
+    generated — not a traceback from the middle of the run."""
     for point in points:
+        if point.system:  # "" marks a template, stamped later
+            _known_backends([point.system])
         try:
             _resolve_workload(point.workload, point.skew, point.burst)
         except ValueError as exc:
@@ -187,10 +200,10 @@ def _point_from_args(args, **extra) -> Point:
     """The one place command-line flags become a :class:`Point`.
 
     Subcommands without a flag (``sweep`` has no ``--cores``, ``table``
-    no workload) leave the field at a placeholder and stamp it via
-    *extra* or ``dataclasses.replace``; a point built without a
-    workload is such a template, and its users pass the points they
-    stamp from it through :func:`_reject_stray_traffic`.
+    no workload, ``compare`` no single system) leave the field at a
+    placeholder and stamp it via *extra* or ``dataclasses.replace``;
+    a point built without a workload is such a template, and its users
+    pass the points they stamp from it through :func:`_check_points`.
     """
     fields = dict(
         workload=getattr(args, "workload", None) or "",
@@ -205,7 +218,7 @@ def _point_from_args(args, **extra) -> Point:
     )
     point = Point(**{**fields, **extra})
     if point.workload:
-        _reject_stray_traffic([point])
+        _check_points([point])
     return point
 
 
@@ -239,9 +252,7 @@ def _cmd_list(_args) -> int:
     print("Workloads (Table 2):")
     for name in ALL_VARIANTS:
         print(f"  {name:18s} {WORKLOADS[name].spec.description}")
-    print("\nTM systems: eager, eager-abort, eager-stall, lazy, "
-          "lazy-vb, datm, retcon, retcon-fwd, stm, hybrid-retcon, "
-          "hybrid-eager, hybrid-lazy-vb, progressive")
+    print("\nTM systems: " + ", ".join(BACKENDS))
     from repro.workloads.service import SERVICE_WORKLOADS
 
     print("\nService workloads (repro figure service):")
@@ -348,6 +359,7 @@ def _trace_source(args):
     if args.workload == "figure2":
         from repro.analysis.timeline import figure2_tracer
 
+        _known_backends([args.system])
         return (
             f"figure2/{args.system}",
             figure2_tracer(args.system),
@@ -530,6 +542,7 @@ def _cmd_fuzz(args) -> int:
             tuple(args.backends) + tuple(args.extra_backends or ())
         )
     )
+    _known_backends(backends)
     common = dict(
         profiles=tuple(args.profiles),
         backends=backends,
@@ -575,11 +588,10 @@ def _cmd_fuzz(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    systems = args.systems.split(",")
+    _known_backends(systems)
     base = _point_from_args(args)
-    points = [
-        replace(base, system=system)
-        for system in args.systems.split(",")
-    ]
+    points = [replace(base, system=system) for system in systems]
     results = run_points(points, **_engine_opts(args))
     rows = []
     ok = True
@@ -614,7 +626,7 @@ def _show(args, figure: fig.Figure) -> int:
     point: the figure stamps its grid onto one base point."""
     options = {name: getattr(args, name) for name in figure.options}
     labelled = figure.points(_point_from_args(args), **options)
-    _reject_stray_traffic(point for _label, point in labelled)
+    _check_points(point for _label, point in labelled)
     data = figure.collect(labelled, **_engine_opts(args))
     text = figure.render(data, args.cores)
     output = getattr(args, "output", None)
@@ -670,6 +682,7 @@ def _cmd_sweep(args) -> int:
     systems = (
         [args.backend] if args.backend else args.systems.split(",")
     )
+    _known_backends(systems)
     base = _point_from_args(args)
     curves = sweep_matrix(
         base.workload,
@@ -745,62 +758,6 @@ def _run_smoke(args) -> int:
         )
     )
     return 0 if ok else 1
-
-
-def _cmd_profile(args) -> int:
-    """``repro profile``: wall-clock-time the smoke grid.
-
-    Unlike every other command this measures the simulator itself, so
-    it never touches the result cache and times each point in-process
-    (workload generation excluded).
-    """
-    from repro.analysis.profile import (
-        bench_payload,
-        profile_smoke,
-        write_bench,
-    )
-
-    def progress(profile) -> None:
-        print(
-            f"  {profile.workload:12s} {profile.system:8s} "
-            f"{profile.sim_seconds * 1000:8.1f} ms  "
-            f"{profile.cycles_per_second / 1e6:6.2f} Mcycles/s",
-            file=sys.stderr,
-        )
-
-    print(
-        f"profiling smoke grid (scale={args.scale}, cores={args.cores}, "
-        f"seed={args.seed}, best of {args.repeats})...",
-        file=sys.stderr,
-    )
-    profiles = profile_smoke(
-        scale=args.scale,
-        ncores=args.cores,
-        seed=args.seed,
-        repeats=args.repeats,
-        progress=progress,
-    )
-    payload = bench_payload(profiles, label=args.label)
-    print(format_table(
-        ["workload", "system", "sim ms", "gen ms", "Mcycles/s"],
-        [
-            (
-                p.workload,
-                p.system,
-                f"{p.sim_seconds * 1000:.1f}",
-                f"{p.gen_seconds * 1000:.1f}",
-                f"{p.cycles_per_second / 1e6:.2f}",
-            )
-            for p in profiles
-        ],
-    ))
-    print(f"grid total: {payload['total_sim_seconds'] * 1000:.1f} ms "
-          f"simulation, {payload['grid_cycles_per_second'] / 1e6:.2f} "
-          "Mcycles/s")
-    if args.output:
-        write_bench(args.output, payload)
-        print(f"wrote {args.output}")
-    return 0
 
 
 def _cmd_experiments(args) -> int:
@@ -928,27 +885,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_args(sweep)
     _add_traffic_args(sweep)
     _add_engine_args(sweep)
-
-    profile = sub.add_parser(
-        "profile",
-        help="wall-clock-time the simulator over the smoke grid and "
-             "emit a BENCH json (perf trajectory)",
-    )
-    profile.add_argument("--cores", type=int, default=4)
-    profile.add_argument("--scale", type=float, default=0.1)
-    profile.add_argument("--seed", type=int, default=1)
-    profile.add_argument(
-        "--repeats", type=int, default=3,
-        help="simulations per point; the best is reported",
-    )
-    profile.add_argument(
-        "--label", default="pr3",
-        help="label recorded in the payload (e.g. the PR number)",
-    )
-    profile.add_argument(
-        "-o", "--output", default=None, metavar="FILE",
-        help="write the JSON payload to FILE (e.g. BENCH_pr3.json)",
-    )
 
     fuzz = sub.add_parser(
         "fuzz",
@@ -1101,7 +1037,6 @@ COMMANDS = {
     "sweep": _cmd_sweep,
     "check": _cmd_check,
     "fuzz": _cmd_fuzz,
-    "profile": _cmd_profile,
     "trace": _cmd_trace,
     "timeline": _cmd_timeline,
     "metrics": _cmd_metrics,

@@ -76,15 +76,16 @@ def _run_group(
 ) -> list[tuple[Point, WorkloadResult, float, dict]]:
     """Run one baseline-sharing group (in-process; also the pool task).
 
-    The workload is generated once and the sequential baseline run
-    once; every system in the group reuses both.  Each tuple's last
-    element maps artifact names to JSON payloads (empty for points
-    without an observability request).
+    The workload is generated once and the sequential reference run
+    once; every system in the group reuses both (its cycles as the
+    speedup baseline, its memory as the golden image when checked).
+    Each tuple's last element maps artifact names to JSON payloads
+    (empty for points without an observability request).
     """
     first = group[0]
     config = first.resolved_config()
     start = time.perf_counter()
-    generated, seq_cycles = generate_and_baseline(
+    generated, sequential = generate_and_baseline(
         first.workload,
         ncores=first.ncores,
         seed=first.seed,
@@ -111,7 +112,7 @@ def _run_group(
             seed=point.seed,
             scale=point.scale,
             config=config,
-            seq_cycles=seq_cycles,
+            sequential=sequential,
             generated=generated,
             oracle=point.check,
             golden=point.check,

@@ -12,8 +12,9 @@ begin/commit/abort stream.  Four independent signals are then checked:
   memory byte for byte.  This is the definition of conflict
   serializability made executable, and it is valid for any backend
   that commits each transaction's effects atomically at its commit
-  point (eager variants, lazy, lazy-vb, retcon — not the forwarding
-  backends, which are skipped);
+  point (every ``commit_atomic`` row of
+  :data:`repro.htm.backends.BACKENDS` — not the forwarding backends,
+  which are skipped);
 * **golden** — workload invariants on the sequential golden run and
   the backend run must both pass (:mod:`repro.check.golden`); for
   commutative cases the final memories must additionally be
@@ -33,34 +34,26 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.check.golden import diff_memories, run_golden
+from repro.check.golden import diff_memories
 from repro.fuzz.gen import FuzzCase
 from repro.fuzz.genes import assemble_txn
 from repro.mem.memory import MainMemory
 from repro.sim.config import MachineConfig
+from repro.htm.backends import BACKENDS
 from repro.sim.machine import Machine, SimulationTimeout
+from repro.sim.runner import run_sequential
 from repro.sim.script import ThreadScript
 from repro.obs.events import EventStream
 
 #: the default differential matrix (ISSUE acceptance: >= 3 backends)
 DEFAULT_BACKENDS = ("eager", "lazy-vb", "retcon")
 
-#: backends whose commits apply atomically at the traced commit event,
-#: making the commit-order serial replay a sound oracle.  The
-#: forwarding backends (datm, retcon-fwd) commit values that were
-#: speculatively forwarded earlier, so their equivalent serial order
-#: is a dependence order, not the commit order; they still get the
+#: backends whose commits apply atomically at the traced commit event
+#: (``commit_atomic`` rows of the backend table), making the
+#: commit-order serial replay a sound oracle.  The rest still get the
 #: golden, oracle (where compatible), and stats checks.
-#: The STM/hybrid family qualifies: software commits publish their
-#: whole write buffer inside one scheduler-atomic commit, and hybrid
-#: hardware commits are the underlying backend's (atomic) commits,
-#: so final memory is the commit-order fold for them too.
 SERIAL_REPLAY_BACKENDS = frozenset(
-    {
-        "eager", "eager-abort", "eager-stall", "lazy", "lazy-vb",
-        "retcon", "stm", "hybrid-retcon", "hybrid-eager",
-        "hybrid-lazy-vb", "progressive",
-    }
+    name for name, row in BACKENDS.items() if row.commit_atomic
 )
 
 #: tight watchdog for fuzz-sized programs (they finish in thousands of
@@ -177,7 +170,7 @@ def run_case(
     outcome = CaseOutcome(case=case, backends=tuple(backends))
     diverge = outcome.divergences.append
 
-    golden_memory = run_golden(generated, config)
+    golden_memory = run_sequential(generated, config).memory
     for inv in generated.check_invariants(golden_memory):
         if not inv.ok:
             diverge(

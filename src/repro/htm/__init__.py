@@ -13,6 +13,13 @@ management with zero-cycle rollback.  Variants implemented here:
 * ``datm`` — dependence-aware TM with speculative value forwarding and
   abort on cyclic dependences (Fig 2b).
 * ``retcon`` — symbolic tracking and commit-time repair (Fig 2a).
+
+:data:`repro.htm.backends.BACKENDS` is the one table of every system
+that can be simulated (these, ``retcon-fwd``, and the STM/hybrid
+family of :mod:`repro.stm`), and ``repro.htm.backends.build_system``
+the one constructor.  Adding a backend = one row there (+ a class
+only if it has new behaviour).  The table is not re-exported here
+because it imports :mod:`repro.stm`, which imports this package.
 """
 
 from repro.htm.contention import (
@@ -23,11 +30,10 @@ from repro.htm.contention import (
     TimestampPolicy,
 )
 from repro.htm.events import StallRetry, TxnAborted
-from repro.htm.system import BaseTMSystem, RetconTMSystem, build_system
+from repro.htm.system import BaseTMSystem, RetconTMSystem
 from repro.htm.versioning import UndoLog
 
 __all__ = [
-    "build_system",
     "BaseTMSystem",
     "RetconTMSystem",
     "UndoLog",

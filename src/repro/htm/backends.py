@@ -1,0 +1,106 @@
+"""The one table of TM systems: a backend is a row.
+
+Everything the rest of the repo may know about a backend — that it
+exists, how it is composed, and the three facts callers branch on —
+is written here once.  ``repro.SYSTEMS``, the ``repro list`` line, the
+CLI's name validation, ``fuzz.diff.SERIAL_REPLAY_BACKENDS``, the
+:class:`~repro.sim.machine.Machine`'s oracle skip and the core's
+stall-replay eligibility are all derived from :data:`BACKENDS`.
+
+Adding a backend = one row here.  Write a class only if the system has
+behaviour no existing class has (a new ``load``/``store``/``commit``
+path); a new setting of an existing axis — contention policy, value
+tracking, forwarding cooldown, fallback flavour — is just ``kwargs``.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+from repro.coherence.directory import CoherenceFabric
+from repro.htm.forwarding import DATMSystem, RetconForwardingSystem
+from repro.htm.lazy import LazyTMSystem
+from repro.htm.system import BaseTMSystem, RetconTMSystem
+from repro.mem.memory import MainMemory
+from repro.sim.config import MachineConfig
+from repro.sim.stats import MachineStats
+from repro.stm.backend import STMRetconSystem, STMSystem
+
+
+@dataclass(frozen=True)
+class Backend:
+    """One TM system: a class, its constructor settings, three facts."""
+
+    cls: type
+    kwargs: dict = field(default_factory=dict)
+    #: a committed-state replay can reproduce its commits, so the
+    #: Machine attaches a repair oracle on request.  False for
+    #: speculative value forwarding into RETCON: forwarded values come
+    #: from still-speculative writers and the oracle would report
+    #: spurious divergences.
+    oracle: bool = True
+    #: each commit's effects apply atomically at its traced commit
+    #: event, so re-executing the committed transactions serially in
+    #: commit order must reproduce final memory (the fuzzer's
+    #: serializability check).  False for the forwarding systems, whose
+    #: equivalent serial order is a dependence order.  The STM/hybrid
+    #: family qualifies: a software commit publishes its whole write
+    #: buffer inside one scheduler-atomic commit.
+    commit_atomic: bool = True
+    #: which stalled accesses the core may replay arithmetically
+    #: instead of re-executing (see ``Core._prime_burst``): 2 = loads
+    #: and stores (the retry path of the plain eager baseline is
+    #: exactly known), 1 = loads only, with one predictor-training
+    #: round per retry (RETCON / lazy-vb: a load conflict pins the
+    #: untracked fallback path, a store can change path mid-retries),
+    #: 0 = never (any system with per-retry side effects of its own).
+    stall_replay: int = 0
+
+
+_LAZY_VB = {"symbolic_arithmetic": False, "track_all": True}
+
+BACKENDS: dict[str, Backend] = {
+    "eager": Backend(BaseTMSystem, stall_replay=2),
+    "eager-abort": Backend(
+        BaseTMSystem, {"policy": "requester-aborts"}, stall_replay=2
+    ),
+    "eager-stall": Backend(
+        BaseTMSystem, {"policy": "requester-stalls"}, stall_replay=2
+    ),
+    "lazy": Backend(LazyTMSystem),
+    "lazy-vb": Backend(RetconTMSystem, _LAZY_VB, stall_replay=1),
+    "datm": Backend(DATMSystem, commit_atomic=False),
+    "retcon": Backend(RetconTMSystem, stall_replay=1),
+    "retcon-fwd": Backend(
+        RetconForwardingSystem, {"cooldown": 50},
+        oracle=False, commit_atomic=False,
+    ),
+    "stm": Backend(STMSystem),
+    "hybrid-retcon": Backend(STMRetconSystem, {"hybrid": True}),
+    "hybrid-eager": Backend(STMSystem, {"hybrid": True}),
+    "hybrid-lazy-vb": Backend(
+        STMRetconSystem, {"hybrid": True, **_LAZY_VB}
+    ),
+    "progressive": Backend(
+        STMRetconSystem, {"hybrid": True, "pessimistic_fallback": True}
+    ),
+}
+
+
+def build_system(
+    name: str,
+    config: MachineConfig,
+    memory: MainMemory,
+    fabric: CoherenceFabric,
+    stats: MachineStats,
+) -> BaseTMSystem:
+    """Construct the TM system of row *name*."""
+    row = BACKENDS.get(name)
+    if row is None:
+        raise ValueError(
+            f"unknown TM system: {name!r} (known: {', '.join(BACKENDS)})"
+        )
+    system = row.cls(config, memory, fabric, stats, **row.kwargs)
+    system.name = name
+    system.stall_replay = row.stall_replay
+    return system

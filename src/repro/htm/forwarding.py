@@ -1,35 +1,53 @@
 """Dependence-tracked speculative value forwarding (DATM's machinery).
 
-Extracted as a mixin so it can back both the plain DATM comparison
-system (Figure 2b) and the RETCON+forwarding hybrid the paper's
-conclusion proposes ("we plan to investigate the integration of
-RETCON with mechanisms that use speculative value forwarding such as
-transactional value prediction and dependence-aware transactional
-memory").
+Instead of aborting or stalling on a conflict, dependence-aware TM
+(DATM, Ramadan et al., MICRO 2008 — Figure 2b's comparison point)
+forwards speculative data between transactions and records a
+*commit-order dependence*.  With eager version management the
+speculative value already sits in memory, so forwarding is simply
+reading it.  :class:`ForwardingMixin` maintains the commit-order edges
+(``preds``/``succs``): a transaction that consumed another's
+speculative data must commit after it; an edge that would close a
+cycle aborts the younger transaction (the paper's double-increment
+example); aborting a transaction cascades to everything that consumed
+its data.
 
-The mixin maintains commit-order edges (``preds``/``succs``): a
-transaction that consumed another's speculative data must commit after
-it; an edge that would close a cycle aborts the younger transaction;
-aborting a transaction cascades to everything that consumed its data.
+Two systems compose it (rows ``datm`` and ``retcon-fwd`` of
+:data:`repro.htm.backends.BACKENDS`):
+
+* :class:`DATMSystem` — over the eager baseline.  It captures DATM's
+  qualitative behaviour for the paper's comparison: single increments
+  commit without aborts; repeated interleaved increments produce
+  cyclic dependences and abort.
+* :class:`RetconForwardingSystem` — over RETCON, the integration the
+  paper's conclusion proposes (§7).  Blocks the predictor elects for
+  symbolic tracking take the normal RETCON paths and are *repaired*;
+  conflicts that reach the baseline machinery (untracked blocks,
+  trained-down blocks whose values are used as addresses — the §5.4
+  gap, e.g. ``intruder``'s queue head) are forwarded instead of
+  aborting or stalling.
 """
 
 from __future__ import annotations
 
 from repro.htm.events import StallRetry
+from repro.htm.system import BaseTMSystem, RetconTMSystem
 
 
 class ForwardingMixin:
     """Commit-order dependence tracking over a BaseTMSystem subclass."""
 
-    def _init_forwarding(
-        self, ncores: int, cooldown: int = 0
-    ) -> None:
+    def __init__(self, *args, cooldown: int = 0, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        ncores = self.config.ncores
         # preds[c] = cores that must commit before c; succs = inverse.
         self._preds: list[set[int]] = [set() for _ in range(ncores)]
         self._succs: list[set[int]] = [set() for _ in range(ncores)]
         #: hysteresis: after a cyclic-dependence abort on a block, skip
         #: forwarding it for this many conflicts (0 = always forward,
-        #: as plain DATM does).
+        #: as plain DATM does) — symmetric to the tracking predictor's
+        #: train-down, for blocks whose chains keep closing cycles
+        #: (e.g. a queue index touched twice per transaction).
         self._fwd_cooldown_length = cooldown
         self._fwd_cooldown: dict[int, int] = {}
         #: cores inside their commit sequence: conflicts found while
@@ -73,15 +91,28 @@ class ForwardingMixin:
         super().begin(core, restart)
         self._clear_edges(core)
 
-    def _doom(self, core: int, reason: str) -> None:
+    def _rollback(self, core: int, reason: str, remote: bool) -> None:
         self._cascade_abort(core)
         self._clear_edges(core)
-        super()._doom(core, reason)
+        super()._rollback(core, reason, remote)
 
-    def _abort_self(self, core: int, reason: str) -> None:
-        self._cascade_abort(core)
-        self._clear_edges(core)
-        super()._abort_self(core, reason)
+    def _resolve(self, core: int, block: int, holders: set[int]) -> None:
+        """Forward instead of aborting.  Non-transactional requesters
+        (they cannot take a dependence), mid-commit conflicts
+        (pre-commit reacquire / drain) and cooled-down blocks use the
+        baseline logic."""
+        if (
+            not self.ctx[core].active
+            or core in self._committing
+            or not self._forwarding_allowed(block)
+        ):
+            super()._resolve(core, block, holders)
+            return
+        # Keep predictor training: forwarded conflicts are still
+        # conflicts, and blocks that conflict repeatedly should migrate
+        # to the (cheaper) symbolic-repair path.
+        self._observe_conflict(core, block, holders)
+        self._forwarding_resolve(core, block, holders)
 
     # ------------------------------------------------------------------
     def _forwarding_resolve(
@@ -155,3 +186,11 @@ class ForwardingMixin:
             self._committing.discard(core)
         self._clear_edges(core)
         return result
+
+
+class DATMSystem(ForwardingMixin, BaseTMSystem):
+    """Forwarding over the eager baseline."""
+
+
+class RetconForwardingSystem(ForwardingMixin, RetconTMSystem):
+    """Forwarding over RETCON."""

@@ -27,8 +27,6 @@ from repro.mem.address import blocks_spanned
 
 
 class LazyTMSystem(BaseTMSystem):
-    name = "lazy"
-
     def __init__(self, config, memory, fabric, stats, policy="timestamp"):
         super().__init__(config, memory, fabric, stats, policy)
         self._read_sets: list[set[int]] = [
@@ -51,24 +49,13 @@ class LazyTMSystem(BaseTMSystem):
         self._write_buffers[core].clear()
         self._write_blocks[core].clear()
 
-    # The clears run in ``finally`` so the base class observes set
-    # occupancy (and _abort_self raises TxnAborted) while the sets are
-    # still populated.
-    def _doom(self, core: int, reason: str) -> None:
-        try:
-            super()._doom(core, reason)
-        finally:
-            self._read_sets[core].clear()
-            self._write_buffers[core].clear()
-            self._write_blocks[core].clear()
-
-    def _abort_self(self, core: int, reason: str) -> None:
-        try:
-            super()._abort_self(core, reason)
-        finally:
-            self._read_sets[core].clear()
-            self._write_buffers[core].clear()
-            self._write_blocks[core].clear()
+    def _rollback(self, core: int, reason: str, remote: bool) -> None:
+        # Clear after the base body: it observes set occupancy while
+        # the sets are still populated.
+        super()._rollback(core, reason, remote)
+        self._read_sets[core].clear()
+        self._write_buffers[core].clear()
+        self._write_blocks[core].clear()
 
     def _observe_occupancy(self, core: int) -> None:
         self._h_read_set.observe(len(self._read_sets[core]))

@@ -22,7 +22,7 @@ latencies are charged to the requesting core's clock.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.coherence.directory import CoherenceFabric
 from repro.core.engine import (
@@ -60,7 +60,7 @@ class TxnContext:
     #: True while this attempt runs on the STM slow path
     stm: bool = False
     #: True once this HTM attempt has loaded the STM clock word
-    #: (hybrid backends only; see repro.htm.hytm)
+    #: (hybrid backends only; see repro.stm.backend)
     subscribed: bool = False
     #: sticky for the logical transaction: a speculative-set capacity
     #: abort happened, so (on backends without an STM slow path) every
@@ -91,6 +91,9 @@ class CommitResult:
     latency: int
     #: (reg, value) register repairs RETCON computed at commit
     register_repairs: list[tuple[int, int]] = field(default_factory=list)
+    #: (addr, size, value) buffered stores the commit drained to memory
+    #: (hybrid backends publish their blocks to the STM orecs)
+    stores: Sequence[tuple[int, int, int]] = ()
 
 
 #: shared result for the baseline's free commit; never mutate
@@ -100,11 +103,13 @@ _COMMIT_FREE = CommitResult(latency=0)
 class BaseTMSystem:
     """The eager-baseline HTM (also the superclass of all variants)."""
 
-    name = "eager"
-    #: False for systems whose commits legitimately diverge from a
-    #: committed-state replay (speculative value forwarding); the
-    #: Machine declines to attach a repair oracle to those.
-    oracle_compatible = True
+    #: the :data:`repro.htm.backends.BACKENDS` row this system was
+    #: built from and that row's ``stall_replay``, both stamped by
+    #: ``build_system``; a directly constructed system (unit tests)
+    #: keeps these defaults, and 0 only means its stall retries are
+    #: re-executed instead of replayed arithmetically
+    name = "unnamed"
+    stall_replay = 0
     #: retry policy for speculative-set capacity aborts: True (pure
     #: HTM) reruns the transaction under OneTM overflow serialization;
     #: the STM mixin overrides with False because hybrids escalate the
@@ -163,7 +168,7 @@ class BaseTMSystem:
             self._rs_limit is not None or self._ws_limit is not None
         )
         #: structure/block stashed by capacity aborts so the abort
-        #: event carries its attribution (consumed by _abort_self)
+        #: event carries its attribution (consumed by _rollback)
         self._abort_structure: Optional[str] = None
         self._abort_block: Optional[int] = None
 
@@ -366,35 +371,18 @@ class BaseTMSystem:
     def _doom(self, core: int, reason: str) -> None:
         """Abort a remote core's transaction: restore state now, let its
         interpreter notice at its next step."""
-        ctx = self.ctx[core]
-        if not ctx.active:
-            return
-        if self.metrics is not None:
-            self._observe_occupancy(core)
-        ctx.undo.rollback(self.memory)
-        self.fabric.clear_spec(core)
-        engine = self.engine(core)
-        if engine is not None:
-            engine.abort_txn()
-        ctx.doomed = True
-        ctx.doom_reason = reason
-        ctx.block_mode.clear()
-        self._clear_wait_edges(core)
-        aborts = self.stats.core(core).aborts
-        aborts[reason] = aborts.get(reason, 0) + 1
-        if self.metrics is not None:
-            self.metrics.inc("txn.aborts", reason=reason)
-        if self._resolving_block is not None:
-            self._trace("abort", core, reason=reason, by="remote",
-                        block=self._resolving_block)
-        else:
-            self._trace("abort", core, reason=reason, by="remote")
+        if self.ctx[core].active:
+            self._rollback(core, reason, remote=True)
 
     def _abort_self(self, core: int, reason: str) -> None:
+        self._rollback(core, reason, remote=False)
+        raise TxnAborted(reason)
+
+    def _rollback(self, core: int, reason: str, remote: bool) -> None:
+        """The one abort body behind :meth:`_doom` and
+        :meth:`_abort_self`; variants with extra per-attempt state
+        extend this method."""
         ctx = self.ctx[core]
-        # Record the reason even for self-aborts: hybrid backends read
-        # it at restart to escalate capacity-aborted transactions.
-        ctx.doom_reason = reason
         if self.metrics is not None:
             self._observe_occupancy(core)
         ctx.undo.rollback(self.memory)
@@ -402,37 +390,36 @@ class BaseTMSystem:
         engine = self.engine(core)
         if engine is not None:
             engine.abort_txn()
-        ctx.active = False
-        ctx.doomed = False
+        # A doomed attempt stays active until its own interpreter polls
+        # the doom; a self-abort ends here.
+        ctx.active = remote
+        ctx.doomed = remote
+        # Recorded for self-aborts too: hybrid backends read it at
+        # restart to escalate capacity-aborted transactions.
+        ctx.doom_reason = reason
         ctx.block_mode.clear()
         self._clear_wait_edges(core)
         aborts = self.stats.core(core).aborts
         aborts[reason] = aborts.get(reason, 0) + 1
-        structure = self._abort_structure
+        # The capacity stash describes the aborting requester, not the
+        # dependents its abort may cascade to.
+        structure = None if remote else self._abort_structure
         if self.metrics is not None:
             self.metrics.inc("txn.aborts", reason=reason)
             if structure is not None:
                 self.metrics.inc(
                     "txn.capacity_aborts", structure=structure
                 )
-        block = (
-            self._abort_block
-            if self._abort_block is not None
-            else self._resolving_block
-        )
-        if structure is not None:
+        if self.tracer is not None:
+            detail = {"reason": reason, "by": "remote" if remote else "self"}
+            if structure is not None:
+                detail["structure"] = structure
+            block = self._resolving_block
+            if not remote and self._abort_block is not None:
+                block = self._abort_block
             if block is not None:
-                self._trace("abort", core, reason=reason, by="self",
-                            structure=structure, block=block)
-            else:
-                self._trace("abort", core, reason=reason, by="self",
-                            structure=structure)
-        elif block is not None:
-            self._trace("abort", core, reason=reason, by="self",
-                        block=block)
-        else:
-            self._trace("abort", core, reason=reason, by="self")
-        raise TxnAborted(reason)
+                detail["block"] = block
+            self._trace("abort", core, **detail)
 
     def _capacity_abort_structure(
         self, core: int, structure: str, block: Optional[int] = None
@@ -662,6 +649,12 @@ class BaseTMSystem:
         if self._waiting_on.pop(core, None) is not None:
             self._waiting_version += 1
         outcome = fabric.acquire(core, block, write)
+        # Report the invalidated copies before anything below can
+        # abort: a victim that is never told it lost the block is no
+        # longer a sharer either, so no later writer would tell it, and
+        # it would commit against a stale initial value.
+        if write and outcome.invalidated:
+            self._notify_trackers(core, block, outcome.invalidated)
         ctx = self.ctx[core]
         if ctx.active:
             fabric.mark_spec(core, block, write)
@@ -670,8 +663,6 @@ class BaseTMSystem:
             mode = ctx.block_mode
             if block not in mode:
                 mode[block] = "eager"
-        if write and outcome.invalidated:
-            self._notify_trackers(core, block, outcome.invalidated)
         return outcome.latency
 
     def _notify_trackers(
@@ -717,7 +708,7 @@ class BaseTMSystem:
         return _COMMIT_FREE
 
     # ------------------------------------------------------------------
-    # Commit lifecycle hooks (consumed by the hybrid TM family)
+    # Commit lifecycle hook (consumed by the hybrid TM family)
     # ------------------------------------------------------------------
     def _pre_drain(self, core: int, plan) -> None:
         """Hook: called with the commit plan after validation, before
@@ -725,18 +716,9 @@ class BaseTMSystem:
         commit here (``_abort_self``) when a drained block's STM
         metadata is owned by a pessimistic fallback."""
 
-    def _on_commit_stores(
-        self, core: int, stores: list[tuple[int, int, int]]
-    ) -> None:
-        """Hook: called after buffered stores drained to memory.
-        Hybrid backends publish the drained blocks to the STM metadata
-        (orec version bumps) so software validation observes them."""
-
 
 class RetconTMSystem(BaseTMSystem):
     """RETCON (and, reconfigured, the lazy-vb variant)."""
-
-    name = "retcon"
 
     def __init__(
         self,
@@ -988,7 +970,9 @@ class RetconTMSystem(BaseTMSystem):
         if self.fault_injector is not None:
             self.fault_injector.fire("post-plan", engine, plan)
         if self.oracle is not None:
-            self.oracle.check_commit(core, engine, ctx.undo, plan, self.memory)
+            self.oracle.check_commit(
+                core, plan, self.memory, [ctx.undo.pre_image()], engine
+            )
 
         self._pre_drain(core, plan)
 
@@ -1018,61 +1002,11 @@ class RetconTMSystem(BaseTMSystem):
                     self._m_repairs.inc()
                 if self.tracer is not None:
                     self._trace("repair", core, addr=addr, value=final_value)
-            self._on_commit_stores(core, plan.stores)
 
         sample = engine.sample(commit_cycles=latency)
         self.stats.record_retcon_sample(core, sample)
-        return CommitResult(latency=latency, register_repairs=plan.registers)
-
-
-def build_system(
-    name: str,
-    config: MachineConfig,
-    memory: MainMemory,
-    fabric: CoherenceFabric,
-    stats: MachineStats,
-) -> BaseTMSystem:
-    """Construct a TM system variant by name (see :data:`repro.SYSTEMS`)."""
-    if name == "eager":
-        return BaseTMSystem(config, memory, fabric, stats, "timestamp")
-    if name == "eager-abort":
-        return BaseTMSystem(config, memory, fabric, stats, "requester-aborts")
-    if name == "eager-stall":
-        return BaseTMSystem(config, memory, fabric, stats, "requester-stalls")
-    if name == "lazy-vb":
-        return RetconTMSystem(
-            config,
-            memory,
-            fabric,
-            stats,
-            "timestamp",
-            symbolic_arithmetic=False,
-            track_all=True,
+        return CommitResult(
+            latency=latency,
+            register_repairs=plan.registers,
+            stores=plan.stores,
         )
-    if name == "retcon":
-        return RetconTMSystem(
-            config, memory, fabric, stats, "timestamp",
-            symbolic_arithmetic=True,
-        )
-    if name == "lazy":
-        from repro.htm.lazy import LazyTMSystem
-
-        return LazyTMSystem(config, memory, fabric, stats)
-    if name == "datm":
-        from repro.htm.datm import DATMSystem
-
-        return DATMSystem(config, memory, fabric, stats)
-    if name == "retcon-fwd":
-        from repro.htm.forwarding_hybrid import RetconForwardingSystem
-
-        return RetconForwardingSystem(config, memory, fabric, stats)
-    if name == "stm":
-        from repro.stm.backend import STMSystem
-
-        return STMSystem(config, memory, fabric, stats)
-    if name in ("hybrid-retcon", "hybrid-eager", "hybrid-lazy-vb",
-                "progressive"):
-        from repro.htm.hytm import build_hybrid_system
-
-        return build_hybrid_system(name, config, memory, fabric, stats)
-    raise ValueError(f"unknown TM system: {name!r}")

@@ -15,14 +15,9 @@ from typing import Optional
 
 from repro.core.buffers import ConditionCodes
 from repro.htm.events import StallRetry, TxnAborted
-from repro.htm.system import BaseTMSystem, RetconTMSystem
+from repro.htm.system import BaseTMSystem
 from repro.mem.address import BLOCK_SIZE
-from repro.isa.instructions import (
-    Imm,
-    Reg,
-    apply_op,
-    evaluate_cond,
-)
+from repro.isa.instructions import Reg, apply_op, evaluate_cond
 from repro.isa.registers import RegisterFile
 from repro.sim.decode import (
     K_BCC,
@@ -78,7 +73,6 @@ class Core:
         "_decoded",
         "_chain_program",
         "_chain",
-        "_fast_poll",
         "_burst_env",
         "_stall_ticket",
     )
@@ -125,12 +119,6 @@ class Core:
         # across cores via the Program, one variant per engine-ness).
         self._chain_program = None
         self._chain: list = []
-        # The burst loop inlines the doom poll only when the system
-        # uses the base implementation (no subclass overrides it today;
-        # this keeps the fast path honest if one ever does).
-        self._fast_poll = (
-            type(system).poll_doomed is BaseTMSystem.poll_doomed
-        )
         # Burst-invariant environment, recomputed at each run_until
         # call that finds it unset; the machine clears it at run start
         # (observers like tracers attach between construction and run).
@@ -202,7 +190,6 @@ class Core:
             nitems,
             stats,
             ctx,
-            fast_poll,
             with_engine,
         ) = env
         if use_slow:
@@ -251,16 +238,10 @@ class Core:
                         self.attempt_start = cycle
                         self._txn_regs = list(regs)
 
-                    if fast_poll:
-                        doomed = ctx.doomed and ctx.active
-                        if doomed:
-                            ctx.doomed = False
-                            ctx.active = False
-                    else:
-                        self.cycle = cycle
-                        self.attempt_busy = busy
-                        doomed = system.poll_doomed(cid) is not None
-                    if doomed:
+                    # system.poll_doomed(cid), inlined.
+                    if ctx.doomed and ctx.active:
+                        ctx.doomed = False
+                        ctx.active = False
                         self.cycle = cycle
                         self.attempt_busy = busy
                         self._handle_abort()
@@ -473,19 +454,17 @@ class Core:
         nothing a retry observes can change) — those retries can be
         charged arithmetically instead of re-executed.  Eligibility
         (``batch_kind``): no tracing/metrics observers, and an
-        exactly-known retry path — the eager baseline for any access
-        (2), RETCON/lazy-vb for loads only (1; a load conflict implies
-        a remote speculative writer, which pins the untracked fallback
-        path regardless of predictor training; stores can change path
-        mid-retries).
+        exactly-known retry path — the backend row's ``stall_replay``
+        (:data:`repro.htm.backends.BACKENDS`): the eager baseline for
+        any access (2), RETCON/lazy-vb for loads only (1; a load
+        conflict implies a remote speculative writer, which pins the
+        untracked fallback path regardless of predictor training;
+        stores can change path mid-retries), never otherwise (0).
         """
         system = self.system
-        batch_kind = 0  # 0: never, 1: loads only (+training), 2: loads+stores
+        batch_kind = 0
         if system.tracer is None and system.metrics is None:
-            if type(system) is BaseTMSystem:
-                batch_kind = 2
-            elif type(system) is RetconTMSystem:
-                batch_kind = 1
+            batch_kind = system.stall_replay
         env = (
             system.oracle is not None or system.fault_injector is not None,
             batch_kind,
@@ -497,7 +476,6 @@ class Core:
             len(self.items),
             self.stats,
             system.ctx[self.cid],
-            self._fast_poll,
             self.engine is not None,
         )
         self._burst_env = env
@@ -765,13 +743,6 @@ class Core:
     # ------------------------------------------------------------------
     # Instruction dispatch (over decoded tuples; see repro.sim.decode)
     # ------------------------------------------------------------------
-    def _operand(self, operand) -> int:
-        """Resolve an undecoded Reg/Imm operand (kept for tests)."""
-        if isinstance(operand, Reg):
-            return self.regs.read(operand)
-        assert isinstance(operand, Imm)
-        return operand.value
-
     def _execute(self, inst: tuple) -> int:
         """Execute one decoded instruction; return its latency."""
         engine = self.engine

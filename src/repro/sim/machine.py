@@ -27,7 +27,8 @@ import heapq
 from dataclasses import dataclass
 
 from repro.coherence.directory import CoherenceFabric
-from repro.htm.system import BaseTMSystem, build_system
+from repro.htm.backends import BACKENDS, build_system
+from repro.htm.system import BaseTMSystem
 from repro.mem.memory import MainMemory
 from repro.sim.config import MachineConfig
 from repro.sim.cpu import Core, CoreState
@@ -123,10 +124,10 @@ class Machine:
             self.stats.metrics = metrics
         # check=True attaches a fresh repair oracle; pass a configured
         # RepairOracle instance for strict mode / custom limits.
-        # Systems with oracle_compatible=False (speculative value
+        # Backends whose row says oracle=False (speculative value
         # forwarding) are skipped: self.oracle stays None.
         self.oracle = None
-        if check and self.system.oracle_compatible:
+        if check and BACKENDS[system_name].oracle:
             if check is True:
                 from repro.check.oracle import RepairOracle
 

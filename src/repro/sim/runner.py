@@ -174,8 +174,10 @@ def run_sequential(
     generated: GeneratedWorkload,
     config: Optional[MachineConfig] = None,
 ) -> RunResult:
-    """Run the workload's total work on a single core (the paper's
-    "seq" baseline that Figures 1, 3, and 9 normalize against)."""
+    """Run the workload's total work on a single core: the paper's
+    "seq" baseline that Figures 1, 3, and 9 normalize against, and —
+    every thread's transactions back to back cannot lose updates or
+    commit unserializably — the golden final state."""
     config = config or MachineConfig()
     sequential = concatenate(generated.scripts)
     machine = Machine(
@@ -191,7 +193,7 @@ def run_workload(
     seed: int = 1,
     scale: float = 1.0,
     config: Optional[MachineConfig] = None,
-    seq_cycles: Optional[int] = None,
+    sequential: Optional[RunResult] = None,
     check: bool = True,
     generated: Optional[GeneratedWorkload] = None,
     oracle: bool = False,
@@ -203,14 +205,15 @@ def run_workload(
 ) -> WorkloadResult:
     """Simulate *name* on *system* and compare against sequential.
 
-    Pass ``seq_cycles`` (from a prior :func:`run_sequential`) to avoid
-    re-running the baseline when sweeping systems, and ``generated``
-    (from :func:`generate_and_baseline`) to reuse the generated
-    workload instead of regenerating it per system.
+    Pass ``sequential`` (a prior :func:`run_sequential` result) to
+    avoid re-running the baseline when sweeping systems, and
+    ``generated`` to reuse the generated workload instead of
+    regenerating it per system; :func:`generate_and_baseline` returns
+    both.
 
     ``oracle=True`` attaches the replay-based repair oracle
     (:mod:`repro.check.oracle`) to the run; ``golden=True`` diffs the
-    final state against a sequential golden run
+    final state against the sequential run's final memory
     (:mod:`repro.check.golden`); ``tracer`` attaches a
     :class:`repro.obs.events.EventStream` to the TM system; ``metrics``
     attaches a :class:`repro.obs.metrics.MetricsRegistry`.
@@ -238,8 +241,8 @@ def run_workload(
     )
     parallel = machine.run()
 
-    if seq_cycles is None:
-        seq_cycles = run_sequential(generated, config).cycles
+    if sequential is None:
+        sequential = run_sequential(generated, config)
 
     invariants = (
         generated.check_invariants(parallel.memory) if check else []
@@ -258,7 +261,7 @@ def run_workload(
         golden_dict = golden_diff(
             generated,
             parallel.memory,
-            config,
+            sequential.memory,
             strict_memory=generated.strict_golden,
         ).to_dict()
     stats = parallel.stats
@@ -278,7 +281,7 @@ def run_workload(
         system=system,
         ncores=ncores,
         cycles=parallel.cycles,
-        seq_cycles=seq_cycles,
+        seq_cycles=sequential.cycles,
         commits=stats.total_commits(),
         aborts=stats.total_aborts(),
         aborts_by_reason=stats.aborts_by_reason(),
@@ -303,11 +306,12 @@ def generate_and_baseline(
     config: Optional[MachineConfig] = None,
     skew: Optional[float] = None,
     burst: Optional[str] = None,
-) -> tuple[GeneratedWorkload, int]:
-    """Generate once and measure the sequential baseline (for sweeps)."""
+) -> tuple[GeneratedWorkload, RunResult]:
+    """Generate once and run the sequential reference once (for
+    sweeps): its cycles are the speedup baseline and its final memory
+    the golden image of every checked point of the group."""
     config = (config or MachineConfig()).with_cores(ncores)
     generated = _resolve_workload(name, skew=skew, burst=burst).generate(
         ncores, seed=seed, scale=scale
     )
-    seq = run_sequential(generated, config)
-    return generated, seq.cycles
+    return generated, run_sequential(generated, config)

@@ -10,15 +10,17 @@ lazy versioning in a private write buffer, and commit-time validation.
 :mod:`repro.stm.metadata` lays out the metadata region;
 :mod:`repro.stm.backend` implements the barriers and the commit
 protocol, both standalone (``stm``) and as the escalation target of
-the hybrid family in :mod:`repro.htm.hytm`.
+the hybrid family (the ``hybrid-*`` / ``progressive`` rows of
+:data:`repro.htm.backends.BACKENDS`).
 """
 
-from repro.stm.backend import STMMixin, STMSystem
+from repro.stm.backend import STMMixin, STMRetconSystem, STMSystem
 from repro.stm.metadata import STM_META_BASE, StmMetadata
 
 __all__ = [
     "STMMixin",
     "STMSystem",
+    "STMRetconSystem",
     "StmMetadata",
     "STM_META_BASE",
 ]

@@ -43,28 +43,43 @@ software transactions mutually safe:
   only self-abort, validation).
 
 The mixin layers over any :class:`~repro.htm.system.BaseTMSystem`
-subclass; :class:`STMSystem` is the standalone always-software
-backend, and :mod:`repro.htm.hytm` builds the hybrid family.
+subclass.  Two compositions exist — :class:`STMSystem` over the eager
+baseline and :class:`STMRetconSystem` over RETCON/lazy-vb — and the
+``stm`` / ``hybrid-*`` / ``progressive`` rows of
+:data:`repro.htm.backends.BACKENDS` pick one plus the ``hybrid`` and
+``pessimistic_fallback`` settings:
+
+============== ==================== ===================================
+name           hardware fast path   fallback
+============== ==================== ===================================
+stm            (none: always software)
+hybrid-retcon  RETCON               optimistic STM (validation aborts)
+hybrid-eager   eager baseline       optimistic STM
+hybrid-lazy-vb lazy-vb              optimistic STM
+progressive    RETCON               pessimistic STM (cannot abort twice)
+============== ==================== ===================================
+
+A hybrid escalates to the software path when the hardware gives up —
+after ``config.retry_budget`` aborted attempts, or immediately on a
+capacity abort (a footprint that overflows the hardware structures
+overflows them on every retry).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.engine import TxnStmSample
+from repro.core.engine import CommitPlan, TxnStmSample
 from repro.htm.events import StallRetry
 from repro.htm.system import (
     BaseTMSystem,
     CommitResult,
     LoadResult,
+    RetconTMSystem,
     StoreResult,
 )
 from repro.mem.address import BLOCK_SIZE, block_of
 from repro.stm.metadata import StmMetadata
-
-#: fault-injection stage fired on the STM commit plan (see
-#: repro.check.faults.STM_COMMIT)
-STM_COMMIT_STAGE = "stm-commit"
 
 
 @dataclass(slots=True)
@@ -89,70 +104,6 @@ class _StmTxn:
     holds_token: bool = False
 
 
-class _StmCommitPlan:
-    """The STM analogue of RETCON's CommitPlan: just the buffered
-    stores as (addr, size, value) runs, no register repairs.  Shaped
-    so :meth:`repro.check.oracle.RepairOracle.check_commit` and the
-    ``stm-commit`` fault stage consume it unchanged."""
-
-    __slots__ = ("stores", "registers")
-
-    def __init__(self, stores: list[tuple[int, int, int]]) -> None:
-        self.stores = stores
-        self.registers: list[tuple[int, int]] = []
-
-
-class _EmptyBuffer:
-    @staticmethod
-    def entries():
-        return ()
-
-
-class _EmptyRegs:
-    @staticmethod
-    def get(reg):
-        return None
-
-
-class _StmEngineView:
-    """Just enough RetconEngine surface for the oracle's commit check:
-    no symbolic store buffer, no symbolic registers."""
-
-    ssb = _EmptyBuffer()
-    sregs = _EmptyRegs()
-
-
-_STM_ENGINE_VIEW = _StmEngineView()
-
-
-class _CommittedView:
-    """A read view of memory with every *other* active transaction's
-    eager speculative writes undone (their undo-log pre-images
-    overlaid).  The oracle replays an STM commit against this:
-    software reads always resolve to architecturally committed values
-    (the read barrier dooms or waits out speculative writers), but by
-    commit time a fresh hardware transaction may hold dirty bytes the
-    replay would otherwise see."""
-
-    __slots__ = ("_memory", "_pre")
-
-    def __init__(self, memory, pre_images) -> None:
-        self._memory = memory
-        self._pre = [p for p in pre_images if p]
-
-    def read_bytes(self, addr: int, size: int) -> bytes:
-        raw = self._memory.read_bytes(addr, size)
-        if not self._pre:
-            return raw
-        out = bytearray(raw)
-        for pre in self._pre:
-            for i in range(size):
-                byte = pre.get(addr + i)
-                if byte is not None:
-                    out[i] = byte
-        return bytes(out)
-
-
 def _coalesce(wbuf: dict[int, int]) -> list[tuple[int, int, int]]:
     """Collapse a byte write buffer into maximal contiguous
     (addr, size, little-endian value) runs, in address order."""
@@ -173,8 +124,6 @@ def _coalesce(wbuf: dict[int, int]) -> list[tuple[int, int, int]]:
 class STMMixin:
     """Software path + escalation policy, layered over an HTM base.
 
-    Class knobs (overridden by the concrete systems):
-
     * ``hybrid`` — False: every transaction is software (the pure STM
       backend).  True: transactions start on the inherited hardware
       path and escalate per the retry budget / capacity policy.
@@ -182,8 +131,6 @@ class STMMixin:
       (token-serialized, ownership-acquiring, validation-free).
     """
 
-    hybrid = False
-    pessimistic_fallback = False
     #: capacity-aborted transactions escalate to the software slow
     #: path (via the recorded doom reason) rather than rerunning under
     #: OneTM overflow serialization — serializing an STM-bound retry
@@ -193,8 +140,16 @@ class STMMixin:
     # ------------------------------------------------------------------
     # Setup
     # ------------------------------------------------------------------
-    def _init_stm(self) -> None:
-        """Called by concrete subclasses at the end of __init__."""
+    def __init__(
+        self,
+        *args,
+        hybrid: bool = False,
+        pessimistic_fallback: bool = False,
+        **kwargs,
+    ) -> None:
+        super().__init__(*args, **kwargs)
+        self.hybrid = hybrid
+        self.pessimistic_fallback = pessimistic_fallback
         self.meta = StmMetadata(self.config)
         ncores = self.config.ncores
         self._stm_txns: list[_StmTxn | None] = [None] * ncores
@@ -204,9 +159,6 @@ class STMMixin:
         self._escalated = [False] * ncores
         #: core holding the fallback token (progressive), or None
         self._fallback_owner: int | None = None
-        #: blocks drained by the in-progress HTM commit (recorded by
-        #: the _on_commit_stores hook, published to orecs afterwards)
-        self._hybrid_drained: list[set[int]] = [set() for _ in range(ncores)]
         self._m_stm_fallbacks = None
         self._m_stm_barrier = None
         self._m_stm_subscriptions = None
@@ -233,12 +185,13 @@ class STMMixin:
     def _stm_elects(self, core: int, ctx, restart: bool) -> bool:
         """Does this attempt run on the software path?
 
-        Hybrid policy: escalate when the logical transaction already
-        escalated, when it has exhausted its HTM retry budget, or when
-        the hardware aborted it for capacity (retrying a transaction
-        whose footprint exceeds the hardware structures is futile).
+        Always, on the pure STM backend.  Hybrid policy: escalate when
+        the logical transaction already escalated, when it has
+        exhausted its HTM retry budget, or when the hardware aborted it
+        for capacity (retrying a transaction whose footprint exceeds
+        the hardware structures is futile).
         """
-        if self._escalated[core]:
+        if not self.hybrid or self._escalated[core]:
             return True
         if ctx.attempts > self.config.retry_budget:
             return True
@@ -452,17 +405,13 @@ class STMMixin:
             return self._stm_pre_commit(core)
         if not self.hybrid:
             return super()._pre_commit(core)
-        drained = self._hybrid_drained[core]
-        drained.clear()
         if self.pessimistic_fallback:
             spec_written = self.fabric.cores[core].spec_written
             if spec_written:
                 self._htm_owner_check(core, spec_written)
         result = super()._pre_commit(core)
         blocks = set(self.fabric.cores[core].spec_written)
-        if drained:
-            blocks |= drained
-            drained.clear()
+        blocks.update(block_of(a) for a, _s, _v in result.stores)
         if not blocks:
             return result
         extra = self._htm_publish(core, blocks)
@@ -483,13 +432,6 @@ class STMMixin:
         ):
             self._htm_owner_check(
                 core, {block_of(a) for a, _s, _v in plan.stores}
-            )
-
-    def _on_commit_stores(self, core: int, stores) -> None:
-        super()._on_commit_stores(core, stores)
-        if self.hybrid and not self.ctx[core].stm:
-            self._hybrid_drained[core].update(
-                block_of(a) for a, _s, _v in stores
             )
 
     def _htm_owner_check(self, core: int, blocks) -> None:
@@ -525,7 +467,6 @@ class STMMixin:
         return latency
 
     def _stm_pre_commit(self, core: int) -> CommitResult:
-        ctx = self.ctx[core]
         txn = self._stm_txns[core]
         cfg = self.config
         meta = self.meta
@@ -546,20 +487,27 @@ class STMMixin:
                 if mem.read(orec, 8) != version:
                     self._abort_self(core, reason="validation")
 
-        plan = _StmCommitPlan(_coalesce(txn.wbuf))
+        # The STM analogue of RETCON's plan: just the buffered stores,
+        # no reacquires or register repairs.
+        plan = CommitPlan(stores=_coalesce(txn.wbuf))
         if self.fault_injector is not None:
-            self.fault_injector.fire(STM_COMMIT_STAGE, None, plan)
+            self.fault_injector.fire("stm-commit", None, plan)
         if self.oracle is not None:
-            view = _CommittedView(
+            # Software reads always resolve to architecturally
+            # committed values (the read barrier dooms or waits out
+            # speculative writers), but by commit time a fresh hardware
+            # transaction may hold dirty bytes the replay would
+            # otherwise see: replay against memory with every *other*
+            # active transaction's eager writes undone.
+            self.oracle.check_commit(
+                core,
+                plan,
                 mem,
                 [
                     other.undo.pre_image()
                     for i, other in enumerate(self.ctx)
                     if i != core and other.active
                 ],
-            )
-            self.oracle.check_commit(
-                core, _STM_ENGINE_VIEW, ctx.undo, plan, view
             )
 
         if plan.stores:
@@ -655,30 +603,21 @@ class STMMixin:
         self._stm_release(core, txn)
         self._stm_txns[core] = None
 
-    def _doom(self, core: int, reason: str) -> None:
-        was_stm = self.ctx[core].active and self.ctx[core].stm
-        super()._doom(core, reason)
+    def _rollback(self, core: int, reason: str, remote: bool) -> None:
+        ctx = self.ctx[core]
+        was_stm = ctx.active and ctx.stm
+        super()._rollback(core, reason, remote)
         if was_stm:
             self._stm_abort_flush(core)
 
-    def _abort_self(self, core: int, reason: str) -> None:
-        ctx = self.ctx[core]
-        if ctx.active and ctx.stm:
-            self._stm_abort_flush(core)
-        super()._abort_self(core, reason)
-
 
 class STMSystem(STMMixin, BaseTMSystem):
-    """The standalone software TM backend: every transaction runs the
-    instrumented software path; conflict detection is entirely
-    commit-time validation (no speculative state, no capacity limits).
-    """
+    """The software path over the eager baseline: the standalone
+    ``stm`` backend (every transaction instrumented software, conflict
+    detection entirely commit-time validation, no speculative state,
+    no capacity limits) and, with ``hybrid=True``, ``hybrid-eager``."""
 
-    name = "stm"
 
-    def __init__(self, config, memory, fabric, stats, policy="timestamp"):
-        super().__init__(config, memory, fabric, stats, policy)
-        self._init_stm()
-
-    def _stm_elects(self, core, ctx, restart):
-        return True
+class STMRetconSystem(STMMixin, RetconTMSystem):
+    """The software path over RETCON / lazy-vb: ``hybrid-retcon``,
+    ``hybrid-lazy-vb`` and ``progressive``."""

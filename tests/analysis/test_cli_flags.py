@@ -159,6 +159,35 @@ def test_traffic_flags_on_a_plain_workload_are_a_usage_error(
     assert not dispatched
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "kmeans", "--system", "bogus"],
+        ["run", "kmeans", "--backend", "bogus"],
+        ["compare", "kmeans", "--systems", "eager,bogus"],
+        ["sweep", "kmeans", "--systems", "bogus"],
+        ["sweep", "kmeans", "--backend", "bogus"],
+        ["sweep", "--smoke", "--backend", "bogus"],
+        ["figure", "hybrid", "--backend", "bogus"],
+        ["figure", "service", "--backends", "eager,bogus"],
+        ["fuzz", "--backends", "eager", "bogus"],
+        ["fuzz", "--backend", "bogus"],
+        ["metrics", "kmeans", "--system", "bogus"],
+        ["timeline", "figure2", "--system", "bogus"],
+    ],
+    ids=" ".join,
+)
+def test_an_unknown_backend_is_a_usage_error(argv, dispatched, capsys):
+    """Used to be a ValueError traceback out of the first Machine, after
+    the workload was generated and the sequential baseline had run; now
+    nothing is dispatched and the exit code is 2."""
+    assert main(argv + ["--no-cache", "--jobs", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "unknown TM system 'bogus'" in err
+    assert "hybrid-lazy-vb" in err  # names the known backends
+    assert not dispatched
+
+
 @pytest.mark.parametrize("command", ["table", "experiments"])
 def test_commands_without_service_workloads_take_no_traffic_flags(
     command, capsys

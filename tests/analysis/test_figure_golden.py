@@ -29,3 +29,25 @@ def test_figure_regenerates_byte_identical(name, tmp_path, monkeypatch):
     assert (tmp_path / output).read_bytes() == (
         GOLDEN / output
     ).read_bytes()
+
+
+def test_a_failed_invariant_fails_an_unchecked_figure():
+    """Invariants are evaluated on every run, so a figure must never
+    print a cell whose run broke one — with or without --check."""
+    from repro.analysis import figures
+    from repro.exp.spec import Point
+    from repro.sim.runner import run_workload
+    from repro.workloads.base import InvariantResult
+
+    figure = figures.FIGURES["9"]
+    labelled = figure.points(Point("", "", ncores=2, scale=0.05))
+    _label, point = labelled[0]
+    assert not point.check
+    result = run_workload(
+        point.workload, point.system, ncores=2, scale=0.05
+    )
+    matrix = {(point.workload, point.system): result}
+    figure.collect(labelled, matrix=matrix)  # clean: renders
+    result.invariants.append(InvariantResult("size", False, "44 != 52"))
+    with pytest.raises(AssertionError, match="44 != 52"):
+        figure.collect(labelled, matrix=matrix)

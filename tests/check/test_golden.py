@@ -1,13 +1,8 @@
 """The golden-run differ: sequential execution as a state oracle."""
 
-from repro.check.golden import (
-    GoldenDiff,
-    diff_memories,
-    golden_diff,
-    run_golden,
-)
+from repro.check.golden import GoldenDiff, diff_memories, golden_diff
 from repro.mem.memory import MainMemory
-from repro.sim.runner import run_workload
+from repro.sim.runner import run_sequential, run_workload
 from repro.workloads.registry import get_workload
 
 
@@ -94,7 +89,7 @@ class TestEndToEnd:
         generated = get_workload("python_opt").generate(
             nthreads=2, seed=1, scale=0.1
         )
-        golden = run_golden(generated)
+        golden = run_sequential(generated).memory
         corrupted = golden.clone()
         block = sorted(golden.touched_blocks())[0]
         addr = block * 64
@@ -102,8 +97,7 @@ class TestEndToEnd:
             addr, bytes([golden.read_bytes(addr, 1)[0] ^ 0xFF])
         )
         diff = golden_diff(
-            generated, corrupted, golden_memory=golden,
-            strict_memory=True,
+            generated, corrupted, golden, strict_memory=True
         )
         assert diff.bytes_differing == 1
         assert diff.blocks_differing == 1

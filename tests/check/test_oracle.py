@@ -96,7 +96,7 @@ class TestRecordingLifecycle:
         # check_commit on a core the oracle never saw begin must be a
         # no-op (system used without the core recording hooks).
         oracle = RepairOracle()
-        oracle.check_commit(0, None, None, None, None)
+        oracle.check_commit(0, None, None, [])
         assert oracle.checked_commits == 0
 
     def test_abort_discards_recording(self):
@@ -105,3 +105,73 @@ class TestRecordingLifecycle:
         oracle.on_instruction(0, 0)
         oracle.on_abort(0)
         assert oracle._records == {}
+
+
+class TestCommitRecord:
+    """Hardware and software commits hand the oracle one record: a
+    plan, memory, and the undo pre-images to read through."""
+
+    A, B = 0x4000, 0x8000
+
+    def recorded(self, memory):
+        """An oracle that watched `[B] = [A] + 1` run against *memory*
+        with the committed value 5 at A."""
+        from repro.check.replay import replay_program
+        from repro.isa.program import Assembler
+        from repro.isa.registers import R1
+
+        asm = Assembler()
+        asm.load(R1, self.A)
+        asm.addi(R1, R1, 1)
+        asm.store(R1, self.B)
+        program = asm.build()
+        regs = [0] * 16
+        oracle = RepairOracle()
+        oracle.on_txn_begin(0, program, "t", regs)
+        for pc in replay_program(program, regs, memory.read_bytes).pc_trace:
+            oracle.on_instruction(0, pc)
+        return oracle
+
+    def test_software_commit_reads_through_other_txns_pre_images(self):
+        from repro.core.engine import CommitPlan
+        from repro.htm.versioning import UndoLog
+        from repro.mem.memory import MainMemory
+
+        memory = MainMemory()
+        memory.write(self.A, 5)
+        oracle = self.recorded(memory)
+        # Another (hardware) transaction now holds A dirty.
+        other = UndoLog()
+        other.record(memory, self.A, 8)
+        memory.write(self.A, 99)
+        plan = CommitPlan(stores=[(self.B, 8, 6)])
+        oracle.check_commit(0, plan, memory, [{}, other.pre_image()])
+        assert oracle.checked_commits == 1 and oracle.ok
+
+        # Without the pre-image the replay would see the dirty byte.
+        blind = self.recorded(memory)
+        blind.check_commit(0, plan, memory, [])
+        assert {v.kind for v in blind.violations} == {"store-drain"}
+        assert blind.violations[0].detail["sym"] is None  # no engine
+
+    def test_every_checked_backend_hands_over_the_same_record(self):
+        seen = []
+
+        class Spy(RepairOracle):
+            def check_commit(self, core, plan, memory, pre_images,
+                             engine=None):
+                seen.append((type(plan).__name__, engine is not None))
+                super().check_commit(
+                    core, plan, memory, pre_images, engine
+                )
+
+        for system in ("retcon", "stm"):
+            scripts, memory, config = fault_scenario(
+                ncores=2, txns_per_core=2
+            )
+            oracle = Spy()
+            Machine(config, system, scripts, memory, check=oracle).run(
+                max_cycles=50_000_000
+            )
+            assert oracle.checked_commits > 0 and oracle.ok
+        assert set(seen) == {("CommitPlan", True), ("CommitPlan", False)}

@@ -72,6 +72,39 @@ class TestBaselineSharing:
             }
             assert len(seqs) == 1
 
+    def test_a_checked_group_runs_the_sequential_reference_once(
+        self, monkeypatch
+    ):
+        """The speedup baseline and the golden image are one run: a
+        checked group of S systems used to run it 1 + S times."""
+        from repro.sim import runner
+
+        sequential_runs = []
+        real = runner.run_sequential
+
+        def spy(generated, config=None):
+            result = real(generated, config)
+            sequential_runs.append(result)
+            return result
+
+        monkeypatch.setattr(runner, "run_sequential", spy)
+        points = [
+            Point("python_opt", system, ncores=2, scale=0.05, check=True)
+            for system in ("eager", "retcon", "stm")
+        ]
+        results = run_points(points, jobs=1)
+        assert len(sequential_runs) == 1
+        for point in points:
+            result = results[point]
+            assert result.seq_cycles == sequential_runs[0].cycles
+            assert result.golden["ok"] and not result.golden["golden_failures"]
+            # ...and the diff is the one a private golden run gives
+            direct = run_workload(
+                point.workload, point.system, ncores=2, scale=0.05,
+                golden=True,
+            )
+            assert result.golden == direct.golden
+
     def test_duplicates_deduped(self):
         point = Point("kmeans", "eager", ncores=2, scale=0.05)
         ran = []

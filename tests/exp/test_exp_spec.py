@@ -150,30 +150,32 @@ class TestLabel:
 
 
 class TestCacheKeyStability:
-    """Literal digests recorded at the commit before the override
-    fields were folded into ``Point.config`` (repro 1.7.0): warm
-    ``.repro-cache/`` entries must keep resolving."""
+    """Literal digests of repro 1.7.1 keys.  The key material is what
+    it was before the override fields were folded into
+    ``Point.config``; only the version moved (1.7.0 -> 1.7.1: results
+    of bounded-write-set points changed with the lost-invalidation
+    fix, so cached ones must miss)."""
 
     PINNED = {
-        "787fbd6499c5e2dde26f3902f41db791e40a6a9b2c8586e613ed5662c3ef3a0c":
+        "7fa33976762cdde7f0961dd9f0c75195d3bb43cc285c759b29cc7c01eae327bb":
             Point("python_opt", "retcon"),
-        "54121539ec98b6db24283486be5859c56da683391030df41c583612a5d68c6e4":
+        "c2e4d1fdbe8d7e413d1ca09a79abc1fb63a7387288ddaa9509d5cb11ea927806":
             Point("python_opt", "retcon", check=True),
-        "955b82134860ab750e9d171711af59aad5ce803c6d1a844fb434b7ec40df61d2":
+        "2c6c46f655c977d70de1a24999d63215969326603351b42d956eebb5e4eda6c1":
             Point("python_opt", "retcon", obs="trace"),
         # was Point(..., retry_budget=2)
-        "93159680f2583e559198cc5236336e748c2a17b7cec36d09f121f348cc1080a7":
+        "13ea9d85f0c699a891fb8f1ba18b248d63f64d680cdce8104f55f6ed10bb2cc4":
             Point("kmeans", "hybrid-retcon", ncores=4, scale=0.1,
                   config=_with(retry_budget=2)),
         # was Point(..., read_set_entries=4, write_set_entries=4)
-        "288771209da850f0916ffae016970844aa2287a8ad62e32769e040342c607cfd":
+        "cfde99e579f468eba15377282332263cfc58155d79f5220955bc724e908fa579":
             Point("genome-sz", "eager", ncores=4, scale=0.1,
                   config=_with(read_set_entries=4, write_set_entries=4)),
     }
 
     def test_point_keys_match_the_recorded_digests(self):
         for digest, point in self.PINNED.items():
-            assert point_key(point, version="1.7.0") == digest, point
+            assert point_key(point, version="1.7.1") == digest, point
 
 
 class TestTrafficOverrides:

@@ -1,6 +1,5 @@
 """Generator determinism, profile constraints, and case round-trip."""
 
-from repro.check.golden import run_golden
 from repro.fuzz.gen import (
     FUZZ_PROFILES,
     FuzzCase,
@@ -9,6 +8,7 @@ from repro.fuzz.gen import (
     generate_case,
 )
 from repro.fuzz.genes import G_PRIV_STORE, G_RMW, G_WORK
+from repro.sim.runner import run_sequential
 
 
 class TestDeterminism:
@@ -64,7 +64,7 @@ class TestCommutativeProfile:
             case = generate_case(seed, cfg)
             generated = case.build_workload()
             assert generated.strict_golden
-            memory = run_golden(generated)
+            memory = run_sequential(generated).memory
             results = generated.check_invariants(memory)
             assert all(r.ok for r in results), [
                 r.detail for r in results if not r.ok

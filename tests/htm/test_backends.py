@@ -1,0 +1,125 @@
+"""The backend table: every row builds, runs, and is what every
+derived list says it is."""
+
+import pytest
+
+import repro
+from repro.coherence.directory import CoherenceFabric
+from repro.fuzz.diff import SERIAL_REPLAY_BACKENDS
+from repro.htm.backends import BACKENDS, build_system
+from repro.mem.memory import MainMemory
+from repro.sim.config import small_test_config
+from repro.sim.machine import Machine
+from repro.sim.stats import MachineStats
+from tests.conftest import run_counter_machine
+
+ROWS = sorted(BACKENDS)
+
+
+def build(name, ncores=2):
+    config = small_test_config(ncores=ncores)
+    return build_system(
+        name, config, MainMemory(), CoherenceFabric(config, ncores),
+        MachineStats(ncores),
+    )
+
+
+@pytest.mark.parametrize("name", ROWS)
+class TestEveryRow:
+    def test_builds_and_carries_its_row(self, name):
+        row = BACKENDS[name]
+        system = build(name)
+        assert type(system) is row.cls
+        assert system.name == name
+        assert system.stall_replay == row.stall_replay
+
+    def test_contended_counter_commits_to_the_right_total(self, name):
+        result, counter = run_counter_machine(
+            name, ncores=3, txns_per_core=4
+        )
+        assert counter == 24
+        assert result.commits == 12
+
+    def test_run_result_reports_the_requested_name(self, name):
+        result, _ = run_counter_machine(name, ncores=2, txns_per_core=1)
+        assert result.system_name == name
+
+    def test_oracle_attaches_iff_the_row_says_so(self, name):
+        config = small_test_config(ncores=2)
+        machine = Machine(config, name, [], MainMemory(), check=True)
+        assert (machine.oracle is not None) == BACKENDS[name].oracle
+        assert machine.system.oracle is machine.oracle
+
+
+class TestTheTable:
+    def test_the_thirteen_systems(self):
+        assert tuple(BACKENDS) == (
+            "eager", "eager-abort", "eager-stall", "lazy", "lazy-vb",
+            "datm", "retcon", "retcon-fwd", "stm", "hybrid-retcon",
+            "hybrid-eager", "hybrid-lazy-vb", "progressive",
+        )
+
+    def test_the_facts_callers_branch_on(self):
+        assert {n for n, r in BACKENDS.items() if not r.oracle} == {
+            "retcon-fwd"
+        }
+        assert {n for n, r in BACKENDS.items() if not r.commit_atomic} == {
+            "datm", "retcon-fwd"
+        }
+        assert {
+            n: r.stall_replay for n, r in BACKENDS.items() if r.stall_replay
+        } == {
+            "eager": 2, "eager-abort": 2, "eager-stall": 2,
+            "lazy-vb": 1, "retcon": 1,
+        }
+
+    def test_policy_rows_pick_the_contention_policy(self):
+        assert type(build("eager").policy).__name__ == "TimestampPolicy"
+        assert type(build("eager-abort").policy).__name__ == (
+            "RequesterAbortsPolicy"
+        )
+        assert type(build("eager-stall").policy).__name__ == (
+            "RequesterStallsPolicy"
+        )
+
+    def test_row_settings_reach_the_instance(self):
+        assert build("datm")._fwd_cooldown_length == 0
+        assert build("retcon-fwd")._fwd_cooldown_length == 50
+        assert not build("stm").hybrid
+        assert build("hybrid-eager").hybrid
+        assert not build("hybrid-retcon").pessimistic_fallback
+        assert build("progressive").pessimistic_fallback
+        for name in ("lazy-vb", "hybrid-lazy-vb"):
+            system = build(name)
+            assert system.track_all and not system.symbolic_arithmetic
+        assert build("retcon").symbolic_arithmetic
+
+    def test_unknown_name_names_the_known_ones(self):
+        with pytest.raises(ValueError, match="hybrid-lazy-vb"):
+            build("bogus")
+
+    def test_a_directly_constructed_system_never_replays_stalls(self):
+        config = small_test_config(ncores=2)
+        system = BACKENDS["eager"].cls(
+            config, MainMemory(), CoherenceFabric(config, 2),
+            MachineStats(2),
+        )
+        assert system.stall_replay == 0
+
+
+class TestDerivedLists:
+    def test_package_systems(self):
+        assert repro.SYSTEMS == tuple(BACKENDS)
+
+    def test_serial_replay_backends(self):
+        assert SERIAL_REPLAY_BACKENDS == {
+            name for name, row in BACKENDS.items() if row.commit_atomic
+        }
+
+    def test_repro_list_prints_the_table(self, capsys):
+        from repro.cli import main
+
+        assert main(["list"]) == 0
+        assert (
+            "TM systems: " + ", ".join(BACKENDS) + "\n"
+        ) in capsys.readouterr().out

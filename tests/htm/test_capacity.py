@@ -94,7 +94,7 @@ class TestSingleSourcedDefaults:
 
     def test_config_override_reaches_every_engine(self):
         from repro.coherence.directory import CoherenceFabric
-        from repro.htm.system import build_system
+        from repro.htm.backends import build_system
         from repro.mem.memory import MainMemory
         from repro.sim.stats import MachineStats
 
@@ -189,6 +189,60 @@ class TestSetEnforcement:
             hist = metrics.get(name)
             assert hist is not None, f"missing {name}"
             assert hist.count > 0, f"{name}: no observations"
+
+
+class TestLostInvalidationUnderWriteSetBound:
+    """A write that overflows the write set has already invalidated the
+    remote copies; the victims' RETCON engines must hear about it."""
+
+    @pytest.mark.parametrize(
+        "system,seed",
+        [("retcon", 3), ("retcon", 6), ("hybrid-retcon", 5)],
+    )
+    def test_genome_keeps_every_insert(self, system, seed):
+        result = run_workload(
+            "genome-sz", system, ncores=16, seed=seed, scale=0.1,
+            config=bounded(write_set_entries=2),
+        )
+        assert result.invariants_ok, [
+            inv.detail for inv in result.failed_invariants()
+        ]
+
+    def test_capacity_aborted_writer_still_reports_the_steal(self):
+        from repro.coherence.directory import CoherenceFabric
+        from repro.htm.backends import build_system
+        from repro.htm.events import TxnAborted
+        from repro.mem.memory import MainMemory
+        from repro.sim.stats import MachineStats
+
+        counter, other = 0x4000, 0x8000
+        config = bounded(ncores=3, write_set_entries=1)
+        memory = MainMemory()
+        memory.write(counter, 10)
+        system = build_system(
+            "retcon", config, memory, CoherenceFabric(config, 3),
+            MachineStats(3),
+        )
+        # Core 1 value-tracks the counter block and increments it
+        # symbolically.
+        engine = system.engine(1)
+        engine.predictor.observe_conflict(counter // 64)
+        system.begin(1)
+        loaded = system.load(1, counter, 8)
+        engine.alu("add", 1, loaded.sym, None, loaded.value, 1)
+        system.store(1, counter, 8, 11, sym=engine.reg_sym(1))
+        # Core 0's second written block overflows its write set: the
+        # access invalidated core 1's copy, then aborted.
+        system.begin(0)
+        system.store(0, other, 8, 1)
+        with pytest.raises(TxnAborted):
+            system.store(0, counter, 8, 99)
+        assert memory.read(counter) == 10  # rolled back
+        # Core 2 really changes the counter.  Core 1 is no longer a
+        # sharer, so this write cannot be what tells it.
+        system.store(2, counter, 8, 50)
+        system.commit(1)
+        assert memory.read(counter) == 51  # repaired, not a stale 11
 
 
 # ----------------------------------------------------------------------

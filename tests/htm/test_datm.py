@@ -3,7 +3,7 @@
 import pytest
 
 from repro.coherence.directory import CoherenceFabric
-from repro.htm.datm import DATMSystem
+from repro.htm.backends import build_system
 from repro.htm.events import StallRetry
 from repro.mem.memory import MainMemory
 from repro.sim.config import small_test_config
@@ -15,8 +15,8 @@ ADDR = 0x4000
 def make_datm(ncores=3):
     config = small_test_config(ncores=ncores)
     memory = MainMemory()
-    system = DATMSystem(
-        config, memory, CoherenceFabric(config, ncores),
+    system = build_system(
+        "datm", config, memory, CoherenceFabric(config, ncores),
         MachineStats(ncores),
     )
     return system, memory

@@ -1,7 +1,7 @@
 """ForwardingMixin internals: edges, cycles, cooldown hysteresis."""
 
 from repro.coherence.directory import CoherenceFabric
-from repro.htm.forwarding_hybrid import RetconForwardingSystem
+from repro.htm.backends import build_system
 from repro.mem.memory import MainMemory
 from repro.sim.config import small_test_config
 from repro.sim.stats import MachineStats
@@ -13,8 +13,8 @@ BLOCK = ADDR // 64
 def make_system(ncores=3, cooldown=None):
     config = small_test_config(ncores=ncores)
     memory = MainMemory()
-    system = RetconForwardingSystem(
-        config, memory, CoherenceFabric(config, ncores),
+    system = build_system(
+        "retcon-fwd", config, memory, CoherenceFabric(config, ncores),
         MachineStats(ncores),
     )
     if cooldown is not None:

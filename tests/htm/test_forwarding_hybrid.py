@@ -3,7 +3,7 @@
 import pytest
 
 from repro.coherence.directory import CoherenceFabric
-from repro.htm.forwarding_hybrid import RetconForwardingSystem
+from repro.htm.backends import BACKENDS, build_system
 from repro.htm.events import StallRetry
 from repro.mem.address import block_of
 from repro.mem.memory import MainMemory
@@ -17,8 +17,8 @@ ADDR = 0x4000
 def make_hybrid(ncores=3):
     config = small_test_config(ncores=ncores)
     memory = MainMemory()
-    system = RetconForwardingSystem(
-        config, memory, CoherenceFabric(config, ncores),
+    system = build_system(
+        "retcon-fwd", config, memory, CoherenceFabric(config, ncores),
         MachineStats(ncores),
     )
     return system, memory
@@ -99,7 +99,7 @@ class TestOracleContract:
     spuriously flag forwarded-value commits as violations."""
 
     def test_flag_is_declared(self):
-        assert RetconForwardingSystem.oracle_compatible is False
+        assert BACKENDS["retcon-fwd"].oracle is False
 
     def test_machine_skips_oracle_for_forwarding_hybrid(self):
         from repro.isa.program import Assembler
@@ -157,14 +157,3 @@ class TestOracleContract:
         system.commit(0)
         assert not system._preds[1]
         system.commit(1)  # no StallRetry: the predecessor is gone
-
-
-class TestDeprecatedAlias:
-    def test_old_module_warns_and_reexports(self):
-        import importlib
-        import sys
-
-        sys.modules.pop("repro.htm.hybrid", None)
-        with pytest.warns(DeprecationWarning, match="forwarding_hybrid"):
-            legacy = importlib.import_module("repro.htm.hybrid")
-        assert legacy.RetconForwardingSystem is RetconForwardingSystem

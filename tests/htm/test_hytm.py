@@ -4,12 +4,7 @@ import pytest
 
 from repro.coherence.directory import CoherenceFabric
 from repro.htm.events import StallRetry, TxnAborted
-from repro.htm.hytm import (
-    HYBRID_SYSTEMS,
-    ProgressiveTMSystem,
-    build_hybrid_system,
-)
-from repro.htm.system import build_system
+from repro.htm.backends import BACKENDS, build_system
 from repro.mem.memory import MainMemory
 from repro.sim.config import small_test_config
 from repro.sim.stats import MachineStats
@@ -18,11 +13,17 @@ from tests.conftest import run_counter_machine
 
 ADDR = 0x4000
 
+#: the hybrid family: every backend row with a hardware fast path
+#: and an STM fallback
+HYBRID_SYSTEMS = tuple(
+    name for name, row in BACKENDS.items() if row.kwargs.get("hybrid")
+)
+
 
 def make(name="hybrid-retcon", ncores=3, **overrides):
     config = small_test_config(ncores=ncores, **overrides)
     memory = MainMemory()
-    system = build_hybrid_system(
+    system = build_system(
         name, config, memory, CoherenceFabric(config, ncores),
         MachineStats(ncores),
     )
@@ -31,6 +32,10 @@ def make(name="hybrid-retcon", ncores=3, **overrides):
 
 class TestConstruction:
     def test_every_hybrid_builds_by_name(self):
+        assert HYBRID_SYSTEMS == (
+            "hybrid-retcon", "hybrid-eager", "hybrid-lazy-vb",
+            "progressive",
+        )
         for name in HYBRID_SYSTEMS:
             system, _ = make(name)
             assert system.name == name
@@ -53,8 +58,8 @@ class TestConstruction:
 
     def test_progressive_is_pessimistic(self):
         system, _ = make("progressive")
-        assert isinstance(system, ProgressiveTMSystem)
         assert system.pessimistic_fallback
+        assert not make("hybrid-retcon")[0].pessimistic_fallback
 
 
 class TestEscalation:

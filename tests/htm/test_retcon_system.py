@@ -4,7 +4,8 @@ import pytest
 
 from repro.coherence.directory import CoherenceFabric
 from repro.htm.events import TxnAborted
-from repro.htm.system import RetconTMSystem, build_system
+from repro.htm.backends import build_system
+from repro.htm.system import RetconTMSystem
 from repro.mem.address import block_of
 from repro.mem.memory import MainMemory
 from repro.sim.config import small_test_config

@@ -4,7 +4,7 @@ import pytest
 
 from repro.coherence.directory import CoherenceFabric
 from repro.htm.events import StallRetry, TxnAborted
-from repro.htm.system import build_system
+from repro.htm.backends import build_system
 from repro.mem.memory import MainMemory
 from repro.sim.config import small_test_config
 from repro.sim.stats import MachineStats

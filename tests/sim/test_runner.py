@@ -1,5 +1,7 @@
 """High-level runner: speedups, baselines, invariants."""
 
+from dataclasses import replace
+
 from repro.sim.config import MachineConfig
 from repro.sim.runner import (
     generate_and_baseline,
@@ -25,8 +27,12 @@ class TestRunner:
         assert result.invariants_ok
 
     def test_seq_cycles_can_be_supplied(self):
+        generated, sequential = generate_and_baseline(
+            "kmeans", ncores=2, scale=0.1
+        )
         result = run_workload(
-            "kmeans", "eager", ncores=2, scale=0.1, seq_cycles=12345
+            "kmeans", "eager", ncores=2, scale=0.1,
+            sequential=replace(sequential, cycles=12345),
         )
         assert result.seq_cycles == 12345
         assert result.speedup == 12345 / result.cycles
@@ -45,41 +51,41 @@ class TestRunner:
         assert seq.stats.total_aborts() == 0
 
     def test_generate_and_baseline(self):
-        generated, seq_cycles = generate_and_baseline(
+        generated, sequential = generate_and_baseline(
             "kmeans", ncores=2, scale=0.1
         )
-        assert seq_cycles > 0
+        assert sequential.cycles > 0
         assert len(generated.scripts) == 2
 
     def test_precomputed_generation_reused(self):
         """run_workload(generated=...) must skip regeneration and
         produce exactly the result of the regenerating path."""
-        generated, seq_cycles = generate_and_baseline(
+        generated, sequential = generate_and_baseline(
             "genome", ncores=2, scale=0.1, seed=9
         )
         reused = run_workload(
             "genome", "retcon", ncores=2, scale=0.1, seed=9,
-            seq_cycles=seq_cycles, generated=generated,
+            sequential=sequential, generated=generated,
         )
         regenerated = run_workload(
             "genome", "retcon", ncores=2, scale=0.1, seed=9,
-            seq_cycles=seq_cycles,
+            sequential=sequential,
         )
         assert reused.to_dict() == regenerated.to_dict()
 
     def test_generated_workload_survives_reuse(self):
         """Back-to-back runs from one GeneratedWorkload are identical
         (scripts and initial memory are not mutated by a run)."""
-        generated, seq_cycles = generate_and_baseline(
+        generated, sequential = generate_and_baseline(
             "kmeans", ncores=2, scale=0.1
         )
         first = run_workload(
             "kmeans", "eager", ncores=2, scale=0.1,
-            seq_cycles=seq_cycles, generated=generated,
+            sequential=sequential, generated=generated,
         )
         second = run_workload(
             "kmeans", "eager", ncores=2, scale=0.1,
-            seq_cycles=seq_cycles, generated=generated,
+            sequential=sequential, generated=generated,
         )
         assert first.to_dict() == second.to_dict()
 
