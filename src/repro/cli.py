@@ -65,11 +65,15 @@ class UsageError(Exception):
     message to stderr and exits 2 instead of running anything."""
 
 
-def _add_engine_args(parser: argparse.ArgumentParser) -> None:
+def _add_jobs_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--jobs", type=int, default=None,
         help="worker processes (default: $REPRO_JOBS or all cores)",
     )
+
+
+def _add_engine_args(parser: argparse.ArgumentParser) -> None:
+    _add_jobs_arg(parser)
     parser.add_argument(
         "--no-cache", action="store_true",
         help="do not read or write the on-disk result cache",
@@ -548,8 +552,6 @@ def _cmd_fuzz(args) -> int:
         backends=backends,
         nthreads=args.cores,
         jobs=args.jobs,
-        use_cache=not args.no_cache,
-        refresh=args.refresh,
         shrink=not args.no_shrink,
         emit=not args.no_emit,
         fault=args.fault,
@@ -573,11 +575,6 @@ def _cmd_fuzz(args) -> int:
     except CampaignError as exc:
         raise UsageError(str(exc)) from None
     print(report.summary())
-    for profile, seed, detail in report.engine_failures:
-        print(
-            f"  engine check failed: profile={profile} seed={seed}: "
-            f"{detail}"
-        )
     for profile, seed in report.diverging:
         print(f"  diverging: profile={profile} seed={seed}")
     for line in report.shrink_summaries:
@@ -963,7 +960,7 @@ def build_parser() -> argparse.ArgumentParser:
              "scheduler used for --minutes campaigns",
     )
     _add_config_args(fuzz)
-    _add_engine_args(fuzz)
+    _add_jobs_arg(fuzz)
 
     trace = sub.add_parser(
         "trace", help="trace tooling (Perfetto/Chrome-trace export)"

@@ -281,39 +281,6 @@ class CoherenceFabric:
             return outcome
         return AccessOutcome(latency=latency, invalidated=tuple(invalidated))
 
-    def latency_quote(self, core: int, block: int, write: bool) -> int:
-        """The latency :meth:`acquire` would charge, without performing it.
-
-        A pure read of the directory and cache state: no permissions
-        change hands, no line is installed or invalidated, and no LRU
-        state is touched, so quoting is side-effect-free and an
-        immediately following ``acquire(core, block, write)`` charges
-        exactly the quoted number of cycles.  The event-driven
-        scheduler (and tests reasoning about wakeup times) can price an
-        access without perturbing the fabric.
-        """
-        cfg = self.config
-        caches = self.cores[core]
-        line = caches.l1.lookup(block, touch=False)
-        if line is not None:
-            if not write or line.writable:
-                return 1
-            # Upgrade miss: S -> M through the directory.
-            return cfg.l2_hit_cycles + 2 * cfg.hop_cycles
-        l2_line = caches.l2.lookup(block, touch=False)
-        if l2_line is not None:
-            if not write or l2_line.writable:
-                return cfg.l2_hit_cycles
-            return cfg.l2_hit_cycles + 2 * cfg.hop_cycles
-        holders = self._holders.get(block)
-        owner = self._owner.get(block)
-        remote = (holders - {core}) if holders else set()
-        if not remote and owner is not None and owner != core:
-            remote = {owner}
-        if remote:
-            return cfg.l2_hit_cycles + 3 * cfg.hop_cycles
-        return cfg.l2_hit_cycles + 2 * cfg.hop_cycles + cfg.dram_cycles
-
     def _invalidate_remotes(self, core: int, block: int) -> list[int]:
         holders = self._holders.get(block, set())
         owner = self._owner.get(block)

@@ -46,18 +46,6 @@ class ConflictPredictor:
         )
         state.conflicts += 1
 
-    def observe_conflicts(self, block: int, count: int) -> None:
-        """Train up by *count* conflicts at once.
-
-        Equivalent to *count* ``observe_conflict`` calls; used by the
-        core's batched stall-retry path, which computes a deterministic
-        run of identical conflict observations arithmetically.
-        """
-        state = self._table.setdefault(
-            block, _BlockState(required=self.train_threshold)
-        )
-        state.conflicts += count
-
     def observe_violation(self, block: int) -> None:
         """A commit-time constraint on *block* was violated; train down
         hard (require `backoff` fresh conflicts before retrying)."""

@@ -8,8 +8,8 @@ collector :func:`run_points`).  It
 2. groups the misses by :meth:`Point.baseline_key` so each
    (workload, ncores, seed, scale, config) generates its workload and
    runs its sequential baseline exactly once, shared across systems,
-3. executes the groups — serially, or on a ``multiprocessing`` pool
-   when ``jobs > 1`` — and streams per-point progress,
+3. executes the groups through :func:`run_tasks` — serially, or on
+   its process pool when ``jobs > 1`` — and streams per-point progress,
 4. stores fresh results (and trace artifacts) in the cache and yields
    them; :func:`run_points` returns an ordered
    ``{Point: WorkloadResult}`` mapping.
@@ -21,10 +21,12 @@ simulator is fully deterministic given the point spec.
 ``jobs`` resolution: explicit argument > ``$REPRO_JOBS`` >
 ``os.cpu_count()``.
 
-:func:`run_tasks` is the point-free sibling: it fans an arbitrary
-picklable worker over the same process pool with deadline-aware
-dispatch, and exists for engine users whose unit of work is not a
-:class:`Point` (the fuzz campaign's deep phase).
+:func:`run_tasks` is the one process pool: it fans an arbitrary
+picklable worker over its items with deadline-aware dispatch, and is
+also called directly by engine users whose unit of work is not a
+:class:`Point` (the fuzz campaign).  A worker process that dies
+(killed, out of memory, ``os._exit``) surfaces as one
+``RuntimeError`` naming the items that were in flight.
 """
 
 from __future__ import annotations
@@ -146,10 +148,12 @@ def _ensure_child_importable() -> None:
         os.environ["PYTHONPATH"] = os.pathsep.join([package_root] + parts)
 
 
-def _pool_context():
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context(
-        "fork" if "fork" in methods else "spawn"
+def _describe(item) -> str:
+    """Name an in-flight item: point labels where there are points."""
+    parts = item if isinstance(item, list) else [item]
+    return ", ".join(
+        part.label() if isinstance(part, Point) else repr(part)
+        for part in parts
     )
 
 
@@ -162,10 +166,10 @@ def run_tasks(
     """Fan ``worker(item)`` out across the process pool; yield
     ``(index, item, result)`` tuples as tasks complete.
 
-    The engine side-door for work whose unit is not a :class:`Point`
-    — the fuzz campaign's deep phase feeds ``run_case`` tasks through
-    here.  ``worker`` must be picklable (a module-level function or a
-    ``functools.partial`` of one), as must every item and result.
+    :func:`iter_points` feeds its baseline groups through here, the
+    fuzz campaign its ``run_case`` tasks.  ``worker`` must be picklable
+    (a module-level function or a ``functools.partial`` of one), as
+    must every item and result.
 
     ``stop``, if given, is consulted before *each* dispatch: once it
     returns True no further items are submitted, in-flight items
@@ -174,6 +178,9 @@ def run_tasks(
     granularity.  With ``jobs=1`` (or a single item) everything runs
     in-process; the worker being deterministic makes the two paths
     yield identical results, differing only in completion order.
+
+    A worker process that dies takes the pool down with it; that is
+    raised as one ``RuntimeError`` naming every in-flight item.
     """
     items = list(items)
     njobs = min(resolve_jobs(jobs), max(len(items), 1))
@@ -189,9 +196,13 @@ def run_tasks(
         ProcessPoolExecutor,
         wait,
     )
+    from concurrent.futures.process import BrokenProcessPool
 
     _ensure_child_importable()
-    ctx = _pool_context()
+    methods = multiprocessing.get_all_start_methods()
+    ctx = multiprocessing.get_context(
+        "fork" if "fork" in methods else "spawn"
+    )
     with ProcessPoolExecutor(max_workers=njobs, mp_context=ctx) as pool:
         queue = iter(enumerate(items))
         in_flight: dict = {}
@@ -212,9 +223,19 @@ def run_tasks(
         while in_flight:
             ready, _ = wait(in_flight, return_when=FIRST_COMPLETED)
             for future in ready:
-                index, item = in_flight.pop(future)
-                submit_one()
-                yield index, item, future.result()
+                try:
+                    result = future.result()
+                    index, item = in_flight.pop(future)
+                    submit_one()
+                except BrokenProcessPool as exc:
+                    raise RuntimeError(
+                        "a pool worker died while these were in flight: "
+                        + "; ".join(
+                            _describe(item)
+                            for _index, item in in_flight.values()
+                        )
+                    ) from exc
+                yield index, item, result
 
 
 def iter_points(
@@ -260,29 +281,18 @@ def iter_points(
             progress(done, total, point, "cached", 0.0)
         yield point, hit, artifacts
 
-    def finish(batches):
-        nonlocal done
-        for batch in batches:
-            for point, result, seconds, artifacts in batch:
-                if cache is not None:
-                    cache.put(point, result)
-                    for name, payload in artifacts.items():
-                        cache.put_artifact(point, name, payload)
-                done += 1
-                if progress:
-                    progress(done, total, point, "ran", seconds)
-                yield point, result, artifacts
-
-    groups = _group_by_baseline(pending)
-    njobs = min(resolve_jobs(jobs), max(len(groups), 1))
-    if njobs <= 1 or len(groups) <= 1:
-        yield from finish(map(_run_group, groups))
-    else:
-        _ensure_child_importable()
-        with _pool_context().Pool(processes=njobs) as pool:
-            yield from finish(
-                pool.imap_unordered(_run_group, groups, chunksize=1)
-            )
+    for _index, _group, batch in run_tasks(
+        _group_by_baseline(pending), _run_group, jobs=jobs
+    ):
+        for point, result, seconds, artifacts in batch:
+            if cache is not None:
+                cache.put(point, result)
+                for name, payload in artifacts.items():
+                    cache.put_artifact(point, name, payload)
+            done += 1
+            if progress:
+                progress(done, total, point, "ran", seconds)
+            yield point, result, artifacts
 
 
 def run_points(

@@ -50,10 +50,6 @@ class Point:
     config: Optional[MachineConfig] = None
     #: attach the correctness oracle + golden-run differ to the run
     check: bool = False
-    #: extra cache-key salt for points whose workload is parameterized
-    #: beyond its registry name (the fuzzer salts points with the
-    #: generator-config hash so profile changes invalidate the cache)
-    tag: str = ""
     #: observability request: "" (none) or "trace" (record an event
     #: stream + metrics and persist them as a cache artifact).  Part of
     #: the cache key — a traced run and an untraced run are different
@@ -98,7 +94,6 @@ class Point:
             # part of the cache key: a checked run carries oracle/golden
             # fields an unchecked run lacks
             "check": self.check,
-            "tag": self.tag,
             "obs": self.obs,
             "skew": self.skew,
             "burst": self.burst,
@@ -108,8 +103,6 @@ class Point:
         extras = ""
         if self.check:
             extras += " +check"
-        if self.tag:
-            extras += f" tag={self.tag}"
         if self.obs:
             extras += f" +{self.obs}"
         # Name exactly the machine fields that differ from the
@@ -164,8 +157,6 @@ class ExperimentSpec:
     description: str = ""
     #: run every point with the correctness oracle + golden differ
     check: bool = False
-    #: extra cache-key salt propagated to every point (see Point.tag)
-    tag: str = ""
     #: observability request propagated to every point (see Point.obs)
     obs: str = ""
 
@@ -188,7 +179,6 @@ class ExperimentSpec:
                 scale=self.scale,
                 config=self.config,
                 check=self.check,
-                tag=self.tag,
                 obs=self.obs,
             )
             for workload in self.workloads

@@ -1,24 +1,15 @@
-"""Fuzz campaigns: seed batches through the engine plus deep checks.
+"""Fuzz campaigns: seed batches through the differential checker.
 
-A campaign screens a seed range for each profile in two phases:
-
-* **engine phase** — every (profile, seed, backend) triple becomes an
-  experiment-engine :class:`Point` with ``check=True`` and the
-  profile's generator-config hash as the cache-key tag.  This buys the
-  heavy simulation work multiprocess fan-out and ``.repro-cache/``
-  result caching for free, and screens the oracle, golden-invariant,
-  and workload-invariant signals.  Check failures land in
-  ``CampaignReport.engine_failures`` and fail the campaign on their
-  own — the deep phase does not have to reproduce them.
-* **deep phase** — each (profile, seed) that is not already recorded
-  clean in the ``.repro-fuzz/`` corpus runs through
-  :func:`repro.fuzz.diff.run_case`, fanned out across the experiment
-  engine's process pool (:func:`repro.exp.engine.run_tasks`; the
-  sequential ``--jobs 1`` path yields bit-identical verdicts), adding
-  the signals the engine cannot see: commit-order serializability
-  replay, strict golden memory equality (commutative profiles), and
-  traced stats sanity.  Clean verdicts are recorded in the corpus so
-  the next campaign only pays for new seeds.
+A campaign screens a seed range for each profile in one pass: each
+(profile, seed) that is not already recorded clean in the
+``.repro-fuzz/`` corpus runs through :func:`repro.fuzz.diff.run_case`
+— oracle, workload invariants, strict golden memory equality
+(commutative profiles), commit-order serializability replay and traced
+stats sanity on every backend — fanned out across the experiment
+engine's process pool (:func:`repro.exp.engine.run_tasks`; the
+sequential ``--jobs 1`` path yields bit-identical verdicts).  Clean
+verdicts are recorded in the corpus, the only cleanliness cache, so
+the next campaign only pays for new seeds.
 
 Standing campaigns add two pieces on top:
 
@@ -33,9 +24,9 @@ Standing campaigns add two pieces on top:
   profiles by :class:`repro.fuzz.schedule.GeneScheduler` — weighted
   by which (backend, signal) pairs each profile has historically
   diverged on, with an epsilon-greedy floor so no profile starves.
-  The ``--minutes`` deadline is enforced before the engine phase and
-  before *each* deep-phase seed (the in-flight seed finishes
-  cleanly), not just between whole batches.
+  The ``--minutes`` deadline is enforced before a batch starts and
+  before *each* seed (the in-flight seed finishes cleanly), not just
+  between whole batches.
 
 On divergence the campaign saves the full case to the corpus, runs
 the ddmin shrinker, emits a regression test under
@@ -53,9 +44,7 @@ from functools import partial
 from pathlib import Path
 from typing import Optional
 
-from repro.exp.cache import ResultCache
-from repro.exp.engine import run_points, run_tasks, stderr_progress
-from repro.exp.spec import ExperimentSpec
+from repro.exp.engine import run_tasks
 from repro.fuzz.corpus import Corpus
 from repro.fuzz.diff import DEFAULT_BACKENDS, run_case
 from repro.fuzz.gen import FUZZ_PROFILES, config_hash, generate_case
@@ -96,8 +85,6 @@ class CampaignOptions:
     seeds: int = SMOKE_SEEDS
     minutes: Optional[float] = None
     jobs: Optional[int] = None
-    use_cache: bool = True
-    refresh: bool = False
     shrink: bool = True
     emit: bool = True
     #: inject a check/faults.py fault (shrinker exercise; expect red)
@@ -131,25 +118,20 @@ class CampaignReport:
     batches: int = 0
     diverging: list = field(default_factory=list)  # (profile, seed)
     divergences: list = field(default_factory=list)
-    #: engine-phase check failures: (profile, seed, detail)
-    engine_failures: list = field(default_factory=list)
     emitted: list = field(default_factory=list)  # Paths
     shrink_summaries: list = field(default_factory=list)
     elapsed: float = 0.0
 
     @property
     def ok(self) -> bool:
-        return not self.diverging and not self.engine_failures
+        return not self.diverging
 
     def summary(self) -> str:
-        problems = []
-        if self.diverging:
-            problems.append(f"{len(self.diverging)} diverging cases")
-        if self.engine_failures:
-            problems.append(
-                f"{len(self.engine_failures)} engine check failures"
-            )
-        verdict = "all clean" if not problems else ", ".join(problems)
+        verdict = (
+            "all clean"
+            if self.ok
+            else f"{len(self.diverging)} diverging cases"
+        )
         restored = (
             f", {self.restored} restored from journal"
             if self.restored
@@ -200,52 +182,9 @@ def _seed_range(
     return list(range(start, start + count))
 
 
-def _engine_phase(
-    opts: CampaignOptions, batches: dict[str, list[int]]
-) -> list:
-    """Run every (profile, seed, backend) point through the engine.
-
-    Returns engine-visible failures as (profile, seed, detail)."""
-    points = []
-    for profile, seeds in batches.items():
-        spec = ExperimentSpec(
-            name=f"fuzz-{profile}",
-            workloads=(profile,),
-            systems=tuple(opts.backends),
-            core_counts=(opts.nthreads,),
-            seeds=tuple(seeds),
-            scale=1.0,
-            config=opts.config,
-            check=True,
-            tag=config_hash(FUZZ_PROFILES[profile]),
-        )
-        points.extend(spec.points())
-    results = run_points(
-        points,
-        jobs=opts.jobs,
-        cache=ResultCache() if opts.use_cache else None,
-        refresh=opts.refresh,
-        progress=None if opts.quiet else stderr_progress,
-    )
-    failures = []
-    for point, result in results.items():
-        if not result.check_ok:
-            details = [inv.name for inv in result.failed_invariants()]
-            if not result.oracle_ok:
-                details.append(
-                    f"{len(result.oracle_violations)} oracle violations"
-                )
-            if not result.golden_ok:
-                details.append("golden diff failed")
-            failures.append(
-                (point.workload, point.seed, ", ".join(details))
-            )
-    return failures
-
-
 @dataclass(frozen=True)
 class _DeepSettings:
-    """The picklable slice of CampaignOptions a deep-phase worker needs."""
+    """The picklable slice of CampaignOptions a pool worker needs."""
 
     backends: tuple
     nthreads: int
@@ -506,9 +445,9 @@ def run_campaign(opts: CampaignOptions) -> CampaignReport:
         batches = {p: seeds for p, seeds in batches.items() if seeds}
         if not batches:
             break
-        # Deadline check *before* the engine phase: a batch's engine +
-        # deep work can take many minutes, so never start one past the
-        # budget (the journal keeps unstarted seeds pending).
+        # Deadline check before a batch starts: a batch can take many
+        # minutes, so never start one past the budget (the journal
+        # keeps unstarted seeds pending).
         if deadline is not None and time.perf_counter() >= deadline:
             break
         if journal is not None:
@@ -520,19 +459,6 @@ def run_campaign(opts: CampaignOptions) -> CampaignReport:
                 f"{'/'.join(opts.backends)} "
                 f"(cfg {config_hash(FUZZ_PROFILES[profile])})",
             )
-        # Fault exercises corrupt commits on purpose; the engine phase
-        # would just re-run the uncorrupted points, so skip it.
-        engine_failures = (
-            [] if opts.fault is not None else _engine_phase(opts, batches)
-        )
-        for profile, seed, detail in engine_failures:
-            _say(
-                opts,
-                f"ENGINE CHECK FAILED {profile} seed={seed}: {detail}",
-            )
-            if journal is not None:
-                journal.engine_failure(profile, seed, detail)
-        report.engine_failures.extend(engine_failures)
         _deep_phase(
             opts, corpus, batches, report,
             journal=journal, deadline=deadline,

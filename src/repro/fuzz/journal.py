@@ -12,8 +12,6 @@ audit-log discipline the ROADMAP asks for:
   incompatible verdicts.
 * ``batch`` — the seeds issued to one batch, per profile, *before*
   any of them runs.
-* ``engine-failure`` — an engine-phase check failure (oracle /
-  golden / invariant) attributed to its (profile, seed).
 * ``verdict`` — one differential verdict: ok flag, backends, thread
   count, divergences, and whether it came from a fresh run or was
   skipped via the corpus.  Appended (and flushed to disk) the moment
@@ -144,16 +142,6 @@ class CampaignJournal:
 
     def batch_done(self, index: int) -> None:
         self.append({"t": "batch-done", "n": index})
-
-    def engine_failure(self, profile: str, seed: int, detail: str) -> None:
-        self.append(
-            {
-                "t": "engine-failure",
-                "profile": profile,
-                "seed": seed,
-                "detail": detail,
-            }
-        )
 
     def verdict(
         self,

@@ -1,11 +1,11 @@
 """The one table of TM systems: a backend is a row.
 
 Everything the rest of the repo may know about a backend — that it
-exists, how it is composed, and the three facts callers branch on —
+exists, how it is composed, and the two facts callers branch on —
 is written here once.  ``repro.SYSTEMS``, the ``repro list`` line, the
-CLI's name validation, ``fuzz.diff.SERIAL_REPLAY_BACKENDS``, the
-:class:`~repro.sim.machine.Machine`'s oracle skip and the core's
-stall-replay eligibility are all derived from :data:`BACKENDS`.
+CLI's name validation, ``fuzz.diff.SERIAL_REPLAY_BACKENDS`` and the
+:class:`~repro.sim.machine.Machine`'s oracle skip are all derived from
+:data:`BACKENDS`.
 
 Adding a backend = one row here.  Write a class only if the system has
 behaviour no existing class has (a new ``load``/``store``/``commit``
@@ -29,7 +29,7 @@ from repro.stm.backend import STMRetconSystem, STMSystem
 
 @dataclass(frozen=True)
 class Backend:
-    """One TM system: a class, its constructor settings, three facts."""
+    """One TM system: a class, its constructor settings, two facts."""
 
     cls: type
     kwargs: dict = field(default_factory=dict)
@@ -47,30 +47,18 @@ class Backend:
     #: family qualifies: a software commit publishes its whole write
     #: buffer inside one scheduler-atomic commit.
     commit_atomic: bool = True
-    #: which stalled accesses the core may replay arithmetically
-    #: instead of re-executing (see ``Core._prime_burst``): 2 = loads
-    #: and stores (the retry path of the plain eager baseline is
-    #: exactly known), 1 = loads only, with one predictor-training
-    #: round per retry (RETCON / lazy-vb: a load conflict pins the
-    #: untracked fallback path, a store can change path mid-retries),
-    #: 0 = never (any system with per-retry side effects of its own).
-    stall_replay: int = 0
 
 
 _LAZY_VB = {"symbolic_arithmetic": False, "track_all": True}
 
 BACKENDS: dict[str, Backend] = {
-    "eager": Backend(BaseTMSystem, stall_replay=2),
-    "eager-abort": Backend(
-        BaseTMSystem, {"policy": "requester-aborts"}, stall_replay=2
-    ),
-    "eager-stall": Backend(
-        BaseTMSystem, {"policy": "requester-stalls"}, stall_replay=2
-    ),
+    "eager": Backend(BaseTMSystem),
+    "eager-abort": Backend(BaseTMSystem, {"policy": "requester-aborts"}),
+    "eager-stall": Backend(BaseTMSystem, {"policy": "requester-stalls"}),
     "lazy": Backend(LazyTMSystem),
-    "lazy-vb": Backend(RetconTMSystem, _LAZY_VB, stall_replay=1),
+    "lazy-vb": Backend(RetconTMSystem, _LAZY_VB),
     "datm": Backend(DATMSystem, commit_atomic=False),
-    "retcon": Backend(RetconTMSystem, stall_replay=1),
+    "retcon": Backend(RetconTMSystem),
     "retcon-fwd": Backend(
         RetconForwardingSystem, {"cooldown": 50},
         oracle=False, commit_atomic=False,
@@ -102,5 +90,4 @@ def build_system(
         )
     system = row.cls(config, memory, fabric, stats, **row.kwargs)
     system.name = name
-    system.stall_replay = row.stall_replay
     return system

@@ -6,12 +6,12 @@ from __future__ import annotations
 class StallRetry(Exception):
     """The access conflicts and the requester must wait and retry.
 
-    This is the scheduler's *stall ticket*: it names the contended
-    block and the blocking cores, and the core that catches it charges
-    the (backed-off) retry latency to conflict time, advancing its own
-    cycle to the wakeup point — which is exactly the event the machine
-    scheduler's wakeup queue then re-arms.  Raised on every retrying
-    access, so the message is formatted lazily.
+    It names the contended block and the blocking cores, and the core
+    that catches it charges the (backed-off) retry latency to conflict
+    time, advancing its own cycle to the wakeup point — which is
+    exactly the event the machine scheduler's wakeup queue then
+    re-arms.  Raised on every retrying access, so the message is
+    formatted lazily.
     """
 
     def __init__(self, block: int, blockers: set[int]) -> None:

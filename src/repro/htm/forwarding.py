@@ -168,14 +168,9 @@ class ForwardingMixin:
             pred for pred in self._preds[core] if self.ctx[pred].active
         }
         if pending:
-            waiting = self._waiting_on
-            holder = min(pending)
-            if waiting.get(core) != holder:
-                waiting[core] = holder
-                self._waiting_version += 1
+            self._waiting_on[core] = min(pending)
             raise StallRetry(block=-1, blockers=pending)
-        if self._waiting_on.pop(core, None) is not None:
-            self._waiting_version += 1
+        self._waiting_on.pop(core, None)
 
     def commit(self, core: int):
         self._commit_order_barrier(core)

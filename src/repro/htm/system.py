@@ -104,12 +104,9 @@ class BaseTMSystem:
     """The eager-baseline HTM (also the superclass of all variants)."""
 
     #: the :data:`repro.htm.backends.BACKENDS` row this system was
-    #: built from and that row's ``stall_replay``, both stamped by
-    #: ``build_system``; a directly constructed system (unit tests)
-    #: keeps these defaults, and 0 only means its stall retries are
-    #: re-executed instead of replayed arithmetically
+    #: built from, stamped by ``build_system``; a directly constructed
+    #: system (unit tests) keeps this default
     name = "unnamed"
-    stall_replay = 0
     #: retry policy for speculative-set capacity aborts: True (pure
     #: HTM) reruns the transaction under OneTM overflow serialization;
     #: the STM mixin overrides with False because hybrids escalate the
@@ -135,10 +132,6 @@ class BaseTMSystem:
         self._next_ts = 0
         #: wait-for edges for deadlock detection under stalling policies
         self._waiting_on: dict[int, int] = {}
-        #: bumped on every wait-graph mutation; stall tickets pin it so
-        #: a replayed stall never skips a deadlock walk whose input
-        #: (this graph) changed since the ticket was minted
-        self._waiting_version = 0
         #: optional :class:`repro.obs.events.EventStream`
         self.tracer = None
         #: optional callable core -> current cycle (set by the Machine
@@ -304,15 +297,11 @@ class BaseTMSystem:
                 elif action is Action.ABORT_SELF:
                     self._abort_self(core, reason="conflict")
                 else:
-                    waiting = self._waiting_on
-                    if waiting.get(core) != holder:
-                        waiting[core] = holder
-                        self._waiting_version += 1
+                    self._waiting_on[core] = holder
                     raise StallRetry(block, {holder})
         finally:
             self._resolving_block = None
-        if self._waiting_on.pop(core, None) is not None:
-            self._waiting_version += 1
+        self._waiting_on.pop(core, None)
 
     def _check_self_doom(self, core: int) -> None:
         """Abort immediately if resolving a conflict doomed *us*.
@@ -342,7 +331,7 @@ class BaseTMSystem:
         waiting = self._waiting_on
         if not waiting:
             return
-        removed = waiting.pop(core, None) is not None
+        waiting.pop(core, None)
         stale = [
             requester
             for requester, holder in waiting.items()
@@ -350,8 +339,6 @@ class BaseTMSystem:
         ]
         for requester in stale:
             del waiting[requester]
-        if removed or stale:
-            self._waiting_version += 1
 
     def _would_deadlock(self, requester: int, holder: int) -> bool:
         seen = set()
@@ -528,10 +515,8 @@ class BaseTMSystem:
             ) and not fabric.overflowed:
                 line = fabric.cores[core].l1.lookup(block)
                 if line is not None:
-                    if self._waiting_on and (
-                        self._waiting_on.pop(core, None) is not None
-                    ):
-                        self._waiting_version += 1
+                    if self._waiting_on:
+                        self._waiting_on.pop(core, None)
                     ctx = self.ctx[core]
                     if ctx.active:
                         # See store: a set line bit means this exact
@@ -586,10 +571,8 @@ class BaseTMSystem:
             if clean and not fabric.overflowed:
                 line = fabric.cores[core].l1.lookup(block)
                 if line is not None and line.writable:
-                    if self._waiting_on and (
-                        self._waiting_on.pop(core, None) is not None
-                    ):
-                        self._waiting_version += 1
+                    if self._waiting_on:
+                        self._waiting_on.pop(core, None)
                     if fabric._owner.get(block) != core:
                         fabric._owner[block] = core
                     ctx = self.ctx[core]
@@ -646,8 +629,7 @@ class BaseTMSystem:
         if conflict:
             self._resolve(core, block, self._conflicts(core, block, write))
             self._check_self_doom(core)
-        if self._waiting_on.pop(core, None) is not None:
-            self._waiting_version += 1
+        self._waiting_on.pop(core, None)
         outcome = fabric.acquire(core, block, write)
         # Report the invalidated copies before anything below can
         # abort: a victim that is never told it lost the block is no

@@ -16,7 +16,6 @@ from typing import Optional
 from repro.core.buffers import ConditionCodes
 from repro.htm.events import StallRetry, TxnAborted
 from repro.htm.system import BaseTMSystem
-from repro.mem.address import BLOCK_SIZE
 from repro.isa.instructions import Reg, apply_op, evaluate_cond
 from repro.isa.registers import RegisterFile
 from repro.sim.decode import (
@@ -74,7 +73,6 @@ class Core:
         "_chain_program",
         "_chain",
         "_burst_env",
-        "_stall_ticket",
     )
 
     def __init__(
@@ -123,7 +121,6 @@ class Core:
         # call that finds it unset; the machine clears it at run start
         # (observers like tracers attach between construction and run).
         self._burst_env: Optional[tuple] = None
-        self._stall_ticket: Optional[tuple] = None
 
     # ------------------------------------------------------------------
     def done(self) -> bool:
@@ -181,7 +178,6 @@ class Core:
             env = self._prime_burst()
         (
             use_slow,
-            batch_kind,
             traced,
             system,
             cid,
@@ -210,10 +206,7 @@ class Core:
                 if program is not self._chain_program:
                     self._chain_program = program
                     self._chain = chain_for(program, with_engine)
-                    self._decoded_program = program
-                    self._decoded = decoded_for(program)
                 chain = self._chain
-                decoded = self._decoded
                 n = len(chain)
                 # Keep the two per-step accumulators in locals for the
                 # duration of the burst, syncing with the attributes
@@ -253,79 +246,6 @@ class Core:
                             return
                         continue
 
-                    if self._stall_ticket is not None:
-                        # Cross-burst stall ticket: the previous burst
-                        # ended stalled on this instruction, and if the
-                        # frozen resolve inputs (our timestamp, every
-                        # holder's (id, ts), holders alive and
-                        # undoomed, the RETCON remote-writer pin) are
-                        # unchanged, the retry deterministically
-                        # re-stalls — replay its only effects (backoff
-                        # charge, RETCON training round) without
-                        # re-executing the handler and conflict walk.
-                        # Any mismatch falls through to the full path.
-                        tk = self._stall_ticket
-                        self._stall_ticket = None
-                        if (
-                            tk[0] == idx
-                            and tk[1] == self.pc
-                            and ctx.ts == tk[4]
-                            and tk[7] == system._waiting_version
-                            and (
-                                not tk[6]
-                                or system.fabric.has_other_spec_writer(
-                                    tk[2], cid
-                                )
-                            )
-                        ):
-                            tk_block = tk[2]
-                            holders = system._conflicts(cid, tk_block, tk[3])
-                            pairs = tk[5]
-                            valid = len(holders) == len(pairs)
-                            if valid:
-                                ctxs = system.ctx
-                                for h, ts in pairs:
-                                    hctx = ctxs[h]
-                                    if (
-                                        h not in holders
-                                        or hctx.ts != ts
-                                        or not hctx.active
-                                        or hctx.doomed
-                                    ):
-                                        valid = False
-                                        break
-                            if valid:
-                                self.cycle = cycle
-                                self.attempt_busy = busy
-                                self._charge_stall()
-                                cycle = self.cycle
-                                if batch_kind == 1:
-                                    engines = system._engines
-                                    engines[cid].predictor.observe_conflicts(
-                                        tk_block, 1
-                                    )
-                                    for h in holders:
-                                        engines[h].predictor.observe_conflicts(
-                                            tk_block, 1
-                                        )
-                                if cycle > watchdog or cycle > stop_cycle or (
-                                    cycle == stop_cycle and cid > stop_cid
-                                ):
-                                    # Inputs just revalidated and no
-                                    # other core ran since: the same
-                                    # ticket is still exact.
-                                    self._stall_ticket = tk
-                                    return
-                                self._batch_stall_retries(
-                                    tk_block,
-                                    batch_kind == 1,
-                                    tk[3],
-                                    stop_cycle,
-                                    stop_cid,
-                                    watchdog,
-                                )
-                                return
-
                     pc = self.pc
                     if pc >= n:
                         self.cycle = cycle
@@ -350,55 +270,9 @@ class Core:
                         self.attempt_busy = busy
                         self._charge_stall(stall)
                         cycle = self.cycle
-                        stopping = cycle > watchdog or cycle > stop_cycle or (
+                        if cycle > watchdog or cycle > stop_cycle or (
                             cycle == stop_cycle and cid > stop_cid
-                        )
-                        kind = 0
-                        single = False
-                        if batch_kind:
-                            inst = decoded[pc]
-                            kind = inst[0]
-                            if kind == K_LOAD:
-                                base = inst[4]
-                                addr = (
-                                    inst[2] if base is None
-                                    else regs[base] + inst[5]
-                                )
-                                single = (
-                                    addr // BLOCK_SIZE
-                                    == (addr + inst[3] - 1) // BLOCK_SIZE
-                                )
-                            elif batch_kind == 2 and kind == K_STORE:
-                                base = inst[5]
-                                addr = (
-                                    inst[3] if base is None
-                                    else regs[base] + inst[6]
-                                )
-                                single = (
-                                    addr // BLOCK_SIZE
-                                    == (addr + inst[4] - 1) // BLOCK_SIZE
-                                )
-                        if single:
-                            if stopping:
-                                # Burst over after one backoff; freeze
-                                # the resolve inputs so the next wake
-                                # can replay the re-stall cheaply.
-                                self._mint_stall_ticket(
-                                    stall.block,
-                                    kind == K_STORE,
-                                    batch_kind == 1,
-                                )
-                                return
-                            self._batch_stall_retries(
-                                stall.block,
-                                batch_kind == 1,
-                                kind == K_STORE,
-                                stop_cycle,
-                                stop_cid,
-                                watchdog,
-                            )
-                            return
-                        if stopping:
+                        ):
                             return
                     except TxnAborted:
                         self.cycle = cycle
@@ -448,26 +322,10 @@ class Core:
         script items, context, and stats objects are stable for the
         core's lifetime.  The machine resets the cache at run start so
         observers attached between runs are honored.
-
-        Stall retries of a single-block access deterministically
-        re-stall for the rest of the burst (no other core runs, so
-        nothing a retry observes can change) — those retries can be
-        charged arithmetically instead of re-executed.  Eligibility
-        (``batch_kind``): no tracing/metrics observers, and an
-        exactly-known retry path — the backend row's ``stall_replay``
-        (:data:`repro.htm.backends.BACKENDS`): the eager baseline for
-        any access (2), RETCON/lazy-vb for loads only (1; a load
-        conflict implies a remote speculative writer, which pins the
-        untracked fallback path regardless of predictor training;
-        stores can change path mid-retries), never otherwise (0).
         """
         system = self.system
-        batch_kind = 0
-        if system.tracer is None and system.metrics is None:
-            batch_kind = system.stall_replay
         env = (
             system.oracle is not None or system.fault_injector is not None,
-            batch_kind,
             system.tracer is not None,
             system,
             self.cid,
@@ -479,7 +337,6 @@ class Core:
             self.engine is not None,
         )
         self._burst_env = env
-        self._stall_ticket = None
         return env
 
     def _run_until_slow(
@@ -566,109 +423,6 @@ class Core:
                 detail["block"] = stall_info.block
             self.system._trace("stall", self.cid, **detail)
 
-    def _batch_stall_retries(
-        self,
-        block: int,
-        train: bool,
-        write: bool,
-        stop_cycle: int,
-        stop_cid: int,
-        watchdog: int,
-    ) -> None:
-        """Charge the rest of a burst's stall retries without retrying.
-
-        Called after an access stall when this core is still the burst
-        minimum.  No other core runs during a burst, so everything a
-        retry of a single-block access observes is frozen: the
-        conflicting speculative bits, the policy timestamps, the
-        wait-for graph, the overflow set, and the RETCON buffers.  Each
-        retry therefore re-stalls on the same holder until the burst
-        ends, and its only observable effects are the backoff stall
-        charge and (RETCON) one round of predictor training — applied
-        here arithmetically.  The caller guarantees no tracer/metrics
-        observer is attached, so the per-retry trace/metric hooks are
-        all no-ops on the path being skipped.
-        """
-        cid = self.cid
-        base = self.config.stall_retry_cycles
-        if base <= 0:
-            # A zero-cycle retry interval never advances the clock, so
-            # there is no deterministic charge to apply; let the
-            # per-retry path (and ultimately the watchdog) handle it.
-            return
-        c = self.cycle
-        start = c
-        streak = self.consecutive_stalls
-        retries = 0
-        while True:
-            streak += 1
-            c += min(base * (1 << min(streak - 1, 4)), 400)
-            retries += 1
-            if c > watchdog or c > stop_cycle or (
-                c == stop_cycle and cid > stop_cid
-            ):
-                break
-        self.cycle = c
-        self.consecutive_stalls = streak
-        self.attempt_conflict += c - start
-        self.attempt_stall_events += retries
-        system = self.system
-        holders = system._conflicts(cid, block, write)
-        if train:
-            # Every retry trains the requester's and each conflicting
-            # holder's predictor once (_observe_conflict); the holder
-            # set is frozen for the burst, so apply the whole run.
-            engines = system._engines
-            engines[cid].predictor.observe_conflicts(block, retries)
-            for holder in holders:
-                engines[holder].predictor.observe_conflicts(block, retries)
-        self._mint_stall_ticket(block, write, train, holders)
-
-    def _mint_stall_ticket(
-        self,
-        block: int,
-        write: bool,
-        need_writer: bool,
-        holders: "set[int] | None" = None,
-    ) -> None:
-        """Freeze the resolve inputs of the stall that just charged.
-
-        The ticket is consumed at the next wake: if the inputs still
-        hold — our attempt timestamp, every holder's (id, ts), holders
-        alive and undoomed, and (RETCON loads, ``need_writer``) the
-        remote-speculative-writer pin that forces the untracked
-        fallback path regardless of predictor state — the retry
-        deterministically re-stalls and its effects are replayed
-        without re-executing the access.  Any holder ending its
-        transaction (commit, self-abort, doom + restart) changes its
-        timestamp or leaves the conflict set, invalidating the ticket;
-        our own abort clears it explicitly.
-        """
-        system = self.system
-        if holders is None:
-            holders = system._conflicts(self.cid, block, write)
-        ctxs = system.ctx
-        for holder in holders:
-            hctx = ctxs[holder]
-            if not hctx.active or hctx.doomed:
-                return
-        if need_writer and not system.fabric.has_other_spec_writer(
-            block, self.cid
-        ):
-            return
-        self._stall_ticket = (
-            self.item_idx,
-            self.pc,
-            block,
-            write,
-            ctxs[self.cid].ts,
-            tuple((holder, ctxs[holder].ts) for holder in holders),
-            need_writer,
-            # Pin the wait-for graph: the deadlock walk is part of the
-            # frozen resolve decision, and its input is this graph.
-            system._waiting_version,
-        )
-
     def _try_commit(self) -> None:
         try:
             result = self.system.commit(self.cid)
@@ -736,9 +490,6 @@ class Core:
         self.in_txn = False
         self.restarting = True
         self.pc = 0
-        # A pending stall ticket belongs to the dead attempt: the
-        # restart begins with a fresh timestamp and empty footprint.
-        self._stall_ticket = None
 
     # ------------------------------------------------------------------
     # Instruction dispatch (over decoded tuples; see repro.sim.decode)

@@ -42,7 +42,7 @@ import random
 import struct
 from bisect import bisect_left
 from dataclasses import dataclass, replace
-from typing import Iterator, Optional
+from typing import Optional
 
 from repro.mem.allocator import BumpAllocator
 
@@ -273,11 +273,6 @@ class TrafficModel:
                 )
             )
         return out
-
-    def iter_requests(
-        self, count: int, salt: int = 0
-    ) -> Iterator[Request]:
-        return iter(self.requests(count, salt=salt))
 
     def stream_digest(self, count: int, salt: int = 0) -> str:
         """SHA-256 over the canonical byte stream — the cross-process

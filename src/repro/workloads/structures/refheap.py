@@ -58,10 +58,6 @@ class SimRefHeap:
     def emit_payload_read(self, asm: Assembler, obj: int) -> None:
         asm.load(R6, self.object_addrs[obj] + 8)
 
-    def emit_payload_write(self, asm: Assembler, obj: int, value: int) -> None:
-        asm.movi(R6, value)
-        asm.store(R6, self.object_addrs[obj] + 8)
-
     # ------------------------------------------------------------------
     def validate(self, memory: MainMemory) -> tuple[bool, str]:
         """Final refcounts must equal initial + net generated delta."""

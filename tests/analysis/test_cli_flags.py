@@ -114,16 +114,25 @@ def test_figure_sweeps_override_only_their_own_knob(dispatched):
     assert {c.read_set_entries for c in configs} == {1, 2, 4, 8, None}
 
 
-def test_fuzz_machine_flags_reach_every_point(dispatched, tmp_path):
+def test_fuzz_machine_flags_reach_every_point(monkeypatch, tmp_path):
+    """A fuzz campaign's points are ``run_case`` calls, not engine
+    points: intercept those."""
+    from repro.fuzz import campaign
+
+    configs = []
+
+    def spy(case, config=None, **kwargs):
+        configs.append(config)
+        raise _Captured
+
+    monkeypatch.setattr(campaign, "run_case", spy)
     with pytest.raises(_Captured):
         main(["fuzz", "--profiles", "fuzz-mixed", "--seed-start", "0",
               "--seeds", "1", "--read-set", "6", "--write-set", "6",
-              "--no-cache", "--jobs", "1",
-              "--corpus", str(tmp_path / "corpus")])
-    assert dispatched
-    for point in dispatched:
-        assert point.resolved_config().read_set_entries == 6
-        assert point.resolved_config().write_set_entries == 6
+              "--jobs", "1", "--corpus", str(tmp_path / "corpus")])
+    assert [
+        (c.read_set_entries, c.write_set_entries) for c in configs
+    ] == [(6, 6)]
 
 
 @pytest.mark.parametrize("command", TRAFFIC_COMMANDS)
@@ -181,7 +190,7 @@ def test_an_unknown_backend_is_a_usage_error(argv, dispatched, capsys):
     """Used to be a ValueError traceback out of the first Machine, after
     the workload was generated and the sequential baseline had run; now
     nothing is dispatched and the exit code is 2."""
-    assert main(argv + ["--no-cache", "--jobs", "1"]) == 2
+    assert main(argv + ["--jobs", "1"]) == 2
     err = capsys.readouterr().err
     assert "unknown TM system 'bogus'" in err
     assert "hybrid-lazy-vb" in err  # names the known backends

@@ -44,6 +44,8 @@ def run_counter_machine(
     increments: int = 2,
     busy: int = 3,
     config: MachineConfig | None = None,
+    tracer=None,
+    metrics=None,
 ):
     """Build and run the shared-counter microbenchmark; return
     (RunResult, final counter value)."""
@@ -57,6 +59,9 @@ def run_counter_machine(
             script.add_work(2)
         scripts.append(script)
     machine_config = (config or MachineConfig()).with_cores(ncores)
-    machine = Machine(machine_config, system, scripts, memory)
+    machine = Machine(
+        machine_config, system, scripts, memory,
+        tracer=tracer, metrics=metrics,
+    )
     result = machine.run(max_cycles=50_000_000)
     return result, memory.read(addr)

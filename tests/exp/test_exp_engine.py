@@ -1,6 +1,8 @@
 """The executor: determinism, baseline sharing, caching, parallelism."""
 
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -213,6 +215,31 @@ class TestRunTasks:
 
     def test_empty_items(self):
         assert list(run_tasks([], _square, jobs=4)) == []
+
+
+class TestDeadWorker:
+    def test_a_killed_worker_fails_the_sweep_naming_its_points(self):
+        """A worker that dies mid-group used to hang run_points forever
+        (multiprocessing.Pool respawns the worker and loses the task)."""
+        script = (
+            "import os\n"
+            "from repro.exp import engine\n"
+            "from repro.exp.spec import Point\n"
+            "def die(group):\n"
+            "    os._exit(3)\n"
+            "engine._run_group = die\n"
+            "engine.run_points(\n"
+            "    [Point('kmeans', 'eager', 2, seed, 0.05)\n"
+            "     for seed in (1, 2)], jobs=2)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, timeout=60,
+            env={"PYTHONPATH": "src"},
+        )
+        assert done.returncode != 0
+        assert "RuntimeError" in done.stderr
+        assert Point("kmeans", "eager", 2, 1, 0.05).label() in done.stderr
 
 
 class TestResolveJobs:

@@ -150,25 +150,23 @@ class TestLabel:
 
 
 class TestCacheKeyStability:
-    """Literal digests of repro 1.7.1 keys.  The key material is what
-    it was before the override fields were folded into
-    ``Point.config``; only the version moved (1.7.0 -> 1.7.1: results
-    of bounded-write-set points changed with the lost-invalidation
-    fix, so cached ones must miss)."""
+    """Literal digests of repro 1.7.1 keys, re-recorded when the
+    always-empty ``tag`` salt left the key material (results did not
+    change, so the version did not move; old entries simply miss)."""
 
     PINNED = {
-        "7fa33976762cdde7f0961dd9f0c75195d3bb43cc285c759b29cc7c01eae327bb":
+        "c93c8b4f83f70959cb0799f8b0dd7b4737c98cd7a2d7e9bf71fd4ae2ef6e02ad":
             Point("python_opt", "retcon"),
-        "c2e4d1fdbe8d7e413d1ca09a79abc1fb63a7387288ddaa9509d5cb11ea927806":
+        "37730621dfa7bee013e1a957867679aa0d3aff89ebe240de265b42f12e86d335":
             Point("python_opt", "retcon", check=True),
-        "2c6c46f655c977d70de1a24999d63215969326603351b42d956eebb5e4eda6c1":
+        "35ac321bbf2b0c08cc417e622979f4fcad013ef9424672b86fa37a3165198a36":
             Point("python_opt", "retcon", obs="trace"),
         # was Point(..., retry_budget=2)
-        "13ea9d85f0c699a891fb8f1ba18b248d63f64d680cdce8104f55f6ed10bb2cc4":
+        "530e9e4acd5a136534981a9d43a9906269d76ac46ff53abe3f47179af86250ac":
             Point("kmeans", "hybrid-retcon", ncores=4, scale=0.1,
                   config=_with(retry_budget=2)),
         # was Point(..., read_set_entries=4, write_set_entries=4)
-        "cfde99e579f468eba15377282332263cfc58155d79f5220955bc724e908fa579":
+        "9207bc0ad926155906eac8efb7e6fb75658d6b90462672857df49656bd0c2de4":
             Point("genome-sz", "eager", ncores=4, scale=0.1,
                   config=_with(read_set_entries=4, write_set_entries=4)),
     }

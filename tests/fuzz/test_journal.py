@@ -24,15 +24,13 @@ class TestAppendAndReplay:
             "fuzz-rmw", 1, False, 4, ("eager",),
             divergences=[Divergence("stats", "eager", "bad")],
         )
-        journal.engine_failure("fuzz-rmw", 2, "golden diff failed")
         journal.batch_done(0)
         journal.close()
 
         fresh = _journal(tmp_path)
         kinds = [r["t"] for r in fresh.records()]
         assert kinds == [
-            "campaign", "batch", "verdict", "verdict",
-            "engine-failure", "batch-done",
+            "campaign", "batch", "verdict", "verdict", "batch-done",
         ]
         verdicts = fresh.verdicts()
         assert verdicts[0]["ok"] and verdicts[0]["seed"] == 0

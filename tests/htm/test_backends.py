@@ -1,6 +1,8 @@
 """The backend table: every row builds, runs, and is what every
 derived list says it is."""
 
+from dataclasses import asdict
+
 import pytest
 
 import repro
@@ -8,6 +10,8 @@ from repro.coherence.directory import CoherenceFabric
 from repro.fuzz.diff import SERIAL_REPLAY_BACKENDS
 from repro.htm.backends import BACKENDS, build_system
 from repro.mem.memory import MainMemory
+from repro.obs.events import EventStream
+from repro.obs.metrics import MetricsRegistry
 from repro.sim.config import small_test_config
 from repro.sim.machine import Machine
 from repro.sim.stats import MachineStats
@@ -24,6 +28,10 @@ def build(name, ncores=2):
     )
 
 
+def memory_image(memory):
+    return {b: memory.read_block(b) for b in memory.touched_blocks()}
+
+
 @pytest.mark.parametrize("name", ROWS)
 class TestEveryRow:
     def test_builds_and_carries_its_row(self, name):
@@ -31,7 +39,6 @@ class TestEveryRow:
         system = build(name)
         assert type(system) is row.cls
         assert system.name == name
-        assert system.stall_replay == row.stall_replay
 
     def test_contended_counter_commits_to_the_right_total(self, name):
         result, counter = run_counter_machine(
@@ -39,6 +46,18 @@ class TestEveryRow:
         )
         assert counter == 24
         assert result.commits == 12
+
+    def test_an_observed_run_is_the_unobserved_run(self, name):
+        bare, _ = run_counter_machine(name, ncores=3, txns_per_core=4)
+        seen, _ = run_counter_machine(
+            name, ncores=3, txns_per_core=4,
+            tracer=EventStream(), metrics=MetricsRegistry(),
+        )
+        assert seen.cycles == bare.cycles
+        assert [asdict(core) for core in seen.stats.cores] == [
+            asdict(core) for core in bare.stats.cores
+        ]
+        assert memory_image(seen.memory) == memory_image(bare.memory)
 
     def test_run_result_reports_the_requested_name(self, name):
         result, _ = run_counter_machine(name, ncores=2, txns_per_core=1)
@@ -66,12 +85,6 @@ class TestTheTable:
         assert {n for n, r in BACKENDS.items() if not r.commit_atomic} == {
             "datm", "retcon-fwd"
         }
-        assert {
-            n: r.stall_replay for n, r in BACKENDS.items() if r.stall_replay
-        } == {
-            "eager": 2, "eager-abort": 2, "eager-stall": 2,
-            "lazy-vb": 1, "retcon": 1,
-        }
 
     def test_policy_rows_pick_the_contention_policy(self):
         assert type(build("eager").policy).__name__ == "TimestampPolicy"
@@ -97,14 +110,6 @@ class TestTheTable:
     def test_unknown_name_names_the_known_ones(self):
         with pytest.raises(ValueError, match="hybrid-lazy-vb"):
             build("bogus")
-
-    def test_a_directly_constructed_system_never_replays_stalls(self):
-        config = small_test_config(ncores=2)
-        system = BACKENDS["eager"].cls(
-            config, MainMemory(), CoherenceFabric(config, 2),
-            MachineStats(2),
-        )
-        assert system.stall_replay == 0
 
 
 class TestDerivedLists:

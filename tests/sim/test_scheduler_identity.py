@@ -64,23 +64,3 @@ class TestSchedulerIdentity:
     @pytest.mark.parametrize("system", SYSTEMS)
     def test_event_matches_lockstep(self, system):
         assert _observe(system, "event") == _observe(system, "lockstep")
-
-    def test_latency_quote_matches_acquire(self):
-        """The fabric's deterministic latency quote prices an access
-        exactly as the acquire that follows it charges, and quoting is
-        a pure read (a second quote agrees with the first)."""
-        import random
-
-        from repro.coherence.directory import CoherenceFabric
-
-        config = MachineConfig().with_cores(4)
-        fabric = CoherenceFabric(config, 4)
-        rng = random.Random(7)
-        for _ in range(500):
-            core = rng.randrange(4)
-            block = rng.randrange(24)
-            write = rng.random() < 0.5
-            quote = fabric.latency_quote(core, block, write)
-            assert fabric.latency_quote(core, block, write) == quote
-            outcome = fabric.acquire(core, block, write)
-            assert outcome.latency == quote
