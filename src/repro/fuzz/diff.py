@@ -36,13 +36,12 @@ from typing import Optional
 
 from repro.check.golden import diff_memories
 from repro.fuzz.gen import FuzzCase
-from repro.fuzz.genes import assemble_txn
 from repro.mem.memory import MainMemory
 from repro.sim.config import MachineConfig
 from repro.htm.backends import BACKENDS
 from repro.sim.machine import Machine, SimulationTimeout
 from repro.sim.runner import run_sequential
-from repro.sim.script import ThreadScript
+from repro.sim.script import ThreadScript, Txn
 from repro.obs.events import EventStream
 
 #: the default differential matrix (ISSUE acceptance: >= 3 backends)
@@ -121,36 +120,39 @@ class CaseOutcome:
 
 
 def _commit_order_replay(
-    case: FuzzCase,
+    programs: list,
+    label: str,
     tracer: EventStream,
     initial: MainMemory,
     config: MachineConfig,
 ) -> tuple[Optional[MainMemory], Optional[str]]:
     """Re-execute the committed transactions serially in traced commit
-    order; return (final memory, error)."""
-    next_txn = [0] * case.nthreads
+    order; return (final memory, error).
+
+    *programs* is ``[thread][index]`` over the case's own assembled
+    programs — the objects the backend just ran — so the replay shares
+    their handler chains instead of building its own.
+    """
+    next_txn = [0] * len(programs)
     serial = ThreadScript()
     for event in tracer.of_kind("commit"):
         thread = event.core
-        if thread >= case.nthreads:
+        if thread >= len(programs):
             return None, f"commit traced on unscripted core {thread}"
         index = next_txn[thread]
-        if index >= len(case.threads[thread]):
+        if index >= len(programs[thread]):
             return None, (
                 f"core {thread} committed {index + 1} txns but its "
-                f"script has {len(case.threads[thread])}"
+                f"script has {len(programs[thread])}"
             )
         next_txn[thread] += 1
-        serial.add_txn(
-            assemble_txn(case.threads[thread][index], thread, case.layout),
-            label="replay",
-        )
+        serial.add_txn(programs[thread][index], label="replay")
     machine = Machine(
         config.with_cores(1),
         "eager",
         [serial],
         initial.clone(),
-        label=f"serial replay {case.label()}",
+        label=f"serial replay {label}",
     )
     machine.run(max_cycles=FUZZ_MAX_CYCLES)
     return machine.memory, None
@@ -166,7 +168,12 @@ def run_case(
 ) -> CaseOutcome:
     """Run *case* on every backend and cross-check all signals."""
     config = config or MachineConfig()
+    label = case.label()
     generated = case.build_workload()
+    programs = [
+        [item.program for item in script.items if isinstance(item, Txn)]
+        for script in generated.scripts
+    ]
     outcome = CaseOutcome(case=case, backends=tuple(backends))
     diverge = outcome.divergences.append
 
@@ -189,7 +196,7 @@ def run_case(
             backend,
             generated.scripts,
             generated.memory.clone(),
-            label=f"fuzz {backend} {case.label()}",
+            label=f"fuzz {backend} {label}",
             check=oracle,
             tracer=tracer,
         )
@@ -280,7 +287,7 @@ def run_case(
         # -- commit-order serializability -----------------------------
         if backend in SERIAL_REPLAY_BACKENDS:
             replay_memory, error = _commit_order_replay(
-                case, tracer, generated.memory, config
+                programs, label, tracer, generated.memory, config
             )
             if error is not None:
                 diverge(Divergence("serialization", backend, error))

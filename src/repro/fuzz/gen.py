@@ -153,7 +153,8 @@ FUZZ_PROFILES: dict[str, GeneratorConfig] = {
     # heavily Zipf-skewed hot shared counters hammered by RMW chains,
     # with branch-guarded updates (rate limits, sell-out checks) and
     # private tallies riding along.  Not in the CLI default profile
-    # list — CI's fuzz smoke batch stays at 210 programs.
+    # list — CI's fuzz smoke batch stays at 210 programs; CI screens
+    # this profile in its bounded-capacity fuzz step instead.
     "fuzz-service": GeneratorConfig(
         kind_weights=SERVICE_KINDS,
         shared_slots=8,

@@ -16,23 +16,9 @@ from typing import Optional
 from repro.core.buffers import ConditionCodes
 from repro.htm.events import StallRetry, TxnAborted
 from repro.htm.system import BaseTMSystem
-from repro.isa.instructions import Reg, apply_op, evaluate_cond
+from repro.isa.instructions import Reg
 from repro.isa.registers import RegisterFile
-from repro.sim.decode import (
-    K_BCC,
-    K_BRANCH,
-    K_CMP,
-    K_HALT,
-    K_JUMP,
-    K_LOAD,
-    K_MOV,
-    K_MOVI,
-    K_NOP,
-    K_OP,
-    K_STORE,
-    chain_for,
-    decoded_for,
-)
+from repro.sim.decode import chain_for
 from repro.sim.script import Barrier, ThreadScript, Txn, Work
 from repro.sim.stats import CoreStats
 
@@ -68,8 +54,6 @@ class Core:
         "consecutive_aborts",
         "consecutive_stalls",
         "_txn_regs",
-        "_decoded_program",
-        "_decoded",
         "_chain_program",
         "_chain",
         "_burst_env",
@@ -109,12 +93,9 @@ class Core:
         self.consecutive_aborts = 0
         self.consecutive_stalls = 0
         self._txn_regs: Optional[list[int]] = None
-        # Decode cache for the current transaction's program (the
-        # decoded list itself is shared across cores via the Program).
-        self._decoded_program = None
-        self._decoded: list[tuple] = []
-        # Handler-chain cache, same discipline (chains are shared
-        # across cores via the Program, one variant per engine-ness).
+        # Handler chain of the current transaction's program (chains
+        # are shared across cores via the Program, one variant per
+        # engine-ness; see repro.sim.decode).
         self._chain_program = None
         self._chain: list = []
         # Burst-invariant environment, recomputed at each run_until
@@ -133,25 +114,9 @@ class Core:
 
     # ------------------------------------------------------------------
     def step(self) -> None:
-        """Execute one scheduling step, advancing ``self.cycle``."""
-        item = self.current_item()
-        if item is None:
-            self.state = CoreState.DONE
-            return
-
-        if isinstance(item, Work):
-            self.cycle += item.cycles
-            self.stats.busy += item.cycles
-            self.item_idx += 1
-            return
-
-        if isinstance(item, Barrier):
-            # The machine releases us; we just park.
-            self.state = CoreState.AT_BARRIER
-            return
-
-        assert isinstance(item, Txn)
-        self._step_txn(item)
+        """Execute one scheduling step, advancing ``self.cycle``: a
+        burst whose stop pair the core has already reached."""
+        self.run_until(self.cycle, -1, self.cycle)
 
     # ------------------------------------------------------------------
     def run_until(self, stop_cycle: int, stop_cid: int, watchdog: int) -> None:
@@ -162,22 +127,23 @@ class Core:
         *consecutive* steps for as long as it would remain the minimum,
         i.e. while ``(self.cycle, self.cid) < (stop_cycle, stop_cid)``
         where the stop pair is the next wakeup event in the machine's
-        queue.  Under the lockstep scheduler every one of these steps
-        would have been its own pop of the same core, so the global
-        step order — and therefore every stat, trace event, and memory
-        image — is identical; the heap churn and re-dispatch just
-        disappear.
+        queue.  With the stop pair ``(self.cycle, -1)`` — already
+        reached, which is how :meth:`step` and the machine's
+        ``lockstep`` spelling call this — every one of these steps is
+        its own pop of the same core, so the global step order, and
+        therefore every stat, trace event, and memory image, is
+        identical; bursting only removes the heap churn and re-dispatch.
 
-        Exactly like the lockstep loop, at least one step always
-        executes per pop, and the watchdog is only consulted *between*
-        steps (``cycle > watchdog`` ends the burst so the machine can
-        raise with the same makespan the lockstep scheduler reports).
+        At least one step always executes per call, and the watchdog
+        is only consulted *between* steps (``cycle > watchdog`` ends
+        the burst so the machine raises with the same makespan however
+        the steps were grouped).
         """
         env = self._burst_env
         if env is None:
             env = self._prime_burst()
         (
-            use_slow,
+            oracle,
             traced,
             system,
             cid,
@@ -188,12 +154,6 @@ class Core:
             ctx,
             with_engine,
         ) = env
-        if use_slow:
-            # Checked runs take the reference per-step interpreter: the
-            # oracle's on_instruction/on_txn_begin hooks live there.
-            self._run_until_slow(stop_cycle, stop_cid, watchdog)
-            return
-
         while True:
             idx = self.item_idx
             if idx >= nitems:
@@ -214,11 +174,13 @@ class Core:
                 # them (_handle_abort, _try_commit, _charge_stall) and
                 # on every exit.  Trace events read the core clock
                 # mid-step, so traced runs also sync before each
-                # handler call.
+                # handler call.  An attached oracle is told about each
+                # attempt's start and each completed instruction: two
+                # boundary calls, nothing else differs in a checked run.
                 cycle = self.cycle
                 busy = self.attempt_busy
                 while True:
-                    # ---- one scheduling step (== one _step_txn call) ----
+                    # ---- one scheduling step ----
                     if not self.in_txn:
                         system.begin(cid, restart=self.restarting)
                         self.restarting = False
@@ -230,6 +192,10 @@ class Core:
                         self.attempt_stall_events = 0
                         self.attempt_start = cycle
                         self._txn_regs = list(regs)
+                        if oracle is not None:
+                            oracle.on_txn_begin(
+                                cid, program, item.label, self._txn_regs
+                            )
 
                     # system.poll_doomed(cid), inlined.
                     if ctx.doomed and ctx.active:
@@ -285,6 +251,8 @@ class Core:
                         ):
                             return
                     else:
+                        if oracle is not None:
+                            oracle.on_instruction(cid, pc)
                         self.consecutive_stalls = 0
                         busy += latency
                         cycle += latency
@@ -317,15 +285,15 @@ class Core:
         """Compute the burst-invariant environment for run_until.
 
         Everything here is fixed for the duration of one machine run:
-        observers (oracle, fault injector, tracer, metrics) attach
-        before the scheduler loop starts, and the register-value list,
-        script items, context, and stats objects are stable for the
-        core's lifetime.  The machine resets the cache at run start so
-        observers attached between runs are honored.
+        observers (oracle, tracer, metrics) attach before the scheduler
+        loop starts, and the register-value list, script items,
+        context, and stats objects are stable for the core's lifetime.
+        The machine resets the cache at run start so observers attached
+        between runs are honored.
         """
         system = self.system
         env = (
-            system.oracle is not None or system.fault_injector is not None,
+            system.oracle,
             system.tracer is not None,
             system,
             self.cid,
@@ -338,68 +306,6 @@ class Core:
         )
         self._burst_env = env
         return env
-
-    def _run_until_slow(
-        self, stop_cycle: int, stop_cid: int, watchdog: int
-    ) -> None:
-        """Burst loop over the reference ``step()`` interpreter."""
-        cid = self.cid
-        while True:
-            self.step()
-            if self.state is not CoreState.RUNNING:
-                return
-            c = self.cycle
-            if c > watchdog or c > stop_cycle or (
-                c == stop_cycle and cid > stop_cid
-            ):
-                return
-
-    # ------------------------------------------------------------------
-    def _step_txn(self, item: Txn) -> None:
-        if not self.in_txn:
-            self.system.begin(self.cid, restart=self.restarting)
-            self.restarting = False
-            self.in_txn = True
-            self.pc = 0
-            self.attempt_busy = 0
-            self.attempt_conflict = 0
-            self.attempt_stall_events = 0
-            self.attempt_start = self.cycle
-            self._txn_regs = self.regs.snapshot()
-            oracle = self.system.oracle
-            if oracle is not None:
-                oracle.on_txn_begin(
-                    self.cid, item.program, item.label, self._txn_regs
-                )
-
-        doom_reason = self.system.poll_doomed(self.cid)
-        if doom_reason is not None:
-            self._handle_abort()
-            return
-
-        program = item.program
-        if program is not self._decoded_program:
-            self._decoded_program = program
-            self._decoded = decoded_for(program)
-        if self.pc >= len(self._decoded):
-            self._try_commit()
-            return
-
-        pc_before = self.pc
-        inst = self._decoded[self.pc]
-        try:
-            latency = self._execute(inst)
-        except StallRetry as stall:
-            self._charge_stall(stall)
-            return
-        except TxnAborted:
-            self._handle_abort()
-            return
-        if self.system.oracle is not None:
-            self.system.oracle.on_instruction(self.cid, pc_before)
-        self.consecutive_stalls = 0
-        self.attempt_busy += latency
-        self.cycle += latency
 
     def _charge_stall(self, stall_info: Optional[StallRetry] = None) -> None:
         """Wait before retrying a conflicting access.
@@ -490,112 +396,3 @@ class Core:
         self.in_txn = False
         self.restarting = True
         self.pc = 0
-
-    # ------------------------------------------------------------------
-    # Instruction dispatch (over decoded tuples; see repro.sim.decode)
-    # ------------------------------------------------------------------
-    def _execute(self, inst: tuple) -> int:
-        """Execute one decoded instruction; return its latency."""
-        engine = self.engine
-        regs = self.regs.values
-        kind = inst[0]
-        next_pc = self.pc + 1
-        latency = 1
-
-        if kind == K_LOAD:
-            _, rd, addr, size, base, disp = inst
-            if base is not None:
-                # Address calculation consumes the base register: a
-                # symbolic base is pinned with an equality constraint
-                # (§4.2).
-                if engine is not None:
-                    engine.equality_constrain_sym(engine.reg_sym(base))
-                addr = regs[base] + disp
-            result = self.system.load(self.cid, addr, size)
-            regs[rd] = result.value
-            if engine is not None:
-                engine.set_reg_sym(rd, result.sym)
-            latency = result.latency
-        elif kind == K_STORE:
-            _, src_is_reg, src, addr, size, base, disp = inst
-            if base is not None:
-                if engine is not None:
-                    engine.equality_constrain_sym(engine.reg_sym(base))
-                addr = regs[base] + disp
-            if src_is_reg:
-                value = regs[src]
-                sym = engine.reg_sym(src) if engine is not None else None
-            else:
-                value = src
-                sym = None
-            result = self.system.store(self.cid, addr, size, value, sym=sym)
-            latency = result.latency
-        elif kind == K_OP:
-            _, op, rd, rs1, src2_is_reg, src2 = inst
-            rs1_val = regs[rs1]
-            src2_val = regs[src2] if src2_is_reg else src2
-            regs[rd] = apply_op(op, rs1_val, src2_val)
-            if engine is not None:
-                engine.alu(
-                    op,
-                    rd,
-                    engine.reg_sym(rs1),
-                    engine.reg_sym(src2) if src2_is_reg else None,
-                    rs1_val,
-                    src2_val,
-                )
-        elif kind == K_MOV:
-            _, rd, rs = inst
-            regs[rd] = regs[rs]
-            if engine is not None:
-                engine.set_reg_sym(rd, engine.reg_sym(rs))
-        elif kind == K_MOVI:
-            _, rd, value = inst
-            regs[rd] = value
-            if engine is not None:
-                engine.set_reg_sym(rd, None)
-        elif kind == K_CMP:
-            _, rs1, src2_is_reg, src2 = inst
-            lhs = regs[rs1]
-            rhs = regs[src2] if src2_is_reg else src2
-            if engine is not None:
-                engine.on_cmp(
-                    lhs,
-                    rhs,
-                    engine.reg_sym(rs1),
-                    engine.reg_sym(src2) if src2_is_reg else None,
-                )
-            else:
-                self.cc.set_concrete(lhs, rhs)
-        elif kind == K_BRANCH:
-            _, cond, rs1, src2_is_reg, src2, target = inst
-            lhs = regs[rs1]
-            rhs = regs[src2] if src2_is_reg else src2
-            taken = evaluate_cond(cond, lhs, rhs)
-            if engine is not None:
-                engine.on_branch(
-                    cond,
-                    engine.reg_sym(rs1),
-                    engine.reg_sym(src2) if src2_is_reg else None,
-                    lhs,
-                    rhs,
-                    taken,
-                )
-            if taken:
-                next_pc = target
-        elif kind == K_BCC:
-            _, cond, target = inst
-            taken = self.cc.evaluate(cond)
-            if engine is not None:
-                engine.on_bcc(cond, taken)
-            if taken:
-                next_pc = target
-        elif kind == K_JUMP:
-            next_pc = inst[1]
-        elif kind == K_NOP:
-            latency = inst[1]
-        else:  # K_HALT (decode is exhaustive over instruction types)
-            next_pc = inst[1]
-
-        self.pc = next_pc
-        return latency

@@ -1,27 +1,45 @@
-"""One-time instruction decode for the interpreter hot path.
+"""Lazy handler chains: an instruction is compiled when it first runs.
 
-The interpreter executes the same (immutable) :class:`Program` objects
-millions of times — every transaction attempt, every retry, every
-core.  Dispatching on ``isinstance`` chains and re-reading dataclass
-attributes per cycle is the single largest cost in the simulator, so
-each program is decoded exactly once into a flat list of plain tuples:
+The interpreter does not dispatch on instruction dataclasses per
+executed cycle.  Each static instruction becomes one closure
 
-``decoded[pc] = (kind, *operands)``
+    handler(core, regs) -> latency
 
-where *kind* is a small integer and the operands are fully resolved —
-immediates unwrapped, register operands reduced to bare indices with
-an ``is_reg`` flag, and branch targets resolved from label names to
-instruction indices at decode time.
+with its operands, successor pc, and ALU/condition callables bound as
+default arguments, and with the engine-present decision made once
+rather than once per executed instruction.  Handlers set ``core.pc``
+themselves and let :class:`StallRetry`/:class:`TxnAborted` propagate
+*before* the pc update, so a retried or aborted instruction re-executes
+from the same pc.
 
-The decoded form is attached to the ``Program`` instance itself (via
-``object.__setattr__``; programs are frozen dataclasses) so it is
-shared by every core and every attempt, and its lifetime is exactly
-the program's — no global cache to invalidate.
+What the chains are built for is the traffic that was measured, not the
+traffic one would guess.  Programs are *not* a few objects executed
+millions of times: at the ``retcon-repair`` benchmark point (seed 1)
+each of the 4 192 ``Txn`` items owns its own :class:`Program`, and only
+54 061 of their 136 421 static instructions (39.6 %) ever execute —
+42.5 % on ``hybrid-capacity``, 65.6 % on ``htm-contended``, 73.6 % on
+``service-observed`` — because error paths, resize paths and not-taken
+branch arms are most of a program's text.  Compiling every instruction
+up front cost more than the simulation it served (a cold unit 1.33 s
+against 0.59 s warm) and the never-called closures were about a third
+of that process's memory; a fuzz case builds hundreds of tiny programs
+and runs each a handful of times.
 
-Decoding is purely a representation change: the interpreter's
-semantics per kind are identical to the dataclass-dispatch ones, which
-is what the PR 2 repair oracle (an independent interpreter over the
-*undecoded* instructions) verifies on every checked commit.
+So :func:`chain_for` hands out a list of ``len(program)`` references to
+one :func:`_trampoline`, and the trampoline compiles the instruction
+under ``core.pc`` straight from its dataclass the first time any core
+reaches it, installs the handler in the shared list, and calls it.
+Every later execution — the retry of a stalled access included — goes
+direct.  A chain is attached to the ``Program`` instance itself (via
+``object.__setattr__``; programs are frozen dataclasses), one variant
+for cores with a RETCON engine and one without, so it is shared by
+every core and every attempt and its lifetime is exactly the
+program's: no global cache to invalidate.
+
+The chains are the only interpreter in ``sim/``: oracle-checked runs
+and the ``lockstep`` scheduler spelling execute them too.  The repair
+oracle's own interpreter over the same instructions
+(:mod:`repro.check.replay`) is deliberately independent of this file.
 """
 
 from __future__ import annotations
@@ -35,6 +53,7 @@ from repro.isa.instructions import (
     Cond,
     Halt,
     Imm,
+    Instruction,
     Jump,
     Load,
     Mov,
@@ -47,19 +66,6 @@ from repro.isa.instructions import (
 )
 from repro.isa.program import Program
 
-# Decoded instruction kinds (tuple slot 0).
-K_LOAD = 0
-K_STORE = 1
-K_OP = 2
-K_MOV = 3
-K_MOVI = 4
-K_CMP = 5
-K_BRANCH = 6
-K_BCC = 7
-K_JUMP = 8
-K_NOP = 9
-K_HALT = 10
-
 
 def _operand_pair(operand) -> tuple[bool, int]:
     """Collapse a Reg/Imm operand into ``(is_reg, index_or_value)``."""
@@ -67,90 +73,6 @@ def _operand_pair(operand) -> tuple[bool, int]:
         return True, int(operand)
     assert isinstance(operand, Imm)
     return False, operand.value
-
-
-def decode_program(program: Program) -> list[tuple]:
-    """Decode every instruction of *program* into flat tuples."""
-    end = len(program)
-    decoded: list[tuple] = []
-    for inst in program.instructions:
-        if isinstance(inst, Load):
-            base = None if inst.base is None else int(inst.base)
-            decoded.append(
-                (K_LOAD, int(inst.rd), inst.addr, inst.size, base, inst.disp)
-            )
-        elif isinstance(inst, Store):
-            base = None if inst.base is None else int(inst.base)
-            src_is_reg, src = _operand_pair(inst.src)
-            decoded.append(
-                (K_STORE, src_is_reg, src, inst.addr, inst.size, base,
-                 inst.disp)
-            )
-        elif isinstance(inst, Op):
-            src2_is_reg, src2 = _operand_pair(inst.src2)
-            decoded.append(
-                (K_OP, inst.op, int(inst.rd), int(inst.rs1), src2_is_reg,
-                 src2)
-            )
-        elif isinstance(inst, Mov):
-            decoded.append((K_MOV, int(inst.rd), int(inst.rs)))
-        elif isinstance(inst, Movi):
-            decoded.append((K_MOVI, int(inst.rd), inst.value))
-        elif isinstance(inst, Cmp):
-            src2_is_reg, src2 = _operand_pair(inst.src2)
-            decoded.append((K_CMP, int(inst.rs1), src2_is_reg, src2))
-        elif isinstance(inst, Branch):
-            src2_is_reg, src2 = _operand_pair(inst.src2)
-            decoded.append(
-                (K_BRANCH, inst.cond, int(inst.rs1), src2_is_reg, src2,
-                 program.target(inst.target))
-            )
-        elif isinstance(inst, Bcc):
-            decoded.append((K_BCC, inst.cond, program.target(inst.target)))
-        elif isinstance(inst, Jump):
-            decoded.append((K_JUMP, program.target(inst.target)))
-        elif isinstance(inst, Nop):
-            decoded.append((K_NOP, inst.cycles))
-        elif isinstance(inst, Halt):
-            decoded.append((K_HALT, end))
-        else:
-            raise TypeError(f"unknown instruction: {inst!r}")
-    return decoded
-
-
-def decoded_for(program: Program) -> list[tuple]:
-    """Return the cached decode of *program*, decoding on first use."""
-    try:
-        return program._decoded  # type: ignore[attr-defined]
-    except AttributeError:
-        decoded = decode_program(program)
-        object.__setattr__(program, "_decoded", decoded)
-        return decoded
-
-
-# ---------------------------------------------------------------------------
-# Compiled handler chains
-# ---------------------------------------------------------------------------
-#
-# The decoded-tuple interpreter still pays, per instruction, for the
-# kind dispatch (an if/elif ladder), tuple unpacking, and the per-kind
-# ``engine is not None`` branches.  A *handler chain* pushes all of
-# that to compile time: each static instruction becomes one closure
-#
-#     handler(core, regs) -> latency
-#
-# with its operands, successor pc, and ALU/condition callables bound
-# as default arguments, and with the engine-present decision made once
-# per program rather than once per executed instruction.  Handlers set
-# ``core.pc`` themselves and let :class:`StallRetry`/:class:`TxnAborted`
-# propagate *before* the pc update, so a retried or aborted instruction
-# re-executes exactly like the tuple interpreter's ``_execute``.
-#
-# Two variants are cached per program (on the Program itself, like the
-# decode cache): one for cores with a RETCON engine, one without.
-# Chains are a pure dispatch-compilation: the per-kind semantics are
-# copied verbatim from ``Core._execute``, which stays as the reference
-# interpreter for oracle-checked runs and the lockstep scheduler.
 
 
 def _div_trunc(lhs: int, rhs: int) -> int:
@@ -181,9 +103,15 @@ _COND_FN = {
 }
 
 
-def _compile_load(inst: tuple, nxt: int, with_engine: bool):
-    _, rd, addr, size, base, disp = inst
-    if base is None:
+# ---------------------------------------------------------------------------
+# Per-instruction compilers: (inst, nxt, with_engine, program) -> handler
+# ---------------------------------------------------------------------------
+def _compile_load(inst: Load, nxt: int, with_engine: bool, program: Program):
+    rd = int(inst.rd)
+    addr = inst.addr
+    size = inst.size
+    disp = inst.disp
+    if inst.base is None:
         if with_engine:
             def handler(core, regs, rd=rd, addr=addr, size=size, nxt=nxt):
                 result = core.system.load(core.cid, addr, size)
@@ -198,6 +126,7 @@ def _compile_load(inst: tuple, nxt: int, with_engine: bool):
                 core.pc = nxt
                 return result.latency
     else:
+        base = int(inst.base)
         if with_engine:
             def handler(core, regs, rd=rd, base=base, disp=disp, size=size,
                         nxt=nxt):
@@ -224,9 +153,12 @@ def _compile_load(inst: tuple, nxt: int, with_engine: bool):
     return handler
 
 
-def _compile_store(inst: tuple, nxt: int, with_engine: bool):
-    _, src_is_reg, src, addr, size, base, disp = inst
-    if base is None:
+def _compile_store(inst: Store, nxt: int, with_engine: bool, program: Program):
+    src_is_reg, src = _operand_pair(inst.src)
+    addr = inst.addr
+    size = inst.size
+    disp = inst.disp
+    if inst.base is None:
         if src_is_reg:
             if with_engine:
                 def handler(core, regs, src=src, addr=addr, size=size,
@@ -253,6 +185,7 @@ def _compile_store(inst: tuple, nxt: int, with_engine: bool):
                 core.pc = nxt
                 return result.latency
     else:
+        base = int(inst.base)
         if src_is_reg:
             if with_engine:
                 def handler(core, regs, src=src, base=base, disp=disp,
@@ -301,12 +234,15 @@ def _compile_store(inst: tuple, nxt: int, with_engine: bool):
     return handler
 
 
-def _compile_op(inst: tuple, nxt: int, with_engine: bool):
-    _, op, rd, rs1, src2_is_reg, src2 = inst
+def _compile_op(inst: Op, nxt: int, with_engine: bool, program: Program):
+    op = inst.op
+    rd = int(inst.rd)
+    rs1 = int(inst.rs1)
+    src2_is_reg, src2 = _operand_pair(inst.src2)
     fn = _OP_FN.get(op)
     if fn is None:
-        # Unknown opcode: defer to apply_op so the error surfaces at
-        # execution time, exactly like the tuple interpreter.
+        # Unknown opcode: defer to apply_op so the error surfaces when
+        # the instruction executes, not when its neighbours do.
         def fn(lhs, rhs, op=op):
             return apply_op(op, lhs, rhs)
     if with_engine:
@@ -350,8 +286,44 @@ def _compile_op(inst: tuple, nxt: int, with_engine: bool):
     return handler
 
 
-def _compile_cmp(inst: tuple, nxt: int, with_engine: bool):
-    _, rs1, src2_is_reg, src2 = inst
+def _compile_mov(inst: Mov, nxt: int, with_engine: bool, program: Program):
+    rd = int(inst.rd)
+    rs = int(inst.rs)
+    if with_engine:
+        def handler(core, regs, rd=rd, rs=rs, nxt=nxt):
+            regs[rd] = regs[rs]
+            syms = core.engine.sregs._syms
+            syms[rd] = syms[rs]
+            core.pc = nxt
+            return 1
+    else:
+        def handler(core, regs, rd=rd, rs=rs, nxt=nxt):
+            regs[rd] = regs[rs]
+            core.pc = nxt
+            return 1
+    return handler
+
+
+def _compile_movi(inst: Movi, nxt: int, with_engine: bool, program: Program):
+    rd = int(inst.rd)
+    value = inst.value
+    if with_engine:
+        def handler(core, regs, rd=rd, value=value, nxt=nxt):
+            regs[rd] = value
+            core.engine.sregs._syms[rd] = None
+            core.pc = nxt
+            return 1
+    else:
+        def handler(core, regs, rd=rd, value=value, nxt=nxt):
+            regs[rd] = value
+            core.pc = nxt
+            return 1
+    return handler
+
+
+def _compile_cmp(inst: Cmp, nxt: int, with_engine: bool, program: Program):
+    rs1 = int(inst.rs1)
+    src2_is_reg, src2 = _operand_pair(inst.src2)
     if with_engine:
         def handler(core, regs, rs1=rs1, src2_is_reg=src2_is_reg, src2=src2,
                     nxt=nxt):
@@ -376,8 +348,12 @@ def _compile_cmp(inst: tuple, nxt: int, with_engine: bool):
     return handler
 
 
-def _compile_branch(inst: tuple, nxt: int, with_engine: bool):
-    _, cond, rs1, src2_is_reg, src2, target = inst
+def _compile_branch(inst: Branch, nxt: int, with_engine: bool,
+                    program: Program):
+    cond = inst.cond
+    rs1 = int(inst.rs1)
+    src2_is_reg, src2 = _operand_pair(inst.src2)
+    target = program.target(inst.target)
     test = _COND_FN[cond]
     if with_engine:
         def handler(core, regs, test=test, cond=cond, rs1=rs1,
@@ -406,101 +382,92 @@ def _compile_branch(inst: tuple, nxt: int, with_engine: bool):
     return handler
 
 
-def _compile_one(inst: tuple, nxt: int, with_engine: bool):
-    """Compile one decoded tuple into its handler closure."""
-    kind = inst[0]
-    if kind == K_LOAD:
-        return _compile_load(inst, nxt, with_engine)
-    if kind == K_STORE:
-        return _compile_store(inst, nxt, with_engine)
-    if kind == K_OP:
-        return _compile_op(inst, nxt, with_engine)
-    if kind == K_MOV:
-        _, rd, rs = inst
-        if with_engine:
-            def handler(core, regs, rd=rd, rs=rs, nxt=nxt):
-                regs[rd] = regs[rs]
-                syms = core.engine.sregs._syms
-                syms[rd] = syms[rs]
-                core.pc = nxt
-                return 1
-        else:
-            def handler(core, regs, rd=rd, rs=rs, nxt=nxt):
-                regs[rd] = regs[rs]
-                core.pc = nxt
-                return 1
-        return handler
-    if kind == K_MOVI:
-        _, rd, value = inst
-        if with_engine:
-            def handler(core, regs, rd=rd, value=value, nxt=nxt):
-                regs[rd] = value
-                core.engine.sregs._syms[rd] = None
-                core.pc = nxt
-                return 1
-        else:
-            def handler(core, regs, rd=rd, value=value, nxt=nxt):
-                regs[rd] = value
-                core.pc = nxt
-                return 1
-        return handler
-    if kind == K_CMP:
-        return _compile_cmp(inst, nxt, with_engine)
-    if kind == K_BRANCH:
-        return _compile_branch(inst, nxt, with_engine)
-    if kind == K_BCC:
-        _, cond, target = inst
-        if with_engine:
-            def handler(core, regs, cond=cond, target=target, nxt=nxt):
-                taken = core.cc.evaluate(cond)
-                core.engine.on_bcc(cond, taken)
-                core.pc = target if taken else nxt
-                return 1
-        else:
-            def handler(core, regs, cond=cond, target=target, nxt=nxt):
-                core.pc = target if core.cc.evaluate(cond) else nxt
-                return 1
-        return handler
-    if kind == K_JUMP:
-        target = inst[1]
-
-        def handler(core, regs, target=target):
-            core.pc = target
+def _compile_bcc(inst: Bcc, nxt: int, with_engine: bool, program: Program):
+    cond = inst.cond
+    target = program.target(inst.target)
+    if with_engine:
+        def handler(core, regs, cond=cond, target=target, nxt=nxt):
+            taken = core.cc.evaluate(cond)
+            core.engine.on_bcc(cond, taken)
+            core.pc = target if taken else nxt
             return 1
-        return handler
-    if kind == K_NOP:
-        cycles = inst[1]
+    else:
+        def handler(core, regs, cond=cond, target=target, nxt=nxt):
+            core.pc = target if core.cc.evaluate(cond) else nxt
+            return 1
+    return handler
 
-        def handler(core, regs, cycles=cycles, nxt=nxt):
-            core.pc = nxt
-            return cycles
-        return handler
-    # K_HALT (decode is exhaustive over instruction types)
-    end = inst[1]
 
-    def handler(core, regs, end=end):
+def _compile_jump(inst: Jump, nxt: int, with_engine: bool, program: Program):
+    def handler(core, regs, target=program.target(inst.target)):
+        core.pc = target
+        return 1
+    return handler
+
+
+def _compile_nop(inst: Nop, nxt: int, with_engine: bool, program: Program):
+    def handler(core, regs, cycles=inst.cycles, nxt=nxt):
+        core.pc = nxt
+        return cycles
+    return handler
+
+
+def _compile_halt(inst: Halt, nxt: int, with_engine: bool, program: Program):
+    def handler(core, regs, end=len(program)):
         core.pc = end
         return 1
     return handler
 
 
-def compile_program(program: Program, with_engine: bool) -> list:
-    """Compile *program* into a handler chain (one closure per pc)."""
-    decoded = decoded_for(program)
-    return [
-        _compile_one(inst, pc + 1, with_engine)
-        for pc, inst in enumerate(decoded)
-    ]
+_COMPILERS = {
+    Load: _compile_load,
+    Store: _compile_store,
+    Op: _compile_op,
+    Mov: _compile_mov,
+    Movi: _compile_movi,
+    Cmp: _compile_cmp,
+    Branch: _compile_branch,
+    Bcc: _compile_bcc,
+    Jump: _compile_jump,
+    Nop: _compile_nop,
+    Halt: _compile_halt,
+}
+
+
+def _compile_one(inst: Instruction, nxt: int, with_engine: bool,
+                 program: Program):
+    """Compile one instruction into its handler closure."""
+    compiler = _COMPILERS.get(type(inst))
+    if compiler is None:
+        raise TypeError(f"unknown instruction: {inst!r}")
+    return compiler(inst, nxt, with_engine, program)
+
+
+def _trampoline(core, regs):
+    """Every slot's first handler: compile the instruction under
+    ``core.pc``, install it for every core sharing the chain, run it.
+
+    The handler is installed *before* its first call, so a
+    ``StallRetry``/``TxnAborted`` raised by that call propagates with
+    the slot already compiled and the retry goes direct.
+    """
+    pc = core.pc
+    program = core._chain_program
+    handler = _compile_one(
+        program.instructions[pc], pc + 1, core.engine is not None, program
+    )
+    core._chain[pc] = handler
+    return handler(core, regs)
 
 
 def chain_for(program: Program, with_engine: bool) -> list:
     """Return the cached handler chain of *program* for the given
-    engine variant, compiling on first use (shared across cores, like
-    the decode cache)."""
+    engine variant (shared across cores): one slot per pc, each holding
+    the trampoline until the instruction first executes."""
     attr = "_chain_sym" if with_engine else "_chain_plain"
     try:
         return getattr(program, attr)
     except AttributeError:
-        chain = compile_program(program, with_engine)
+        chain = [_trampoline] * len(program)
         object.__setattr__(program, attr, chain)
         return chain

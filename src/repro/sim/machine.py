@@ -6,7 +6,8 @@ interleaves cores at instruction granularity while keeping every TM
 operation atomic, which is how the paper's sequentially-consistent
 simulator behaves from the protocol's point of view.
 
-Two schedulers implement that policy:
+One loop implements that policy, with two spellings of how long a
+popped core may run:
 
 * ``event`` (default) — an event-driven wakeup queue.  Each heap entry
   is a wakeup event ``(cycle, cid)``; the popped core *bursts* through
@@ -17,8 +18,10 @@ Two schedulers implement that policy:
   burst ends the moment the core would no longer be the (cycle, cid)
   minimum, the executed global step order is *identical* to lockstep —
   cycle skipping is a scheduling transform, not a semantic one.
-* ``lockstep`` — the reference one-step-per-pop loop, kept for
-  differential testing and as executable documentation.
+* ``lockstep`` — the same loop with every burst cut after one step
+  (the policy above, literally), kept as a test-only spelling for
+  differential testing: it is what shows a burst doing something a
+  step sequence would not.
 """
 
 from __future__ import annotations
@@ -145,11 +148,7 @@ class Machine:
             else:
                 heapq.heappush(heap, (core.cycle, core.cid))
 
-        barrier_waiters: list[Core] = []
-        if self.scheduler == "event":
-            self._run_event(heap, barrier_waiters, max_cycles)
-        else:
-            self._run_lockstep(heap, barrier_waiters, max_cycles)
+        self._run_event(heap, max_cycles)
 
         final_makespan = max(core.cycle for core in self.cores)
         if self.metrics is not None:
@@ -164,12 +163,7 @@ class Machine:
             oracle=self.oracle,
         )
 
-    def _run_event(
-        self,
-        heap: list[tuple[int, int]],
-        barrier_waiters: list[Core],
-        max_cycles: int,
-    ) -> None:
+    def _run_event(self, heap: list[tuple[int, int]], max_cycles: int) -> None:
         """Event-driven scheduler: pop a wakeup event, burst the core.
 
         The popped core is the global (cycle, cid) minimum; it runs
@@ -179,9 +173,14 @@ class Machine:
         all advance ``core.cycle`` before the burst ends, so the
         re-armed event *is* the layer-reported release cycle — no
         per-cycle polling of blocked cores remains.
+
+        ``lockstep`` stops every burst at the popped core's own cycle
+        with stop cid -1 — below every core's, so even a zero-latency
+        step (a free commit) ends the burst — which is one step per pop.
         """
         cores = self.cores
         ncores = len(cores)
+        lockstep = self.scheduler == "lockstep"
         push = heapq.heappush
         pop = heapq.heappop
         for core in cores:
@@ -193,15 +192,18 @@ class Machine:
         # at the barrier) must trip the watchdog even though it never
         # re-enters the heap.
         makespan = 0
+        barrier_waiters: list[Core] = []
         while heap or barrier_waiters:
             if makespan > max_cycles:
                 self._raise_watchdog(makespan, max_cycles)
             if not heap:
                 self._release_barrier(barrier_waiters, heap)
                 continue
-            _cycle, cid = pop(heap)
+            cycle, cid = pop(heap)
             core = cores[cid]
-            if heap:
+            if lockstep:
+                stop_cycle, stop_cid = cycle, -1
+            elif heap:
                 stop_cycle, stop_cid = heap[0]
             else:
                 # Alone in the queue: run to the next park/finish; the
@@ -216,34 +218,6 @@ class Machine:
                     self._release_barrier(barrier_waiters, heap)
             elif core.state is not CoreState.DONE:
                 push(heap, (core.cycle, core.cid))
-
-    def _run_lockstep(
-        self,
-        heap: list[tuple[int, int]],
-        barrier_waiters: list[Core],
-        max_cycles: int,
-    ) -> None:
-        """Reference scheduler: one step per heap pop."""
-        makespan = 0
-        while heap or barrier_waiters:
-            if makespan > max_cycles:
-                self._raise_watchdog(makespan, max_cycles)
-            if not heap:
-                self._release_barrier(barrier_waiters, heap)
-                continue
-            _cycle, cid = heapq.heappop(heap)
-            core = self.cores[cid]
-            core.step()
-            if core.cycle > makespan:
-                makespan = core.cycle
-            if core.state is CoreState.AT_BARRIER:
-                barrier_waiters.append(core)
-                if len(barrier_waiters) + self._done_count() == len(
-                    self.cores
-                ):
-                    self._release_barrier(barrier_waiters, heap)
-            elif core.state is not CoreState.DONE:
-                heapq.heappush(heap, (core.cycle, core.cid))
 
     def _raise_watchdog(self, makespan: int, max_cycles: int) -> None:
         raise SimulationTimeout(

@@ -106,7 +106,7 @@ class IntruderWorkload(Workload):
 
         if self.optimized:
             queue_pairs = make_queues(nthreads)
-            for thread, (capture, _decoded) in enumerate(queue_pairs):
+            for thread, (capture, _) in enumerate(queue_pairs):
                 capture.prefill(
                     [1000 * thread + i for i in range(packets)]
                 )

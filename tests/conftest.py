@@ -46,6 +46,7 @@ def run_counter_machine(
     config: MachineConfig | None = None,
     tracer=None,
     metrics=None,
+    check=None,
 ):
     """Build and run the shared-counter microbenchmark; return
     (RunResult, final counter value)."""
@@ -61,7 +62,7 @@ def run_counter_machine(
     machine_config = (config or MachineConfig()).with_cores(ncores)
     machine = Machine(
         machine_config, system, scripts, memory,
-        tracer=tracer, metrics=metrics,
+        tracer=tracer, metrics=metrics, check=check,
     )
     result = machine.run(max_cycles=50_000_000)
     return result, memory.read(addr)

@@ -19,6 +19,15 @@ from tests.conftest import run_counter_machine
 
 ROWS = sorted(BACKENDS)
 
+#: rows whose commits reach the oracle on the contended counter: a
+#: RETCON-engine commit plan or an STM commit is replayed, a plain
+#: eager/lazy HTM commit (and ``hybrid-eager`` while it stays in
+#: hardware) has no plan to replay and only feeds the recorder
+REPLAYED_ROWS = {
+    "lazy-vb", "retcon", "stm", "hybrid-retcon", "hybrid-lazy-vb",
+    "progressive",
+}
+
 
 def build(name, ncores=2):
     config = small_test_config(ncores=ncores)
@@ -58,6 +67,26 @@ class TestEveryRow:
             asdict(core) for core in bare.stats.cores
         ]
         assert memory_image(seen.memory) == memory_image(bare.memory)
+
+    def test_a_checked_run_is_the_unchecked_run(self, name):
+        bare, _ = run_counter_machine(
+            name, ncores=3, txns_per_core=4, check=False
+        )
+        checked, _ = run_counter_machine(
+            name, ncores=3, txns_per_core=4, check=True
+        )
+        assert checked.cycles == bare.cycles
+        assert [asdict(core) for core in checked.stats.cores] == [
+            asdict(core) for core in bare.stats.cores
+        ]
+        assert memory_image(checked.memory) == memory_image(bare.memory)
+        if not BACKENDS[name].oracle:
+            assert checked.oracle is None
+            return
+        assert checked.oracle.violations == []
+        assert checked.oracle.checked_commits == (
+            checked.commits if name in REPLAYED_ROWS else 0
+        )
 
     def test_run_result_reports_the_requested_name(self, name):
         result, _ = run_counter_machine(name, ncores=2, txns_per_core=1)

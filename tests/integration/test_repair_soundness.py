@@ -93,7 +93,7 @@ def assemble(body) -> Program:
     return asm.build()
 
 
-def reference_execute(body, memory: dict[int, int]):
+def reference_run(body, memory: dict[int, int]):
     """Pure functional semantics of the generated transaction."""
     mem = dict(memory)
     regs = {int(r): 0 for r in REGS}
@@ -159,7 +159,7 @@ def test_repaired_state_matches_reexecution(
     # Only meaningful when the steal landed mid-transaction.
     assume(injected)
 
-    expected_mem, expected_regs = reference_execute(body, mutated)
+    expected_mem, expected_regs = reference_run(body, mutated)
     for addr in ALL_WORDS:
         assert memory.read(addr) == expected_mem[addr], hex(addr)
     for reg in REGS:

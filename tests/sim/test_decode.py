@@ -1,29 +1,26 @@
-"""Decode-cache behavior (PR 3 backfill).
+"""Lazy handler chains (see repro.sim.decode).
 
-The interpreter decodes each Program once into flat tuples, caches the
-result on the Program instance, and each Core additionally keeps a
-(program, decoded) pair so the common same-program retry path skips
-even the cache lookup.  These tests pin the contract: identical static
-instructions decode identically, the per-program cache is hit (not
-recomputed), and a core picks up the right decode when its script
-moves to a different program.
+A Program's chain starts as one trampoline per pc; the trampoline
+compiles the instruction under ``core.pc`` the first time any core
+reaches it and installs the handler in the shared list.  These tests
+pin the contract: what never runs is never compiled, what one core
+compiled no other core compiles again, a stalled first call leaves the
+handler installed, errors surface when the bad instruction executes,
+and a core picks up the right chain when its script moves to a
+different program.
 """
 
-from repro.isa.instructions import Cond
-from repro.isa.program import Assembler
+from types import SimpleNamespace
+
+import pytest
+
+from repro.htm.events import StallRetry
+from repro.isa.instructions import Cond, Imm, Op
+from repro.isa.program import Assembler, Program
 from repro.isa.registers import R1, R2
 from repro.sim import decode
 from repro.sim.config import MachineConfig
-from repro.sim.decode import (
-    K_HALT,
-    K_LOAD,
-    K_MOVI,
-    K_OP,
-    K_STORE,
-    chain_for,
-    decode_program,
-    decoded_for,
-)
+from repro.sim.decode import chain_for
 from repro.sim.machine import Machine
 from repro.sim.script import ThreadScript
 
@@ -37,80 +34,175 @@ def _counter_program(addr: int, delta: int):
     return asm.build()
 
 
-class TestDecodeProgram:
-    def test_kinds_and_operands(self):
+def _program_with_cold_arm(cold_inst=None):
+    """pcs 0-3 always run; pcs 4-5 sit behind a never-taken branch."""
+    asm = Assembler()
+    cold = asm.fresh_label("cold")
+    asm.movi(R1, 0)
+    asm.br(Cond.NE, R1, 0, cold)
+    asm.store(R1, 4096)
+    asm.halt()
+    asm.mark(cold)
+    asm.movi(R2, 9)
+    asm.store(R2, 4160)
+    program = asm.build()
+    if cold_inst is not None:
+        instructions = list(program.instructions)
+        instructions[4] = cold_inst
+        program = Program(tuple(instructions), program.labels)
+    return program
+
+
+def _run(programs, memory, ncores=1, system="eager", **kwargs):
+    scripts = []
+    for _ in range(ncores):
+        script = ThreadScript()
+        for program in programs:
+            script.add_txn(program)
+        scripts.append(script)
+    machine = Machine(
+        MachineConfig().with_cores(ncores), system, scripts, memory, **kwargs
+    )
+    machine.run()
+    return machine
+
+
+def _spy_on_compile(monkeypatch):
+    """Record every per-instruction compile as (instruction, nxt)."""
+    compiled = []
+    original = decode._compile_one
+
+    def spy(inst, nxt, with_engine, program):
+        compiled.append((inst, nxt))
+        return original(inst, nxt, with_engine, program)
+
+    monkeypatch.setattr(decode, "_compile_one", spy)
+    return compiled
+
+
+class TestLazyChain:
+    def test_never_taken_branch_arm_is_never_compiled(self, memory):
+        program = _program_with_cold_arm()
+        _run([program], memory)
+        chain = chain_for(program, with_engine=False)
+        assert all(chain[pc] is not decode._trampoline for pc in range(4))
+        assert chain[4] is decode._trampoline
+        assert chain[5] is decode._trampoline
+        assert memory.read(4160) == 0
+
+    def test_two_cores_share_one_chain_and_the_second_compiles_nothing(
+        self, memory, monkeypatch
+    ):
+        compiled = _spy_on_compile(monkeypatch)
+        program = _counter_program(4096, 1)
+        machine = _run([program], memory, ncores=2)
+        first, second = machine.cores
+        assert first._chain is second._chain
+        assert first._chain is chain_for(program, with_engine=False)
+        # four static instructions, two cores, retries: four compiles
+        assert [nxt for _inst, nxt in compiled] == [1, 2, 3, 4]
+        assert memory.read(4096) == 2
+
+    def test_stalled_first_call_installs_the_handler(self, monkeypatch):
+        """A StallRetry out of a handler's first call propagates with
+        the slot already compiled: the retry goes direct."""
+        compiled = _spy_on_compile(monkeypatch)
+        program = _counter_program(4096, 1)
+
+        def stalling_load(cid, addr, size):
+            raise StallRetry(block=addr // 64, blockers={1})
+
+        core = SimpleNamespace(
+            cid=0, pc=0, engine=None,
+            system=SimpleNamespace(load=stalling_load),
+            _chain_program=program,
+            _chain=chain_for(program, with_engine=False),
+        )
+        regs = [0] * 16
+        with pytest.raises(StallRetry):
+            core._chain[0](core, regs)
+        handler = core._chain[0]
+        assert handler is not decode._trampoline
+        assert core.pc == 0
+        with pytest.raises(StallRetry):
+            core._chain[0](core, regs)
+        assert core._chain[0] is handler
+        assert len(compiled) == 1
+
+    def test_unknown_opcode_raises_when_it_executes(self, memory):
+        """What apply_op raises, at execution — not at chain_for, and
+        not at all while the instruction stays behind a cold branch."""
+        bogus = Op("bogus", R2, R2, Imm(1))
+        cold = _program_with_cold_arm(cold_inst=bogus)
+        assert len(chain_for(cold, with_engine=False)) == len(cold)
+        _run([cold], memory)
+
+        hot = Program((bogus,), {})
+        chain_for(hot, with_engine=False)
+        with pytest.raises(ValueError, match="unknown ALU opcode: 'bogus'"):
+            _run([hot], memory)
+
+    def test_unknown_instruction_type_raises_when_it_executes(self, memory):
+        hot = Program((object(),), {})
+        chain_for(hot, with_engine=False)
+        with pytest.raises(TypeError, match="unknown instruction"):
+            _run([hot], memory)
+
+    def test_branch_and_jump_targets_resolve_to_indices(self, memory):
         asm = Assembler()
-        asm.movi(R2, 7)
-        asm.load(R1, 4096, size=4)
-        asm.op("mul", R1, R1, R2)
-        asm.store(R1, 4096, size=4)
-        asm.halt()
-        decoded = decode_program(asm.build())
-        assert [d[0] for d in decoded] == [
-            K_MOVI, K_LOAD, K_OP, K_STORE, K_HALT,
+        skip = asm.fresh_label("skip")
+        out = asm.fresh_label("out")
+        asm.br(Cond.EQ, R1, 0, skip)   # 0: taken (R1 == 0) -> 2
+        asm.movi(R1, 1)                # 1: skipped
+        asm.mark(skip)
+        asm.jump(out)                  # 2: -> 4
+        asm.movi(R1, 2)                # 3: skipped
+        asm.mark(out)
+        asm.store(R1, 4096)            # 4
+        program = asm.build()
+        memory.write(4096, 7)
+        _run([program], memory)
+        chain = chain_for(program, with_engine=False)
+        assert [slot is decode._trampoline for slot in chain] == [
+            False, True, False, True, False,
         ]
-        assert decoded[0] == (K_MOVI, int(R2), 7)
-        assert decoded[1] == (K_LOAD, int(R1), 4096, 4, None, 0)
-        # register vs immediate operands carry an is_reg flag
-        assert decoded[2] == (K_OP, "mul", int(R1), int(R1), True, int(R2))
-        assert decoded[3][1] is True  # store src is a register
-
-    def test_identical_static_instructions_decode_identically(self):
-        a = _counter_program(4096, 1)
-        b = _counter_program(4096, 1)
-        assert a is not b
-        assert decode_program(a) == decode_program(b)
-
-    def test_branch_targets_resolved_to_indices(self):
-        asm = Assembler()
-        label = asm.fresh_label("skip")
-        asm.br(Cond.EQ, R1, 0, label)
-        asm.movi(R1, 1)
-        asm.mark(label)
-        asm.halt()
-        decoded = decode_program(asm.build())
-        # branch tuple ends with the resolved instruction index
-        assert decoded[0][-1] == 2
+        assert memory.read(4096) == 0
+        # the compiled branch and jump carry resolved indices
+        assert chain[0].__defaults__[-2:] == (2, 1)  # (target, nxt)
+        assert chain[2].__defaults__ == (4,)
 
 
-class TestDecodedForCache:
+class TestChainForCache:
     def test_cached_on_program_instance(self):
         program = _counter_program(4096, 1)
-        first = decoded_for(program)
-        assert decoded_for(program) is first
+        plain = chain_for(program, with_engine=False)
+        assert chain_for(program, with_engine=False) is plain
+        sym = chain_for(program, with_engine=True)
+        assert chain_for(program, with_engine=True) is sym
+        assert sym is not plain
 
-    def test_decode_runs_once_per_program(self, monkeypatch):
-        calls = []
-        original = decode.decode_program
-
-        def counting(program):
-            calls.append(program)
-            return original(program)
-
-        monkeypatch.setattr(decode, "decode_program", counting)
-        program = _counter_program(4096, 1)
-        for _ in range(5):
-            decoded_for(program)
-        assert len(calls) == 1
-
-    def test_distinct_programs_get_distinct_decodes(self):
+    def test_distinct_programs_get_distinct_chains(self):
         a = _counter_program(4096, 1)
-        b = _counter_program(4096, 2)
-        assert decoded_for(a) is not decoded_for(b)
+        b = _counter_program(4096, 1)
+        assert chain_for(a, False) is not chain_for(b, False)
+
+    def test_a_fresh_chain_is_all_trampoline(self, monkeypatch):
+        compiled = _spy_on_compile(monkeypatch)
+        program = _counter_program(4096, 1)
+        assert chain_for(program, with_engine=True) == (
+            [decode._trampoline] * len(program)
+        )
+        assert compiled == []
 
 
 class TestCoreDecodeSwap:
     def test_core_follows_program_swap(self, memory):
         """A script whose transactions use different programs must
-        execute each with its own decode (stale decode would replay
+        execute each with its own chain (a stale chain would replay
         the first program's effects)."""
-        script = ThreadScript()
-        script.add_txn(_counter_program(4096, 5))
-        script.add_txn(_counter_program(4160, 9))
-        machine = Machine(
-            MachineConfig().with_cores(1), "eager", [script], memory
+        machine = _run(
+            [_counter_program(4096, 5), _counter_program(4160, 9)], memory
         )
-        machine.run()
         assert machine.memory.read(4096) == 5
         assert machine.memory.read(4160) == 9
 
@@ -118,31 +210,19 @@ class TestCoreDecodeSwap:
         """Same-program retries hit the core-local pair: the program
         instance compiles exactly once even across many attempts."""
         program = _counter_program(4096, 1)
-        script = ThreadScript()
-        for _ in range(4):
-            script.add_txn(program)
-        machine = Machine(
-            MachineConfig().with_cores(1), "eager", [script], memory
-        )
-        machine.run()
+        machine = _run([program] * 4, memory)
         core = machine.cores[0]
         assert core._chain_program is program
         assert core._chain is chain_for(program, with_engine=False)
         assert machine.memory.read(4096) == 4
 
-    def test_lockstep_retry_reuses_decode_cache(self, memory):
-        """The lockstep scheduler's reference interpreter keeps the
-        original (program, decoded-tuples) core-local pair."""
+    def test_lockstep_runs_the_same_chain(self, memory, monkeypatch):
+        """``scheduler="lockstep"`` is the same interpreter stopped
+        after every step: same chain object, nothing compiled twice."""
+        compiled = _spy_on_compile(monkeypatch)
         program = _counter_program(4096, 1)
-        script = ThreadScript()
-        for _ in range(4):
-            script.add_txn(program)
-        machine = Machine(
-            MachineConfig().with_cores(1), "eager", [script], memory,
-            scheduler="lockstep",
-        )
-        machine.run()
+        machine = _run([program] * 4, memory, scheduler="lockstep")
         core = machine.cores[0]
-        assert core._decoded_program is program
-        assert core._decoded is decoded_for(program)
+        assert core._chain is chain_for(program, with_engine=False)
+        assert len(compiled) == len(program)
         assert machine.memory.read(4096) == 4
