@@ -31,8 +31,11 @@ How flags become simulations: the machine flags (``--retry-budget``,
 command line becomes a :class:`~repro.exp.Point` (machine flags as
 ``Point.config``, ``--skew``/``--burst`` as its traffic fields), and
 every subcommand that registers those flags builds its points through
-it.  ``repro figure <name>`` and ``repro table 3`` look a record up in
-:mod:`repro.analysis.figures` and hand it to one driver, ``_show``.
+it.  ``figure``, ``table``, ``compare``, ``sweep`` and ``sweep
+--smoke`` are one driver, ``_show``, over the record the command line
+names in :mod:`repro.analysis.figures`; ``experiments`` walks the same
+registry.  A point that fails a correctness check fails any of them
+the same way: its label on stderr, exit 1.
 """
 
 from __future__ import annotations
@@ -46,13 +49,7 @@ from typing import Sequence
 
 from repro.analysis import figures as fig
 from repro.analysis.report import format_table
-from repro.exp import (
-    Point,
-    ResultCache,
-    run_points,
-    smoke_spec,
-    stderr_progress,
-)
+from repro.exp import Point, ResultCache, run_points, stderr_progress
 from repro.exp.engine import run_point_with_trace
 from repro.htm.backends import BACKENDS
 from repro.sim.config import MachineConfig
@@ -91,6 +88,10 @@ def _engine_opts(args) -> dict:
         refresh=args.refresh,
         progress=stderr_progress,
     )
+
+
+def _csv(text: str) -> tuple[str, ...]:
+    return tuple(text.split(","))
 
 
 def _entries(value: str):
@@ -584,53 +585,41 @@ def _cmd_fuzz(args) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_compare(args) -> int:
-    systems = args.systems.split(",")
-    _known_backends(systems)
-    base = _point_from_args(args)
-    points = [replace(base, system=system) for system in systems]
-    results = run_points(points, **_engine_opts(args))
-    rows = []
-    ok = True
-    for point, result in results.items():
-        ok = ok and result.invariants_ok
-        rows.append(
-            (
-                point.system,
-                f"{result.speedup:.2f}x",
-                result.aborts,
-                f"{result.breakdown['conflict']:.1%}",
-                "ok" if result.invariants_ok else "FAILED",
-            )
+def _record(args) -> fig.Figure:
+    """The record a figure/table/compare/sweep command line names."""
+    if args.command == "compare":
+        return fig.COMPARE
+    if args.command == "sweep":
+        if not args.smoke and args.workload is None:
+            raise UsageError("a workload is required unless --smoke is given")
+        return fig.SMOKE if args.smoke else fig.SWEEP
+    name = f"table{args.number}" if args.command == "table" else args.number
+    if name not in fig.FIGURES:
+        raise UsageError(
+            f"no such {args.command}: {args.number} "
+            f"(have {', '.join(fig.FIGURES)})"
         )
-    seq = results[points[0]].seq_cycles
-    print(f"{args.workload} on {args.cores} cores "
-          f"(seq = {seq} cycles)")
-    print(
-        format_table(
-            ["system", "speedup", "aborts", "conflict", "invariants"],
-            rows,
-        )
-    )
-    return 0 if ok else 1
+    return fig.FIGURES[name]
 
 
-def _show(args, figure: fig.Figure) -> int:
-    """Run *figure* at the command line's point and print it — or,
+def _show(args) -> int:
+    """Run the command line's record at its point and print it — or,
     with ``-o``, write it under the figure's markdown header (``-o``
     on ``hybrid``/``capacity``/``service`` regenerates the committed
     ``docs/*.md`` tables).  Every machine/traffic flag reaches every
     point: the figure stamps its grid onto one base point."""
+    figure = _record(args)
     options = {name: getattr(args, name) for name in figure.options}
-    labelled = figure.points(_point_from_args(args), **options)
+    base = _point_from_args(args)
+    labelled = figure.points(base, **options)
     _check_points(point for _label, point in labelled)
-    data = figure.collect(labelled, **_engine_opts(args))
-    text = figure.render(data, args.cores)
+    finished = fig.run_pass([labelled], **_engine_opts(args))
+    text = figure.render(figure.nest(labelled, finished, base), base.ncores)
     output = getattr(args, "output", None)
     if not output:
         print(text)
         return 0
-    header = figure.header.format(
+    header = f"# {figure.title}\n\n" + figure.header.format(
         cores=args.cores, scale=args.scale, seed=args.seed,
         flags=_flags_given(args), output=output, backend=args.backend,
         backends=", ".join(args.backends),
@@ -640,121 +629,6 @@ def _show(args, figure: fig.Figure) -> int:
     path.write_text(header + text + "\n", encoding="utf-8")
     print(f"wrote {path}")
     return 0
-
-
-def _cmd_figure(args) -> int:
-    if args.number not in fig.FIGURES:
-        raise UsageError(
-            f"no such figure: {args.number} "
-            f"(have {', '.join(fig.FIGURES)})"
-        )
-    return _show(args, fig.FIGURES[args.number])
-
-
-def _cmd_table(args) -> int:
-    if args.number == 1:
-        print(format_table(["Parameter", "Value"], fig.table1()))
-    elif args.number == 2:
-        print(format_table(["Workload", "Description", "Input"],
-                           fig.table2()))
-    elif args.number == 3:
-        return _show(args, fig.TABLE3)
-    else:
-        raise UsageError(f"no such table: {args.number} (have 1, 2, 3)")
-    return 0
-
-
-def _cmd_sweep(args) -> int:
-    from repro.analysis.sweeps import format_sweep, sweep_matrix
-
-    if args.smoke:
-        return _run_smoke(args)
-    if args.workload is None:
-        raise UsageError(
-            "a workload is required unless --smoke is given"
-        )
-    core_counts = tuple(
-        int(n) for n in args.core_counts.split(",")
-    )
-    systems = (
-        [args.backend] if args.backend else args.systems.split(",")
-    )
-    _known_backends(systems)
-    base = _point_from_args(args)
-    curves = sweep_matrix(
-        base.workload,
-        systems,
-        core_counts,
-        seed=base.seed,
-        scale=base.scale,
-        config=base.config,
-        check=base.check,
-        skew=base.skew,
-        burst=base.burst,
-        **_engine_opts(args),
-    )
-    print(format_sweep(args.workload, curves))
-    if args.check:
-        bad = [
-            (system, point.ncores)
-            for system, curve in curves.items()
-            for point in curve
-            if not point.check_ok
-        ]
-        if bad:
-            print("check FAILED at: "
-                  + ", ".join(f"{s}@{n}" for s, n in bad))
-            return 1
-        print("check: all points ok")
-    return 0
-
-
-def _run_smoke(args) -> int:
-    """The CI smoke grid: 3 workloads x 3 systems at tiny scale.
-
-    ``--backend NAME`` swaps the system trio for a single system (the
-    CI hybrid-smoke step runs it on ``hybrid-retcon`` alone), and
-    ``--check`` and the machine flags apply to every smoke point.
-    """
-    if args.backend:
-        spec = smoke_spec(systems=(args.backend,))
-    else:
-        spec = smoke_spec()
-    points = [
-        _point_from_args(
-            args, workload=p.workload, system=p.system, ncores=p.ncores,
-            seed=p.seed, scale=p.scale,
-        )
-        for p in spec.points()
-    ]
-    start = time.perf_counter()
-    results = run_points(points, **_engine_opts(args))
-    elapsed = time.perf_counter() - start
-    rows = []
-    ok = True
-    for point, result in results.items():
-        point_ok = (
-            result.check_ok if args.check else result.invariants_ok
-        )
-        ok = ok and point_ok
-        rows.append(
-            (
-                point.workload,
-                point.system,
-                f"{result.speedup:.2f}x",
-                result.aborts,
-                "ok" if point_ok else "FAILED",
-            )
-        )
-    print(f"smoke grid: {len(results)} points in {elapsed:.1f}s")
-    print(
-        format_table(
-            ["workload", "system", "speedup", "aborts",
-             "check" if args.check else "invariants"],
-            rows,
-        )
-    )
-    return 0 if ok else 1
 
 
 def _cmd_experiments(args) -> int:
@@ -805,16 +679,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     compare.add_argument("workload", choices=sorted(WORKLOADS))
     compare.add_argument(
-        "--systems", default="eager,lazy-vb,retcon",
-        help="comma-separated system list",
+        "--systems", default=fig.EVAL_SYSTEMS, type=_csv,
+        help="comma-separated system list "
+             f"(default {','.join(fig.EVAL_SYSTEMS)})",
     )
     _add_run_args(compare)
 
     figure = sub.add_parser(
         "figure",
-        help="regenerate a paper figure (1/2/3/4/9/10), the 'hybrid' "
-             "HyTM tradeoff table, the 'capacity' frontier table, or "
-             "the 'service' traffic table",
+        help="regenerate a record of the evaluation: "
+             + ", ".join(fig.FIGURES),
     )
     figure.add_argument("number")
     figure.add_argument(
@@ -829,7 +703,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     figure.add_argument(
         "--backends", default=fig.SERVICE_BACKENDS, metavar="A,B,...",
-        type=lambda text: tuple(text.split(",")),
+        type=_csv,
         help="comma-separated backend list for 'figure service' "
              "(default eager,retcon,hybrid-retcon)",
     )
@@ -857,12 +731,13 @@ def build_parser() -> argparse.ArgumentParser:
         "workload", nargs="?", default=None, choices=sorted(WORKLOADS),
     )
     sweep.add_argument(
-        "--systems", default="eager,retcon",
-        help="comma-separated system list",
+        "--systems", default=("eager", "retcon"), type=_csv,
+        help="comma-separated system list (default eager,retcon)",
     )
     sweep.add_argument(
-        "--core-counts", default="1,2,4,8,16,32",
-        help="comma-separated core counts",
+        "--core-counts", default=fig.DEFAULT_CORE_COUNTS,
+        type=lambda text: tuple(map(int, text.split(","))),
+        help="comma-separated core counts (default 1,2,4,8,16,32)",
     )
     sweep.add_argument("--scale", type=float, default=0.5)
     sweep.add_argument("--seed", type=int, default=1)
@@ -872,8 +747,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--backend", default=None, metavar="SYSTEM",
-        help="with --smoke: run the smoke workloads on this single "
-             "system instead of the default eager/lazy-vb/retcon trio",
+        help="sweep this single system instead of --systems (with "
+             "--smoke: instead of the eager/lazy-vb/retcon trio)",
     )
     sweep.add_argument(
         "--check", action="store_true",
@@ -1027,11 +902,11 @@ def build_parser() -> argparse.ArgumentParser:
 COMMANDS = {
     "list": _cmd_list,
     "run": _cmd_run,
-    "compare": _cmd_compare,
-    "figure": _cmd_figure,
-    "table": _cmd_table,
+    "compare": _show,
+    "figure": _show,
+    "table": _show,
     "experiments": _cmd_experiments,
-    "sweep": _cmd_sweep,
+    "sweep": _show,
     "check": _cmd_check,
     "fuzz": _cmd_fuzz,
     "trace": _cmd_trace,
@@ -1047,6 +922,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
+    except fig.PointFailed as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

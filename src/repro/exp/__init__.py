@@ -12,13 +12,7 @@ Three layers (see ``docs/experiment_engine.md``):
 """
 
 from repro.exp.cache import DEFAULT_CACHE_DIR, ResultCache
-from repro.exp.engine import (
-    resolve_jobs,
-    run_matrix,
-    run_points,
-    run_spec,
-    stderr_progress,
-)
+from repro.exp.engine import resolve_jobs, run_points, stderr_progress
 from repro.exp.spec import ExperimentSpec, Point, point_key, smoke_spec
 
 __all__ = [
@@ -28,9 +22,7 @@ __all__ = [
     "ResultCache",
     "point_key",
     "resolve_jobs",
-    "run_matrix",
     "run_points",
-    "run_spec",
     "smoke_spec",
     "stderr_progress",
 ]

@@ -39,8 +39,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
 from repro.exp.cache import ResultCache
-from repro.exp.spec import ExperimentSpec, Point
-from repro.sim.config import MachineConfig
+from repro.exp.spec import Point
 from repro.sim.runner import (
     WorkloadResult,
     generate_and_baseline,
@@ -343,41 +342,6 @@ def run_point_with_trace(point: Point, **engine_opts):
         EventStream.from_payload(payload),
         dict(payload.get("metrics", ())),
     )
-
-
-def run_spec(
-    spec: ExperimentSpec, **engine_opts
-) -> dict[Point, WorkloadResult]:
-    """Execute every point of *spec* (see :func:`run_points`)."""
-    return run_points(spec.points(), **engine_opts)
-
-
-def run_matrix(
-    workloads: Sequence[str],
-    systems: Sequence[str],
-    ncores: int = 32,
-    seed: int = 1,
-    scale: float = 1.0,
-    config: Optional[MachineConfig] = None,
-    **engine_opts,
-) -> dict[tuple[str, str], WorkloadResult]:
-    """The classic (workload, system) grid, keyed by name pairs.
-
-    ``engine_opts`` are :func:`run_points`'s; like it, this defaults
-    to every core — pass ``jobs=1`` to keep a library call serial.
-    """
-    by_point = run_points(
-        [
-            Point(workload, system, ncores, seed, scale, config)
-            for workload in workloads
-            for system in systems
-        ],
-        **engine_opts,
-    )
-    return {
-        (point.workload, point.system): result
-        for point, result in by_point.items()
-    }
 
 
 def stderr_progress(done: int, total: int, point: Point, status: str,

@@ -40,14 +40,48 @@ def test_a_failed_invariant_fails_an_unchecked_figure():
     from repro.workloads.base import InvariantResult
 
     figure = figures.FIGURES["9"]
-    labelled = figure.points(Point("", "", ncores=2, scale=0.05))
-    _label, point = labelled[0]
+    base = Point("", "", ncores=2, scale=0.05)
+    labelled = figure.points(base)[:1]
+    ((_label, point),) = labelled
     assert not point.check
     result = run_workload(
         point.workload, point.system, ncores=2, scale=0.05
     )
-    matrix = {(point.workload, point.system): result}
-    figure.collect(labelled, matrix=matrix)  # clean: renders
+    finished = {point: (result, {})}
+    figure.nest(labelled, finished, base)  # clean: renders
     result.invariants.append(InvariantResult("size", False, "44 != 52"))
-    with pytest.raises(AssertionError, match="44 != 52"):
-        figure.collect(labelled, matrix=matrix)
+    with pytest.raises(figures.PointFailed, match="44 != 52") as failure:
+        figure.nest(labelled, finished, base)
+    assert str(failure.value).startswith(point.label())
+
+
+def test_a_failed_point_exits_1_naming_it(monkeypatch, capsys):
+    """`figure`, `table`, `compare`, `sweep`, `sweep --smoke` and
+    `experiments` all fail the same way: no table, the point's label on
+    stderr, exit status 1."""
+    from repro.analysis import figures
+    from repro.workloads.base import InvariantResult
+
+    real = figures.iter_points
+
+    def break_retcon(points, **engine_opts):
+        for point, result, artifacts in real(points, **engine_opts):
+            if point.system == "retcon":
+                result.invariants.append(InvariantResult("size", False, "boom"))
+            yield point, result, artifacts
+
+    monkeypatch.setattr(figures, "iter_points", break_retcon)
+    tiny = ["--scale", "0.05", "--no-cache", "--jobs", "1"]
+    for argv in (
+        ["compare", "kmeans", "--cores", "2"],
+        ["sweep", "kmeans", "--core-counts", "1,2", "--check"],
+        ["sweep", "--smoke"],
+        ["table", "3", "--cores", "2"],
+        ["experiments", "--cores", "2", "-o", "unwritten.md"],
+    ):
+        assert main(argv + tiny) == 1, argv
+        captured = capsys.readouterr()
+        assert "/retcon ncores=" in captured.err and "boom" in captured.err
+        assert "speedup" not in captured.out
+    assert main(["compare", "kmeans", "--cores", "2", "--systems", "eager"]
+                + tiny) == 0

@@ -1,54 +1,28 @@
-"""Core-count sweep utilities."""
+"""The core-count sweep record (``repro sweep`` and the ``scaling``
+figure share its point builder and renderer)."""
 
-from repro.analysis.sweeps import (
-    core_sweep,
-    crossover_core_count,
-    format_sweep,
-)
+from repro.analysis.figures import SWEEP, run_pass
+from repro.exp.spec import Point
+
+
+def sweep(workload, scale, **options):
+    base = Point(workload, "", ncores=0, scale=scale)
+    labelled = SWEEP.points(base, **options)
+    return SWEEP.nest(labelled, run_pass([labelled]), base)
 
 
 class TestCoreSweep:
     def test_points_per_core_count(self):
-        points = core_sweep(
-            "kmeans", "eager", core_counts=(1, 2), scale=0.1
-        )
-        assert [p.ncores for p in points] == [1, 2]
-        assert all(p.speedup > 0 for p in points)
+        data = sweep("kmeans", 0.1, systems=("eager",), core_counts=(1, 2))
+        assert list(data["kmeans"]) == [1, 2]
+        assert all(row["eager"] > 0 for row in data["kmeans"].values())
 
     def test_single_core_near_unity(self):
-        (point,) = core_sweep(
-            "ssca2", "retcon", core_counts=(1,), scale=0.15
-        )
-        assert 0.85 < point.speedup < 1.15
-
-    def test_crossover_detects_retcon_advantage(self):
-        crossover = crossover_core_count(
-            "python_opt",
-            better="retcon",
-            worse="eager",
-            core_counts=(1, 4, 8),
-            advantage=1.5,
-            scale=0.15,
-        )
-        assert crossover in (4, 8)
-
-    def test_crossover_none_when_equivalent(self):
-        crossover = crossover_core_count(
-            "ssca2",
-            better="retcon",
-            worse="eager",
-            core_counts=(1, 2),
-            advantage=2.0,
-            scale=0.1,
-        )
-        assert crossover is None
+        data = sweep("ssca2", 0.15, systems=("retcon",), core_counts=(1,))
+        assert 0.85 < data["ssca2"][1]["retcon"] < 1.15
 
     def test_format_sweep(self):
-        curves = {
-            "eager": core_sweep(
-                "kmeans", "eager", core_counts=(1, 2), scale=0.1
-            )
-        }
-        text = format_sweep("kmeans", curves)
-        assert "kmeans" in text
-        assert "cores" in text
+        data = sweep("kmeans", 0.1, systems=("eager",), core_counts=(1, 2))
+        text = SWEEP.render(data, 0)
+        assert text.splitlines()[0] == "kmeans"
+        assert "cores" in text and "eager" in text

@@ -9,9 +9,7 @@ import pytest
 from repro.exp.cache import ResultCache
 from repro.exp.engine import (
     resolve_jobs,
-    run_matrix,
     run_points,
-    run_spec,
     run_tasks,
 )
 from repro.exp.spec import ExperimentSpec, Point
@@ -37,12 +35,12 @@ def serialized(results) -> list[str]:
 
 @pytest.fixture(scope="module")
 def serial_results():
-    return run_spec(GRID, jobs=1)
+    return run_points(GRID.points(), jobs=1)
 
 
 class TestDeterminism:
     def test_parallel_matches_serial_byte_for_byte(self, serial_results):
-        parallel = run_spec(GRID, jobs=4)
+        parallel = run_points(GRID.points(), jobs=4)
         assert list(parallel) == list(serial_results)
         assert serialized(parallel) == serialized(serial_results)
 
@@ -123,14 +121,14 @@ class TestCacheIntegration:
     def test_second_run_is_all_hits(self, tmp_path, serial_results):
         cache = ResultCache(tmp_path)
         statuses = []
-        first = run_spec(
-            GRID, jobs=1, cache=cache,
+        first = run_points(
+            GRID.points(), jobs=1, cache=cache,
             progress=lambda d, t, p, status, s: statuses.append(status),
         )
         assert statuses == ["ran"] * len(GRID)
         statuses.clear()
-        second = run_spec(
-            GRID, jobs=1, cache=cache,
+        second = run_points(
+            GRID.points(), jobs=1, cache=cache,
             progress=lambda d, t, p, status, s: statuses.append(status),
         )
         assert statuses == ["cached"] * len(GRID)
@@ -139,11 +137,11 @@ class TestCacheIntegration:
 
     def test_parallel_run_populates_cache(self, tmp_path):
         cache = ResultCache(tmp_path)
-        run_spec(GRID, jobs=4, cache=cache)
+        run_points(GRID.points(), jobs=4, cache=cache)
         assert len(cache) == len(GRID)
         statuses = []
-        run_spec(
-            GRID, jobs=4, cache=cache,
+        run_points(
+            GRID.points(), jobs=4, cache=cache,
             progress=lambda d, t, p, status, s: statuses.append(status),
         )
         assert statuses == ["cached"] * len(GRID)
@@ -162,8 +160,8 @@ class TestCacheIntegration:
 
     def test_progress_counts_reach_total(self, tmp_path):
         seen = []
-        run_spec(
-            GRID, jobs=1,
+        run_points(
+            GRID.points(), jobs=1,
             progress=lambda d, t, p, status, s: seen.append((d, t)),
         )
         assert seen[-1] == (len(GRID), len(GRID))
@@ -172,16 +170,15 @@ class TestCacheIntegration:
 
 class TestRunMatrix:
     def test_matrix_keys_and_sharing(self):
-        matrix = run_matrix(
-            ("kmeans",), ("eager", "retcon"), ncores=2, scale=0.05
-        )
-        assert set(matrix) == {
-            ("kmeans", "eager"), ("kmeans", "retcon")
-        }
-        assert (
-            matrix[("kmeans", "eager")].seq_cycles
-            == matrix[("kmeans", "retcon")].seq_cycles
-        )
+        """The (workload, system) grid, as the registry spells it: the
+        `compare` record's points through one shared pass."""
+        from repro.analysis.figures import COMPARE, collect
+
+        base = Point("kmeans", "", ncores=2, scale=0.05)
+        (matrix,) = collect({"compare": COMPARE}, base).values()
+        assert set(matrix) == {"eager", "lazy-vb", "retcon"}
+        assert {r.workload for r in matrix.values()} == {"kmeans"}
+        assert len({r.seq_cycles for r in matrix.values()}) == 1
 
 
 def _square(value: int) -> int:
