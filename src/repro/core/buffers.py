@@ -7,7 +7,8 @@
   equality constraints") and a written bit (§4.4, "Avoidance of
   upgrade misses during pre-commit").
 * :class:`SymbolicStoreBuffer` — unordered, address-indexed; each entry
-  holds the store's concrete value and its symbolic value (if any).
+  holds the store's concrete value (what memory would hold: narrowed
+  to the store's width) and its symbolic value (if any).
 * :class:`SymbolicRegisterFile` — the current symbolic value (if any)
   of each architectural register.
 * :class:`ConditionCodes` — the condition-code register extended with a
@@ -22,6 +23,7 @@ from typing import Iterator, Optional
 from repro.isa.instructions import Cond
 from repro.isa.registers import NUM_REGS
 from repro.mem.address import BLOCK_SIZE, WORD_SIZE, block_base
+from repro.mem.memory import narrow
 from repro.core.symvalue import SymValue
 
 #: Paper Table 1 capacities — the single source of truth for the
@@ -130,7 +132,9 @@ class SSBEntry:
 
     addr: int
     size: int
-    value: int  # concrete value at store time
+    #: concrete value at store time, as a load of the stored bytes
+    #: would return it (signed, ``size`` bytes)
+    value: int
     sym: Optional[SymValue] = None
 
     @property
@@ -248,8 +252,8 @@ class SymbolicStoreBuffer:
         """Insert or replace the entry at *addr*.
 
         The engine resolves overlaps before calling; here an exact
-        address match replaces, and capacity is enforced for new
-        entries.
+        address match replaces, capacity is enforced for new entries,
+        and *value* is narrowed to the store's width.
         """
         existing = self.entries_by_addr.get(addr)
         if existing is None:
@@ -265,7 +269,7 @@ class SymbolicStoreBuffer:
                 starts[region] = {addr}
             else:
                 members.add(addr)
-        entry = SSBEntry(addr=addr, size=size, value=value, sym=sym)
+        entry = SSBEntry(addr, size, narrow(value, size), sym)
         self.entries_by_addr[addr] = entry
         n = len(self.entries_by_addr)
         if n > self.peak:

@@ -43,7 +43,7 @@ from repro.core.constraints import (
 from repro.core.predictor import ConflictPredictor
 from repro.core.symvalue import Root, SymValue, sym_root
 from repro.isa.instructions import TRACKABLE_OPS, Cond, negate_cond
-from repro.mem.address import block_base, block_of
+from repro.mem.address import WORD_SIZE, block_base, block_of
 
 
 class CapacityAbort(Exception):
@@ -212,75 +212,67 @@ class RetconEngine:
     # ------------------------------------------------------------------
     # Loads (Figure 6, left)
     # ------------------------------------------------------------------
-    def load_tracked(
-        self, addr: int, size: int
+    def _overlay(self, raw: bytearray, lo: int, entries) -> int:
+        """Lay *entries*' bytes over *raw* (the bytes of ``[lo,
+        lo+len(raw))``) in order, pinning every symbolic value
+        involved: §4.3's "too complex" store-load communication is
+        composed concretely.  Returns the number of bytes laid."""
+        hi = lo + len(raw)
+        laid = 0
+        for ssb_entry in entries:
+            self.equality_constrain_sym(ssb_entry.sym)
+            start = max(ssb_entry.addr, lo)
+            stop = min(ssb_entry.end, hi)
+            raw[start - lo : stop - lo] = ssb_entry.value_bytes()[
+                start - ssb_entry.addr : stop - ssb_entry.addr
+            ]
+            laid += stop - start
+        return laid
+
+    def load(
+        self, addr: int, size: int, memory_bytes: Optional[bytes] = None
     ) -> tuple[int, Optional[SymValue]]:
-        """Load from a tracked block: SSB bypass, else initial value.
+        """The one read through the SSB: ``(value, symbolic value)``.
 
-        Returns ``(concrete value, symbolic value or None)``.
+        With ``memory_bytes=None`` the block is tracked and the bytes
+        under the buffer are its initial value (reading them mints or
+        pins a root).  Otherwise the range is untracked (or straddles
+        blocks), the caller found an SSB overlap, and ``memory_bytes``
+        is its current memory content.
         """
-        exact = self.ssb.lookup(addr, size)
-        if exact is not None:
-            # Symbolic store-to-load bypass: copy the symbolic value,
-            # collapsing the store-load dependence (§4.3).
-            return exact.value, exact.sym
+        # (ssb.lookup, inlined: this is RetconTMSystem.load's hot path)
+        exact = self.ssb.entries_by_addr.get(addr)
+        if exact is not None and exact.size == size:
+            # Store-to-load bypass (§4.3).  A sub-word reload is the
+            # sign-extended low bytes of [root]+delta, which stops
+            # being [root]+delta once repair moves the root out of the
+            # store's range: forward the concrete value and pin.
+            sym = exact.sym
+            if sym is not None and size != WORD_SIZE:
+                self.equality_constrain(sym.root)
+                sym = None
+            return exact.value, sym
 
         overlaps = self.ssb.overlapping(addr, size)
-        entry = self.ivb.get(block_of(addr))
-        if entry is None:  # pragma: no cover - caller guarantees
-            raise RuntimeError("load_tracked on untracked block")
-
-        if not overlaps:
-            value = entry.read_initial(addr, size)
-            if not self.symbolic_arithmetic:
-                # lazy-vb: validate-only, no symbolic repair.
+        if memory_bytes is not None:
+            raw = bytearray(memory_bytes)
+            self._overlay(raw, addr, overlaps)
+        else:
+            entry = self.ivb.get(block_of(addr))
+            if entry is None:  # pragma: no cover - caller guarantees
+                raise RuntimeError("tracked load of an untracked block")
+            if not overlaps:
+                value = entry.read_initial(addr, size)
+                if not self.symbolic_arithmetic:
+                    # lazy-vb: validate-only, no symbolic repair.
+                    entry.mark_equality(addr, size)
+                    return value, None
+                return value, sym_root(addr, size)
+            raw = bytearray(entry.read_initial_bytes(addr, size))
+            if self._overlay(raw, addr, overlaps) < size:
+                # Some bytes came from the initial value: pin them.
                 entry.mark_equality(addr, size)
-                return value, None
-            return value, sym_root(addr, size)
-
-        # Partial store-load communication: compose bytes concretely and
-        # equality-constrain everything involved (§4.3).
-        raw = bytearray(entry.read_initial_bytes(addr, size))
-        covered = [False] * size
-        for ssb_entry in overlaps:
-            self.equality_constrain_sym(ssb_entry.sym)
-            data = ssb_entry.value_bytes()
-            for i in range(ssb_entry.size):
-                pos = ssb_entry.addr + i - addr
-                if 0 <= pos < size:
-                    raw[pos] = data[i]
-                    covered[pos] = True
-        if not all(covered):
-            # Some bytes came from the initial value: pin them.
-            entry.mark_equality(addr, size)
-        value = int.from_bytes(bytes(raw), "little", signed=True)
-        return value, None
-
-    def load_untracked_with_ssb(
-        self, addr: int, size: int, memory_bytes: bytes
-    ) -> tuple[int, Optional[SymValue], bool]:
-        """Load from an *untracked* block that may hit the SSB.
-
-        ``memory_bytes`` is the current memory content of the range.
-        Returns ``(value, sym, hit)``; when ``hit`` is False the caller
-        performs a normal cached load instead.
-        """
-        exact = self.ssb.lookup(addr, size)
-        if exact is not None:
-            return exact.value, exact.sym, True
-        overlaps = self.ssb.overlapping(addr, size)
-        if not overlaps:
-            return 0, None, False
-        raw = bytearray(memory_bytes)
-        for ssb_entry in overlaps:
-            self.equality_constrain_sym(ssb_entry.sym)
-            data = ssb_entry.value_bytes()
-            for i in range(ssb_entry.size):
-                pos = ssb_entry.addr + i - addr
-                if 0 <= pos < size:
-                    raw[pos] = data[i]
-        value = int.from_bytes(bytes(raw), "little", signed=True)
-        return value, None, True
+        return int.from_bytes(raw, "little", signed=True), None
 
     # ------------------------------------------------------------------
     # Stores (Figure 6, right)
@@ -302,44 +294,36 @@ class RetconEngine:
         """
         if not self.symbolic_arithmetic:
             sym = None
-        exact = self.ssb.lookup(addr, size)
-        if exact is not None:
-            self.ssb.put(addr, size, value, sym)
-            return
-
-        overlaps = self.ssb.overlapping(addr, size)
-        if not overlaps:
-            try:
-                self.ssb.put(addr, size, value, sym)
-            except SymbolicStoreBufferFull as exc:
-                raise CapacityAbort(
-                    "symbolic store buffer full", structure="ssb",
-                    addr=addr,
-                ) from exc
-            return
-
-        # Partial overlap: merge into non-overlapping concrete entries.
-        self.equality_constrain_sym(sym)
-        lo = min(addr, min(e.addr for e in overlaps))
-        hi = max(addr + size, max(e.end for e in overlaps))
-        raw = bytearray(underlying_bytes(lo, hi - lo))
-        for ssb_entry in overlaps:
-            self.equality_constrain_sym(ssb_entry.sym)
-            raw[ssb_entry.addr - lo : ssb_entry.end - lo] = (
-                ssb_entry.value_bytes()
-            )
-            self.ssb.remove(ssb_entry.addr)
-        mask = (1 << (8 * size)) - 1
-        raw[addr - lo : addr + size - lo] = (value & mask).to_bytes(
-            size, "little"
-        )
+        ssb = self.ssb
         try:
-            for chunk_start in range(lo, hi, 8):
-                chunk = bytes(raw[chunk_start - lo : chunk_start - lo + 8])
-                self.ssb.put(
-                    chunk_start,
+            exact = ssb.lookup(addr, size) is not None
+            overlaps = [] if exact else ssb.overlapping(addr, size)
+            if not overlaps:
+                entry = ssb.put(addr, size, value, sym)
+                if sym is not None and entry.value != value:
+                    # The store truncated [root]+delta: the entry holds
+                    # what memory would, which only the pinned root
+                    # reproduces.
+                    self.equality_constrain(sym.root)
+                    entry.sym = None
+                return
+
+            # Partial overlap: merge into non-overlapping concrete
+            # entries, this store last.
+            lo = min(addr, overlaps[0].addr)
+            hi = max(addr + size, overlaps[-1].end)
+            raw = bytearray(underlying_bytes(lo, hi - lo))
+            self._overlay(
+                raw, lo, [*overlaps, SSBEntry(addr, size, value, sym)]
+            )
+            for ssb_entry in overlaps:
+                ssb.remove(ssb_entry.addr)
+            for start in range(0, hi - lo, WORD_SIZE):
+                chunk = raw[start : start + WORD_SIZE]
+                ssb.put(
+                    lo + start,
                     len(chunk),
-                    int.from_bytes(chunk, "little", signed=True),
+                    int.from_bytes(chunk, "little"),
                     None,
                 )
         except SymbolicStoreBufferFull as exc:

@@ -24,6 +24,7 @@ from repro.htm.system import (
     _STORE_HIT,
 )
 from repro.mem.address import blocks_spanned
+from repro.mem.memory import WriteBuffer
 
 
 class LazyTMSystem(BaseTMSystem):
@@ -32,22 +33,13 @@ class LazyTMSystem(BaseTMSystem):
         self._read_sets: list[set[int]] = [
             set() for _ in range(config.ncores)
         ]
-        self._write_buffers: list[dict[int, tuple[int, int]]] = [
-            {} for _ in range(config.ncores)
-        ]
-        #: write-set blocks, maintained only under a write-set bound
-        #: (the write buffer is addr-keyed, so block counting would
-        #: otherwise cost a scan per store)
-        self._write_blocks: list[set[int]] = [
-            set() for _ in range(config.ncores)
-        ]
+        self._write_buffers = [WriteBuffer() for _ in range(config.ncores)]
 
     # ------------------------------------------------------------------
     def begin(self, core: int, restart: bool = False) -> None:
         super().begin(core, restart)
         self._read_sets[core].clear()
         self._write_buffers[core].clear()
-        self._write_blocks[core].clear()
 
     def _rollback(self, core: int, reason: str, remote: bool) -> None:
         # Clear after the base body: it observes set occupancy while
@@ -55,37 +47,12 @@ class LazyTMSystem(BaseTMSystem):
         super()._rollback(core, reason, remote)
         self._read_sets[core].clear()
         self._write_buffers[core].clear()
-        self._write_blocks[core].clear()
 
     def _observe_occupancy(self, core: int) -> None:
         self._h_read_set.observe(len(self._read_sets[core]))
-        buffer = self._write_buffers[core]
-        self._h_write_set.observe(len({
-            block
-            for addr, (size, _value) in buffer.items()
-            for block in blocks_spanned(addr, size)
-        }))
+        self._h_write_set.observe(len(self._write_buffers[core].blocks()))
 
     # ------------------------------------------------------------------
-    def _compose(self, core: int, addr: int, size: int) -> int:
-        """Read through the write buffer over current memory bytes."""
-        raw = bytearray(self.memory.read_bytes(addr, size))
-        buffer = self._write_buffers[core]
-        for start in range(addr - 7, addr + size):
-            entry = buffer.get(start)
-            if entry is None:
-                continue
-            esize, evalue = entry
-            if start + esize <= addr or start >= addr + size:
-                continue
-            mask = (1 << (8 * esize)) - 1
-            data = (evalue & mask).to_bytes(esize, "little")
-            for i in range(esize):
-                pos = start + i - addr
-                if 0 <= pos < size:
-                    raw[pos] = data[i]
-        return int.from_bytes(bytes(raw), "little", signed=True)
-
     def load(self, core: int, addr: int, size: int) -> LoadResult:
         ctx = self.ctx[core]
         if not ctx.active:
@@ -102,9 +69,10 @@ class LazyTMSystem(BaseTMSystem):
                 self._capacity_abort_structure(core, "read_set", block)
             outcome = self.fabric.acquire(core, block, write=False)
             latency += outcome.latency
-        return LoadResult(
-            value=self._compose(core, addr, size), latency=latency
+        value = self._write_buffers[core].read(
+            addr, size, self.memory.read_bytes(addr, size)
         )
+        return LoadResult(value=value, latency=latency)
 
     def store(
         self,
@@ -117,43 +85,36 @@ class LazyTMSystem(BaseTMSystem):
         ctx = self.ctx[core]
         if not ctx.active:
             return super().store(core, addr, size, value)
-        self._write_buffers[core][addr] = (size, value)
-        if self._ws_limit is not None and not ctx.overflowed:
-            blocks = self._write_blocks[core]
-            for block in blocks_spanned(addr, size):
-                blocks.add(block)
-                if len(blocks) > self._ws_limit:
-                    self._capacity_abort_structure(
-                        core, "write_set", block
-                    )
+        buffer = self._write_buffers[core]
+        buffer.write(addr, size, value)
+        if (
+            self._ws_limit is not None
+            and not ctx.overflowed
+            and len(buffer.blocks()) > self._ws_limit
+        ):
+            self._capacity_abort_structure(
+                core, "write_set", blocks_spanned(addr, size)[-1]
+            )
         return _STORE_HIT
 
     # ------------------------------------------------------------------
     def _pre_commit(self, core: int) -> CommitResult:
         buffer = self._write_buffers[core]
-        write_blocks = {
-            block
-            for addr, (size, _value) in buffer.items()
-            for block in blocks_spanned(addr, size)
-        }
+        write_blocks = buffer.blocks()
         # Committer wins: abort every conflicting in-flight transaction.
         for other in range(self.config.ncores):
             if other == core or not self.ctx[other].active:
                 continue
-            other_writes = {
-                block
-                for addr, (size, _v) in self._write_buffers[other].items()
-                for block in blocks_spanned(addr, size)
-            }
-            if write_blocks & (self._read_sets[other] | other_writes):
+            if write_blocks & (
+                self._read_sets[other] | self._write_buffers[other].blocks()
+            ):
                 self._doom(other, reason="conflict")
 
         latency = 0
         for block in sorted(write_blocks):
             outcome = self.fabric.acquire(core, block, write=True)
             latency += outcome.latency
-        for addr, (size, value) in buffer.items():
-            self.memory.write(addr, value, size)
+        self.memory.write_runs(buffer.runs())
         # Sets are left intact so commit() can observe their occupancy;
         # begin() clears them before the next transaction.
         return CommitResult(latency=latency)

@@ -357,8 +357,11 @@ class BaseTMSystem:
 
     def _doom(self, core: int, reason: str) -> None:
         """Abort a remote core's transaction: restore state now, let its
-        interpreter notice at its next step."""
-        if self.ctx[core].active:
+        interpreter notice at its next step.  Idempotent: an attempt
+        stays active until it polls its doom, and is rolled back (and
+        counted) once."""
+        ctx = self.ctx[core]
+        if ctx.active and not ctx.doomed:
             self._rollback(core, reason, remote=True)
 
     def _abort_self(self, core: int, reason: str) -> None:
@@ -810,19 +813,10 @@ class RetconTMSystem(BaseTMSystem):
         if fits:
             entry = engine.ivb.entries_by_block.get(block)
             if entry is not None:
-                ssb_entries = engine.ssb.entries_by_addr
-                if ssb_entries:
-                    # Store-to-load bypass probe inline; anything more
-                    # involved (overlap merges) goes through the full
-                    # tracked-load path.
-                    exact = ssb_entries.get(addr)
-                    if exact is not None and exact.size == size:
-                        return LoadResult(
-                            value=exact.value, latency=1, sym=exact.sym
-                        )
-                    value, sym = engine.load_tracked(addr, size)
+                if engine.ssb.entries_by_addr:
+                    value, sym = engine.load(addr, size)
                     return LoadResult(value=value, latency=1, sym=sym)
-                # Empty SSB: load_tracked's no-overlap arm, inlined.
+                # Empty SSB: engine.load's no-overlap arm, inlined.
                 value = entry.read_initial(addr, size)
                 if not engine.symbolic_arithmetic:
                     entry.mark_equality(addr, size)
@@ -834,16 +828,15 @@ class RetconTMSystem(BaseTMSystem):
         # A symbolic store may have gone to an untracked address; the
         # SSB is checked in parallel with the cache for every load.
         if engine.ssb.entries_by_addr and engine.has_ssb_overlap(addr, size):
-            value, sym, hit = engine.load_untracked_with_ssb(
+            value, sym = engine.load(
                 addr, size, self.memory.read_bytes(addr, size)
             )
-            if hit:
-                return LoadResult(value=value, latency=1, sym=sym)
+            return LoadResult(value=value, latency=1, sym=sym)
 
         if fits and block not in ctx.block_mode:
             fetch = self._try_start_tracking(core, addr, size)
             if fetch >= 0:
-                value, sym = engine.load_tracked(addr, size)
+                value, sym = engine.load(addr, size)
                 return LoadResult(value=value, latency=fetch, sym=sym)
 
         return super().load(core, addr, size)

@@ -2,9 +2,11 @@
 
 The data always lives in :class:`~repro.mem.memory.MainMemory` (eager
 version management keeps speculative stores in place, guarded by the
-undo log).  Caches model only tags, coherence permissions, speculative
-read/written bits, and LRU state — they are used for latency charging
-and conflict detection, never as a second copy of the data.
+undo log; lazy version management holds them in a
+:class:`~repro.mem.memory.WriteBuffer` until commit).  Caches model
+only tags, coherence permissions, speculative read/written bits, and
+LRU state — they are used for latency charging and conflict detection,
+never as a second copy of the data.
 """
 
 from repro.mem.address import (
@@ -18,7 +20,7 @@ from repro.mem.address import (
 )
 from repro.mem.allocator import BumpAllocator
 from repro.mem.cache import CacheLine, PermissionsOnlyCache, SetAssocCache
-from repro.mem.memory import MainMemory
+from repro.mem.memory import MainMemory, WriteBuffer, narrow
 
 __all__ = [
     "BLOCK_SIZE",
@@ -29,6 +31,8 @@ __all__ = [
     "blocks_spanned",
     "word_index",
     "MainMemory",
+    "WriteBuffer",
+    "narrow",
     "BumpAllocator",
     "SetAssocCache",
     "PermissionsOnlyCache",

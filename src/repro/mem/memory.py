@@ -4,6 +4,12 @@ Memory is stored as a sparse map from block number to a 64-byte
 ``bytearray``.  Integer reads and writes use little-endian encoding;
 reads sign-extend (the workloads use signed counters, e.g. reference
 counts that are decremented).
+
+:class:`WriteBuffer` is the same encoding held privately: lazy version
+management (the STM slow path, plain LazyTM) beside the eager
+:class:`repro.htm.versioning.UndoLog`.  :func:`narrow` is the rule both
+share with the RETCON store buffer — a buffered store holds what
+memory would hold.
 """
 
 from __future__ import annotations
@@ -18,6 +24,14 @@ _VALID_SIZES = (1, 2, 4, 8)
 _BLOCK_SHIFT = BLOCK_SIZE.bit_length() - 1
 _BLOCK_MASK = BLOCK_SIZE - 1
 assert 1 << _BLOCK_SHIFT == BLOCK_SIZE
+
+
+def narrow(value: int, size: int) -> int:
+    """The integer a *size*-byte store of *value* reads back as:
+    truncated to the low *size* bytes, then sign-extended."""
+    bits = 8 * size
+    value &= (1 << bits) - 1
+    return value - (1 << bits) if value >> (bits - 1) else value
 
 
 class MainMemory:
@@ -114,6 +128,13 @@ class MainMemory:
             return
         self.write_bytes(addr, (value & mask).to_bytes(size, "little"))
 
+    def write_runs(self, runs) -> None:
+        """Write ``(addr, size, value)`` runs of any length (a drained
+        :class:`WriteBuffer`, or a commit plan made from one)."""
+        for addr, size, value in runs:
+            mask = (1 << (8 * size)) - 1
+            self.write_bytes(addr, (value & mask).to_bytes(size, "little"))
+
     # -- copying ----------------------------------------------------------
     def clone(self) -> "MainMemory":
         """Return an independent copy (same contents, separate storage).
@@ -134,3 +155,61 @@ class MainMemory:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"MainMemory({len(self._blocks)} blocks)"
+
+
+class WriteBuffer:
+    """Byte-granular private write buffer: a transaction's stores in
+    program order, overlaid on memory until they drain."""
+
+    __slots__ = ("_bytes", "_blocks")
+
+    def __init__(self) -> None:
+        self._bytes: dict[int, int] = {}
+        self._blocks: set[int] = set()
+
+    def clear(self) -> None:
+        self._bytes.clear()
+        self._blocks.clear()
+
+    def write(self, addr: int, size: int, value: int) -> None:
+        """Buffer a *size*-byte store, truncated as memory would."""
+        data = (value & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
+        buffered = self._bytes
+        for i, byte in enumerate(data):
+            buffered[addr + i] = byte
+        blocks = self._blocks
+        blocks.add(addr >> _BLOCK_SHIFT)
+        blocks.add((addr + size - 1) >> _BLOCK_SHIFT)
+
+    def read(self, addr: int, size: int, under_bytes: bytes) -> int:
+        """Read a signed integer through the buffer; *under_bytes* are
+        the memory bytes of the range, seen where nothing is buffered."""
+        buffered = self._bytes
+        if buffered:
+            raw = bytearray(under_bytes)
+            for i in range(size):
+                byte = buffered.get(addr + i)
+                if byte is not None:
+                    raw[i] = byte
+            under_bytes = raw
+        return int.from_bytes(under_bytes, "little", signed=True)
+
+    def runs(self) -> list[tuple[int, int, int]]:
+        """The buffered image as maximal contiguous ``(addr, size,
+        little-endian value)`` runs, in address order."""
+        buffered = self._bytes
+        runs: list[tuple[int, int, int]] = []
+        addrs = sorted(buffered)
+        i, n = 0, len(addrs)
+        while i < n:
+            j = i + 1
+            while j < n and addrs[j] == addrs[j - 1] + 1:
+                j += 1
+            data = bytes(buffered[a] for a in addrs[i:j])
+            runs.append((addrs[i], j - i, int.from_bytes(data, "little")))
+            i = j
+        return runs
+
+    def blocks(self) -> set[int]:
+        """Block numbers with buffered bytes (live: do not mutate)."""
+        return self._blocks

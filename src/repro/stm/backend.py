@@ -79,6 +79,7 @@ from repro.htm.system import (
     StoreResult,
 )
 from repro.mem.address import BLOCK_SIZE, block_of
+from repro.mem.memory import WriteBuffer
 from repro.stm.metadata import StmMetadata
 
 
@@ -86,10 +87,8 @@ from repro.stm.metadata import StmMetadata
 class _StmTxn:
     """Per-attempt software transaction state."""
 
-    #: private write buffer, byte addr -> byte value (lazy versioning)
-    wbuf: dict[int, int] = field(default_factory=dict)
-    #: data blocks with buffered writes
-    write_blocks: set[int] = field(default_factory=set)
+    #: private write buffer (lazy versioning)
+    wbuf: WriteBuffer = field(default_factory=WriteBuffer)
     #: optimistic read set: orec version-word addr -> version at first read
     read_orecs: dict[int, int] = field(default_factory=dict)
     #: orecs covering the write set (bumped at publish)
@@ -102,23 +101,6 @@ class _StmTxn:
     pessimistic: bool = False
     #: progressive fallback: holds the global fallback token
     holds_token: bool = False
-
-
-def _coalesce(wbuf: dict[int, int]) -> list[tuple[int, int, int]]:
-    """Collapse a byte write buffer into maximal contiguous
-    (addr, size, little-endian value) runs, in address order."""
-    stores: list[tuple[int, int, int]] = []
-    addrs = sorted(wbuf)
-    i, n = 0, len(addrs)
-    while i < n:
-        start = addrs[i]
-        j = i + 1
-        while j < n and addrs[j] == addrs[j - 1] + 1:
-            j += 1
-        data = bytes(wbuf[a] for a in addrs[i:j])
-        stores.append((start, len(data), int.from_bytes(data, "little")))
-        i = j
-    return stores
 
 
 class STMMixin:
@@ -316,14 +298,7 @@ class STMMixin:
                 self._stm_data_conflict(core, blk, set(writers))
             latency += fabric.acquire(core, blk, write=False).latency
             latency += self._orec_read(core, txn, blk)
-        raw = bytearray(self.memory.read_bytes(addr, size))
-        if txn.wbuf:
-            wbuf = txn.wbuf
-            for i in range(size):
-                byte = wbuf.get(addr + i)
-                if byte is not None:
-                    raw[i] = byte
-        value = int.from_bytes(raw, "little", signed=True)
+        value = txn.wbuf.read(addr, size, self.memory.read_bytes(addr, size))
         return LoadResult(value=value, latency=latency)
 
     def _stm_store(
@@ -335,20 +310,17 @@ class STMMixin:
         cost = cfg.stm_write_barrier_instrs
         txn.barrier_instrs += cost
         latency += cost
-        data = (value & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
-        wbuf = txn.wbuf
-        for i, byte in enumerate(data):
-            wbuf[addr + i] = byte
+        write_blocks = txn.wbuf.blocks()
         first = addr // BLOCK_SIZE
         last = (addr + size - 1) // BLOCK_SIZE
         for blk in range(first, last + 1):
-            if blk in txn.write_blocks:
+            if blk in write_blocks:
                 continue
-            txn.write_blocks.add(blk)
             orec = self.meta.orec_addr(blk)
             txn.write_orecs.add(orec)
             if txn.pessimistic and orec not in txn.owned_orecs:
                 latency += self._own_orec(core, txn, orec)
+        txn.wbuf.write(addr, size, value)
         return StoreResult(latency=latency)
 
     def _orec_read(self, core: int, txn: _StmTxn, blk: int) -> int:
@@ -385,16 +357,11 @@ class STMMixin:
         """
         if self._stm_txns[core].pessimistic:
             for holder in sorted(writers):
-                if holder != core and self.ctx[holder].active:
-                    self._doom_htm(holder)
+                if holder != core:
+                    self._doom(holder, reason="subscription")
         else:
             self._resolve(core, blk, writers)
             self._check_self_doom(core)
-
-    def _doom_htm(self, victim: int) -> None:
-        self._doom(victim, reason="subscription")
-        if self.metrics is not None:
-            self._m_stm_subscriptions.inc()
 
     # ------------------------------------------------------------------
     # Commit
@@ -442,8 +409,6 @@ class STMMixin:
         mem = self.memory
         for orec in {meta.orec_addr(b) for b in blocks}:
             if mem.read(meta.owner_addr(orec), 8) != 0:
-                if self.metrics is not None:
-                    self._m_stm_subscriptions.inc()
                 self._abort_self(core, reason="subscription")
 
     def _htm_publish(self, core: int, blocks: set[int]) -> int:
@@ -489,7 +454,7 @@ class STMMixin:
 
         # The STM analogue of RETCON's plan: just the buffered stores,
         # no reacquires or register repairs.
-        plan = CommitPlan(stores=_coalesce(txn.wbuf))
+        plan = CommitPlan(stores=txn.wbuf.runs())
         if self.fault_injector is not None:
             self.fault_injector.fire("stm-commit", None, plan)
         if self.oracle is not None:
@@ -522,9 +487,8 @@ class STMMixin:
                         and octx.active
                         and not octx.stm
                         and octx.subscribed
-                        and not octx.doomed
                     ):
-                        self._doom_htm(other)
+                        self._doom(other, reason="subscription")
             # Publish: write buffer -> memory (block acquires charged),
             # then write-set orec bumps, then the global clock.
             for blk in sorted(
@@ -534,13 +498,7 @@ class STMMixin:
                 latency += max(1, outcome.latency)
                 if outcome.invalidated:
                     self._notify_trackers(core, blk, outcome.invalidated)
-            for addr, size, value in plan.stores:
-                mem.write_bytes(
-                    addr,
-                    (value & ((1 << (8 * size)) - 1)).to_bytes(
-                        size, "little"
-                    ),
-                )
+            mem.write_runs(plan.stores)
             cost = len(txn.write_orecs) * cfg.stm_commit_instrs
             txn.barrier_instrs += cost
             latency += cost
@@ -607,6 +565,8 @@ class STMMixin:
         ctx = self.ctx[core]
         was_stm = ctx.active and ctx.stm
         super()._rollback(core, reason, remote)
+        if reason == "subscription" and self.metrics is not None:
+            self._m_stm_subscriptions.inc()
         if was_stm:
             self._stm_abort_flush(core)
 

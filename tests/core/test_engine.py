@@ -39,7 +39,7 @@ def track(engine, block, **words):
 class TestLoadPaths:
     def test_initial_symbolic_load(self, engine):
         base = track(engine, 4, w0=5)
-        value, sym = engine.load_tracked(base, 8)
+        value, sym = engine.load(base, 8)
         assert value == 5
         assert sym == SymValue(base, 8, 0)
 
@@ -47,7 +47,7 @@ class TestLoadPaths:
         base = track(engine, 4, w0=5)
         sym = SymValue(base, 8, 1)
         engine.store_buffered(base + 16, 8, 6, sym, lambda a, s: bytes(s))
-        value, got = engine.load_tracked(base + 16, 8)
+        value, got = engine.load(base + 16, 8)
         assert value == 6
         assert got == sym  # copied, not re-rooted (§4.3 flattening)
 
@@ -55,7 +55,7 @@ class TestLoadPaths:
         engine = RetconEngine(symbolic_arithmetic=False)
         engine.begin_txn()
         base = track(engine, 4, w0=5)
-        value, sym = engine.load_tracked(base, 8)
+        value, sym = engine.load(base, 8)
         assert value == 5
         assert sym is None
         assert engine.ivb.get(4).equality_words == {0}
@@ -66,7 +66,7 @@ class TestLoadPaths:
         engine.store_buffered(
             base, 4, 0x22222222, None, lambda a, s: bytes(s)
         )
-        value, sym = engine.load_tracked(base, 8)
+        value, sym = engine.load(base, 8)
         assert sym is None
         assert value == 0x1111111122222222
         # The bytes read from the initial value are pinned.
@@ -76,16 +76,12 @@ class TestLoadPaths:
         base = track(engine, 4, w0=5)
         sym = SymValue(base, 8, 2)
         engine.store_buffered(0x5000, 8, 7, sym, lambda a, s: bytes(s))
-        value, got, hit = engine.load_untracked_with_ssb(
-            0x5000, 8, b"\x00" * 8
-        )
-        assert hit and value == 7 and got == sym
+        value, got = engine.load(0x5000, 8, b"\x00" * 8)
+        assert value == 7 and got == sym
 
     def test_untracked_load_without_ssb_misses(self, engine):
-        value, sym, hit = engine.load_untracked_with_ssb(
-            0x6000, 8, b"\x00" * 8
-        )
-        assert not hit
+        # The SSB holds nothing there: the memory bytes read through.
+        assert engine.load(0x6000, 8, b"\x09" + b"\x00" * 7) == (9, None)
 
 
 class TestStorePaths:
@@ -108,7 +104,7 @@ class TestStorePaths:
         )
         # The symbolic entry was demoted: its root is pinned.
         assert 0 in engine.ivb.get(4).equality_words
-        value, got = engine.load_tracked(base + 16, 8)
+        value, got = engine.load(base + 16, 8)
         assert value == 0x2222222211111111
         # Entries remain pairwise non-overlapping.
         entries = sorted(e.addr for e in engine.ssb.entries())

@@ -30,13 +30,13 @@ BASE = block_base(4)
 
 class TestSubwordTracking:
     def test_subword_load_gets_subword_root(self, engine):
-        value, sym = engine.load_tracked(BASE, 4)
+        value, sym = engine.load(BASE, 4)
         assert value == 0x55667788
         assert sym == SymValue(BASE, 4, 0)
 
     def test_subword_roots_are_distinct(self, engine):
-        _, sym_low = engine.load_tracked(BASE, 4)
-        _, sym_high = engine.load_tracked(BASE + 4, 4)
+        _, sym_low = engine.load(BASE, 4)
+        _, sym_high = engine.load(BASE + 4, 4)
         assert sym_low.root != sym_high.root
 
     def test_narrow_load_over_wider_store_composes(self, engine):
@@ -46,7 +46,7 @@ class TestSubwordTracking:
         engine.store_buffered(
             BASE, 8, 0xAABBCCDD00112233, sym, lambda a, s: bytes(s)
         )
-        value, got = engine.load_tracked(BASE, 4)
+        value, got = engine.load(BASE, 4)
         assert got is None
         assert value == 0x00112233
         # The symbolic store's root was pinned.
@@ -57,21 +57,40 @@ class TestSubwordTracking:
             BASE + 2, 2, 0xFFFF, None,
             lambda a, s: engine.ivb.get(4).read_initial_bytes(a, s),
         )
-        value, got = engine.load_tracked(BASE, 8)
+        value, got = engine.load(BASE, 8)
         assert got is None
         # bytes 2-3 (little-endian) replaced, rest initial (pinned).
         assert value == 0x11223344_FFFF7788
         assert 0 in engine.ivb.get(4).equality_words
 
-    def test_exact_subword_bypass_keeps_symbolic(self, engine):
+    def test_exact_subword_bypass_pins_root(self, engine):
+        """A sub-word reload is the sign-extended low bytes of
+        [root]+delta, not [root]+delta: concrete value, pinned root."""
         sym = SymValue(BASE, 4, 2)
         engine.store_buffered(BASE + 8, 4, 7, sym, lambda a, s: bytes(s))
-        value, got = engine.load_tracked(BASE + 8, 4)
+        value, got = engine.load(BASE + 8, 4)
         assert value == 7
-        assert got == sym
+        assert got is None
+        assert 0 in engine.ivb.get(4).equality_words
+        # The buffered store itself stays symbolic: it drains repaired.
+        assert engine.ssb.lookup(BASE + 8, 4).sym == sym
+
+    def test_exact_word_bypass_keeps_symbolic(self, engine):
+        sym = SymValue(BASE, 4, 2)
+        engine.store_buffered(BASE + 8, 8, 7, sym, lambda a, s: bytes(s))
+        assert engine.load(BASE + 8, 8) == (7, sym)
+        assert not engine.ivb.get(4).equality_words
+
+    def test_buffered_value_is_what_memory_would_hold(self, engine):
+        wide, sym = engine.load(BASE, 8)
+        engine.store_buffered(BASE + 4, 4, wide, sym, lambda a, s: bytes(s))
+        # The store truncated [root]: the entry is concrete, root pinned.
+        assert engine.load(BASE + 4, 4) == (0x55667788, None)
+        assert engine.ssb.lookup(BASE + 4, 4).sym is None
+        assert 0 in engine.ivb.get(4).equality_words
 
     def test_subword_commit_plan_truncates(self, engine):
-        value, sym = engine.load_tracked(BASE, 4)
+        value, sym = engine.load(BASE, 4)
         engine.store_buffered(
             BASE, 4, value + 1, sym.shifted(1), lambda a, s: bytes(s)
         )

@@ -197,7 +197,7 @@ class TestMixedWidthLoads:
         engine.begin_txn()
         engine.start_tracking(4, _block_with(5))
         base = block_base(4)
-        value, sym = engine.load_tracked(base, 4)
+        value, sym = engine.load(base, 4)
         assert value == 5
         assert sym == SymValue(base, 4, 0)
 

@@ -150,30 +150,30 @@ class TestLabel:
 
 
 class TestCacheKeyStability:
-    """Literal digests of repro 1.7.1 keys, re-recorded when the
-    always-empty ``tag`` salt left the key material (results did not
-    change, so the version did not move; old entries simply miss)."""
+    """Literal digests of repro 1.7.2 keys, re-recorded with the
+    version: ``lazy``, forwarding and narrow-bypass points can return
+    different results than 1.7.1 did, so its cache entries must miss."""
 
     PINNED = {
-        "c93c8b4f83f70959cb0799f8b0dd7b4737c98cd7a2d7e9bf71fd4ae2ef6e02ad":
+        "e4b791c042e9ed5688da64ba02826eca423204189b840785225f66d6893aa0b0":
             Point("python_opt", "retcon"),
-        "37730621dfa7bee013e1a957867679aa0d3aff89ebe240de265b42f12e86d335":
+        "d3d3ee4e171d44d75271a1740b62278ca495fc6b308e48c3f707f4d595fb62c6":
             Point("python_opt", "retcon", check=True),
-        "35ac321bbf2b0c08cc417e622979f4fcad013ef9424672b86fa37a3165198a36":
+        "635b8abdf82af8c372a26f75effdd7ef0e2431669eac3c3bce96415acd83af6c":
             Point("python_opt", "retcon", obs="trace"),
         # was Point(..., retry_budget=2)
-        "530e9e4acd5a136534981a9d43a9906269d76ac46ff53abe3f47179af86250ac":
+        "ea6db74369896dc5d949e896539dc0e05efa8c09f040042d3141392d7feff8a4":
             Point("kmeans", "hybrid-retcon", ncores=4, scale=0.1,
                   config=_with(retry_budget=2)),
         # was Point(..., read_set_entries=4, write_set_entries=4)
-        "9207bc0ad926155906eac8efb7e6fb75658d6b90462672857df49656bd0c2de4":
+        "f57b4d0750708140e7cbad4af4e7f7d10ad880de0152dd92b27db45772e5c757":
             Point("genome-sz", "eager", ncores=4, scale=0.1,
                   config=_with(read_set_entries=4, write_set_entries=4)),
     }
 
     def test_point_keys_match_the_recorded_digests(self):
         for digest, point in self.PINNED.items():
-            assert point_key(point, version="1.7.1") == digest, point
+            assert point_key(point, version="1.7.2") == digest, point
 
 
 class TestTrafficOverrides:

@@ -1,6 +1,7 @@
 """The backend table: every row builds, runs, and is what every
 derived list says it is."""
 
+import itertools
 from dataclasses import asdict
 
 import pytest
@@ -9,11 +10,14 @@ import repro
 from repro.coherence.directory import CoherenceFabric
 from repro.fuzz.diff import SERIAL_REPLAY_BACKENDS
 from repro.htm.backends import BACKENDS, build_system
+from repro.isa.program import Assembler
+from repro.isa.registers import R1, R2, R3, R5
 from repro.mem.memory import MainMemory
 from repro.obs.events import EventStream
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.config import small_test_config
 from repro.sim.machine import Machine
+from repro.sim.script import ThreadScript
 from repro.sim.stats import MachineStats
 from tests.conftest import run_counter_machine
 
@@ -87,6 +91,45 @@ class TestEveryRow:
         assert checked.oracle.checked_commits == (
             checked.commits if name in REPLAYED_ROWS else 0
         )
+
+    def test_mixed_width_stores_match_a_one_core_run(self, name):
+        """§4.3 on every row: a 4-byte store of an 8-byte value and
+        its reload, an 8-byte store over it and a wide reload, and a
+        remote 2-byte rmw landing in the middle of it all — twice, so
+        the first round's conflict trains RETCON onto the block."""
+        word = 4096
+        wide = Assembler()
+        wide.load(R1, word, 8).addi(R1, R1, 1)
+        wide.store(R1, word + 4, 4).load(R3, word + 4, 4)
+        wide.nop(40)
+        wide.store(R1, word, 8).load(R2, word, 8)
+        narrow = Assembler()
+        narrow.load(R5, word + 2, 2).addi(R5, R5, 3).store(R5, word + 2, 2)
+        txns = [wide.build(), narrow.build()]
+
+        def run(system, order_per_core):
+            scripts = []
+            for order in order_per_core:
+                scripts.append(ThreadScript())
+                for index in order:
+                    scripts[-1].add_work(15 * index)
+                    scripts[-1].add_txn(txns[index])
+            memory = MainMemory()
+            memory.write(word, 0x0123_4567_89AB_FFFE)
+            machine = Machine(
+                small_test_config(ncores=len(scripts)), system, scripts,
+                memory,
+            )
+            machine.run(max_cycles=1_000_000)
+            regs = [core.regs.snapshot() for core in machine.cores]
+            return memory.read(word), [
+                regs[0][R1], regs[0][R2], regs[0][R3], regs[-1][R5]
+            ]
+
+        serial_orders = set(itertools.permutations((0, 0, 1, 1)))
+        assert run(name, [(0, 0), (1, 1)]) in [
+            run("eager", [order]) for order in serial_orders
+        ]
 
     def test_run_result_reports_the_requested_name(self, name):
         result, _ = run_counter_machine(name, ncores=2, txns_per_core=1)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.mem.memory import MainMemory
+from repro.mem.memory import MainMemory, WriteBuffer, narrow
 
 
 class TestIntegerAccess:
@@ -89,3 +89,46 @@ def test_byte_round_trip_property(addr, data):
     memory = MainMemory()
     memory.write_bytes(addr, data)
     assert memory.read_bytes(addr, len(data)) == data
+
+
+_access = st.tuples(
+    st.integers(min_value=40, max_value=90),  # straddles blocks 0 and 1
+    st.sampled_from([1, 2, 4, 8]),
+    st.integers(min_value=-(2**70), max_value=2**70),
+)
+
+
+@given(
+    under=st.binary(min_size=128, max_size=128),
+    stores=st.lists(_access, max_size=12),
+    probe=_access,
+)
+def test_write_buffer_holds_what_memory_would_hold(under, stores, probe):
+    """Buffered write-then-read is memory write-then-read, at every
+    width over every other; draining the runs gives the same image."""
+    below, written = MainMemory(), MainMemory()
+    below.write_bytes(0, under)
+    written.write_bytes(0, under)
+    buffer = WriteBuffer()
+    for addr, size, value in stores:
+        buffer.write(addr, size, value)
+        written.write(addr, value, size)
+        assert buffer.read(addr, size, below.read_bytes(addr, size)) == (
+            narrow(value, size)
+        )
+    addr, size, _ = probe
+    assert buffer.read(addr, size, below.read_bytes(addr, size)) == (
+        written.read(addr, size)
+    )
+    assert buffer.blocks() == {
+        block
+        for addr, size, _ in stores
+        for block in (addr // 64, (addr + size - 1) // 64)
+    }
+    runs = buffer.runs()
+    assert runs == sorted(runs)
+    assert all(a + n < b for (a, n, _), (b, _, _) in zip(runs, runs[1:]))
+    below.write_runs(runs)
+    assert below.read_bytes(0, 128) == written.read_bytes(0, 128)
+    buffer.clear()
+    assert not buffer.runs() and not buffer.blocks()

@@ -4,10 +4,10 @@ import pytest
 
 from repro.coherence.directory import CoherenceFabric
 from repro.htm.events import TxnAborted
-from repro.mem.memory import MainMemory
+from repro.mem.memory import MainMemory, WriteBuffer
 from repro.sim.config import small_test_config
 from repro.sim.stats import MachineStats
-from repro.stm.backend import STMSystem, _coalesce
+from repro.stm.backend import STMSystem
 from tests.conftest import run_counter_machine
 
 ADDR = 0x4000
@@ -23,18 +23,27 @@ def make_stm(ncores=2, **overrides):
     return system, memory
 
 
+def byte_buffer(*writes):
+    wbuf = WriteBuffer()
+    for addr, byte in writes:
+        wbuf.write(addr, 1, byte)
+    return wbuf
+
+
 class TestCoalesce:
+    """The commit plan's stores are the write buffer's runs."""
+
     def test_adjacent_bytes_form_one_run(self):
-        wbuf = {100: 0x11, 101: 0x22, 102: 0x33}
-        assert _coalesce(wbuf) == [(100, 3, 0x332211)]
+        wbuf = byte_buffer((100, 0x11), (101, 0x22), (102, 0x33))
+        assert wbuf.runs() == [(100, 3, 0x332211)]
 
     def test_gaps_split_runs(self):
-        wbuf = {100: 0xAA, 102: 0xBB}
-        assert _coalesce(wbuf) == [(100, 1, 0xAA), (102, 1, 0xBB)]
+        wbuf = byte_buffer((100, 0xAA), (102, 0xBB))
+        assert wbuf.runs() == [(100, 1, 0xAA), (102, 1, 0xBB)]
 
     def test_order_independent(self):
-        wbuf = {101: 0x02, 100: 0x01}
-        assert _coalesce(wbuf) == [(100, 2, 0x0201)]
+        wbuf = byte_buffer((101, 0x02), (100, 0x01))
+        assert wbuf.runs() == [(100, 2, 0x0201)]
 
 
 class TestLazyVersioning:
