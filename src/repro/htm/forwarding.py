@@ -143,9 +143,10 @@ class ForwardingMixin:
             self._succs[holder].add(core)
             if self.metrics is not None:
                 self._m_forwards.inc()
-            self._trace(
-                "forward", core, block=block, source=holder
-            )
+            if self.tracer is not None:
+                self._trace(
+                    "forward", core, {"block": block, "source": holder}
+                )
 
     def _forwarding_allowed(self, block: int) -> bool:
         """Hysteresis check: is this block in forwarding cooldown?"""

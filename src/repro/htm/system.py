@@ -134,12 +134,6 @@ class BaseTMSystem:
         self._waiting_on: dict[int, int] = {}
         #: optional :class:`repro.obs.events.EventStream`
         self.tracer = None
-        #: optional callable core -> current cycle (set by the Machine
-        #: so trace events carry timestamps)
-        self.clock = None
-        #: optional callable core -> current txn label (set by the
-        #: Machine so trace events and abort attribution carry labels)
-        self.labeler = None
         #: optional :class:`repro.obs.metrics.MetricsRegistry`; attach
         #: via :meth:`bind_metrics` so hot sites hold counter handles
         self.metrics = None
@@ -165,24 +159,24 @@ class BaseTMSystem:
         self._abort_structure: Optional[str] = None
         self._abort_block: Optional[int] = None
 
-    def _trace(self, kind: str, core: int, **detail) -> None:
-        if self.tracer is not None:
-            if self.clock is not None:
-                detail.setdefault("cycle", self.clock(core))
-            if self.labeler is not None:
-                label = self.labeler(core)
-                if label is not None:
-                    detail.setdefault("label", label)
-            self.tracer.emit(kind, core, **detail)
+    def _trace(self, kind: str, core: int, detail: dict) -> None:
+        """Record one event as is; ``Machine.run`` shadows this with a
+        callable that first stamps ``cycle`` and ``label`` into it."""
+        self.tracer.record(kind, core, detail)
 
     def bind_metrics(self, registry) -> None:
-        """Attach a metrics registry, caching hot counter handles.
+        """Attach a metrics registry, holding every site's handle.
 
         Emission stays boundary-only (begin/commit/abort, plus the
         per-commit repair drain) and each site costs one ``is not
-        None`` check plus an integer add — the <2%-overhead budget.
+        None`` check plus an integer add.  Attached, the registry still
+        costs ~10 % of a contended run (``docs/observability.md``).
         """
         self.metrics = registry
+        self._m_aborts = registry.counters("txn.aborts", "reason")
+        self._m_capacity_aborts = registry.counters(
+            "txn.capacity_aborts", "structure"
+        )
         self._m_begins = registry.counter("txn.begins")
         self._m_commits = registry.counter("txn.commits")
         self._m_conflicts = registry.counter("htm.conflicts")
@@ -235,7 +229,7 @@ class BaseTMSystem:
         if self.metrics is not None:
             self._m_begins.inc()
         if self.tracer is not None:
-            self._trace("begin", core, ts=ctx.ts, restart=restart)
+            self._trace("begin", core, {"ts": ctx.ts, "restart": restart})
 
     def in_txn(self, core: int) -> bool:
         return self.ctx[core].active
@@ -263,7 +257,7 @@ class BaseTMSystem:
             self._m_conflicts.inc()
         if self.tracer is not None:
             self._trace(
-                "conflict", core, block=block, holders=len(holders)
+                "conflict", core, {"block": block, "holders": len(holders)}
             )
         self._resolving_block = block
         try:
@@ -395,11 +389,9 @@ class BaseTMSystem:
         # dependents its abort may cascade to.
         structure = None if remote else self._abort_structure
         if self.metrics is not None:
-            self.metrics.inc("txn.aborts", reason=reason)
+            self._m_aborts[reason].inc()
             if structure is not None:
-                self.metrics.inc(
-                    "txn.capacity_aborts", structure=structure
-                )
+                self._m_capacity_aborts[structure].inc()
         if self.tracer is not None:
             detail = {"reason": reason, "by": "remote" if remote else "self"}
             if structure is not None:
@@ -409,7 +401,7 @@ class BaseTMSystem:
                 block = self._abort_block
             if block is not None:
                 detail["block"] = block
-            self._trace("abort", core, **detail)
+            self._trace("abort", core, detail)
 
     def _capacity_abort_structure(
         self, core: int, structure: str, block: Optional[int] = None
@@ -661,9 +653,10 @@ class BaseTMSystem:
                 if engine.is_tracked(block):
                     if self.metrics is not None:
                         self._m_steals.inc()
-                    self._trace(
-                        "steal", other, block=block, writer=core
-                    )
+                    if self.tracer is not None:
+                        self._trace(
+                            "steal", other, {"block": block, "writer": core}
+                        )
                 engine.on_block_lost(block)
 
     # ------------------------------------------------------------------
@@ -685,7 +678,7 @@ class BaseTMSystem:
         if self.metrics is not None:
             self._m_commits.inc()
         if self.tracer is not None:
-            self._trace("commit", core, latency=result.latency)
+            self._trace("commit", core, {"latency": result.latency})
         return result
 
     def _pre_commit(self, core: int) -> CommitResult:
@@ -976,7 +969,9 @@ class RetconTMSystem(BaseTMSystem):
                 if self.metrics is not None:
                     self._m_repairs.inc()
                 if self.tracer is not None:
-                    self._trace("repair", core, addr=addr, value=final_value)
+                    self._trace(
+                        "repair", core, {"addr": addr, "value": final_value}
+                    )
 
         sample = engine.sample(commit_cycles=latency)
         self.stats.record_retcon_sample(core, sample)

@@ -23,19 +23,25 @@ artifacts next to cached results.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 
-@dataclass(frozen=True)
 class TraceEvent:
-    """One simulator event."""
+    """One simulator event (slotted: a traced run builds ~50 k)."""
 
-    #: begin | commit | abort | steal | repair | forward | stall | conflict
-    kind: str
-    core: int
-    #: event-specific payload (cycle, reason, block, address, value, ...)
-    detail: dict = field(default_factory=dict)
+    __slots__ = ("kind", "core", "detail")
+
+    def __init__(self, kind: str, core: int, detail: dict) -> None:
+        #: begin commit abort conflict stall steal repair forward fallback
+        self.kind = kind
+        self.core = core
+        #: event-specific payload (cycle, reason, block, address, ...)
+        self.detail = detail
+
+    def __eq__(self, other) -> bool:
+        return type(other) is TraceEvent and (
+            self.kind, self.core, self.detail
+        ) == (other.kind, other.core, other.detail)
 
     def __str__(self) -> str:
         extra = " ".join(f"{k}={v}" for k, v in self.detail.items())
@@ -52,10 +58,7 @@ class TraceEvent:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TraceEvent":
-        return cls(
-            kind=data["kind"], core=data["core"],
-            detail=dict(data.get("detail", ())),
-        )
+        return cls(data["kind"], data["core"], dict(data.get("detail", ())))
 
 
 #: on-disk schema of :meth:`EventStream.to_payload` artifacts
@@ -80,14 +83,20 @@ class EventStream:
 
     # -- collection --------------------------------------------------------
     def emit(self, kind: str, core: int, **detail) -> None:
-        if self.limit is not None and len(self.events) >= self.limit:
+        self.record(kind, core, detail)
+
+    def record(self, kind: str, core: int, detail: dict) -> None:
+        """Append one event, keeping *detail* itself as its payload
+        (the simulator's path: no copy); the only bounding routine."""
+        events = self.events
+        if self.limit is not None and len(events) >= self.limit:
             drops = self.dropped_by_kind
-            if self.keep == "first":
+            if self.keep == "first" or not events:
                 drops[kind] = drops.get(kind, 0) + 1
                 return
-            evicted = self.events.popleft()
-            drops[evicted.kind] = drops.get(evicted.kind, 0) + 1
-        self.events.append(TraceEvent(kind=kind, core=core, detail=detail))
+            evicted = events.popleft().kind
+            drops[evicted] = drops.get(evicted, 0) + 1
+        events.append(TraceEvent(kind, core, detail))
 
     @property
     def dropped(self) -> int:

@@ -13,10 +13,10 @@ Design constraints (mirroring the simulator's hot-path discipline):
   counters at the TM system's lifecycle events).  Machine-level
   totals (cache spills, evictions, cycle breakdown) are collected
   once, at end of run, by :mod:`repro.obs.collect`.
-* **Bound handles on attach.**  Hot emitters cache their
-  :class:`Counter` handles when the registry is attached (see
-  ``BaseTMSystem.bind_metrics``) so the per-event cost is one integer
-  add, not a registry lookup.
+* **Held handles.**  Emitters bind their handles when the registry
+  is attached (``bind_metrics``), labelled ones in a
+  :class:`CounterFamily`, so the per-event cost is one integer add,
+  not a registry lookup.
 
 Histograms use power-of-two buckets: ``observe(v)`` lands ``v`` in
 bucket ``v.bit_length()``, i.e. bucket *i* covers ``[2**(i-1), 2**i)``
@@ -134,6 +134,19 @@ class Histogram:
 Metric = Union[Counter, Gauge, Histogram]
 
 
+class CounterFamily(dict):
+    """label value -> :class:`Counter` of ``name{label=value}``: a hit
+    is one dict lookup, a miss registers the counter (so a family adds
+    no zero-valued metric the run never counted)."""
+
+    def __init__(self, registry: "MetricsRegistry", name: str, label: str):
+        self._new = lambda value: registry.counter(name, **{label: value})
+
+    def __missing__(self, value) -> Counter:
+        counter = self[value] = self._new(value)
+        return counter
+
+
 class MetricsRegistry:
     """All metrics of one run, keyed by (name, labels).
 
@@ -169,6 +182,9 @@ class MetricsRegistry:
     def histogram(self, name: str, **labels) -> Histogram:
         return self._get(Histogram, name, labels)
 
+    def counters(self, name: str, label: str) -> "CounterFamily":
+        return CounterFamily(self, name, label)
+
     # -- one-shot conveniences (cold paths) --------------------------------
     def inc(self, name: str, n: int = 1, **labels) -> None:
         self.counter(name, **labels).inc(n)
@@ -190,10 +206,13 @@ class MetricsRegistry:
     def get(self, name: str, **labels) -> Optional[Metric]:
         return self._metrics.get((name, _label_key(labels)))
 
-    def snapshot(self) -> dict:
-        """JSON-safe dump: ``{"name{k=v,...}": value-or-hist-dict}``."""
+    def snapshot(self, kind: Optional[str] = None) -> dict:
+        """JSON-safe dump: ``{"name{k=v,...}": value-or-hist-dict}``
+        (only metrics of one *kind* when given)."""
         out = {}
         for metric in self:
+            if kind is not None and metric.kind != kind:
+                continue
             key = metric.name
             if metric.labels:
                 inner = ",".join(f"{k}={v}" for k, v in metric.labels)
@@ -204,37 +223,10 @@ class MetricsRegistry:
     def render(self) -> str:
         """ASCII table of every metric, grouped by type."""
         lines = []
-        counters = [m for m in self if m.kind == "counter"]
-        gauges = [m for m in self if m.kind == "gauge"]
-        hists = [m for m in self if m.kind == "histogram"]
-
-        def label_str(metric: Metric) -> str:
-            if not metric.labels:
-                return metric.name
-            inner = ",".join(f"{k}={v}" for k, v in metric.labels)
-            return f"{metric.name}{{{inner}}}"
-
-        if counters:
-            lines.append("counters:")
-            width = max(len(label_str(m)) for m in counters)
-            for m in counters:
-                lines.append(f"  {label_str(m):{width}s}  {m.value}")
-        if gauges:
-            lines.append("gauges:")
-            width = max(len(label_str(m)) for m in gauges)
-            for m in gauges:
-                lines.append(f"  {label_str(m):{width}s}  {m.value}")
-        if hists:
-            lines.append("histograms:")
-            width = max(len(label_str(m)) for m in hists)
-            for m in hists:
-                snap = m.snapshot()
-                lines.append(
-                    f"  {label_str(m):{width}s}  n={snap['count']} "
-                    f"mean={snap['mean']:.1f} min={snap['min']} "
-                    f"p50<={snap['p50']} p99<={snap['p99']} "
-                    f"max={snap['max']}"
-                )
+        for kind in ("counter", "gauge", "histogram"):
+            if group := self.snapshot(kind):
+                rows = render_snapshot(group).splitlines()
+                lines += [f"{kind}s:"] + [f"  {row}" for row in rows]
         return "\n".join(lines) if lines else "(no metrics recorded)"
 
 

@@ -307,7 +307,7 @@ class Core:
         self._burst_env = env
         return env
 
-    def _charge_stall(self, stall_info: Optional[StallRetry] = None) -> None:
+    def _charge_stall(self, stall_info: StallRetry) -> None:
         """Wait before retrying a conflicting access.
 
         The retry interval backs off exponentially (capped) so a core
@@ -324,10 +324,9 @@ class Core:
         self.attempt_conflict += stall
         self.attempt_stall_events += 1
         if self.system.tracer is not None:
-            detail = {"cycles": stall}
-            if stall_info is not None:
-                detail["block"] = stall_info.block
-            self.system._trace("stall", self.cid, **detail)
+            self.system._trace(
+                "stall", self.cid, {"cycles": stall, "block": stall_info.block}
+            )
 
     def _try_commit(self) -> None:
         try:

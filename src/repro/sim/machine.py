@@ -117,14 +117,12 @@ class Machine:
             Core(cid, self.system, self.stats.core(cid), script)
             for cid, script in enumerate(padded)
         ]
-        self.system.clock = lambda cid: self.cores[cid].cycle
         if tracer is not None:
             self.system.tracer = tracer
-            self.system.labeler = self._txn_label
         self.metrics = metrics
         if metrics is not None:
             self.system.bind_metrics(metrics)
-            self.stats.metrics = metrics
+            self.stats.bind_metrics(metrics)
         # check=True attaches a fresh repair oracle; pass a configured
         # RepairOracle instance for strict mode / custom limits.
         # Backends whose row says oracle=False (speculative value
@@ -147,6 +145,9 @@ class Machine:
                 core.state = CoreState.DONE
             else:
                 heapq.heappush(heap, (core.cycle, core.cid))
+        if self.system.tracer is not None:
+            # At run start, so a tracer attached later is stamped too.
+            self.system._trace = self._stamping_trace()
 
         self._run_event(heap, max_cycles)
 
@@ -227,10 +228,23 @@ class Machine:
             makespan=makespan,
         )
 
-    def _txn_label(self, cid: int) -> str | None:
-        """Current transaction label for *cid* (trace-event stamping)."""
-        item = self.cores[cid].current_item()
-        return getattr(item, "label", None)
+    def _stamping_trace(self):
+        """The TM system's trace callable: stamp the core's clock, then
+        its transaction's label, into *detail* where unset; record it."""
+        cores, record = self.cores, self.system.tracer.record
+
+        def trace(kind: str, cid: int, detail: dict) -> None:
+            core = cores[cid]
+            if "cycle" not in detail:
+                detail["cycle"] = core.cycle
+            items, idx = core.items, core.item_idx
+            if idx < len(items) and "label" not in detail:
+                label = getattr(items[idx], "label", None)
+                if label is not None:
+                    detail["label"] = label
+            record(kind, cid, detail)
+
+        return trace
 
     def _done_count(self) -> int:
         return sum(1 for core in self.cores if core.done())

@@ -192,12 +192,10 @@ class STMMixin:
                 self.stats.core(core).stm_fallbacks += 1
                 if self.metrics is not None:
                     self._m_stm_fallbacks.inc()
-                self._trace(
-                    "fallback",
-                    core,
-                    attempts=ctx.attempts,
-                    reason=ctx.doom_reason,
-                )
+                if self.tracer is not None:
+                    self._trace("fallback", core, {
+                        "attempts": ctx.attempts, "reason": ctx.doom_reason,
+                    })
 
     # ------------------------------------------------------------------
     # Memory operation dispatch

@@ -64,6 +64,15 @@ class TestKeepLast:
         # The *evicted* kinds are the dropped ones.
         assert stream.dropped_by_kind == {"begin": 1, "commit": 1}
 
+    def test_limit_zero_drops_everything(self):
+        # Regression: an empty ring had nothing to evict, and the first
+        # emit raised IndexError instead of counting its own drop.
+        stream = EventStream(limit=0, keep="last")
+        fill(stream, ["begin", "commit", "commit"])
+        assert len(stream) == 0
+        assert stream.dropped_by_kind == {"begin": 1, "commit": 2}
+        assert stream.total_emitted == 3
+
     def test_bad_keep_rejected(self):
         with pytest.raises(ValueError):
             EventStream(keep="middle")
