@@ -6,6 +6,13 @@ The fabric is the single source of truth for:
 * per-core L1 / L2 / permissions-only caches (capacity modeling);
 * the speculative read/written bits used for HTM conflict detection.
 
+Conflicts are decided from the per-core ``spec_read``/``spec_written``
+sets, read through their reverse index by :meth:`CoherenceFabric.probe`
+(the one conflict question every TM system asks); both survive L1
+evictions and permissions-only-cache overflows.  The line bits mirror
+the same fact but drive only eviction and spill modelling: which
+evicted line is speculative, and when tracking is lost to capacity.
+
 Latency model (Table 1): L1 hit 1 cycle; L2 hit 10 cycles; a directory
 hop costs 20 cycles; DRAM lookup costs 100 cycles.  A miss serviced by
 a remote cache costs ``L2 + 3 hops`` (request to directory, forward to
@@ -76,7 +83,8 @@ class CoherenceFabric:
         # Directory state: which cores hold each block; exclusive owner.
         self._holders: dict[int, set[int]] = {}
         self._owner: dict[int, Optional[int]] = {}
-        # Reverse maps for O(1) conflict probing.
+        # Reverse maps: the derived index of the per-core speculative
+        # sets that probe() reads (an emptied entry is deleted).
         self._spec_readers: dict[int, set[int]] = {}
         self._spec_writers: dict[int, set[int]] = {}
         #: cores whose transaction lost speculative tracking to capacity
@@ -158,35 +166,34 @@ class CoherenceFabric:
     def spec_writers(self, block: int) -> set[int]:
         return set(self._spec_writers.get(block, ()))
 
-    def has_other_spec_writer(self, block: int, core: int) -> bool:
-        """Does any core other than *core* speculatively write *block*?
-
-        Allocation-free variant of ``spec_writers(block) - {core}`` for
-        the per-access tracking-eligibility check.
-        """
-        writers = self._spec_writers.get(block)
-        if not writers:
-            return False
-        if core in writers:
-            return len(writers) > 1
-        return True
-
-    def conflicting_cores(
-        self, core: int, block: int, write: bool
-    ) -> set[int]:
-        """Remote cores whose speculative bits conflict with this access.
+    def probe(self, core: int, block: int, write: bool) -> Optional[set[int]]:
+        """Remote cores whose speculative bits conflict with this access,
+        or None when there are none.
 
         A conflict is an external write request to a speculatively-read
         block, or any external request to a speculatively-written block
-        (paper §2).
+        (paper §2).  Every eager access and every stall retry asks this,
+        so the clean answer allocates nothing; a conflict returns a
+        fresh set the caller may keep or extend.
         """
+        conflicts = None
         writers = self._spec_writers.get(block)
-        readers = self._spec_readers.get(block) if write else None
-        conflicts = set(writers) if writers else set()
-        if readers:
-            conflicts |= readers
-        conflicts.discard(core)
+        if writers is not None and (len(writers) > 1 or core not in writers):
+            conflicts = set(writers)
+        if write:
+            readers = self._spec_readers.get(block)
+            if readers is not None and (len(readers) > 1 or core not in readers):
+                conflicts = set(readers) if conflicts is None else conflicts | readers
+        if conflicts is not None:
+            conflicts.discard(core)
         return conflicts
+
+    def write_hit(self, core: int, block: int) -> None:
+        """Directory side of a write that hit a writable L1 line: *core*
+        is the block's exclusive owner."""
+        if self._owner.get(block) != core:
+            # Exclusive in L1 but directory stale — cannot happen.
+            self._owner[block] = core
 
     def is_spec(self, core: int, block: int) -> bool:
         caches = self.cores[core]
@@ -215,9 +222,8 @@ class CoherenceFabric:
             # far, so it returns a shared (treat-as-immutable) outcome
             # and touches no directory structures.  A present L1 line
             # implies a prior acquire, so the holders entry exists.
-            if write and self._owner.get(block) != core:
-                # Exclusive in L1 but directory stale — cannot happen.
-                self._owner[block] = core
+            if write:
+                self.write_hit(core, block)
             return _L1_HIT
 
         holders = self._holders.get(block)

@@ -249,9 +249,13 @@ class BaseTMSystem:
     # ------------------------------------------------------------------
     def _resolve(self, core: int, block: int, holders: set[int]) -> None:
         """Resolve conflicts with *holders*; raises StallRetry or
-        TxnAborted, or returns with every holder aborted."""
+        TxnAborted, or returns with every holder aborted.
+
+        *holders* is the caller's own probe result, so a stall behind a
+        single holder raises with it as the blocker set: a retry
+        allocates nothing here beyond the StallRetry it reports.
+        """
         ctx = self.ctx[core]
-        nontx = not ctx.active
         self._observe_conflict(core, block, holders)
         if self.metrics is not None:
             self._m_conflicts.inc()
@@ -259,43 +263,41 @@ class BaseTMSystem:
             self._trace(
                 "conflict", core, {"block": block, "holders": len(holders)}
             )
-        self._resolving_block = block
-        try:
-            # sorted() only matters with several holders; the common
-            # single-holder case iterates the set directly.
-            for holder in (
-                holders if len(holders) == 1 else sorted(holders)
-            ):
-                holder_ctx = self.ctx[holder]
-                if not holder_ctx.active:
-                    continue  # already gone (e.g. aborted for a prior holder)
-                resolution = self.policy.resolve(
-                    ctx.ts,
-                    holder_ctx.ts,
-                    requester_nontx=nontx,
-                    requester_id=core,
-                    holder_id=holder,
-                )
-                action = resolution.action
-                if action is Action.STALL and self._would_deadlock(
+        nontx = not ctx.active
+        waiting = self._waiting_on
+        single = len(holders) == 1
+        # sorted() only matters with several holders; the common
+        # single-holder case iterates the set directly.
+        for holder in holders if single else sorted(holders):
+            holder_ctx = self.ctx[holder]
+            if not holder_ctx.active:
+                continue  # already gone (e.g. aborted for a prior holder)
+            action = self.policy.resolve(
+                ctx.ts, holder_ctx.ts, nontx, core, holder
+            ).action
+            if action is Action.STALL:
+                # A holder is never the requester, so a wait cycle
+                # through it needs a wait edge of its own.
+                if holder not in waiting or not self._would_deadlock(
                     core, holder
                 ):
-                    # Break the wait cycle: abort the younger of the pair
-                    # ((ts, core id) order, matching the timestamp policy).
-                    if (ctx.ts, core) > (holder_ctx.ts, holder):
-                        action = Action.ABORT_SELF
-                    else:
-                        action = Action.ABORT_REMOTE
+                    waiting[core] = holder
+                    raise StallRetry(block, holders if single else {holder})
+                # Break the wait cycle: abort the younger of the pair
+                # ((ts, core id) order, matching the timestamp policy).
+                if (ctx.ts, core) > (holder_ctx.ts, holder):
+                    action = Action.ABORT_SELF
+                else:
+                    action = Action.ABORT_REMOTE
+            self._resolving_block = block
+            try:
                 if action is Action.ABORT_REMOTE:
                     self._doom(holder, reason="conflict")
-                elif action is Action.ABORT_SELF:
-                    self._abort_self(core, reason="conflict")
                 else:
-                    self._waiting_on[core] = holder
-                    raise StallRetry(block, {holder})
-        finally:
-            self._resolving_block = None
-        self._waiting_on.pop(core, None)
+                    self._abort_self(core, reason="conflict")
+            finally:
+                self._resolving_block = None
+        waiting.pop(core, None)
 
     def _check_self_doom(self, core: int) -> None:
         """Abort immediately if resolving a conflict doomed *us*.
@@ -306,11 +308,9 @@ class BaseTMSystem:
         access would leak an un-undoable store.  Convert the doom into
         an immediate TxnAborted instead.
         """
-        ctx = self.ctx[core]
-        if ctx.active and ctx.doomed:
-            ctx.doomed = False
-            ctx.active = False
-            raise TxnAborted(ctx.doom_reason)
+        reason = self.poll_doomed(core)
+        if reason is not None:
+            raise TxnAborted(reason)
 
     def _clear_wait_edges(self, core: int) -> None:
         """Drop *core* from the wait-for graph entirely.
@@ -473,19 +473,21 @@ class BaseTMSystem:
     # ------------------------------------------------------------------
     # Conflict filtering
     # ------------------------------------------------------------------
-    def _conflicts(self, core: int, block: int, write: bool) -> set[int]:
-        """Remote cores whose eager speculative bits conflict.
-
-        OneTM overflow serialization: a transaction that overflowed the
+    def _with_overflowed(
+        self, core: int, conflicts: Optional[set[int]]
+    ) -> Optional[set[int]]:
+        """Extend ``fabric.probe``'s answer with OneTM overflow
+        serialization: a transaction that overflowed the
         permissions-only cache conservatively conflicts with every
         in-flight transaction on any access (the paper's backing
         mechanism serializes overflowed transactions; overflows are
         essentially eliminated by the permissions-only cache, so this
         path is cold).
         """
-        conflicts = self.fabric.conflicting_cores(core, block, write)
         for other in self.fabric.overflowed:
             if other != core and self.ctx[other].active:
+                if conflicts is None:
+                    conflicts = set()
                 conflicts.add(other)
         return conflicts
 
@@ -494,20 +496,16 @@ class BaseTMSystem:
     # ------------------------------------------------------------------
     def load(self, core: int, addr: int, size: int) -> LoadResult:
         block = addr // BLOCK_SIZE
+        fabric = self.fabric
         if (addr + size - 1) // BLOCK_SIZE == block:
             # Single-block L1-hit fast path: the conflict probe is
             # clean, no transaction has overflowed, and the line is
             # resident — exactly the path _eager_block_access +
             # fabric.acquire take, with their call overhead inlined
-            # away.  A read conflicts only with remote speculative
-            # writers, and _spec_writers entries are never empty, so
-            # "no conflict" is writers absent or == {core}.
-            fabric = self.fabric
-            writers = fabric._spec_writers.get(block)
-            if (
-                writers is None
-                or (core in writers and len(writers) == 1)
-            ) and not fabric.overflowed:
+            # away.  Otherwise the same probe feeds the slow path, so
+            # a stall retry probes once.
+            holders = fabric.probe(core, block, False)
+            if holders is None and not fabric.overflowed:
                 line = fabric.cores[core].l1.lookup(block)
                 if line is not None:
                     if self._waiting_on:
@@ -528,15 +526,15 @@ class BaseTMSystem:
                     return LoadResult(
                         value=self.memory.read(addr, size), latency=1
                     )
-            latency = self._eager_block_access(core, block, write=False)
-            return LoadResult(
-                value=self.memory.read(addr, size), latency=latency
-            )
-        latency = 0
-        for block in range(
-            addr // BLOCK_SIZE, (addr + size - 1) // BLOCK_SIZE + 1
-        ):
-            latency += self._eager_block_access(core, block, write=False)
+            latency = self._eager_block_access(core, block, False, holders)
+        else:
+            latency = 0
+            for blk in range(
+                addr // BLOCK_SIZE, (addr + size - 1) // BLOCK_SIZE + 1
+            ):
+                latency += self._eager_block_access(
+                    core, blk, False, fabric.probe(core, blk, False)
+                )
         return LoadResult(value=self.memory.read(addr, size), latency=latency)
 
     def store(
@@ -548,28 +546,17 @@ class BaseTMSystem:
         sym: Optional[SymValue] = None,
     ) -> StoreResult:
         block = addr // BLOCK_SIZE
+        fabric = self.fabric
         if (addr + size - 1) // BLOCK_SIZE == block:
-            # Single-block L1-hit fast path (see load); a write also
-            # needs a clean reader probe, a writable line, and the
-            # directory-owner fix-up acquire's hit path performs.
-            fabric = self.fabric
-            writers = fabric._spec_writers.get(block)
-            clean = (
-                writers is None
-                or (core in writers and len(writers) == 1)
-            )
-            if clean:
-                readers = fabric._spec_readers.get(block)
-                clean = readers is None or (
-                    core in readers and len(readers) == 1
-                )
-            if clean and not fabric.overflowed:
+            # Single-block L1-hit fast path (see load); a write needs a
+            # writable line and the directory side of acquire's hit.
+            holders = fabric.probe(core, block, True)
+            if holders is None and not fabric.overflowed:
                 line = fabric.cores[core].l1.lookup(block)
                 if line is not None and line.writable:
                     if self._waiting_on:
                         self._waiting_on.pop(core, None)
-                    if fabric._owner.get(block) != core:
-                        fabric._owner[block] = core
+                    fabric.write_hit(core, block)
                     ctx = self.ctx[core]
                     if ctx.active:
                         # line.spec_written set implies mark_spec already
@@ -588,41 +575,31 @@ class BaseTMSystem:
                         ctx.undo.record(self.memory, addr, size)
                     self.memory.write(addr, value, size)
                     return _STORE_HIT
-            latency = self._eager_block_access(core, block, write=True)
+            latency = self._eager_block_access(core, block, True, holders)
         else:
             latency = 0
             for blk in range(
                 addr // BLOCK_SIZE, (addr + size - 1) // BLOCK_SIZE + 1
             ):
-                latency += self._eager_block_access(core, blk, write=True)
+                latency += self._eager_block_access(
+                    core, blk, True, fabric.probe(core, blk, True)
+                )
         ctx = self.ctx[core]
         if ctx.active:
             ctx.undo.record(self.memory, addr, size)
         self.memory.write(addr, value, size)
         return StoreResult(latency=latency)
 
-    def _eager_block_access(self, core: int, block: int, write: bool) -> int:
-        """Resolve conflicts and perform one block's coherence access."""
+    def _eager_block_access(
+        self, core: int, block: int, write: bool, holders: Optional[set[int]]
+    ) -> int:
+        """Resolve conflicts and perform one block's coherence access;
+        *holders* is the caller's ``fabric.probe(core, block, write)``."""
         fabric = self.fabric
-        # Allocation-free conflict probe; exactly equivalent to
-        # ``bool(self._conflicts(core, block, write))``, which builds
-        # its set only on the (rare) conflicting access.
-        writers = fabric._spec_writers.get(block)
-        conflict = writers is not None and (
-            len(writers) > 1 or core not in writers
-        )
-        if not conflict and write:
-            readers = fabric._spec_readers.get(block)
-            conflict = readers is not None and (
-                len(readers) > 1 or core not in readers
-            )
-        if not conflict and fabric.overflowed:
-            for other in fabric.overflowed:
-                if other != core and self.ctx[other].active:
-                    conflict = True
-                    break
-        if conflict:
-            self._resolve(core, block, self._conflicts(core, block, write))
+        if fabric.overflowed:
+            holders = self._with_overflowed(core, holders)
+        if holders is not None:
+            self._resolve(core, block, holders)
             self._check_self_doom(core)
         self._waiting_on.pop(core, None)
         outcome = fabric.acquire(core, block, write)
@@ -762,7 +739,7 @@ class RetconTMSystem(BaseTMSystem):
         block = addr // BLOCK_SIZE
         if not engine.wants_tracking(block):
             return -1
-        if self.fabric.has_other_spec_writer(block, core):
+        if self.fabric.probe(core, block, False) is not None:
             return -1
         outcome = self.fabric.acquire(core, block, write=False)
         engine.start_tracking(block, self.memory.read_block(block))
@@ -909,7 +886,9 @@ class RetconTMSystem(BaseTMSystem):
         current: dict[int, bytes] = {}
         reacquire_latencies: list[int] = []
         for block, needs_write in engine.reacquire_plan():
-            conflicts = self._conflicts(core, block, write=needs_write)
+            conflicts = self._with_overflowed(
+                core, self.fabric.probe(core, block, needs_write)
+            )
             if conflicts:
                 self._resolve(core, block, conflicts)
                 self._check_self_doom(core)
@@ -951,7 +930,9 @@ class RetconTMSystem(BaseTMSystem):
                 {block_of(addr) for addr, _size, _val in plan.stores}
             )
             for block in drain_blocks:
-                conflicts = self._conflicts(core, block, write=True)
+                conflicts = self._with_overflowed(
+                    core, self.fabric.probe(core, block, True)
+                )
                 if conflicts:
                     self._resolve(core, block, conflicts)
                     self._check_self_doom(core)

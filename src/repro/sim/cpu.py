@@ -314,12 +314,14 @@ class Core:
         stalled behind a long transaction polls progressively less
         often; the waited cycles count as conflict time either way.
         """
-        self.consecutive_stalls += 1
-        stall = min(
-            self.config.stall_retry_cycles
-            * (1 << min(self.consecutive_stalls - 1, 4)),
-            400,
+        stalls = self.consecutive_stalls + 1
+        self.consecutive_stalls = stalls
+        # Doubles per consecutive stall up to 16x, never past 400 cycles.
+        stall = self.config.stall_retry_cycles << (
+            stalls - 1 if stalls < 5 else 4
         )
+        if stall > 400:
+            stall = 400
         self.cycle += stall
         self.attempt_conflict += stall
         self.attempt_stall_events += 1

@@ -178,11 +178,17 @@ class Machine:
         ``lockstep`` stops every burst at the popped core's own cycle
         with stop cid -1 — below every core's, so even a zero-latency
         step (a free commit) ends the burst — which is one step per pop.
+
+        The popped core stays at the root while it runs: the next event
+        is the smaller of the root's two children, and re-arming is one
+        ``heapreplace`` sift.  Each core has one entry, so the
+        ``(cycle, cid)`` keys are unique and the pop order is the one
+        ``heappop`` + ``heappush`` would give.
         """
         cores = self.cores
         ncores = len(cores)
         lockstep = self.scheduler == "lockstep"
-        push = heapq.heappush
+        replace = heapq.heapreplace
         pop = heapq.heappop
         for core in cores:
             # Recompute burst-invariant state (observers may have been
@@ -200,12 +206,16 @@ class Machine:
             if not heap:
                 self._release_barrier(barrier_waiters, heap)
                 continue
-            cycle, cid = pop(heap)
+            cycle, cid = heap[0]
             core = cores[cid]
+            queued = len(heap)
             if lockstep:
                 stop_cycle, stop_cid = cycle, -1
-            elif heap:
-                stop_cycle, stop_cid = heap[0]
+            elif queued > 2:
+                left, right = heap[1], heap[2]
+                stop_cycle, stop_cid = left if left < right else right
+            elif queued == 2:
+                stop_cycle, stop_cid = heap[1]
             else:
                 # Alone in the queue: run to the next park/finish; the
                 # watchdog bound still ends runaway bursts.
@@ -213,12 +223,14 @@ class Machine:
             core.run_until(stop_cycle, stop_cid, max_cycles)
             if core.cycle > makespan:
                 makespan = core.cycle
+            if core.state is CoreState.RUNNING:
+                replace(heap, (core.cycle, cid))
+                continue
+            pop(heap)
             if core.state is CoreState.AT_BARRIER:
                 barrier_waiters.append(core)
                 if len(barrier_waiters) + self._done_count() == ncores:
                     self._release_barrier(barrier_waiters, heap)
-            elif core.state is not CoreState.DONE:
-                push(heap, (core.cycle, core.cid))
 
     def _raise_watchdog(self, makespan: int, max_cycles: int) -> None:
         raise SimulationTimeout(

@@ -232,8 +232,9 @@ class STMMixin:
         STM clock block at the transaction's first access, so any
         writing software commit dooms it through the normal eager
         conflict machinery."""
+        block = self.meta.clock_block
         latency = self._eager_block_access(
-            core, self.meta.clock_block, write=False
+            core, block, False, self.fabric.probe(core, block, False)
         )
         cost = self.config.stm_subscribe_instrs
         self.stats.core(core).barrier_instrs += cost
@@ -289,11 +290,9 @@ class STMMixin:
             # A remote hardware transaction may hold this block dirty
             # (eager versioning): resolve it so the value we read is
             # architecturally committed.
-            writers = fabric._spec_writers.get(blk)
-            if writers is not None and (
-                len(writers) > 1 or core not in writers
-            ):
-                self._stm_data_conflict(core, blk, set(writers))
+            writers = fabric.probe(core, blk, False)
+            if writers is not None:
+                self._stm_data_conflict(core, blk, writers)
             latency += fabric.acquire(core, blk, write=False).latency
             latency += self._orec_read(core, txn, blk)
         value = txn.wbuf.read(addr, size, self.memory.read_bytes(addr, size))

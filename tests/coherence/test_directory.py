@@ -1,9 +1,14 @@
 """Coherence fabric: latencies, invalidations, speculative-bit maps."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.coherence.directory import CoherenceFabric
 from repro.sim.config import small_test_config
+
+SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
 
 @pytest.fixture
@@ -69,32 +74,55 @@ class TestSpeculativeBits:
         fabric.mark_spec(0, 100, write=False)
         fabric.mark_spec(1, 100, write=True)
         # External write conflicts with readers and writers.
-        assert fabric.conflicting_cores(2, 100, write=True) == {0, 1}
+        assert fabric.probe(2, 100, write=True) == {0, 1}
         # External read conflicts only with writers.
-        assert fabric.conflicting_cores(2, 100, write=False) == {1}
+        assert fabric.probe(2, 100, write=False) == {1}
         # A core never conflicts with itself.
-        assert fabric.conflicting_cores(1, 100, write=True) == {0}
+        assert fabric.probe(1, 100, write=True) == {0}
 
     def test_clear_spec_removes_all(self, fabric):
         fabric.mark_spec(0, 100, write=False)
         fabric.mark_spec(0, 101, write=True)
         fabric.clear_spec(0)
-        assert fabric.conflicting_cores(1, 100, write=True) == set()
-        assert fabric.conflicting_cores(1, 101, write=False) == set()
+        assert fabric.probe(1, 100, write=True) is None
+        assert fabric.probe(1, 101, write=False) is None
         assert not fabric.is_spec(0, 100)
 
     def test_unmark_spec_single_block(self, fabric):
         fabric.mark_spec(0, 100, write=False)
         fabric.mark_spec(0, 101, write=False)
         fabric.unmark_spec(0, 100)
-        assert fabric.conflicting_cores(1, 100, write=True) == set()
-        assert fabric.conflicting_cores(1, 101, write=True) == {0}
+        assert fabric.probe(1, 100, write=True) is None
+        assert fabric.probe(1, 101, write=True) == {0}
 
     def test_footprint_counts_unique_blocks(self, fabric):
         fabric.mark_spec(0, 100, write=False)
         fabric.mark_spec(0, 100, write=True)
         fabric.mark_spec(0, 101, write=True)
         assert fabric.footprint(0) == 2
+
+
+class TestEncapsulation:
+    def test_no_private_fabric_reachins_outside_coherence(self):
+        """Conflicts are asked through ``probe`` and directory state is
+        changed through fabric methods, so the representation can change
+        inside ``coherence/`` without a caller noticing."""
+        pattern = re.compile(
+            r"\bfabric\s*\.\s*_\w"
+            r"|\.\s*_(?:spec_writers|spec_readers|owner|holders)\b"
+        )
+        offenders = []
+        for path in SRC.rglob("*.py"):
+            if path.parent.name == "coherence":
+                continue
+            for lineno, line in enumerate(path.read_text().splitlines(), 1):
+                if pattern.search(line):
+                    rel = path.relative_to(SRC)
+                    offenders.append(f"{rel}:{lineno}: {line.strip()}")
+        assert not offenders, (
+            "private fabric state reached from outside coherence/:\n"
+            + "\n".join(offenders)
+        )
 
 
 class TestOverflow:
@@ -111,5 +139,5 @@ class TestOverflow:
         assert fabric.perm_cache_spills == 1
         assert not fabric.overflowed  # permissions cache absorbed it
         # Conflict detection still sees the spilled bits.
-        assert fabric.conflicting_cores(0, 0, write=True) == set()
+        assert fabric.probe(0, 0, write=True) is None
         assert fabric.is_spec(0, 0)

@@ -95,3 +95,59 @@ def test_spec_bit_bookkeeping_is_consistent(sequence, spec):
     fabric.clear_spec(0)
     assert not fabric.cores[0].spec_read
     assert not fabric.cores[0].spec_written
+
+
+def brute_force_probe(fabric, core, block, write):
+    """The paper's §2 conflict rule read straight off the per-core sets."""
+    found = {
+        other
+        for other in range(NCORES)
+        if other != core
+        and (
+            block in fabric.cores[other].spec_written
+            or (write and block in fabric.cores[other].spec_read)
+        )
+    }
+    return found or None
+
+
+cores = st.integers(0, NCORES - 1)
+blocks = st.sampled_from(BLOCKS)
+fabric_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("mark_spec"), cores, blocks, st.booleans()),
+        st.tuples(st.just("unmark_spec"), cores, blocks),
+        st.tuples(st.just("clear_spec"), cores),
+        st.tuples(st.just("acquire"), cores, blocks, st.booleans()),
+    ),
+    max_size=60,
+)
+
+
+@given(ops=fabric_ops)
+@settings(max_examples=150, deadline=None)
+def test_probe_matches_brute_force(ops):
+    """probe(core, block, write) is exactly the set of remote cores
+    whose per-core speculative sets conflict, None when empty.  A
+    one-line L1 with a one-entry permissions cache makes acquires
+    evict, spill and overflow speculative lines, which must not move
+    the answer."""
+    config = small_test_config(
+        ncores=NCORES, l1_bytes=64, l1_assoc=1, perm_cache_bytes=1,
+        perm_cache_assoc=1,
+    )
+    fabric = CoherenceFabric(config, NCORES)
+
+    def check(block):
+        for core in range(NCORES):
+            for write in (False, True):
+                assert fabric.probe(core, block, write) == brute_force_probe(
+                    fabric, core, block, write
+                ), (core, block, write)
+
+    for name, *args in ops:
+        getattr(fabric, name)(*args)
+        if name != "clear_spec":
+            check(args[1])
+    for block in BLOCKS:
+        check(block)

@@ -69,8 +69,9 @@ class TestOverflow:
         system.begin(1)
         # Core 0 touches a block core 1 never touched: still a
         # conflict because core 1 lost precise tracking.
-        conflicts = system._conflicts(0, 12345, write=False)
-        assert conflicts == {1}
+        probed = fabric.probe(0, 12345, write=False)
+        assert probed is None
+        assert system._with_overflowed(0, probed) == {1}
 
     def test_spills_counted_before_overflow(self):
         memory = MainMemory()

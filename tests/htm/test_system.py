@@ -125,17 +125,53 @@ class TestConflictResolution:
         system.commit(0)
         assert system.stats.core(0).commits == 1
 
-    def test_stall_deadlock_broken_by_aborting_younger(self):
+    @pytest.mark.parametrize(
+        "waits, closing",
+        [
+            # 1 waits on 0; 0 requesting 1's block closes the cycle.
+            pytest.param([(1, 0)], (0, 1), id="2-core"),
+            # 0 waits on 1, 1 waits on 2; 2 requesting 0's block closes
+            # it through the transitive walk.
+            pytest.param([(0, 1), (1, 2)], (2, 0), id="3-core"),
+        ],
+    )
+    def test_stall_deadlock_broken_by_aborting_younger(self, waits, closing):
         system, _ = make_system("eager-stall")
-        system.begin(0)
-        system.begin(1)
-        system.store(0, ADDR, 8, 1)
-        system.store(1, ADDR + 64, 8, 2)
+        for core in range(3):
+            system.begin(core)
+            system.store(core, ADDR + 64 * core, 8, core + 1)
+        for requester, holder in waits:
+            with pytest.raises(StallRetry):
+                system.store(requester, ADDR + 64 * holder, 8, 9)
+        # Closing the wait cycle would deadlock: the younger of the
+        # closing pair dies, and nobody else does.
+        requester, holder = closing
+        younger = max(requester, holder)  # begun in core-id order
+        if younger == requester:
+            with pytest.raises(TxnAborted):
+                system.store(requester, ADDR + 64 * holder, 8, 9)
+        else:
+            system.store(requester, ADDR + 64 * holder, 8, 9)
+            assert system.poll_doomed(younger) == "conflict"
+        assert system.stats.core(younger).aborts == {"conflict": 1}
+        for core in set(range(3)) - {younger}:
+            assert system.stats.core(core).aborts == {}
+            assert system.poll_doomed(core) is None
+
+    def test_transitive_wait_chain_without_cycle_still_stalls(self):
+        """A holder with a wait edge of its own is the one case the walk
+        runs for; a chain that ends short of the requester stalls."""
+        system, _ = make_system("eager-stall")
+        for core in range(3):
+            system.begin(core)
+            system.store(core, ADDR + 64 * core, 8, core + 1)
         with pytest.raises(StallRetry):
-            system.store(1, ADDR, 8, 3)  # 1 waits on 0
-        # 0 requesting 1's block would deadlock: the younger dies.
-        system.store(0, ADDR + 64, 8, 4)
-        assert system.poll_doomed(1) == "conflict"
+            system.store(1, ADDR + 128, 8, 9)  # 1 waits on 2
+        with pytest.raises(StallRetry) as stall:
+            system.store(0, ADDR + 64, 8, 9)  # 0 -> 1 -> 2: no cycle
+        assert stall.value.blockers == {1}
+        assert system._waiting_on == {0: 1, 1: 2}
+        assert all(system.stats.core(c).aborts == {} for c in range(3))
 
     def test_stale_wait_edge_cleared_when_holder_commits(self):
         """Regression: an edge added on STALL must die with the
