@@ -4,14 +4,25 @@ The fabric is the single source of truth for:
 
 * which cores hold a block, and who (if anyone) holds it exclusively;
 * per-core L1 / L2 / permissions-only caches (capacity modeling);
-* the speculative read/written bits used for HTM conflict detection.
+* what each core's transaction speculatively read and wrote.
 
-Conflicts are decided from the per-core ``spec_read``/``spec_written``
-sets, read through their reverse index by :meth:`CoherenceFabric.probe`
-(the one conflict question every TM system asks); both survive L1
-evictions and permissions-only-cache overflows.  The line bits mirror
-the same fact but drive only eviction and spill modelling: which
-evicted line is speculative, and when tracking is lost to capacity.
+The last is recorded once, in the per-core ``spec_read``/``spec_written``
+sets; they stand for the paper's per-line speculative bits (§2), and
+they decide everything those bits decide:
+
+* conflicts, through :meth:`CoherenceFabric.probe` (the one conflict
+  question every TM system asks), which reads the sets through their
+  one derived structure, the ``_spec_readers``/``_spec_writers``
+  reverse index, so a probe costs two dict lookups instead of a walk
+  over every core;
+* eviction: the L1 keeps a line whose block is in its core's sets
+  unless the whole set is speculative;
+* spills: an evicted speculative line takes an entry in the
+  permissions-only cache (OneTM), held until the transaction ends, so
+  any permissions-only victim is an overflow.
+
+The sets outlive L1 evictions and overflows, so losing a line never
+loses a conflict.
 
 Latency model (Table 1): L1 hit 1 cycle; L2 hit 10 cycles; a directory
 hop costs 20 cycles; DRAM lookup costs 100 cycles.  A miss serviced by
@@ -21,9 +32,9 @@ owner, data to requester); a miss serviced by memory costs
 
 The HTM layer resolves conflicts *before* asking the fabric to perform
 an access, so by the time :meth:`CoherenceFabric.acquire` invalidates a
-remote copy, any speculative bits on it have either been cleared (the
-remote transaction aborted) or deliberately released (the remote core
-is value-tracking the block and lets it be stolen — the RETCON path).
+remote copy, any remote transaction that had the block in its sets has
+aborted.  A copy RETCON only value-tracks is not in the sets: the
+writer steals it, and the victim revalidates and repairs at commit.
 """
 
 from __future__ import annotations
@@ -83,8 +94,9 @@ class CoherenceFabric:
         # Directory state: which cores hold each block; exclusive owner.
         self._holders: dict[int, set[int]] = {}
         self._owner: dict[int, Optional[int]] = {}
-        # Reverse maps: the derived index of the per-core speculative
-        # sets that probe() reads (an emptied entry is deleted).
+        # Reverse index: the one structure derived from the per-core
+        # speculative sets, kept so probe() is two dict lookups (an
+        # emptied entry is deleted).
         self._spec_readers: dict[int, set[int]] = {}
         self._spec_writers: dict[int, set[int]] = {}
         #: cores whose transaction lost speculative tracking to capacity
@@ -97,10 +109,10 @@ class CoherenceFabric:
         self._plain_outcomes: dict[int, AccessOutcome] = {}
 
     # ------------------------------------------------------------------
-    # Speculative-bit bookkeeping (conflict detection substrate)
+    # Speculative-set bookkeeping (conflict detection substrate)
     # ------------------------------------------------------------------
     def mark_spec(self, core: int, block: int, write: bool) -> None:
-        """Set the speculative read or written bit for *core* on *block*."""
+        """Record that *core*'s transaction read or wrote *block*."""
         caches = self.cores[core]
         if write:
             caches.spec_written.add(block)
@@ -115,41 +127,17 @@ class CoherenceFabric:
             reverse[block] = {core}
         else:
             cores.add(core)
-        line = caches.l1.lookup(block, touch=False)
-        if line is not None:
-            if write:
-                line.spec_written = True
-            else:
-                line.spec_read = True
-
-    def unmark_spec(self, core: int, block: int) -> None:
-        """Clear both speculative bits of *core* on *block* (a steal)."""
-        caches = self.cores[core]
-        caches.spec_read.discard(block)
-        caches.spec_written.discard(block)
-        self._discard_reverse(core, block)
-        for cache in (caches.l1, caches.perm):
-            line = cache.lookup(block, touch=False)
-            if line is not None:
-                line.spec_read = False
-                line.spec_written = False
 
     def clear_spec(self, core: int) -> None:
-        """Clear all speculative bits of *core* (commit or abort).
-
-        Only the blocks recorded in the per-core speculative sets can
-        carry line bits (mark_spec and the L1→perm spill are the only
-        setters), so clearing walks those blocks instead of sweeping
-        every line of the L1 and permissions-only caches.
-        """
+        """End *core*'s transaction (commit or abort): empty its sets
+        and drop the permissions-only entries its spills took."""
         caches = self.cores[core]
-        touched = caches.spec_read | caches.spec_written
-        for block in touched:
+        perm = caches.perm
+        for block in caches.spec_read | caches.spec_written:
             self._discard_reverse(core, block)
+            perm.invalidate(block)
         caches.spec_read.clear()
         caches.spec_written.clear()
-        caches.l1.clear_speculative_blocks(touched)
-        caches.perm.clear_speculative_blocks(touched)
         self.overflowed.discard(core)
 
     def _discard_reverse(self, core: int, block: int) -> None:
@@ -160,14 +148,8 @@ class CoherenceFabric:
                 if not cores:
                     del reverse[block]
 
-    def spec_readers(self, block: int) -> set[int]:
-        return set(self._spec_readers.get(block, ()))
-
-    def spec_writers(self, block: int) -> set[int]:
-        return set(self._spec_writers.get(block, ()))
-
     def probe(self, core: int, block: int, write: bool) -> Optional[set[int]]:
-        """Remote cores whose speculative bits conflict with this access,
+        """Remote cores whose speculative sets conflict with this access,
         or None when there are none.
 
         A conflict is an external write request to a speculatively-read
@@ -198,11 +180,6 @@ class CoherenceFabric:
     def is_spec(self, core: int, block: int) -> bool:
         caches = self.cores[core]
         return block in caches.spec_read or block in caches.spec_written
-
-    def footprint(self, core: int) -> int:
-        """Number of blocks speculatively touched by *core*."""
-        caches = self.cores[core]
-        return len(caches.spec_read | caches.spec_written)
 
     # ------------------------------------------------------------------
     # Coherence accesses
@@ -310,24 +287,23 @@ class CoherenceFabric:
 
     def _install(self, core: int, block: int, writable: bool) -> None:
         caches = self.cores[core]
-        _, l1_victim = caches.l1.insert(block, writable=writable)
+        _, l1_victim = caches.l1.insert(
+            block, writable, (caches.spec_read, caches.spec_written)
+        )
         caches.l2.insert(block, writable=writable)
         if l1_victim is not None:
             self._handle_l1_eviction(core, l1_victim)
 
     def _handle_l1_eviction(self, core: int, victim) -> None:
-        """Spill an evicted L1 line; speculative bits go to the
-        permissions-only cache (OneTM), or overflow if that fails."""
-        caches = self.cores[core]
-        if not victim.speculative:
+        """Spill an evicted speculative L1 line to the permissions-only
+        cache (OneTM); a full permissions-only set is an overflow."""
+        if not self.is_spec(core, victim.block):
             return
         self.perm_cache_spills += 1
-        perm_line, perm_victim = caches.perm.insert(
+        _, perm_victim = self.cores[core].perm.insert(
             victim.block, writable=victim.writable
         )
-        perm_line.spec_read = victim.spec_read
-        perm_line.spec_written = victim.spec_written
-        if perm_victim is not None and perm_victim.speculative:
+        if perm_victim is not None:
             # Lost speculative tracking entirely: an overflow (OneTM
             # would serialize this transaction; see htm.system).
             self.overflow_events += 1

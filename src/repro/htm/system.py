@@ -1,9 +1,9 @@
 """The transactional memory systems: eager baseline and RETCON.
 
 :class:`BaseTMSystem` implements the paper's baseline HTM (§2):
-access-time (eager) conflict detection via speculative bits in the
-coherence fabric, pluggable contention management, eager version
-management with zero-cycle rollback, and OneTM-style overflow
+access-time (eager) conflict detection via the coherence fabric's
+speculative read/written sets, pluggable contention management, eager
+version management with zero-cycle rollback, and OneTM-style overflow
 serialization backed by the permissions-only cache.
 
 :class:`RetconTMSystem` layers the RETCON engine on top: predictor-
@@ -48,8 +48,6 @@ class TxnContext:
     active: bool = False
     ts: int = 0
     undo: UndoLog = field(default_factory=UndoLog)
-    #: first-access decision per block: "eager" or "tracked"
-    block_mode: dict[int, str] = field(default_factory=dict)
     doomed: bool = False
     doom_reason: str = "conflict"
     overflowed: bool = False
@@ -215,7 +213,6 @@ class BaseTMSystem:
         ctx.overflowed = False
         ctx.stm = False
         ctx.subscribed = False
-        ctx.block_mode.clear()
         if ctx.cap_serialized and self.capacity_serializes:
             # Retry of a speculative-set capacity abort: run it under
             # OneTM overflow serialization (unbounded sets, but it
@@ -381,7 +378,6 @@ class BaseTMSystem:
         # Recorded for self-aborts too: hybrid backends read it at
         # restart to escalate capacity-aborted transactions.
         ctx.doom_reason = reason
-        ctx.block_mode.clear()
         self._clear_wait_edges(core)
         aborts = self.stats.core(core).aborts
         aborts[reason] = aborts.get(reason, 0) + 1
@@ -506,23 +502,17 @@ class BaseTMSystem:
             # a stall retry probes once.
             holders = fabric.probe(core, block, False)
             if holders is None and not fabric.overflowed:
-                line = fabric.cores[core].l1.lookup(block)
-                if line is not None:
+                caches = fabric.cores[core]
+                if caches.l1.lookup(block) is not None:
                     if self._waiting_on:
                         self._waiting_on.pop(core, None)
-                    ctx = self.ctx[core]
-                    if ctx.active:
-                        # See store: a set line bit means this exact
-                        # mark_spec already ran.
-                        if not line.spec_read:
-                            fabric.mark_spec(core, block, False)
-                            if self._cap_limited:
-                                self._check_spec_capacity(
-                                    core, block, False
-                                )
-                        mode = ctx.block_mode
-                        if block not in mode:
-                            mode[block] = "eager"
+                    if (
+                        self.ctx[core].active
+                        and block not in caches.spec_read
+                    ):
+                        fabric.mark_spec(core, block, False)
+                        if self._cap_limited:
+                            self._check_spec_capacity(core, block, False)
                     return LoadResult(
                         value=self.memory.read(addr, size), latency=1
                     )
@@ -552,26 +542,18 @@ class BaseTMSystem:
             # writable line and the directory side of acquire's hit.
             holders = fabric.probe(core, block, True)
             if holders is None and not fabric.overflowed:
-                line = fabric.cores[core].l1.lookup(block)
+                caches = fabric.cores[core]
+                line = caches.l1.lookup(block)
                 if line is not None and line.writable:
                     if self._waiting_on:
                         self._waiting_on.pop(core, None)
                     fabric.write_hit(core, block)
                     ctx = self.ctx[core]
                     if ctx.active:
-                        # line.spec_written set implies mark_spec already
-                        # ran for (core, block): the per-core set, the
-                        # reverse map, and the line bit are maintained
-                        # together, so re-marking would be a no-op.
-                        if not line.spec_written:
+                        if block not in caches.spec_written:
                             fabric.mark_spec(core, block, True)
                             if self._cap_limited:
-                                self._check_spec_capacity(
-                                    core, block, True
-                                )
-                        mode = ctx.block_mode
-                        if block not in mode:
-                            mode[block] = "eager"
+                                self._check_spec_capacity(core, block, True)
                         ctx.undo.record(self.memory, addr, size)
                     self.memory.write(addr, value, size)
                     return _STORE_HIT
@@ -609,14 +591,10 @@ class BaseTMSystem:
         # it would commit against a stale initial value.
         if write and outcome.invalidated:
             self._notify_trackers(core, block, outcome.invalidated)
-        ctx = self.ctx[core]
-        if ctx.active:
+        if self.ctx[core].active:
             fabric.mark_spec(core, block, write)
             if self._cap_limited:
                 self._check_spec_capacity(core, block, write)
-            mode = ctx.block_mode
-            if block not in mode:
-                mode[block] = "eager"
         return outcome.latency
 
     def _notify_trackers(
@@ -649,7 +627,6 @@ class BaseTMSystem:
         ctx.undo.commit()
         self.fabric.clear_spec(core)
         ctx.active = False
-        ctx.block_mode.clear()
         self._clear_wait_edges(core)
         self.stats.core(core).commits += 1
         if self.metrics is not None:
@@ -732,8 +709,9 @@ class RetconTMSystem(BaseTMSystem):
         the baseline path (which will detect the conflict).
 
         Both callers already verify the access fits in one block and
-        that the block has no recorded access mode, so only the
-        predictor and speculation checks happen here.
+        that the block is neither tracked nor in this core's
+        speculative sets, so only the predictor and speculation checks
+        happen here.
         """
         engine = self._engines[core]
         block = addr // BLOCK_SIZE
@@ -743,7 +721,6 @@ class RetconTMSystem(BaseTMSystem):
             return -1
         outcome = self.fabric.acquire(core, block, write=False)
         engine.start_tracking(block, self.memory.read_block(block))
-        self.ctx[core].block_mode[block] = "tracked"
         return outcome.latency
 
     def _capacity_abort(self, core: int, exc: CapacityAbort) -> None:
@@ -803,7 +780,7 @@ class RetconTMSystem(BaseTMSystem):
             )
             return LoadResult(value=value, latency=1, sym=sym)
 
-        if fits and block not in ctx.block_mode:
+        if fits and not self.fabric.is_spec(core, block):
             fetch = self._try_start_tracking(core, addr, size)
             if fetch >= 0:
                 value, sym = engine.load(addr, size)
@@ -830,7 +807,7 @@ class RetconTMSystem(BaseTMSystem):
 
         fits = (addr + size - 1) // BLOCK_SIZE == block
         tracked = fits and block in engine.ivb.entries_by_block
-        if not tracked and fits and block not in ctx.block_mode:
+        if not tracked and fits and not self.fabric.is_spec(core, block):
             fetch = self._try_start_tracking(core, addr, size)
             if fetch >= 0:
                 tracked = True

@@ -4,9 +4,9 @@ The data always lives in :class:`~repro.mem.memory.MainMemory` (eager
 version management keeps speculative stores in place, guarded by the
 undo log; lazy version management holds them in a
 :class:`~repro.mem.memory.WriteBuffer` until commit).  Caches model
-only tags, coherence permissions, speculative read/written bits, and
-LRU state — they are used for latency charging and conflict detection,
-never as a second copy of the data.
+only tags, coherence permissions and LRU state — they are used for
+latency charging and capacity (eviction, spill, overflow), never as a
+second copy of the data.
 """
 
 from repro.mem.address import (

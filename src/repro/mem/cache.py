@@ -1,12 +1,21 @@
-"""Set-associative caches with speculative read/written bits.
+"""Set-associative caches of block metadata.
 
 The baseline HTM (paper §2) detects conflicts through the coherence
 protocol by adding a "speculatively-read" and a "speculatively-written"
 bit to each block in the primary data cache.  A small
 *permissions-only cache* (from OneTM / Blundell et al., ISCA 2007)
-holds coherence permissions and speculative bits — without data — for
-blocks evicted from the L1 during a transaction, which "essentially
-eliminates cache overflows entirely" on these workloads.
+holds coherence permissions — without data — for blocks evicted from
+the L1 during a transaction, which "essentially eliminates cache
+overflows entirely" on these workloads.
+
+The caches here carry no speculative state.  The one record of what a
+transaction touched is the per-core read/written sets of
+:class:`~repro.coherence.directory.CoherenceFabric`: a line is
+speculative exactly when its block is in its core's sets.  So the
+fabric hands those sets to the L1's :meth:`SetAssocCache.insert` as the
+lines to keep, and it holds a permissions-only entry exactly as long as
+the spill it records, which makes every permissions-only victim an
+overflow.
 
 Caches here track tags and metadata only; data lives in
 :class:`~repro.mem.memory.MainMemory`.
@@ -23,18 +32,7 @@ with the smallest stamp.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
-
-
-class NoEvictionCandidate(Exception):
-    """An insert needed a victim but the set holds no line at all.
-
-    This cannot happen through the public API (an insert only evicts
-    when the set is full, and full sets are non-empty); it exists so a
-    mis-configured cache (``assoc < 1``) fails with a named capacity
-    error instead of a bare ``ValueError`` from ``min()`` deep inside
-    the eviction scan.
-    """
+from typing import Container, Optional, Sequence
 
 
 @dataclass(slots=True)
@@ -43,13 +41,7 @@ class CacheLine:
 
     block: int
     writable: bool = False  # False = shared/read permission, True = exclusive
-    spec_read: bool = False
-    spec_written: bool = False
     lru: int = 0
-
-    @property
-    def speculative(self) -> bool:
-        return self.spec_read or self.spec_written
 
 
 class SetAssocCache:
@@ -58,10 +50,10 @@ class SetAssocCache:
     def __init__(
         self, size_bytes: int, assoc: int, block_size: int = 64
     ) -> None:
-        if size_bytes % (assoc * block_size):
-            raise ValueError("cache size must be a multiple of way size")
         if assoc < 1:
             raise ValueError("associativity must be at least 1")
+        if size_bytes % (assoc * block_size):
+            raise ValueError("cache size must be a multiple of way size")
         self.assoc = assoc
         self.num_sets = size_bytes // (assoc * block_size)
         self._sets: dict[int, dict[int, CacheLine]] = {}
@@ -88,36 +80,36 @@ class SetAssocCache:
             line.lru = self._tick
         return line
 
-    def _pick_victim(self, cache_set: dict[int, CacheLine]) -> CacheLine:
-        """LRU victim: prefer non-speculative lines; when *every* line
-        in the set is speculative, evict the LRU speculative line (the
-        HTM layer then spills its bits to the permissions-only cache,
-        or declares overflow — the OneTM path)."""
+    def _pick_victim(
+        self, cache_set: dict[int, CacheLine], keep: Sequence[Container[int]]
+    ) -> CacheLine:
+        """LRU victim, preferring a line whose block is in none of the
+        *keep* sets; when every line is kept, the LRU kept line."""
         victim: Optional[CacheLine] = None
         fallback: Optional[CacheLine] = None
-        for line in cache_set.values():
-            if not line.speculative:
+        for block, line in cache_set.items():
+            for blocks in keep:
+                if block in blocks:
+                    if fallback is None or line.lru < fallback.lru:
+                        fallback = line
+                    break
+            else:
                 if victim is None or line.lru < victim.lru:
                     victim = line
-            elif fallback is None or line.lru < fallback.lru:
-                fallback = line
-        if victim is None:
-            victim = fallback
-        if victim is None:
-            raise NoEvictionCandidate(
-                "eviction requested from an empty cache set"
-            )
-        return victim
+        return fallback if victim is None else victim
 
     def insert(
-        self, block: int, writable: bool
+        self,
+        block: int,
+        writable: bool,
+        keep: Sequence[Container[int]] = (),
     ) -> tuple[CacheLine, Optional[CacheLine]]:
         """Insert (or upgrade) *block*; return ``(line, evicted_line)``.
 
-        The victim is the LRU line of the set.  Lines with speculative
-        bits set are only chosen as victims if every line in the set is
-        speculative (the HTM layer then spills the victim's bits to the
-        permissions-only cache, or declares overflow).
+        A full set evicts its LRU line, skipping lines whose block is
+        in one of the *keep* sets unless every line is (the L1 keeps
+        its core's speculative blocks; the fabric then spills the
+        victim to the permissions-only cache, or declares overflow).
         """
         existing = self._lines.get(block)
         if existing is not None:
@@ -133,7 +125,7 @@ class SetAssocCache:
             self._sets[index] = cache_set
         evicted: Optional[CacheLine] = None
         if len(cache_set) >= self.assoc:
-            evicted = self._pick_victim(cache_set)
+            evicted = self._pick_victim(cache_set, keep)
             del cache_set[evicted.block]
             del self._lines[evicted.block]
             self.evictions += 1
@@ -146,7 +138,7 @@ class SetAssocCache:
 
     # -- invalidation / downgrade ------------------------------------------------
     def invalidate(self, block: int) -> Optional[CacheLine]:
-        """Drop *block*; return the removed line (with its spec bits)."""
+        """Drop *block*; return the removed line, or None if absent."""
         line = self._lines.pop(block, None)
         if line is not None:
             del self._sets[block % self.num_sets][block]
@@ -158,33 +150,6 @@ class SetAssocCache:
         if line is not None:
             line.writable = False
 
-    # -- speculation support --------------------------------------------------
-    def speculative_lines(self) -> Iterator[CacheLine]:
-        """Iterate all lines with a speculative bit set."""
-        for line in self._lines.values():
-            if line.speculative:
-                yield line
-
-    def clear_speculative_bits(self) -> None:
-        """Clear all speculative read/written bits (commit or abort)."""
-        for line in self._lines.values():
-            line.spec_read = False
-            line.spec_written = False
-
-    def clear_speculative_blocks(self, blocks) -> None:
-        """Clear speculative bits on *blocks* only.
-
-        The coherence fabric knows exactly which blocks a transaction
-        touched speculatively, so commit/abort clears those lines
-        directly instead of sweeping the whole cache.
-        """
-        lines = self._lines
-        for block in blocks:
-            line = lines.get(block)
-            if line is not None:
-                line.spec_read = False
-                line.spec_written = False
-
     # -- introspection --------------------------------------------------------
     def resident_blocks(self) -> list[int]:
         return sorted(self._lines)
@@ -194,7 +159,7 @@ class SetAssocCache:
 
 
 class PermissionsOnlyCache(SetAssocCache):
-    """Holds permissions + speculative bits for blocks evicted from L1.
+    """Holds permissions for blocks spilled from the L1 mid-transaction.
 
     Structurally identical to a data cache but conceptually data-less;
     because every cache here is metadata-only, the distinction is purely

@@ -1,4 +1,4 @@
-"""Coherence fabric: latencies, invalidations, speculative-bit maps."""
+"""Coherence fabric: latencies, invalidations, speculative sets."""
 
 import re
 from pathlib import Path
@@ -88,18 +88,13 @@ class TestSpeculativeBits:
         assert fabric.probe(1, 101, write=False) is None
         assert not fabric.is_spec(0, 100)
 
-    def test_unmark_spec_single_block(self, fabric):
-        fabric.mark_spec(0, 100, write=False)
-        fabric.mark_spec(0, 101, write=False)
-        fabric.unmark_spec(0, 100)
-        assert fabric.probe(1, 100, write=True) is None
-        assert fabric.probe(1, 101, write=True) == {0}
-
     def test_footprint_counts_unique_blocks(self, fabric):
         fabric.mark_spec(0, 100, write=False)
         fabric.mark_spec(0, 100, write=True)
         fabric.mark_spec(0, 101, write=True)
-        assert fabric.footprint(0) == 2
+        caches = fabric.cores[0]
+        assert caches.spec_read | caches.spec_written == {100, 101}
+        assert fabric.is_spec(0, 100) and fabric.is_spec(0, 101)
 
 
 class TestEncapsulation:
@@ -138,6 +133,30 @@ class TestOverflow:
         fabric.acquire(0, 2, write=False)
         assert fabric.perm_cache_spills == 1
         assert not fabric.overflowed  # permissions cache absorbed it
-        # Conflict detection still sees the spilled bits.
+        # Conflict detection still sees the spilled block.
         assert fabric.probe(0, 0, write=True) is None
         assert fabric.is_spec(0, 0)
+
+    def test_spill_entry_lives_as_long_as_the_transaction(self):
+        """Ending the transaction frees its permissions-only entries, so
+        the next transaction's spill finds room: no stale entry is ever
+        a victim, and every permissions-only eviction is an overflow."""
+        config = small_test_config(
+            ncores=2, l1_bytes=64, l1_assoc=1, perm_cache_bytes=1,
+            perm_cache_assoc=1,
+        )
+        fabric = CoherenceFabric(config, ncores=2)
+        fabric.acquire(0, 0, write=False)
+        fabric.mark_spec(0, 0, write=False)
+        fabric.acquire(0, 1, write=False)  # spills block 0
+        assert fabric.cores[0].perm.resident_blocks() == [0]
+        fabric.clear_spec(0)
+        assert fabric.cores[0].perm.resident_blocks() == []
+        fabric.mark_spec(0, 1, write=True)
+        fabric.acquire(0, 2, write=False)  # spills block 1, no victim
+        assert fabric.perm_cache_spills == 2
+        assert fabric.overflow_events == 0
+        fabric.mark_spec(0, 2, write=False)
+        fabric.acquire(0, 3, write=False)  # spills block 2: evicts 1
+        assert fabric.overflow_events == 1 == fabric.cores[0].perm.evictions
+        assert fabric.overflowed == {0}

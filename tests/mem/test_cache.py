@@ -1,4 +1,4 @@
-"""Set-associative cache model: LRU, speculative-bit victim policy."""
+"""Set-associative cache model: LRU, caller-kept victim policy."""
 
 import pytest
 
@@ -45,50 +45,52 @@ class TestReplacement:
 
     def test_speculative_lines_are_protected(self):
         cache = make_cache(sets=1, assoc=2)
-        line0, _ = cache.insert(0, False)
-        line0.spec_read = True
+        cache.insert(0, False)
         cache.insert(1, False)
-        cache.lookup(0)  # 1 is LRU but 0 is speculative anyway
-        _, evicted = cache.insert(2, False)
+        # 0 is LRU but kept, so the victim is 1.
+        _, evicted = cache.insert(2, False, keep=({0},))
         assert evicted.block == 1
+
+    def test_any_keep_set_protects(self):
+        """The fabric passes a core's read and written sets separately;
+        membership in either keeps a line."""
+        cache = make_cache(sets=1, assoc=3)
+        for block in (0, 1, 2):
+            cache.insert(block, False)
+        _, evicted = cache.insert(3, False, keep=({0}, {1}))
+        assert evicted.block == 2
 
     def test_all_speculative_set_evicts_speculative(self):
         cache = make_cache(sets=1, assoc=2)
         for block in (0, 1):
-            line, _ = cache.insert(block, False)
-            line.spec_read = True
-        _, evicted = cache.insert(2, False)
-        assert evicted is not None and evicted.speculative
+            cache.insert(block, False)
+        _, evicted = cache.insert(2, False, keep=({0, 1},))
+        assert evicted is not None and evicted.block == 0
+        assert cache.resident_blocks() == [1, 2]
 
     def test_all_speculative_set_evicts_lru_speculative(self):
-        """Regression: a set where *every* line is speculative must
-        pick the LRU speculative victim (spill path), never raise."""
+        """Regression: a set where *every* line is kept must pick the
+        LRU kept victim (spill path), never raise."""
         cache = make_cache(sets=1, assoc=4)
         for block in range(4):
-            line, _ = cache.insert(block, False)
-            line.spec_written = True
-        cache.lookup(0)  # block 1 is now the LRU speculative line
-        line, evicted = cache.insert(4, False)
+            cache.insert(block, False)
+        cache.lookup(0)  # block 1 is now the LRU kept line
+        line, evicted = cache.insert(4, False, keep=(set(), set(range(4))))
         assert line.block == 4
-        assert evicted is not None
-        assert evicted.block == 1 and evicted.speculative
+        assert evicted is not None and evicted.block == 1
         assert cache.resident_blocks() == [0, 2, 3, 4]
 
-    def test_eviction_from_misconfigured_cache_raises_named_error(self):
-        from repro.mem.cache import NoEvictionCandidate
-
-        cache = make_cache(sets=1, assoc=1)
-        with pytest.raises(NoEvictionCandidate):
-            cache._pick_victim({})
+    def test_misconfigured_associativity_is_rejected(self):
+        with pytest.raises(ValueError, match="associativity"):
+            make_cache(sets=1, assoc=0)
 
 
 class TestInvalidation:
-    def test_invalidate_returns_line_with_bits(self):
+    def test_invalidate_returns_line(self):
         cache = make_cache()
-        line, _ = cache.insert(7, True)
-        line.spec_written = True
+        cache.insert(7, True)
         removed = cache.invalidate(7)
-        assert removed.spec_written
+        assert removed.block == 7 and removed.writable
         assert 7 not in cache
 
     def test_invalidate_missing_is_noop(self):
@@ -100,27 +102,6 @@ class TestInvalidation:
         cache.downgrade(7)
         assert 7 in cache
         assert not cache.lookup(7).writable
-
-
-class TestSpeculativeBits:
-    def test_iterate_and_clear(self):
-        cache = make_cache()
-        for block in range(3):
-            line, _ = cache.insert(block, False)
-            if block != 1:
-                line.spec_read = True
-        spec = {line.block for line in cache.speculative_lines()}
-        assert spec == {0, 2}
-        cache.clear_speculative_bits()
-        assert not list(cache.speculative_lines())
-
-    def test_clear_speculative_blocks_is_targeted(self):
-        cache = make_cache()
-        for block in range(3):
-            line, _ = cache.insert(block, False)
-            line.spec_read = True
-        cache.clear_speculative_blocks([0, 7])  # 7 absent: no-op
-        assert {line.block for line in cache.speculative_lines()} == {1, 2}
 
 
 class TestPermissionsOnlyCache:
