@@ -3,15 +3,15 @@
 Three pillars (see ``docs/correctness_oracle.md``):
 
 * :mod:`repro.check.oracle` — the replay-based repair oracle: every
-  RETCON commit is re-executed by a reference interpreter against the
-  commit-time memory image and the repaired state must match byte for
-  byte.
+  commit of a commit-atomic row is re-executed by a reference
+  interpreter against the commit-time memory image and the committed
+  (for RETCON, repaired) state must match byte for byte.
 * :mod:`repro.check.golden` — the golden-run differ: the parallel
   run's final state is checked against a sequential execution of the
   same workload.
 * :mod:`repro.check.faults` — the fault injector: seeded, enumerable
-  corruptions of the RETCON structures prove the oracle detects the
-  bug classes it claims to.
+  corruptions of the RETCON structures and of any commit plan prove
+  the oracle detects the bug classes it claims to.
 
 :mod:`repro.check.matrix` orchestrates all three for ``repro check``.
 """

@@ -13,16 +13,17 @@ the catalog, mirrored in ``docs/correctness_oracle.md``) and
 **seeded**: an injector picks its victim entry with its own
 ``random.Random(seed)``, so a failing fault trial reproduces exactly.
 
-Two stages, matching the hooks in
-:meth:`repro.htm.system.RetconTMSystem._pre_commit`:
+Two stages:
 
-* ``pre-validate`` — after lost blocks are reacquired, before the
-  engine validates its constraints: corruptions of the engine state
-  (SSB, symbolic registers, constraint buffer, IVB).
-* ``post-plan`` — after the engine produced its
-  :class:`~repro.core.engine.CommitPlan`, before the oracle check and
-  the store drain: corruptions of the plan itself (models bugs in the
-  drain/repair datapath).
+* ``pre-validate`` — in :meth:`repro.htm.system.RetconTMSystem._pre_commit`,
+  after lost blocks are reacquired, before the engine validates its
+  constraints: corruptions of the engine state (SSB, symbolic
+  registers, constraint buffer, IVB).
+* ``post-plan`` — in :meth:`repro.htm.system.BaseTMSystem._check_commit`,
+  once any commit path built its :class:`~repro.core.engine.CommitPlan`
+  (a RETCON repair plan, a lazy or STM write buffer's runs), before the
+  oracle check and the store drain: corruptions of the plan itself
+  (models bugs in the drain/repair datapath).
 
 Every ``apply`` function returns True only if it actually mutated
 something, so an injector keeps arming itself until a commit with a
@@ -38,16 +39,13 @@ from typing import Callable, Optional
 from repro.core.engine import CommitPlan, RetconEngine
 from repro.mem.address import block_base, block_of
 
-#: (engine, plan-or-None, rng) -> mutated?
+#: (engine-or-None, plan-or-None, rng) -> mutated?
 ApplyFn = Callable[
-    [RetconEngine, Optional[CommitPlan], random.Random], bool
+    [Optional[RetconEngine], Optional[CommitPlan], random.Random], bool
 ]
 
 PRE_VALIDATE = "pre-validate"
 POST_PLAN = "post-plan"
-#: fired on the STM commit plan (write-buffer runs) after software
-#: validation, before writeback — the software analogue of POST_PLAN
-STM_COMMIT = "stm-commit"
 
 
 @dataclass(frozen=True)
@@ -330,16 +328,6 @@ FAULT_POINTS: dict[str, FaultPoint] = {
             "one register repair dropped",
             _plan_reg_drop,
         ),
-        FaultPoint(
-            "stm-store-skew", STM_COMMIT,
-            "one STM write-buffer run's committed value +1",
-            _plan_store_skew,
-        ),
-        FaultPoint(
-            "stm-store-drop", STM_COMMIT,
-            "one STM write-buffer run silently lost at writeback",
-            _plan_store_drop,
-        ),
     )
 }
 
@@ -347,11 +335,12 @@ FAULT_POINTS: dict[str, FaultPoint] = {
 class FaultInjector:
     """Applies one named fault point during pre-commit.
 
-    Installed on a :class:`~repro.htm.system.RetconTMSystem` via its
-    ``fault_injector`` attribute; the system calls :meth:`fire` at both
-    stages of every pre-commit.  By default the fault is injected on
-    every eligible commit (``max_fires=None``); bound it to study a
-    single corruption.
+    Installed on any TM system via its ``fault_injector`` attribute:
+    every commit fires ``post-plan`` (a plan-store fault corrupts a
+    RETCON, lazy or STM commit alike), and a RETCON pre-commit also
+    fires ``pre-validate``.  By default the fault is injected on every
+    eligible commit (``max_fires=None``); bound it to study a single
+    corruption.
     """
 
     def __init__(
@@ -373,7 +362,7 @@ class FaultInjector:
     def fire(
         self,
         stage: str,
-        engine: RetconEngine,
+        engine: Optional[RetconEngine],
         plan: Optional[CommitPlan],
     ) -> None:
         if stage != self.point.stage:

@@ -17,7 +17,8 @@ Two comparison levels:
   parallel run must pass all of them, and the two outcomes must agree
   per invariant.  This is the default pass/fail signal: it is valid
   for every workload, including those whose final memory bytes depend
-  on the (legitimate) serialization order.
+  on the (legitimate) serialization order.  The parallel run must also
+  leave no STM ownership word (fallback token, orec owner) held.
 * **memory** — a byte-level diff of the two final memories, reported
   as differing block/byte counts and a bounded sample of differing
   addresses.  For order-sensitive workloads this is informational; for
@@ -45,7 +46,7 @@ class GoldenDiff:
     sample_addrs: list[int] = field(default_factory=list)
     #: invariants the golden (sequential) run failed — a workload bug
     golden_failures: list[str] = field(default_factory=list)
-    #: invariants the parallel run failed — a TM-system bug
+    #: invariants (and STM ownership) the parallel run failed — a TM bug
     parallel_failures: list[str] = field(default_factory=list)
     strict_memory: bool = False
 
@@ -98,10 +99,11 @@ def diff_memories(
 
     Blocks in the STM metadata region (at or above
     :data:`repro.stm.metadata.STM_META_BASE`) are excluded: orec
-    versions, the global clock, and the fallback token are simulator
-    bookkeeping whose final values legitimately depend on the
-    schedule (abort counts), and single-core reference runs don't
-    materialize them at all.  Workload data never lives up there.
+    versions and the global clock are simulator bookkeeping whose
+    final values legitimately depend on the schedule (abort counts),
+    and single-core reference runs don't materialize them at all.
+    Workload data never lives up there.  (:func:`golden_diff` checks
+    its ownership words instead.)
     """
     from repro.stm.metadata import STM_META_BASE
 
@@ -131,6 +133,27 @@ def diff_memories(
     return len(blocks), blocks_differing, bytes_differing, samples
 
 
+def _held_stm_ownership(memory: MainMemory) -> list[str]:
+    """The STM ownership words *memory* still holds set, by name: a run
+    ends with no transaction in flight, so each one is a leaked claim."""
+    from repro.sim.config import MachineConfig
+    from repro.stm.metadata import OREC_STRIDE, StmMetadata
+
+    meta = StmMetadata(MachineConfig())  # the layout is config-free
+    touched = memory.touched_blocks()
+    held = []
+    if meta.token_block in touched and memory.read(meta.token_addr):
+        held.append("stm-fallback-token")
+    if any(
+        memory.read(meta.owner_addr(block_base(block) + offset))
+        for block in touched
+        if block >= block_of(meta.orec_base)
+        for offset in range(0, BLOCK_SIZE, OREC_STRIDE)
+    ):
+        held.append("stm-orec-owner")
+    return held
+
+
 def golden_diff(
     generated: GeneratedWorkload,
     parallel_memory: MainMemory,
@@ -151,7 +174,7 @@ def golden_diff(
         inv.name
         for inv in generated.check_invariants(parallel_memory)
         if not inv.ok
-    ]
+    ] + _held_stm_ownership(parallel_memory)
     return GoldenDiff(
         blocks_compared=compared,
         blocks_differing=blocks_diff,

@@ -11,8 +11,9 @@ Two halves, matching the subsystem's promise:
   point in :data:`repro.check.faults.FAULT_POINTS`, a deliberately
   contended microbenchmark is run on the full RETCON system with that
   corruption injected at every commit, and the oracle must report at
-  least one violation.  A control trial with no fault injected must
-  report none.
+  least one violation; the plan-store faults run on the ``lazy`` and
+  ``stm`` write-buffer commits too (:data:`FAULT_ROWS`).  A control
+  trial per row with no fault injected must report none.
 
 The fault microbenchmark is deterministic (fixed seeds, deterministic
 scheduler), so even the contention-dependent faults — dropped register
@@ -22,10 +23,10 @@ tracked block really was stolen and changed — reproduce exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
-from repro.check.faults import FAULT_POINTS, STM_COMMIT, FaultInjector
+from repro.check.faults import FAULT_POINTS, FaultInjector
 from repro.check.oracle import RepairOracle
 from repro.exp.spec import ExperimentSpec, smoke_spec
 from repro.isa.instructions import Cond
@@ -36,10 +37,14 @@ from repro.sim.config import MachineConfig
 from repro.sim.machine import Machine
 from repro.sim.script import ThreadScript
 
-#: systems whose commits the repair oracle actually replays (the
-#: baseline systems never reach the RETCON pre-commit hook but are
-#: still golden-diffed by the oracle matrix)
-ORACLE_SYSTEMS = ("lazy-vb", "retcon")
+#: the fault matrix's rows, each with the faults its commit plan can
+#: carry: a RETCON engine holds every structure the catalog corrupts
+#: (None), a lazy or STM plan is only its write buffer's runs
+FAULT_ROWS = {
+    "retcon": None,
+    "lazy": ("plan-store-drop", "plan-store-skew"),
+    "stm": ("plan-store-drop", "plan-store-skew"),
+}
 
 
 def check_spec(
@@ -54,15 +59,10 @@ def check_spec(
     workload shapes at a slightly larger scale.
     """
     if smoke:
-        base = smoke_spec()
-        return ExperimentSpec(
+        return replace(
+            smoke_spec(),
             name="check-smoke",
             description="smoke grid + repair oracle + golden differ",
-            workloads=base.workloads,
-            systems=base.systems,
-            core_counts=base.core_counts,
-            seeds=base.seeds,
-            scale=base.scale,
             check=True,
         )
     return ExperimentSpec(
@@ -76,7 +76,7 @@ def check_spec(
             "vacation_opt",
             "ssca2",
         ),
-        systems=("eager",) + ORACLE_SYSTEMS,
+        systems=("eager", "lazy-vb", "retcon"),
         core_counts=(ncores,),
         seeds=(seed,),
         scale=0.25,
@@ -178,8 +178,8 @@ class FaultTrial:
     """Outcome of one fault-injection run."""
 
     fault: Optional[str]  # None = control (no injection)
+    system: str
     stage: str
-    description: str
     fires: int
     checked_commits: int
     violations: int
@@ -199,27 +199,21 @@ class FaultTrial:
 
 def run_fault_trial(
     fault: Optional[str],
+    system: str = "retcon",
     seed: int = 0,
     ncores: int = 4,
     txns_per_core: int = 32,
 ) -> FaultTrial:
-    """Run the contended scenario with *fault* injected (None = clean).
-
-    The backend follows the fault's stage: RETCON-structure and
-    commit-plan faults run on ``retcon``; STM commit-path faults run
-    on the ``stm`` backend (the only one that reaches their stage).
-    """
+    """Run the contended scenario on *system* with *fault* injected
+    (None = clean)."""
     scripts, memory, config = fault_scenario(ncores, txns_per_core)
-    point = FAULT_POINTS[fault] if fault is not None else None
-    system = "stm" if point is not None and point.stage == STM_COMMIT \
-        else "retcon"
     oracle = RepairOracle()
     machine = Machine(
         config,
         system,
         scripts,
         memory,
-        label=f"fault:{fault or 'control'}",
+        label=f"fault:{fault or 'control'}/{system}",
         check=oracle,
     )
     injector = None
@@ -229,8 +223,8 @@ def run_fault_trial(
     machine.run(max_cycles=50_000_000)
     return FaultTrial(
         fault=fault,
-        stage=point.stage if point else "-",
-        description=point.description if point else "no fault injected",
+        system=system,
+        stage=injector.point.stage if injector else "-",
         fires=injector.fires if injector else 0,
         checked_commits=oracle.checked_commits,
         violations=oracle.total_violations,
@@ -244,18 +238,14 @@ def run_fault_matrix(
     ncores: int = 4,
     txns_per_core: int = 32,
 ) -> list[FaultTrial]:
-    """Run the control plus every fault point; return all trials."""
+    """Run, per row of :data:`FAULT_ROWS`, the control plus every fault
+    point the row carries (of *faults*, if given); return all trials."""
     names = list(faults) if faults is not None else sorted(FAULT_POINTS)
-    trials = [
+    return [
         run_fault_trial(
-            None, seed=seed, ncores=ncores, txns_per_core=txns_per_core
+            name, system, seed=seed, ncores=ncores,
+            txns_per_core=txns_per_core,
         )
+        for system, carried in FAULT_ROWS.items()
+        for name in [None] + [n for n in names if n in (carried or names)]
     ]
-    for name in names:
-        trials.append(
-            run_fault_trial(
-                name, seed=seed, ncores=ncores,
-                txns_per_core=txns_per_core,
-            )
-        )
-    return trials

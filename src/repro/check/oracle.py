@@ -1,22 +1,23 @@
-"""The repair oracle: replay-based validation of RETCON commits.
+"""The repair oracle: replay-based validation of every commit.
 
 RETCON's correctness argument (paper §1, §4) is that the commit-time
 repair — re-deriving buffered stores and register values from freshly
 reacquired inputs via symbolic expressions and constraints — produces
 exactly the state that *re-executing* the transaction against those
-inputs would produce.  The oracle checks that equivalence on every
-commit it observes:
+inputs would produce (other TM systems claim it with nothing to
+repair).  The oracle checks that equivalence on every commit it sees:
 
 1. While a transaction runs, the core records its program, its
    initial register snapshot, and the executed instruction trace
    (:meth:`RepairOracle.on_txn_begin` / :meth:`~RepairOracle.on_instruction`).
-2. At pre-commit, after the engine validated its constraints and
-   produced a :class:`~repro.core.engine.CommitPlan`, the oracle
-   replays the recorded program with a reference interpreter
-   (:mod:`repro.check.replay`) against the commit-time memory image:
-   reacquired blocks read their fresh values, blocks the transaction
-   wrote eagerly read their undo-log pre-image, everything else reads
-   architectural memory.
+2. At pre-commit, once the commit's
+   :class:`~repro.core.engine.CommitPlan` exists (RETCON's validated
+   repair plan, a lazy or STM write buffer's runs, or an eager
+   commit's empty plan), the oracle replays the recorded program with
+   a reference interpreter (:mod:`repro.check.replay`) against the
+   commit-time memory image: reacquired blocks read their fresh
+   values, bytes any active transaction wrote eagerly read their
+   undo-log pre-image, everything else reads architectural memory.
 3. It then asserts, byte for byte: the replayed control-flow path
    matches the executed one (the constraint set really did pin every
    branch), every buffered store drains the value the replay computed,
@@ -29,13 +30,13 @@ core/transaction/expression context; ``strict=True`` escalates the
 first one to an :class:`OracleError`.
 
 The oracle is pull-free: it holds no reference to the machine and is
-driven entirely by the hooks above; hardware (RETCON) and software
-(STM) commits hand it the same record — a
-:class:`~repro.core.engine.CommitPlan`, memory, and the undo
-pre-images to read through.  (It is not meaningful for
+driven entirely by the hooks above; every commit hands it the same
+record through :meth:`repro.htm.system.BaseTMSystem._check_commit` —
+a :class:`~repro.core.engine.CommitPlan`, memory, and the undo
+pre-images to read through.  (It is not meaningful for ``datm`` and
 ``retcon-fwd``, whose forwarded speculative values are legitimately
-invisible to a committed-state replay: that row of
-:data:`repro.htm.backends.BACKENDS` says ``oracle=False``.)
+invisible to a committed-state replay: their rows of
+:data:`repro.htm.backends.BACKENDS` refuse it.)
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ class _TxnRecord:
 
 
 class RepairOracle:
-    """Validates every observed RETCON commit against a replay."""
+    """Validates every observed commit against a replay."""
 
     def __init__(
         self,
@@ -146,17 +147,15 @@ class RepairOracle:
     ) -> None:
         """Replay the committing transaction and diff it against *plan*.
 
-        Called by the TM system after constraint validation produced
-        the commit plan, before any store drains.  *memory* is the
-        architectural memory at that instant: reacquired blocks hold
-        their fresh values and the buffered stores have not drained
-        yet.  *pre_images* are undo-log pre-images (byte addr -> byte)
-        the replay reads through: the committer's own for a hardware
-        commit (its eager stores are in place), every *other* active
-        transaction's for a software commit (their eager stores are
-        not committed state).  *engine* (the source of any register
-        repairs in *plan*) only adds the symbolic expression behind a
-        diverging value to the report.
+        Called by the TM system once the commit plan exists, before
+        any store drains.  *memory* is the architectural memory at
+        that instant: reacquired blocks hold their fresh values and
+        the buffered stores have not drained yet.  *pre_images* are
+        the undo-log pre-images (byte addr -> byte) of every active
+        transaction, the committer's included, for the replay to read
+        through.  *engine* (the source of any register repairs in
+        *plan*) only adds the symbolic expression behind a diverging
+        value to the report.
         """
         record = self._records.get(core)
         if record is None:

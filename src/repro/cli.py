@@ -189,12 +189,18 @@ def _known_backends(names) -> None:
 
 
 def _check_points(points) -> None:
-    """An unknown system, or --skew/--burst on a workload with no
-    traffic model, is a usage error up front — before any workload is
-    generated — not a traceback from the middle of the run."""
+    """An unknown system, --check on a row without atomic commits, or
+    --skew/--burst on a workload with no traffic model, is a usage
+    error up front — before any workload is generated — not a
+    traceback from the middle of the run."""
     for point in points:
         if point.system:  # "" marks a template, stamped later
             _known_backends([point.system])
+            if point.check and not BACKENDS[point.system].commit_atomic:
+                raise UsageError(
+                    f"--check: {point.system} commits forwarded "
+                    "speculative values, which no replay can check"
+                )
         try:
             _resolve_workload(point.workload, point.skew, point.burst)
         except ValueError as exc:
@@ -479,8 +485,8 @@ def _cmd_check(args) -> int:
               "(fault matrix skipped)")
         return 0 if matrix_ok else 1
 
-    print("\nfault matrix (control + every fault point, "
-          "contended retcon scenario):")
+    print("\nfault matrix (control + every fault point per row, "
+          "contended scenario):")
     start = time.perf_counter()
     trials = run_fault_matrix()
     elapsed = time.perf_counter() - start
@@ -492,6 +498,7 @@ def _cmd_check(args) -> int:
         rows.append(
             (
                 trial.fault or "(control)",
+                trial.system,
                 trial.stage,
                 trial.fires,
                 trial.checked_commits,
@@ -501,8 +508,8 @@ def _cmd_check(args) -> int:
             )
         )
     print(format_table(
-        ["fault", "stage", "fires", "commits", "violations", "kinds",
-         "verdict"],
+        ["fault", "system", "stage", "fires", "commits", "violations",
+         "kinds", "verdict"],
         rows,
     ))
     injected = sum(1 for t in trials if t.fault is not None)

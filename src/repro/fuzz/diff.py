@@ -1,20 +1,19 @@
 """Differential execution of one fuzz case across TM backends.
 
-For each requested backend the case runs on an N-core machine with the
-PR 2 repair oracle attached and a tracer recording the global
-begin/commit/abort stream.  Four independent signals are then checked:
+For each requested backend the case runs on an N-core machine with a
+tracer recording the global begin/commit/abort stream and, on every
+``commit_atomic`` row of :data:`repro.htm.backends.BACKENDS`, the
+repair oracle attached.  Four independent signals are then checked:
 
-* **oracle** — every RETCON/lazy-vb commit replays byte-identically
+* **oracle** — every commit replays byte-identically
   (:mod:`repro.check.oracle`);
 * **serialization** — the trace gives the actual global commit order;
   re-executing the committed transactions *serially in that order*
   from the same initial memory must reproduce the backend's final
   memory byte for byte.  This is the definition of conflict
-  serializability made executable, and it is valid for any backend
-  that commits each transaction's effects atomically at its commit
-  point (every ``commit_atomic`` row of
-  :data:`repro.htm.backends.BACKENDS` — not the forwarding backends,
-  which are skipped);
+  serializability made executable.  Both signals need each commit's
+  effects to apply atomically at its commit point, so the forwarding
+  backends skip them;
 * **golden** — workload invariants on the sequential golden run and
   the backend run must both pass (:mod:`repro.check.golden`); for
   commutative cases the final memories must additionally be
@@ -48,9 +47,9 @@ from repro.obs.events import EventStream
 DEFAULT_BACKENDS = ("eager", "lazy-vb", "retcon")
 
 #: backends whose commits apply atomically at the traced commit event
-#: (``commit_atomic`` rows of the backend table), making the
-#: commit-order serial replay a sound oracle.  The rest still get the
-#: golden, oracle (where compatible), and stats checks.
+#: (``commit_atomic`` rows of the backend table), making the repair
+#: oracle and the commit-order serial replay sound.  The rest still
+#: get the golden and stats checks.
 SERIAL_REPLAY_BACKENDS = frozenset(
     name for name, row in BACKENDS.items() if row.commit_atomic
 )
@@ -197,7 +196,7 @@ def run_case(
             generated.scripts,
             generated.memory.clone(),
             label=f"fuzz {backend} {label}",
-            check=oracle,
+            check=oracle and backend in SERIAL_REPLAY_BACKENDS,
             tracer=tracer,
         )
         if fault is not None:

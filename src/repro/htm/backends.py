@@ -1,11 +1,11 @@
 """The one table of TM systems: a backend is a row.
 
 Everything the rest of the repo may know about a backend — that it
-exists, how it is composed, and the two facts callers branch on —
+exists, how it is composed, and the one fact callers branch on —
 is written here once.  ``repro.SYSTEMS``, the ``repro list`` line, the
-CLI's name validation, ``fuzz.diff.SERIAL_REPLAY_BACKENDS`` and the
-:class:`~repro.sim.machine.Machine`'s oracle skip are all derived from
-:data:`BACKENDS`.
+CLI's name and ``--check`` validation, ``fuzz.diff.SERIAL_REPLAY_BACKENDS``
+and the :class:`~repro.sim.machine.Machine`'s oracle refusal are all
+derived from :data:`BACKENDS`.
 
 Adding a backend = one row here.  Write a class only if the system has
 behaviour no existing class has (a new ``load``/``store``/``commit``
@@ -29,23 +29,20 @@ from repro.stm.backend import STMRetconSystem, STMSystem
 
 @dataclass(frozen=True)
 class Backend:
-    """One TM system: a class, its constructor settings, two facts."""
+    """One TM system: a class, its constructor settings, one fact."""
 
     cls: type
     kwargs: dict = field(default_factory=dict)
-    #: a committed-state replay can reproduce its commits, so the
-    #: Machine attaches a repair oracle on request.  False for
-    #: speculative value forwarding into RETCON: forwarded values come
-    #: from still-speculative writers and the oracle would report
-    #: spurious divergences.
-    oracle: bool = True
     #: each commit's effects apply atomically at its traced commit
-    #: event, so re-executing the committed transactions serially in
-    #: commit order must reproduce final memory (the fuzzer's
-    #: serializability check).  False for the forwarding systems, whose
-    #: equivalent serial order is a dependence order.  The STM/hybrid
-    #: family qualifies: a software commit publishes its whole write
-    #: buffer inside one scheduler-atomic commit.
+    #: event, so a committed-state replay reproduces it: the repair
+    #: oracle replays each commit, and re-executing the committed
+    #: transactions serially in commit order must reproduce final
+    #: memory (the fuzzer's serializability check).  False for the
+    #: forwarding systems, whose commits carry values forwarded from
+    #: still-speculative writers and whose equivalent serial order is a
+    #: dependence order.  The STM/hybrid family qualifies: a software
+    #: commit publishes its whole write buffer inside one
+    #: scheduler-atomic commit.
     commit_atomic: bool = True
 
 
@@ -60,8 +57,7 @@ BACKENDS: dict[str, Backend] = {
     "datm": Backend(DATMSystem, commit_atomic=False),
     "retcon": Backend(RetconTMSystem),
     "retcon-fwd": Backend(
-        RetconForwardingSystem, {"cooldown": 50},
-        oracle=False, commit_atomic=False,
+        RetconForwardingSystem, {"cooldown": 50}, commit_atomic=False
     ),
     "stm": Backend(STMSystem),
     "hybrid-retcon": Backend(STMRetconSystem, {"hybrid": True}),

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.core.engine import CommitPlan
 from repro.core.symvalue import SymValue
 from repro.htm.system import (
     BaseTMSystem,
@@ -114,7 +115,9 @@ class LazyTMSystem(BaseTMSystem):
         for block in sorted(write_blocks):
             outcome = self.fabric.acquire(core, block, write=True)
             latency += outcome.latency
-        self.memory.write_runs(buffer.runs())
+        plan = CommitPlan(stores=buffer.runs())
+        self._check_commit(core, plan)
+        self.memory.write_runs(plan.stores)
         # Sets are left intact so commit() can observe their occupancy;
         # begin() clears them before the next transaction.
         return CommitResult(latency=latency)

@@ -27,6 +27,7 @@ from typing import Optional, Sequence
 from repro.coherence.directory import CoherenceFabric
 from repro.core.engine import (
     CapacityAbort,
+    CommitPlan,
     ConstraintViolation,
     RetconEngine,
 )
@@ -139,7 +140,7 @@ class BaseTMSystem:
         #: to abort events raised while resolving it)
         self._resolving_block: Optional[int] = None
         #: optional :class:`repro.check.oracle.RepairOracle`; the core
-        #: drives its recording hooks, RETCON pre-commit its checks
+        #: drives its recording hooks, :meth:`_check_commit` its checks
         self.oracle = None
         #: optional :class:`repro.check.faults.FaultInjector` (oracle
         #: self-tests corrupt pre-commit state through this)
@@ -636,8 +637,26 @@ class BaseTMSystem:
         return result
 
     def _pre_commit(self, core: int) -> CommitResult:
-        """Hook: RETCON's pre-commit repair. Baseline commits in 0 cycles."""
+        """Hook: RETCON's pre-commit repair. Baseline commits in 0 cycles,
+        its stores in place: a checked commit's plan is empty."""
+        if self.oracle is not None:
+            self._check_commit(core, CommitPlan())
         return _COMMIT_FREE
+
+    def _check_commit(self, core: int, plan: CommitPlan, engine=None) -> None:
+        """The one commit check, called once per commit path after its
+        plan exists and before anything drains: the ``post-plan`` fault
+        stage, then the oracle's replay against memory read through the
+        undo pre-image of every active transaction, the committer's
+        included (without forwarding, at most one active transaction
+        holds dirty bytes at any address)."""
+        if self.fault_injector is not None:
+            self.fault_injector.fire("post-plan", engine, plan)
+        if self.oracle is not None:
+            pre_images = [c.undo.pre_image() for c in self.ctx if c.active]
+            self.oracle.check_commit(
+                core, plan, self.memory, pre_images, engine
+            )
 
     # ------------------------------------------------------------------
     # Commit lifecycle hook (consumed by the hybrid TM family)
@@ -852,7 +871,6 @@ class RetconTMSystem(BaseTMSystem):
     # ------------------------------------------------------------------
     def _pre_commit(self, core: int) -> CommitResult:
         engine = self._engines[core]
-        ctx = self.ctx[core]
         engine.mark_written_blocks()
         idealized = self.config.idealized
         latency = 0
@@ -890,14 +908,7 @@ class RetconTMSystem(BaseTMSystem):
             self._abort_self(core, reason="constraint")
 
         plan = engine.commit_plan(current)
-
-        if self.fault_injector is not None:
-            self.fault_injector.fire("post-plan", engine, plan)
-        if self.oracle is not None:
-            self.oracle.check_commit(
-                core, plan, self.memory, [ctx.undo.pre_image()], engine
-            )
-
+        self._check_commit(core, plan, engine)
         self._pre_drain(core, plan)
 
         if plan.stores:

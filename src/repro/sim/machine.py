@@ -125,10 +125,13 @@ class Machine:
             self.stats.bind_metrics(metrics)
         # check=True attaches a fresh repair oracle; pass a configured
         # RepairOracle instance for strict mode / custom limits.
-        # Backends whose row says oracle=False (speculative value
-        # forwarding) are skipped: self.oracle stays None.
         self.oracle = None
-        if check and BACKENDS[system_name].oracle:
+        if check:
+            if not BACKENDS[system_name].commit_atomic:
+                raise ValueError(
+                    f"{system_name} commits forwarded speculative values, "
+                    "which a committed-state replay cannot check"
+                )
             if check is True:
                 from repro.check.oracle import RepairOracle
 

@@ -38,7 +38,7 @@ class WorkloadResult:
     by_label: dict[str, tuple[int, int]] = field(default_factory=dict)
     #: True when a repair oracle watched the run
     oracle_checked: bool = False
-    #: RETCON commits the oracle replayed and validated
+    #: commits the oracle replayed and validated
     oracle_commits: int = 0
     #: serialized :class:`repro.check.oracle.OracleViolation` dicts
     oracle_violations: list[dict] = field(default_factory=list)
@@ -247,13 +247,7 @@ def run_workload(
     invariants = (
         generated.check_invariants(parallel.memory) if check else []
     )
-    oracle_commits = 0
-    oracle_violations: list[dict] = []
-    if parallel.oracle is not None:
-        oracle_commits = parallel.oracle.checked_commits
-        oracle_violations = [
-            v.to_dict() for v in parallel.oracle.violations
-        ]
+    oracle = parallel.oracle
     golden_dict = None
     if golden:
         from repro.check.golden import golden_diff
@@ -290,9 +284,11 @@ def run_workload(
         commit_stall_percent=stats.commit_stall_percent(),
         invariants=invariants,
         by_label=stats.label_summary(),
-        oracle_checked=parallel.oracle is not None,
-        oracle_commits=oracle_commits,
-        oracle_violations=oracle_violations,
+        oracle_checked=oracle is not None,
+        oracle_commits=oracle.checked_commits if oracle else 0,
+        oracle_violations=(
+            [v.to_dict() for v in oracle.violations] if oracle else []
+        ),
         golden=golden_dict,
         stm=stm_dict,
     )

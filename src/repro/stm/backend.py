@@ -452,25 +452,7 @@ class STMMixin:
         # The STM analogue of RETCON's plan: just the buffered stores,
         # no reacquires or register repairs.
         plan = CommitPlan(stores=txn.wbuf.runs())
-        if self.fault_injector is not None:
-            self.fault_injector.fire("stm-commit", None, plan)
-        if self.oracle is not None:
-            # Software reads always resolve to architecturally
-            # committed values (the read barrier dooms or waits out
-            # speculative writers), but by commit time a fresh hardware
-            # transaction may hold dirty bytes the replay would
-            # otherwise see: replay against memory with every *other*
-            # active transaction's eager writes undone.
-            self.oracle.check_commit(
-                core,
-                plan,
-                mem,
-                [
-                    other.undo.pre_image()
-                    for i, other in enumerate(self.ctx)
-                    if i != core and other.active
-                ],
-            )
+        self._check_commit(core, plan)
 
         if plan.stores:
             if self.hybrid:

@@ -197,6 +197,41 @@ def test_an_unknown_backend_is_a_usage_error(argv, dispatched, capsys):
     assert not dispatched
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "kmeans", "--system", "retcon-fwd", "--check"],
+        ["sweep", "kmeans", "--systems", "datm", "--check"],
+    ],
+    ids=" ".join,
+)
+def test_check_on_a_forwarding_row_is_a_usage_error(argv, dispatched, capsys):
+    """A forwarding row's commits cannot be replayed against committed
+    state: --check used to skip its oracle silently; now nothing runs,
+    the exit code is 2 and the message names the row."""
+    assert main(argv + ["--no-cache", "--jobs", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "--check" in err and argv[3] in err
+    assert not dispatched
+
+
+def test_fuzz_on_a_forwarding_row_keeps_its_golden_and_stats_signals(
+    tmp_path, capsys
+):
+    """No oracle on retcon-fwd, but a fuzz campaign still runs it: a
+    clean batch passes and a corrupted drain is caught by the golden
+    diff."""
+    argv = ["fuzz", "--backends", "retcon-fwd", "--profiles", "fuzz-rmw",
+            "--seed-start", "0", "--seeds", "2", "--jobs", "1",
+            "--no-shrink", "--no-emit"]
+    assert main(argv + ["--corpus", str(tmp_path / "clean")]) == 0
+    assert "all clean" in capsys.readouterr().out
+    assert main(argv + ["--corpus", str(tmp_path / "faulted"),
+                        "--fault", "plan-store-skew"]) == 1
+    out = capsys.readouterr()
+    assert "[retcon-fwd] golden:" in out.out + out.err
+
+
 @pytest.mark.parametrize("command", ["table", "experiments"])
 def test_commands_without_service_workloads_take_no_traffic_flags(
     command, capsys

@@ -8,7 +8,7 @@ injected fault is caught as at least one OracleViolation.
 import pytest
 
 from repro.check.faults import FAULT_POINTS, FaultInjector
-from repro.check.matrix import run_fault_trial
+from repro.check.matrix import FAULT_ROWS, run_fault_matrix, run_fault_trial
 
 
 class TestCatalog:
@@ -17,7 +17,7 @@ class TestCatalog:
 
     def test_all_stages_are_covered(self):
         stages = {point.stage for point in FAULT_POINTS.values()}
-        assert stages == {"pre-validate", "post-plan", "stm-commit"}
+        assert stages == {"pre-validate", "post-plan"}
 
     def test_every_point_is_documented(self):
         for point in FAULT_POINTS.values():
@@ -52,3 +52,35 @@ def test_injected_fault_is_caught(fault):
     assert trial.violations > 0, f"{fault} escaped the oracle"
     assert trial.caught
     assert trial.kinds  # violation kinds were classified
+
+
+WRITE_BUFFER_TRIALS = [
+    (system, fault)
+    for system, faults in FAULT_ROWS.items()
+    if faults is not None
+    for fault in faults
+]
+
+
+@pytest.mark.parametrize("system,fault", WRITE_BUFFER_TRIALS)
+def test_a_write_buffer_plan_fault_is_caught(system, fault):
+    """A lazy or STM commit hands the oracle its write buffer's runs
+    through the same routine as RETCON, so the same plan corruption is
+    caught at the faulting commit."""
+    control = run_fault_trial(None, system)
+    assert control.violations == 0
+    assert control.checked_commits == 4 * 32  # every commit replayed
+    trial = run_fault_trial(fault, system)
+    assert trial.system == system and trial.caught
+    assert set(trial.kinds) == {"store-drain"}
+
+
+def test_the_matrix_runs_a_control_and_every_carried_fault_per_row():
+    trials = run_fault_matrix(faults=["plan-store-skew", "ssb-drop"])
+    assert [(t.system, t.fault) for t in trials] == [
+        ("retcon", None), ("retcon", "plan-store-skew"),
+        ("retcon", "ssb-drop"),
+        ("lazy", None), ("lazy", "plan-store-skew"),
+        ("stm", None), ("stm", "plan-store-skew"),
+    ]
+    assert all(t.caught for t in trials)

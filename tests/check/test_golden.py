@@ -1,7 +1,13 @@
 """The golden-run differ: sequential execution as a state oracle."""
 
+from dataclasses import replace
+
+import pytest
+
 from repro.check.golden import GoldenDiff, diff_memories, golden_diff
 from repro.mem.memory import MainMemory
+from repro.sim.config import MachineConfig
+from repro.sim.machine import Machine
 from repro.sim.runner import run_sequential, run_workload
 from repro.workloads.registry import get_workload
 
@@ -104,3 +110,51 @@ class TestEndToEnd:
         assert diff.sample_addrs == [addr]
         assert not diff.ok
         assert not diff.golden_failures
+
+
+class TestStmOwnershipAtQuiescence:
+    """The metadata region stays out of the byte diff (version words
+    depend on the schedule), but no run may end with the fallback
+    token or an orec owner word still held."""
+
+    def progressive_run(self):
+        """python_opt on ``progressive`` with one-entry read/write sets,
+        so capacity aborts escalate to the pessimistic fallback."""
+        generated = get_workload("python_opt").generate(
+            nthreads=4, seed=1, scale=0.1
+        )
+        config = replace(
+            MachineConfig(), read_set_entries=1, write_set_entries=1
+        ).with_cores(4)
+        machine = Machine(
+            config, "progressive", generated.scripts,
+            generated.memory.clone(),
+        )
+        machine.run()
+        assert machine.stats.total_stm_fallbacks() > 0
+        return generated, machine, run_sequential(generated).memory
+
+    def test_a_clean_progressive_run_holds_nothing(self):
+        generated, machine, golden = self.progressive_run()
+        meta = machine.system.meta
+        assert meta.token_block in machine.memory.touched_blocks()
+        diff = golden_diff(generated, machine.memory, golden)
+        assert diff.ok and diff.parallel_failures == []
+
+    @pytest.mark.parametrize(
+        "word,failure",
+        [("token", "stm-fallback-token"), ("owner", "stm-orec-owner")],
+    )
+    def test_a_leaked_claim_is_a_named_parallel_failure(
+        self, word, failure
+    ):
+        generated, machine, golden = self.progressive_run()
+        meta = machine.system.meta
+        leaked = (
+            meta.token_addr if word == "token"
+            else meta.owner_addr(meta.orec_addr(12345))
+        )
+        machine.memory.write(leaked, 3)
+        diff = golden_diff(generated, machine.memory, golden)
+        assert diff.parallel_failures == [failure]
+        assert not diff.ok and not diff.golden_failures

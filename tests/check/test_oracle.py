@@ -41,16 +41,15 @@ class TestCleanRuns:
         assert machine.oracle.ok
 
     def test_forwarding_system_is_not_oracle_compatible(self):
-        # retcon-fwd commits forwarded speculative values a
+        # The forwarding rows commit forwarded speculative values a
         # committed-state replay cannot reproduce; check=True must
-        # silently skip rather than report false violations.
+        # refuse, naming the row, rather than skip silently or report
+        # false violations.
         scripts, memory, config = fault_scenario(ncores=2,
                                                  txns_per_core=4)
-        machine = Machine(
-            config, "retcon-fwd", scripts, memory, check=True
-        )
-        assert machine.oracle is None
-        machine.run(max_cycles=50_000_000)
+        for system in ("datm", "retcon-fwd"):
+            with pytest.raises(ValueError, match=system):
+                Machine(config, system, scripts, memory, check=True)
 
 
 class TestViolationReporting:
@@ -108,8 +107,8 @@ class TestRecordingLifecycle:
 
 
 class TestCommitRecord:
-    """Hardware and software commits hand the oracle one record: a
-    plan, memory, and the undo pre-images to read through."""
+    """Every commit hands the oracle one record: a plan, memory, and
+    the undo pre-images of every active transaction to read through."""
 
     A, B = 0x4000, 0x8000
 
@@ -165,7 +164,7 @@ class TestCommitRecord:
                     core, plan, memory, pre_images, engine
                 )
 
-        for system in ("retcon", "stm"):
+        for system in ("retcon", "stm", "eager", "lazy"):
             scripts, memory, config = fault_scenario(
                 ncores=2, txns_per_core=2
             )

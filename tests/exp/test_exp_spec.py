@@ -150,30 +150,31 @@ class TestLabel:
 
 
 class TestCacheKeyStability:
-    """Literal digests of repro 1.7.2 keys, re-recorded with the
-    version: ``lazy``, forwarding and narrow-bypass points can return
-    different results than 1.7.1 did, so its cache entries must miss."""
+    """Literal digests of repro 1.7.3 keys, re-recorded with the
+    version: checked points on the eager, lazy and hybrid-eager rows
+    now report replayed commits that 1.7.2 did not, so its cache
+    entries must miss."""
 
     PINNED = {
-        "e4b791c042e9ed5688da64ba02826eca423204189b840785225f66d6893aa0b0":
+        "c2e5dfdc27c066fb2a5868ebfb62de13f5da3e5d4c86da721850a75fcdf2f11e":
             Point("python_opt", "retcon"),
-        "d3d3ee4e171d44d75271a1740b62278ca495fc6b308e48c3f707f4d595fb62c6":
+        "96ba6d2000cb931daa7c269c03280c64f5e81e97e23c35c1208a13611e17135e":
             Point("python_opt", "retcon", check=True),
-        "635b8abdf82af8c372a26f75effdd7ef0e2431669eac3c3bce96415acd83af6c":
+        "a2a48238987f49da57362ab22ceea5c5b8a89f07ab7f5f3804238cd1ad39dcfa":
             Point("python_opt", "retcon", obs="trace"),
         # was Point(..., retry_budget=2)
-        "ea6db74369896dc5d949e896539dc0e05efa8c09f040042d3141392d7feff8a4":
+        "c97fe0d430f62239e84aac19d80362dd00922dbaf9df563baa1c63c678070c9d":
             Point("kmeans", "hybrid-retcon", ncores=4, scale=0.1,
                   config=_with(retry_budget=2)),
         # was Point(..., read_set_entries=4, write_set_entries=4)
-        "f57b4d0750708140e7cbad4af4e7f7d10ad880de0152dd92b27db45772e5c757":
+        "0e0ebb76be416620c6a2366255c6d324cc6f3498691774ea3143f469999a297b":
             Point("genome-sz", "eager", ncores=4, scale=0.1,
                   config=_with(read_set_entries=4, write_set_entries=4)),
     }
 
     def test_point_keys_match_the_recorded_digests(self):
         for digest, point in self.PINNED.items():
-            assert point_key(point, version="1.7.2") == digest, point
+            assert point_key(point, version="1.7.3") == digest, point
 
 
 class TestTrafficOverrides:

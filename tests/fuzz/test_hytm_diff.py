@@ -59,7 +59,7 @@ class TestFaultDetection:
         software backend."""
         case = generate_case(3, FUZZ_PROFILES["fuzz-rmw"])
         outcome = run_case(
-            case, backends=HYTM_BACKENDS, fault="stm-store-skew"
+            case, backends=HYTM_BACKENDS, fault="plan-store-skew"
         )
         assert not outcome.ok
         assert "stm" in {d.backend for d in outcome.divergences}
@@ -71,6 +71,6 @@ class TestFaultDetection:
     def test_dropped_stm_writeback_is_caught(self):
         case = generate_case(3, FUZZ_PROFILES["fuzz-rmw"])
         outcome = run_case(
-            case, backends=("stm",), fault="stm-store-drop"
+            case, backends=("stm",), fault="plan-store-drop"
         )
         assert not outcome.ok

@@ -2,14 +2,14 @@
 derived list says it is."""
 
 import itertools
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import pytest
 
 import repro
 from repro.coherence.directory import CoherenceFabric
 from repro.fuzz.diff import SERIAL_REPLAY_BACKENDS
-from repro.htm.backends import BACKENDS, build_system
+from repro.htm.backends import BACKENDS, Backend, build_system
 from repro.isa.program import Assembler
 from repro.isa.registers import R1, R2, R3, R5
 from repro.mem.memory import MainMemory
@@ -22,15 +22,6 @@ from repro.sim.stats import MachineStats
 from tests.conftest import run_counter_machine
 
 ROWS = sorted(BACKENDS)
-
-#: rows whose commits reach the oracle on the contended counter: a
-#: RETCON-engine commit plan or an STM commit is replayed, a plain
-#: eager/lazy HTM commit (and ``hybrid-eager`` while it stays in
-#: hardware) has no plan to replay and only feeds the recorder
-REPLAYED_ROWS = {
-    "lazy-vb", "retcon", "stm", "hybrid-retcon", "hybrid-lazy-vb",
-    "progressive",
-}
 
 
 def build(name, ncores=2):
@@ -73,6 +64,14 @@ class TestEveryRow:
         assert memory_image(seen.memory) == memory_image(bare.memory)
 
     def test_a_checked_run_is_the_unchecked_run(self, name):
+        """Every commit of a commit-atomic row is replayed, and checking
+        it changes nothing; a forwarding row refuses the check."""
+        if not BACKENDS[name].commit_atomic:
+            with pytest.raises(ValueError, match=name):
+                run_counter_machine(
+                    name, ncores=3, txns_per_core=4, check=True
+                )
+            return
         bare, _ = run_counter_machine(
             name, ncores=3, txns_per_core=4, check=False
         )
@@ -84,13 +83,8 @@ class TestEveryRow:
             asdict(core) for core in bare.stats.cores
         ]
         assert memory_image(checked.memory) == memory_image(bare.memory)
-        if not BACKENDS[name].oracle:
-            assert checked.oracle is None
-            return
         assert checked.oracle.violations == []
-        assert checked.oracle.checked_commits == (
-            checked.commits if name in REPLAYED_ROWS else 0
-        )
+        assert checked.oracle.checked_commits == checked.commits
 
     def test_mixed_width_stores_match_a_one_core_run(self, name):
         """§4.3 on every row: a 4-byte store of an 8-byte value and
@@ -137,8 +131,12 @@ class TestEveryRow:
 
     def test_oracle_attaches_iff_the_row_says_so(self, name):
         config = small_test_config(ncores=2)
+        if not BACKENDS[name].commit_atomic:
+            with pytest.raises(ValueError, match=name):
+                Machine(config, name, [], MainMemory(), check=True)
+            return
         machine = Machine(config, name, [], MainMemory(), check=True)
-        assert (machine.oracle is not None) == BACKENDS[name].oracle
+        assert machine.oracle is not None
         assert machine.system.oracle is machine.oracle
 
 
@@ -151,9 +149,9 @@ class TestTheTable:
         )
 
     def test_the_facts_callers_branch_on(self):
-        assert {n for n, r in BACKENDS.items() if not r.oracle} == {
-            "retcon-fwd"
-        }
+        assert [f.name for f in fields(Backend)] == [
+            "cls", "kwargs", "commit_atomic"
+        ]
         assert {n for n, r in BACKENDS.items() if not r.commit_atomic} == {
             "datm", "retcon-fwd"
         }

@@ -95,13 +95,14 @@ class TestHybridEndToEnd:
 
 class TestOracleContract:
     """retcon-fwd forwards speculative values, so replay-based commit
-    checking is meaningless: the machine must *skip* the oracle, not
-    spuriously flag forwarded-value commits as violations."""
+    checking is meaningless: the machine must *refuse* the oracle, not
+    skip it silently or spuriously flag forwarded-value commits as
+    violations."""
 
     def test_flag_is_declared(self):
-        assert BACKENDS["retcon-fwd"].oracle is False
+        assert BACKENDS["retcon-fwd"].commit_atomic is False
 
-    def test_machine_skips_oracle_for_forwarding_hybrid(self):
+    def test_machine_refuses_a_checked_forwarding_hybrid(self):
         from repro.isa.program import Assembler
         from repro.isa.registers import R1
         from repro.sim.config import MachineConfig
@@ -123,13 +124,15 @@ class TestOracleContract:
                 out.append(script)
             return out
 
+        with pytest.raises(ValueError, match="retcon-fwd"):
+            Machine(
+                MachineConfig(ncores=2), "retcon-fwd", scripts(),
+                MainMemory(), check=True,
+            )
         memory = MainMemory()
-        machine = Machine(
-            MachineConfig(ncores=2), "retcon-fwd", scripts(), memory,
-            check=True,
-        )
-        assert machine.oracle is None  # skipped, not attached
-        machine.run()
+        Machine(
+            MachineConfig(ncores=2), "retcon-fwd", scripts(), memory
+        ).run()
         assert memory.read(ADDR) == 12  # still serializable
 
         # Control: the same scenario on plain retcon IS oracle-checked
