@@ -144,9 +144,6 @@ class SSBEntry:
     def overlaps(self, addr: int, size: int) -> bool:
         return self.addr < addr + size and addr < self.end
 
-    def matches(self, addr: int, size: int) -> bool:
-        return self.addr == addr and self.size == size
-
     def value_bytes(self) -> bytes:
         mask = (1 << (8 * self.size)) - 1
         return (self.value & mask).to_bytes(self.size, "little")

@@ -85,23 +85,6 @@ class TxnRetconSample:
     commit_cycles: int = 0
 
 
-@dataclass(slots=True)
-class TxnStmSample:
-    """Per-transaction STM slow-path cost accounting.
-
-    The software path's analogue of :class:`TxnRetconSample`: how many
-    orecs the transaction read/wrote, how many extra instructions its
-    barriers executed, and what its commit (validate + publish)
-    sequence cost.  Recorded by the STM backend at commit, aggregated
-    by :class:`repro.sim.stats.MachineStats`.
-    """
-
-    read_set: int = 0
-    write_set: int = 0
-    barrier_instrs: int = 0
-    commit_cycles: int = 0
-
-
 @dataclass
 class CommitPlan:
     """Everything the HTM layer needs to drive pre-commit repair."""

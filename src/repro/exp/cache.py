@@ -40,6 +40,26 @@ def default_cache_root() -> Path:
     return Path(os.environ.get("REPRO_CACHE_DIR", DEFAULT_CACHE_DIR))
 
 
+def _write_json(path: Path, payload: dict) -> Path:
+    """Write *payload* to *path* atomically: a temporary file beside it,
+    renamed over it, and removed if anything fails on the way."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(
+        dir=path.parent, prefix=path.stem, suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle, sort_keys=True)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+    return path
+
+
 class ResultCache:
     """Maps :class:`Point` -> :class:`WorkloadResult` on disk."""
 
@@ -80,28 +100,13 @@ class ResultCache:
         if version is None:
             from repro import __version__ as version
         path = self.path_for(point, version=version)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = {
+        return _write_json(path, {
             "schema": SCHEMA,
             "key": path.stem,
             "version": version,
             "spec": point.spec_dict(),
             "result": result.to_dict(),
-        }
-        fd, tmp = tempfile.mkstemp(
-            dir=path.parent, prefix=path.stem, suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, sort_keys=True)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        return path
+        })
 
     # ------------------------------------------------------------------
     # Named artifacts (trace payloads etc.) beside the result entry
@@ -134,22 +139,9 @@ class ResultCache:
         version: str | None = None,
     ) -> Path:
         """Store *payload* as the named artifact atomically."""
-        path = self.artifact_path_for(point, name, version=version)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=path.parent, prefix=path.stem, suffix=".tmp"
+        return _write_json(
+            self.artifact_path_for(point, name, version=version), payload
         )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, sort_keys=True)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        return path
 
     # ------------------------------------------------------------------
     def clear(self) -> int:

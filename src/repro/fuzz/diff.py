@@ -30,7 +30,7 @@ A case with an injected fault (``fault=``) is expected to diverge;
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from repro.check.golden import diff_memories
@@ -41,6 +41,7 @@ from repro.htm.backends import BACKENDS
 from repro.sim.machine import Machine, SimulationTimeout
 from repro.sim.runner import run_sequential
 from repro.sim.script import ThreadScript, Txn
+from repro.sim.stats import CoreStats
 from repro.obs.events import EventStream
 
 #: the default differential matrix (ISSUE acceptance: >= 3 backends)
@@ -309,16 +310,18 @@ def run_case(
 
 
 def _negative_counters(stats) -> list[str]:
-    """Names of any negative counters across all cores."""
+    """Names of any negative counters across all cores: every int
+    field of :class:`CoreStats`, and every value of its dict fields."""
     bad: list[str] = []
     for cid, core in enumerate(stats.cores):
-        for name in ("busy", "conflict", "barrier", "other",
-                     "commits", "stall_events", "stm_commits",
-                     "stm_fallbacks", "barrier_instrs"):
-            value = getattr(core, name)
-            if value < 0:
-                bad.append(f"core{cid}.{name}={value}")
-        for reason, count in core.aborts.items():
-            if count < 0:
-                bad.append(f"core{cid}.aborts[{reason}]={count}")
+        for spec in fields(CoreStats):
+            value = getattr(core, spec.name)
+            if isinstance(value, dict):
+                bad += [
+                    f"core{cid}.{spec.name}[{key}]={count}"
+                    for key, count in value.items()
+                    if count < 0
+                ]
+            elif value < 0:
+                bad.append(f"core{cid}.{spec.name}={value}")
     return bad

@@ -141,8 +141,7 @@ class ForwardingMixin:
                 continue
             self._preds[core].add(holder)
             self._succs[holder].add(core)
-            if self.metrics is not None:
-                self._m_forwards.inc()
+            self.stats.core(core).forwards += 1
             if self.tracer is not None:
                 self._trace(
                     "forward", core, {"block": block, "source": holder}

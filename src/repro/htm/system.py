@@ -134,7 +134,7 @@ class BaseTMSystem:
         #: optional :class:`repro.obs.events.EventStream`
         self.tracer = None
         #: optional :class:`repro.obs.metrics.MetricsRegistry`; attach
-        #: via :meth:`bind_metrics` so hot sites hold counter handles
+        #: via :meth:`bind_metrics` so commits hold histogram handles
         self.metrics = None
         #: block whose conflict resolution is in progress (attributed
         #: to abort events raised while resolving it)
@@ -164,24 +164,14 @@ class BaseTMSystem:
         self.tracer.record(kind, core, detail)
 
     def bind_metrics(self, registry) -> None:
-        """Attach a metrics registry, holding every site's handle.
+        """Attach a metrics registry, holding the occupancy histograms.
 
-        Emission stays boundary-only (begin/commit/abort, plus the
-        per-commit repair drain) and each site costs one ``is not
-        None`` check plus an integer add.  Attached, the registry still
-        costs ~10 % of a contended run (``docs/observability.md``).
+        Counts are not observed here: they live in
+        :class:`~repro.sim.stats.CoreStats`, and
+        :func:`repro.obs.collect.collect_machine` copies them into the
+        registry when the run finishes.
         """
         self.metrics = registry
-        self._m_aborts = registry.counters("txn.aborts", "reason")
-        self._m_capacity_aborts = registry.counters(
-            "txn.capacity_aborts", "structure"
-        )
-        self._m_begins = registry.counter("txn.begins")
-        self._m_commits = registry.counter("txn.commits")
-        self._m_conflicts = registry.counter("htm.conflicts")
-        self._m_steals = registry.counter("retcon.steals")
-        self._m_repairs = registry.counter("retcon.repairs")
-        self._m_forwards = registry.counter("fwd.forwards")
         # Per-txn set-occupancy distributions, observed once per
         # commit/abort boundary (Kafousis-style limited-set telemetry).
         self._h_read_set = registry.histogram("txn.read_set_size")
@@ -224,8 +214,6 @@ class BaseTMSystem:
         engine = self.engine(core)
         if engine is not None:
             engine.begin_txn()
-        if self.metrics is not None:
-            self._m_begins.inc()
         if self.tracer is not None:
             self._trace("begin", core, {"ts": ctx.ts, "restart": restart})
 
@@ -255,8 +243,7 @@ class BaseTMSystem:
         """
         ctx = self.ctx[core]
         self._observe_conflict(core, block, holders)
-        if self.metrics is not None:
-            self._m_conflicts.inc()
+        self.stats.core(core).conflict_events += 1
         if self.tracer is not None:
             self._trace(
                 "conflict", core, {"block": block, "holders": len(holders)}
@@ -380,15 +367,14 @@ class BaseTMSystem:
         # restart to escalate capacity-aborted transactions.
         ctx.doom_reason = reason
         self._clear_wait_edges(core)
-        aborts = self.stats.core(core).aborts
-        aborts[reason] = aborts.get(reason, 0) + 1
+        stats = self.stats.core(core)
+        stats.aborts[reason] = stats.aborts.get(reason, 0) + 1
         # The capacity stash describes the aborting requester, not the
         # dependents its abort may cascade to.
         structure = None if remote else self._abort_structure
-        if self.metrics is not None:
-            self._m_aborts[reason].inc()
-            if structure is not None:
-                self._m_capacity_aborts[structure].inc()
+        if structure is not None:
+            capacity = stats.capacity_aborts
+            capacity[structure] = capacity.get(structure, 0) + 1
         if self.tracer is not None:
             detail = {"reason": reason, "by": "remote" if remote else "self"}
             if structure is not None:
@@ -452,9 +438,8 @@ class BaseTMSystem:
         """Record per-txn set occupancy into the bound histograms.
 
         Called at commit/abort boundaries only, before speculative
-        state is cleared; STM attempts are skipped here because their
-        occupancy is recorded from the drained
-        :class:`repro.core.engine.TxnStmSample` instead.
+        state is cleared; STM attempts are skipped here because the
+        software commit observes its own orec sets instead.
         """
         ctx = self.ctx[core]
         if ctx.stm:
@@ -607,8 +592,7 @@ class BaseTMSystem:
             engine = self.engine(other)
             if engine is not None and self.ctx[other].active:
                 if engine.is_tracked(block):
-                    if self.metrics is not None:
-                        self._m_steals.inc()
+                    self.stats.core(other).steals += 1
                     if self.tracer is not None:
                         self._trace(
                             "steal", other, {"block": block, "writer": core}
@@ -630,8 +614,6 @@ class BaseTMSystem:
         ctx.active = False
         self._clear_wait_edges(core)
         self.stats.core(core).commits += 1
-        if self.metrics is not None:
-            self._m_commits.inc()
         if self.tracer is not None:
             self._trace("commit", core, {"latency": result.latency})
         return result
@@ -927,6 +909,7 @@ class RetconTMSystem(BaseTMSystem):
 
             # Step 2: drain stores (serially, after all reacquires) and
             # compute register repairs.
+            self.stats.core(core).repairs += len(plan.stores)
             for addr, size, final_value in plan.stores:
                 block = block_of(addr)
                 outcome = self.fabric.acquire(core, block, write=True)
@@ -935,8 +918,6 @@ class RetconTMSystem(BaseTMSystem):
                 if not idealized:
                     latency += max(1, outcome.latency)
                 self.memory.write(addr, final_value, size)
-                if self.metrics is not None:
-                    self._m_repairs.inc()
                 if self.tracer is not None:
                     self._trace(
                         "repair", core, {"addr": addr, "value": final_value}

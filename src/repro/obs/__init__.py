@@ -9,14 +9,17 @@ The layer the evaluation's artifacts are built from (see
   :class:`~repro.obs.events.EventStream` as ``system.tracer`` (the
   legacy ``repro.sim.trace.Tracer`` shim is gone).
 * :mod:`repro.obs.metrics` — a typed metrics registry (counters,
-  gauges, histograms) flushed at transaction boundaries only, zero
-  cost when not attached.
+  gauges, histograms).  Counts are collected, distributions are
+  observed: only histograms are written during a run, at transaction
+  boundaries, and a run without a registry pays one ``is not None``
+  test per boundary for them.
 * :mod:`repro.obs.export` — Chrome-trace/Perfetto JSON export: any
   run opens in ``ui.perfetto.dev`` with one track per core.
 * :mod:`repro.obs.views` — derived views: per-block contention
   heatmap and the abort-attribution breakdown.
-* :mod:`repro.obs.collect` — end-of-run collection of machine-level
-  counters (cache spills, evictions, cycle breakdown) into a registry.
+* :mod:`repro.obs.collect` — end-of-run collection of every count
+  (the per-core ``CoreStats`` transaction counts, cache spills,
+  evictions, cycle breakdown) into a registry.
 """
 
 from repro.obs.events import EventStream, TraceEvent

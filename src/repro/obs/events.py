@@ -112,9 +112,6 @@ class EventStream:
     def of_kind(self, kind: str) -> list[TraceEvent]:
         return [e for e in self.events if e.kind == kind]
 
-    def per_core(self, core: int) -> list[TraceEvent]:
-        return [e for e in self.events if e.core == core]
-
     def __len__(self) -> int:
         return len(self.events)
 
@@ -131,13 +128,6 @@ class EventStream:
         for kind, dropped in self.dropped_by_kind.items():
             counts[f"{kind}:dropped"] = dropped
         return counts
-
-    def max_cycle(self) -> int:
-        """Largest cycle stamp seen (0 when nothing is stamped)."""
-        return max(
-            (e.detail["cycle"] for e in self.events if "cycle" in e.detail),
-            default=0,
-        )
 
     # -- persistence -------------------------------------------------------
     def to_payload(self) -> dict:
@@ -160,8 +150,3 @@ class EventStream:
         )
         stream.dropped_by_kind = dict(payload.get("dropped_by_kind", ()))
         return stream
-
-
-def events_from_payload(payload: dict) -> list[TraceEvent]:
-    """Just the events of a :meth:`EventStream.to_payload` artifact."""
-    return [TraceEvent.from_dict(e) for e in payload.get("events", ())]

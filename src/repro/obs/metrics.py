@@ -1,22 +1,22 @@
 """Typed metrics: counters, gauges, and histograms in one registry.
 
-Design constraints (mirroring the simulator's hot-path discipline):
+Counts are collected, distributions are observed:
 
-* **Zero cost when absent.**  Every emission site guards with a single
-  ``if self.metrics is not None`` attribute check — a run without a
-  registry pays one pointer compare per *transaction boundary*, never
-  per instruction.
-* **Boundary-only flushes.**  Emission follows the same protocol as
-  :class:`repro.sim.stats.CoreStats`: per-attempt state accumulates in
-  core-local variables and reaches the registry only at commit/abort
-  (histograms via :meth:`repro.sim.stats.MachineStats.record_txn`,
-  counters at the TM system's lifecycle events).  Machine-level
-  totals (cache spills, evictions, cycle breakdown) are collected
-  once, at end of run, by :mod:`repro.obs.collect`.
-* **Held handles.**  Emitters bind their handles when the registry
-  is attached (``bind_metrics``), labelled ones in a
-  :class:`CounterFamily`, so the per-event cost is one integer add,
-  not a registry lookup.
+* **Counts are collected.**  The simulator counts in one place,
+  :class:`repro.sim.stats.CoreStats`, whether or not a registry is
+  attached.  :mod:`repro.obs.collect` copies those counts into
+  counters and gauges once, when the run finishes, so no simulator
+  site bumps a counter and an attached run counts exactly what an
+  unattached one does.
+* **Distributions are observed.**  A histogram cannot be rebuilt from
+  a total, so it is observed live, at commit/abort boundaries only
+  (durations in :meth:`repro.sim.stats.MachineStats.record_txn`, set
+  occupancy in the TM system).  Each site guards with one ``if
+  self.metrics is not None`` check, so a run without a registry pays a
+  pointer compare per transaction boundary, never per instruction.
+* **Held handles.**  Those histograms are bound once when the
+  registry is attached (``bind_metrics``), so an observation costs no
+  registry lookup.
 
 Histograms use power-of-two buckets: ``observe(v)`` lands ``v`` in
 bucket ``v.bit_length()``, i.e. bucket *i* covers ``[2**(i-1), 2**i)``
@@ -134,27 +134,14 @@ class Histogram:
 Metric = Union[Counter, Gauge, Histogram]
 
 
-class CounterFamily(dict):
-    """label value -> :class:`Counter` of ``name{label=value}``: a hit
-    is one dict lookup, a miss registers the counter (so a family adds
-    no zero-valued metric the run never counted)."""
-
-    def __init__(self, registry: "MetricsRegistry", name: str, label: str):
-        self._new = lambda value: registry.counter(name, **{label: value})
-
-    def __missing__(self, value) -> Counter:
-        counter = self[value] = self._new(value)
-        return counter
-
-
 class MetricsRegistry:
     """All metrics of one run, keyed by (name, labels).
 
     ``counter``/``gauge``/``histogram`` create on first use and return
     the same object afterwards; asking for an existing name with a
-    different type raises (one name, one type).  Convenience one-shot
-    forms (``inc``/``set``/``observe``) exist for cold paths; hot
-    paths should hold the handle.
+    different type raises (one name, one type).  The one-shot forms
+    (``inc``/``set``/``observe``) serve end-of-run collection; a hot
+    path holds its histogram's handle.
     """
 
     def __init__(self) -> None:
@@ -181,9 +168,6 @@ class MetricsRegistry:
 
     def histogram(self, name: str, **labels) -> Histogram:
         return self._get(Histogram, name, labels)
-
-    def counters(self, name: str, label: str) -> "CounterFamily":
-        return CounterFamily(self, name, label)
 
     # -- one-shot conveniences (cold paths) --------------------------------
     def inc(self, name: str, n: int = 1, **labels) -> None:
@@ -219,15 +203,6 @@ class MetricsRegistry:
                 key = f"{metric.name}{{{inner}}}"
             out[key] = metric.snapshot()
         return out
-
-    def render(self) -> str:
-        """ASCII table of every metric, grouped by type."""
-        lines = []
-        for kind in ("counter", "gauge", "histogram"):
-            if group := self.snapshot(kind):
-                rows = render_snapshot(group).splitlines()
-                lines += [f"{kind}s:"] + [f"  {row}" for row in rows]
-        return "\n".join(lines) if lines else "(no metrics recorded)"
 
 
 def validate_latency_histogram(snapshot: dict, name: str = "") -> None:

@@ -2,7 +2,7 @@
 
 from repro.sim.config import MachineConfig
 from repro.sim.machine import Machine, RunResult
-from repro.sim.stats import CoreStats, MachineStats, TxnSample
+from repro.sim.stats import CoreStats, MachineStats
 
 __all__ = [
     "MachineConfig",
@@ -10,5 +10,4 @@ __all__ = [
     "RunResult",
     "MachineStats",
     "CoreStats",
-    "TxnSample",
 ]

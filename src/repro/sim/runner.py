@@ -260,9 +260,7 @@ def run_workload(
         ).to_dict()
     stats = parallel.stats
     stm_dict: dict = {}
-    if stats.total_stm_commits() or stats.total_stm_fallbacks() or (
-        stats.total_barrier_instrs()
-    ):
+    if stats.did_stm_work():
         stm_dict = {
             "stm_commits": stats.total_stm_commits(),
             "fallbacks": stats.total_stm_fallbacks(),

@@ -21,27 +21,22 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.core.engine import TxnRetconSample, TxnStmSample
-
-
-@dataclass(slots=True)
-class TxnSample:
-    """One committed transaction's timing plus RETCON structure usage."""
-
-    duration_cycles: int
-    commit_cycles: int
-    retcon: Optional[TxnRetconSample] = None
+from repro.core.engine import TxnRetconSample
 
 
 @dataclass(slots=True)
 class CoreStats:
     """Cycle attribution and event counts for one core.
 
-    Counters are written at transaction boundaries only: the
-    interpreter accumulates per-attempt cycles in core-local variables
+    Cycles are written at transaction boundaries only: the interpreter
+    accumulates per-attempt cycles in core-local variables
     (``attempt_busy``/``attempt_conflict``) and flushes them here on
     commit or abort, so the per-instruction path never touches this
-    object.  ``slots=True`` keeps the flush itself cheap.
+    object.  Event counts land at their event, mid-attempt included
+    (a conflict, a steal, a forward), from the TM system.  This is the
+    one record of every count: a metrics registry only collects it at
+    end of run (:mod:`repro.obs.collect`).  ``slots=True`` keeps each
+    write cheap.
     """
 
     busy: int = 0
@@ -61,6 +56,20 @@ class CoreStats:
     #: committed / aborted transaction counts per txn label
     label_commits: dict[str, int] = field(default_factory=dict)
     label_aborts: dict[str, int] = field(default_factory=dict)
+    #: capacity aborts per overflowing structure (subset of
+    #: ``aborts["capacity"]``: the requester's own, not the cascade)
+    capacity_aborts: dict[str, int] = field(default_factory=dict)
+    #: conflicts this core resolved as requester (stall retries
+    #: included: each one resolves again)
+    conflict_events: int = 0
+    #: this core's value-tracked blocks stolen by a remote writer
+    steals: int = 0
+    #: buffered stores this core's RETCON commits drained
+    repairs: int = 0
+    #: commit-order dependences this core took on forwarded values
+    forwards: int = 0
+    #: commits that lost a tracked block and still committed
+    repaired_commits: int = 0
 
     @property
     def total_aborts(self) -> int:
@@ -101,13 +110,6 @@ class MachineStats:
         "commit_cycles",
     )
 
-    STM_FIELDS = (
-        "read_set",
-        "write_set",
-        "barrier_instrs",
-        "commit_cycles",
-    )
-
     def __init__(self, ncores: int) -> None:
         self.ncores = ncores
         self._cores = [CoreStats() for _ in range(ncores)]
@@ -117,8 +119,6 @@ class MachineStats:
         self._pending_retcon: list[Optional[TxnRetconSample]] = [
             None
         ] * ncores
-        self._stm = {name: _Agg() for name in self.STM_FIELDS}
-        self._pending_stm: list[Optional[TxnStmSample]] = [None] * ncores
         #: optional :class:`repro.obs.metrics.MetricsRegistry`; when
         #: attached, commit-boundary samples also feed its histograms.
         self.metrics = None
@@ -128,9 +128,6 @@ class MachineStats:
         self.metrics = registry
         self._h_duration = registry.histogram("txn.duration_cycles")
         self._h_commit = registry.histogram("txn.commit_cycles")
-        self._h_read_set = registry.histogram("txn.read_set_size")
-        self._h_write_set = registry.histogram("txn.write_set_size")
-        self._m_repaired = None  # registered at the first repair
 
     # ------------------------------------------------------------------
     def core(self, core: int) -> CoreStats:
@@ -164,56 +161,44 @@ class MachineStats:
             self._pending_retcon[core] = None
             for name in self.RETCON_FIELDS:
                 self._retcon[name].add(getattr(sample, name))
-            if self.metrics is not None and sample.blocks_lost > 0:
+            if sample.blocks_lost > 0:
                 # A commit that lost blocks and still committed went
                 # through symbolic repair — the service figure's
-                # repair-rate numerator.  Metrics-only: WorkloadResult
+                # repair-rate numerator.  Not in WorkloadResult, which
                 # stays byte-identical to the golden stats fixtures.
-                if self._m_repaired is None:
-                    self._m_repaired = self.metrics.counter(
-                        "txn.repaired_commits"
-                    )
-                self._m_repaired.inc()
-        stm = self._pending_stm[core]
-        if stm is not None:
-            self._pending_stm[core] = None
-            for name in self.STM_FIELDS:
-                self._stm[name].add(getattr(stm, name))
-            if self.metrics is not None:
-                # STM commits report set occupancy from the drained
-                # sample; the TM system skips ctx.stm transactions in
-                # its own occupancy hook, so each commit lands exactly
-                # once.
-                self._h_read_set.observe(stm.read_set)
-                self._h_write_set.observe(stm.write_set)
-
-    def record_stm_sample(self, core: int, sample: TxnStmSample) -> None:
-        """Called by the STM commit protocol; paired with the
-        interpreter's :meth:`record_txn` like the RETCON sample."""
-        self._pending_stm[core] = sample
+                self._cores[core].repaired_commits += 1
 
     # ------------------------------------------------------------------
     # Aggregates
     # ------------------------------------------------------------------
+    def total(self, name: str) -> int:
+        """The int :class:`CoreStats` field *name*, summed over cores."""
+        return sum(getattr(c, name) for c in self._cores)
+
+    def merged(self, name: str) -> dict[str, int]:
+        """The dict :class:`CoreStats` field *name*, summed key by key
+        over cores (a key appears once some core counted it)."""
+        merged: dict[str, int] = {}
+        for core in self._cores:
+            for key, count in getattr(core, name).items():
+                merged[key] = merged.get(key, 0) + count
+        return merged
+
     def total_commits(self) -> int:
-        return sum(c.commits for c in self._cores)
+        return self.total("commits")
 
     def total_aborts(self) -> int:
         return sum(c.total_aborts for c in self._cores)
 
     def aborts_by_reason(self) -> dict[str, int]:
-        merged: dict[str, int] = {}
-        for core in self._cores:
-            for reason, count in core.aborts.items():
-                merged[reason] = merged.get(reason, 0) + count
-        return merged
+        return self.merged("aborts")
 
     def breakdown(self) -> dict[str, float]:
         """Normalized busy/conflict/barrier/other fractions."""
-        busy = sum(c.busy for c in self._cores)
-        conflict = sum(c.conflict for c in self._cores)
-        barrier = sum(c.barrier for c in self._cores)
-        other = sum(c.other for c in self._cores)
+        busy = self.total("busy")
+        conflict = self.total("conflict")
+        barrier = self.total("barrier")
+        other = self.total("other")
         total = busy + conflict + barrier + other
         if total == 0:
             return {"busy": 0.0, "conflict": 0.0, "barrier": 0.0, "other": 0.0}
@@ -276,14 +261,24 @@ class MachineStats:
     # ------------------------------------------------------------------
     # STM / hybrid aggregates
     # ------------------------------------------------------------------
+    def did_stm_work(self) -> bool:
+        """Did the run do software-TM work (a software commit, a
+        fallback, or barrier instrumentation)?  Decides whether a
+        result reports its STM counters at all."""
+        return bool(
+            self.total_stm_commits()
+            or self.total_stm_fallbacks()
+            or self.total_barrier_instrs()
+        )
+
     def total_stm_commits(self) -> int:
-        return sum(c.stm_commits for c in self._cores)
+        return self.total("stm_commits")
 
     def total_stm_fallbacks(self) -> int:
-        return sum(c.stm_fallbacks for c in self._cores)
+        return self.total("stm_fallbacks")
 
     def total_barrier_instrs(self) -> int:
-        return sum(c.barrier_instrs for c in self._cores)
+        return self.total("barrier_instrs")
 
     def subscription_aborts(self) -> int:
         """Aborted attempts attributed to HTM/STM synchronization
@@ -302,10 +297,3 @@ class MachineStats:
         if commits == 0:
             return 0.0
         return self.total_stm_commits() / commits
-
-    def stm_summary(self) -> dict[str, tuple[float, float]]:
-        """(average, maximum) per committed-STM-transaction sample."""
-        return {
-            name: (agg.mean, agg.maximum)
-            for name, agg in self._stm.items()
-        }

@@ -69,7 +69,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.engine import CommitPlan, TxnStmSample
+from repro.core.engine import CommitPlan
 from repro.htm.events import StallRetry
 from repro.htm.system import (
     BaseTMSystem,
@@ -141,17 +141,6 @@ class STMMixin:
         self._escalated = [False] * ncores
         #: core holding the fallback token (progressive), or None
         self._fallback_owner: int | None = None
-        self._m_stm_fallbacks = None
-        self._m_stm_barrier = None
-        self._m_stm_subscriptions = None
-
-    def bind_metrics(self, registry) -> None:
-        super().bind_metrics(registry)
-        self._m_stm_fallbacks = registry.counter("stm.fallbacks")
-        self._m_stm_barrier = registry.counter("stm.barrier_instrs")
-        self._m_stm_subscriptions = registry.counter(
-            "stm.subscription_aborts"
-        )
 
     # ------------------------------------------------------------------
     # Lifecycle: escalation policy
@@ -190,8 +179,6 @@ class STMMixin:
                 # Only count a *fallback* when hardware was tried and
                 # gave up; the pure STM backend is software by design.
                 self.stats.core(core).stm_fallbacks += 1
-                if self.metrics is not None:
-                    self._m_stm_fallbacks.inc()
                 if self.tracer is not None:
                     self._trace("fallback", core, {
                         "attempts": ctx.attempts, "reason": ctx.doom_reason,
@@ -238,8 +225,6 @@ class STMMixin:
         )
         cost = self.config.stm_subscribe_instrs
         self.stats.core(core).barrier_instrs += cost
-        if self.metrics is not None:
-            self._m_stm_barrier.inc(cost)
         self.ctx[core].subscribed = True
         return latency + cost
 
@@ -424,8 +409,6 @@ class STMMixin:
             ).latency
             mem.write(orec, mem.read(orec, 8) + 1, 8)
         self.stats.core(core).barrier_instrs += cost
-        if self.metrics is not None:
-            self._m_stm_barrier.inc(cost)
         return latency
 
     def _stm_pre_commit(self, core: int) -> CommitResult:
@@ -491,34 +474,27 @@ class STMMixin:
             ).latency
             mem.write(meta.clock_addr, mem.read(meta.clock_addr, 8) + 1, 8)
 
-        self._stm_finalize(core, txn, latency)
+        self.stats.core(core).stm_commits += 1
+        if self.metrics is not None:
+            # The software sets stand in for the speculative ones the
+            # hardware occupancy hook skips on ctx.stm attempts.
+            self._h_read_set.observe(
+                len(txn.read_orecs) or len(txn.owned_orecs)
+            )
+            self._h_write_set.observe(len(txn.write_orecs))
+        self._stm_end(core)
         return CommitResult(latency=latency)
 
-    def _stm_finalize(
-        self, core: int, txn: _StmTxn, commit_cycles: int
-    ) -> None:
-        """Successful software commit: record the sample, flush the
-        instrumentation counters, release ownership."""
-        stats = self.stats
-        sample = TxnStmSample(
-            read_set=len(txn.read_orecs) or len(txn.owned_orecs),
-            write_set=len(txn.write_orecs),
-            barrier_instrs=txn.barrier_instrs,
-            commit_cycles=commit_cycles,
-        )
-        stats.record_stm_sample(core, sample)
-        core_stats = stats.core(core)
-        core_stats.stm_commits += 1
-        core_stats.barrier_instrs += txn.barrier_instrs
-        if self.metrics is not None and txn.barrier_instrs:
-            self._m_stm_barrier.inc(txn.barrier_instrs)
-        self._stm_release(core, txn)
-        self._stm_txns[core] = None
-
-    def _stm_release(self, core: int, txn: _StmTxn) -> None:
-        """Drop pessimistic ownership: zero the owner words and free
-        the fallback token (bookkeeping writes, zero-cycle like
-        rollback)."""
+    def _stm_end(self, core: int) -> None:
+        """End a software attempt, committed or aborted: flush its
+        barrier instructions (wasted work is still work), release
+        pessimistic ownership (zero the owner words and free the
+        fallback token: bookkeeping writes, zero-cycle like rollback),
+        and drop the attempt."""
+        txn = self._stm_txns[core]
+        if txn is None:
+            return
+        self.stats.core(core).barrier_instrs += txn.barrier_instrs
         mem = self.memory
         meta = self.meta
         for orec in txn.owned_orecs:
@@ -526,28 +502,17 @@ class STMMixin:
         if txn.holds_token:
             mem.write(meta.token_addr, 0, 8)
             self._fallback_owner = None
+        self._stm_txns[core] = None
 
     # ------------------------------------------------------------------
     # Abort cleanup
     # ------------------------------------------------------------------
-    def _stm_abort_flush(self, core: int) -> None:
-        txn = self._stm_txns[core]
-        if txn is None:
-            return
-        self.stats.core(core).barrier_instrs += txn.barrier_instrs
-        if self.metrics is not None and txn.barrier_instrs:
-            self._m_stm_barrier.inc(txn.barrier_instrs)
-        self._stm_release(core, txn)
-        self._stm_txns[core] = None
-
     def _rollback(self, core: int, reason: str, remote: bool) -> None:
         ctx = self.ctx[core]
         was_stm = ctx.active and ctx.stm
         super()._rollback(core, reason, remote)
-        if reason == "subscription" and self.metrics is not None:
-            self._m_stm_subscriptions.inc()
         if was_stm:
-            self._stm_abort_flush(core)
+            self._stm_end(core)
 
 
 class STMSystem(STMMixin, BaseTMSystem):

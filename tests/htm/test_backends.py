@@ -19,6 +19,7 @@ from repro.sim.config import small_test_config
 from repro.sim.machine import Machine
 from repro.sim.script import ThreadScript
 from repro.sim.stats import MachineStats
+from repro.stm.backend import STMMixin
 from tests.conftest import run_counter_machine
 
 ROWS = sorted(BACKENDS)
@@ -62,6 +63,36 @@ class TestEveryRow:
             asdict(core) for core in bare.stats.cores
         ]
         assert memory_image(seen.memory) == memory_image(bare.memory)
+
+    def test_the_registry_counts_what_the_run_counted(self, name):
+        """Each counter equals its trace kind's count, the abort
+        counters the stats' reasons, and the ``stm.*`` counters exist
+        exactly on the software-TM rows."""
+        tracer, metrics = EventStream(), MetricsRegistry()
+        result, _ = run_counter_machine(
+            name, ncores=3, txns_per_core=4, tracer=tracer, metrics=metrics
+        )
+        counters = metrics.snapshot("counter")
+        kinds = tracer.summary()
+        aborts = {
+            key[len("txn.aborts{reason="):-1]: value
+            for key, value in counters.items()
+            if key.startswith("txn.aborts{")
+        }
+        assert sum(aborts.values()) == kinds.get("abort", 0)
+        assert aborts == result.stats.aborts_by_reason()
+        for counter, kind in (
+            ("txn.begins", "begin"), ("txn.commits", "commit"),
+            ("htm.conflicts", "conflict"), ("retcon.steals", "steal"),
+            ("retcon.repairs", "repair"), ("fwd.forwards", "forward"),
+        ):
+            assert counters[counter] == kinds.get(kind, 0), counter
+        assert counters.get("stm.fallbacks", 0) == kinds.get("fallback", 0)
+        stm = {key for key in counters if key.startswith("stm.")}
+        assert stm == (
+            {"stm.fallbacks", "stm.barrier_instrs", "stm.subscription_aborts"}
+            if issubclass(BACKENDS[name].cls, STMMixin) else set()
+        )
 
     def test_a_checked_run_is_the_unchecked_run(self, name):
         """Every commit of a commit-atomic row is replayed, and checking

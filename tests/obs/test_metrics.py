@@ -107,22 +107,18 @@ class TestRegistry:
         assert snap["core.aborts{core=3}"] == 2
         assert snap["txn.duration_cycles"]["count"] == 1
 
-    def test_render_groups_types(self):
+
+class TestRenderSnapshot:
+    def test_renders_every_type(self):
         reg = MetricsRegistry()
         reg.inc("txn.commits")
         reg.set("sim.ncores", 4)
         reg.observe("txn.duration_cycles", 32)
-        out = reg.render()
-        assert "counters:" in out
-        assert "gauges:" in out
-        assert "histograms:" in out
-        assert "txn.commits" in out
+        lines = render_snapshot(reg.snapshot()).splitlines()
+        assert lines[0].split() == ["sim.ncores", "4"]
+        assert lines[1].split() == ["txn.commits", "1"]
+        assert lines[2].startswith("txn.duration_cycles  n=1 ")
 
-    def test_render_empty(self):
-        assert MetricsRegistry().render() == "(no metrics recorded)"
-
-
-class TestRenderSnapshot:
     def test_round_trips_registry_snapshot(self):
         reg = MetricsRegistry()
         reg.inc("txn.commits", 7)

@@ -57,9 +57,8 @@ class TestEventStreamTracing:
         tracer = run_traced("eager")
         summary = tracer.summary()
         assert summary["commit"] == 6
-        assert len(tracer.per_core(0)) + len(tracer.per_core(1)) == len(
-            tracer
-        )
+        assert sum(summary.values()) == len(tracer)
+        assert {event.core for event in tracer} == {0, 1}
 
     def test_limit_drops_excess(self):
         tracer = EventStream(limit=2)

@@ -5,6 +5,7 @@ import pytest
 from repro.coherence.directory import CoherenceFabric
 from repro.htm.events import TxnAborted
 from repro.mem.memory import MainMemory, WriteBuffer
+from repro.obs.metrics import MetricsRegistry
 from repro.sim.config import small_test_config
 from repro.sim.stats import MachineStats
 from repro.stm.backend import STMSystem
@@ -190,9 +191,14 @@ class TestEndToEnd:
         assert result.stats.total_stm_commits() == result.commits
         assert result.stats.total_barrier_instrs() > 0
 
-    def test_stm_summary_reports_sets_and_costs(self):
-        result, _ = run_counter_machine("stm", ncores=2, txns_per_core=4)
-        summary = result.stats.stm_summary()
-        assert summary["read_set"][0] >= 1   # (mean, maximum)
-        assert summary["write_set"][0] >= 1
-        assert summary["barrier_instrs"][1] > 0
+    def test_observed_sets_cover_every_commit(self):
+        metrics = MetricsRegistry()
+        result, _ = run_counter_machine(
+            "stm", ncores=2, txns_per_core=4, metrics=metrics
+        )
+        # Every software commit observes its orec sets once; the
+        # counter transaction reads and writes one block.
+        for name in ("txn.read_set_size", "txn.write_set_size"):
+            hist = metrics.get(name)
+            assert hist.count == result.commits, name
+            assert hist.minimum >= 1, name
