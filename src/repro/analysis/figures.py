@@ -1252,7 +1252,7 @@ def _smoke_points(base: Point, backend: Optional[str] = None) -> Labelled:
     """The CI smoke grid: 3 workloads x 3 systems at tiny scale, or on
     *backend* alone (CI's hybrid smoke); the base point's ``check`` and
     machine flags reach every point."""
-    spec = smoke_spec(systems=(backend,)) if backend else smoke_spec()
+    grid = smoke_spec(systems=(backend,)) if backend else smoke_spec()
     return [
         (
             (p.workload, p.system),
@@ -1261,7 +1261,7 @@ def _smoke_points(base: Point, backend: Optional[str] = None) -> Labelled:
                 ncores=p.ncores, seed=p.seed, scale=p.scale,
             ),
         )
-        for p in spec.points()
+        for p in grid
     ]
 
 

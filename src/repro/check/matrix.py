@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 from repro.check.faults import FAULT_POINTS, FaultInjector
 from repro.check.oracle import RepairOracle
-from repro.exp.spec import ExperimentSpec, smoke_spec
+from repro.exp.spec import Point, smoke_spec
 from repro.isa.instructions import Cond
 from repro.isa.program import Assembler, Program
 from repro.isa.registers import R1, R2
@@ -51,7 +51,7 @@ def check_spec(
     smoke: bool = False,
     ncores: int = 8,
     seed: int = 1,
-) -> ExperimentSpec:
+) -> list[Point]:
     """The oracle-matrix grid for ``repro check``.
 
     ``smoke=True`` reuses the CI smoke grid (3 workloads x 3 systems at
@@ -59,29 +59,20 @@ def check_spec(
     workload shapes at a slightly larger scale.
     """
     if smoke:
-        return replace(
-            smoke_spec(),
-            name="check-smoke",
-            description="smoke grid + repair oracle + golden differ",
-            check=True,
-        )
-    return ExperimentSpec(
-        name="check",
-        description="oracle matrix: repair oracle + golden differ",
-        workloads=(
+        return [replace(point, check=True) for point in smoke_spec()]
+    return [
+        Point(workload, system, ncores=ncores, seed=seed, scale=0.25,
+              check=True)
+        for workload in (
             "python_opt",
             "genome-sz",
             "kmeans",
             "intruder_opt",
             "vacation_opt",
             "ssca2",
-        ),
-        systems=("eager", "lazy-vb", "retcon"),
-        core_counts=(ncores,),
-        seeds=(seed,),
-        scale=0.25,
-        check=True,
-    )
+        )
+        for system in ("eager", "lazy-vb", "retcon")
+    ]
 
 
 # ----------------------------------------------------------------------

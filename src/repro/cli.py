@@ -24,6 +24,9 @@ Simulation commands accept ``--jobs N`` (default ``$REPRO_JOBS`` or
 all cores) to fan independent points out over worker processes, and
 memoize per-point results under ``.repro-cache/`` — use ``--no-cache``
 to bypass the cache or ``--refresh`` to re-simulate and overwrite it.
+``repro fuzz`` never touches that cache: it appends each verdict to
+its corpus under ``.repro-fuzz/`` as it is reached, so running the
+same fuzz command again resumes it.
 
 How flags become simulations: the machine flags (``--retry-budget``,
 ``--read-set``, ...) are one table, ``_CONFIG_FLAGS``, keyed by
@@ -446,9 +449,8 @@ def _cmd_check(args) -> int:
     """``repro check``: oracle matrix + fault-injection self-test."""
     from repro.check.matrix import check_spec, run_fault_matrix
 
-    spec = check_spec(smoke=args.smoke)
     start = time.perf_counter()
-    results = run_points(spec.points(), **_engine_opts(args))
+    results = run_points(check_spec(smoke=args.smoke), **_engine_opts(args))
     rows = []
     matrix_ok = True
     for point, result in results.items():
@@ -470,7 +472,8 @@ def _cmd_check(args) -> int:
             )
         )
     elapsed = time.perf_counter() - start
-    print(f"oracle matrix [{spec.name}]: {len(results)} points "
+    name = "check-smoke" if args.smoke else "check"
+    print(f"oracle matrix [{name}]: {len(results)} points "
           f"in {elapsed:.1f}s")
     print(
         format_table(
@@ -526,19 +529,18 @@ def _cmd_fuzz(args) -> int:
 
     ``--smoke`` runs the fixed CI batch (210 programs: seeds 0..69 on
     each of 3 profiles across eager/lazy-vb/retcon); ``--minutes N``
-    fuzzes fresh seeds (resuming past the ``.repro-fuzz/`` corpus)
-    until the time budget runs out, checked per seed; the default is
-    one batch of ``--seeds`` new seeds per profile.  ``--campaign ID``
-    journals every batch and verdict to an append-only audit log under
-    the corpus, and ``--campaign ID --resume`` continues an
-    interrupted campaign without re-screening any verdicted seed.
+    fuzzes the lowest seeds the ``.repro-fuzz/`` corpus has no verdict
+    for until the time budget runs out, checked per seed; the default
+    is one batch of ``--seeds`` such seeds per profile.  Every verdict
+    is appended to the corpus as it is reached, so an interrupted
+    campaign resumes when the same command runs again.
     """
     from repro.fuzz.campaign import (
-        CampaignError,
         CampaignOptions,
         run_campaign,
         smoke_options,
     )
+    from repro.fuzz.corpus import CampaignError
     from repro.fuzz.gen import FUZZ_PROFILES
 
     for profile in args.profiles:
@@ -547,8 +549,6 @@ def _cmd_fuzz(args) -> int:
                 f"unknown fuzz profile {profile!r}; choose from "
                 f"{sorted(FUZZ_PROFILES)}"
             )
-    if args.resume and not args.campaign:
-        raise UsageError("--resume requires --campaign <id>")
     backends = tuple(
         dict.fromkeys(
             tuple(args.backends) + tuple(args.extra_backends or ())
@@ -565,9 +565,6 @@ def _cmd_fuzz(args) -> int:
         fault=args.fault,
         config=_config_from_args(args),
         corpus_root=Path(args.corpus),
-        campaign=args.campaign,
-        resume=args.resume,
-        schedule=not args.no_schedule,
     )
     if args.smoke:
         opts = smoke_options(**common)
@@ -778,8 +775,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fuzz.add_argument(
         "--minutes", type=float, default=None, metavar="N",
-        help="fuzz fresh seeds until N minutes elapse (resumes past "
-             "the corpus high-water mark)",
+        help="fuzz unscreened seeds in batches until N minutes "
+             "elapse",
     )
     fuzz.add_argument(
         "--backends", nargs="+", default=["eager", "lazy-vb", "retcon"],
@@ -798,7 +795,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fuzz.add_argument(
         "--seed-start", type=int, default=None,
-        help="first seed (default: resume past the corpus)",
+        help="first seed (default: the lowest seeds the corpus has "
+             "no verdict for)",
     )
     fuzz.add_argument(
         "--seeds", type=int, default=70,
@@ -821,25 +819,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fuzz.add_argument(
         "--corpus", default=".repro-fuzz",
-        help="corpus directory (default .repro-fuzz)",
-    )
-    fuzz.add_argument(
-        "--campaign", default=None, metavar="ID",
-        help="journal every batch and verdict to an append-only "
-             "audit log (<corpus>/journals/ID.jsonl); required for "
-             "--resume",
-    )
-    fuzz.add_argument(
-        "--resume", action="store_true",
-        help="continue the named --campaign from its journal: "
-             "verdicted seeds are never re-screened, the interrupted "
-             "batch tail runs first",
-    )
-    fuzz.add_argument(
-        "--no-schedule", action="store_true",
-        help="uniform per-profile seed budgets instead of the "
-             "coverage-guided (divergence-weighted, epsilon-greedy) "
-             "scheduler used for --minutes campaigns",
+        help="corpus directory: one append-only verdict log per "
+             "profile and setting; rerunning a command resumes it "
+             "(default .repro-fuzz)",
     )
     _add_config_args(fuzz)
     _add_jobs_arg(fuzz)

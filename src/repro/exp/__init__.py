@@ -2,8 +2,8 @@
 
 Three layers (see ``docs/experiment_engine.md``):
 
-* :mod:`repro.exp.spec` — declarative :class:`Point` /
-  :class:`ExperimentSpec` grids replacing ad-hoc loops.
+* :mod:`repro.exp.spec` — :class:`Point`, the declarative,
+  content-addressed name of one simulation.
 * :mod:`repro.exp.engine` — execution: baseline sharing across
   systems, process-parallel runs (``jobs`` / ``$REPRO_JOBS``), and
   streamed per-point progress.
@@ -13,11 +13,10 @@ Three layers (see ``docs/experiment_engine.md``):
 
 from repro.exp.cache import DEFAULT_CACHE_DIR, ResultCache
 from repro.exp.engine import resolve_jobs, run_points, stderr_progress
-from repro.exp.spec import ExperimentSpec, Point, point_key, smoke_spec
+from repro.exp.spec import Point, point_key, smoke_spec
 
 __all__ = [
     "DEFAULT_CACHE_DIR",
-    "ExperimentSpec",
     "Point",
     "ResultCache",
     "point_key",

@@ -1,10 +1,10 @@
 """Declarative experiment specifications.
 
 A :class:`Point` names one simulation — (workload, system, ncores,
-seed, scale, config) — and an :class:`ExperimentSpec` names a grid of
-them.  Every figure/table/sweep in the evaluation is a spec plus a
-formatter; the engine (:mod:`repro.exp.engine`) executes specs and the
-cache (:mod:`repro.exp.cache`) memoizes the per-point results.
+seed, scale, config).  Every figure/table/sweep in the evaluation is a
+list of points plus a formatter; the engine (:mod:`repro.exp.engine`)
+executes point lists and the cache (:mod:`repro.exp.cache`) memoizes
+the per-point results.
 
 Points hash stably: :func:`point_key` derives a content address from
 the full parameter set plus ``repro.__version__``, so any change to a
@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 from repro.sim.config import MachineConfig
 
@@ -136,75 +136,12 @@ def point_key(point: Point, version: str | None = None) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """A declarative grid of points plus a human-readable name.
-
-    The cross product ``workloads x systems x core_counts x seeds`` at
-    one scale/config.  Irregular grids (per-point configs, mixed
-    scales) are expressed by concatenating ``points()`` lists from
-    several specs or by constructing :class:`Point` lists directly —
-    the engine only ever consumes flat point sequences.
-    """
-
-    name: str
-    workloads: tuple[str, ...]
-    systems: tuple[str, ...]
-    core_counts: tuple[int, ...] = (32,)
-    seeds: tuple[int, ...] = (1,)
-    scale: float = 1.0
-    config: Optional[MachineConfig] = None
-    description: str = ""
-    #: run every point with the correctness oracle + golden differ
-    check: bool = False
-    #: observability request propagated to every point (see Point.obs)
-    obs: str = ""
-
-    def __post_init__(self) -> None:
-        # Tolerate lists/generators from callers; store tuples so the
-        # spec stays hashable.
-        for name in ("workloads", "systems", "core_counts", "seeds"):
-            value = getattr(self, name)
-            if not isinstance(value, tuple):
-                object.__setattr__(self, name, tuple(value))
-
-    def points(self) -> list[Point]:
-        """Expand the grid in deterministic (row-major) order."""
-        return [
-            Point(
-                workload=workload,
-                system=system,
-                ncores=ncores,
-                seed=seed,
-                scale=self.scale,
-                config=self.config,
-                check=self.check,
-                obs=self.obs,
-            )
-            for workload in self.workloads
-            for ncores in self.core_counts
-            for seed in self.seeds
-            for system in self.systems
-        ]
-
-    def __iter__(self) -> Iterator[Point]:
-        return iter(self.points())
-
-    def __len__(self) -> int:
-        return (
-            len(self.workloads)
-            * len(self.systems)
-            * len(self.core_counts)
-            * len(self.seeds)
-        )
-
-
 def smoke_spec(
     scale: float = 0.1,
     ncores: int = 4,
     seed: int = 1,
     systems: tuple[str, ...] = ("eager", "lazy-vb", "retcon"),
-) -> ExperimentSpec:
+) -> list[Point]:
     """The tiny grid used by ``python -m repro sweep --smoke`` and CI.
 
     Three representative workloads (a repairable one, an unrepairable
@@ -212,14 +149,8 @@ def smoke_spec(
     or any ``systems`` override (CI's hybrid smoke runs it on
     ``hybrid-retcon`` alone).
     """
-    return ExperimentSpec(
-        name="smoke",
-        description=(
-            f"CI smoke grid: 3 workloads x {len(systems)} systems"
-        ),
-        workloads=("python_opt", "genome-sz", "kmeans"),
-        systems=systems,
-        core_counts=(ncores,),
-        seeds=(seed,),
-        scale=scale,
-    )
+    return [
+        Point(workload, system, ncores=ncores, seed=seed, scale=scale)
+        for workload in ("python_opt", "genome-sz", "kmeans")
+        for system in systems
+    ]

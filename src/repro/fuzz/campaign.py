@@ -7,26 +7,20 @@ A campaign screens a seed range for each profile in one pass: each
 (commutative profiles), commit-order serializability replay and traced
 stats sanity on every backend — fanned out across the experiment
 engine's process pool (:func:`repro.exp.engine.run_tasks`; the
-sequential ``--jobs 1`` path yields bit-identical verdicts).  Clean
-verdicts are recorded in the corpus, the only cleanliness cache, so
-the next campaign only pays for new seeds.
+sequential ``--jobs 1`` path yields identical verdicts).  Each verdict
+is appended to the corpus (:mod:`repro.fuzz.corpus`) the moment it
+exists, so every campaign resumes when the same command runs again:
+a fixed range skips the seeds already clean, and ``--minutes``
+batches take the lowest seeds the corpus has no verdict for, which
+picks up whatever an interrupted or deadline-cut batch left unrun.
 
-Standing campaigns add two pieces on top:
-
-* ``--campaign <id>`` journals every batch issued and verdict reached
-  to an append-only JSONL audit log
-  (:mod:`repro.fuzz.journal`); ``--campaign <id> --resume`` replays
-  the journal, re-screens zero already-verdicted seeds, and picks up
-  the interrupted batch tail first.  The corpus flushes only at batch
-  boundaries; the journal is the write-ahead log that makes that
-  transactional.
-* under ``--minutes``, the per-batch seed budget is split across
-  profiles by :class:`repro.fuzz.schedule.GeneScheduler` — weighted
-  by which (backend, signal) pairs each profile has historically
-  diverged on, with an epsilon-greedy floor so no profile starves.
-  The ``--minutes`` deadline is enforced before a batch starts and
-  before *each* seed (the in-flight seed finishes cleanly), not just
-  between whole batches.
+Open-ended batches split their seed budget across profiles with
+:class:`repro.fuzz.schedule.GeneScheduler` — weighted by which
+(backend, signal) pairs each profile has historically diverged on,
+with an epsilon-greedy floor so no profile starves.  The ``--minutes``
+deadline is enforced before a batch starts and before *each* seed
+(the in-flight seed finishes cleanly), not just between whole
+batches.
 
 On divergence the campaign saves the full case to the corpus, runs
 the ddmin shrinker, emits a regression test under
@@ -39,7 +33,7 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 from typing import Optional
@@ -48,8 +42,7 @@ from repro.exp.engine import run_tasks
 from repro.fuzz.corpus import Corpus
 from repro.fuzz.diff import DEFAULT_BACKENDS, run_case
 from repro.fuzz.gen import FUZZ_PROFILES, config_hash, generate_case
-from repro.fuzz.journal import CampaignError, CampaignJournal
-from repro.fuzz.schedule import DEFAULT_EPSILON, GeneScheduler
+from repro.fuzz.schedule import GeneScheduler
 from repro.fuzz.shrink import (
     REGRESSION_DIR,
     divergence_predicate,
@@ -59,7 +52,6 @@ from repro.fuzz.shrink import (
 from repro.sim.config import MachineConfig
 
 __all__ = [
-    "CampaignError",
     "CampaignOptions",
     "CampaignReport",
     "run_campaign",
@@ -81,7 +73,7 @@ class CampaignOptions:
     profiles: tuple = tuple(FUZZ_PROFILES)
     backends: tuple = DEFAULT_BACKENDS
     nthreads: int = 4
-    seed_start: Optional[int] = None  # None: resume past the corpus
+    seed_start: Optional[int] = None  # None: the lowest unscreened seeds
     seeds: int = SMOKE_SEEDS
     minutes: Optional[float] = None
     jobs: Optional[int] = None
@@ -91,20 +83,10 @@ class CampaignOptions:
     fault: Optional[str] = None
     fault_seed: int = 0
     #: machine-config override (e.g. bounded speculative-set
-    #: capacities); non-None campaigns skip the corpus, whose clean
-    #: verdicts are keyed by generator config only
+    #: capacities); like the fault, part of the corpus key
     config: Optional[MachineConfig] = None
     corpus_root: Path = Path(".repro-fuzz")
     regression_dir: Path = REGRESSION_DIR
-    quiet: bool = False
-    #: journaled-campaign id (None: unjournaled one-shot run)
-    campaign: Optional[str] = None
-    #: continue the named campaign from its journal
-    resume: bool = False
-    #: coverage-guided per-batch budget allocation (--minutes runs)
-    schedule: bool = True
-    #: exploration share of each scheduled batch
-    epsilon: float = DEFAULT_EPSILON
 
 
 @dataclass
@@ -113,8 +95,6 @@ class CampaignReport:
 
     programs: int = 0
     skipped_clean: int = 0
-    #: verdicts restored from the journal on --resume (not re-screened)
-    restored: int = 0
     batches: int = 0
     diverging: list = field(default_factory=list)  # (profile, seed)
     divergences: list = field(default_factory=list)
@@ -132,54 +112,25 @@ class CampaignReport:
             if self.ok
             else f"{len(self.diverging)} diverging cases"
         )
-        restored = (
-            f", {self.restored} restored from journal"
-            if self.restored
-            else ""
-        )
         return (
             f"fuzz: {self.programs} programs screened "
-            f"({self.skipped_clean} already clean in corpus{restored}), "
+            f"({self.skipped_clean} already clean in corpus), "
             f"{verdict}, {self.elapsed:.1f}s"
         )
 
 
-def _say(opts: CampaignOptions, message: str) -> None:
-    if not opts.quiet:
-        print(message, file=sys.stderr, flush=True)
+def _say(message: str) -> None:
+    print(message, file=sys.stderr, flush=True)
 
 
-def _fingerprint(opts: CampaignOptions) -> dict:
-    """The correctness-affecting options a resume must match.
-
-    Resource knobs (jobs, minutes, batch seeds) may change between
-    resumes; anything that changes what a verdict *means* may not.
-    Round-tripped through JSON so it compares equal to a journal read.
-    """
-    import json
-
-    raw = {
-        "profiles": sorted(opts.profiles),
-        "backends": sorted(opts.backends),
-        "nthreads": opts.nthreads,
-        "seed_start": opts.seed_start,
-        "fault": opts.fault,
-        "fault_seed": opts.fault_seed,
-        "config": asdict(opts.config) if opts.config is not None else None,
-    }
-    return json.loads(json.dumps(raw, sort_keys=True, default=list))
-
-
-def _seed_range(
+def _batch_seeds(
     opts: CampaignOptions, corpus: Corpus, profile: str, count: int
 ) -> list[int]:
-    config = FUZZ_PROFILES[profile]
-    start = (
-        opts.seed_start
-        if opts.seed_start is not None
-        else corpus.next_seed(config)
+    if opts.seed_start is not None:
+        return list(range(opts.seed_start, opts.seed_start + count))
+    return corpus.unscreened(
+        FUZZ_PROFILES[profile], opts.backends, opts.nthreads, count
     )
-    return list(range(start, start + count))
 
 
 @dataclass(frozen=True)
@@ -216,42 +167,26 @@ def _deep_phase(
     corpus: Corpus,
     batches: dict[str, list[int]],
     report: CampaignReport,
-    journal: Optional[CampaignJournal] = None,
     deadline: Optional[float] = None,
 ) -> None:
     """Differentially execute every non-clean seed; handle divergences.
 
     Fans :func:`repro.fuzz.diff.run_case` out through the experiment
-    engine's process pool (``opts.jobs``); verdicts are journaled and
-    recorded into the corpus in completion order (the corpus file is
-    key-sorted, so the final state is order-independent), then
-    divergences are triaged in deterministic (profile, seed) order.
-    A ``deadline`` stops dispatch per seed — in-flight seeds finish
-    cleanly and unrun seeds stay pending in the journal for a resume.
+    engine's process pool (``opts.jobs``); each verdict is appended to
+    the corpus as it arrives, in completion order (the fold is
+    order-independent per seed), then divergences are triaged in
+    deterministic (profile, seed) order.  A ``deadline`` stops
+    dispatch per seed — in-flight seeds finish cleanly, and unrun
+    seeds stay unscreened for the next campaign to pick up.
     """
-    # Corpus clean verdicts are keyed by the generator config only,
-    # so campaigns with a fault or machine-config override neither
-    # trust nor record them.
-    plain = opts.fault is None and opts.config is None
     tasks: list[tuple[str, int]] = []
     for profile, seeds in batches.items():
         config = FUZZ_PROFILES[profile]
         for seed in seeds:
-            if plain and corpus.is_clean(
-                config, seed, opts.backends, opts.nthreads
-            ):
+            if corpus.is_clean(config, seed, opts.backends, opts.nthreads):
                 report.skipped_clean += 1
-                if journal is not None:
-                    journal.verdict(
-                        profile,
-                        seed,
-                        True,
-                        opts.nthreads,
-                        opts.backends,
-                        source="corpus",
-                    )
-                continue
-            tasks.append((profile, seed))
+            else:
+                tasks.append((profile, seed))
 
     settings = _DeepSettings(
         backends=tuple(opts.backends),
@@ -271,24 +206,14 @@ def _deep_phase(
     ):
         profile, seed = task
         report.programs += 1
-        if plain:
-            corpus.record(
-                FUZZ_PROFILES[profile],
-                seed,
-                outcome.ok,
-                opts.backends,
-                opts.nthreads,
-                divergences=outcome.divergences,
-            )
-        if journal is not None:
-            journal.verdict(
-                profile,
-                seed,
-                outcome.ok,
-                opts.nthreads,
-                opts.backends,
-                divergences=outcome.divergences,
-            )
+        corpus.record(
+            FUZZ_PROFILES[profile],
+            seed,
+            outcome.ok,
+            opts.backends,
+            opts.nthreads,
+            divergences=outcome.divergences,
+        )
         if not outcome.ok:
             outcomes.append((profile, seed, outcome))
 
@@ -297,15 +222,14 @@ def _deep_phase(
     ):
         report.diverging.append((profile, seed))
         report.divergences.extend(outcome.divergences)
-        _say(opts, f"DIVERGENCE {profile} seed={seed}")
+        _say(f"DIVERGENCE {profile} seed={seed}")
         for div in outcome.divergences:
-            _say(opts, f"  {div}")
+            _say(f"  {div}")
         _say(
-            opts,
             f"  reproduce: repro fuzz --profiles {profile} "
             f"--seed-start {seed} --seeds 1 --backends "
             f"{' '.join(opts.backends)}"
-            + (f" --fault {opts.fault}" if opts.fault else ""),
+            + (f" --fault {opts.fault}" if opts.fault else "")
         )
         corpus.save_diverging(outcome.case, outcome.divergences)
         if opts.shrink:
@@ -325,7 +249,7 @@ def _handle_shrink(
     if result is None:  # did not reproduce under the predicate
         return
     report.shrink_summaries.append(result.summary())
-    _say(opts, f"  {result.summary()}")
+    _say(f"  {result.summary()}")
     if opts.emit:
         outcome = run_case(
             result.case,
@@ -342,61 +266,19 @@ def _handle_shrink(
             directory=opts.regression_dir,
         )
         report.emitted.append(path)
-        _say(opts, f"  regression written: {path}")
-
-
-def _open_journal(
-    opts: CampaignOptions, corpus: Corpus, report: CampaignReport
-) -> tuple[Optional[CampaignJournal], dict]:
-    """Create or resume the campaign journal; returns (journal, carry).
-
-    On resume, journaled verdicts are replayed into the corpus (the
-    journal is the write-ahead log; an interrupt may have landed
-    between a verdict and the corpus flush) and the issued-but-
-    unverdicted seeds of the interrupted batch come back as ``carry``
-    — the first batch the resumed campaign runs.
-    """
-    if opts.resume and not opts.campaign:
-        raise CampaignError("--resume requires --campaign <id>")
-    if not opts.campaign:
-        return None, {}
-    journal = CampaignJournal(opts.corpus_root, opts.campaign)
-    fingerprint = _fingerprint(opts)
-    if not opts.resume:
-        if journal.exists():
-            raise CampaignError(
-                f"campaign {opts.campaign!r} already has a journal at "
-                f"{journal.path}; pass --resume to continue it"
-            )
-        journal.begin(fingerprint)
-        return journal, {}
-    journal.resume_check(fingerprint)
-    plain = opts.fault is None and opts.config is None
-    for verdict in journal.verdicts():
-        report.restored += 1
-        if plain and verdict.get("source") != "corpus":
-            corpus.record(
-                FUZZ_PROFILES[verdict["profile"]],
-                verdict["seed"],
-                verdict["ok"],
-                tuple(verdict.get("backends", opts.backends)),
-                verdict.get("nthreads", opts.nthreads),
-                divergences=verdict.get("divergences"),
-            )
-    corpus.flush()
-    return journal, journal.pending()
+        _say(f"  regression written: {path}")
 
 
 def run_campaign(opts: CampaignOptions) -> CampaignReport:
     """Run one fuzz campaign (one seed range, or --minutes batches)."""
     started = time.perf_counter()
-    corpus = Corpus(opts.corpus_root)
+    corpus = Corpus(
+        opts.corpus_root,
+        machine=opts.config,
+        fault=opts.fault,
+        fault_seed=opts.fault_seed,
+    )
     report = CampaignReport()
-    plain = opts.fault is None and opts.config is None
-
-    journal, carry = _open_journal(opts, corpus, report)
-    done = journal.verdicted() if journal is not None else set()
-
     deadline = (
         started + opts.minutes * 60.0
         if opts.minutes is not None
@@ -404,81 +286,31 @@ def run_campaign(opts: CampaignOptions) -> CampaignReport:
     )
     batch_size = opts.seeds if deadline is None else BATCH_SEEDS
     scheduler = None
-    if (
-        opts.schedule
-        and plain
-        and opts.seed_start is None
-        and len(opts.profiles) > 1
-    ):
-        scheduler = GeneScheduler(
-            corpus, opts.profiles, epsilon=opts.epsilon
-        )
-    batch_index = journal.batches_done() if journal is not None else 0
+    if opts.seed_start is None and len(opts.profiles) > 1:
+        scheduler = GeneScheduler(corpus, opts.profiles)
 
-    first = True
-    while first or carry or (
-        deadline is not None and time.perf_counter() < deadline
-    ):
-        first = False
-        if carry:
-            batches = carry
-            carry = {}
+    # A batch can take many minutes: never start one past the budget.
+    while deadline is None or time.perf_counter() < deadline:
+        if scheduler is not None:
+            allocation = scheduler.allocate(batch_size * len(opts.profiles))
         else:
-            if scheduler is not None:
-                allocation = scheduler.allocate(
-                    batch_size * len(opts.profiles)
-                )
-            else:
-                allocation = {
-                    profile: batch_size for profile in opts.profiles
-                }
-            batches = {
-                profile: _seed_range(opts, corpus, profile, count)
-                for profile, count in allocation.items()
-                if count > 0
-            }
-        if done:
-            batches = {
-                profile: [s for s in seeds if (profile, s) not in done]
-                for profile, seeds in batches.items()
-            }
-        batches = {p: seeds for p, seeds in batches.items() if seeds}
-        if not batches:
-            break
-        # Deadline check before a batch starts: a batch can take many
-        # minutes, so never start one past the budget (the journal
-        # keeps unstarted seeds pending).
-        if deadline is not None and time.perf_counter() >= deadline:
-            break
-        if journal is not None:
-            journal.batch(batch_index, batches)
+            allocation = {profile: batch_size for profile in opts.profiles}
+        batches = {
+            profile: _batch_seeds(opts, corpus, profile, count)
+            for profile, count in allocation.items()
+            if count > 0
+        }
         for profile, seeds in batches.items():
             _say(
-                opts,
-                f"fuzz {profile}: seeds {seeds[0]}..{seeds[-1]} on "
-                f"{'/'.join(opts.backends)} "
-                f"(cfg {config_hash(FUZZ_PROFILES[profile])})",
+                f"fuzz {profile}: {len(seeds)} seeds in "
+                f"{seeds[0]}..{seeds[-1]} on {'/'.join(opts.backends)} "
+                f"(cfg {config_hash(FUZZ_PROFILES[profile])})"
             )
-        _deep_phase(
-            opts, corpus, batches, report,
-            journal=journal, deadline=deadline,
-        )
-        corpus.flush()
+        _deep_phase(opts, corpus, batches, report, deadline=deadline)
         report.batches += 1
-        if journal is not None:
-            if deadline is None or time.perf_counter() < deadline:
-                journal.batch_done(batch_index)
-            done = journal.verdicted()
-        batch_index += 1
-        if opts.seed_start is not None or not plain:
-            # fixed ranges (and fault/config exercises, which skip
-            # the corpus) don't advance; one pass only
-            break
-        if deadline is None:
-            break
+        if deadline is None or opts.seed_start is not None:
+            break  # one batch; a fixed range does not advance
     report.elapsed = time.perf_counter() - started
-    if journal is not None:
-        journal.close()
     return report
 
 

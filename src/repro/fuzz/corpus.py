@@ -1,16 +1,24 @@
 """Corpus persistence for fuzz campaigns (``.repro-fuzz/``).
 
-One JSON file per generator configuration, named by
-:func:`repro.fuzz.gen.config_hash`, records every seed the
-differential executor has already screened — per thread count, with
-the backends it was screened against — so repeated campaigns only pay
-for new seeds.  A seed entry holds one verdict per ``nthreads``
-(``{"4": {...}, "8": {...}}``): alternating thread counts accumulate
-instead of clobbering each other, and re-recording a clean verdict
-unions its backends into the existing one.  Entries are scoped to
-``repro.__version__``: a version bump discards the file (the
-simulator changed, prior verdicts are stale), mirroring the
-experiment engine's cache-key policy.
+The corpus is the one durable record of what the fuzzer has screened.
+Every key — the generator configuration, the machine-config override,
+the injected fault and its seed, and ``repro.__version__`` — owns one
+append-only JSONL file, ``<key>.jsonl``, one line per verdict.  A
+campaign appends, flushes and fsyncs each line the moment
+:func:`repro.fuzz.diff.run_case` returns, so an interrupted campaign
+loses at most the seeds in flight, and running the same command again
+resumes it.  A fault exercise or a bounded-capacity run records under
+its own key and can never make a plain seed clean; a version bump
+reads fresh files and leaves the old ones untouched.
+
+Loading folds the lines in order with the :meth:`Corpus.record` merge
+rule: one verdict per ``nthreads`` (a 4-thread verdict never clobbers
+an 8-thread one), a clean verdict unions its backends into a clean
+predecessor, and a diverging verdict replaces what was there.  A final
+line without its newline is what a kill mid-append leaves: it is
+ignored, and cut off before the next append.  Any other line that does
+not parse raises :class:`CampaignError` naming the file and line;
+nothing rewrites or drops a corpus file.
 
 Diverging cases are additionally saved whole (gene lists, not just
 seeds) under ``diverging/`` so a divergence survives generator
@@ -19,45 +27,92 @@ changes that would re-expand the seed differently.
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
+from dataclasses import asdict
 from pathlib import Path
 from typing import Optional
 
 from repro import __version__
 from repro.fuzz.gen import FuzzCase, GeneratorConfig, config_hash
+from repro.sim.config import MachineConfig
 
 DEFAULT_ROOT = Path(".repro-fuzz")
 
 
-class Corpus:
-    """Seed screening results for fuzz configurations."""
+class CampaignError(RuntimeError):
+    """A campaign cannot run: a corpus file is corrupt."""
 
-    def __init__(self, root: Path = DEFAULT_ROOT) -> None:
+
+def _fold(seeds: dict, line: dict) -> None:
+    """Merge one verdict line into ``seed -> nthreads -> verdict``."""
+    entry = seeds.setdefault(line["seed"], {})
+    prior = entry.get(line["nthreads"])
+    backends = set(line["backends"])
+    if line["ok"] and prior and prior["ok"]:
+        backends |= set(prior["backends"])
+    verdict: dict = {"ok": line["ok"], "backends": sorted(backends)}
+    if line.get("divergences"):
+        verdict["divergences"] = line["divergences"]
+    entry[line["nthreads"]] = verdict
+
+
+class Corpus:
+    """Screening verdicts for one campaign setting, per generator
+    configuration."""
+
+    def __init__(
+        self,
+        root: Path = DEFAULT_ROOT,
+        machine: Optional[MachineConfig] = None,
+        fault: Optional[str] = None,
+        fault_seed: int = 0,
+    ) -> None:
         self.root = Path(root)
-        self._loaded: dict[str, dict] = {}
-        self._dirty: set[str] = set()
+        self._setting = {
+            "machine": asdict(machine) if machine is not None else None,
+            "fault": fault,
+            "fault_seed": fault_seed,
+        }
+        self._loaded: dict[Path, dict] = {}
+        #: path -> length of its whole lines, for a log with a torn tail
+        self._torn: dict[Path, int] = {}
 
     # ------------------------------------------------------------------
-    def _path(self, cfg: str) -> Path:
-        return self.root / f"{cfg}.json"
+    def _path(self, config: GeneratorConfig) -> Path:
+        key = dict(
+            self._setting, generator=config_hash(config), version=__version__
+        )
+        blob = json.dumps(key, sort_keys=True, default=list)
+        digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+        return self.root / f"{digest}.jsonl"
 
-    def _entries(self, config: GeneratorConfig) -> dict:
-        cfg = config_hash(config)
-        if cfg not in self._loaded:
-            data: dict = {"version": __version__, "seeds": {}}
-            path = self._path(cfg)
-            if path.is_file():
-                try:
-                    on_disk = json.loads(path.read_text())
-                except (OSError, json.JSONDecodeError):
-                    on_disk = None
-                if (
-                    isinstance(on_disk, dict)
-                    and on_disk.get("version") == __version__
-                ):
-                    data = on_disk
-            self._loaded[cfg] = data
-        return self._loaded[cfg]
+    def _load(self, path: Path) -> dict:
+        seeds: dict = {}
+        try:
+            data = path.read_bytes()
+        except FileNotFoundError:
+            return seeds
+        whole = data.rfind(b"\n") + 1
+        if whole < len(data):
+            self._torn[path] = whole
+        for number, raw in enumerate(data[:whole].splitlines(), 1):
+            try:
+                _fold(seeds, json.loads(raw))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise CampaignError(
+                    f"{path}:{number}: corrupt corpus line ({exc})"
+                ) from None
+        return seeds
+
+    def verdicts(self, config: GeneratorConfig) -> dict:
+        """Every folded verdict for *config*: ``seed -> nthreads ->
+        {"ok", "backends"[, "divergences"]}``."""
+        path = self._path(config)
+        if path not in self._loaded:
+            self._loaded[path] = self._load(path)
+        return self._loaded[path]
 
     # ------------------------------------------------------------------
     def is_clean(
@@ -69,12 +124,11 @@ class Corpus:
     ) -> bool:
         """True if *seed* already screened clean against (at least)
         *backends* at this thread count."""
-        entry = self._entries(config)["seeds"].get(str(seed))
-        verdict = entry.get(str(nthreads)) if entry else None
+        verdict = self.verdicts(config).get(seed, {}).get(nthreads)
         return bool(
             verdict
-            and verdict.get("ok")
-            and set(backends) <= set(verdict.get("backends", ()))
+            and verdict["ok"]
+            and set(backends) <= set(verdict["backends"])
         )
 
     def record(
@@ -86,7 +140,7 @@ class Corpus:
         nthreads: int,
         divergences: Optional[list] = None,
     ) -> None:
-        """Record one verdict, keyed per thread count.
+        """Durably append one verdict, keyed per thread count.
 
         Verdicts at other thread counts are untouched — a seed
         screened clean at ``nthreads=4`` survives an ``nthreads=8``
@@ -94,30 +148,50 @@ class Corpus:
         count unions the backend sets (each backend's differential
         signals are independent of the others in the run), so
         screening ``eager`` then ``stm`` accumulates into one verdict
-        clean for both.
+        clean for both.  The line is on disk when this returns.
         """
-        cfg = config_hash(config)
-        entry = self._entries(config)["seeds"].setdefault(str(seed), {})
-        prior = entry.get(str(nthreads))
-        merged = set(backends)
-        if ok and prior and prior.get("ok"):
-            merged |= set(prior.get("backends", ()))
-        verdict: dict = {"ok": ok, "backends": sorted(merged)}
+        line: dict = {
+            "seed": seed,
+            "nthreads": nthreads,
+            "ok": ok,
+            "backends": sorted(backends),
+        }
         if divergences:
-            verdict["divergences"] = [
+            line["divergences"] = [
                 d if isinstance(d, dict) else d.to_dict()
                 for d in divergences
             ]
-        entry[str(nthreads)] = verdict
-        self._dirty.add(cfg)
+        seeds = self.verdicts(config)
+        path = self._path(config)
+        self.root.mkdir(parents=True, exist_ok=True)
+        with path.open("ab") as log:
+            if path in self._torn:
+                log.truncate(self._torn.pop(path))
+            log.write(json.dumps(line, sort_keys=True).encode() + b"\n")
+            log.flush()
+            os.fsync(log.fileno())
+        _fold(seeds, line)
 
-    def next_seed(self, config: GeneratorConfig) -> int:
-        """One past the highest screened seed (for --minutes batches)."""
-        seeds = self._entries(config)["seeds"]
-        return max((int(s) for s in seeds), default=-1) + 1
-
-    def screened(self, config: GeneratorConfig) -> int:
-        return len(self._entries(config)["seeds"])
+    def unscreened(
+        self,
+        config: GeneratorConfig,
+        backends: tuple,
+        nthreads: int,
+        count: int,
+    ) -> list[int]:
+        """The *count* lowest seeds with no verdict, clean or diverging,
+        covering *backends* at this thread count (for ``--minutes``
+        batches: gaps an interrupted batch left come first)."""
+        seeds = self.verdicts(config)
+        wanted = set(backends)
+        found: list[int] = []
+        seed = 0
+        while len(found) < count:
+            verdict = seeds.get(seed, {}).get(nthreads)
+            if not verdict or not wanted <= set(verdict["backends"]):
+                found.append(seed)
+            seed += 1
+        return found
 
     def profile_stats(self, config: GeneratorConfig) -> dict:
         """Aggregate screening stats for the campaign scheduler.
@@ -129,11 +203,11 @@ class Corpus:
         """
         signals: dict[tuple, int] = {}
         diverging = 0
-        seeds = self._entries(config)["seeds"]
+        seeds = self.verdicts(config)
         for entry in seeds.values():
             bad = False
             for verdict in entry.values():
-                if verdict.get("ok"):
+                if verdict["ok"]:
                     continue
                 bad = True
                 for div in verdict.get("divergences", ()):
@@ -166,15 +240,3 @@ class Corpus:
             )
         )
         return path
-
-    def flush(self) -> None:
-        """Write every dirty configuration file atomically."""
-        self.root.mkdir(parents=True, exist_ok=True)
-        for cfg in sorted(self._dirty):
-            path = self._path(cfg)
-            tmp = path.with_suffix(".json.tmp")
-            tmp.write_text(
-                json.dumps(self._loaded[cfg], indent=1, sort_keys=True)
-            )
-            tmp.replace(path)
-        self._dirty.clear()

@@ -14,15 +14,14 @@ class.  :class:`GeneScheduler` splits the difference:
   surface than one that re-finds the same golden mismatch), with the
   raw divergence mass contributing logarithmically so repeats still
   count without drowning breadth.
-* **epsilon-greedy floor** — a fixed ``epsilon`` share of every batch
-  is spread uniformly (at least one seed per profile when the budget
-  allows), so a so-far-quiet profile keeps accumulating coverage and
-  can win budget the moment it first diverges.
+* **epsilon-greedy floor** — a fixed :data:`DEFAULT_EPSILON` share of
+  every batch is spread uniformly (at least one seed per profile when
+  the budget allows), so a so-far-quiet profile keeps accumulating
+  coverage and can win budget the moment it first diverges.
 
 Allocation is a pure function of the corpus state: no RNG, largest-
 remainder rounding with a lexicographic tie-break, so two campaigns
-over identical corpora schedule identically — determinism is what
-makes journaled campaigns reproducible artifacts.
+over identical corpora schedule identically.
 """
 
 from __future__ import annotations
@@ -32,25 +31,19 @@ import math
 from repro.fuzz.corpus import Corpus
 from repro.fuzz.gen import FUZZ_PROFILES
 
-#: default exploration share of each batch's seed budget
+#: exploration share of each batch's seed budget
 DEFAULT_EPSILON = 0.2
 
 
 class GeneScheduler:
     """Allocates per-batch seed budgets across generator profiles."""
 
-    def __init__(
-        self,
-        corpus: Corpus,
-        profiles: tuple,
-        epsilon: float = DEFAULT_EPSILON,
-    ) -> None:
+    def __init__(self, corpus: Corpus, profiles: tuple) -> None:
         unknown = [p for p in profiles if p not in FUZZ_PROFILES]
         if unknown:
             raise ValueError(f"unknown fuzz profiles: {unknown}")
         self.corpus = corpus
         self.profiles = tuple(profiles)
-        self.epsilon = min(max(epsilon, 0.0), 1.0)
 
     # ------------------------------------------------------------------
     def weights(self) -> dict:
@@ -73,7 +66,7 @@ class GeneScheduler:
 
         # exploration floor: epsilon of the budget, spread evenly,
         # at least one seed each once the budget covers the profiles
-        floor = int(self.epsilon * budget / len(profiles))
+        floor = int(DEFAULT_EPSILON * budget / len(profiles))
         if budget >= len(profiles):
             floor = max(1, floor)
         floor = min(floor, budget // len(profiles))

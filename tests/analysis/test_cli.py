@@ -57,21 +57,27 @@ class TestParser:
             build_parser().parse_args(["metrics", "figure2"])
 
     def test_fuzz_campaign_flags(self):
-        args = build_parser().parse_args(["fuzz", "--smoke"])
-        assert args.campaign is None
-        assert args.resume is False
-        assert args.no_schedule is False
         args = build_parser().parse_args(
-            ["fuzz", "--minutes", "30", "--campaign", "nightly-1",
-             "--resume", "--no-schedule"]
+            ["fuzz", "--minutes", "30", "--corpus", "night"]
         )
-        assert args.campaign == "nightly-1"
-        assert args.resume and args.no_schedule
-        assert args.minutes == 30.0
+        assert args.minutes == 30.0 and args.corpus == "night"
+        for gone in ("--campaign=nightly-1", "--resume", "--no-schedule"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["fuzz", gone])
 
-    def test_fuzz_resume_requires_campaign(self, capsys):
-        assert main(["fuzz", "--smoke", "--resume"]) == 2
-        assert "--campaign" in capsys.readouterr().err
+    def test_fuzz_corrupt_corpus_is_a_usage_error(self, tmp_path, capsys):
+        from repro.fuzz.corpus import Corpus
+        from repro.fuzz.gen import FUZZ_PROFILES
+
+        Corpus(tmp_path).record(
+            FUZZ_PROFILES["fuzz-rmw"], 0, True, ("eager",), 4
+        )
+        (path,) = tmp_path.glob("*.jsonl")
+        path.write_text("{not json\n" + path.read_text())
+        code = main(["fuzz", "--profiles", "fuzz-rmw", "--seed-start", "0",
+                     "--seeds", "1", "--corpus", str(tmp_path)])
+        assert code == 2
+        assert f"{path}:1: corrupt corpus line" in capsys.readouterr().err
 
 
 class TestCommands:

@@ -12,19 +12,17 @@ from repro.exp.engine import (
     run_points,
     run_tasks,
 )
-from repro.exp.spec import ExperimentSpec, Point
+from repro.exp.spec import Point
 from repro.sim.runner import run_workload
 
 #: 3 workloads x 3 systems at small scale (the determinism grid the
 #: engine must reproduce bit-for-bit regardless of worker count).
-GRID = ExperimentSpec(
-    name="determinism",
-    workloads=("python_opt", "genome-sz", "kmeans"),
-    systems=("eager", "lazy-vb", "retcon"),
-    core_counts=(2,),
-    seeds=(1,),
-    scale=0.05,
-)
+WORKLOADS = ("python_opt", "genome-sz", "kmeans")
+GRID = [
+    Point(workload, system, ncores=2, seed=1, scale=0.05)
+    for workload in WORKLOADS
+    for system in ("eager", "lazy-vb", "retcon")
+]
 
 
 def serialized(results) -> list[str]:
@@ -35,12 +33,12 @@ def serialized(results) -> list[str]:
 
 @pytest.fixture(scope="module")
 def serial_results():
-    return run_points(GRID.points(), jobs=1)
+    return run_points(GRID, jobs=1)
 
 
 class TestDeterminism:
     def test_parallel_matches_serial_byte_for_byte(self, serial_results):
-        parallel = run_points(GRID.points(), jobs=4)
+        parallel = run_points(GRID, jobs=4)
         assert list(parallel) == list(serial_results)
         assert serialized(parallel) == serialized(serial_results)
 
@@ -57,17 +55,17 @@ class TestDeterminism:
         )
 
     def test_order_follows_input_not_completion(self):
-        points = list(reversed(GRID.points()))[:4]
+        points = list(reversed(GRID))[:4]
         results = run_points(points, jobs=2)
         assert list(results) == points
 
 
 class TestBaselineSharing:
     def test_one_baseline_per_workload(self, serial_results):
-        for workload in GRID.workloads:
+        for workload in WORKLOADS:
             seqs = {
                 serial_results[point].seq_cycles
-                for point in GRID.points()
+                for point in GRID
                 if point.workload == workload
             }
             assert len(seqs) == 1
@@ -122,13 +120,13 @@ class TestCacheIntegration:
         cache = ResultCache(tmp_path)
         statuses = []
         first = run_points(
-            GRID.points(), jobs=1, cache=cache,
+            GRID, jobs=1, cache=cache,
             progress=lambda d, t, p, status, s: statuses.append(status),
         )
         assert statuses == ["ran"] * len(GRID)
         statuses.clear()
         second = run_points(
-            GRID.points(), jobs=1, cache=cache,
+            GRID, jobs=1, cache=cache,
             progress=lambda d, t, p, status, s: statuses.append(status),
         )
         assert statuses == ["cached"] * len(GRID)
@@ -137,11 +135,11 @@ class TestCacheIntegration:
 
     def test_parallel_run_populates_cache(self, tmp_path):
         cache = ResultCache(tmp_path)
-        run_points(GRID.points(), jobs=4, cache=cache)
+        run_points(GRID, jobs=4, cache=cache)
         assert len(cache) == len(GRID)
         statuses = []
         run_points(
-            GRID.points(), jobs=4, cache=cache,
+            GRID, jobs=4, cache=cache,
             progress=lambda d, t, p, status, s: statuses.append(status),
         )
         assert statuses == ["cached"] * len(GRID)
@@ -161,7 +159,7 @@ class TestCacheIntegration:
     def test_progress_counts_reach_total(self, tmp_path):
         seen = []
         run_points(
-            GRID.points(), jobs=1,
+            GRID, jobs=1,
             progress=lambda d, t, p, status, s: seen.append((d, t)),
         )
         assert seen[-1] == (len(GRID), len(GRID))

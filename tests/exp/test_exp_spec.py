@@ -2,38 +2,11 @@
 
 from dataclasses import replace
 
-from repro.exp.spec import ExperimentSpec, Point, point_key, smoke_spec
+from repro.exp.spec import Point, point_key, smoke_spec
 from repro.sim.config import MachineConfig
 
 
 class TestExperimentSpec:
-    def test_grid_expansion(self):
-        spec = ExperimentSpec(
-            name="grid",
-            workloads=("a", "b"),
-            systems=("x", "y", "z"),
-            core_counts=(2, 4),
-            seeds=(1, 2),
-            scale=0.5,
-        )
-        points = spec.points()
-        assert len(points) == len(spec) == 2 * 3 * 2 * 2
-        assert len(set(points)) == len(points)
-        # Row-major and deterministic: same spec, same order.
-        assert points == spec.points()
-        assert points[0] == Point("a", "x", ncores=2, seed=1, scale=0.5)
-
-    def test_sequences_normalized_to_tuples(self):
-        spec = ExperimentSpec(
-            name="lists",
-            workloads=["a"],
-            systems=["x"],
-            core_counts=[2],
-            seeds=[1],
-        )
-        assert spec.workloads == ("a",)
-        assert hash(spec) is not None
-
     def test_baseline_key_shared_across_systems_only(self):
         base = Point("kmeans", "eager", ncores=4, seed=2, scale=0.5)
         assert base.baseline_key() == replace(
@@ -51,9 +24,10 @@ class TestExperimentSpec:
             ).baseline_key(), change
 
     def test_smoke_spec_is_small(self):
-        spec = smoke_spec()
-        assert 0 < len(spec) <= 12
-        assert all(p.scale <= 0.2 for p in spec)
+        points = smoke_spec()
+        assert 0 < len(points) <= 12
+        assert len(set(points)) == len(points)
+        assert all(p.scale <= 0.2 for p in points)
 
 
 class TestPointKey:

@@ -1,17 +1,19 @@
-"""Campaign orchestration: corpus reuse, journaled resume, parallel
+"""Campaign orchestration: corpus reuse, resume by rerun, parallel
 deep phase, deadlines, fault exercise end to end."""
 
 import pytest
 
 import repro.fuzz.campaign as campaign_mod
 from repro.fuzz.campaign import (
-    CampaignError,
     CampaignOptions,
     CampaignReport,
     run_campaign,
 )
 from repro.fuzz.corpus import Corpus
-from repro.fuzz.gen import FUZZ_PROFILES, config_hash
+from repro.fuzz.gen import FUZZ_PROFILES
+from repro.sim.config import MachineConfig
+
+CFG = FUZZ_PROFILES["fuzz-rmw"]
 
 pytestmark = pytest.mark.slow
 
@@ -25,7 +27,6 @@ def _options(tmp_path, **overrides):
         jobs=1,
         corpus_root=tmp_path / "corpus",
         regression_dir=tmp_path / "regressions",
-        quiet=True,
     )
     defaults.update(overrides)
     return CampaignOptions(**defaults)
@@ -48,17 +49,17 @@ class TestCleanCampaign:
         assert "all clean" in report.summary()
 
 
-class TestJournaledResume:
+class TestResumeByRerun:
     def _opts(self, tmp_path, **overrides):
-        defaults = dict(seeds=5, campaign="night", shrink=False)
+        defaults = dict(seeds=5, shrink=False)
         defaults.update(overrides)
         return _options(tmp_path, **defaults)
 
     def test_interrupt_resume_rescreens_nothing(self, tmp_path,
                                                 monkeypatch):
-        """ISSUE acceptance: interrupt mid-batch, resume, zero
-        already-verdicted seeds re-screened (journal-verified), and
-        the final corpus is identical to an uninterrupted run."""
+        """Interrupt after two of five seeds, rerun the identical
+        options: neither verdicted seed runs again, and the folded
+        corpus equals that of a never-interrupted campaign."""
         real_run_case = campaign_mod.run_case
         calls: list[int] = []
 
@@ -80,59 +81,47 @@ class TestJournaledResume:
             lambda case, **kw: (calls.append(case.seed)
                                 or real_run_case(case, **kw)),
         )
-        report = run_campaign(self._opts(tmp_path, resume=True))
+        report = run_campaign(self._opts(tmp_path))
         assert report.ok
-        # journal-verified: the two verdicted seeds were restored,
-        # the other three ran, and no seed ran twice
-        assert report.restored == 2
+        assert report.skipped_clean == 2
         assert report.programs == 3
         assert sorted(first_calls + calls) == [0, 1, 2, 3, 4]
         assert not set(first_calls) & set(calls)
 
-        journal = campaign_mod.CampaignJournal(
-            tmp_path / "corpus", "night"
-        )
-        verdicts = journal.verdicts()
-        assert {(v["profile"], v["seed"]) for v in verdicts} == {
-            ("fuzz-rmw", seed) for seed in range(5)
-        }
-        assert len(verdicts) == 5  # one verdict per seed, no repeats
-
-        # identical final corpus to a never-interrupted campaign
         reference = run_campaign(
-            _options(tmp_path, seeds=5, shrink=False,
-                     corpus_root=tmp_path / "reference")
+            self._opts(tmp_path, corpus_root=tmp_path / "reference")
         )
         assert reference.ok
-        cfg = config_hash(FUZZ_PROFILES["fuzz-rmw"])
         assert (
-            (tmp_path / "corpus" / f"{cfg}.json").read_text()
-            == (tmp_path / "reference" / f"{cfg}.json").read_text()
+            Corpus(tmp_path / "corpus").verdicts(CFG)
+            == Corpus(tmp_path / "reference").verdicts(CFG)
         )
 
-    def test_resume_of_finished_campaign_is_a_noop(self, tmp_path):
+    def test_rerun_of_finished_campaign_is_a_noop(self, tmp_path):
         run_campaign(self._opts(tmp_path))
-        report = run_campaign(self._opts(tmp_path, resume=True))
+        report = run_campaign(self._opts(tmp_path))
         assert report.ok
         assert report.programs == 0
-        assert report.restored == 5
+        assert report.skipped_clean == 5
 
-    def test_resume_requires_existing_journal(self, tmp_path):
-        with pytest.raises(CampaignError, match="no journal"):
-            run_campaign(self._opts(tmp_path, resume=True))
-
-    def test_restarting_an_existing_campaign_refused(self, tmp_path):
-        run_campaign(self._opts(tmp_path))
-        with pytest.raises(CampaignError, match="--resume"):
-            run_campaign(self._opts(tmp_path))
-
-    def test_resume_with_changed_options_refused(self, tmp_path):
-        run_campaign(self._opts(tmp_path))
-        with pytest.raises(CampaignError, match="do not match"):
-            run_campaign(
-                self._opts(tmp_path, resume=True,
-                           backends=("eager", "lazy-vb"))
-            )
+    def test_open_ended_batches_fill_gaps_first(self, tmp_path,
+                                                monkeypatch):
+        """Open-ended batches take the lowest unscreened seeds, so the
+        gap a cut batch leaves is the first thing the next one runs."""
+        corpus = Corpus(tmp_path / "corpus")
+        for seed in (0, 1, 3):
+            corpus.record(CFG, seed, True, ("eager", "retcon"), 4)
+        ran: list[int] = []
+        real_run_case = campaign_mod.run_case
+        monkeypatch.setattr(
+            campaign_mod, "run_case",
+            lambda case, **kw: ran.append(case.seed)
+            or real_run_case(case, **kw),
+        )
+        report = run_campaign(self._opts(tmp_path, seed_start=None,
+                                         seeds=2))
+        assert ran == [2, 4]
+        assert report.programs == 2 and report.skipped_clean == 0
 
 
 class TestParallelDeepPhase:
@@ -151,15 +140,14 @@ class TestParallelDeepPhase:
             campaign_mod._deep_phase(
                 opts, corpus, {"fuzz-rmw": list(seeds)}, report
             )
-            corpus.flush()
             reports[name] = report
         assert reports["seq"].programs == len(seeds)
         assert reports["par"].programs == len(seeds)
         assert reports["seq"].diverging == reports["par"].diverging
-        cfg = config_hash(FUZZ_PROFILES["fuzz-rmw"])
+        # lines land in completion order; the folded verdicts agree
         assert (
-            (tmp_path / "seq" / f"{cfg}.json").read_text()
-            == (tmp_path / "par" / f"{cfg}.json").read_text()
+            Corpus(tmp_path / "seq").verdicts(CFG)
+            == Corpus(tmp_path / "par").verdicts(CFG)
         )
 
 
@@ -229,3 +217,19 @@ class TestFaultCampaign:
         # fault runs never pollute the clean corpus
         clean = run_campaign(_options(tmp_path, seed_start=7, seeds=1))
         assert clean.programs == 1
+
+    def test_fault_and_config_campaigns_record_under_their_own_key(
+        self, tmp_path
+    ):
+        opts = dict(seed_start=0, seeds=1, shrink=False)
+        run_campaign(_options(tmp_path, fault="plan-store-skew",
+                              backends=("lazy-vb",), **opts))
+        bounded = _options(
+            tmp_path, config=MachineConfig(read_set_entries=6), **opts
+        )
+        assert run_campaign(bounded).programs == 1
+        assert len(list((tmp_path / "corpus").glob("*.jsonl"))) == 2
+        assert run_campaign(bounded).programs == 0
+        assert not Corpus(tmp_path / "corpus").is_clean(
+            CFG, 0, ("eager", "retcon"), 4
+        )
