@@ -49,7 +49,7 @@ from repro.htm.backends import BACKENDS  # isort: skip
 SYSTEMS = tuple(BACKENDS)
 """Names of the transactional-memory system variants that can be simulated."""
 
-__version__ = "1.7.3"
+__version__ = "1.7.4"
 
 __all__ = [
     "MachineConfig",

@@ -3,7 +3,7 @@
 Three pillars (see ``docs/correctness_oracle.md``):
 
 * :mod:`repro.check.oracle` — the replay-based repair oracle: every
-  commit of a commit-atomic row is re-executed by a reference
+  commit of every row is re-executed by a reference
   interpreter against the commit-time memory image and the committed
   (for RETCON, repaired) state must match byte for byte.
 * :mod:`repro.check.golden` — the golden-run differ: the parallel

@@ -9,11 +9,11 @@ Two halves, matching the subsystem's promise:
   invariants, oracle violations, golden diff) must pass.
 * the **fault matrix** — a self-test of the oracle: for every fault
   point in :data:`repro.check.faults.FAULT_POINTS`, a deliberately
-  contended microbenchmark is run on the full RETCON system with that
-  corruption injected at every commit, and the oracle must report at
-  least one violation; the plan-store faults run on the ``lazy`` and
-  ``stm`` write-buffer commits too (:data:`FAULT_ROWS`).  A control
-  trial per row with no fault injected must report none.
+  contended microbenchmark is run on ``retcon`` and ``retcon-fwd``
+  with that corruption injected at every commit, and the oracle must
+  report at least one violation; the plan-store faults run on the
+  ``lazy`` and ``stm`` write-buffer commits too (:data:`FAULT_ROWS`).
+  A control trial per row with no fault injected must report none.
 
 The fault microbenchmark is deterministic (fixed seeds, deterministic
 scheduler), so even the contention-dependent faults — dropped register
@@ -42,6 +42,7 @@ from repro.sim.script import ThreadScript
 #: (None), a lazy or STM plan is only its write buffer's runs
 FAULT_ROWS = {
     "retcon": None,
+    "retcon-fwd": None,
     "lazy": ("plan-store-drop", "plan-store-skew"),
     "stm": ("plan-store-drop", "plan-store-skew"),
 }

@@ -16,8 +16,9 @@ repair).  The oracle checks that equivalence on every commit it sees:
    commit's empty plan), the oracle replays the recorded program with
    a reference interpreter (:mod:`repro.check.replay`) against the
    commit-time memory image: reacquired blocks read their fresh
-   values, bytes any active transaction wrote eagerly read their
-   undo-log pre-image, everything else reads architectural memory.
+   values, bytes an active transaction wrote eagerly read the first
+   undo-log pre-image that holds them, everything else reads
+   architectural memory.
 3. It then asserts, byte for byte: the replayed control-flow path
    matches the executed one (the constraint set really did pin every
    branch), every buffered store drains the value the replay computed,
@@ -33,10 +34,10 @@ The oracle is pull-free: it holds no reference to the machine and is
 driven entirely by the hooks above; every commit hands it the same
 record through :meth:`repro.htm.system.BaseTMSystem._check_commit` —
 a :class:`~repro.core.engine.CommitPlan`, memory, and the undo
-pre-images to read through.  (It is not meaningful for ``datm`` and
-``retcon-fwd``, whose forwarded speculative values are legitimately
-invisible to a committed-state replay: their rows of
-:data:`repro.htm.backends.BACKENDS` refuse it.)
+pre-images to read through, the committer's first, then its
+dependents' in dependence order.  Forwarding is why: a *dependent* (it
+consumed the committer's uncommitted data) that overwrote a byte the
+committer stored eagerly logged the committed value as its pre-image.
 """
 
 from __future__ import annotations
@@ -143,32 +144,41 @@ class RepairOracle:
     # Commit-time checks (driven by the TM system / core)
     # ------------------------------------------------------------------
     def check_commit(
-        self, core, plan, memory, pre_images, engine=None
+        self, core, plan, memory, pre_images, dependents=0, engine=None
     ) -> None:
         """Replay the committing transaction and diff it against *plan*.
 
-        Called by the TM system once the commit plan exists, before
-        any store drains.  *memory* is the architectural memory at
-        that instant: reacquired blocks hold their fresh values and
-        the buffered stores have not drained yet.  *pre_images* are
-        the undo-log pre-images (byte addr -> byte) of every active
-        transaction, the committer's included, for the replay to read
-        through.  *engine* (the source of any register repairs in
-        *plan*) only adds the symbolic expression behind a diverging
-        value to the report.
+        Called by the TM system at the last point its commit can still
+        stall or abort, before any store drains.  *memory* is the
+        architectural memory at that instant: reacquired blocks hold
+        their fresh values and the buffered stores have not drained
+        yet.  *pre_images* are the undo-log pre-images (byte addr ->
+        byte) of every active transaction: the committer's, then the
+        next *dependents* (its dependents', in dependence order), then
+        the rest; each byte reads from the first that holds it.  *engine*
+        (the source of any register repairs in *plan*) only adds the
+        symbolic expression behind a diverging value to the report.
         """
         record = self._records.get(core)
         if record is None:
             return  # system used without core recording hooks
         self.checked_commits += 1
 
-        pre_images = [pre for pre in pre_images if pre]
+        # First hit wins, so merge the last first.  A dependent's
+        # pre-image of a byte the committer stored eagerly is the
+        # committed value.
+        image: dict[int, int] = {}
+        eager: dict[int, int] = {}
+        for i in reversed(range(len(pre_images))):
+            image.update(pre_images[i])
+            if 0 < i <= dependents:
+                eager.update(pre_images[i])
 
         def read_fn(addr: int, size: int) -> bytes:
             raw = bytearray(memory.read_bytes(addr, size))
-            for pre_image in pre_images:
+            if image:
                 for i in range(size):
-                    byte = pre_image.get(addr + i)
+                    byte = image.get(addr + i)
                     if byte is not None:
                         raw[i] = byte
             return bytes(raw)
@@ -216,7 +226,7 @@ class RepairOracle:
 
         # 3. Stores: every byte the replay wrote must end up with the
         # replayed value once the plan drains (bytes outside the plan
-        # were written eagerly and are already in memory), and every
+        # were written eagerly and are in memory or *eager*), and every
         # planned byte must have a replayed store behind it.
         plan_bytes: dict[int, int] = {}
         plan_syms: dict[int, str] = {}
@@ -232,7 +242,7 @@ class RepairOracle:
                     plan_syms[a] = repr(entry.sym)
 
         for addr, byte in replay.overlay.items():
-            final = plan_bytes.get(addr)
+            final = plan_bytes.get(addr, eager.get(addr))
             if final is None:
                 final = memory.read_bytes(addr, 1)[0]
             if final != byte:

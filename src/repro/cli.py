@@ -192,18 +192,12 @@ def _known_backends(names) -> None:
 
 
 def _check_points(points) -> None:
-    """An unknown system, --check on a row without atomic commits, or
-    --skew/--burst on a workload with no traffic model, is a usage
-    error up front — before any workload is generated — not a
-    traceback from the middle of the run."""
+    """An unknown system, or --skew/--burst on a workload with no
+    traffic model, is a usage error up front — before any workload is
+    generated — not a traceback from the middle of the run."""
     for point in points:
         if point.system:  # "" marks a template, stamped later
             _known_backends([point.system])
-            if point.check and not BACKENDS[point.system].commit_atomic:
-                raise UsageError(
-                    f"--check: {point.system} commits forwarded "
-                    "speculative values, which no replay can check"
-                )
         try:
             _resolve_workload(point.workload, point.skew, point.burst)
         except ValueError as exc:

@@ -1,9 +1,8 @@
 """Differential execution of one fuzz case across TM backends.
 
 For each requested backend the case runs on an N-core machine with a
-tracer recording the global begin/commit/abort stream and, on every
-``commit_atomic`` row of :data:`repro.htm.backends.BACKENDS`, the
-repair oracle attached.  Four independent signals are then checked:
+tracer recording the global begin/commit/abort stream and the repair
+oracle attached.  Four independent signals are then checked:
 
 * **oracle** — every commit replays byte-identically
   (:mod:`repro.check.oracle`);
@@ -11,17 +10,17 @@ repair oracle attached.  Four independent signals are then checked:
   re-executing the committed transactions *serially in that order*
   from the same initial memory must reproduce the backend's final
   memory byte for byte.  This is the definition of conflict
-  serializability made executable.  Both signals need each commit's
-  effects to apply atomically at its commit point, so the forwarding
-  backends skip them;
+  serializability made executable; the forwarding backends meet it
+  too, since a transaction that consumed forwarded data commits only
+  after its source;
 * **golden** — workload invariants on the sequential golden run and
   the backend run must both pass (:mod:`repro.check.golden`); for
   commutative cases the final memories must additionally be
   byte-identical, which also forces *every* backend to agree with
   every other transitively;
 * **stats** — traced begins equal commits + aborts, every committed
-  transaction is accounted for exactly once, and no counter is
-  negative.
+  transaction is accounted for exactly once, the oracle checked
+  exactly the commits that happened, and no counter is negative.
 
 A case with an injected fault (``fault=``) is expected to diverge;
 ``run_case`` just reports what it saw and the shrinker uses
@@ -37,7 +36,6 @@ from repro.check.golden import diff_memories
 from repro.fuzz.gen import FuzzCase
 from repro.mem.memory import MainMemory
 from repro.sim.config import MachineConfig
-from repro.htm.backends import BACKENDS
 from repro.sim.machine import Machine, SimulationTimeout
 from repro.sim.runner import run_sequential
 from repro.sim.script import ThreadScript, Txn
@@ -46,14 +44,6 @@ from repro.obs.events import EventStream
 
 #: the default differential matrix (ISSUE acceptance: >= 3 backends)
 DEFAULT_BACKENDS = ("eager", "lazy-vb", "retcon")
-
-#: backends whose commits apply atomically at the traced commit event
-#: (``commit_atomic`` rows of the backend table), making the repair
-#: oracle and the commit-order serial replay sound.  The rest still
-#: get the golden and stats checks.
-SERIAL_REPLAY_BACKENDS = frozenset(
-    name for name, row in BACKENDS.items() if row.commit_atomic
-)
 
 #: tight watchdog for fuzz-sized programs (they finish in thousands of
 #: cycles; a livelocked backend should fail fast, not after 500M)
@@ -197,7 +187,7 @@ def run_case(
             generated.scripts,
             generated.memory.clone(),
             label=f"fuzz {backend} {label}",
-            check=oracle and backend in SERIAL_REPLAY_BACKENDS,
+            check=oracle,
             tracer=tracer,
         )
         if fault is not None:
@@ -239,6 +229,10 @@ def run_case(
                     f"scripted txns",
                 )
             )
+        if result.oracle and result.oracle.checked_commits != run.commits:
+            checked = result.oracle.checked_commits
+            detail = f"oracle checked {checked} of {run.commits} commits"
+            diverge(Divergence("stats", backend, detail))
         negatives = _negative_counters(result.stats)
         if negatives:
             diverge(
@@ -285,27 +279,25 @@ def run_case(
                 )
 
         # -- commit-order serializability -----------------------------
-        if backend in SERIAL_REPLAY_BACKENDS:
-            replay_memory, error = _commit_order_replay(
-                programs, label, tracer, generated.memory, config
-            )
-            if error is not None:
-                diverge(Divergence("serialization", backend, error))
-            else:
-                _, blocks, nbytes, samples = diff_memories(
-                    replay_memory, result.memory
+        replay_memory, error = _commit_order_replay(
+            programs, label, tracer, generated.memory, config
+        )
+        if error is not None:
+            diverge(Divergence("serialization", backend, error))
+            continue
+        _, blocks, nbytes, samples = diff_memories(
+            replay_memory, result.memory
+        )
+        if nbytes:
+            diverge(
+                Divergence(
+                    "serialization",
+                    backend,
+                    f"final memory differs from serial replay in commit "
+                    f"order: {nbytes} bytes in {blocks} blocks, sample "
+                    f"addrs {[hex(a) for a in samples[:4]]}",
                 )
-                if nbytes:
-                    diverge(
-                        Divergence(
-                            "serialization",
-                            backend,
-                            f"final memory differs from serial replay "
-                            f"in commit order: {nbytes} bytes in "
-                            f"{blocks} blocks, sample addrs "
-                            f"{[hex(a) for a in samples[:4]]}",
-                        )
-                    )
+            )
     return outcome
 
 

@@ -1,11 +1,9 @@
 """The one table of TM systems: a backend is a row.
 
 Everything the rest of the repo may know about a backend — that it
-exists, how it is composed, and the one fact callers branch on —
-is written here once.  ``repro.SYSTEMS``, the ``repro list`` line, the
-CLI's name and ``--check`` validation, ``fuzz.diff.SERIAL_REPLAY_BACKENDS``
-and the :class:`~repro.sim.machine.Machine`'s oracle refusal are all
-derived from :data:`BACKENDS`.
+exists and how it is composed — is written here once: no caller
+branches on a row.  ``repro.SYSTEMS``, the ``repro list`` line and the
+CLI's name validation are all derived from :data:`BACKENDS`.
 
 Adding a backend = one row here.  Write a class only if the system has
 behaviour no existing class has (a new ``load``/``store``/``commit``
@@ -29,21 +27,10 @@ from repro.stm.backend import STMRetconSystem, STMSystem
 
 @dataclass(frozen=True)
 class Backend:
-    """One TM system: a class, its constructor settings, one fact."""
+    """One TM system: a class and its constructor settings."""
 
     cls: type
     kwargs: dict = field(default_factory=dict)
-    #: each commit's effects apply atomically at its traced commit
-    #: event, so a committed-state replay reproduces it: the repair
-    #: oracle replays each commit, and re-executing the committed
-    #: transactions serially in commit order must reproduce final
-    #: memory (the fuzzer's serializability check).  False for the
-    #: forwarding systems, whose commits carry values forwarded from
-    #: still-speculative writers and whose equivalent serial order is a
-    #: dependence order.  The STM/hybrid family qualifies: a software
-    #: commit publishes its whole write buffer inside one
-    #: scheduler-atomic commit.
-    commit_atomic: bool = True
 
 
 _LAZY_VB = {"symbolic_arithmetic": False, "track_all": True}
@@ -54,11 +41,9 @@ BACKENDS: dict[str, Backend] = {
     "eager-stall": Backend(BaseTMSystem, {"policy": "requester-stalls"}),
     "lazy": Backend(LazyTMSystem),
     "lazy-vb": Backend(RetconTMSystem, _LAZY_VB),
-    "datm": Backend(DATMSystem, commit_atomic=False),
+    "datm": Backend(DATMSystem),
     "retcon": Backend(RetconTMSystem),
-    "retcon-fwd": Backend(
-        RetconForwardingSystem, {"cooldown": 50}, commit_atomic=False
-    ),
+    "retcon-fwd": Backend(RetconForwardingSystem, {"cooldown": 50}),
     "stm": Backend(STMSystem),
     "hybrid-retcon": Backend(STMRetconSystem, {"hybrid": True}),
     "hybrid-eager": Backend(STMSystem, {"hybrid": True}),

@@ -78,6 +78,22 @@ class ForwardingMixin:
             stack.extend(self._succs[node])
         return False
 
+    def _dependents(self, core: int) -> tuple[int, ...]:
+        """The active transactions reachable from *core* along
+        commit-order edges, in topological order (reverse DFS
+        post-order)."""
+        post, seen = [], {core}
+
+        def visit(node: int) -> None:
+            for succ in sorted(self._succs[node]):
+                if succ not in seen:
+                    seen.add(succ)
+                    visit(succ)
+                    post.append(succ)
+
+        visit(core)
+        return tuple(c for c in reversed(post) if self.ctx[c].active)
+
     def _cascade_abort(self, core: int) -> None:
         """Abort *core*'s dependents (they consumed forwarded data)."""
         for succ in list(self._succs[core]):

@@ -626,19 +626,28 @@ class BaseTMSystem:
         return _COMMIT_FREE
 
     def _check_commit(self, core: int, plan: CommitPlan, engine=None) -> None:
-        """The one commit check, called once per commit path after its
-        plan exists and before anything drains: the ``post-plan`` fault
-        stage, then the oracle's replay against memory read through the
-        undo pre-image of every active transaction, the committer's
-        included (without forwarding, at most one active transaction
-        holds dirty bytes at any address)."""
+        """The one commit check, called once per commit at the last
+        point it can stall or abort, before anything drains: the
+        ``post-plan`` fault stage, then the oracle's replay against
+        memory read through the undo pre-image of every active
+        transaction, the committer's and its dependents' first."""
         if self.fault_injector is not None:
             self.fault_injector.fire("post-plan", engine, plan)
         if self.oracle is not None:
-            pre_images = [c.undo.pre_image() for c in self.ctx if c.active]
+            ctx = self.ctx
+            first = (core, *self._dependents(core))
+            rest = [c for c in range(len(ctx)) if c not in first]
             self.oracle.check_commit(
-                core, plan, self.memory, pre_images, engine
+                core, plan, self.memory,
+                [ctx[c].undo.pre_image() for c in (*first, *rest)
+                 if ctx[c].active],
+                len(first) - 1, engine,
             )
+
+    def _dependents(self, core: int) -> tuple[int, ...]:
+        """Hook: the active transactions that consumed *core*'s
+        uncommitted data, in dependence order: none without forwarding."""
+        return ()
 
     # ------------------------------------------------------------------
     # Commit lifecycle hook (consumed by the hybrid TM family)
@@ -890,38 +899,35 @@ class RetconTMSystem(BaseTMSystem):
             self._abort_self(core, reason="constraint")
 
         plan = engine.commit_plan(current)
-        self._check_commit(core, plan, engine)
         self._pre_drain(core, plan)
 
-        if plan.stores:
-            # Resolve every drain conflict before touching memory so a
-            # stall cannot leave a half-drained commit visible.
-            drain_blocks = sorted(
-                {block_of(addr) for addr, _size, _val in plan.stores}
+        # Resolve every drain conflict before touching memory so a
+        # stall cannot leave a half-drained commit visible.
+        for block in sorted({block_of(a) for a, _size, _val in plan.stores}):
+            conflicts = self._with_overflowed(
+                core, self.fabric.probe(core, block, True)
             )
-            for block in drain_blocks:
-                conflicts = self._with_overflowed(
-                    core, self.fabric.probe(core, block, True)
-                )
-                if conflicts:
-                    self._resolve(core, block, conflicts)
-                    self._check_self_doom(core)
+            if conflicts:
+                self._resolve(core, block, conflicts)
+                self._check_self_doom(core)
+        # Nothing below stalls or aborts: this commit happens.
+        self._check_commit(core, plan, engine)
 
-            # Step 2: drain stores (serially, after all reacquires) and
-            # compute register repairs.
-            self.stats.core(core).repairs += len(plan.stores)
-            for addr, size, final_value in plan.stores:
-                block = block_of(addr)
-                outcome = self.fabric.acquire(core, block, write=True)
-                if outcome.invalidated:
-                    self._notify_trackers(core, block, outcome.invalidated)
-                if not idealized:
-                    latency += max(1, outcome.latency)
-                self.memory.write(addr, final_value, size)
-                if self.tracer is not None:
-                    self._trace(
-                        "repair", core, {"addr": addr, "value": final_value}
-                    )
+        # Step 2: drain stores (serially, after all reacquires) and
+        # compute register repairs.
+        self.stats.core(core).repairs += len(plan.stores)
+        for addr, size, final_value in plan.stores:
+            block = block_of(addr)
+            outcome = self.fabric.acquire(core, block, write=True)
+            if outcome.invalidated:
+                self._notify_trackers(core, block, outcome.invalidated)
+            if not idealized:
+                latency += max(1, outcome.latency)
+            self.memory.write(addr, final_value, size)
+            if self.tracer is not None:
+                self._trace(
+                    "repair", core, {"addr": addr, "value": final_value}
+                )
 
         sample = engine.sample(commit_cycles=latency)
         self.stats.record_retcon_sample(core, sample)

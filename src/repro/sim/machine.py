@@ -30,7 +30,7 @@ import heapq
 from dataclasses import dataclass
 
 from repro.coherence.directory import CoherenceFabric
-from repro.htm.backends import BACKENDS, build_system
+from repro.htm.backends import build_system
 from repro.htm.system import BaseTMSystem
 from repro.mem.memory import MainMemory
 from repro.sim.config import MachineConfig
@@ -127,11 +127,6 @@ class Machine:
         # RepairOracle instance for strict mode / custom limits.
         self.oracle = None
         if check:
-            if not BACKENDS[system_name].commit_atomic:
-                raise ValueError(
-                    f"{system_name} commits forwarded speculative values, "
-                    "which a committed-state replay cannot check"
-                )
             if check is True:
                 from repro.check.oracle import RepairOracle
 

@@ -197,30 +197,20 @@ def test_an_unknown_backend_is_a_usage_error(argv, dispatched, capsys):
     assert not dispatched
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["run", "kmeans", "--system", "retcon-fwd", "--check"],
-        ["sweep", "kmeans", "--systems", "datm", "--check"],
-    ],
-    ids=" ".join,
-)
-def test_check_on_a_forwarding_row_is_a_usage_error(argv, dispatched, capsys):
-    """A forwarding row's commits cannot be replayed against committed
-    state: --check used to skip its oracle silently; now nothing runs,
-    the exit code is 2 and the message names the row."""
-    assert main(argv + ["--no-cache", "--jobs", "1"]) == 2
-    err = capsys.readouterr().err
-    assert "--check" in err and argv[3] in err
-    assert not dispatched
+@pytest.mark.parametrize("system", ["retcon-fwd", "datm"])
+def test_check_on_a_forwarding_row_runs_and_reports_ok(system, capsys):
+    """--check on a forwarding row used to be a usage error; its
+    commits are now replayed like every other row's."""
+    argv = ["run", "kmeans", "--system", system, "--cores", "2", "--check"]
+    assert main(argv + TINY) == 0
+    assert "oracle: ok" in capsys.readouterr().out
 
 
 def test_fuzz_on_a_forwarding_row_keeps_its_golden_and_stats_signals(
     tmp_path, capsys
 ):
-    """No oracle on retcon-fwd, but a fuzz campaign still runs it: a
-    clean batch passes and a corrupted drain is caught by the golden
-    diff."""
+    """A fuzz campaign on retcon-fwd is checked like any row: a clean
+    batch passes and a corrupted drain is caught by the golden diff."""
     argv = ["fuzz", "--backends", "retcon-fwd", "--profiles", "fuzz-rmw",
             "--seed-start", "0", "--seeds", "2", "--jobs", "1",
             "--no-shrink", "--no-emit"]

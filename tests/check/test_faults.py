@@ -44,6 +44,11 @@ class TestControl:
         assert trial.violations == 0
         assert trial.caught  # "caught" for the control means clean
 
+    def test_forwarding_control_run_is_clean(self):
+        trial = run_fault_trial(None, "retcon-fwd")
+        assert trial.violations == 0
+        assert trial.checked_commits == 4 * 32  # every commit replayed
+
 
 @pytest.mark.parametrize("fault", sorted(FAULT_POINTS))
 def test_injected_fault_is_caught(fault):
@@ -52,6 +57,14 @@ def test_injected_fault_is_caught(fault):
     assert trial.violations > 0, f"{fault} escaped the oracle"
     assert trial.caught
     assert trial.kinds  # violation kinds were classified
+
+
+@pytest.mark.parametrize("fault", sorted(FAULT_POINTS))
+def test_a_forwarding_row_catches_every_fault(fault):
+    """Forwarded commits are replayed like any other, so every
+    catalogued fault is caught on retcon-fwd too."""
+    trial = run_fault_trial(fault, "retcon-fwd")
+    assert trial.fires > 0 and trial.violations > 0 and trial.caught
 
 
 WRITE_BUFFER_TRIALS = [
@@ -80,6 +93,8 @@ def test_the_matrix_runs_a_control_and_every_carried_fault_per_row():
     assert [(t.system, t.fault) for t in trials] == [
         ("retcon", None), ("retcon", "plan-store-skew"),
         ("retcon", "ssb-drop"),
+        ("retcon-fwd", None), ("retcon-fwd", "plan-store-skew"),
+        ("retcon-fwd", "ssb-drop"),
         ("lazy", None), ("lazy", "plan-store-skew"),
         ("stm", None), ("stm", "plan-store-skew"),
     ]

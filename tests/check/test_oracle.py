@@ -6,6 +6,9 @@ import pytest
 from repro.check.faults import FaultInjector
 from repro.check.matrix import fault_scenario
 from repro.check.oracle import OracleError, OracleViolation, RepairOracle
+from repro.fuzz.diff import FUZZ_MAX_CYCLES, run_case
+from repro.fuzz.gen import FUZZ_PROFILES, generate_case
+from repro.sim.config import MachineConfig
 from repro.sim.machine import Machine
 
 
@@ -40,16 +43,48 @@ class TestCleanRuns:
         assert machine.oracle.checked_commits > 0
         assert machine.oracle.ok
 
-    def test_forwarding_system_is_not_oracle_compatible(self):
-        # The forwarding rows commit forwarded speculative values a
-        # committed-state replay cannot reproduce; check=True must
-        # refuse, naming the row, rather than skip silently or report
-        # false violations.
-        scripts, memory, config = fault_scenario(ncores=2,
-                                                 txns_per_core=4)
-        for system in ("datm", "retcon-fwd"):
-            with pytest.raises(ValueError, match=system):
-                Machine(config, system, scripts, memory, check=True)
+
+class TestCheckedCommits:
+    """The oracle checks exactly the commits that happen, on every
+    row."""
+
+    @staticmethod
+    def run_fuzz_case(system, seed):
+        case = generate_case(seed, FUZZ_PROFILES["fuzz-mixed"])
+        workload = case.build_workload()
+        machine = Machine(
+            MachineConfig().with_cores(case.nthreads), system,
+            workload.scripts, workload.memory, check=True,
+        )
+        result = machine.run(max_cycles=FUZZ_MAX_CYCLES)
+        assert result.commits == case.txn_count()
+        assert machine.oracle.ok, machine.oracle.violations[:3]
+        assert machine.oracle.checked_commits == result.commits
+
+    @pytest.mark.parametrize("system, seed", [("datm", 5), ("retcon-fwd", 10)])
+    def test_forwarded_commits_are_checked(self, system, seed):
+        # A dependent that overwrote the committer's eager store logged
+        # the committer's value as its own pre-image: the oracle reads
+        # the committed byte there, not the dependent's from memory.
+        self.run_fuzz_case(system, seed)
+
+    def test_a_stalled_retcon_commit_is_checked_once(self):
+        # RETCON used to check a commit before its drain conflicts were
+        # resolved; a stall there retried and re-checked it: 21 checks
+        # for 16 commits here.
+        self.run_fuzz_case("retcon", 0)
+
+    def test_a_commit_checked_twice_is_a_stats_divergence(self, monkeypatch):
+        check_commit = RepairOracle.check_commit
+
+        def twice(self, *args, **kwargs):
+            check_commit(self, *args, **kwargs)
+            self.checked_commits += 1
+
+        monkeypatch.setattr(RepairOracle, "check_commit", twice)
+        case = generate_case(0, FUZZ_PROFILES["fuzz-mixed"])
+        outcome = run_case(case, backends=("eager",))
+        assert [d.kind for d in outcome.divergences] == ["stats"]
 
 
 class TestViolationReporting:
@@ -153,18 +188,45 @@ class TestCommitRecord:
         assert {v.kind for v in blind.violations} == {"store-drain"}
         assert blind.violations[0].detail["sym"] is None  # no engine
 
+    def test_only_a_dependent_pre_image_holds_a_committed_byte(self):
+        from repro.core.engine import CommitPlan
+        from repro.htm.versioning import UndoLog
+        from repro.mem.memory import MainMemory
+
+        memory = MainMemory()
+        memory.write(self.A, 5)
+        # The committer stored B = 6 eagerly; another transaction then
+        # overwrote it with 99, logging 6 as its pre-image.
+        own, other = UndoLog(), UndoLog()
+        own.record(memory, self.B, 8)
+        memory.write(self.B, 6)
+        oracle = self.recorded(memory)
+        other.record(memory, self.B, 8)
+        memory.write(self.B, 99)
+        images = [own.pre_image(), other.pre_image()]
+
+        oracle.check_commit(0, CommitPlan(), memory, images, dependents=1)
+        assert oracle.checked_commits == 1 and oracle.ok
+
+        # Not a dependent: it never consumed B, so 99 is what the
+        # committer left in memory.
+        strict = self.recorded(memory)
+        strict.check_commit(0, CommitPlan(), memory, images)
+        assert {v.kind for v in strict.violations} == {"store-drain"}
+
     def test_every_checked_backend_hands_over_the_same_record(self):
         seen = []
 
         class Spy(RepairOracle):
             def check_commit(self, core, plan, memory, pre_images,
-                             engine=None):
+                             dependents=0, engine=None):
                 seen.append((type(plan).__name__, engine is not None))
                 super().check_commit(
-                    core, plan, memory, pre_images, engine
+                    core, plan, memory, pre_images, dependents, engine
                 )
 
-        for system in ("retcon", "stm", "eager", "lazy"):
+        for system in ("retcon", "stm", "eager", "lazy", "datm",
+                       "retcon-fwd"):
             scripts, memory, config = fault_scenario(
                 ncores=2, txns_per_core=2
             )

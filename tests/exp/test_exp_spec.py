@@ -1,6 +1,9 @@
 """Declarative specs: grid expansion and stable point hashing."""
 
 from dataclasses import replace
+from pathlib import Path
+
+import pytest
 
 from repro.exp.spec import Point, point_key, smoke_spec
 from repro.sim.config import MachineConfig
@@ -149,6 +152,18 @@ class TestCacheKeyStability:
     def test_point_keys_match_the_recorded_digests(self):
         for digest, point in self.PINNED.items():
             assert point_key(point, version="1.7.3") == digest, point
+
+    def test_the_keyed_version_is_the_packaged_version(self):
+        # pyproject.toml reads the version from repro.__version__, the
+        # one the cache and corpus keys hash, instead of restating it.
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[2] / "pyproject.toml"
+        config = tomllib.loads(pyproject.read_text())
+        assert config["project"]["dynamic"] == ["version"]
+        assert "version" not in config["project"]
+        assert config["tool"]["setuptools"]["dynamic"]["version"] == {
+            "attr": "repro.__version__"
+        }
 
 
 class TestTrafficOverrides:

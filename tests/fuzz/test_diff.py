@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.fuzz.diff import (
-    DEFAULT_BACKENDS,
-    SERIAL_REPLAY_BACKENDS,
-    run_case,
-)
+from repro.fuzz.diff import DEFAULT_BACKENDS, run_case
 from repro.fuzz.gen import FUZZ_PROFILES, generate_case
 
 pytestmark = pytest.mark.slow
@@ -58,14 +54,9 @@ class TestFaultDetection:
 
 
 class TestReplayScope:
-    def test_forwarding_backends_excluded_from_replay(self):
-        assert "retcon-fwd" not in SERIAL_REPLAY_BACKENDS
-        assert "datm" not in SERIAL_REPLAY_BACKENDS
-        assert set(DEFAULT_BACKENDS) <= SERIAL_REPLAY_BACKENDS
-
-    def test_datm_runs_without_replay_check(self):
-        """Forwarding backends still get golden/stats/oracle checks;
-        the commit-order replay is just skipped for them."""
+    def test_forwarding_backends_get_every_check(self):
+        """The forwarding backends get the oracle and the commit-order
+        replay like every other backend."""
         case = generate_case(2, FUZZ_PROFILES["fuzz-rmw"])
-        outcome = run_case(case, backends=("eager", "datm"))
+        outcome = run_case(case, backends=("eager", "datm", "retcon-fwd"))
         assert outcome.ok, outcome.summary()

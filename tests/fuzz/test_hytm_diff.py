@@ -9,7 +9,7 @@ STM commit path must be caught.
 
 import pytest
 
-from repro.fuzz.diff import SERIAL_REPLAY_BACKENDS, run_case
+from repro.fuzz.diff import run_case
 from repro.fuzz.gen import FUZZ_PROFILES, generate_case
 
 pytestmark = pytest.mark.slow
@@ -45,12 +45,28 @@ class TestCleanCases:
         )
         assert outcome.ok, outcome.summary()
 
-    def test_commit_order_replay_covers_the_family(self):
+    def test_commit_order_replay_covers_the_family(self, monkeypatch):
         # Scheduler-atomic STM commits make the commit-order fold a
-        # sound serialization oracle for every new backend.
-        assert set(HYTM_BACKENDS) <= set(SERIAL_REPLAY_BACKENDS)
-        assert "hybrid-eager" in SERIAL_REPLAY_BACKENDS
-        assert "hybrid-lazy-vb" in SERIAL_REPLAY_BACKENDS
+        # sound serialization oracle for every backend of the family:
+        # each backend's run is followed by its serial replay.
+        from repro.fuzz import diff
+
+        built = []
+
+        class Recording(diff.Machine):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self.label.split()[:2])
+
+        monkeypatch.setattr(diff, "Machine", Recording)
+        family = HYTM_BACKENDS + ("hybrid-eager", "hybrid-lazy-vb")
+        case = generate_case(0, FUZZ_PROFILES["fuzz-rmw"])
+        outcome = run_case(case, backends=family)
+        assert outcome.ok, outcome.summary()
+        assert built == [
+            pair for backend in family
+            for pair in (["fuzz", backend], ["serial", "replay"])
+        ]
 
 
 class TestFaultDetection:

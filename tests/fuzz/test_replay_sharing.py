@@ -2,7 +2,7 @@
 re-runs those same objects — with every check still in place."""
 
 from repro.fuzz import diff, gen
-from repro.fuzz.diff import SERIAL_REPLAY_BACKENDS, run_case
+from repro.fuzz.diff import run_case
 from repro.fuzz.gen import FUZZ_PROFILES, generate_case
 from repro.sim.script import Txn
 
@@ -55,9 +55,9 @@ def test_replay_machines_run_the_cases_own_programs(monkeypatch):
 
     replays = [m for m in built if m.label.startswith("serial replay")]
     backends = [m for m in built if m.label.startswith("fuzz ")]
-    # one 1-core eager replay per atomic backend, each right after it
+    # one 1-core eager replay per backend, each right after it
     assert [m.system.name for m in backends] == list(FIVE)
-    assert len(replays) == len(set(FIVE) & SERIAL_REPLAY_BACKENDS) == 5
+    assert len(replays) == len(FIVE)
     assert all(
         len(m.cores) == 1 and m.system.name == "eager" for m in replays
     )

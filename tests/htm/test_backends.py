@@ -8,7 +8,6 @@ import pytest
 
 import repro
 from repro.coherence.directory import CoherenceFabric
-from repro.fuzz.diff import SERIAL_REPLAY_BACKENDS
 from repro.htm.backends import BACKENDS, Backend, build_system
 from repro.isa.program import Assembler
 from repro.isa.registers import R1, R2, R3, R5
@@ -95,14 +94,8 @@ class TestEveryRow:
         )
 
     def test_a_checked_run_is_the_unchecked_run(self, name):
-        """Every commit of a commit-atomic row is replayed, and checking
-        it changes nothing; a forwarding row refuses the check."""
-        if not BACKENDS[name].commit_atomic:
-            with pytest.raises(ValueError, match=name):
-                run_counter_machine(
-                    name, ncores=3, txns_per_core=4, check=True
-                )
-            return
+        """Every commit of every row is replayed, and checking it
+        changes nothing."""
         bare, _ = run_counter_machine(
             name, ncores=3, txns_per_core=4, check=False
         )
@@ -161,11 +154,8 @@ class TestEveryRow:
         assert result.system_name == name
 
     def test_oracle_attaches_iff_the_row_says_so(self, name):
+        """No row says otherwise: check=True attaches on every row."""
         config = small_test_config(ncores=2)
-        if not BACKENDS[name].commit_atomic:
-            with pytest.raises(ValueError, match=name):
-                Machine(config, name, [], MainMemory(), check=True)
-            return
         machine = Machine(config, name, [], MainMemory(), check=True)
         assert machine.oracle is not None
         assert machine.system.oracle is machine.oracle
@@ -180,12 +170,8 @@ class TestTheTable:
         )
 
     def test_the_facts_callers_branch_on(self):
-        assert [f.name for f in fields(Backend)] == [
-            "cls", "kwargs", "commit_atomic"
-        ]
-        assert {n for n, r in BACKENDS.items() if not r.commit_atomic} == {
-            "datm", "retcon-fwd"
-        }
+        """None: a row is a class and its settings."""
+        assert [f.name for f in fields(Backend)] == ["cls", "kwargs"]
 
     def test_policy_rows_pick_the_contention_policy(self):
         assert type(build("eager").policy).__name__ == "TimestampPolicy"
@@ -216,11 +202,6 @@ class TestTheTable:
 class TestDerivedLists:
     def test_package_systems(self):
         assert repro.SYSTEMS == tuple(BACKENDS)
-
-    def test_serial_replay_backends(self):
-        assert SERIAL_REPLAY_BACKENDS == {
-            name for name, row in BACKENDS.items() if row.commit_atomic
-        }
 
     def test_repro_list_prints_the_table(self, capsys):
         from repro.cli import main

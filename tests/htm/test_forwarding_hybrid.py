@@ -3,7 +3,7 @@
 import pytest
 
 from repro.coherence.directory import CoherenceFabric
-from repro.htm.backends import BACKENDS, build_system
+from repro.htm.backends import build_system
 from repro.htm.events import StallRetry
 from repro.mem.address import block_of
 from repro.mem.memory import MainMemory
@@ -94,15 +94,11 @@ class TestHybridEndToEnd:
 
 
 class TestOracleContract:
-    """retcon-fwd forwards speculative values, so replay-based commit
-    checking is meaningless: the machine must *refuse* the oracle, not
-    skip it silently or spuriously flag forwarded-value commits as
-    violations."""
+    """retcon-fwd forwards speculative values; the oracle replays each
+    commit all the same, reading a byte a dependent overwrote through
+    that dependent's pre-image."""
 
-    def test_flag_is_declared(self):
-        assert BACKENDS["retcon-fwd"].commit_atomic is False
-
-    def test_machine_refuses_a_checked_forwarding_hybrid(self):
+    def test_machine_checks_a_forwarding_hybrid(self):
         from repro.isa.program import Assembler
         from repro.isa.registers import R1
         from repro.sim.config import MachineConfig
@@ -124,28 +120,16 @@ class TestOracleContract:
                 out.append(script)
             return out
 
-        with pytest.raises(ValueError, match="retcon-fwd"):
-            Machine(
-                MachineConfig(ncores=2), "retcon-fwd", scripts(),
-                MainMemory(), check=True,
+        for system in ("retcon-fwd", "retcon"):
+            memory = MainMemory()
+            machine = Machine(
+                MachineConfig(ncores=2), system, scripts(), memory,
+                check=True,
             )
-        memory = MainMemory()
-        Machine(
-            MachineConfig(ncores=2), "retcon-fwd", scripts(), memory
-        ).run()
-        assert memory.read(ADDR) == 12  # still serializable
-
-        # Control: the same scenario on plain retcon IS oracle-checked
-        # and stays violation-free.
-        memory = MainMemory()
-        machine = Machine(
-            MachineConfig(ncores=2), "retcon", scripts(), memory,
-            check=True,
-        )
-        assert machine.oracle is not None
-        machine.run()
-        assert machine.oracle.checked_commits > 0
-        assert machine.oracle.total_violations == 0
+            result = machine.run()
+            assert memory.read(ADDR) == 12  # serializable
+            assert machine.oracle.checked_commits == result.commits == 12
+            assert machine.oracle.total_violations == 0
 
     def test_dependence_recorded_per_forwarded_block(self):
         # The commit-order edge is the forwarding hybrid's correctness
