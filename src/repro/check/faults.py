@@ -3,17 +3,18 @@
 An oracle that never fires is indistinguishable from an oracle that
 cannot fire.  This module deliberately corrupts the RETCON structures
 — symbolic store-buffer entries, symbolic registers, interval
-constraints, equality bits, captured initial values, and the commit
-plan itself — at well-defined points in the pre-commit sequence, then
-the test harness asserts the repair oracle reports each corruption as
-an :class:`~repro.check.oracle.OracleViolation`.
+constraints, equality bits, captured initial values, the commit plan
+itself — and an aborting transaction's undo log at well-defined
+points in the commit and abort sequences, then the test harness
+asserts the repair oracle reports each corruption as an
+:class:`~repro.check.oracle.OracleViolation`.
 
 Fault points are **enumerable** (the :data:`FAULT_POINTS` registry is
 the catalog, mirrored in ``docs/correctness_oracle.md``) and
 **seeded**: an injector picks its victim entry with its own
 ``random.Random(seed)``, so a failing fault trial reproduces exactly.
 
-Two stages:
+Three stages:
 
 * ``pre-validate`` — in :meth:`repro.htm.system.RetconTMSystem._pre_commit`,
   after lost blocks are reacquired, before the engine validates its
@@ -24,28 +25,36 @@ Two stages:
   (a RETCON repair plan, a lazy or STM write buffer's runs), before the
   oracle check and the store drain: corruptions of the plan itself
   (models bugs in the drain/repair datapath).
+* ``rollback`` — in :meth:`repro.htm.system.BaseTMSystem._rollback`,
+  before an aborting transaction's undo log is restored: corruptions
+  of the log (models a lost eager-version restore).  No commit plan
+  is wrong: the oracle sees the corruption in what later commits read
+  and in its final-state check.
 
 Every ``apply`` function returns True only if it actually mutated
-something, so an injector keeps arming itself until a commit with a
-corruptible structure comes along.
+something, so an injector keeps arming itself until a commit or an
+abort with a corruptible structure comes along.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 from repro.core.engine import CommitPlan, RetconEngine
+from repro.htm.versioning import UndoLog
 from repro.mem.address import block_base, block_of
 
-#: (engine-or-None, plan-or-None, rng) -> mutated?
+#: (engine-or-None, plan-or-undo-log-or-None, rng) -> mutated?
 ApplyFn = Callable[
-    [Optional[RetconEngine], Optional[CommitPlan], random.Random], bool
+    [Optional[RetconEngine], Union[CommitPlan, UndoLog, None], random.Random],
+    bool,
 ]
 
 PRE_VALIDATE = "pre-validate"
 POST_PLAN = "post-plan"
+ROLLBACK = "rollback"
 
 
 @dataclass(frozen=True)
@@ -245,6 +254,17 @@ def _plan_reg_drop(_engine, plan, rng) -> bool:
     return True
 
 
+# ----------------------------------------------------------------------
+# rollback faults: corrupt the undo log
+# ----------------------------------------------------------------------
+def _undo_entry_drop(_engine, undo, rng) -> bool:
+    """Leave one logged store unrestored by the abort."""
+    if not undo:
+        return False
+    del undo._entries[rng.randrange(len(undo))]
+    return True
+
+
 FAULT_POINTS: dict[str, FaultPoint] = {
     point.name: point
     for point in (
@@ -328,19 +348,24 @@ FAULT_POINTS: dict[str, FaultPoint] = {
             "one register repair dropped",
             _plan_reg_drop,
         ),
+        FaultPoint(
+            "undo-entry-drop", ROLLBACK,
+            "one logged store left unrestored by an abort",
+            _undo_entry_drop,
+        ),
     )
 }
 
 
 class FaultInjector:
-    """Applies one named fault point during pre-commit.
+    """Applies one named fault point during a commit or an abort.
 
     Installed on any TM system via its ``fault_injector`` attribute:
     every commit fires ``post-plan`` (a plan-store fault corrupts a
-    RETCON, lazy or STM commit alike), and a RETCON pre-commit also
-    fires ``pre-validate``.  By default the fault is injected on every
-    eligible commit (``max_fires=None``); bound it to study a single
-    corruption.
+    RETCON, lazy or STM commit alike), a RETCON pre-commit also fires
+    ``pre-validate``, and every abort fires ``rollback``.  By default
+    the fault is injected on every eligible commit or abort
+    (``max_fires=None``); bound it to study a single corruption.
     """
 
     def __init__(
@@ -363,7 +388,7 @@ class FaultInjector:
         self,
         stage: str,
         engine: Optional[RetconEngine],
-        plan: Optional[CommitPlan],
+        plan: Union[CommitPlan, UndoLog, None],
     ) -> None:
         if stage != self.point.stage:
             return

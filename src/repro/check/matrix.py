@@ -12,7 +12,8 @@ Two halves, matching the subsystem's promise:
   contended microbenchmark is run on ``retcon`` and ``retcon-fwd``
   with that corruption injected at every commit, and the oracle must
   report at least one violation; the plan-store faults run on the
-  ``lazy`` and ``stm`` write-buffer commits too (:data:`FAULT_ROWS`).
+  ``lazy`` and ``stm`` write-buffer commits too, and the undo-log
+  fault on ``eager`` (:data:`FAULT_ROWS`).
   A control trial per row with no fault injected must report none.
 
 The fault microbenchmark is deterministic (fixed seeds, deterministic
@@ -37,14 +38,16 @@ from repro.sim.config import MachineConfig
 from repro.sim.machine import Machine
 from repro.sim.script import ThreadScript
 
-#: the fault matrix's rows, each with the faults its commit plan can
-#: carry: a RETCON engine holds every structure the catalog corrupts
-#: (None), a lazy or STM plan is only its write buffer's runs
+#: the fault matrix's rows, each with the faults it can carry: a
+#: RETCON engine holds every structure the catalog corrupts (None), a
+#: lazy or STM plan is only its write buffer's runs, and an eager
+#: commit has no plan, only the undo log its aborts restore
 FAULT_ROWS = {
     "retcon": None,
     "retcon-fwd": None,
     "lazy": ("plan-store-drop", "plan-store-skew"),
     "stm": ("plan-store-drop", "plan-store-skew"),
+    "eager": ("undo-entry-drop",),
 }
 
 

@@ -1,30 +1,35 @@
-"""The repair oracle: replay-based validation of every commit.
+"""The repair oracle: every commit replayed against the serial state.
 
 RETCON's correctness argument (paper §1, §4) is that the commit-time
 repair — re-deriving buffered stores and register values from freshly
 reacquired inputs via symbolic expressions and constraints — produces
-exactly the state that *re-executing* the transaction against those
-inputs would produce (other TM systems claim it with nothing to
-repair).  The oracle checks that equivalence on every commit it sees:
+exactly the state that *re-executing* the transaction at its commit
+point would produce (other TM systems claim it with nothing to
+repair).  The oracle checks that claim, full serializability, with one
+replay per commit:
 
-1. While a transaction runs, the core records its program, its
+1. When the run starts, the oracle copies the initial memory: the
+   *serial state* (:meth:`RepairOracle.start`).  Every simulated store
+   is inside a transaction, so the serial state is the initial memory
+   plus every commit's replayed stores, in commit order.
+2. While a transaction runs, the core records its program, its
    initial register snapshot, and the executed instruction trace
    (:meth:`RepairOracle.on_txn_begin` / :meth:`~RepairOracle.on_instruction`).
-2. At pre-commit, once the commit's
+3. At pre-commit, once the commit's
    :class:`~repro.core.engine.CommitPlan` exists (RETCON's validated
    repair plan, a lazy or STM write buffer's runs, or an eager
    commit's empty plan), the oracle replays the recorded program with
    a reference interpreter (:mod:`repro.check.replay`) against the
-   commit-time memory image: reacquired blocks read their fresh
-   values, bytes an active transaction wrote eagerly read the first
-   undo-log pre-image that holds them, everything else reads
-   architectural memory.
-3. It then asserts, byte for byte: the replayed control-flow path
-   matches the executed one (the constraint set really did pin every
-   branch), every buffered store drains the value the replay computed,
+   serial state, then writes the replay's stores into it.
+4. It asserts, byte for byte: the replayed control-flow path matches
+   the executed one (the constraint set really did pin every branch),
+   every byte the replay stored is the byte the commit leaves behind,
    no drained byte lacks a replayed store, every register repair
    matches the replayed register, and — after the core applies the
    repairs — the full architectural register file matches the replay.
+5. When the run ends, the machine's memory must equal the serial
+   state (:meth:`RepairOracle.finish`), outside the STM metadata
+   region.
 
 Divergences become structured :class:`OracleViolation` reports with
 core/transaction/expression context; ``strict=True`` escalates the
@@ -34,10 +39,10 @@ The oracle is pull-free: it holds no reference to the machine and is
 driven entirely by the hooks above; every commit hands it the same
 record through :meth:`repro.htm.system.BaseTMSystem._check_commit` —
 a :class:`~repro.core.engine.CommitPlan`, memory, and the undo
-pre-images to read through, the committer's first, then its
-dependents' in dependence order.  Forwarding is why: a *dependent* (it
-consumed the committer's uncommitted data) that overwrote a byte the
-committer stored eagerly logged the committed value as its pre-image.
+pre-images of the committer's dependents in dependence order.
+Forwarding is why: a *dependent* (it consumed the committer's
+uncommitted data) that overwrote a byte the committer stored eagerly
+logged the committed value as its pre-image.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.check.golden import diff_memories
 from repro.check.replay import (
     ReplayLimitExceeded,
     ReplayResult,
@@ -52,6 +58,7 @@ from repro.check.replay import (
 )
 from repro.isa.program import Program
 from repro.mem.address import block_of
+from repro.mem.memory import MainMemory
 
 
 @dataclass(frozen=True)
@@ -59,7 +66,7 @@ class OracleViolation:
     """One detected divergence between repair and replay."""
 
     #: control-flow | store-drain | phantom-store | register-repair |
-    #: register-final | replay-error
+    #: register-final | replay-error | final-memory (core -1)
     kind: str
     core: int
     txn_label: str
@@ -118,6 +125,21 @@ class RepairOracle:
         self.suppressed = 0
         self.checked_commits = 0
         self._records: dict[int, _TxnRecord] = {}
+        #: the initial memory plus every replayed commit's stores
+        self._serial: Optional[MainMemory] = None
+
+    def start(self, memory: MainMemory) -> None:
+        """The run starts from *memory*: copy it as the serial state."""
+        self._serial = memory.clone()
+
+    def finish(self, memory: MainMemory) -> None:
+        """The run ended: *memory* must equal the serial state."""
+        _, blocks, nbytes, samples = diff_memories(self._serial, memory)
+        if nbytes:
+            self._report(
+                "final-memory", -1, "-", bytes=nbytes, blocks=blocks,
+                sample_addrs=[hex(a) for a in samples[:4]],
+            )
 
     # ------------------------------------------------------------------
     # Recording hooks (driven by the core)
@@ -144,50 +166,28 @@ class RepairOracle:
     # Commit-time checks (driven by the TM system / core)
     # ------------------------------------------------------------------
     def check_commit(
-        self, core, plan, memory, pre_images, dependents=0, engine=None
+        self, core, plan, memory, pre_images, engine=None
     ) -> None:
         """Replay the committing transaction and diff it against *plan*.
 
-        Called by the TM system at the last point its commit can still
-        stall or abort, before any store drains.  *memory* is the
-        architectural memory at that instant: reacquired blocks hold
-        their fresh values and the buffered stores have not drained
-        yet.  *pre_images* are the undo-log pre-images (byte addr ->
-        byte) of every active transaction: the committer's, then the
-        next *dependents* (its dependents', in dependence order), then
-        the rest; each byte reads from the first that holds it.  *engine*
-        (the source of any register repairs in *plan*) only adds the
+        Called by the TM system once per commit, after its last point
+        to stall or abort and before any store drains.  The replay
+        reads the serial state; its stores then join it.  *memory* is
+        the architectural memory at that instant, and *pre_images*
+        are the undo-log pre-images (byte addr -> byte) of the
+        committer's dependents, in dependence order.  *engine* (the
+        source of any register repairs in *plan*) only adds the
         symbolic expression behind a diverging value to the report.
         """
         record = self._records.get(core)
         if record is None:
             return  # system used without core recording hooks
         self.checked_commits += 1
-
-        # First hit wins, so merge the last first.  A dependent's
-        # pre-image of a byte the committer stored eagerly is the
-        # committed value.
-        image: dict[int, int] = {}
-        eager: dict[int, int] = {}
-        for i in reversed(range(len(pre_images))):
-            image.update(pre_images[i])
-            if 0 < i <= dependents:
-                eager.update(pre_images[i])
-
-        def read_fn(addr: int, size: int) -> bytes:
-            raw = bytearray(memory.read_bytes(addr, size))
-            if image:
-                for i in range(size):
-                    byte = image.get(addr + i)
-                    if byte is not None:
-                        raw[i] = byte
-            return bytes(raw)
-
         try:
             replay = replay_program(
                 record.program,
                 record.regs0,
-                read_fn,
+                self._serial.read_bytes,
                 max_steps=self.replay_max_steps,
             )
         except (ReplayLimitExceeded, RuntimeError) as exc:
@@ -225,9 +225,14 @@ class RepairOracle:
                 )
 
         # 3. Stores: every byte the replay wrote must end up with the
-        # replayed value once the plan drains (bytes outside the plan
-        # were written eagerly and are in memory or *eager*), and every
-        # planned byte must have a replayed store behind it.
+        # replayed value once the plan drains, and every planned byte
+        # must have a replayed store behind it.  A byte outside the
+        # plan was written eagerly: a dependent that overwrote it
+        # logged the committed value (first hit wins), otherwise it is
+        # in memory.
+        eager: dict[int, int] = {}
+        for image in reversed(pre_images):
+            eager.update(image)
         plan_bytes: dict[int, int] = {}
         plan_syms: dict[int, str] = {}
         for addr, size, value in plan.stores:
@@ -267,6 +272,7 @@ class RepairOracle:
                     committed_byte=byte,
                     sym=plan_syms.get(addr),
                 )
+        self._serial.write_byte_map(replay.overlay)
 
     def on_committed(self, core: int, regs: list[int]) -> None:
         """The commit succeeded and register repairs were applied:

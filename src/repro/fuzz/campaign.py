@@ -3,9 +3,9 @@
 A campaign screens a seed range for each profile in one pass: each
 (profile, seed) that is not already recorded clean in the
 ``.repro-fuzz/`` corpus runs through :func:`repro.fuzz.diff.run_case`
-— oracle, workload invariants, strict golden memory equality
-(commutative profiles), commit-order serializability replay and traced
-stats sanity on every backend — fanned out across the experiment
+— oracle (its final-memory check included), workload invariants,
+strict golden memory equality (commutative profiles) and traced stats
+sanity on every backend — fanned out across the experiment
 engine's process pool (:func:`repro.exp.engine.run_tasks`; the
 sequential ``--jobs 1`` path yields identical verdicts).  Each verdict
 is appended to the corpus (:mod:`repro.fuzz.corpus`) the moment it

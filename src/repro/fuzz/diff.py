@@ -2,17 +2,15 @@
 
 For each requested backend the case runs on an N-core machine with a
 tracer recording the global begin/commit/abort stream and the repair
-oracle attached.  Four independent signals are then checked:
+oracle attached.  Three independent signals are then checked:
 
-* **oracle** — every commit replays byte-identically
-  (:mod:`repro.check.oracle`);
-* **serialization** — the trace gives the actual global commit order;
-  re-executing the committed transactions *serially in that order*
-  from the same initial memory must reproduce the backend's final
-  memory byte for byte.  This is the definition of conflict
-  serializability made executable; the forwarding backends meet it
-  too, since a transaction that consumed forwarded data commits only
-  after its source;
+* **oracle** — every commit replays byte-identically against the
+  serial state the oracle keeps (the initial memory plus every earlier
+  commit's replayed stores, in commit order), and the backend's final
+  memory equals that serial state (:mod:`repro.check.oracle`).  This is
+  conflict serializability made executable; the forwarding backends
+  meet it too, since a transaction that consumed forwarded data
+  commits only after its source;
 * **golden** — workload invariants on the sequential golden run and
   the backend run must both pass (:mod:`repro.check.golden`); for
   commutative cases the final memories must additionally be
@@ -34,11 +32,9 @@ from typing import Optional
 
 from repro.check.golden import diff_memories
 from repro.fuzz.gen import FuzzCase
-from repro.mem.memory import MainMemory
 from repro.sim.config import MachineConfig
 from repro.sim.machine import Machine, SimulationTimeout
 from repro.sim.runner import run_sequential
-from repro.sim.script import ThreadScript, Txn
 from repro.sim.stats import CoreStats
 from repro.obs.events import EventStream
 
@@ -54,7 +50,7 @@ FUZZ_MAX_CYCLES = 2_000_000
 class Divergence:
     """One observed disagreement, attributed to a backend and a check."""
 
-    kind: str  # oracle | serialization | golden | invariant | stats | timeout
+    kind: str  # oracle | golden | invariant | stats | timeout
     backend: str
     detail: str
 
@@ -109,45 +105,6 @@ class CaseOutcome:
         }
 
 
-def _commit_order_replay(
-    programs: list,
-    label: str,
-    tracer: EventStream,
-    initial: MainMemory,
-    config: MachineConfig,
-) -> tuple[Optional[MainMemory], Optional[str]]:
-    """Re-execute the committed transactions serially in traced commit
-    order; return (final memory, error).
-
-    *programs* is ``[thread][index]`` over the case's own assembled
-    programs — the objects the backend just ran — so the replay shares
-    their handler chains instead of building its own.
-    """
-    next_txn = [0] * len(programs)
-    serial = ThreadScript()
-    for event in tracer.of_kind("commit"):
-        thread = event.core
-        if thread >= len(programs):
-            return None, f"commit traced on unscripted core {thread}"
-        index = next_txn[thread]
-        if index >= len(programs[thread]):
-            return None, (
-                f"core {thread} committed {index + 1} txns but its "
-                f"script has {len(programs[thread])}"
-            )
-        next_txn[thread] += 1
-        serial.add_txn(programs[thread][index], label="replay")
-    machine = Machine(
-        config.with_cores(1),
-        "eager",
-        [serial],
-        initial.clone(),
-        label=f"serial replay {label}",
-    )
-    machine.run(max_cycles=FUZZ_MAX_CYCLES)
-    return machine.memory, None
-
-
 def run_case(
     case: FuzzCase,
     backends: tuple = DEFAULT_BACKENDS,
@@ -160,10 +117,6 @@ def run_case(
     config = config or MachineConfig()
     label = case.label()
     generated = case.build_workload()
-    programs = [
-        [item.program for item in script.items if isinstance(item, Txn)]
-        for script in generated.scripts
-    ]
     outcome = CaseOutcome(case=case, backends=tuple(backends))
     diverge = outcome.divergences.append
 
@@ -243,13 +196,14 @@ def run_case(
 
         # -- oracle ---------------------------------------------------
         if result.oracle is not None and result.oracle.violations:
-            first = result.oracle.violations[0]
+            violations = result.oracle.violations
+            kinds = ", ".join(sorted({v.kind for v in violations}))
             diverge(
                 Divergence(
                     "oracle",
                     backend,
-                    f"{len(result.oracle.violations)} violations, "
-                    f"first: {first}",
+                    f"{len(violations)} violations ({kinds}), "
+                    f"first: {violations[0]}",
                 )
             )
 
@@ -278,26 +232,6 @@ def run_case(
                     )
                 )
 
-        # -- commit-order serializability -----------------------------
-        replay_memory, error = _commit_order_replay(
-            programs, label, tracer, generated.memory, config
-        )
-        if error is not None:
-            diverge(Divergence("serialization", backend, error))
-            continue
-        _, blocks, nbytes, samples = diff_memories(
-            replay_memory, result.memory
-        )
-        if nbytes:
-            diverge(
-                Divergence(
-                    "serialization",
-                    backend,
-                    f"final memory differs from serial replay in commit "
-                    f"order: {nbytes} bytes in {blocks} blocks, sample "
-                    f"addrs {[hex(a) for a in samples[:4]]}",
-                )
-            )
     return outcome
 
 

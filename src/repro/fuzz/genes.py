@@ -95,7 +95,7 @@ def _regs_needing_init(genes: list[tuple]) -> list[int]:
     Cores carry register state across transactions, so a gene that
     reads a register the transaction did not initialize would observe
     whatever the previous transaction on that core left behind — and
-    the differential executor's serial replays interleave *different*
+    the sequential golden run interleaves *different* threads'
     transactions on one core.  Zero-initializing every register the
     gene list reads makes the assembled transaction register-closed
     for any subset of genes (the shrinker deletes freely) and under

@@ -143,7 +143,7 @@ class BaseTMSystem:
         #: drives its recording hooks, :meth:`_check_commit` its checks
         self.oracle = None
         #: optional :class:`repro.check.faults.FaultInjector` (oracle
-        #: self-tests corrupt pre-commit state through this)
+        #: self-tests corrupt commit and abort state through this)
         self.fault_injector = None
         #: speculative read/write-set bounds (Kafousis-style limited
         #: sets); None keeps the historical unbounded behavior and the
@@ -354,6 +354,8 @@ class BaseTMSystem:
         ctx = self.ctx[core]
         if self.metrics is not None:
             self._observe_occupancy(core)
+        if self.fault_injector is not None:
+            self.fault_injector.fire("rollback", None, ctx.undo)
         ctx.undo.rollback(self.memory)
         self.fabric.clear_spec(core)
         engine = self.engine(core)
@@ -626,22 +628,17 @@ class BaseTMSystem:
         return _COMMIT_FREE
 
     def _check_commit(self, core: int, plan: CommitPlan, engine=None) -> None:
-        """The one commit check, called once per commit at the last
-        point it can stall or abort, before anything drains: the
-        ``post-plan`` fault stage, then the oracle's replay against
-        memory read through the undo pre-image of every active
-        transaction, the committer's and its dependents' first."""
+        """The one commit check, called once per commit after its last
+        point to stall or abort, before anything drains: the
+        ``post-plan`` fault stage, then the oracle's replay, handed the
+        undo pre-images of the committer's dependents."""
         if self.fault_injector is not None:
             self.fault_injector.fire("post-plan", engine, plan)
         if self.oracle is not None:
-            ctx = self.ctx
-            first = (core, *self._dependents(core))
-            rest = [c for c in range(len(ctx)) if c not in first]
             self.oracle.check_commit(
                 core, plan, self.memory,
-                [ctx[c].undo.pre_image() for c in (*first, *rest)
-                 if ctx[c].active],
-                len(first) - 1, engine,
+                [self.ctx[c].undo.pre_image() for c in self._dependents(core)],
+                engine,
             )
 
     def _dependents(self, core: int) -> tuple[int, ...]:

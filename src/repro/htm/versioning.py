@@ -42,9 +42,9 @@ class UndoLog:
         """Per-byte pre-transaction values of every logged location.
 
         The first record for a byte wins: that is the value the byte
-        held when the transaction first overwrote it.  Used by the
-        repair oracle to reconstruct the memory image a replay of the
-        transaction should read through.
+        held when the transaction first overwrote it.  The repair
+        oracle reads a committer's byte here when a dependent
+        overwrote it.
         """
         image: dict[int, int] = {}
         for addr, data in self._entries:

@@ -135,6 +135,11 @@ class MainMemory:
             mask = (1 << (8 * size)) - 1
             self.write_bytes(addr, (value & mask).to_bytes(size, "little"))
 
+    def write_byte_map(self, image: dict[int, int]) -> None:
+        """Write an ``addr -> byte`` map (a replay's store overlay)."""
+        for addr, byte in image.items():
+            self._block(addr >> _BLOCK_SHIFT)[addr & _BLOCK_MASK] = byte
+
     # -- copying ----------------------------------------------------------
     def clone(self) -> "MainMemory":
         """Return an independent copy (same contents, separate storage).

@@ -124,13 +124,15 @@ class Machine:
             self.system.bind_metrics(metrics)
             self.stats.bind_metrics(metrics)
         # check=True attaches a fresh repair oracle; pass a configured
-        # RepairOracle instance for strict mode / custom limits.
+        # RepairOracle instance for strict mode / custom limits.  It
+        # keeps its own serial state from the initial memory.
         self.oracle = None
         if check:
             if check is True:
                 from repro.check.oracle import RepairOracle
 
                 check = RepairOracle()
+            check.start(memory)
             self.oracle = check
             self.system.oracle = check
 
@@ -148,6 +150,8 @@ class Machine:
             self.system._trace = self._stamping_trace()
 
         self._run_event(heap, max_cycles)
+        if self.oracle is not None:
+            self.oracle.finish(self.memory)
 
         final_makespan = max(core.cycle for core in self.cores)
         if self.metrics is not None:

@@ -7,8 +7,15 @@ injected fault is caught as at least one OracleViolation.
 
 import pytest
 
-from repro.check.faults import FAULT_POINTS, FaultInjector
-from repro.check.matrix import FAULT_ROWS, run_fault_matrix, run_fault_trial
+from repro.check.faults import FAULT_POINTS, POST_PLAN, FaultInjector
+from repro.check.matrix import (
+    FAULT_ROWS,
+    fault_scenario,
+    run_fault_matrix,
+    run_fault_trial,
+)
+from repro.check.oracle import RepairOracle
+from repro.sim.machine import Machine
 
 
 class TestCatalog:
@@ -17,7 +24,7 @@ class TestCatalog:
 
     def test_all_stages_are_covered(self):
         stages = {point.stage for point in FAULT_POINTS.values()}
-        assert stages == {"pre-validate", "post-plan"}
+        assert stages == {"pre-validate", "post-plan", "rollback"}
 
     def test_every_point_is_documented(self):
         for point in FAULT_POINTS.values():
@@ -72,6 +79,7 @@ WRITE_BUFFER_TRIALS = [
     for system, faults in FAULT_ROWS.items()
     if faults is not None
     for fault in faults
+    if FAULT_POINTS[fault].stage == POST_PLAN
 ]
 
 
@@ -83,9 +91,25 @@ def test_a_write_buffer_plan_fault_is_caught(system, fault):
     control = run_fault_trial(None, system)
     assert control.violations == 0
     assert control.checked_commits == 4 * 32  # every commit replayed
-    trial = run_fault_trial(fault, system)
-    assert trial.system == system and trial.caught
-    assert set(trial.kinds) == {"store-drain"}
+    scripts, memory, config = fault_scenario()
+    oracle = RepairOracle()
+    machine = Machine(config, system, scripts, memory, check=oracle)
+    machine.system.fault_injector = FaultInjector(fault)
+    machine.run(max_cycles=50_000_000)
+    # The faulting commit reports first; later commits replay against
+    # the serial state it corrupted and report the consequences.
+    first = oracle.violations[0]
+    assert first.kind == "store-drain" and first.core >= 0
+    assert "store-drain" in oracle.summary()["by_kind"]
+
+
+@pytest.mark.parametrize("system", ["eager", "retcon", "retcon-fwd"])
+def test_a_dropped_undo_entry_is_caught(system):
+    """An abort that leaves one store unrestored corrupts no commit
+    plan: the oracle sees it in what later commits read from memory
+    and in the final memory, against its serial state."""
+    trial = run_fault_trial("undo-entry-drop", system)
+    assert trial.fires > 0 and trial.violations > 0 and trial.caught
 
 
 def test_the_matrix_runs_a_control_and_every_carried_fault_per_row():
@@ -97,5 +121,6 @@ def test_the_matrix_runs_a_control_and_every_carried_fault_per_row():
         ("retcon-fwd", "ssb-drop"),
         ("lazy", None), ("lazy", "plan-store-skew"),
         ("stm", None), ("stm", "plan-store-skew"),
+        ("eager", None),
     ]
     assert all(t.caught for t in trials)

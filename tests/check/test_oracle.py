@@ -92,10 +92,11 @@ class TestViolationReporting:
         oracle = RepairOracle()
         run_scenario(oracle, fault="plan-store-skew")
         assert not oracle.ok
-        kinds = {v.kind for v in oracle.violations}
-        assert kinds == {"store-drain"}
+        # The faulting commit reports first; later commits replay
+        # against the serial state it corrupted.
+        assert "store-drain" in {v.kind for v in oracle.violations}
         violation = oracle.violations[0]
-        assert violation.core >= 0
+        assert violation.kind == "store-drain" and violation.core >= 0
         assert violation.txn_label in ("sym", "pin")
         assert "addr" in violation.detail
 
@@ -143,13 +144,14 @@ class TestRecordingLifecycle:
 
 class TestCommitRecord:
     """Every commit hands the oracle one record: a plan, memory, and
-    the undo pre-images of every active transaction to read through."""
+    its dependents' undo pre-images; the replay reads the serial
+    state."""
 
     A, B = 0x4000, 0x8000
 
     def recorded(self, memory):
-        """An oracle that watched `[B] = [A] + 1` run against *memory*
-        with the committed value 5 at A."""
+        """An oracle started from *memory*, with the committed value 5
+        at A, that watched `[B] = [A] + 1` run against it."""
         from repro.check.replay import replay_program
         from repro.isa.program import Assembler
         from repro.isa.registers import R1
@@ -161,32 +163,47 @@ class TestCommitRecord:
         program = asm.build()
         regs = [0] * 16
         oracle = RepairOracle()
+        oracle.start(memory)
         oracle.on_txn_begin(0, program, "t", regs)
         for pc in replay_program(program, regs, memory.read_bytes).pc_trace:
             oracle.on_instruction(0, pc)
         return oracle
 
-    def test_software_commit_reads_through_other_txns_pre_images(self):
+    def test_the_replay_reads_the_serial_state(self):
         from repro.core.engine import CommitPlan
-        from repro.htm.versioning import UndoLog
+        from repro.mem.memory import MainMemory
+
+        memory = MainMemory()
+        memory.write(self.A, 5)
+        oracle, wrong = self.recorded(memory), self.recorded(memory)
+        # Another (hardware) transaction now holds A dirty: the replay
+        # never sees its byte.
+        memory.write(self.A, 99)
+        oracle.check_commit(0, CommitPlan(stores=[(self.B, 8, 6)]), memory, [])
+        assert oracle.checked_commits == 1 and oracle.ok
+
+        # A plan built from the dirty byte is a store-drain.
+        wrong.check_commit(0, CommitPlan(stores=[(self.B, 8, 100)]), memory, [])
+        assert {v.kind for v in wrong.violations} == {"store-drain"}
+        assert wrong.violations[0].detail["sym"] is None  # no engine
+
+    def test_memory_off_the_serial_state_reports_final_memory(self):
+        from repro.core.engine import CommitPlan
         from repro.mem.memory import MainMemory
 
         memory = MainMemory()
         memory.write(self.A, 5)
         oracle = self.recorded(memory)
-        # Another (hardware) transaction now holds A dirty.
-        other = UndoLog()
-        other.record(memory, self.A, 8)
-        memory.write(self.A, 99)
-        plan = CommitPlan(stores=[(self.B, 8, 6)])
-        oracle.check_commit(0, plan, memory, [{}, other.pre_image()])
-        assert oracle.checked_commits == 1 and oracle.ok
+        oracle.check_commit(0, CommitPlan(stores=[(self.B, 8, 6)]), memory, [])
+        memory.write(self.B, 6)  # the drain
+        oracle.finish(memory)
+        assert oracle.ok
 
-        # Without the pre-image the replay would see the dirty byte.
-        blind = self.recorded(memory)
-        blind.check_commit(0, plan, memory, [])
-        assert {v.kind for v in blind.violations} == {"store-drain"}
-        assert blind.violations[0].detail["sym"] is None  # no engine
+        memory.write(self.A, 7)  # a store no commit replayed
+        oracle.finish(memory)
+        [violation] = oracle.violations
+        assert violation.kind == "final-memory" and violation.core == -1
+        assert violation.detail["bytes"] == 1
 
     def test_only_a_dependent_pre_image_holds_a_committed_byte(self):
         from repro.core.engine import CommitPlan
@@ -197,21 +214,19 @@ class TestCommitRecord:
         memory.write(self.A, 5)
         # The committer stored B = 6 eagerly; another transaction then
         # overwrote it with 99, logging 6 as its pre-image.
-        own, other = UndoLog(), UndoLog()
-        own.record(memory, self.B, 8)
-        memory.write(self.B, 6)
         oracle = self.recorded(memory)
+        memory.write(self.B, 6)
+        other = UndoLog()
         other.record(memory, self.B, 8)
         memory.write(self.B, 99)
-        images = [own.pre_image(), other.pre_image()]
 
-        oracle.check_commit(0, CommitPlan(), memory, images, dependents=1)
+        oracle.check_commit(0, CommitPlan(), memory, [other.pre_image()])
         assert oracle.checked_commits == 1 and oracle.ok
 
         # Not a dependent: it never consumed B, so 99 is what the
         # committer left in memory.
         strict = self.recorded(memory)
-        strict.check_commit(0, CommitPlan(), memory, images)
+        strict.check_commit(0, CommitPlan(), memory, [])
         assert {v.kind for v in strict.violations} == {"store-drain"}
 
     def test_every_checked_backend_hands_over_the_same_record(self):
@@ -219,11 +234,9 @@ class TestCommitRecord:
 
         class Spy(RepairOracle):
             def check_commit(self, core, plan, memory, pre_images,
-                             dependents=0, engine=None):
+                             engine=None):
                 seen.append((type(plan).__name__, engine is not None))
-                super().check_commit(
-                    core, plan, memory, pre_images, dependents, engine
-                )
+                super().check_commit(core, plan, memory, pre_images, engine)
 
         for system in ("retcon", "stm", "eager", "lazy", "datm",
                        "retcon-fwd"):

@@ -39,9 +39,12 @@ class TestFaultDetection:
         assert bad_backends & {"lazy-vb", "retcon"}
         kinds = {d.kind for d in outcome.divergences}
         # independent signals corroborate: golden bytes AND the
-        # commit-order serialization replay disagree
+        # oracle's final memory, against its serial state, disagree
         assert "golden" in kinds or "invariant" in kinds
-        assert "serialization" in kinds
+        assert any(
+            d.kind == "oracle" and "final-memory" in d.detail
+            for d in outcome.divergences
+        )
 
     def test_fault_free_backends_stay_clean(self):
         """The fault only fires in the retcon pre-commit path; eager
@@ -55,8 +58,8 @@ class TestFaultDetection:
 
 class TestReplayScope:
     def test_forwarding_backends_get_every_check(self):
-        """The forwarding backends get the oracle and the commit-order
-        replay like every other backend."""
+        """The forwarding backends get the oracle, final-memory check
+        included, like every other backend."""
         case = generate_case(2, FUZZ_PROFILES["fuzz-rmw"])
         outcome = run_case(case, backends=("eager", "datm", "retcon-fwd"))
         assert outcome.ok, outcome.summary()

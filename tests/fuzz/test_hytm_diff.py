@@ -1,8 +1,8 @@
 """Differential fuzzing over the hybrid/software TM backends.
 
 Satellite coverage for the HyTM family: the 4-signal ``run_case``
-cross-check (golden bytes, invariants, commit-order serial replay,
-oracle, stats) must hold on ``stm``, ``hybrid-retcon``, and
+cross-check (golden bytes, invariants, the oracle with its
+final-memory check, stats) must hold on ``stm``, ``hybrid-retcon``, and
 ``progressive`` for a fixed seed batch, and a fault seeded into the
 STM commit path must be caught.
 """
@@ -46,27 +46,33 @@ class TestCleanCases:
         assert outcome.ok, outcome.summary()
 
     def test_commit_order_replay_covers_the_family(self, monkeypatch):
-        # Scheduler-atomic STM commits make the commit-order fold a
-        # sound serialization oracle for every backend of the family:
-        # each backend's run is followed by its serial replay.
+        # Scheduler-atomic STM commits make the oracle's commit-order
+        # serial state sound for every backend of the family: each
+        # backend runs once, and its oracle ends with a final-memory
+        # check.
+        from repro.check.oracle import RepairOracle
         from repro.fuzz import diff
 
-        built = []
+        built, finished = [], []
 
         class Recording(diff.Machine):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
                 built.append(self.label.split()[:2])
 
+        def finish(self, memory):
+            finished.append(self.checked_commits)
+            real_finish(self, memory)
+
+        real_finish = RepairOracle.finish
         monkeypatch.setattr(diff, "Machine", Recording)
+        monkeypatch.setattr(RepairOracle, "finish", finish)
         family = HYTM_BACKENDS + ("hybrid-eager", "hybrid-lazy-vb")
         case = generate_case(0, FUZZ_PROFILES["fuzz-rmw"])
         outcome = run_case(case, backends=family)
         assert outcome.ok, outcome.summary()
-        assert built == [
-            pair for backend in family
-            for pair in (["fuzz", backend], ["serial", "replay"])
-        ]
+        assert built == [["fuzz", backend] for backend in family]
+        assert finished == [case.txn_count()] * len(family)
 
 
 class TestFaultDetection:
@@ -82,7 +88,7 @@ class TestFaultDetection:
         kinds = {d.kind for d in outcome.divergences}
         # corroborated by at least two independent signals
         assert len(kinds & {"oracle", "golden", "invariant",
-                            "serialization", "stats"}) >= 2
+                            "stats"}) >= 2
 
     def test_dropped_stm_writeback_is_caught(self):
         case = generate_case(3, FUZZ_PROFILES["fuzz-rmw"])
