@@ -12,9 +12,10 @@ replay per commit:
    *serial state* (:meth:`RepairOracle.start`).  Every simulated store
    is inside a transaction, so the serial state is the initial memory
    plus every commit's replayed stores, in commit order.
-2. While a transaction runs, the core records its program, its
-   initial register snapshot, and the executed instruction trace
-   (:meth:`RepairOracle.on_txn_begin` / :meth:`~RepairOracle.on_instruction`).
+2. When a transaction attempt starts, the oracle records its program
+   and initial register snapshot, counts the attempt, and hands the
+   core the list it appends each executed pc to
+   (:meth:`RepairOracle.on_txn_begin`).
 3. At pre-commit, once the commit's
    :class:`~repro.core.engine.CommitPlan` exists (RETCON's validated
    repair plan, a lazy or STM write buffer's runs, or an eager
@@ -124,6 +125,10 @@ class RepairOracle:
         #: violations beyond ``max_violations`` are counted, not stored
         self.suppressed = 0
         self.checked_commits = 0
+        #: transaction attempts started, restarts included
+        self.attempts = 0
+        #: violation kind -> count, stored and suppressed alike
+        self._by_kind: dict[str, int] = {}
         self._records: dict[int, _TxnRecord] = {}
         #: the initial memory plus every replayed commit's stores
         self._serial: Optional[MainMemory] = None
@@ -146,17 +151,14 @@ class RepairOracle:
     # ------------------------------------------------------------------
     def on_txn_begin(
         self, core: int, program: Program, label: str, regs: list[int]
-    ) -> None:
-        """A transaction attempt started (also called on restart)."""
-        self._records[core] = _TxnRecord(
-            program=program, label=label, regs0=list(regs)
-        )
-
-    def on_instruction(self, core: int, pc: int) -> None:
-        """The core completed the instruction at *pc*."""
-        record = self._records.get(core)
-        if record is not None:
-            record.pc_trace.append(pc)
+    ) -> list[int]:
+        """A transaction attempt started (also called on restart).
+        Returns the attempt's executed-pc list: the core appends the
+        pc of every instruction it completes."""
+        self.attempts += 1
+        record = _TxnRecord(program=program, label=label, regs0=list(regs))
+        self._records[core] = record
+        return record.pc_trace
 
     def on_abort(self, core: int) -> None:
         """The attempt died; discard its recording."""
@@ -230,26 +232,23 @@ class RepairOracle:
         # plan was written eagerly: a dependent that overwrote it
         # logged the committed value (first hit wins), otherwise it is
         # in memory.
+        overlay = replay.overlay
+        plan_bytes: dict[int, int] = {}
+        for addr, size, value in plan.stores:
+            plan_bytes.update(zip(
+                range(addr, addr + size),
+                (value & ((1 << (8 * size)) - 1)).to_bytes(size, "little"),
+            ))
         eager: dict[int, int] = {}
         for image in reversed(pre_images):
             eager.update(image)
-        plan_bytes: dict[int, int] = {}
-        plan_syms: dict[int, str] = {}
-        for addr, size, value in plan.stores:
-            mask = (1 << (8 * size)) - 1
-            for i, byte in enumerate(
-                (value & mask).to_bytes(size, "little")
-            ):
-                plan_bytes[addr + i] = byte
-        if engine is not None:
-            for entry in engine.ssb.entries():
-                for a in range(entry.addr, entry.end):
-                    plan_syms[a] = repr(entry.sym)
 
-        for addr, byte in replay.overlay.items():
-            final = plan_bytes.get(addr, eager.get(addr))
+        for addr, byte in overlay.items():
+            final = plan_bytes.get(addr)
             if final is None:
-                final = memory.read_bytes(addr, 1)[0]
+                final = eager.get(addr)
+                if final is None:
+                    final = memory.read_bytes(addr, 1)[0]
             if final != byte:
                 self._report(
                     "store-drain",
@@ -259,10 +258,10 @@ class RepairOracle:
                     block=block_of(addr),
                     committed_byte=final,
                     replayed_byte=byte,
-                    sym=plan_syms.get(addr),
+                    sym=_ssb_sym(engine, addr),
                 )
         for addr, byte in plan_bytes.items():
-            if addr not in replay.overlay:
+            if addr not in overlay:
                 self._report(
                     "phantom-store",
                     core,
@@ -270,15 +269,17 @@ class RepairOracle:
                     addr=addr,
                     block=block_of(addr),
                     committed_byte=byte,
-                    sym=plan_syms.get(addr),
+                    sym=_ssb_sym(engine, addr),
                 )
-        self._serial.write_byte_map(replay.overlay)
+        self._serial.write_byte_map(overlay)
 
     def on_committed(self, core: int, regs: list[int]) -> None:
         """The commit succeeded and register repairs were applied:
         the full architectural register file must match the replay."""
         record = self._records.pop(core, None)
         if record is None or record.replay is None:
+            return
+        if regs == record.replay.regs:
             return
         for reg, replayed in enumerate(record.replay.regs):
             if regs[reg] != replayed:
@@ -298,6 +299,7 @@ class RepairOracle:
         violation = OracleViolation(
             kind=kind, core=core, txn_label=label, detail=detail
         )
+        self._by_kind[kind] = self._by_kind.get(kind, 0) + 1
         if len(self.violations) < self.max_violations:
             self.violations.append(violation)
         else:
@@ -314,14 +316,22 @@ class RepairOracle:
         return self.total_violations == 0
 
     def summary(self) -> dict:
-        by_kind: dict[str, int] = {}
-        for violation in self.violations:
-            by_kind[violation.kind] = by_kind.get(violation.kind, 0) + 1
         return {
             "checked_commits": self.checked_commits,
             "violations": self.total_violations,
-            "by_kind": by_kind,
+            "by_kind": dict(self._by_kind),
         }
+
+
+def _ssb_sym(engine, addr: int) -> Optional[str]:
+    """The symbolic expression of the last SSB entry covering *addr*,
+    for a store report: built only when one is made."""
+    sym = None
+    if engine is not None:
+        for entry in engine.ssb.entries():
+            if entry.addr <= addr < entry.end:
+                sym = repr(entry.sym)
+    return sym
 
 
 def _first_divergence(

@@ -25,7 +25,6 @@ from repro.isa.instructions import (
     Branch,
     Cmp,
     Halt,
-    Imm,
     Jump,
     Load,
     Mov,
@@ -94,79 +93,89 @@ def replay_program(
     program fails to terminate within *max_steps* instructions.
     """
     regs = list(initial_regs)
-    result = ReplayResult(regs=regs)
-    overlay = result.overlay
+    overlay: dict[int, int] = {}
+    pc_trace: list[int] = []
+    trace = pc_trace.append
+    instructions = program.instructions
+    target = program.target
+    end = len(instructions)
     cc_lhs = cc_rhs = 0
     cc_valid = False
-    pc = 0
+    pc = steps = 0
 
-    def read(addr: int, size: int) -> int:
-        raw = bytearray(read_fn(addr, size))
-        for i in range(size):
-            byte = overlay.get(addr + i)
-            if byte is not None:
-                raw[i] = byte
-        return int.from_bytes(bytes(raw), "little", signed=True)
-
-    def write(addr: int, value: int, size: int) -> None:
-        mask = (1 << (8 * size)) - 1
-        for i, byte in enumerate((value & mask).to_bytes(size, "little")):
-            overlay[addr + i] = byte
-
-    def operand(op) -> int:
-        if isinstance(op, Reg):
-            return regs[op]
-        assert isinstance(op, Imm)
-        return op.value
-
-    def effective_addr(inst) -> int:
-        if inst.base is None:
-            return inst.addr
-        return regs[inst.base] + inst.disp
-
-    while pc < len(program):
-        if result.steps >= max_steps:
+    # One type test per step, most frequent class first; operands,
+    # effective addresses and the overlay reads/writes are inlined.
+    while pc < end:
+        if steps >= max_steps:
             raise ReplayLimitExceeded(
                 f"replay exceeded {max_steps} instructions at pc={pc}"
             )
-        inst = program.instructions[pc]
-        result.pc_trace.append(pc)
-        result.steps += 1
-        next_pc = pc + 1
+        inst = instructions[pc]
+        trace(pc)
+        steps += 1
+        kind = type(inst)
 
-        if isinstance(inst, Load):
-            regs[inst.rd] = read(effective_addr(inst), inst.size)
-        elif isinstance(inst, Store):
-            write(effective_addr(inst), operand(inst.src), inst.size)
-        elif isinstance(inst, Op):
+        if kind is Load:
+            base = inst.base
+            addr = inst.addr if base is None else regs[base] + inst.disp
+            size = inst.size
+            raw = read_fn(addr, size)
+            span = range(addr, addr + size)
+            if not overlay.keys().isdisjoint(span):
+                raw = bytes(map(overlay.get, span, raw))
+            regs[inst.rd] = int.from_bytes(raw, "little", signed=True)
+        elif kind is Store:
+            base = inst.base
+            addr = inst.addr if base is None else regs[base] + inst.disp
+            src = inst.src
+            value = regs[src] if type(src) is Reg else src.value
+            size = inst.size
+            overlay.update(zip(
+                range(addr, addr + size),
+                (value & ((1 << (8 * size)) - 1)).to_bytes(size, "little"),
+            ))
+        elif kind is Op:
+            src = inst.src2
             regs[inst.rd] = apply_op(
-                inst.op, regs[inst.rs1], operand(inst.src2)
+                inst.op,
+                regs[inst.rs1],
+                regs[src] if type(src) is Reg else src.value,
             )
-        elif isinstance(inst, Mov):
-            regs[inst.rd] = regs[inst.rs]
-        elif isinstance(inst, Movi):
+        elif kind is Movi:
             regs[inst.rd] = inst.value
-        elif isinstance(inst, Cmp):
+        elif kind is Branch:
+            src = inst.src2
+            if evaluate_cond(
+                inst.cond,
+                regs[inst.rs1],
+                regs[src] if type(src) is Reg else src.value,
+            ):
+                pc = target(inst.target)
+                continue
+        elif kind is Nop:
+            pass
+        elif kind is Cmp:
+            src = inst.src2
             cc_lhs = regs[inst.rs1]
-            cc_rhs = operand(inst.src2)
+            cc_rhs = regs[src] if type(src) is Reg else src.value
             cc_valid = True
-        elif isinstance(inst, Branch):
-            if evaluate_cond(inst.cond, regs[inst.rs1], operand(inst.src2)):
-                next_pc = program.target(inst.target)
-        elif isinstance(inst, Bcc):
+        elif kind is Bcc:
             if not cc_valid:
                 raise RuntimeError("replay: Bcc before any Cmp")
             if evaluate_cond(inst.cond, cc_lhs, cc_rhs):
-                next_pc = program.target(inst.target)
-        elif isinstance(inst, Jump):
-            next_pc = program.target(inst.target)
-        elif isinstance(inst, Nop):
-            pass
-        elif isinstance(inst, Halt):
-            next_pc = len(program)
-        else:  # pragma: no cover - exhaustive
+                pc = target(inst.target)
+                continue
+        elif kind is Halt:
+            break
+        elif kind is Jump:
+            pc = target(inst.target)
+            continue
+        elif kind is Mov:
+            regs[inst.rd] = regs[inst.rs]
+        else:
             raise TypeError(f"unknown instruction: {inst!r}")
+        pc += 1
 
-        pc = next_pc
-
-    return result
+    return ReplayResult(
+        regs=regs, overlay=overlay, pc_trace=pc_trace, steps=steps
+    )

@@ -1,8 +1,8 @@
 """Differential execution of one fuzz case across TM backends.
 
-For each requested backend the case runs on an N-core machine with a
-tracer recording the global begin/commit/abort stream and the repair
-oracle attached.  Three independent signals are then checked:
+For each requested backend the case runs on an N-core machine with the
+repair oracle attached, untraced.  Three independent signals are then
+checked:
 
 * **oracle** — every commit replays byte-identically against the
   serial state the oracle keeps (the initial memory plus every earlier
@@ -16,7 +16,8 @@ oracle attached.  Three independent signals are then checked:
   commutative cases the final memories must additionally be
   byte-identical, which also forces *every* backend to agree with
   every other transitively;
-* **stats** — traced begins equal commits + aborts, every committed
+* **stats** — begins (the oracle's count of transaction attempts,
+  restarts included) equal commits + aborts, every committed
   transaction is accounted for exactly once, the oracle checked
   exactly the commits that happened, and no counter is negative.
 
@@ -36,7 +37,6 @@ from repro.sim.config import MachineConfig
 from repro.sim.machine import Machine, SimulationTimeout
 from repro.sim.runner import run_sequential
 from repro.sim.stats import CoreStats
-from repro.obs.events import EventStream
 
 #: the default differential matrix (ISSUE acceptance: >= 3 backends)
 DEFAULT_BACKENDS = ("eager", "lazy-vb", "retcon")
@@ -133,7 +133,6 @@ def run_case(
 
     expected_txns = case.txn_count()
     for backend in backends:
-        tracer = EventStream()
         machine = Machine(
             config.with_cores(case.nthreads),
             backend,
@@ -141,7 +140,6 @@ def run_case(
             generated.memory.clone(),
             label=f"fuzz {backend} {label}",
             check=oracle,
-            tracer=tracer,
         )
         if fault is not None:
             from repro.check.faults import FaultInjector
@@ -161,10 +159,11 @@ def run_case(
         run.cycles = result.cycles
         run.commits = result.commits
         run.aborts = result.aborts
-        run.begins = len(tracer.of_kind("begin"))
 
         # -- stats sanity ---------------------------------------------
-        if run.begins != run.commits + run.aborts:
+        if result.oracle is not None:
+            run.begins = result.oracle.attempts
+        if result.oracle and run.begins != run.commits + run.aborts:
             diverge(
                 Divergence(
                     "stats",

@@ -54,6 +54,7 @@ class Core:
         "consecutive_aborts",
         "consecutive_stalls",
         "_txn_regs",
+        "_pc_trace",
         "_chain_program",
         "_chain",
         "_burst_env",
@@ -93,6 +94,8 @@ class Core:
         self.consecutive_aborts = 0
         self.consecutive_stalls = 0
         self._txn_regs: Optional[list[int]] = None
+        # The attached oracle's executed-pc list for the current attempt.
+        self._pc_trace: Optional[list[int]] = None
         # Handler chain of the current transaction's program (chains
         # are shared across cores via the Program, one variant per
         # engine-ness; see repro.sim.decode).
@@ -175,8 +178,9 @@ class Core:
                 # on every exit.  Trace events read the core clock
                 # mid-step, so traced runs also sync before each
                 # handler call.  An attached oracle is told about each
-                # attempt's start and each completed instruction: two
-                # boundary calls, nothing else differs in a checked run.
+                # attempt's start and hands back a list the core appends
+                # each completed pc to; nothing else differs in a
+                # checked run.
                 cycle = self.cycle
                 busy = self.attempt_busy
                 while True:
@@ -193,7 +197,7 @@ class Core:
                         self.attempt_start = cycle
                         self._txn_regs = list(regs)
                         if oracle is not None:
-                            oracle.on_txn_begin(
+                            self._pc_trace = oracle.on_txn_begin(
                                 cid, program, item.label, self._txn_regs
                             )
 
@@ -252,7 +256,7 @@ class Core:
                             return
                     else:
                         if oracle is not None:
-                            oracle.on_instruction(cid, pc)
+                            self._pc_trace.append(pc)
                         self.consecutive_stalls = 0
                         busy += latency
                         cycle += latency

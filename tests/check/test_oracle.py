@@ -87,6 +87,39 @@ class TestCheckedCommits:
         assert [d.kind for d in outcome.divergences] == ["stats"]
 
 
+class TestAttempts:
+    """``RepairOracle.attempts`` counts every attempt as it begins, and
+    ``run_case`` reports it as each run's begins."""
+
+    def test_restarts_are_counted(self):
+        # fuzz-rmw seed 0 aborts and restarts transactions on all three.
+        case = generate_case(0, FUZZ_PROFILES["fuzz-rmw"])
+        outcome = run_case(case, backends=("eager", "lazy-vb", "retcon"))
+        assert outcome.ok, outcome.divergences
+        for run in outcome.runs:
+            assert run.aborts > 0
+            assert run.begins == run.commits + run.aborts
+
+    def test_a_skipped_begin_is_a_stats_divergence(self, monkeypatch):
+        on_txn_begin = RepairOracle.on_txn_begin
+        skipped = []
+
+        def skip_first(self, *args):
+            if not skipped:
+                skipped.append(args)
+                return []
+            return on_txn_begin(self, *args)
+
+        monkeypatch.setattr(RepairOracle, "on_txn_begin", skip_first)
+        case = generate_case(0, FUZZ_PROFILES["fuzz-mixed"])
+        outcome = run_case(case, backends=("eager",))
+        assert skipped
+        assert any(
+            d.kind == "stats" and d.detail.startswith("begins=")
+            for d in outcome.divergences
+        ), outcome.divergences
+
+
 class TestViolationReporting:
     def test_plan_store_skew_reports_store_drain(self):
         oracle = RepairOracle()
@@ -119,6 +152,16 @@ class TestViolationReporting:
         assert oracle.suppressed > 0
         assert oracle.total_violations == 2 + oracle.suppressed
 
+    def test_by_kind_counts_suppressed_violations(self):
+        oracle = RepairOracle(max_violations=1)
+        oracle._report("store-drain", 0, "t", addr=1)
+        oracle._report("store-drain", 0, "t", addr=2)
+        oracle._report("final-memory", -1, "-", bytes=1)
+        summary = oracle.summary()
+        assert len(oracle.violations) == 1
+        assert summary["by_kind"] == {"store-drain": 2, "final-memory": 1}
+        assert sum(summary["by_kind"].values()) == summary["violations"] == 3
+
     def test_strict_mode_escalates_first_violation(self):
         oracle = RepairOracle(strict=True)
         with pytest.raises(OracleError) as excinfo:
@@ -136,8 +179,9 @@ class TestRecordingLifecycle:
 
     def test_abort_discards_recording(self):
         oracle = RepairOracle()
-        oracle.on_txn_begin(0, None, "t", [0] * 16)
-        oracle.on_instruction(0, 0)
+        # The core appends each completed pc to the list the begin
+        # hook hands it.
+        oracle.on_txn_begin(0, None, "t", [0] * 16).append(0)
         oracle.on_abort(0)
         assert oracle._records == {}
 
@@ -164,9 +208,9 @@ class TestCommitRecord:
         regs = [0] * 16
         oracle = RepairOracle()
         oracle.start(memory)
-        oracle.on_txn_begin(0, program, "t", regs)
-        for pc in replay_program(program, regs, memory.read_bytes).pc_trace:
-            oracle.on_instruction(0, pc)
+        oracle.on_txn_begin(0, program, "t", regs).extend(
+            replay_program(program, regs, memory.read_bytes).pc_trace
+        )
         return oracle
 
     def test_the_replay_reads_the_serial_state(self):

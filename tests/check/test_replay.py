@@ -4,9 +4,24 @@ read function plus a private store overlay."""
 import pytest
 
 from repro.check.replay import ReplayLimitExceeded, replay_program
-from repro.isa.instructions import Cond
-from repro.isa.program import Assembler
-from repro.isa.registers import NUM_REGS, R1, R2, R3
+from repro.isa.instructions import (
+    Bcc,
+    Branch,
+    Cmp,
+    Cond,
+    Halt,
+    Imm,
+    Instruction,
+    Jump,
+    Load,
+    Mov,
+    Movi,
+    Nop,
+    Op,
+    Store,
+)
+from repro.isa.program import Assembler, Program
+from repro.isa.registers import NUM_REGS, R1, R2, R3, R4
 
 
 def make_memory(contents=None):
@@ -185,3 +200,52 @@ class TestControlFlow:
             replay_program(
                 asm.build(), regs0(), read_fn, max_steps=100
             )
+
+
+class TestEveryInstructionClass:
+    """The replay dispatches on the exact instruction class, so each
+    concrete :class:`Instruction` subclass needs a case here: a new one
+    fails this test before it fails the oracle at run time."""
+
+    EXAMPLES = {
+        Movi: Movi(R1, 5),
+        Mov: Mov(R2, R1),
+        Op: Op("add", R3, R2, Imm(1)),
+        Store: Store(R3, 0x100),
+        Load: Load(R4, 0x100),
+        Cmp: Cmp(R4, Imm(6)),
+        Bcc: Bcc(Cond.EQ, "branch"),
+        Branch: Branch(Cond.NE, R4, Imm(0), "jump"),
+        Jump: Jump("nop"),
+        Nop: Nop(),
+        Halt: Halt(),
+    }
+
+    @staticmethod
+    def concrete_subclasses(cls=Instruction):
+        found = set()
+        for sub in cls.__subclasses__():
+            found.add(sub)
+            found |= TestEveryInstructionClass.concrete_subclasses(sub)
+        return found
+
+    def test_every_class_has_an_example(self):
+        assert set(self.EXAMPLES) == self.concrete_subclasses()
+
+    def test_one_program_replays_every_class(self):
+        # Every taken branch lands on the next instruction, so each
+        # example executes exactly once.
+        instructions = tuple(self.EXAMPLES.values())
+        labels = {"branch": 7, "jump": 8, "nop": 9}
+        _, read_fn = make_memory()
+        result = replay_program(
+            Program(instructions, labels), regs0(), read_fn
+        )
+        assert result.pc_trace == list(range(len(instructions)))
+        assert result.regs[R4] == 6
+        assert result.read_overlay(0x100, 8) == 6
+
+    def test_an_unknown_instruction_is_an_error(self):
+        _, read_fn = make_memory()
+        with pytest.raises(TypeError, match="unknown instruction"):
+            replay_program(Program((object(),), {}), regs0(), read_fn)
