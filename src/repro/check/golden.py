@@ -133,7 +133,7 @@ def diff_memories(
     return len(blocks), blocks_differing, bytes_differing, samples
 
 
-def _held_stm_ownership(memory: MainMemory) -> list[str]:
+def held_stm_ownership(memory: MainMemory) -> list[str]:
     """The STM ownership words *memory* still holds set, by name: a run
     ends with no transaction in flight, so each one is a leaked claim."""
     from repro.sim.config import MachineConfig
@@ -174,7 +174,7 @@ def golden_diff(
         inv.name
         for inv in generated.check_invariants(parallel_memory)
         if not inv.ok
-    ] + _held_stm_ownership(parallel_memory)
+    ] + held_stm_ownership(parallel_memory)
     return GoldenDiff(
         blocks_compared=compared,
         blocks_differing=blocks_diff,

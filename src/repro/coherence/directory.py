@@ -42,6 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.mem.address import BLOCK_SIZE
 from repro.mem.cache import PermissionsOnlyCache, SetAssocCache
 
 
@@ -76,17 +77,18 @@ class CoherenceFabric:
     def __init__(self, config, ncores: int) -> None:
         self.config = config
         self.ncores = ncores
-        block = config.block_bytes
         self.cores = [
             _CoreCaches(
                 l1=SetAssocCache(
-                    config.l1_bytes, config.l1_assoc, block
+                    config.l1_bytes, config.l1_assoc, BLOCK_SIZE
                 ),
                 l2=SetAssocCache(
-                    config.l2_bytes, config.l2_assoc, block
+                    config.l2_bytes, config.l2_assoc, BLOCK_SIZE
                 ),
                 perm=PermissionsOnlyCache(
-                    config.perm_cache_bytes, config.perm_cache_assoc, block
+                    config.perm_cache_bytes,
+                    config.perm_cache_assoc,
+                    BLOCK_SIZE,
                 ),
             )
             for _ in range(ncores)

@@ -14,14 +14,17 @@ next to the result under ``<key>.<name>.json``.  Keys come from
 :func:`repro.exp.spec.point_key`: a SHA-256 over the full point spec
 plus ``repro.__version__``, so editing any parameter — or bumping the
 package version — invalidates by construction.  Files are written
-atomically (tmp + rename); a corrupt or unreadable entry is treated as
-a miss, never an error.
+atomically (tmp + rename).  Only a missing entry is a miss; one that
+exists but cannot be read or parsed is counted in
+:attr:`ResultCache.corrupt` and named on stderr, then re-simulated and
+overwritten like a miss — never an error.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sys
 import tempfile
 from pathlib import Path
 from typing import Optional
@@ -67,6 +70,8 @@ class ResultCache:
         self.root = Path(root) if root is not None else default_cache_root()
         self.hits = 0
         self.misses = 0
+        #: entries that existed but could not be read or parsed
+        self.corrupt = 0
 
     # ------------------------------------------------------------------
     def path_for(self, point: Point, version: str | None = None) -> Path:
@@ -84,11 +89,24 @@ class ResultCache:
             if payload.get("schema") != SCHEMA:
                 raise ValueError(f"schema {payload.get('schema')}")
             result = WorkloadResult.from_dict(payload["result"])
-        except (OSError, ValueError, KeyError, TypeError):
+        except FileNotFoundError:
             self.misses += 1
+            return None
+        except (
+            OSError, ValueError, KeyError, TypeError, AttributeError
+        ) as exc:
+            self._report_corrupt(path, exc)
             return None
         self.hits += 1
         return result
+
+    def _report_corrupt(self, path: Path, exc: Exception) -> None:
+        self.corrupt += 1
+        print(
+            f"repro: corrupt cache entry {path} "
+            f"({type(exc).__name__}: {exc}); re-simulating",
+            file=sys.stderr,
+        )
 
     def put(
         self,
@@ -127,7 +145,10 @@ class ResultCache:
                 payload = json.load(handle)
             if not isinstance(payload, dict):
                 raise ValueError("artifact is not an object")
-        except (OSError, ValueError):
+        except FileNotFoundError:
+            return None
+        except (OSError, ValueError) as exc:
+            self._report_corrupt(path, exc)
             return None
         return payload
 

@@ -12,7 +12,8 @@ checked:
   meet it too, since a transaction that consumed forwarded data
   commits only after its source;
 * **golden** — workload invariants on the sequential golden run and
-  the backend run must both pass (:mod:`repro.check.golden`); for
+  the backend run must both pass, and the backend run must end with
+  no STM ownership word held (:mod:`repro.check.golden`); for
   commutative cases the final memories must additionally be
   byte-identical, which also forces *every* backend to agree with
   every other transitively;
@@ -31,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
-from repro.check.golden import diff_memories
+from repro.check.golden import diff_memories, held_stm_ownership
 from repro.fuzz.gen import FuzzCase
 from repro.sim.config import MachineConfig
 from repro.sim.machine import Machine, SimulationTimeout
@@ -216,6 +217,15 @@ def run_case(
                         f"{inv.name}: {inv.detail}",
                     )
                 )
+        held = held_stm_ownership(result.memory)
+        if held:
+            diverge(
+                Divergence(
+                    "golden",
+                    backend,
+                    f"run ended holding {', '.join(held)}",
+                )
+            )
         if generated.strict_golden:
             _, blocks, nbytes, samples = diff_memories(
                 golden_memory, result.memory

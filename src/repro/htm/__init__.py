@@ -22,13 +22,7 @@ only if it has new behaviour).  The table is not re-exported here
 because it imports :mod:`repro.stm`, which imports this package.
 """
 
-from repro.htm.contention import (
-    ContentionPolicy,
-    RequesterAbortsPolicy,
-    RequesterStallsPolicy,
-    Resolution,
-    TimestampPolicy,
-)
+from repro.htm.contention import POLICIES, Action
 from repro.htm.events import StallRetry, TxnAborted
 from repro.htm.system import BaseTMSystem, RetconTMSystem
 from repro.htm.versioning import UndoLog
@@ -37,11 +31,8 @@ __all__ = [
     "BaseTMSystem",
     "RetconTMSystem",
     "UndoLog",
-    "ContentionPolicy",
-    "TimestampPolicy",
-    "RequesterAbortsPolicy",
-    "RequesterStallsPolicy",
-    "Resolution",
+    "Action",
+    "POLICIES",
     "StallRetry",
     "TxnAborted",
 ]

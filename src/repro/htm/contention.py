@@ -4,6 +4,10 @@ When a conflict occurs the system either (1) aborts the local
 speculation, (2) aborts the remote speculation, or (3) stalls the
 requester, taking care that stalling cannot deadlock.
 
+A policy is a function ``(requester_ts, holder_ts, requester_nontx,
+requester_id, holder_id) -> Action`` for one requester/holder pair;
+:data:`POLICIES` names the three Figure 2 compares.
+
 The baseline uses the "oldest transaction wins" timestamp policy: an
 older requester aborts the younger holder; a younger requester stalls
 until the older holder commits.  Stalling is deadlock-free because a
@@ -14,7 +18,6 @@ total order.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 
 class Action(enum.Enum):
@@ -23,43 +26,13 @@ class Action(enum.Enum):
     STALL = "stall"
 
 
-@dataclass(frozen=True)
-class Resolution:
-    """The contention manager's decision for one requester/holder pair."""
-
-    action: Action
-
-
-# Resolutions are frozen and carry no per-conflict state, so the
-# policies below hand out these shared instances instead of allocating
-# one per resolved conflict (resolution runs on every stall retry).
-_ABORT_SELF = Resolution(Action.ABORT_SELF)
-_ABORT_REMOTE = Resolution(Action.ABORT_REMOTE)
-_STALL = Resolution(Action.STALL)
-
-
-class ContentionPolicy:
-    """Interface: decide what happens when *requester* hits *holder*.
-
-    ``requester_id``/``holder_id`` carry the core ids when the caller
-    knows them (-1 otherwise); policies may use them to break
-    timestamp ties deterministically.
-    """
-
-    name = "abstract"
-
-    def resolve(
-        self,
-        requester_ts: int,
-        holder_ts: int,
-        requester_nontx: bool,
-        requester_id: int = -1,
-        holder_id: int = -1,
-    ) -> Resolution:
-        raise NotImplementedError
-
-
-class TimestampPolicy(ContentionPolicy):
+def timestamp(
+    requester_ts: int,
+    holder_ts: int,
+    requester_nontx: bool,
+    requester_id: int,
+    holder_id: int,
+) -> Action:
     """Oldest transaction wins (the baseline policy).
 
     Non-transactional requesters always win (they cannot be rolled
@@ -72,76 +45,48 @@ class TimestampPolicy(ContentionPolicy):
     abort could break.  The lexicographic order stays total, so
     stalling still only ever waits on a strictly older transaction.
     """
-
-    name = "timestamp"
-
-    def resolve(
-        self,
-        requester_ts: int,
-        holder_ts: int,
-        requester_nontx: bool,
-        requester_id: int = -1,
-        holder_id: int = -1,
-    ) -> Resolution:
-        if requester_nontx or requester_ts < holder_ts:
-            return _ABORT_REMOTE
-        if requester_ts == holder_ts and 0 <= requester_id < holder_id:
-            return _ABORT_REMOTE
-        return _STALL
+    if requester_nontx or requester_ts < holder_ts:
+        return Action.ABORT_REMOTE
+    if requester_ts == holder_ts and requester_id < holder_id:
+        return Action.ABORT_REMOTE
+    return Action.STALL
 
 
-class RequesterAbortsPolicy(ContentionPolicy):
+def requester_aborts(
+    requester_ts: int,
+    holder_ts: int,
+    requester_nontx: bool,
+    requester_id: int,
+    holder_id: int,
+) -> Action:
     """The requester always loses and aborts (Figure 2c, "EagerTM")."""
-
-    name = "requester-aborts"
-
-    def resolve(
-        self,
-        requester_ts: int,
-        holder_ts: int,
-        requester_nontx: bool,
-        requester_id: int = -1,
-        holder_id: int = -1,
-    ) -> Resolution:
-        if requester_nontx:
-            return _ABORT_REMOTE
-        return _ABORT_SELF
+    return Action.ABORT_REMOTE if requester_nontx else Action.ABORT_SELF
 
 
-class RequesterStallsPolicy(ContentionPolicy):
+def requester_stalls(
+    requester_ts: int,
+    holder_ts: int,
+    requester_nontx: bool,
+    requester_id: int,
+    holder_id: int,
+) -> Action:
     """The requester always stalls (Figure 2d, "EagerTM-Stall").
 
     Pure stalling can deadlock on cyclic waits; the system layer
     breaks a detected cycle by aborting the younger transaction, so
     this policy is safe to use on arbitrary workloads.
     """
-
-    name = "requester-stalls"
-
-    def resolve(
-        self,
-        requester_ts: int,
-        holder_ts: int,
-        requester_nontx: bool,
-        requester_id: int = -1,
-        holder_id: int = -1,
-    ) -> Resolution:
-        if requester_nontx:
-            return _ABORT_REMOTE
-        return _STALL
+    return Action.ABORT_REMOTE if requester_nontx else Action.STALL
 
 
 POLICIES = {
-    policy.name: policy
-    for policy in (
-        TimestampPolicy(),
-        RequesterAbortsPolicy(),
-        RequesterStallsPolicy(),
-    )
+    "timestamp": timestamp,
+    "requester-aborts": requester_aborts,
+    "requester-stalls": requester_stalls,
 }
 
 
-def get_policy(name: str) -> ContentionPolicy:
+def get_policy(name: str):
     try:
         return POLICIES[name]
     except KeyError:

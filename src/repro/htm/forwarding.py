@@ -192,11 +192,11 @@ class ForwardingMixin:
         self._commit_order_barrier(core)
         self._committing.add(core)
         try:
-            result = super().commit(core)
+            committed = super().commit(core)
         finally:
             self._committing.discard(core)
         self._clear_edges(core)
-        return result
+        return committed
 
 
 class DATMSystem(ForwardingMixin, BaseTMSystem):

@@ -17,13 +17,7 @@ from typing import Optional
 
 from repro.core.engine import CommitPlan
 from repro.core.symvalue import SymValue
-from repro.htm.system import (
-    BaseTMSystem,
-    CommitResult,
-    LoadResult,
-    StoreResult,
-    _STORE_HIT,
-)
+from repro.htm.system import BaseTMSystem, LoadResult
 from repro.mem.address import blocks_spanned
 from repro.mem.memory import WriteBuffer
 
@@ -82,7 +76,7 @@ class LazyTMSystem(BaseTMSystem):
         size: int,
         value: int,
         sym: Optional[SymValue] = None,
-    ) -> StoreResult:
+    ) -> int:
         ctx = self.ctx[core]
         if not ctx.active:
             return super().store(core, addr, size, value)
@@ -96,10 +90,10 @@ class LazyTMSystem(BaseTMSystem):
             self._capacity_abort_structure(
                 core, "write_set", blocks_spanned(addr, size)[-1]
             )
-        return _STORE_HIT
+        return 1
 
     # ------------------------------------------------------------------
-    def _pre_commit(self, core: int) -> CommitResult:
+    def _pre_commit(self, core: int) -> tuple[int, CommitPlan]:
         buffer = self._write_buffers[core]
         write_blocks = buffer.blocks()
         # Committer wins: abort every conflicting in-flight transaction.
@@ -120,4 +114,4 @@ class LazyTMSystem(BaseTMSystem):
         self.memory.write_runs(plan.stores)
         # Sets are left intact so commit() can observe their occupancy;
         # begin() clears them before the next transaction.
-        return CommitResult(latency=latency)
+        return latency, plan

@@ -22,7 +22,7 @@ latencies are charged to the requesting core's clock.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.coherence.directory import CoherenceFabric
 from repro.core.engine import (
@@ -33,7 +33,7 @@ from repro.core.engine import (
 )
 from repro.core.predictor import ConflictPredictor
 from repro.core.symvalue import SymValue, sym_root
-from repro.htm.contention import Action, ContentionPolicy, get_policy
+from repro.htm.contention import Action, get_policy
 from repro.htm.events import StallRetry, TxnAborted
 from repro.htm.versioning import UndoLog
 from repro.mem.address import BLOCK_SIZE, block_of
@@ -76,29 +76,6 @@ class LoadResult:
     sym: Optional[SymValue] = None
 
 
-@dataclass(slots=True)
-class StoreResult:
-    latency: int
-
-
-#: shared result for the ubiquitous 1-cycle store hit; never mutate
-_STORE_HIT = StoreResult(latency=1)
-
-
-@dataclass(slots=True)
-class CommitResult:
-    latency: int
-    #: (reg, value) register repairs RETCON computed at commit
-    register_repairs: list[tuple[int, int]] = field(default_factory=list)
-    #: (addr, size, value) buffered stores the commit drained to memory
-    #: (hybrid backends publish their blocks to the STM orecs)
-    stores: Sequence[tuple[int, int, int]] = ()
-
-
-#: shared result for the baseline's free commit; never mutate
-_COMMIT_FREE = CommitResult(latency=0)
-
-
 class BaseTMSystem:
     """The eager-baseline HTM (also the superclass of all variants)."""
 
@@ -118,15 +95,14 @@ class BaseTMSystem:
         memory: MainMemory,
         fabric: CoherenceFabric,
         stats: MachineStats,
-        policy: "ContentionPolicy | str" = "timestamp",
+        policy: str = "timestamp",
     ) -> None:
         self.config = config
         self.memory = memory
         self.fabric = fabric
         self.stats = stats
-        self.policy = (
-            get_policy(policy) if isinstance(policy, str) else policy
-        )
+        #: a :mod:`repro.htm.contention` function, named by *policy*
+        self.policy = get_policy(policy)
         self.ctx = [TxnContext() for _ in range(config.ncores)]
         self._next_ts = 0
         #: wait-for edges for deadlock detection under stalling policies
@@ -257,9 +233,7 @@ class BaseTMSystem:
             holder_ctx = self.ctx[holder]
             if not holder_ctx.active:
                 continue  # already gone (e.g. aborted for a prior holder)
-            action = self.policy.resolve(
-                ctx.ts, holder_ctx.ts, nontx, core, holder
-            ).action
+            action = self.policy(ctx.ts, holder_ctx.ts, nontx, core, holder)
             if action is Action.STALL:
                 # A holder is never the requester, so a wait cycle
                 # through it needs a wait edge of its own.
@@ -522,7 +496,8 @@ class BaseTMSystem:
         size: int,
         value: int,
         sym: Optional[SymValue] = None,
-    ) -> StoreResult:
+    ) -> int:
+        """Perform a store; return its latency in cycles."""
         block = addr // BLOCK_SIZE
         fabric = self.fabric
         if (addr + size - 1) // BLOCK_SIZE == block:
@@ -544,7 +519,7 @@ class BaseTMSystem:
                                 self._check_spec_capacity(core, block, True)
                         ctx.undo.record(self.memory, addr, size)
                     self.memory.write(addr, value, size)
-                    return _STORE_HIT
+                    return 1
             latency = self._eager_block_access(core, block, True, holders)
         else:
             latency = 0
@@ -558,7 +533,7 @@ class BaseTMSystem:
         if ctx.active:
             ctx.undo.record(self.memory, addr, size)
         self.memory.write(addr, value, size)
-        return StoreResult(latency=latency)
+        return latency
 
     def _eager_block_access(
         self, core: int, block: int, write: bool, holders: Optional[set[int]]
@@ -604,11 +579,13 @@ class BaseTMSystem:
     # ------------------------------------------------------------------
     # Commit
     # ------------------------------------------------------------------
-    def commit(self, core: int) -> CommitResult:
+    def commit(self, core: int) -> tuple[int, CommitPlan]:
+        """Commit *core*'s transaction; return its latency in cycles and
+        the plan it drained (whose ``registers`` the core applies)."""
         ctx = self.ctx[core]
         if not ctx.active:
             raise RuntimeError(f"core {core}: commit outside transaction")
-        result = self._pre_commit(core)
+        latency, plan = self._pre_commit(core)
         if self.metrics is not None:
             self._observe_occupancy(core)
         ctx.undo.commit()
@@ -617,15 +594,16 @@ class BaseTMSystem:
         self._clear_wait_edges(core)
         self.stats.core(core).commits += 1
         if self.tracer is not None:
-            self._trace("commit", core, {"latency": result.latency})
-        return result
+            self._trace("commit", core, {"latency": latency})
+        return latency, plan
 
-    def _pre_commit(self, core: int) -> CommitResult:
+    def _pre_commit(self, core: int) -> tuple[int, CommitPlan]:
         """Hook: RETCON's pre-commit repair. Baseline commits in 0 cycles,
-        its stores in place: a checked commit's plan is empty."""
+        its stores in place: its plan is empty."""
+        plan = CommitPlan()
         if self.oracle is not None:
-            self._check_commit(core, CommitPlan())
-        return _COMMIT_FREE
+            self._check_commit(core, plan)
+        return 0, plan
 
     def _check_commit(self, core: int, plan: CommitPlan, engine=None) -> None:
         """The one commit check, called once per commit after its last
@@ -665,7 +643,7 @@ class RetconTMSystem(BaseTMSystem):
         memory: MainMemory,
         fabric: CoherenceFabric,
         stats: MachineStats,
-        policy: "ContentionPolicy | str" = "timestamp",
+        policy: str = "timestamp",
         symbolic_arithmetic: bool = True,
         track_all: bool = False,
     ) -> None:
@@ -802,7 +780,7 @@ class RetconTMSystem(BaseTMSystem):
         size: int,
         value: int,
         sym: Optional[SymValue] = None,
-    ) -> StoreResult:
+    ) -> int:
         ctx = self.ctx[core]
         engine = self._engines[core]
         if not ctx.active:
@@ -832,7 +810,7 @@ class RetconTMSystem(BaseTMSystem):
                 )
             except CapacityAbort as exc:
                 self._capacity_abort(core, exc)
-            return _STORE_HIT
+            return 1
 
         # Normal (eager) store.  It must not bypass older buffered
         # stores to overlapping bytes: exact matches invalidate the SSB
@@ -850,14 +828,14 @@ class RetconTMSystem(BaseTMSystem):
                 )
             except CapacityAbort as exc:
                 self._capacity_abort(core, exc)
-            return _STORE_HIT
+            return 1
 
         return super().store(core, addr, size, value, sym=None)
 
     # ------------------------------------------------------------------
     # Pre-commit repair (Figure 7)
     # ------------------------------------------------------------------
-    def _pre_commit(self, core: int) -> CommitResult:
+    def _pre_commit(self, core: int) -> tuple[int, CommitPlan]:
         engine = self._engines[core]
         engine.mark_written_blocks()
         idealized = self.config.idealized
@@ -928,8 +906,4 @@ class RetconTMSystem(BaseTMSystem):
 
         sample = engine.sample(commit_cycles=latency)
         self.stats.record_retcon_sample(core, sample)
-        return CommitResult(
-            latency=latency,
-            register_repairs=plan.registers,
-            stores=plan.stores,
-        )
+        return latency, plan

@@ -22,6 +22,7 @@ from typing import Optional
 
 from repro.core.buffers import DEFAULT_IVB_ENTRIES, DEFAULT_SSB_ENTRIES
 from repro.core.constraints import DEFAULT_CONSTRAINT_ENTRIES
+from repro.mem.address import BLOCK_SIZE
 
 
 def _fmt_entries(entries: Optional[int]) -> str:
@@ -30,14 +31,17 @@ def _fmt_entries(entries: Optional[int]) -> str:
 
 @dataclass(frozen=True)
 class MachineConfig:
-    """All machine parameters, with Table 1 defaults."""
+    """All machine parameters, with Table 1 defaults.
+
+    Two Table 1 parameters are constants, not fields: a core retires
+    one instruction per cycle (1 IPC), and the block size is
+    :data:`repro.mem.address.BLOCK_SIZE`, which every block index uses.
+    """
 
     # Processor
     ncores: int = 32
-    ipc: int = 1
 
     # Caches (sizes in bytes)
-    block_bytes: int = 64
     l1_bytes: int = 64 * 1024
     l1_assoc: int = 4
     l2_bytes: int = 1024 * 1024
@@ -112,17 +116,17 @@ class MachineConfig:
     def rows(self) -> list[tuple[str, str]]:
         """Return (parameter, value) rows in Table 1's format."""
         return [
-            ("Processor", f"{self.ncores} in-order cores, {self.ipc} IPC"),
+            ("Processor", f"{self.ncores} in-order cores, 1 IPC"),
             (
                 "L1 cache",
                 f"{self.l1_bytes // 1024} KB, {self.l1_assoc}-way set "
-                f"associative, {self.block_bytes}B blocks",
+                f"associative, {BLOCK_SIZE}B blocks",
             ),
             (
                 "L2 cache",
                 f"Private, {self.l2_bytes // (1024 * 1024)}MB, "
                 f"{self.l2_assoc}-way set associative, "
-                f"{self.block_bytes}B blocks, {self.l2_hit_cycles}-cycle "
+                f"{BLOCK_SIZE}B blocks, {self.l2_hit_cycles}-cycle "
                 "hit latency",
             ),
             ("Memory", f"{self.dram_cycles} cycles DRAM lookup latency"),

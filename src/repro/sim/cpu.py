@@ -336,7 +336,7 @@ class Core:
 
     def _try_commit(self) -> None:
         try:
-            result = self.system.commit(self.cid)
+            latency, plan = self.system.commit(self.cid)
         except StallRetry as stall:
             self._charge_stall(stall)
             return
@@ -344,7 +344,7 @@ class Core:
             self._handle_abort()
             return
         self.consecutive_stalls = 0
-        for reg, value in result.register_repairs:
+        for reg, value in plan.registers:
             self.regs.write(Reg(reg), value)
         if self.system.oracle is not None:
             self.system.oracle.on_committed(self.cid, self.regs.snapshot())
@@ -353,13 +353,13 @@ class Core:
         self.stats.label_commits[label] = (
             self.stats.label_commits.get(label, 0) + 1
         )
-        self.cycle += result.latency
-        self.stats.other += result.latency
+        self.cycle += latency
+        self.stats.other += latency
         self.stats.busy += self.attempt_busy
         self._flush_conflict_stats()
         duration = self.cycle - self.attempt_start
         # record_txn pairs with the TM system's pre-commit sample.
-        self.system.stats.record_txn(self.cid, duration, result.latency)
+        self.system.stats.record_txn(self.cid, duration, latency)
         self.in_txn = False
         self.item_idx += 1
         self.pc = 0

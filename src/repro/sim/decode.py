@@ -163,27 +163,27 @@ def _compile_store(inst: Store, nxt: int, with_engine: bool, program: Program):
             if with_engine:
                 def handler(core, regs, src=src, addr=addr, size=size,
                             nxt=nxt):
-                    result = core.system.store(
+                    latency = core.system.store(
                         core.cid, addr, size, regs[src],
                         sym=core.engine.sregs._syms[src],
                     )
                     core.pc = nxt
-                    return result.latency
+                    return latency
             else:
                 def handler(core, regs, src=src, addr=addr, size=size,
                             nxt=nxt):
-                    result = core.system.store(
+                    latency = core.system.store(
                         core.cid, addr, size, regs[src], sym=None
                     )
                     core.pc = nxt
-                    return result.latency
+                    return latency
         else:
             def handler(core, regs, value=src, addr=addr, size=size, nxt=nxt):
-                result = core.system.store(
+                latency = core.system.store(
                     core.cid, addr, size, value, sym=None
                 )
                 core.pc = nxt
-                return result.latency
+                return latency
     else:
         base = int(inst.base)
         if src_is_reg:
@@ -195,21 +195,21 @@ def _compile_store(inst: Store, nxt: int, with_engine: bool, program: Program):
                     base_sym = syms[base]
                     if base_sym is not None:
                         engine.equality_constrain(base_sym.root)
-                    result = core.system.store(
+                    latency = core.system.store(
                         core.cid, regs[base] + disp, size, regs[src],
                         sym=syms[src],
                     )
                     core.pc = nxt
-                    return result.latency
+                    return latency
             else:
                 def handler(core, regs, src=src, base=base, disp=disp,
                             size=size, nxt=nxt):
-                    result = core.system.store(
+                    latency = core.system.store(
                         core.cid, regs[base] + disp, size, regs[src],
                         sym=None,
                     )
                     core.pc = nxt
-                    return result.latency
+                    return latency
         else:
             if with_engine:
                 def handler(core, regs, value=src, base=base, disp=disp,
@@ -218,19 +218,19 @@ def _compile_store(inst: Store, nxt: int, with_engine: bool, program: Program):
                     base_sym = engine.sregs._syms[base]
                     if base_sym is not None:
                         engine.equality_constrain(base_sym.root)
-                    result = core.system.store(
+                    latency = core.system.store(
                         core.cid, regs[base] + disp, size, value, sym=None
                     )
                     core.pc = nxt
-                    return result.latency
+                    return latency
             else:
                 def handler(core, regs, value=src, base=base, disp=disp,
                             size=size, nxt=nxt):
-                    result = core.system.store(
+                    latency = core.system.store(
                         core.cid, regs[base] + disp, size, value, sym=None
                     )
                     core.pc = nxt
-                    return result.latency
+                    return latency
     return handler
 
 

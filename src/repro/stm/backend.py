@@ -71,13 +71,7 @@ from dataclasses import dataclass, field
 
 from repro.core.engine import CommitPlan
 from repro.htm.events import StallRetry
-from repro.htm.system import (
-    BaseTMSystem,
-    CommitResult,
-    LoadResult,
-    RetconTMSystem,
-    StoreResult,
-)
+from repro.htm.system import BaseTMSystem, LoadResult, RetconTMSystem
 from repro.mem.address import BLOCK_SIZE, block_of
 from repro.mem.memory import WriteBuffer
 from repro.stm.metadata import StmMetadata
@@ -200,19 +194,18 @@ class STMMixin:
                 )
         return super().load(core, addr, size)
 
-    def store(self, core, addr, size, value, sym=None) -> StoreResult:
+    def store(self, core, addr, size, value, sym=None) -> int:
         ctx = self.ctx[core]
         if ctx.active:
             if ctx.stm:
                 return self._stm_store(core, addr, size, value)
             if self.hybrid and not ctx.subscribed:
                 extra = self._subscribe(core)
-                result = super().store(core, addr, size, value, sym)
-                return StoreResult(latency=result.latency + extra)
+                return super().store(core, addr, size, value, sym) + extra
             return super().store(core, addr, size, value, sym)
-        result = super().store(core, addr, size, value, sym)
+        latency = super().store(core, addr, size, value, sym)
         self._nontx_publish(addr, size)
-        return result
+        return latency
 
     def _subscribe(self, core: int) -> int:
         """Hardware-side begin instrumentation: speculatively load the
@@ -283,9 +276,7 @@ class STMMixin:
         value = txn.wbuf.read(addr, size, self.memory.read_bytes(addr, size))
         return LoadResult(value=value, latency=latency)
 
-    def _stm_store(
-        self, core: int, addr: int, size: int, value: int
-    ) -> StoreResult:
+    def _stm_store(self, core: int, addr: int, size: int, value: int) -> int:
         txn = self._stm_txns[core]
         cfg = self.config
         latency = self._ensure_token(core, txn)
@@ -303,7 +294,7 @@ class STMMixin:
             if txn.pessimistic and orec not in txn.owned_orecs:
                 latency += self._own_orec(core, txn, orec)
         txn.wbuf.write(addr, size, value)
-        return StoreResult(latency=latency)
+        return latency
 
     def _orec_read(self, core: int, txn: _StmTxn, blk: int) -> int:
         """First read of a block: sample its orec version (optimistic)
@@ -348,7 +339,7 @@ class STMMixin:
     # ------------------------------------------------------------------
     # Commit
     # ------------------------------------------------------------------
-    def _pre_commit(self, core: int) -> CommitResult:
+    def _pre_commit(self, core: int) -> tuple[int, CommitPlan]:
         ctx = self.ctx[core]
         if ctx.stm:
             return self._stm_pre_commit(core)
@@ -358,25 +349,20 @@ class STMMixin:
             spec_written = self.fabric.cores[core].spec_written
             if spec_written:
                 self._htm_owner_check(core, spec_written)
-        result = super()._pre_commit(core)
+        latency, plan = super()._pre_commit(core)
         blocks = set(self.fabric.cores[core].spec_written)
-        blocks.update(block_of(a) for a, _s, _v in result.stores)
+        blocks.update(block_of(a) for a, _s, _v in plan.stores)
         if not blocks:
-            return result
-        extra = self._htm_publish(core, blocks)
-        return CommitResult(
-            latency=result.latency + extra,
-            register_repairs=result.register_repairs,
-        )
+            return latency, plan
+        return latency + self._htm_publish(core, blocks), plan
 
-    def _pre_drain(self, core: int, plan) -> None:
+    def _pre_drain(self, core: int, plan: CommitPlan) -> None:
         """Progressive: veto a hardware commit whose buffered stores
         target blocks the pessimistic fallback owns."""
         super()._pre_drain(core, plan)
         if (
             self.pessimistic_fallback
             and not self.ctx[core].stm
-            and plan is not None
             and plan.stores
         ):
             self._htm_owner_check(
@@ -411,7 +397,7 @@ class STMMixin:
         self.stats.core(core).barrier_instrs += cost
         return latency
 
-    def _stm_pre_commit(self, core: int) -> CommitResult:
+    def _stm_pre_commit(self, core: int) -> tuple[int, CommitPlan]:
         txn = self._stm_txns[core]
         cfg = self.config
         meta = self.meta
@@ -483,7 +469,7 @@ class STMMixin:
             )
             self._h_write_set.observe(len(txn.write_orecs))
         self._stm_end(core)
-        return CommitResult(latency=latency)
+        return latency, plan
 
     def _stm_end(self, core: int) -> None:
         """End a software attempt, committed or aborted: flush its

@@ -34,11 +34,15 @@ class TestArtifactStore:
         assert artifact.parent == result.parent
         assert artifact.stem.startswith(result.stem)
 
-    def test_corrupt_artifact_is_a_miss(self, tmp_path):
+    def test_corrupt_artifact_is_a_miss(self, tmp_path, capsys):
+        """The engine re-simulates the point; the cache counts the
+        corrupt file and names it on stderr."""
         cache = ResultCache(tmp_path)
         path = cache.put_artifact(POINT, "trace", {"a": 1})
         path.write_text("{not json")
         assert cache.get_artifact(POINT, "trace") is None
+        assert cache.corrupt == 1
+        assert f"corrupt cache entry {path}" in capsys.readouterr().err
 
 
 class TestObsCacheKey:

@@ -127,24 +127,24 @@ class TestLabel:
 
 
 class TestCacheKeyStability:
-    """Literal digests of repro 1.7.3 keys, re-recorded with the
-    version: checked points on the eager, lazy and hybrid-eager rows
-    now report replayed commits that 1.7.2 did not, so its cache
-    entries must miss."""
+    """Literal digests of keys hashed with version 1.7.3, re-recorded
+    when ``MachineConfig`` lost its ``ipc`` and ``block_bytes`` fields:
+    the key hashes ``asdict(config)``, so every earlier entry misses
+    once."""
 
     PINNED = {
-        "c2e5dfdc27c066fb2a5868ebfb62de13f5da3e5d4c86da721850a75fcdf2f11e":
+        "eb5eb68d1538dbdca4b10f49d5106c4ad97ee29623b28f3c455022635134fc6d":
             Point("python_opt", "retcon"),
-        "96ba6d2000cb931daa7c269c03280c64f5e81e97e23c35c1208a13611e17135e":
+        "51d79cc84d53ec85f5cf6fc3eda8c4c8c7cdc8d9e5edadf1d6407c7549559c05":
             Point("python_opt", "retcon", check=True),
-        "a2a48238987f49da57362ab22ceea5c5b8a89f07ab7f5f3804238cd1ad39dcfa":
+        "f6e0526d158b31fc54ba7dcb3290b89c5cb5f1730505e6c5084d326837877cae":
             Point("python_opt", "retcon", obs="trace"),
         # was Point(..., retry_budget=2)
-        "c97fe0d430f62239e84aac19d80362dd00922dbaf9df563baa1c63c678070c9d":
+        "9ce49f9a87819f6f4130bae92a0c88cf76572c0f73a25de664cfa73c6ff4ca55":
             Point("kmeans", "hybrid-retcon", ncores=4, scale=0.1,
                   config=_with(retry_budget=2)),
         # was Point(..., read_set_entries=4, write_set_entries=4)
-        "0e0ebb76be416620c6a2366255c6d324cc6f3498691774ea3143f469999a297b":
+        "e6ee236a22890ecdaf8a367b16fb6902b80495dd2c169e0a19fa096babd8ac39":
             Point("genome-sz", "eager", ncores=4, scale=0.1,
                   config=_with(read_set_entries=4, write_set_entries=4)),
     }

@@ -5,6 +5,7 @@ from dataclasses import replace
 import pytest
 
 from repro.exp.cache import ResultCache
+from repro.exp.engine import run_points
 from repro.exp.spec import Point
 from repro.sim.config import MachineConfig
 from repro.sim.runner import run_workload
@@ -68,11 +69,31 @@ class TestInvalidation:
         assert cache.get(POINT, version="1.0.0") is not None
         assert cache.get(POINT, version="2.0.0") is None
 
-    def test_corrupt_entry_is_a_miss(self, tmp_path, result):
+    def test_corrupt_entry_is_counted_and_reported(
+        self, tmp_path, result, capsys
+    ):
         cache = ResultCache(tmp_path)
         path = cache.put(POINT, result)
         path.write_text("{not json")
         assert cache.get(POINT) is None
+        assert (cache.corrupt, cache.misses, cache.hits) == (1, 0, 0)
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and f"corrupt cache entry {path}" in err[0]
+
+    def test_truncated_entry_is_rerun_and_overwritten(
+        self, tmp_path, result, capsys
+    ):
+        cache = ResultCache(tmp_path)
+        path = cache.put(POINT, result)
+        text = path.read_text()
+        path.write_text(text[: len(text) // 2])
+        rerun = run_points([POINT], jobs=1, cache=cache)[POINT]
+        assert rerun.to_dict() == result.to_dict()
+        assert (cache.corrupt, cache.misses) == (1, 0)
+        assert str(path) in capsys.readouterr().err
+        # The rerun overwrote the torn entry: the next read is a hit.
+        assert cache.get(POINT).to_dict() == result.to_dict()
+        assert cache.corrupt == 1 and cache.hits == 1
 
     def test_schema_bump_is_a_miss(self, tmp_path, result, monkeypatch):
         cache = ResultCache(tmp_path)

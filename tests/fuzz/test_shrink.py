@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -89,7 +90,7 @@ class TestEmitRegression:
             [sys.executable, "-m", "pytest", "-x", "-q", str(path)],
             capture_output=True,
             text=True,
-            cwd="/root/repo",
+            cwd=Path(__file__).resolve().parents[2],
             env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr

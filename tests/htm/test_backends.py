@@ -8,6 +8,7 @@ import pytest
 
 import repro
 from repro.coherence.directory import CoherenceFabric
+from repro.htm import contention
 from repro.htm.backends import BACKENDS, Backend, build_system
 from repro.isa.program import Assembler
 from repro.isa.registers import R1, R2, R3, R5
@@ -174,13 +175,9 @@ class TestTheTable:
         assert [f.name for f in fields(Backend)] == ["cls", "kwargs"]
 
     def test_policy_rows_pick_the_contention_policy(self):
-        assert type(build("eager").policy).__name__ == "TimestampPolicy"
-        assert type(build("eager-abort").policy).__name__ == (
-            "RequesterAbortsPolicy"
-        )
-        assert type(build("eager-stall").policy).__name__ == (
-            "RequesterStallsPolicy"
-        )
+        assert build("eager").policy is contention.timestamp
+        assert build("eager-abort").policy is contention.requester_aborts
+        assert build("eager-stall").policy is contention.requester_stalls
 
     def test_row_settings_reach_the_instance(self):
         assert build("datm")._fwd_cooldown_length == 0

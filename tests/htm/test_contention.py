@@ -2,77 +2,59 @@
 
 import pytest
 
+from repro.htm import contention
 from repro.htm.contention import (
+    POLICIES,
     Action,
-    RequesterAbortsPolicy,
-    RequesterStallsPolicy,
-    TimestampPolicy,
     get_policy,
+    requester_aborts,
+    requester_stalls,
+    timestamp,
 )
 
 
 class TestTimestampPolicy:
-    policy = TimestampPolicy()
-
     def test_older_requester_aborts_holder(self):
-        r = self.policy.resolve(requester_ts=1, holder_ts=5,
-                                requester_nontx=False)
-        assert r.action is Action.ABORT_REMOTE
+        assert timestamp(1, 5, False, 0, 1) is Action.ABORT_REMOTE
 
     def test_younger_requester_stalls(self):
-        r = self.policy.resolve(requester_ts=5, holder_ts=1,
-                                requester_nontx=False)
-        assert r.action is Action.STALL
+        assert timestamp(5, 1, False, 0, 1) is Action.STALL
 
     def test_non_transactional_always_wins(self):
-        r = self.policy.resolve(requester_ts=99, holder_ts=1,
-                                requester_nontx=True)
-        assert r.action is Action.ABORT_REMOTE
+        assert timestamp(99, 1, True, 1, 0) is Action.ABORT_REMOTE
 
     def test_equal_timestamps_lower_core_id_wins(self):
         """Regression: two txns that begin on the same cycle share a
         timestamp; without the core-id tie-break both directions
         resolve to STALL and only the deadlock detector's abort can
         untangle them."""
-        r = self.policy.resolve(requester_ts=3, holder_ts=3,
-                                requester_nontx=False,
-                                requester_id=0, holder_id=1)
-        assert r.action is Action.ABORT_REMOTE
-        r = self.policy.resolve(requester_ts=3, holder_ts=3,
-                                requester_nontx=False,
-                                requester_id=1, holder_id=0)
-        assert r.action is Action.STALL
-
-    def test_equal_timestamps_without_ids_stall(self):
-        # Callers that don't know core ids keep the old behavior.
-        r = self.policy.resolve(requester_ts=3, holder_ts=3,
-                                requester_nontx=False)
-        assert r.action is Action.STALL
+        assert timestamp(3, 3, False, 0, 1) is Action.ABORT_REMOTE
+        assert timestamp(3, 3, False, 1, 0) is Action.STALL
 
 
 class TestFigure2Policies:
     def test_requester_aborts(self):
-        policy = RequesterAbortsPolicy()
-        r = policy.resolve(1, 5, requester_nontx=False)
-        assert r.action is Action.ABORT_SELF
+        assert requester_aborts(1, 5, False, 0, 1) is Action.ABORT_SELF
 
     def test_requester_stalls(self):
-        policy = RequesterStallsPolicy()
-        r = policy.resolve(1, 5, requester_nontx=False)
-        assert r.action is Action.STALL
+        assert requester_stalls(1, 5, False, 0, 1) is Action.STALL
 
-    @pytest.mark.parametrize(
-        "policy", [RequesterAbortsPolicy(), RequesterStallsPolicy()]
-    )
+    @pytest.mark.parametrize("policy", [requester_aborts, requester_stalls])
     def test_non_tx_requester_never_loses(self, policy):
-        r = policy.resolve(1, 5, requester_nontx=True)
-        assert r.action is Action.ABORT_REMOTE
+        assert policy(1, 5, True, 0, 1) is Action.ABORT_REMOTE
 
 
 class TestRegistry:
     def test_lookup_by_name(self):
-        assert isinstance(get_policy("timestamp"), TimestampPolicy)
+        assert get_policy("timestamp") is contention.timestamp
+        assert POLICIES == {
+            "timestamp": timestamp,
+            "requester-aborts": requester_aborts,
+            "requester-stalls": requester_stalls,
+        }
 
     def test_unknown_name(self):
-        with pytest.raises(ValueError, match="unknown contention policy"):
+        with pytest.raises(
+            ValueError, match="unknown contention policy.*requester-aborts"
+        ):
             get_policy("coin-flip")

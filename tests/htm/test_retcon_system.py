@@ -91,10 +91,10 @@ class TestStealingAndRepair:
         system.store(0, ADDR, 8, 11, sym=engine.reg_sym(1))
         # Remote (non-transactional) write steals the block.
         system.store(1, ADDR, 8, 50)
-        result = system.commit(0)
+        latency, _plan = system.commit(0)
         assert memory.read(ADDR) == 51  # repaired: 50 + 1
         assert system.stats.core(0).commits == 1
-        assert result.latency > 0
+        assert latency > 0
 
     def test_lazy_vb_aborts_on_changed_value(self):
         system, memory = make_retcon(
@@ -214,8 +214,8 @@ class TestIdealized:
             system.store(0, ADDR + offset, 8, 1, sym=engine.reg_sym(1))
         for offset in range(0, 4 * 64, 64):
             system.store(1, ADDR + offset, 8, 100)
-        result = system.commit(0)
+        latency, _plan = system.commit(0)
         # Parallel reacquire + free stores: latency is one miss, not 4.
-        assert result.latency <= 150
+        assert latency <= 150
         for offset in range(0, 4 * 64, 64):
             assert memory.read(ADDR + offset) == 101

@@ -80,15 +80,15 @@ def run_figure8(system, memory, remote_value):
 class TestFigure8:
     def test_successful_repair(self):
         system, memory = build_system()
-        result = run_figure8(system, memory, remote_value=6)
+        latency, plan = run_figure8(system, memory, remote_value=6)
         # A repaired to the remote value plus the increments: 6+3 = 9.
         assert memory.read(A) == 9
         assert memory.read(B) == 0
         # r1's concrete value is repaired in the register file.
-        assert (1, 9) in result.register_repairs
+        assert (1, 9) in plan.registers
         # r2 = A+1 is repaired as well.
-        assert (2, 7) in result.register_repairs
-        assert result.latency > 0  # reacquired a lost block
+        assert (2, 7) in plan.registers
+        assert latency > 0  # reacquired a lost block
 
     def test_constraint_violation_aborts(self):
         system, memory = build_system()
