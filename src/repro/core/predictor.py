@@ -41,15 +41,18 @@ class ConflictPredictor:
 
     def observe_conflict(self, block: int) -> None:
         """A conflict involving *block* was observed; train up."""
-        state = self._table.setdefault(
-            block, _BlockState(required=self.train_threshold)
-        )
+        state = self._table.get(block)
+        if state is None:
+            state = _BlockState(required=self.train_threshold)
+            self._table[block] = state
         state.conflicts += 1
 
     def observe_violation(self, block: int) -> None:
         """A commit-time constraint on *block* was violated; train down
         hard (require `backoff` fresh conflicts before retrying)."""
-        state = self._table.setdefault(block, _BlockState())
+        state = self._table.get(block)
+        if state is None:
+            state = self._table[block] = _BlockState()
         state.conflicts = 0
         state.required = self.backoff
 

@@ -14,12 +14,19 @@ generators, e.g.::
     asm.mark("resize")
     ...
     program = asm.build()
+
+Every emit goes through :func:`_intern`, so a static instruction exists
+once however many programs hold it: equal constructor arguments (of
+equal types, so ``Reg(1)``, ``1`` and ``Imm(1)`` stay apart) return the
+same frozen object.  The pool holds its instructions weakly; an
+instruction dies with the last program that uses it.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from repro.isa.instructions import (
     Bcc,
@@ -57,6 +64,22 @@ class Program:
     def target(self, label: str) -> int:
         """Return the instruction index a label refers to."""
         return self.labels[label]
+
+
+_POOL: "weakref.WeakValueDictionary[tuple, Instruction]" = (
+    weakref.WeakValueDictionary()
+)
+
+
+def _intern(cls: type, *args) -> Instruction:
+    """Return the pooled ``cls(*args)``, building it only on a miss.
+
+    The key carries each argument's type: ``Reg(1) == 1 == True``."""
+    key = (cls, *args, *map(type, args))
+    inst = _POOL.get(key)
+    if inst is None:
+        inst = _POOL[key] = cls(*args)
+    return inst
 
 
 class AssemblerError(ValueError):
@@ -99,22 +122,20 @@ class Assembler:
 
     # -- memory -----------------------------------------------------------
     def load(self, rd: Reg, addr: int, size: int = 8) -> "Assembler":
-        self._instructions.append(Load(rd=rd, addr=addr, size=size))
+        self._instructions.append(_intern(Load, rd, addr, size, None, 0))
         return self
 
     def load_ind(
         self, rd: Reg, base: Reg, disp: int = 0, size: int = 8
     ) -> "Assembler":
-        self._instructions.append(
-            Load(rd=rd, base=base, disp=disp, size=size)
-        )
+        self._instructions.append(_intern(Load, rd, 0, size, base, disp))
         return self
 
     def store(
         self, src: "int | Reg | Imm", addr: int, size: int = 8
     ) -> "Assembler":
         self._instructions.append(
-            Store(src=_operand(src), addr=addr, size=size)
+            _intern(Store, _operand(src), addr, size, None, 0)
         )
         return self
 
@@ -126,7 +147,7 @@ class Assembler:
         size: int = 8,
     ) -> "Assembler":
         self._instructions.append(
-            Store(src=_operand(src), base=base, disp=disp, size=size)
+            _intern(Store, _operand(src), 0, size, base, disp)
         )
         return self
 
@@ -134,9 +155,7 @@ class Assembler:
     def op(
         self, op: str, rd: Reg, rs1: Reg, src2: "int | Reg | Imm"
     ) -> "Assembler":
-        self._instructions.append(
-            Op(op=op, rd=rd, rs1=rs1, src2=_operand(src2))
-        )
+        self._instructions.append(_intern(Op, op, rd, rs1, _operand(src2)))
         return self
 
     def addi(self, rd: Reg, rs1: Reg, imm: int) -> "Assembler":
@@ -144,9 +163,6 @@ class Assembler:
 
     def subi(self, rd: Reg, rs1: Reg, imm: int) -> "Assembler":
         return self.op("sub", rd, rs1, imm)
-
-    def add(self, rd: Reg, rs1: Reg, rs2: Reg) -> "Assembler":
-        return self.op("add", rd, rs1, rs2)
 
     def sub(self, rd: Reg, rs1: Reg, rs2: Reg) -> "Assembler":
         return self.op("sub", rd, rs1, rs2)
@@ -158,46 +174,42 @@ class Assembler:
         return self.op("div", rd, rs1, src2)
 
     def mov(self, rd: Reg, rs: Reg) -> "Assembler":
-        self._instructions.append(Mov(rd=rd, rs=rs))
+        self._instructions.append(_intern(Mov, rd, rs))
         return self
 
     def movi(self, rd: Reg, value: int) -> "Assembler":
-        self._instructions.append(Movi(rd=rd, value=value))
+        self._instructions.append(_intern(Movi, rd, value))
         return self
 
     # -- control flow -------------------------------------------------------
     def cmp(self, rs1: Reg, src2: "int | Reg | Imm") -> "Assembler":
-        self._instructions.append(Cmp(rs1=rs1, src2=_operand(src2)))
+        self._instructions.append(_intern(Cmp, rs1, _operand(src2)))
         return self
 
     def br(
         self, cond: Cond, rs1: Reg, src2: "int | Reg | Imm", target: str
     ) -> "Assembler":
         self._instructions.append(
-            Branch(cond=cond, rs1=rs1, src2=_operand(src2), target=target)
+            _intern(Branch, cond, rs1, _operand(src2), target)
         )
         return self
 
     def bcc(self, cond: Cond, target: str) -> "Assembler":
-        self._instructions.append(Bcc(cond=cond, target=target))
+        self._instructions.append(_intern(Bcc, cond, target))
         return self
 
     def jump(self, target: str) -> "Assembler":
-        self._instructions.append(Jump(target=target))
+        self._instructions.append(_intern(Jump, target))
         return self
 
     # -- misc ----------------------------------------------------------------
     def nop(self, cycles: int = 1) -> "Assembler":
         if cycles > 0:
-            self._instructions.append(Nop(cycles=cycles))
+            self._instructions.append(_intern(Nop, cycles))
         return self
 
     def halt(self) -> "Assembler":
-        self._instructions.append(Halt())
-        return self
-
-    def raw(self, instructions: Sequence[Instruction]) -> "Assembler":
-        self._instructions.extend(instructions)
+        self._instructions.append(_intern(Halt))
         return self
 
     # -- build ----------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Lazy handler chains: an instruction is compiled when it first runs.
 
 The interpreter does not dispatch on instruction dataclasses per
-executed cycle.  Each static instruction becomes one closure
+executed cycle.  Each distinct slot that runs (instruction, successor
+pc, engine variant, jump target) becomes one closure
 
     handler(core, regs) -> latency
 
@@ -12,29 +13,32 @@ themselves and let :class:`StallRetry`/:class:`TxnAborted` propagate
 *before* the pc update, so a retried or aborted instruction re-executes
 from the same pc.
 
-What the chains are built for is the traffic that was measured, not the
-traffic one would guess.  Programs are *not* a few objects executed
-millions of times: at the ``retcon-repair`` benchmark point (seed 1)
-each of the 4 192 ``Txn`` items owns its own :class:`Program`, and only
-54 061 of their 136 421 static instructions (39.6 %) ever execute —
-42.5 % on ``hybrid-capacity``, 65.6 % on ``htm-contended``, 73.6 % on
-``service-observed`` — because error paths, resize paths and not-taken
-branch arms are most of a program's text.  Compiling every instruction
-up front cost more than the simulation it served (a cold unit 1.33 s
-against 0.59 s warm) and the never-called closures were about a third
-of that process's memory; a fuzz case builds hundreds of tiny programs
-and runs each a handful of times.
+What the chains are built for is the traffic that was measured.  Only
+about 40 % of the static instructions at the ``retcon-repair``
+benchmark point ever execute (42.5 % on ``hybrid-capacity``, 65.6 % on
+``htm-contended``, 73.6 % on ``service-observed``): error paths,
+resize paths and not-taken branch arms are most of a program's text,
+and a fuzz case builds hundreds of tiny programs and runs each a
+handful of times.  So :func:`chain_for` hands out a list of
+``len(program)`` references to one :func:`_trampoline`, and the
+trampoline resolves the instruction under ``core.pc`` the first time
+any core reaches it, installs the handler in the shared list, and
+calls it.  Every later execution, the retry of a stalled access
+included, goes direct.  A chain is attached to the ``Program``
+instance itself (via ``object.__setattr__``; programs are frozen
+dataclasses), one variant for cores with a RETCON engine and one
+without, so it is shared by every core and every attempt.
 
-So :func:`chain_for` hands out a list of ``len(program)`` references to
-one :func:`_trampoline`, and the trampoline compiles the instruction
-under ``core.pc`` straight from its dataclass the first time any core
-reaches it, installs the handler in the shared list, and calls it.
-Every later execution — the retry of a stalled access included — goes
-direct.  A chain is attached to the ``Program`` instance itself (via
-``object.__setattr__``; programs are frozen dataclasses), one variant
-for cores with a RETCON engine and one without, so it is shared by
-every core and every attempt and its lifetime is exactly the
-program's: no global cache to invalidate.
+The workload models give each ``Txn`` its own ``Program``, but the
+assembler interns instructions (:mod:`repro.isa.program`), so the
+4 192 programs of ``retcon-repair`` (seed 3) hold 5 107 distinct
+instructions in 135 854 slots.  A handler is a pure function of the
+instruction, its successor pc, the engine variant and the resolved
+jump target, so the trampoline memoizes handlers on the instruction
+object under ``(nxt, with_engine, target)``: the 54 019 slots that
+run there share 5 523 closures.  Chains live as long as their program
+and memos as long as their instruction; there is no global handler
+table.
 
 The chains are the only interpreter in ``sim/``: oracle-checked runs
 and the ``lockstep`` scheduler spelling execute them too.  The repair
@@ -104,9 +108,9 @@ _COND_FN = {
 
 
 # ---------------------------------------------------------------------------
-# Per-instruction compilers: (inst, nxt, with_engine, program) -> handler
+# Per-instruction compilers: (inst, nxt, with_engine, target) -> handler
 # ---------------------------------------------------------------------------
-def _compile_load(inst: Load, nxt: int, with_engine: bool, program: Program):
+def _compile_load(inst: Load, nxt: int, with_engine: bool, target):
     rd = int(inst.rd)
     addr = inst.addr
     size = inst.size
@@ -153,7 +157,7 @@ def _compile_load(inst: Load, nxt: int, with_engine: bool, program: Program):
     return handler
 
 
-def _compile_store(inst: Store, nxt: int, with_engine: bool, program: Program):
+def _compile_store(inst: Store, nxt: int, with_engine: bool, target):
     src_is_reg, src = _operand_pair(inst.src)
     addr = inst.addr
     size = inst.size
@@ -234,7 +238,7 @@ def _compile_store(inst: Store, nxt: int, with_engine: bool, program: Program):
     return handler
 
 
-def _compile_op(inst: Op, nxt: int, with_engine: bool, program: Program):
+def _compile_op(inst: Op, nxt: int, with_engine: bool, target):
     op = inst.op
     rd = int(inst.rd)
     rs1 = int(inst.rs1)
@@ -286,7 +290,7 @@ def _compile_op(inst: Op, nxt: int, with_engine: bool, program: Program):
     return handler
 
 
-def _compile_mov(inst: Mov, nxt: int, with_engine: bool, program: Program):
+def _compile_mov(inst: Mov, nxt: int, with_engine: bool, target):
     rd = int(inst.rd)
     rs = int(inst.rs)
     if with_engine:
@@ -304,7 +308,7 @@ def _compile_mov(inst: Mov, nxt: int, with_engine: bool, program: Program):
     return handler
 
 
-def _compile_movi(inst: Movi, nxt: int, with_engine: bool, program: Program):
+def _compile_movi(inst: Movi, nxt: int, with_engine: bool, target):
     rd = int(inst.rd)
     value = inst.value
     if with_engine:
@@ -321,7 +325,7 @@ def _compile_movi(inst: Movi, nxt: int, with_engine: bool, program: Program):
     return handler
 
 
-def _compile_cmp(inst: Cmp, nxt: int, with_engine: bool, program: Program):
+def _compile_cmp(inst: Cmp, nxt: int, with_engine: bool, target):
     rs1 = int(inst.rs1)
     src2_is_reg, src2 = _operand_pair(inst.src2)
     if with_engine:
@@ -348,12 +352,10 @@ def _compile_cmp(inst: Cmp, nxt: int, with_engine: bool, program: Program):
     return handler
 
 
-def _compile_branch(inst: Branch, nxt: int, with_engine: bool,
-                    program: Program):
+def _compile_branch(inst: Branch, nxt: int, with_engine: bool, target):
     cond = inst.cond
     rs1 = int(inst.rs1)
     src2_is_reg, src2 = _operand_pair(inst.src2)
-    target = program.target(inst.target)
     test = _COND_FN[cond]
     if with_engine:
         def handler(core, regs, test=test, cond=cond, rs1=rs1,
@@ -382,9 +384,8 @@ def _compile_branch(inst: Branch, nxt: int, with_engine: bool,
     return handler
 
 
-def _compile_bcc(inst: Bcc, nxt: int, with_engine: bool, program: Program):
+def _compile_bcc(inst: Bcc, nxt: int, with_engine: bool, target):
     cond = inst.cond
-    target = program.target(inst.target)
     if with_engine:
         def handler(core, regs, cond=cond, target=target, nxt=nxt):
             taken = core.cc.evaluate(cond)
@@ -398,22 +399,22 @@ def _compile_bcc(inst: Bcc, nxt: int, with_engine: bool, program: Program):
     return handler
 
 
-def _compile_jump(inst: Jump, nxt: int, with_engine: bool, program: Program):
-    def handler(core, regs, target=program.target(inst.target)):
+def _compile_jump(inst: Jump, nxt: int, with_engine: bool, target):
+    def handler(core, regs, target=target):
         core.pc = target
         return 1
     return handler
 
 
-def _compile_nop(inst: Nop, nxt: int, with_engine: bool, program: Program):
+def _compile_nop(inst: Nop, nxt: int, with_engine: bool, target):
     def handler(core, regs, cycles=inst.cycles, nxt=nxt):
         core.pc = nxt
         return cycles
     return handler
 
 
-def _compile_halt(inst: Halt, nxt: int, with_engine: bool, program: Program):
-    def handler(core, regs, end=len(program)):
+def _compile_halt(inst: Halt, nxt: int, with_engine: bool, target):
+    def handler(core, regs, end=target):
         core.pc = end
         return 1
     return handler
@@ -434,28 +435,48 @@ _COMPILERS = {
 }
 
 
-def _compile_one(inst: Instruction, nxt: int, with_engine: bool,
-                 program: Program):
+def _compile_one(inst: Instruction, nxt: int, with_engine: bool, target):
     """Compile one instruction into its handler closure."""
     compiler = _COMPILERS.get(type(inst))
     if compiler is None:
         raise TypeError(f"unknown instruction: {inst!r}")
-    return compiler(inst, nxt, with_engine, program)
+    return compiler(inst, nxt, with_engine, target)
+
+
+def _target(inst: Instruction, program: Program) -> int | None:
+    """The pc a slot can jump to besides its successor: a label's
+    index, the end of the program for ``Halt``, else ``None``."""
+    if isinstance(inst, (Branch, Bcc, Jump)):
+        return program.target(inst.target)
+    if isinstance(inst, Halt):
+        return len(program)
+    return None
 
 
 def _trampoline(core, regs):
-    """Every slot's first handler: compile the instruction under
-    ``core.pc``, install it for every core sharing the chain, run it.
+    """Every slot's first handler: find or compile the handler of the
+    instruction under ``core.pc``, install it for every core sharing
+    the chain, run it.
 
-    The handler is installed *before* its first call, so a
-    ``StallRetry``/``TxnAborted`` raised by that call propagates with
-    the slot already compiled and the retry goes direct.
+    Handlers are memoized on the instruction object under ``(nxt,
+    with_engine, target)``, everything a compiler reads besides the
+    instruction, so a static instruction that many programs share
+    compiles once per distinct slot.  The handler is installed
+    *before* its first call, so a ``StallRetry``/``TxnAborted`` raised
+    by that call propagates with the slot already compiled and the
+    retry goes direct.
     """
     pc = core.pc
     program = core._chain_program
-    handler = _compile_one(
-        program.instructions[pc], pc + 1, core.engine is not None, program
-    )
+    inst = program.instructions[pc]
+    key = (pc + 1, core.engine is not None, _target(inst, program))
+    handlers = getattr(inst, "_handlers", None)
+    if handlers is None:
+        handlers = {}
+    handler = handlers.get(key)
+    if handler is None:
+        handler = handlers[key] = _compile_one(inst, *key)
+        object.__setattr__(inst, "_handlers", handlers)
     core._chain[pc] = handler
     return handler(core, regs)
 

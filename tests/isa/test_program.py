@@ -1,8 +1,22 @@
 """Assembler and program construction."""
 
+import gc
+import weakref
+
 import pytest
 
-from repro.isa.instructions import Branch, Cond, Imm, Load, Nop, Reg, Store
+from repro.isa import program as program_module
+from repro.isa.instructions import (
+    Branch,
+    Cmp,
+    Cond,
+    Imm,
+    Load,
+    Movi,
+    Nop,
+    Reg,
+    Store,
+)
 from repro.isa.program import Assembler, AssemblerError
 from repro.isa.registers import R1, R2
 
@@ -73,3 +87,54 @@ class TestAssembler:
         asm = Assembler()
         assert asm.nop(1) is asm
         assert asm.movi(R1, 3) is asm
+
+
+class TestInterning:
+    """Every emit goes through one pool: a static instruction exists
+    once however many programs hold it."""
+
+    def test_equal_emits_return_one_object(self):
+        def build():
+            asm = Assembler()
+            asm.load(R1, 0x100).addi(R1, R1, 1).store(R1, 0x100)
+            asm.mark("t").br(Cond.GT, R1, 10, "t").nop(3).halt()
+            return asm.build()
+
+        first, second = build(), build()
+        assert first.instructions == second.instructions
+        assert all(
+            a is b for a, b in zip(first.instructions, second.instructions)
+        )
+
+    def test_reg_int_and_imm_operands_stay_distinct(self):
+        by_reg = Assembler().movi(R1, 5).build().instructions[0]
+        by_int = Assembler().movi(1, 5).build().instructions[0]
+        by_bool = Assembler().movi(R1, True).build().instructions[0]
+        assert by_reg == by_int  # Reg(1) == 1: dataclass equality holds
+        assert by_reg is not by_int
+        assert isinstance(by_reg.rd, Reg) and not isinstance(by_int.rd, Reg)
+        assert by_bool is not Assembler().movi(R1, 1).build().instructions[0]
+        assert repr(by_reg) == repr(Movi(R1, 5))
+        assert repr(by_int) == repr(Movi(1, 5))
+
+        cmp_reg = Assembler().cmp(R1, R2).build().instructions[0]
+        cmp_int = Assembler().cmp(R1, 2).build().instructions[0]
+        cmp_imm = Assembler().cmp(R1, Imm(2)).build().instructions[0]
+        assert cmp_reg == Cmp(R1, R2) and cmp_int == Cmp(R1, Imm(2))
+        assert cmp_reg is not cmp_int
+        # a bare int is coerced to Imm before the lookup
+        assert cmp_int is cmp_imm
+
+    def test_pool_forgets_instructions_of_dropped_programs(self):
+        gc.collect()
+        before = len(program_module._POOL)
+        asm = Assembler()
+        for n in range(50):
+            asm.movi(R2, 0x5EED_0000 + n)
+        program = asm.build()
+        refs = [weakref.ref(inst) for inst in program.instructions]
+        assert len(program_module._POOL) == before + 50
+        del asm, program
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+        assert len(program_module._POOL) <= before
