@@ -12,7 +12,7 @@ asserts the repair oracle reports each corruption as an
 Fault points are **enumerable** (the :data:`FAULT_POINTS` registry is
 the catalog, mirrored in ``docs/correctness_oracle.md``) and
 **seeded**: an injector picks its victim entry with its own
-``random.Random(seed)``, so a failing fault trial reproduces exactly.
+``random.Random(0)``, so a failing fault trial reproduces exactly.
 
 Three stages:
 
@@ -371,7 +371,6 @@ class FaultInjector:
     def __init__(
         self,
         fault: str,
-        seed: int = 0,
         max_fires: Optional[int] = None,
     ) -> None:
         if fault not in FAULT_POINTS:
@@ -380,7 +379,7 @@ class FaultInjector:
                 f"{sorted(FAULT_POINTS)}"
             )
         self.point = FAULT_POINTS[fault]
-        self.rng = random.Random(seed)
+        self.rng = random.Random(0)
         self.max_fires = max_fires
         self.fires = 0
 

@@ -136,18 +136,22 @@ def diff_memories(
 def held_stm_ownership(memory: MainMemory) -> list[str]:
     """The STM ownership words *memory* still holds set, by name: a run
     ends with no transaction in flight, so each one is a leaked claim."""
-    from repro.sim.config import MachineConfig
-    from repro.stm.metadata import OREC_STRIDE, StmMetadata
+    from repro.stm.metadata import (
+        OREC_BLOCK,
+        OREC_STRIDE,
+        TOKEN_ADDR,
+        TOKEN_BLOCK,
+        owner_addr,
+    )
 
-    meta = StmMetadata(MachineConfig())  # the layout is config-free
     touched = memory.touched_blocks()
     held = []
-    if meta.token_block in touched and memory.read(meta.token_addr):
+    if TOKEN_BLOCK in touched and memory.read(TOKEN_ADDR):
         held.append("stm-fallback-token")
     if any(
-        memory.read(meta.owner_addr(block_base(block) + offset))
+        memory.read(owner_addr(block_base(block) + offset))
         for block in touched
-        if block >= block_of(meta.orec_base)
+        if block >= OREC_BLOCK
         for offset in range(0, BLOCK_SIZE, OREC_STRIDE)
     ):
         held.append("stm-orec-owner")

@@ -51,11 +51,7 @@ FAULT_ROWS = {
 }
 
 
-def check_spec(
-    smoke: bool = False,
-    ncores: int = 8,
-    seed: int = 1,
-) -> list[Point]:
+def check_spec(smoke: bool = False) -> list[Point]:
     """The oracle-matrix grid for ``repro check``.
 
     ``smoke=True`` reuses the CI smoke grid (3 workloads x 3 systems at
@@ -65,8 +61,7 @@ def check_spec(
     if smoke:
         return [replace(point, check=True) for point in smoke_spec()]
     return [
-        Point(workload, system, ncores=ncores, seed=seed, scale=0.25,
-              check=True)
+        Point(workload, system, ncores=8, seed=1, scale=0.25, check=True)
         for workload in (
             "python_opt",
             "genome-sz",
@@ -193,15 +188,11 @@ class FaultTrial:
 
 
 def run_fault_trial(
-    fault: Optional[str],
-    system: str = "retcon",
-    seed: int = 0,
-    ncores: int = 4,
-    txns_per_core: int = 32,
+    fault: Optional[str], system: str = "retcon"
 ) -> FaultTrial:
     """Run the contended scenario on *system* with *fault* injected
     (None = clean)."""
-    scripts, memory, config = fault_scenario(ncores, txns_per_core)
+    scripts, memory, config = fault_scenario()
     oracle = RepairOracle()
     machine = Machine(
         config,
@@ -213,7 +204,7 @@ def run_fault_trial(
     )
     injector = None
     if fault is not None:
-        injector = FaultInjector(fault, seed=seed)
+        injector = FaultInjector(fault)
         machine.system.fault_injector = injector
     machine.run(max_cycles=50_000_000)
     return FaultTrial(
@@ -229,18 +220,12 @@ def run_fault_trial(
 
 def run_fault_matrix(
     faults: Optional[Sequence[str]] = None,
-    seed: int = 0,
-    ncores: int = 4,
-    txns_per_core: int = 32,
 ) -> list[FaultTrial]:
     """Run, per row of :data:`FAULT_ROWS`, the control plus every fault
     point the row carries (of *faults*, if given); return all trials."""
     names = list(faults) if faults is not None else sorted(FAULT_POINTS)
     return [
-        run_fault_trial(
-            name, system, seed=seed, ncores=ncores,
-            txns_per_core=txns_per_core,
-        )
+        run_fault_trial(name, system)
         for system, carried in FAULT_ROWS.items()
         for name in [None] + [n for n in names if n in (carried or names)]
     ]

@@ -116,11 +116,9 @@ class RepairOracle:
         self,
         strict: bool = False,
         max_violations: int = 100,
-        replay_max_steps: int = 1_000_000,
     ) -> None:
         self.strict = strict
         self.max_violations = max_violations
-        self.replay_max_steps = replay_max_steps
         self.violations: list[OracleViolation] = []
         #: violations beyond ``max_violations`` are counted, not stored
         self.suppressed = 0
@@ -187,10 +185,7 @@ class RepairOracle:
         self.checked_commits += 1
         try:
             replay = replay_program(
-                record.program,
-                record.regs0,
-                self._serial.read_bytes,
-                max_steps=self.replay_max_steps,
+                record.program, record.regs0, self._serial.read_bytes
             )
         except (ReplayLimitExceeded, RuntimeError) as exc:
             self._report(

@@ -871,7 +871,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     check.add_argument(
         "--smoke", action="store_true",
-        help="small grid + shortened fault scenario (CI)",
+        help="run the oracle matrix on the 9-point smoke grid (CI); the "
+             "fault matrix runs in full either way",
     )
     check.add_argument(
         "--no-faults", action="store_true",

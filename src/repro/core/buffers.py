@@ -119,9 +119,6 @@ class InitialValueBuffer:
         self.entries_by_block[block] = entry
         return entry
 
-    def lost_blocks(self) -> list[int]:
-        return [e.block for e in self.entries_by_block.values() if e.lost]
-
     def clear(self) -> None:
         self.entries_by_block.clear()
 

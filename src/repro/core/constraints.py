@@ -35,13 +35,6 @@ class Interval:
     lo: Optional[int] = None
     hi: Optional[int] = None
 
-    def is_empty(self) -> bool:
-        return (
-            self.lo is not None
-            and self.hi is not None
-            and self.lo > self.hi
-        )
-
     def contains(self, value: int) -> bool:
         if self.lo is not None and value < self.lo:
             return False

@@ -16,49 +16,33 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-
-@dataclass
-class _BlockState:
-    conflicts: int = 0
-    required: int = 1  # conflicts needed before tracking is attempted
+#: Conflicts on a never-violated block before it is first tracked.
+TRAIN_THRESHOLD = 1
+#: Fresh conflicts a block needs after a violated constraint (§5.1).
+BACKOFF = 100
 
 
 @dataclass
 class ConflictPredictor:
     """Per-core predictor mapping block number → tracking decision."""
 
-    train_threshold: int = 1
-    backoff: int = 100
     always_track: bool = False
-    _table: dict[int, _BlockState] = field(default_factory=dict)
+    #: block → conflicts still owed before tracking starts; a block is
+    #: tracked once its count is ≤ 0, and an absent block is untracked.
+    _owed: dict[int, int] = field(default_factory=dict)
 
     def should_track(self, block: int) -> bool:
         """Should accesses to *block* use value-based/symbolic tracking?"""
         if self.always_track:
             return True
-        state = self._table.get(block)
-        return state is not None and state.conflicts >= state.required
+        owed = self._owed.get(block)
+        return owed is not None and owed <= 0
 
     def observe_conflict(self, block: int) -> None:
         """A conflict involving *block* was observed; train up."""
-        state = self._table.get(block)
-        if state is None:
-            state = _BlockState(required=self.train_threshold)
-            self._table[block] = state
-        state.conflicts += 1
+        self._owed[block] = self._owed.get(block, TRAIN_THRESHOLD) - 1
 
     def observe_violation(self, block: int) -> None:
         """A commit-time constraint on *block* was violated; train down
-        hard (require `backoff` fresh conflicts before retrying)."""
-        state = self._table.get(block)
-        if state is None:
-            state = self._table[block] = _BlockState()
-        state.conflicts = 0
-        state.required = self.backoff
-
-    def tracked_blocks(self) -> list[int]:
-        return [
-            block
-            for block, state in self._table.items()
-            if state.conflicts >= state.required
-        ]
+        hard (require :data:`BACKOFF` fresh conflicts before retrying)."""
+        self._owed[block] = BACKOFF

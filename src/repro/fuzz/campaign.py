@@ -81,7 +81,6 @@ class CampaignOptions:
     emit: bool = True
     #: inject a check/faults.py fault (shrinker exercise; expect red)
     fault: Optional[str] = None
-    fault_seed: int = 0
     #: machine-config override (e.g. bounded speculative-set
     #: capacities); like the fault, part of the corpus key
     config: Optional[MachineConfig] = None
@@ -140,7 +139,6 @@ class _DeepSettings:
     backends: tuple
     nthreads: int
     fault: Optional[str]
-    fault_seed: int
     config: Optional[MachineConfig]
 
 
@@ -157,7 +155,6 @@ def _deep_worker(settings: _DeepSettings, task: tuple):
         case,
         backends=settings.backends,
         fault=settings.fault,
-        fault_seed=settings.fault_seed,
         config=settings.config,
     )
 
@@ -192,7 +189,6 @@ def _deep_phase(
         backends=tuple(opts.backends),
         nthreads=opts.nthreads,
         fault=opts.fault,
-        fault_seed=opts.fault_seed,
         config=opts.config,
     )
     stop = (
@@ -242,7 +238,6 @@ def _handle_shrink(
     predicate = divergence_predicate(
         backends=opts.backends,
         fault=opts.fault,
-        fault_seed=opts.fault_seed,
         config=opts.config,
     )
     result = shrink_case(case, predicate)
@@ -255,7 +250,6 @@ def _handle_shrink(
             result.case,
             backends=opts.backends,
             fault=opts.fault,
-            fault_seed=opts.fault_seed,
             config=opts.config,
         )
         path = emit_regression(
@@ -276,7 +270,6 @@ def run_campaign(opts: CampaignOptions) -> CampaignReport:
         opts.corpus_root,
         machine=opts.config,
         fault=opts.fault,
-        fault_seed=opts.fault_seed,
     )
     report = CampaignReport()
     deadline = (

@@ -67,13 +67,11 @@ class Corpus:
         root: Path = DEFAULT_ROOT,
         machine: Optional[MachineConfig] = None,
         fault: Optional[str] = None,
-        fault_seed: int = 0,
     ) -> None:
         self.root = Path(root)
         self._setting = {
             "machine": asdict(machine) if machine is not None else None,
             "fault": fault,
-            "fault_seed": fault_seed,
         }
         self._loaded: dict[Path, dict] = {}
         #: path -> length of its whole lines, for a log with a torn tail

@@ -111,7 +111,6 @@ def run_case(
     backends: tuple = DEFAULT_BACKENDS,
     config: Optional[MachineConfig] = None,
     fault: Optional[str] = None,
-    fault_seed: int = 0,
     oracle: bool = True,
 ) -> CaseOutcome:
     """Run *case* on every backend and cross-check all signals."""
@@ -145,9 +144,7 @@ def run_case(
         if fault is not None:
             from repro.check.faults import FaultInjector
 
-            machine.system.fault_injector = FaultInjector(
-                fault, seed=fault_seed
-            )
+            machine.system.fault_injector = FaultInjector(fault)
         run = BackendRun(backend=backend)
         outcome.runs.append(run)
         try:

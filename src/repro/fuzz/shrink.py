@@ -185,7 +185,6 @@ def _assembled_instructions(case: FuzzCase) -> int:
 def divergence_predicate(
     backends: tuple = DEFAULT_BACKENDS,
     fault: Optional[str] = None,
-    fault_seed: int = 0,
     kinds: Optional[set] = None,
     config=None,
 ) -> Callable[[FuzzCase], bool]:
@@ -197,7 +196,6 @@ def divergence_predicate(
             candidate,
             backends=backends,
             fault=fault,
-            fault_seed=fault_seed,
             config=config,
         )
         if kinds is None:

@@ -659,11 +659,7 @@ class RetconTMSystem(BaseTMSystem):
                 ),
                 ssb_capacity=None if unlimited else config.ssb_entries,
                 symbolic_arithmetic=symbolic_arithmetic,
-                predictor=ConflictPredictor(
-                    train_threshold=config.predictor_train_threshold,
-                    backoff=config.predictor_backoff,
-                    always_track=track_all,
-                ),
+                predictor=ConflictPredictor(always_track=track_all),
             )
             for _ in range(config.ncores)
         ]

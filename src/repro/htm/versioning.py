@@ -34,10 +34,6 @@ class UndoLog:
         """Discard the log (speculative values become architectural)."""
         self._entries.clear()
 
-    def written_ranges(self) -> list[tuple[int, int]]:
-        """Return (addr, size) of every logged store, oldest first."""
-        return [(addr, len(data)) for addr, data in self._entries]
-
     def pre_image(self) -> dict[int, int]:
         """Per-byte pre-transaction values of every logged location.
 

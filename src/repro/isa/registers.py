@@ -38,10 +38,6 @@ class RegisterFile:
     def restore(self, snapshot: list[int]) -> None:
         self.values[:] = snapshot
 
-    def reset(self) -> None:
-        for i in range(NUM_REGS):
-            self.values[i] = 0
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         pairs = ", ".join(
             f"r{i}={v}" for i, v in enumerate(self.values) if v != 0

@@ -52,10 +52,3 @@ class BumpAllocator:
         rounded = (end + BLOCK_SIZE - 1) & ~(BLOCK_SIZE - 1)
         self._next = rounded
         return addr
-
-    def alloc_array(
-        self, count: int, stride: int, align: int = 8
-    ) -> list[int]:
-        """Allocate *count* elements of *stride* bytes; return addresses."""
-        base = self.alloc(count * stride, align=align)
-        return [base + i * stride for i in range(count)]

@@ -36,6 +36,11 @@ class MachineConfig:
     Two Table 1 parameters are constants, not fields: a core retires
     one instruction per cycle (1 IPC), and the block size is
     :data:`repro.mem.address.BLOCK_SIZE`, which every block index uses.
+    Values the paper fixes and nothing varies are constants in the
+    module that uses them: the predictor's training
+    (:mod:`repro.core.predictor`), the stall retry interval and the
+    zero-cycle rollback (:mod:`repro.sim.cpu`), and the STM layout and
+    barrier costs (:mod:`repro.stm`).
     """
 
     # Processor
@@ -75,43 +80,11 @@ class MachineConfig:
     # commit-time stores.
     idealized: bool = False
 
-    # Predictor (paper §5.1): a violated constraint trains down
-    # aggressively, requiring `predictor_backoff` conflicts on that
-    # block before symbolic tracking is attempted again.
-    predictor_train_threshold: int = 1
-    predictor_backoff: int = 100
-
-    # Contention management: cycles a stalled requester waits before
-    # re-attempting a conflicting access.
-    stall_retry_cycles: int = 20
-
     # Hybrid TM (HyTM): HTM attempts a transaction gets before its
     # next restart escalates to the STM slow path.  0 means every
     # transaction runs STM from its first attempt; only the hybrid-*
     # and progressive backends consult it.
     retry_budget: int = 4
-
-    # STM slow path: ownership-record (orec) table size and the
-    # per-operation instrumentation costs, charged as extra ISA
-    # instructions (1 cycle each at 1 IPC) on top of the coherence
-    # latency of touching the metadata blocks themselves.
-    stm_orecs: int = 256
-    #: read barrier: hash + orec version load + read-set append
-    stm_read_barrier_instrs: int = 2
-    #: write barrier: hash + write-buffer insert + write-set append
-    stm_write_barrier_instrs: int = 3
-    #: commit-time validation, per read-set orec
-    stm_validate_instrs: int = 1
-    #: commit-time publish, per write-set orec (acquire + version bump)
-    stm_commit_instrs: int = 2
-    #: HTM-side instrumentation, per event: the begin-time subscription
-    #: load of the STM clock and, in hybrid mode, each commit-time orec
-    #: version bump that makes HTM writes visible to STM validation
-    stm_subscribe_instrs: int = 1
-
-    # Zero-cycle rollback (paper §2: the baseline models an efficient
-    # zero-cycle rollback latency).
-    abort_cycles: int = 0
 
     def rows(self) -> list[tuple[str, str]]:
         """Return (parameter, value) rows in Table 1's format."""

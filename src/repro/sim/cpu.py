@@ -22,6 +22,10 @@ from repro.sim.decode import chain_for
 from repro.sim.script import Barrier, ThreadScript, Txn, Work
 from repro.sim.stats import CoreStats
 
+#: Cycles a stalled requester waits before re-attempting a conflicting
+#: access; consecutive stalls double it up to 16x.
+STALL_RETRY_CYCLES = 20
+
 
 class CoreState(enum.Enum):
     RUNNING = "running"
@@ -37,7 +41,6 @@ class Core:
         "system",
         "stats",
         "items",
-        "config",
         "engine",
         "cc",
         "regs",
@@ -71,7 +74,6 @@ class Core:
         self.system = system
         self.stats = stats
         self.items = list(script.items)
-        self.config = system.config
         self.engine = system.engine(cid)
         self.cc = self.engine.cc if self.engine is not None else (
             ConditionCodes()
@@ -320,12 +322,8 @@ class Core:
         """
         stalls = self.consecutive_stalls + 1
         self.consecutive_stalls = stalls
-        # Doubles per consecutive stall up to 16x, never past 400 cycles.
-        stall = self.config.stall_retry_cycles << (
-            stalls - 1 if stalls < 5 else 4
-        )
-        if stall > 400:
-            stall = 400
+        # Doubles per consecutive stall up to 16x (320 cycles).
+        stall = STALL_RETRY_CYCLES << (stalls - 1 if stalls < 5 else 4)
         self.cycle += stall
         self.attempt_conflict += stall
         self.attempt_stall_events += 1
@@ -394,7 +392,7 @@ class Core:
         backoff = min(
             400, (self.consecutive_aborts - 1) * (9 + self.cid % 13)
         )
-        restart = max(1, self.config.abort_cycles) + backoff
+        restart = 1 + backoff
         self.cycle += restart
         self.attempt_conflict += restart
         self._flush_conflict_stats()

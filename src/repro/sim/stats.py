@@ -240,11 +240,6 @@ class MachineStats:
             return 0.0
         return 100.0 * self._txn_commit_cycles / self._txn_cycles
 
-    def retcon_sampled_txns(self) -> int:
-        """Committed transactions that contributed a RETCON sample
-        (0 on baseline systems and on all-abort runs)."""
-        return self._retcon[self.RETCON_FIELDS[0]].count
-
     def abort_rate_percent(self) -> float:
         """Aborted attempts as % of all attempts; 0.0 with no attempts.
 

@@ -6,14 +6,14 @@ fabric so its costs are charged in the same currency as the hardware
 backends':
 
 * **metadata in simulated memory** — the orec table, global version
-  clock, and fallback token are laid out by
-  :class:`repro.stm.metadata.StmMetadata`; every barrier pays real
+  clock, and fallback token sit at the fixed addresses of
+  :mod:`repro.stm.metadata`; every barrier pays real
   coherence latency for the metadata blocks it touches (and the orec
   table's false sharing is real, four orecs per cache block);
 * **instrumented barriers** — each read/write barrier additionally
-  charges ``stm_read_barrier_instrs`` / ``stm_write_barrier_instrs``
-  extra ISA instructions (1 cycle each at 1 IPC), the instrumentation
-  overhead axis of the Brown & Ravi tradeoff;
+  charges :data:`READ_BARRIER_INSTRS` / :data:`WRITE_BARRIER_INSTRS`
+  extra ISA instructions (1 cycle each at 1 IPC), one fixed point on
+  the instrumentation axis of the Brown & Ravi tradeoff;
 * **lazy versioning** — transactional stores go to a private
   byte-granular write buffer; memory is untouched until commit, so an
   STM abort needs no rollback;
@@ -31,7 +31,7 @@ software transactions mutually safe:
   back, so a doomed transaction's rollback can never clobber
   committed data;
 * hardware commits **publish** their write sets to the orec table
-  (version bumps, charged ``stm_subscribe_instrs`` each) so software
+  (version bumps, charged :data:`SUBSCRIBE_INSTRS` each) so software
   validation observes them; non-transactional stores bump orecs too
   (strong isolation);
 * the **progressive** variant (Kuznetsov & Ravi) makes the fallback
@@ -74,7 +74,30 @@ from repro.htm.events import StallRetry
 from repro.htm.system import BaseTMSystem, LoadResult, RetconTMSystem
 from repro.mem.address import BLOCK_SIZE, block_of
 from repro.mem.memory import WriteBuffer
-from repro.stm.metadata import StmMetadata
+from repro.stm.metadata import (
+    CLOCK_ADDR,
+    CLOCK_BLOCK,
+    TOKEN_ADDR,
+    TOKEN_BLOCK,
+    orec_addr,
+    owner_addr,
+)
+
+# Per-operation instrumentation costs, in extra ISA instructions (1
+# cycle each at 1 IPC), on top of the coherence latency of touching the
+# metadata blocks themselves.
+#: read barrier: hash + orec version load + read-set append
+READ_BARRIER_INSTRS = 2
+#: write barrier: hash + write-buffer insert + write-set append
+WRITE_BARRIER_INSTRS = 3
+#: commit-time validation, per read-set orec
+VALIDATE_INSTRS = 1
+#: commit-time publish, per write-set orec (acquire + version bump)
+COMMIT_INSTRS = 2
+#: HTM-side instrumentation, per event: the begin-time subscription
+#: load of the STM clock and, in hybrid mode, each commit-time orec
+#: version bump that makes HTM writes visible to STM validation
+SUBSCRIBE_INSTRS = 1
 
 
 @dataclass(slots=True)
@@ -126,7 +149,6 @@ class STMMixin:
         super().__init__(*args, **kwargs)
         self.hybrid = hybrid
         self.pessimistic_fallback = pessimistic_fallback
-        self.meta = StmMetadata(self.config)
         ncores = self.config.ncores
         self._stm_txns: list[_StmTxn | None] = [None] * ncores
         #: sticky per-logical-transaction escalation flag: once a
@@ -212,26 +234,24 @@ class STMMixin:
         STM clock block at the transaction's first access, so any
         writing software commit dooms it through the normal eager
         conflict machinery."""
-        block = self.meta.clock_block
         latency = self._eager_block_access(
-            core, block, False, self.fabric.probe(core, block, False)
+            core, CLOCK_BLOCK, False,
+            self.fabric.probe(core, CLOCK_BLOCK, False),
         )
-        cost = self.config.stm_subscribe_instrs
-        self.stats.core(core).barrier_instrs += cost
+        self.stats.core(core).barrier_instrs += SUBSCRIBE_INSTRS
         self.ctx[core].subscribed = True
-        return latency + cost
+        return latency + SUBSCRIBE_INSTRS
 
     def _nontx_publish(self, addr: int, size: int) -> None:
         """Strong isolation: a non-transactional store bumps the orec
         versions of the blocks it touches so concurrent software
         validation observes it.  Bookkeeping-only (no latency): the
         data access itself was already charged."""
-        meta = self.meta
         mem = self.memory
         first = addr // BLOCK_SIZE
         last = (addr + size - 1) // BLOCK_SIZE
         for blk in range(first, last + 1):
-            orec = meta.orec_addr(blk)
+            orec = orec_addr(blk)
             mem.write(orec, mem.read(orec, 8) + 1, 8)
 
     # ------------------------------------------------------------------
@@ -245,22 +265,17 @@ class STMMixin:
             return 0
         owner = self._fallback_owner
         if owner is not None and owner != core:
-            raise StallRetry(self.meta.token_block, {owner})
-        outcome = self.fabric.acquire(
-            core, self.meta.token_block, write=True
-        )
-        self.memory.write(self.meta.token_addr, core + 1, 8)
+            raise StallRetry(TOKEN_BLOCK, {owner})
+        outcome = self.fabric.acquire(core, TOKEN_BLOCK, write=True)
+        self.memory.write(TOKEN_ADDR, core + 1, 8)
         self._fallback_owner = core
         txn.holds_token = True
         return outcome.latency
 
     def _stm_load(self, core: int, addr: int, size: int) -> LoadResult:
         txn = self._stm_txns[core]
-        cfg = self.config
-        latency = self._ensure_token(core, txn)
-        cost = cfg.stm_read_barrier_instrs
-        txn.barrier_instrs += cost
-        latency += cost
+        latency = self._ensure_token(core, txn) + READ_BARRIER_INSTRS
+        txn.barrier_instrs += READ_BARRIER_INSTRS
         fabric = self.fabric
         first = addr // BLOCK_SIZE
         last = (addr + size - 1) // BLOCK_SIZE
@@ -278,18 +293,15 @@ class STMMixin:
 
     def _stm_store(self, core: int, addr: int, size: int, value: int) -> int:
         txn = self._stm_txns[core]
-        cfg = self.config
-        latency = self._ensure_token(core, txn)
-        cost = cfg.stm_write_barrier_instrs
-        txn.barrier_instrs += cost
-        latency += cost
+        latency = self._ensure_token(core, txn) + WRITE_BARRIER_INSTRS
+        txn.barrier_instrs += WRITE_BARRIER_INSTRS
         write_blocks = txn.wbuf.blocks()
         first = addr // BLOCK_SIZE
         last = (addr + size - 1) // BLOCK_SIZE
         for blk in range(first, last + 1):
             if blk in write_blocks:
                 continue
-            orec = self.meta.orec_addr(blk)
+            orec = orec_addr(blk)
             txn.write_orecs.add(orec)
             if txn.pessimistic and orec not in txn.owned_orecs:
                 latency += self._own_orec(core, txn, orec)
@@ -299,7 +311,7 @@ class STMMixin:
     def _orec_read(self, core: int, txn: _StmTxn, blk: int) -> int:
         """First read of a block: sample its orec version (optimistic)
         or acquire its owner word (pessimistic)."""
-        orec = self.meta.orec_addr(blk)
+        orec = orec_addr(blk)
         if orec in txn.read_orecs or orec in txn.owned_orecs:
             return 0
         if txn.pessimistic:
@@ -314,7 +326,7 @@ class STMMixin:
         """Progressive fallback: write our id into the orec's owner
         word.  Conflicting hardware commits check it and abort."""
         latency = self.fabric.acquire(core, block_of(orec), write=True).latency
-        self.memory.write(self.meta.owner_addr(orec), core + 1, 8)
+        self.memory.write(owner_addr(orec), core + 1, 8)
         txn.owned_orecs.add(orec)
         return latency
 
@@ -373,21 +385,19 @@ class STMMixin:
         """Abort (reason "subscription") if any block's orec is owned
         by a pessimistic fallback: the fallback read it and performs
         no validation, so a hardware write would break its snapshot."""
-        meta = self.meta
         mem = self.memory
-        for orec in {meta.orec_addr(b) for b in blocks}:
-            if mem.read(meta.owner_addr(orec), 8) != 0:
+        for orec in {orec_addr(b) for b in blocks}:
+            if mem.read(owner_addr(orec), 8) != 0:
                 self._abort_self(core, reason="subscription")
 
     def _htm_publish(self, core: int, blocks: set[int]) -> int:
         """Hardware-side commit instrumentation: bump the orec version
         of every written block so software validation observes the
-        commit.  Charged stm_subscribe_instrs per orec, plus the
+        commit.  Charged :data:`SUBSCRIBE_INSTRS` per orec, plus the
         coherence latency of the orec blocks."""
-        meta = self.meta
         mem = self.memory
-        orecs = sorted({meta.orec_addr(b) for b in blocks})
-        cost = len(orecs) * self.config.stm_subscribe_instrs
+        orecs = sorted({orec_addr(b) for b in blocks})
+        cost = len(orecs) * SUBSCRIBE_INSTRS
         latency = cost
         for orec in orecs:
             latency += self.fabric.acquire(
@@ -399,8 +409,6 @@ class STMMixin:
 
     def _stm_pre_commit(self, core: int) -> tuple[int, CommitPlan]:
         txn = self._stm_txns[core]
-        cfg = self.config
-        meta = self.meta
         mem = self.memory
         fabric = self.fabric
         latency = 0
@@ -408,7 +416,7 @@ class STMMixin:
         # Commit-time validation (optimistic only): every read orec
         # must still hold the version sampled at first read.
         if txn.read_orecs:
-            cost = len(txn.read_orecs) * cfg.stm_validate_instrs
+            cost = len(txn.read_orecs) * VALIDATE_INSTRS
             txn.barrier_instrs += cost
             latency += cost
             for orec, version in txn.read_orecs.items():
@@ -447,7 +455,7 @@ class STMMixin:
                 if outcome.invalidated:
                     self._notify_trackers(core, blk, outcome.invalidated)
             mem.write_runs(plan.stores)
-            cost = len(txn.write_orecs) * cfg.stm_commit_instrs
+            cost = len(txn.write_orecs) * COMMIT_INSTRS
             txn.barrier_instrs += cost
             latency += cost
             for orec in sorted(txn.write_orecs):
@@ -455,10 +463,8 @@ class STMMixin:
                     core, block_of(orec), write=True
                 ).latency
                 mem.write(orec, mem.read(orec, 8) + 1, 8)
-            latency += fabric.acquire(
-                core, meta.clock_block, write=True
-            ).latency
-            mem.write(meta.clock_addr, mem.read(meta.clock_addr, 8) + 1, 8)
+            latency += fabric.acquire(core, CLOCK_BLOCK, write=True).latency
+            mem.write(CLOCK_ADDR, mem.read(CLOCK_ADDR, 8) + 1, 8)
 
         self.stats.core(core).stm_commits += 1
         if self.metrics is not None:
@@ -482,11 +488,10 @@ class STMMixin:
             return
         self.stats.core(core).barrier_instrs += txn.barrier_instrs
         mem = self.memory
-        meta = self.meta
         for orec in txn.owned_orecs:
-            mem.write(meta.owner_addr(orec), 0, 8)
+            mem.write(owner_addr(orec), 0, 8)
         if txn.holds_token:
-            mem.write(meta.token_addr, 0, 8)
+            mem.write(TOKEN_ADDR, 0, 8)
             self._fallback_owner = None
         self._stm_txns[core] = None
 

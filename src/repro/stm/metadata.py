@@ -1,9 +1,8 @@
 """STM metadata layout in simulated memory.
 
-The software path's bookkeeping lives in the *simulated* address
-space, placed by the same :class:`~repro.mem.allocator.BumpAllocator`
-the workloads use, so every metadata access pays real coherence
-latency and contends for real cache blocks:
+The software path's bookkeeping lives at fixed addresses in the
+*simulated* address space, so every metadata access pays real
+coherence latency and contends for real cache blocks:
 
 * a **global version clock** word on its own block — bumped by every
   writing STM commit; hardware transactions in hybrid mode *subscribe*
@@ -16,66 +15,42 @@ latency and contends for real cache blocks:
   (a version word and an owner word), block-aligned, so four orecs
   share a cache block and the table exhibits realistic false sharing.
 
-Blocks hash to orecs by block number modulo the table size; hash
+Blocks hash to orecs by block number modulo :data:`NORECS`; hash
 collisions only ever cause spurious aborts, never missed conflicts.
 """
 
 from __future__ import annotations
 
-from repro.mem.address import BLOCK_SIZE, block_of
-from repro.mem.allocator import BumpAllocator
-from repro.sim.config import MachineConfig
+from repro.mem.address import BLOCK_SIZE
 
 #: base of the metadata region: far above any workload allocation
 #: (workload generators start their allocators near the bottom of the
 #: address space and the fuzzer's layouts stay below a few MB)
 STM_META_BASE = 1 << 32
 
+#: the global version clock word, alone on the region's first block
+CLOCK_ADDR = STM_META_BASE
+#: the progressive fallback token word, alone on the next block
+TOKEN_ADDR = CLOCK_ADDR + BLOCK_SIZE
+#: the block-aligned orec table, right after the token's block
+OREC_BASE = TOKEN_ADDR + BLOCK_SIZE
+
+CLOCK_BLOCK = CLOCK_ADDR // BLOCK_SIZE
+TOKEN_BLOCK = TOKEN_ADDR // BLOCK_SIZE
+OREC_BLOCK = OREC_BASE // BLOCK_SIZE
+
+#: ownership records in the table
+NORECS = 256
+
 #: bytes per ownership record: version word + owner word
 OREC_STRIDE = 16
 
 
-class StmMetadata:
-    """Addresses of the STM metadata structures for one machine."""
+def orec_addr(block: int) -> int:
+    """Version-word address of the orec covering data *block*."""
+    return OREC_BASE + (block % NORECS) * OREC_STRIDE
 
-    __slots__ = (
-        "norecs",
-        "clock_addr",
-        "clock_block",
-        "token_addr",
-        "token_block",
-        "orec_base",
-        "orec_blocks",
-    )
 
-    def __init__(self, config: MachineConfig) -> None:
-        if config.stm_orecs <= 0:
-            raise ValueError("stm_orecs must be positive")
-        alloc = BumpAllocator(start=STM_META_BASE)
-        self.norecs = config.stm_orecs
-        self.clock_addr = alloc.alloc_block(8)
-        self.token_addr = alloc.alloc_block(8)
-        self.orec_base = alloc.alloc(
-            self.norecs * OREC_STRIDE, align=BLOCK_SIZE
-        )
-        self.clock_block = block_of(self.clock_addr)
-        self.token_block = block_of(self.token_addr)
-        self.orec_blocks = (
-            self.norecs * OREC_STRIDE + BLOCK_SIZE - 1
-        ) // BLOCK_SIZE
-
-    # ------------------------------------------------------------------
-    def orec_addr(self, block: int) -> int:
-        """Version-word address of the orec covering data *block*."""
-        return self.orec_base + (block % self.norecs) * OREC_STRIDE
-
-    def owner_addr(self, orec_addr: int) -> int:
-        """Owner-word address for an orec's version-word address."""
-        return orec_addr + 8
-
-    def covers(self, addr: int) -> bool:
-        """Is *addr* inside the metadata region?  (Used by tests and
-        assertions: workload data must never alias the metadata.)"""
-        return STM_META_BASE <= addr < self.orec_base + (
-            self.norecs * OREC_STRIDE
-        )
+def owner_addr(orec: int) -> int:
+    """Owner-word address for an orec's version-word address."""
+    return orec + 8

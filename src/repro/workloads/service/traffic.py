@@ -41,7 +41,7 @@ import math
 import random
 import struct
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.mem.allocator import BumpAllocator
@@ -282,17 +282,3 @@ class TrafficModel:
         for request in self.requests(count, salt=salt):
             digest.update(request.encode())
         return digest.hexdigest()
-
-    # ------------------------------------------------------------------
-    def with_overrides(
-        self,
-        skew: Optional[float] = None,
-        burst: Optional[str] = None,
-    ) -> "TrafficModel":
-        """A fresh model with spec fields overridden (same seed)."""
-        spec = self.spec
-        if skew is not None:
-            spec = replace(spec, skew=skew)
-        if burst is not None:
-            spec = replace(spec, burst=burst)
-        return TrafficModel(spec, self.seed)

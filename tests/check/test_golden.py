@@ -9,6 +9,7 @@ from repro.mem.memory import MainMemory
 from repro.sim.config import MachineConfig
 from repro.sim.machine import Machine
 from repro.sim.runner import run_sequential, run_workload
+from repro.stm.metadata import TOKEN_ADDR, TOKEN_BLOCK, orec_addr, owner_addr
 from repro.workloads.registry import get_workload
 
 
@@ -136,8 +137,7 @@ class TestStmOwnershipAtQuiescence:
 
     def test_a_clean_progressive_run_holds_nothing(self):
         generated, machine, golden = self.progressive_run()
-        meta = machine.system.meta
-        assert meta.token_block in machine.memory.touched_blocks()
+        assert TOKEN_BLOCK in machine.memory.touched_blocks()
         diff = golden_diff(generated, machine.memory, golden)
         assert diff.ok and diff.parallel_failures == []
 
@@ -149,10 +149,9 @@ class TestStmOwnershipAtQuiescence:
         self, word, failure
     ):
         generated, machine, golden = self.progressive_run()
-        meta = machine.system.meta
         leaked = (
-            meta.token_addr if word == "token"
-            else meta.owner_addr(meta.orec_addr(12345))
+            TOKEN_ADDR if word == "token"
+            else owner_addr(orec_addr(12345))
         )
         machine.memory.write(leaked, 3)
         diff = golden_diff(generated, machine.memory, golden)

@@ -12,15 +12,13 @@ from repro.sim.config import MachineConfig
 from repro.sim.machine import Machine
 
 
-def run_scenario(oracle, fault=None, seed=0, **fault_kwargs):
+def run_scenario(oracle, fault=None, **fault_kwargs):
     scripts, memory, config = fault_scenario()
     machine = Machine(
         config, "retcon", scripts, memory, check=oracle
     )
     if fault is not None:
-        machine.system.fault_injector = FaultInjector(
-            fault, seed=seed, **fault_kwargs
-        )
+        machine.system.fault_injector = FaultInjector(fault, **fault_kwargs)
     machine.run(max_cycles=50_000_000)
     return machine
 

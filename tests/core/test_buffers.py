@@ -62,13 +62,6 @@ class TestInitialValueBuffer:
         assert not entry.equality_violated(block_bytes(w0=1, w2=99))
         assert entry.equality_violated(block_bytes(w0=3, w2=2))
 
-    def test_lost_blocks(self):
-        ivb = InitialValueBuffer()
-        ivb.allocate(1, bytes(64))
-        ivb.allocate(2, bytes(64))
-        ivb.get(2).lost = True
-        assert ivb.lost_blocks() == [2]
-
 
 class TestSymbolicStoreBuffer:
     def test_exact_lookup(self):

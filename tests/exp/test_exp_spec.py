@@ -128,23 +128,24 @@ class TestLabel:
 
 class TestCacheKeyStability:
     """Literal digests of keys hashed with version 1.7.3, re-recorded
-    when ``MachineConfig`` lost its ``ipc`` and ``block_bytes`` fields:
-    the key hashes ``asdict(config)``, so every earlier entry misses
-    once."""
+    when ``MachineConfig`` lost its ten fields nothing set (the
+    predictor's training, the stall retry and abort cycles, the STM
+    orec count and barrier costs, now constants): the key hashes
+    ``asdict(config)``, so every earlier entry misses once."""
 
     PINNED = {
-        "eb5eb68d1538dbdca4b10f49d5106c4ad97ee29623b28f3c455022635134fc6d":
+        "5ce52521b4f883ffe1ea42943456c7a98c8410ad9e8217af2e1397c3bf0fed91":
             Point("python_opt", "retcon"),
-        "51d79cc84d53ec85f5cf6fc3eda8c4c8c7cdc8d9e5edadf1d6407c7549559c05":
+        "99ff28e5c2587efff5c87777cf5d72f6b565d01cad8cf01116e0311953c879d6":
             Point("python_opt", "retcon", check=True),
-        "f6e0526d158b31fc54ba7dcb3290b89c5cb5f1730505e6c5084d326837877cae":
+        "644863239fffa6eb076da00dd42b5a5b8023ae480fbedad26927c583b87cf2ca":
             Point("python_opt", "retcon", obs="trace"),
         # was Point(..., retry_budget=2)
-        "9ce49f9a87819f6f4130bae92a0c88cf76572c0f73a25de664cfa73c6ff4ca55":
+        "09926def088471afa91089fc2804ec49e86217c39e351741ccce7c10bc160ca8":
             Point("kmeans", "hybrid-retcon", ncores=4, scale=0.1,
                   config=_with(retry_budget=2)),
         # was Point(..., read_set_entries=4, write_set_entries=4)
-        "e6ee236a22890ecdaf8a367b16fb6902b80495dd2c169e0a19fa096babd8ac39":
+        "6a3a49cf382d48a2fe5d3d2dfd4cae2aeaef56832aabccfe181639c10cde002f":
             Point("genome-sz", "eager", ncores=4, scale=0.1,
                   config=_with(read_set_entries=4, write_set_entries=4)),
     }

@@ -111,8 +111,6 @@ class TestKeys:
         assert Corpus(
             tmp_path, machine=MachineConfig(read_set_entries=6)
         ).is_clean(CFG, 1, BACKENDS, 4)
-        assert not Corpus(tmp_path, fault="plan-store-skew",
-                          fault_seed=1).is_clean(CFG, 1, BACKENDS, 4)
 
 
 class TestIsClean:

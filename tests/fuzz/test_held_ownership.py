@@ -9,18 +9,15 @@ import pytest
 
 from repro.fuzz.diff import run_case
 from repro.fuzz.gen import FUZZ_PROFILES, generate_case
-from repro.sim.config import MachineConfig
 from repro.sim.machine import Machine
-from repro.stm.metadata import StmMetadata
-
-_META = StmMetadata(MachineConfig())
+from repro.stm.metadata import TOKEN_ADDR, orec_addr, owner_addr
 
 
 @pytest.mark.parametrize(
     "addr, name",
     [
-        (_META.token_addr, "stm-fallback-token"),
-        (_META.owner_addr(_META.orec_addr(3)), "stm-orec-owner"),
+        (TOKEN_ADDR, "stm-fallback-token"),
+        (owner_addr(orec_addr(3)), "stm-orec-owner"),
     ],
     ids=["token", "orec-owner"],
 )

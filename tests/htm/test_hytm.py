@@ -8,7 +8,7 @@ from repro.htm.backends import BACKENDS, build_system
 from repro.mem.memory import MainMemory
 from repro.sim.config import small_test_config
 from repro.sim.stats import MachineStats
-from repro.stm.backend import STMMixin
+from repro.stm.backend import SUBSCRIBE_INSTRS, STMMixin
 from tests.conftest import run_counter_machine
 
 ADDR = 0x4000
@@ -115,8 +115,7 @@ class TestSubscription:
         system.begin(0)
         system.load(0, ADDR, 8)
         assert system.ctx[0].subscribed
-        assert system.stats.core(0).barrier_instrs == \
-            system.config.stm_subscribe_instrs
+        assert system.stats.core(0).barrier_instrs == SUBSCRIBE_INSTRS
 
     def test_stm_commit_dooms_subscribed_hardware_txn(self):
         system, memory = make(retry_budget=0)

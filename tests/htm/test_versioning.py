@@ -35,10 +35,3 @@ class TestUndoLog:
         memory.write(0x22, 0, 2)
         log.rollback(memory)
         assert memory.read(0x20, 8) == 0x1122334455667788
-
-    def test_written_ranges(self):
-        memory = MainMemory()
-        log = UndoLog()
-        log.record(memory, 0x10, 8)
-        log.record(memory, 0x40, 4)
-        assert log.written_ranges() == [(0x10, 8), (0x40, 4)]

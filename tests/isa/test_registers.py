@@ -30,12 +30,6 @@ class TestRegisterFile:
         regs.write(Reg(0), 1)
         assert snapshot[0] == 0
 
-    def test_reset(self):
-        regs = RegisterFile()
-        regs.write(Reg(5), 42)
-        regs.reset()
-        assert regs.read(Reg(5)) == 0
-
     def test_reg_is_int(self):
         assert Reg(7) == 7
         assert repr(Reg(7)) == "r7"

@@ -42,11 +42,6 @@ class TestBumpAllocator:
         assert a % BLOCK_SIZE == 0
         assert block_of(a) != block_of(b)
 
-    def test_alloc_array_strides(self):
-        alloc = BumpAllocator()
-        addrs = alloc.alloc_array(5, stride=24)
-        assert addrs == [addrs[0] + 24 * i for i in range(5)]
-
     def test_start_must_be_positive(self):
         with pytest.raises(ValueError):
             BumpAllocator(start=0)

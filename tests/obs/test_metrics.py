@@ -2,7 +2,11 @@
 
 import pytest
 
-from repro.obs.metrics import MetricsRegistry, render_snapshot
+from repro.obs.metrics import (
+    MetricsRegistry,
+    render_snapshot,
+    validate_latency_histogram,
+)
 
 
 class TestCounters:
@@ -129,3 +133,38 @@ class TestRenderSnapshot:
 
     def test_empty(self):
         assert render_snapshot({}) == "(no metrics recorded)"
+
+
+def _snapshot(*values) -> dict:
+    hist = MetricsRegistry().histogram("txn.duration_cycles")
+    for value in values:
+        hist.observe(value)
+    return hist.snapshot()
+
+
+class TestValidateLatencyHistogram:
+    """The schema CI's latency-histogram check applies to a traced
+    service point's ``txn.duration_cycles``."""
+
+    def test_a_real_snapshot_passes(self):
+        validate_latency_histogram(_snapshot(3, 40, 40, 700, 5000))
+
+    def test_an_empty_snapshot_passes(self):
+        validate_latency_histogram(_snapshot())
+
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ({"min": 9000}, "min 9000 > max"),
+            ({"p50": 1 << 20}, "> p99"),
+            ({"mean": 1.5}, "!= total/count"),
+            ({"count": -1}, "'count' must be non-negative"),
+            ({"max": True}, "'max' must be an integer"),
+        ],
+        ids=["min>max", "p50>p99", "mean", "negative-count", "bool"],
+    )
+    def test_an_inconsistent_snapshot_raises(self, override, message):
+        snapshot = dict(_snapshot(3, 40, 40, 700, 5000), **override)
+        with pytest.raises(ValueError, match=message) as info:
+            validate_latency_histogram(snapshot, name="txn")
+        assert "'txn'" in str(info.value)

@@ -1,6 +1,38 @@
-"""Machine configuration (Table 1)."""
+"""Machine configuration (Table 1).
+
+Every field enters every result-cache key, so a field earns its place
+only when some caller outside the tests sets it to a value other than
+its default; a value the paper fixes and nothing varies is a constant
+in the module that uses it.  A new field needs such a caller, and
+:class:`TestFields` must list it.
+"""
+
+import dataclasses
 
 from repro.sim.config import MachineConfig, small_test_config
+
+
+class TestFields:
+    def test_the_fields_are_pinned(self):
+        assert [f.name for f in dataclasses.fields(MachineConfig)] == [
+            "ncores",
+            "l1_bytes",
+            "l1_assoc",
+            "l2_bytes",
+            "l2_assoc",
+            "l2_hit_cycles",
+            "dram_cycles",
+            "perm_cache_bytes",
+            "perm_cache_assoc",
+            "hop_cycles",
+            "ivb_entries",
+            "constraint_entries",
+            "ssb_entries",
+            "read_set_entries",
+            "write_set_entries",
+            "idealized",
+            "retry_budget",
+        ]
 
 
 class TestDefaults:
@@ -24,7 +56,6 @@ class TestDefaults:
         ]
 
     def test_immutable(self):
-        import dataclasses
         import pytest
 
         with pytest.raises(dataclasses.FrozenInstanceError):

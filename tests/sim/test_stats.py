@@ -87,7 +87,6 @@ class TestAllAbortRuns:
         stats = MachineStats(2)
         assert stats.commit_stall_percent() == 0.0
         assert stats.abort_rate_percent() == 0.0
-        assert stats.retcon_sampled_txns() == 0
 
     def test_aborts_without_commits(self):
         stats = MachineStats(1)
@@ -97,13 +96,5 @@ class TestAllAbortRuns:
         stats.record_retcon_sample(0, TxnRetconSample(blocks_lost=2))
         assert stats.abort_rate_percent() == 100.0
         assert stats.commit_stall_percent() == 0.0
-        assert stats.retcon_sampled_txns() == 0
         for avg, peak in stats.table3_row().values():
             assert avg == 0.0 and peak == 0.0
-
-    def test_sampled_txns_counts_committed_samples(self):
-        stats = MachineStats(1)
-        stats.record_retcon_sample(0, TxnRetconSample(blocks_lost=1))
-        stats.record_txn(0, duration=10, commit_cycles=2)
-        stats.record_txn(0, duration=10, commit_cycles=0)  # no sample
-        assert stats.retcon_sampled_txns() == 1

@@ -8,7 +8,15 @@ from repro.mem.memory import MainMemory, WriteBuffer
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.config import small_test_config
 from repro.sim.stats import MachineStats
-from repro.stm.backend import STMSystem
+from repro.stm.backend import (
+    COMMIT_INSTRS,
+    READ_BARRIER_INSTRS,
+    STMSystem,
+    SUBSCRIBE_INSTRS,
+    VALIDATE_INSTRS,
+    WRITE_BARRIER_INSTRS,
+)
+from repro.stm.metadata import CLOCK_ADDR
 from tests.conftest import run_counter_machine
 
 ADDR = 0x4000
@@ -112,18 +120,23 @@ class TestValidation:
 
 
 class TestCostModel:
+    def test_barrier_costs_are_pinned(self):
+        assert (
+            READ_BARRIER_INSTRS, WRITE_BARRIER_INSTRS, VALIDATE_INSTRS,
+            COMMIT_INSTRS, SUBSCRIBE_INSTRS,
+        ) == (2, 3, 1, 2, 1)
+
     def test_barrier_instrs_accumulate_per_op(self):
         system, _ = make_stm()
-        cfg = system.config
         system.begin(0)
         system.load(0, ADDR, 8)
         system.store(0, ADDR, 8, 5)
         system.commit(0)
         expected = (
-            cfg.stm_read_barrier_instrs
-            + cfg.stm_write_barrier_instrs
-            + 1 * cfg.stm_validate_instrs   # one read orec validated
-            + 1 * cfg.stm_commit_instrs     # one write orec bumped
+            READ_BARRIER_INSTRS
+            + WRITE_BARRIER_INSTRS
+            + 1 * VALIDATE_INSTRS   # one read orec validated
+            + 1 * COMMIT_INSTRS     # one write orec bumped
         )
         assert system.stats.core(0).barrier_instrs == expected
 
@@ -141,12 +154,12 @@ class TestCostModel:
 
     def test_read_only_commit_skips_writeback_cost(self):
         system, memory = make_stm()
-        memory.write(system.meta.clock_addr, 0, 8)
+        memory.write(CLOCK_ADDR, 0, 8)
         system.begin(0)
         system.load(0, ADDR, 8)
         system.commit(0)
         # No stores: the global clock is never bumped.
-        assert memory.read(system.meta.clock_addr, 8) == 0
+        assert memory.read(CLOCK_ADDR, 8) == 0
 
 
 class TestFallbackStatsGuard:

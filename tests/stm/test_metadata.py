@@ -1,57 +1,62 @@
 """STM metadata layout: orec table, clock, token in simulated memory."""
 
-import pytest
-
 from repro.mem.address import BLOCK_SIZE, block_of
-from repro.sim.config import MachineConfig
-from repro.stm.metadata import OREC_STRIDE, STM_META_BASE, StmMetadata
-
-
-def make_meta(**overrides) -> StmMetadata:
-    return StmMetadata(MachineConfig(**overrides))
+from repro.mem.allocator import BumpAllocator
+from repro.stm.metadata import (
+    CLOCK_ADDR,
+    CLOCK_BLOCK,
+    NORECS,
+    OREC_BASE,
+    OREC_BLOCK,
+    OREC_STRIDE,
+    STM_META_BASE,
+    TOKEN_ADDR,
+    TOKEN_BLOCK,
+    orec_addr,
+    owner_addr,
+)
 
 
 class TestLayout:
+    def test_addresses_are_pinned(self):
+        # Block numbers decide cycles: moving any of these moves results.
+        assert CLOCK_ADDR == 0x1_0000_0000
+        assert TOKEN_ADDR == 0x1_0000_0040
+        assert OREC_BASE == 0x1_0000_0080
+        assert NORECS == 256
+        assert OREC_STRIDE == 16
+
+    def test_layout_is_what_a_bump_allocator_places(self):
+        alloc = BumpAllocator(start=STM_META_BASE)
+        assert alloc.alloc_block(8) == CLOCK_ADDR
+        assert alloc.alloc_block(8) == TOKEN_ADDR
+        assert alloc.alloc(NORECS * OREC_STRIDE, align=BLOCK_SIZE) == (
+            OREC_BASE
+        )
+
+    def test_blocks_match_addresses(self):
+        assert CLOCK_BLOCK == block_of(CLOCK_ADDR)
+        assert TOKEN_BLOCK == block_of(TOKEN_ADDR)
+        assert OREC_BLOCK == block_of(OREC_BASE)
+
     def test_region_sits_above_workload_space(self):
-        meta = make_meta()
-        assert meta.clock_addr >= STM_META_BASE
-        assert meta.token_addr >= STM_META_BASE
-        assert meta.orec_base >= STM_META_BASE
+        assert min(CLOCK_ADDR, TOKEN_ADDR, OREC_BASE) >= STM_META_BASE
 
     def test_clock_and_token_own_their_blocks(self):
-        meta = make_meta()
-        blocks = {
-            meta.clock_block,
-            meta.token_block,
-            block_of(meta.orec_base),
-        }
-        assert len(blocks) == 3  # no false sharing between the three
+        # no false sharing between the three
+        assert len({CLOCK_BLOCK, TOKEN_BLOCK, OREC_BLOCK}) == 3
 
     def test_orec_table_is_block_aligned(self):
-        meta = make_meta()
-        assert meta.orec_base % BLOCK_SIZE == 0
+        assert OREC_BASE % BLOCK_SIZE == 0
 
     def test_orecs_false_share_cache_blocks(self):
         # 16-byte records: four orecs per 64-byte block, by design.
-        meta = make_meta()
         per_block = BLOCK_SIZE // OREC_STRIDE
-        first = {
-            block_of(meta.orec_addr(blk)) for blk in range(per_block)
-        }
+        first = {block_of(orec_addr(blk)) for blk in range(per_block)}
         assert len(first) == 1
 
     def test_orec_mapping_is_modular(self):
-        meta = make_meta(stm_orecs=8)
-        assert meta.orec_addr(3) == meta.orec_addr(3 + 8)
-        assert meta.orec_addr(0) != meta.orec_addr(1)
-        assert meta.owner_addr(meta.orec_addr(0)) == meta.orec_addr(0) + 8
-
-    def test_covers_metadata_not_workload_data(self):
-        meta = make_meta()
-        assert meta.covers(meta.orec_addr(123))
-        assert meta.covers(meta.clock_addr)
-        assert not meta.covers(0x4000)
-
-    def test_rejects_empty_table(self):
-        with pytest.raises(ValueError):
-            make_meta(stm_orecs=0)
+        assert orec_addr(3) == orec_addr(3 + NORECS)
+        assert orec_addr(0) != orec_addr(1)
+        assert orec_addr(NORECS - 1) == OREC_BASE + (NORECS - 1) * 16
+        assert owner_addr(orec_addr(0)) == orec_addr(0) + 8

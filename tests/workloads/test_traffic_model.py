@@ -24,6 +24,7 @@ from repro.workloads.service.traffic import (
     TrafficSpec,
     popularity_table,
 )
+from repro.workloads.registry import get_workload
 
 skews = st.floats(min_value=0.2, max_value=3.0,
                   allow_nan=False, allow_infinity=False)
@@ -190,14 +191,15 @@ class TestSpecAndArrivals:
         mean = lambda xs: sum(xs) / len(xs)  # noqa: E731
         assert mean(burst_gaps) < mean(calm_gaps) / 3
 
-    def test_with_overrides_reshapes_spec(self):
-        model = TrafficModel(TrafficSpec(), seed=4)
-        steeper = model.with_overrides(skew=2.0, burst="steady")
-        assert steeper.spec.skew == 2.0
-        assert steeper.spec.burst == "steady"
-        assert steeper.seed == model.seed
-        # the original is untouched
-        assert model.spec.skew == TrafficSpec().skew
+    def test_with_traffic_reshapes_spec(self):
+        workload = get_workload("service-checkout")
+        steeper = workload.with_traffic(skew=2.0, burst="steady")
+        assert steeper.traffic_spec.skew == 2.0
+        assert steeper.traffic_spec.burst == "steady"
+        assert type(steeper) is type(workload)
+        # the original is untouched, and no override is no copy
+        assert workload.traffic_spec == type(workload).traffic_spec
+        assert workload.with_traffic() is workload
 
 
 class TestSharedAllocator:
