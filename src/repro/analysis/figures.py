@@ -37,8 +37,10 @@ from repro.analysis.report import (
     format_speedup_matrix,
     format_table,
 )
+from repro.analysis.timeline import render_timeline
 from repro.exp.engine import iter_points
 from repro.exp.spec import Point, smoke_spec
+from repro.obs.events import EventStream
 from repro.sim.config import MachineConfig
 from repro.sim.runner import WorkloadResult
 from repro.workloads.registry import (
@@ -321,88 +323,64 @@ _FIGURE1_CLAIMS = (
 # ---------------------------------------------------------------------------
 @dataclass
 class Figure2Point:
-    system: str
     cycles: int
     commits: int
     aborts: int
     stall_events: int
+    timeline: str
 
 
 FIGURE2_SYSTEMS = ("retcon", "datm", "eager-abort", "eager-stall", "lazy")
-FIGURE2_COUNTER = 4096
 
 
-def figure2_machine(
-    system: str, txns_per_core: int, increments: int, tracer=None
-):
-    """Two cores repeatedly double-incrementing a shared counter: the
-    machine (not yet run) and its memory."""
-    from repro.isa.program import Assembler
-    from repro.isa.registers import R1
-    from repro.mem.memory import MainMemory
-    from repro.sim.machine import Machine
-    from repro.sim.script import ThreadScript
+def _figure2_points(base: Point) -> Labelled:
+    """Each system on the two-core counter at seed 1, traced: four
+    transactions a core (scale 2.0) for the table, two for the
+    timelines.  The base point's check and machine config reach all."""
+    return [
+        (
+            (part, system),
+            replace(base, workload="figure2", system=system, ncores=2,
+                    seed=1, scale=scale, obs="trace"),
+        )
+        for part, scale in (("table", 2.0), ("timeline", 1.0))
+        for system in FIGURE2_SYSTEMS
+    ]
 
-    memory = MainMemory()
-    scripts = []
-    for _core in range(2):
-        script = ThreadScript()
-        for _ in range(txns_per_core):
-            asm = Assembler()
-            for _ in range(increments):
-                asm.load(R1, FIGURE2_COUNTER)
-                asm.addi(R1, R1, 1)
-                asm.store(R1, FIGURE2_COUNTER)
-                asm.nop(5)
-            script.add_txn(asm.build(), label="counter")
-            script.add_work(3)
-        scripts.append(script)
-    machine = Machine(
-        MachineConfig(ncores=2), system, scripts, memory, tracer=tracer
+
+def _figure2_row(
+    result: WorkloadResult, artifacts: Mapping[str, dict]
+) -> Figure2Point:
+    trace = artifacts["trace"]
+    return Figure2Point(
+        cycles=result.cycles,
+        commits=result.commits,
+        aborts=result.aborts,
+        stall_events=sum(
+            count for name, count in trace["metrics"].items()
+            if name.startswith("core.stall_events{")
+        ),
+        timeline=render_timeline(EventStream.from_payload(trace), ncores=2),
     )
-    return machine, memory
 
 
-def figure2(
-    txns_per_core: int = 4, increments: int = 2
-) -> dict[str, Figure2Point]:
-    results = {}
-    for system in FIGURE2_SYSTEMS:
-        machine, memory = figure2_machine(
-            system, txns_per_core, increments
-        )
-        run = machine.run()
-        expected = 2 * txns_per_core * increments
-        actual = memory.read(FIGURE2_COUNTER)
-        if actual != expected:
-            raise AssertionError(
-                f"{system}: counter {actual} != {expected}"
-            )
-        results[system] = Figure2Point(
-            system=system,
-            cycles=run.cycles,
-            commits=run.commits,
-            aborts=run.aborts,
-            stall_events=sum(
-                c.stall_events for c in run.stats.cores
-            ),
-        )
-    return results
+def _figure2_finish(data: dict, _base) -> dict[str, Figure2Point]:
+    """Each system's table row, with its timeline-run's timeline."""
+    return {
+        system: replace(point, timeline=data["timeline"][system].timeline)
+        for system, point in data["table"].items()
+    }
 
 
 def _render_figure2(data: Mapping[str, Figure2Point], _ncores) -> str:
-    from repro.analysis.timeline import figure2_timelines
-
-    parts = [
-        format_table(
-            ["system", "cycles", "commits", "aborts", "stalls"],
-            [(p.system, p.cycles, p.commits, p.aborts, p.stall_events)
-             for p in data.values()],
-        )
-    ]
-    for system, timeline in figure2_timelines().items():
-        parts.append(f"\n--- {system} ---\n{timeline}")
-    return "\n".join(parts)
+    table = format_table(
+        ["system", "cycles", "commits", "aborts", "stalls"],
+        [(system, p.cycles, p.commits, p.aborts, p.stall_events)
+         for system, p in data.items()],
+    )
+    return "\n".join(
+        [table, *(f"\n--- {s} ---\n{p.timeline}" for s, p in data.items())]
+    )
 
 
 def _counts(*systems: str) -> Callable[[dict], str]:
@@ -1058,7 +1036,9 @@ FIGURES: dict[str, Figure] = {
     ),
     "2": Figure(
         title="Figure 2 — counter comparison (2 cores, 2 increments)",
-        finish=lambda _data, _base: figure2(),
+        points=_figure2_points,
+        row=_figure2_row,
+        finish=_figure2_finish,
         render=_render_figure2,
         claims=_FIGURE2_CLAIMS,
     ),

@@ -65,35 +65,3 @@ def render_timeline(
             lines.append(f"core {core}: {''.join(lane)}")
     return "\n".join(lines)
 
-
-def figure2_tracer(
-    system: str, txns_per_core: int = 2, increments: int = 2
-) -> EventStream:
-    """Run the Figure 2 counter scenario on *system* and return the
-    trace: two cores repeatedly incrementing one shared counter — the
-    canonical conflict the paper's Figure 2 walks through."""
-    from repro.analysis.figures import figure2_machine
-
-    tracer = EventStream()
-    machine, _memory = figure2_machine(
-        system, txns_per_core, increments, tracer=tracer
-    )
-    machine.run()
-    return tracer
-
-
-def figure2_timelines(
-    txns_per_core: int = 2, increments: int = 2, width: int = 72
-) -> dict[str, str]:
-    """Run the Figure 2 scenario on each system with tracing and
-    return the rendered timeline per system."""
-    from repro.analysis.figures import FIGURE2_SYSTEMS
-
-    return {
-        system: render_timeline(
-            figure2_tracer(system, txns_per_core, increments),
-            ncores=2,
-            width=width,
-        )
-        for system in FIGURE2_SYSTEMS
-    }

@@ -358,21 +358,9 @@ def _run_traced(args, point: Point) -> int:
 
 
 def _trace_source(args):
-    """Obtain ``(label, events, metrics)`` for the trace commands.
-
-    The pseudo-workload ``figure2`` runs the paper's two-core counter
-    scenario directly; everything else goes through the experiment
-    engine (and its trace-artifact cache).
-    """
-    if args.workload == "figure2":
-        from repro.analysis.timeline import figure2_tracer
-
-        _known_backends([args.system])
-        return (
-            f"figure2/{args.system}",
-            figure2_tracer(args.system),
-            {},
-        )
+    """Obtain ``(label, events, metrics)`` for the trace commands: the
+    command line's point, run traced through the experiment engine
+    (and its trace-artifact cache)."""
     _result, events, metrics = run_point_with_trace(
         _point_from_args(args), **_engine_opts(args)
     )
@@ -417,9 +405,8 @@ def _cmd_timeline(args) -> int:
     )
 
     label, events, _metrics = _trace_source(args)
-    ncores = 2 if args.workload == "figure2" else args.cores
     print(f"--- {label} ---")
-    print(render_timeline(events, ncores=ncores, width=args.width))
+    print(render_timeline(events, ncores=args.cores, width=args.width))
     print(f"\ncontention by block ({label}):")
     print(contention_heatmap(events))
     print(f"\nabort attribution ({label}):")
@@ -827,12 +814,9 @@ def build_parser() -> argparse.ArgumentParser:
     export = trace_sub.add_parser(
         "export",
         help="run one point with tracing and write Chrome-trace JSON "
-             "(openable in ui.perfetto.dev); the pseudo-workload "
-             "'figure2' exports the paper's two-core counter scenario",
+             "(openable in ui.perfetto.dev)",
     )
-    export.add_argument(
-        "workload", choices=sorted(WORKLOADS) + ["figure2"]
-    )
+    export.add_argument("workload", choices=sorted(WORKLOADS))
     export.add_argument("--system", default="retcon")
     export.add_argument(
         "-o", "--output", default=None, metavar="FILE",
@@ -845,9 +829,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="ASCII per-core timeline plus contention heatmap and "
              "abort-attribution breakdown for one traced run",
     )
-    timeline.add_argument(
-        "workload", choices=sorted(WORKLOADS) + ["figure2"]
-    )
+    timeline.add_argument("workload", choices=sorted(WORKLOADS))
     timeline.add_argument("--system", default="retcon")
     timeline.add_argument(
         "--width", type=int, default=72,

@@ -103,7 +103,9 @@ class RetconEngine:
     ``symbolic_arithmetic=False`` gives the paper's *lazy-vb* variant:
     blocks are still value-tracked (reads validated byte-precisely at
     commit, stores buffered), but no symbolic repair is performed — a
-    changed value always aborts.
+    changed value always aborts.  Only :meth:`load` reads the flag: it
+    mints no root, so no symbolic value reaches the other hooks, and
+    the core runs the plain handler chain (:mod:`repro.sim.decode`).
     """
 
     def __init__(
@@ -275,8 +277,6 @@ class RetconEngine:
         supplies pre-store bytes when a partial overlap must be merged.
         Raises :class:`CapacityAbort` if the (bounded) SSB is full.
         """
-        if not self.symbolic_arithmetic:
-            sym = None
         ssb = self.ssb
         try:
             exact = ssb.lookup(addr, size) is not None
@@ -356,8 +356,6 @@ class RetconEngine:
         destination's symbolic value and places equality constraints
         for untrackable uses (§4.2).
         """
-        if not self.symbolic_arithmetic:
-            rs1_sym = src2_sym = None
         if rs1_sym is None and src2_sym is None:
             self.sregs.set(rd, None)
             return
@@ -418,8 +416,6 @@ class RetconEngine:
         taken: bool,
     ) -> None:
         """A compare-and-branch resolved; record any needed constraint."""
-        if not self.symbolic_arithmetic:
-            return
         if rs1_sym is not None and src2_sym is not None:
             self.equality_constrain_sym(src2_sym)
             src2_sym = None
@@ -440,8 +436,6 @@ class RetconEngine:
         rhs_sym: Optional[SymValue],
     ) -> None:
         """A Cmp executed; update the (symbolically extended) codes."""
-        if not self.symbolic_arithmetic:
-            lhs_sym = rhs_sym = None
         if lhs_sym is not None and rhs_sym is not None:
             self.equality_constrain_sym(rhs_sym)
             rhs_sym = None

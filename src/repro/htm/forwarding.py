@@ -94,11 +94,12 @@ class ForwardingMixin:
         visit(core)
         return tuple(c for c in reversed(post) if self.ctx[c].active)
 
-    def _cascade_abort(self, core: int) -> None:
-        """Abort *core*'s dependents (they consumed forwarded data)."""
+    def _cascade_abort(self, core: int, block: int | None) -> None:
+        """Abort *core*'s dependents (they consumed forwarded data),
+        naming the conflict *block* that aborted *core*."""
         for succ in list(self._succs[core]):
             if self.ctx[succ].active:
-                self._doom(succ, reason="dependence")
+                self._doom(succ, "dependence", block)
 
     # ------------------------------------------------------------------
     # Hooks into the base system's lifecycle
@@ -107,10 +108,11 @@ class ForwardingMixin:
         super().begin(core, restart)
         self._clear_edges(core)
 
-    def _rollback(self, core: int, reason: str, remote: bool) -> None:
-        self._cascade_abort(core)
+    def _rollback(self, core, reason, remote, block=None, structure=None) -> None:
+        # A capacity abort's block is its own, not its dependents'.
+        self._cascade_abort(core, None if structure else block)
         self._clear_edges(core)
-        super()._rollback(core, reason, remote)
+        super()._rollback(core, reason, remote, block, structure)
 
     def _resolve(self, core: int, block: int, holders: set[int]) -> None:
         """Forward instead of aborting.  Non-transactional requesters

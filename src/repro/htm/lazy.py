@@ -36,10 +36,10 @@ class LazyTMSystem(BaseTMSystem):
         self._read_sets[core].clear()
         self._write_buffers[core].clear()
 
-    def _rollback(self, core: int, reason: str, remote: bool) -> None:
+    def _rollback(self, core, reason, remote, block=None, structure=None) -> None:
         # Clear after the base body: it observes set occupancy while
         # the sets are still populated.
-        super()._rollback(core, reason, remote)
+        super()._rollback(core, reason, remote, block, structure)
         self._read_sets[core].clear()
         self._write_buffers[core].clear()
 

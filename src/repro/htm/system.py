@@ -112,9 +112,6 @@ class BaseTMSystem:
         #: optional :class:`repro.obs.metrics.MetricsRegistry`; attach
         #: via :meth:`bind_metrics` so commits hold histogram handles
         self.metrics = None
-        #: block whose conflict resolution is in progress (attributed
-        #: to abort events raised while resolving it)
-        self._resolving_block: Optional[int] = None
         #: optional :class:`repro.check.oracle.RepairOracle`; the core
         #: drives its recording hooks, :meth:`_check_commit` its checks
         self.oracle = None
@@ -129,10 +126,6 @@ class BaseTMSystem:
         self._cap_limited = (
             self._rs_limit is not None or self._ws_limit is not None
         )
-        #: structure/block stashed by capacity aborts so the abort
-        #: event carries its attribution (consumed by _rollback)
-        self._abort_structure: Optional[str] = None
-        self._abort_block: Optional[int] = None
 
     def _trace(self, kind: str, core: int, detail: dict) -> None:
         """Record one event as is; ``Machine.run`` shadows this with a
@@ -248,14 +241,10 @@ class BaseTMSystem:
                     action = Action.ABORT_SELF
                 else:
                     action = Action.ABORT_REMOTE
-            self._resolving_block = block
-            try:
-                if action is Action.ABORT_REMOTE:
-                    self._doom(holder, reason="conflict")
-                else:
-                    self._abort_self(core, reason="conflict")
-            finally:
-                self._resolving_block = None
+            if action is Action.ABORT_REMOTE:
+                self._doom(holder, "conflict", block)
+            else:
+                self._abort_self(core, "conflict", block)
         waiting.pop(core, None)
 
     def _check_self_doom(self, core: int) -> None:
@@ -308,23 +297,40 @@ class BaseTMSystem:
     ) -> None:
         """Hook for predictor training (RETCON overrides)."""
 
-    def _doom(self, core: int, reason: str) -> None:
+    def _doom(
+        self, core: int, reason: str, block: Optional[int] = None
+    ) -> None:
         """Abort a remote core's transaction: restore state now, let its
         interpreter notice at its next step.  Idempotent: an attempt
         stays active until it polls its doom, and is rolled back (and
         counted) once."""
         ctx = self.ctx[core]
         if ctx.active and not ctx.doomed:
-            self._rollback(core, reason, remote=True)
+            self._rollback(core, reason, True, block)
 
-    def _abort_self(self, core: int, reason: str) -> None:
-        self._rollback(core, reason, remote=False)
+    def _abort_self(
+        self,
+        core: int,
+        reason: str,
+        block: Optional[int] = None,
+        structure: Optional[str] = None,
+    ) -> None:
+        self._rollback(core, reason, False, block, structure)
         raise TxnAborted(reason)
 
-    def _rollback(self, core: int, reason: str, remote: bool) -> None:
+    def _rollback(
+        self,
+        core: int,
+        reason: str,
+        remote: bool,
+        block: Optional[int] = None,
+        structure: Optional[str] = None,
+    ) -> None:
         """The one abort body behind :meth:`_doom` and
         :meth:`_abort_self`; variants with extra per-attempt state
-        extend this method."""
+        extend this method.  The abort event names *block* (whose
+        conflict or overflow caused it) and a capacity abort's
+        *structure*."""
         ctx = self.ctx[core]
         if self.metrics is not None:
             self._observe_occupancy(core)
@@ -345,9 +351,6 @@ class BaseTMSystem:
         self._clear_wait_edges(core)
         stats = self.stats.core(core)
         stats.aborts[reason] = stats.aborts.get(reason, 0) + 1
-        # The capacity stash describes the aborting requester, not the
-        # dependents its abort may cascade to.
-        structure = None if remote else self._abort_structure
         if structure is not None:
             capacity = stats.capacity_aborts
             capacity[structure] = capacity.get(structure, 0) + 1
@@ -355,9 +358,6 @@ class BaseTMSystem:
             detail = {"reason": reason, "by": "remote" if remote else "self"}
             if structure is not None:
                 detail["structure"] = structure
-            block = self._resolving_block
-            if not remote and self._abort_block is not None:
-                block = self._abort_block
             if block is not None:
                 detail["block"] = block
             self._trace("abort", core, detail)
@@ -374,16 +374,9 @@ class BaseTMSystem:
         overflows (``ssb``) keep their existing retry mechanism —
         predictor retraining — and never serialize.
         """
-        ctx = self.ctx[core]
         if structure in ("read_set", "write_set"):
-            ctx.cap_serialized = True
-        self._abort_structure = structure
-        self._abort_block = block
-        try:
-            self._abort_self(core, reason="capacity")
-        finally:
-            self._abort_structure = None
-            self._abort_block = None
+            self.ctx[core].cap_serialized = True
+        self._abort_self(core, "capacity", block, structure)
 
     def _check_spec_capacity(
         self, core: int, block: int, write: bool
@@ -648,9 +641,9 @@ class RetconTMSystem(BaseTMSystem):
         track_all: bool = False,
     ) -> None:
         super().__init__(config, memory, fabric, stats, policy)
+        # track_all (lazy-vb) lifts the IVB, constraint-buffer and SSB
+        # bounds too: lazy-vb runs unbounded, an idealised Figure 9 row
         unlimited = config.idealized or track_all
-        self.symbolic_arithmetic = symbolic_arithmetic
-        self.track_all = track_all
         self._engines = [
             RetconEngine(
                 ivb_capacity=None if unlimited else config.ivb_entries,
@@ -783,9 +776,6 @@ class RetconTMSystem(BaseTMSystem):
             return super().store(core, addr, size, value, sym=None)
 
         block = addr // BLOCK_SIZE
-        if not self.symbolic_arithmetic:
-            sym = None
-
         fits = (addr + size - 1) // BLOCK_SIZE == block
         tracked = fits and block in engine.ivb.entries_by_block
         if not tracked and fits and not self.fabric.is_spec(core, block):

@@ -99,8 +99,8 @@ class Core:
         # The attached oracle's executed-pc list for the current attempt.
         self._pc_trace: Optional[list[int]] = None
         # Handler chain of the current transaction's program (chains
-        # are shared across cores via the Program, one variant per
-        # engine-ness; see repro.sim.decode).
+        # are shared across cores via the Program, one symbolic and
+        # one plain variant; see repro.sim.decode).
         self._chain_program = None
         self._chain: list = []
         # Burst-invariant environment, recomputed at each run_until
@@ -157,7 +157,7 @@ class Core:
             nitems,
             stats,
             ctx,
-            with_engine,
+            symbolic,
         ) = env
         while True:
             idx = self.item_idx
@@ -170,7 +170,7 @@ class Core:
                 program = item.program
                 if program is not self._chain_program:
                     self._chain_program = program
-                    self._chain = chain_for(program, with_engine)
+                    self._chain = chain_for(program, symbolic)
                 chain = self._chain
                 n = len(chain)
                 # Keep the two per-step accumulators in locals for the
@@ -308,7 +308,7 @@ class Core:
             len(self.items),
             self.stats,
             system.ctx[self.cid],
-            self.engine is not None,
+            self.engine is not None and self.engine.symbolic_arithmetic,
         )
         self._burst_env = env
         return env

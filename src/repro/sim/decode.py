@@ -2,12 +2,12 @@
 
 The interpreter does not dispatch on instruction dataclasses per
 executed cycle.  Each distinct slot that runs (instruction, successor
-pc, engine variant, jump target) becomes one closure
+pc, chain variant, jump target) becomes one closure
 
     handler(core, regs) -> latency
 
 with its operands, successor pc, and ALU/condition callables bound as
-default arguments, and with the engine-present decision made once
+default arguments, and with the symbolic-or-plain decision made once
 rather than once per executed instruction.  Handlers set ``core.pc``
 themselves and let :class:`StallRetry`/:class:`TxnAborted` propagate
 *before* the pc update, so a retried or aborted instruction re-executes
@@ -26,16 +26,18 @@ any core reaches it, installs the handler in the shared list, and
 calls it.  Every later execution, the retry of a stalled access
 included, goes direct.  A chain is attached to the ``Program``
 instance itself (via ``object.__setattr__``; programs are frozen
-dataclasses), one variant for cores with a RETCON engine and one
-without, so it is shared by every core and every attempt.
+dataclasses), one variant for cores whose RETCON engine does
+symbolic arithmetic and a plain one for every other core (lazy-vb's
+engine never mints a symbolic value, so its cores run plain too); a
+chain is shared by every core and every attempt.
 
 The workload models give each ``Txn`` its own ``Program``, but the
 assembler interns instructions (:mod:`repro.isa.program`), so the
 4 192 programs of ``retcon-repair`` (seed 3) hold 5 107 distinct
 instructions in 135 854 slots.  A handler is a pure function of the
-instruction, its successor pc, the engine variant and the resolved
+instruction, its successor pc, the chain variant and the resolved
 jump target, so the trampoline memoizes handlers on the instruction
-object under ``(nxt, with_engine, target)``: the 54 019 slots that
+object under ``(nxt, symbolic, target)``: the 54 019 slots that
 run there share 5 523 closures.  Chains live as long as their program
 and memos as long as their instruction; there is no global handler
 table.
@@ -108,15 +110,15 @@ _COND_FN = {
 
 
 # ---------------------------------------------------------------------------
-# Per-instruction compilers: (inst, nxt, with_engine, target) -> handler
+# Per-instruction compilers: (inst, nxt, symbolic, target) -> handler
 # ---------------------------------------------------------------------------
-def _compile_load(inst: Load, nxt: int, with_engine: bool, target):
+def _compile_load(inst: Load, nxt: int, symbolic: bool, target):
     rd = int(inst.rd)
     addr = inst.addr
     size = inst.size
     disp = inst.disp
     if inst.base is None:
-        if with_engine:
+        if symbolic:
             def handler(core, regs, rd=rd, addr=addr, size=size, nxt=nxt):
                 result = core.system.load(core.cid, addr, size)
                 regs[rd] = result.value
@@ -131,7 +133,7 @@ def _compile_load(inst: Load, nxt: int, with_engine: bool, target):
                 return result.latency
     else:
         base = int(inst.base)
-        if with_engine:
+        if symbolic:
             def handler(core, regs, rd=rd, base=base, disp=disp, size=size,
                         nxt=nxt):
                 engine = core.engine
@@ -157,14 +159,14 @@ def _compile_load(inst: Load, nxt: int, with_engine: bool, target):
     return handler
 
 
-def _compile_store(inst: Store, nxt: int, with_engine: bool, target):
+def _compile_store(inst: Store, nxt: int, symbolic: bool, target):
     src_is_reg, src = _operand_pair(inst.src)
     addr = inst.addr
     size = inst.size
     disp = inst.disp
     if inst.base is None:
         if src_is_reg:
-            if with_engine:
+            if symbolic:
                 def handler(core, regs, src=src, addr=addr, size=size,
                             nxt=nxt):
                     latency = core.system.store(
@@ -191,7 +193,7 @@ def _compile_store(inst: Store, nxt: int, with_engine: bool, target):
     else:
         base = int(inst.base)
         if src_is_reg:
-            if with_engine:
+            if symbolic:
                 def handler(core, regs, src=src, base=base, disp=disp,
                             size=size, nxt=nxt):
                     engine = core.engine
@@ -215,7 +217,7 @@ def _compile_store(inst: Store, nxt: int, with_engine: bool, target):
                     core.pc = nxt
                     return latency
         else:
-            if with_engine:
+            if symbolic:
                 def handler(core, regs, value=src, base=base, disp=disp,
                             size=size, nxt=nxt):
                     engine = core.engine
@@ -238,7 +240,7 @@ def _compile_store(inst: Store, nxt: int, with_engine: bool, target):
     return handler
 
 
-def _compile_op(inst: Op, nxt: int, with_engine: bool, target):
+def _compile_op(inst: Op, nxt: int, symbolic: bool, target):
     op = inst.op
     rd = int(inst.rd)
     rs1 = int(inst.rs1)
@@ -249,7 +251,7 @@ def _compile_op(inst: Op, nxt: int, with_engine: bool, target):
         # the instruction executes, not when its neighbours do.
         def fn(lhs, rhs, op=op):
             return apply_op(op, lhs, rhs)
-    if with_engine:
+    if symbolic:
         if src2_is_reg:
             def handler(core, regs, fn=fn, op=op, rd=rd, rs1=rs1, src2=src2,
                         nxt=nxt):
@@ -290,10 +292,10 @@ def _compile_op(inst: Op, nxt: int, with_engine: bool, target):
     return handler
 
 
-def _compile_mov(inst: Mov, nxt: int, with_engine: bool, target):
+def _compile_mov(inst: Mov, nxt: int, symbolic: bool, target):
     rd = int(inst.rd)
     rs = int(inst.rs)
-    if with_engine:
+    if symbolic:
         def handler(core, regs, rd=rd, rs=rs, nxt=nxt):
             regs[rd] = regs[rs]
             syms = core.engine.sregs._syms
@@ -308,10 +310,10 @@ def _compile_mov(inst: Mov, nxt: int, with_engine: bool, target):
     return handler
 
 
-def _compile_movi(inst: Movi, nxt: int, with_engine: bool, target):
+def _compile_movi(inst: Movi, nxt: int, symbolic: bool, target):
     rd = int(inst.rd)
     value = inst.value
-    if with_engine:
+    if symbolic:
         def handler(core, regs, rd=rd, value=value, nxt=nxt):
             regs[rd] = value
             core.engine.sregs._syms[rd] = None
@@ -325,10 +327,10 @@ def _compile_movi(inst: Movi, nxt: int, with_engine: bool, target):
     return handler
 
 
-def _compile_cmp(inst: Cmp, nxt: int, with_engine: bool, target):
+def _compile_cmp(inst: Cmp, nxt: int, symbolic: bool, target):
     rs1 = int(inst.rs1)
     src2_is_reg, src2 = _operand_pair(inst.src2)
-    if with_engine:
+    if symbolic:
         def handler(core, regs, rs1=rs1, src2_is_reg=src2_is_reg, src2=src2,
                     nxt=nxt):
             lhs = regs[rs1]
@@ -352,12 +354,12 @@ def _compile_cmp(inst: Cmp, nxt: int, with_engine: bool, target):
     return handler
 
 
-def _compile_branch(inst: Branch, nxt: int, with_engine: bool, target):
+def _compile_branch(inst: Branch, nxt: int, symbolic: bool, target):
     cond = inst.cond
     rs1 = int(inst.rs1)
     src2_is_reg, src2 = _operand_pair(inst.src2)
     test = _COND_FN[cond]
-    if with_engine:
+    if symbolic:
         def handler(core, regs, test=test, cond=cond, rs1=rs1,
                     src2_is_reg=src2_is_reg, src2=src2, target=target,
                     nxt=nxt):
@@ -384,9 +386,9 @@ def _compile_branch(inst: Branch, nxt: int, with_engine: bool, target):
     return handler
 
 
-def _compile_bcc(inst: Bcc, nxt: int, with_engine: bool, target):
+def _compile_bcc(inst: Bcc, nxt: int, symbolic: bool, target):
     cond = inst.cond
-    if with_engine:
+    if symbolic:
         def handler(core, regs, cond=cond, target=target, nxt=nxt):
             taken = core.cc.evaluate(cond)
             core.engine.on_bcc(cond, taken)
@@ -399,21 +401,21 @@ def _compile_bcc(inst: Bcc, nxt: int, with_engine: bool, target):
     return handler
 
 
-def _compile_jump(inst: Jump, nxt: int, with_engine: bool, target):
+def _compile_jump(inst: Jump, nxt: int, symbolic: bool, target):
     def handler(core, regs, target=target):
         core.pc = target
         return 1
     return handler
 
 
-def _compile_nop(inst: Nop, nxt: int, with_engine: bool, target):
+def _compile_nop(inst: Nop, nxt: int, symbolic: bool, target):
     def handler(core, regs, cycles=inst.cycles, nxt=nxt):
         core.pc = nxt
         return cycles
     return handler
 
 
-def _compile_halt(inst: Halt, nxt: int, with_engine: bool, target):
+def _compile_halt(inst: Halt, nxt: int, symbolic: bool, target):
     def handler(core, regs, end=target):
         core.pc = end
         return 1
@@ -435,12 +437,12 @@ _COMPILERS = {
 }
 
 
-def _compile_one(inst: Instruction, nxt: int, with_engine: bool, target):
+def _compile_one(inst: Instruction, nxt: int, symbolic: bool, target):
     """Compile one instruction into its handler closure."""
     compiler = _COMPILERS.get(type(inst))
     if compiler is None:
         raise TypeError(f"unknown instruction: {inst!r}")
-    return compiler(inst, nxt, with_engine, target)
+    return compiler(inst, nxt, symbolic, target)
 
 
 def _target(inst: Instruction, program: Program) -> int | None:
@@ -459,7 +461,7 @@ def _trampoline(core, regs):
     the chain, run it.
 
     Handlers are memoized on the instruction object under ``(nxt,
-    with_engine, target)``, everything a compiler reads besides the
+    symbolic, target)``, everything a compiler reads besides the
     instruction, so a static instruction that many programs share
     compiles once per distinct slot.  The handler is installed
     *before* its first call, so a ``StallRetry``/``TxnAborted`` raised
@@ -469,7 +471,9 @@ def _trampoline(core, regs):
     pc = core.pc
     program = core._chain_program
     inst = program.instructions[pc]
-    key = (pc + 1, core.engine is not None, _target(inst, program))
+    engine = core.engine
+    symbolic = engine is not None and engine.symbolic_arithmetic
+    key = (pc + 1, symbolic, _target(inst, program))
     handlers = getattr(inst, "_handlers", None)
     if handlers is None:
         handlers = {}
@@ -481,11 +485,11 @@ def _trampoline(core, regs):
     return handler(core, regs)
 
 
-def chain_for(program: Program, with_engine: bool) -> list:
-    """Return the cached handler chain of *program* for the given
-    engine variant (shared across cores): one slot per pc, each holding
+def chain_for(program: Program, symbolic: bool) -> list:
+    """Return the cached handler chain of *program*, symbolic or plain
+    (shared across cores): one slot per pc, each holding
     the trampoline until the instruction first executes."""
-    attr = "_chain_sym" if with_engine else "_chain_plain"
+    attr = "_chain_sym" if symbolic else "_chain_plain"
     try:
         return getattr(program, attr)
     except AttributeError:

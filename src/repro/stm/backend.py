@@ -498,10 +498,10 @@ class STMMixin:
     # ------------------------------------------------------------------
     # Abort cleanup
     # ------------------------------------------------------------------
-    def _rollback(self, core: int, reason: str, remote: bool) -> None:
+    def _rollback(self, core, reason, remote, block=None, structure=None) -> None:
         ctx = self.ctx[core]
         was_stm = ctx.active and ctx.stm
-        super()._rollback(core, reason, remote)
+        super()._rollback(core, reason, remote, block, structure)
         if was_stm:
             self._stm_end(core)
 

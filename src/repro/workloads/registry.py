@@ -5,6 +5,7 @@ from __future__ import annotations
 from repro.fuzz.workload import fuzz_workloads
 from repro.workloads.base import Workload
 from repro.workloads.bayes import BayesWorkload
+from repro.workloads.figure2 import Figure2Workload
 from repro.workloads.genome import GenomeWorkload
 from repro.workloads.intruder import IntruderWorkload
 from repro.workloads.kmeans import KmeansWorkload
@@ -39,12 +40,14 @@ def _build_registry() -> dict[str, Workload]:
         PythonWorkload(optimized=False),
         PythonWorkload(optimized=True),
     ]
-    # The service suite and fuzz profiles ride along so they flow
-    # through the engine/CLI like any workload; both are deliberately
-    # NOT part of ALL_VARIANTS (figures and tables are Table 2 only —
-    # the service suite has its own sweep, 'repro figure service').
+    # Figure 2's counter scenario, the service suite and the fuzz
+    # profiles ride along so they flow through the engine/CLI like any
+    # workload; all are deliberately NOT part of ALL_VARIANTS (figures
+    # and tables are Table 2 only — the service suite has its own
+    # sweep, 'repro figure service').
     workloads.extend(
         [
+            Figure2Workload(),
             SessionStoreWorkload(),
             RateLimiterWorkload(),
             FeedFanoutWorkload(),

@@ -53,8 +53,8 @@ class TestParser:
     def test_metrics_command(self):
         args = build_parser().parse_args(["metrics", "kmeans"])
         assert args.system == "retcon"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["metrics", "figure2"])
+        args = build_parser().parse_args(["metrics", "figure2"])
+        assert args.workload == "figure2"
 
     def test_fuzz_campaign_flags(self):
         args = build_parser().parse_args(
@@ -202,6 +202,13 @@ class TestCommands:
         assert code == 0
         assert "txn.commits" in out
         assert "sim.makespan_cycles" in out
+
+    def test_metrics_figure2(self, capsys):
+        code = main(["metrics", "figure2", "--cores", "2", "--no-cache"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.startswith("--- figure2/retcon ---")
+        assert "core.stall_events{core=1}" in out
 
     def test_run_prints_label_breakdown(self, capsys):
         code = main(

@@ -1,12 +1,16 @@
-"""Byte-for-byte pins of the three committed markdown figures.
+"""Byte-for-byte pins of the committed figures.
 
 ``tests/golden/figure_{hybrid,capacity,service}.md`` were captured
 from ``repro figure <name> --cores 4 --scale 0.1 -o figure_<name>.md``
 at the commit before the figure commands were folded into one driver;
 the full-scale ``docs/*.md`` tables come out of the same code path, so
-a byte of drift here is a byte of drift there.
+a byte of drift here is a byte of drift there.  ``figure_2.txt`` is
+``repro figure 2``'s stdout and ``FIGURE2_TRACES`` the sha256 of each
+``repro trace export figure2 --system <s>`` file, both captured while
+Figure 2 still simulated outside the experiment engine.
 """
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -29,6 +33,32 @@ def test_figure_regenerates_byte_identical(name, tmp_path, monkeypatch):
     assert (tmp_path / output).read_bytes() == (
         GOLDEN / output
     ).read_bytes()
+
+
+def test_figure_2_is_pinned(capsys):
+    assert main(["figure", "2", "--no-cache", "--jobs", "1"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "figure_2.txt").read_text()
+
+
+#: sha256 of ``repro trace export figure2 --system <s>`` (CLI defaults)
+FIGURE2_TRACES = {
+    "datm": "a8e0be0a319f1b6be8702f9725db5a091630cc15b66b339a9e099611b9ddf0ce",
+    "eager-abort": "985fc20278b7984578367c49acd7539107297a823d7aa40b711f3f34e54c9898",
+    "eager-stall": "2f8998b657618f702b80780f74ea5c9264f91daa90cb6e819604b8a0e023859e",
+    "lazy": "f8ffd8e94a9b42f01228998942e902ae7358aa9c790e4f722122ec0c484e47b5",
+    "retcon": "c598edced95a4ad083eac6f6a36479b6188cb31f060c3e101a518ba4ffa9efdc",
+}
+
+
+@pytest.mark.parametrize("system", sorted(FIGURE2_TRACES))
+def test_figure_2_trace_export_is_pinned(system, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(
+        ["trace", "export", "figure2", "--system", system,
+         "--no-cache", "--jobs", "1"]
+    ) == 0
+    payload = (tmp_path / f"trace_figure2_{system}.json").read_bytes()
+    assert hashlib.sha256(payload).hexdigest() == FIGURE2_TRACES[system]
 
 
 def test_a_failed_invariant_fails_an_unchecked_figure():

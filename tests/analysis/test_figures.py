@@ -116,8 +116,14 @@ class TestFigureSeries:
 
 class TestFigure2:
     def test_counter_validated_internally(self):
-        points = figures.figure2(txns_per_core=2)
-        assert {p.commits for p in points.values()} == {4}
+        record = FIGURES["2"]
+        labelled = record.points(TINY)
+        finished = figures.run_pass([labelled])
+        record.nest(labelled, finished, TINY)  # a wrong count fails here
+        assert {
+            finished[point][0].commits
+            for (part, _system), point in labelled if part == "timeline"
+        } == {4}
 
     def test_systems_covered(self):
         assert set(figures.FIGURE2_SYSTEMS) == {

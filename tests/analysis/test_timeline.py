@@ -1,7 +1,19 @@
 """Timeline rendering."""
 
-from repro.analysis.timeline import figure2_timelines, render_timeline
+from repro.analysis.figures import FIGURE2_SYSTEMS
+from repro.analysis.timeline import render_timeline
+from repro.exp.engine import run_point_with_trace
+from repro.exp.spec import Point
 from repro.obs.events import EventStream
+
+
+def figure2_timeline(system: str, scale: float) -> str:
+    """The ``figure2`` workload's timeline on *system*: ``scale`` 0.5
+    runs one transaction per core, 1.0 two."""
+    _result, events, _metrics = run_point_with_trace(
+        Point("figure2", system, ncores=2, scale=scale), cache=None
+    )
+    return render_timeline(events, ncores=2)
 
 
 class TestRenderTimeline:
@@ -58,7 +70,10 @@ class TestRenderTimeline:
 
 class TestFigure2Timelines:
     def test_all_systems_rendered(self):
-        timelines = figure2_timelines(txns_per_core=1)
+        timelines = {
+            system: figure2_timeline(system, 0.5)
+            for system in FIGURE2_SYSTEMS
+        }
         assert set(timelines) == {
             "retcon", "datm", "eager-abort", "eager-stall", "lazy"
         }
@@ -66,8 +81,6 @@ class TestFigure2Timelines:
             assert "core 0" in timeline, system
 
     def test_machine_stamps_cycles_automatically(self):
-        timelines = figure2_timelines(txns_per_core=2)
+        timeline = figure2_timeline("retcon", 1.0)
         # RETCON's lane must contain repairs or at most one abort.
-        assert "R" in timelines["retcon"] or timelines[
-            "retcon"
-        ].count("A") <= 1
+        assert "R" in timeline or timeline.count("A") <= 1

@@ -187,9 +187,10 @@ class TestTheTable:
         assert not build("hybrid-retcon").pessimistic_fallback
         assert build("progressive").pessimistic_fallback
         for name in ("lazy-vb", "hybrid-lazy-vb"):
-            system = build(name)
-            assert system.track_all and not system.symbolic_arithmetic
-        assert build("retcon").symbolic_arithmetic
+            engine = build(name).engine(0)
+            assert engine.predictor.always_track
+            assert not engine.symbolic_arithmetic
+        assert build("retcon").engine(0).symbolic_arithmetic
 
     def test_unknown_name_names_the_known_ones(self):
         with pytest.raises(ValueError, match="hybrid-lazy-vb"):

@@ -176,10 +176,13 @@ class TestValidator:
 class TestFigure2Export:
     @pytest.mark.parametrize("system", ["retcon", "eager-abort"])
     def test_schema_valid_and_has_spans(self, system):
-        from repro.analysis.timeline import figure2_tracer
+        from repro.exp.engine import run_point_with_trace
+        from repro.exp.spec import Point
 
-        tracer = figure2_tracer(system)
-        payload = chrome_trace(tracer, label=f"figure2/{system}")
+        _result, events, _metrics = run_point_with_trace(
+            Point("figure2", system, ncores=2), cache=None
+        )
+        payload = chrome_trace(events, label=f"figure2/{system}")
         validate_chrome_trace(payload)
         spans = [e for e in payload["traceEvents"] if e["ph"] == "X"]
         assert spans, "figure2 must produce transaction spans"

@@ -96,9 +96,9 @@ def _spy_on_compile(monkeypatch):
     compiled = []
     original = decode._compile_one
 
-    def spy(inst, nxt, with_engine, target):
+    def spy(inst, nxt, symbolic, target):
         compiled.append((inst, nxt))
-        return original(inst, nxt, with_engine, target)
+        return original(inst, nxt, symbolic, target)
 
     monkeypatch.setattr(decode, "_compile_one", spy)
     return compiled
@@ -108,7 +108,7 @@ class TestLazyChain:
     def test_never_taken_branch_arm_is_never_compiled(self, memory):
         program = _program_with_cold_arm()
         _run([program], memory)
-        chain = chain_for(program, with_engine=False)
+        chain = chain_for(program, symbolic=False)
         assert all(chain[pc] is not decode._trampoline for pc in range(4))
         assert chain[4] is decode._trampoline
         assert chain[5] is decode._trampoline
@@ -122,7 +122,7 @@ class TestLazyChain:
         machine = _run([program], memory, ncores=2)
         first, second = machine.cores
         assert first._chain is second._chain
-        assert first._chain is chain_for(program, with_engine=False)
+        assert first._chain is chain_for(program, symbolic=False)
         # three static instructions, two cores, retries: three compiles
         assert [nxt for _inst, nxt in compiled] == [1, 2, 3]
         assert memory.read(addr) == 2 * delta
@@ -140,7 +140,7 @@ class TestLazyChain:
             cid=0, pc=0, engine=None,
             system=SimpleNamespace(load=stalling_load),
             _chain_program=program,
-            _chain=chain_for(program, with_engine=False),
+            _chain=chain_for(program, symbolic=False),
         )
         regs = [0] * 16
         with pytest.raises(StallRetry):
@@ -158,11 +158,11 @@ class TestLazyChain:
         not at all while the instruction stays behind a cold branch."""
         bogus = Op("bogus", R2, R2, Imm(1))
         cold = _program_with_cold_arm(cold_inst=bogus)
-        assert len(chain_for(cold, with_engine=False)) == len(cold)
+        assert len(chain_for(cold, symbolic=False)) == len(cold)
         _run([cold], memory)
 
         hot = Program((bogus,), {})
-        chain_for(hot, with_engine=False)
+        chain_for(hot, symbolic=False)
         with pytest.raises(ValueError, match="unknown ALU opcode: 'bogus'"):
             _run([hot], memory)
 
@@ -170,7 +170,7 @@ class TestLazyChain:
         """It raises every time: an ``object()`` cannot carry a handler
         memo, so the compile fails before anything is memoized."""
         hot = Program((object(),), {})
-        chain_for(hot, with_engine=False)
+        chain_for(hot, symbolic=False)
         for _ in range(2):
             with pytest.raises(TypeError, match="unknown instruction"):
                 _run([hot], memory)
@@ -189,7 +189,7 @@ class TestLazyChain:
         program = asm.build()
         memory.write(4096, 7)
         _run([program], memory)
-        chain = chain_for(program, with_engine=False)
+        chain = chain_for(program, symbolic=False)
         assert [slot is decode._trampoline for slot in chain] == [
             False, True, False, True, False,
         ]
@@ -202,10 +202,10 @@ class TestLazyChain:
 class TestChainForCache:
     def test_cached_on_program_instance(self):
         program = _counter_program(4096, 1)
-        plain = chain_for(program, with_engine=False)
-        assert chain_for(program, with_engine=False) is plain
-        sym = chain_for(program, with_engine=True)
-        assert chain_for(program, with_engine=True) is sym
+        plain = chain_for(program, symbolic=False)
+        assert chain_for(program, symbolic=False) is plain
+        sym = chain_for(program, symbolic=True)
+        assert chain_for(program, symbolic=True) is sym
         assert sym is not plain
 
     def test_distinct_programs_get_distinct_chains(self):
@@ -216,7 +216,7 @@ class TestChainForCache:
     def test_a_fresh_chain_is_all_trampoline(self, monkeypatch):
         compiled = _spy_on_compile(monkeypatch)
         program = _counter_program(4096, 1)
-        assert chain_for(program, with_engine=True) == (
+        assert chain_for(program, symbolic=True) == (
             [decode._trampoline] * len(program)
         )
         assert compiled == []
@@ -240,7 +240,7 @@ class TestCoreDecodeSwap:
         machine = _run([program] * 4, memory)
         core = machine.cores[0]
         assert core._chain_program is program
-        assert core._chain is chain_for(program, with_engine=False)
+        assert core._chain is chain_for(program, symbolic=False)
         assert machine.memory.read(4096) == 4
 
     def test_lockstep_runs_the_same_chain(self, memory, monkeypatch):
@@ -250,14 +250,14 @@ class TestCoreDecodeSwap:
         program, addr, delta = _unseen_program()
         machine = _run([program] * 4, memory, scheduler="lockstep")
         core = machine.cores[0]
-        assert core._chain is chain_for(program, with_engine=False)
+        assert core._chain is chain_for(program, symbolic=False)
         assert len(compiled) == len(program)
         assert machine.memory.read(addr) == 4 * delta
 
 
-def _compiled(program, with_engine):
+def _compiled(program, symbolic):
     return [
-        slot for slot in chain_for(program, with_engine)
+        slot for slot in chain_for(program, symbolic)
         if slot is not decode._trampoline
     ]
 
@@ -301,6 +301,15 @@ class TestSharedInstructions:
         assert short_halt.__defaults__ == (2,)
         assert long_halt.__defaults__ == (3,)
         assert len(_compiled(short, False)) == len(_compiled(long, False)) == 1
+
+    def test_lazy_vb_runs_the_plain_chain(self, memory):
+        """lazy-vb's engine never mints a symbolic value, so its cores
+        take the plain handlers, as cores without an engine do."""
+        program, addr, delta = _unseen_program()
+        machine = _run([program], memory, system="lazy-vb")
+        assert machine.cores[0]._chain is chain_for(program, False)
+        assert not _compiled(program, True)
+        assert memory.read(addr) == delta
 
     def test_engine_variants_get_their_own_handlers(self, memory):
         program, addr, delta = _unseen_program()
@@ -360,8 +369,8 @@ class TestProcessHistory:
         slots = [
             handler
             for program in programs
-            for with_engine in (False, True)
-            for handler in _compiled(program, with_engine)
+            for symbolic in (False, True)
+            for handler in _compiled(program, symbolic)
         ]
         assert len(slots) == 735
         assert len({id(handler) for handler in slots}) == 340
