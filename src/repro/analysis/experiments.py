@@ -22,7 +22,7 @@ def generate_report(
 
     ``config`` overrides the Table 1 machine for every point.  All
     sections share one engine pass (``engine_opts`` are
-    :func:`~repro.analysis.figures.run_pass`'s), which memoizes
+    :func:`~repro.analysis.figures.collect`'s), which memoizes
     per-point results: regenerating the report after analysis-only
     changes is nearly instant.
     """

@@ -9,13 +9,14 @@ and ``benchmarks/bench_paper.py`` all walk; ``COMPARE``, ``SWEEP`` and
 ``SMOKE`` are the records of the CLI commands whose grid comes from
 the command line.
 
-Records run nothing themselves: :func:`run_pass` sends the union of
-any number of records' points through the experiment engine
-(:mod:`repro.exp`) once — sharing generated workloads and sequential
-baselines across systems, fanning out over worker processes
-(``jobs``), memoizing per-point results on disk (``cache``) — and
-:meth:`Figure.nest` picks each record's rows out of the shared result
-map.  :func:`collect` does both for a set of records.
+Records run nothing themselves: the union of any number of records'
+points goes through the experiment engine
+(:func:`repro.exp.engine.run_points`) once — sharing generated
+workloads and sequential baselines across systems, fanning out over
+worker processes (``jobs``), memoizing per-point results on disk
+(``cache``) — and :meth:`Figure.nest` picks each record's rows out of
+the shared result map.  :func:`collect` does both for a set of
+records.
 
 The sizes are controlled by the base point's ``scale`` (per-thread
 work multiplier) and ``ncores``; the defaults match the paper's
@@ -29,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import partial
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from repro.analysis.report import (
     bar_chart,
@@ -38,7 +39,7 @@ from repro.analysis.report import (
     format_table,
 )
 from repro.analysis.timeline import render_timeline
-from repro.exp.engine import iter_points
+from repro.exp.engine import run_points
 from repro.exp.spec import Point, smoke_spec
 from repro.obs.events import EventStream
 from repro.sim.config import MachineConfig
@@ -56,9 +57,6 @@ EVAL_SYSTEMS = ("eager", "lazy-vb", "retcon")
 
 #: points paired with the path of their row in the collected data
 Labelled = list[tuple[tuple, Point]]
-
-#: what one engine pass leaves behind: ``{point: (result, artifacts)}``
-Finished = Mapping[Point, tuple[WorkloadResult, Mapping[str, dict]]]
 
 
 class PointFailed(AssertionError):
@@ -111,7 +109,7 @@ class Figure:
     per-point machine overrides onto *base* (which carries ncores,
     seed, scale, config, check, skew, burst) and labels each point
     with the tuple path of its row (the default is an empty grid);
-    ``row(result, artifacts)`` reduces one finished point (omitted,
+    ``row(result)`` reduces one finished point (omitted,
     the row is the result itself); ``finish(data, base)``, if set,
     post-processes the nested ``{label[0]: {label[1]: ... row}}`` rows
     (a record with no points builds its data there); ``render(data,
@@ -125,19 +123,24 @@ class Figure:
     render: Callable[[dict, int], str]
     title: str = ""
     points: Callable[..., Labelled] = _grid((), ())
-    row: Optional[Callable[[WorkloadResult, Mapping[str, dict]], object]] = None
+    row: Optional[Callable[[WorkloadResult], object]] = None
     claims: tuple[Claim, ...] = ()
     header: str = ""
     options: tuple[str, ...] = ()
     finish: Optional[Callable[[dict, Point], dict]] = None
 
-    def nest(self, labelled: Labelled, finished: Finished, base: Point) -> dict:
+    def nest(
+        self,
+        labelled: Labelled,
+        finished: Mapping[Point, WorkloadResult],
+        base: Point,
+    ) -> dict:
         """The record's data: the rows of *labelled* (from
         ``self.points(base)``) picked out of *finished*.  A point that
         failed a correctness check fails the record."""
         data: dict = {}
         for label, point in labelled:
-            result, artifacts = finished[point]
+            result = finished[point]
             if not result.check_ok:
                 raise PointFailed(
                     f"{point.label()}: correctness checks failed: "
@@ -146,35 +149,27 @@ class Figure:
             node = data
             for key in label[:-1]:
                 node = node.setdefault(key, {})
-            node[label[-1]] = self.row(result, artifacts) if self.row else result
+            node[label[-1]] = self.row(result) if self.row else result
         return self.finish(data, base) if self.finish else data
 
 
-def run_pass(
-    labelled_sets: Iterable[Labelled], jobs: int | None = 1, **engine_opts
-) -> Finished:
-    """One engine pass over the union of *labelled_sets*: a point
-    several records ask for runs once.  ``jobs=1`` keeps library calls
-    serial; ``jobs=None`` uses every core (or ``$REPRO_JOBS``), as the
-    CLI does.  ``engine_opts`` are :func:`~repro.exp.engine.iter_points`'s
-    (``cache``, ``refresh``, ``progress``)."""
-    points = dict.fromkeys(
-        point for labelled in labelled_sets for _label, point in labelled
-    )
-    return {
-        point: (result, artifacts)
-        for point, result, artifacts in iter_points(
-            points, jobs=jobs, **engine_opts
-        )
-    }
-
-
 def collect(
-    records: Mapping[str, Figure], base: Point, **engine_opts
+    records: Mapping[str, Figure], base: Point, jobs: int | None = 1,
+    **engine_opts,
 ) -> dict[str, dict]:
-    """``{name: data}`` for every record, from one shared pass."""
+    """``{name: data}`` for every record, from one shared engine pass:
+    a point several records ask for runs once.  ``jobs=1`` keeps
+    library calls serial; ``jobs=None`` uses every core (or
+    ``$REPRO_JOBS``), as the CLI does.  ``engine_opts`` are
+    :func:`~repro.exp.engine.run_points`'s (``cache``, ``refresh``,
+    ``progress``)."""
     labelled = {name: record.points(base) for name, record in records.items()}
-    finished = run_pass(labelled.values(), **engine_opts)
+    finished = run_points(
+        dict.fromkeys(
+            point for points in labelled.values() for _label, point in points
+        ),
+        jobs=jobs, **engine_opts,
+    )
     return {
         name: record.nest(labelled[name], finished, base)
         for name, record in records.items()
@@ -249,7 +244,7 @@ def _bars(data: dict, ncores: int, title: str) -> str:
     return bar_chart(data, max_value=ncores, title=title)
 
 
-def _speedup(result: WorkloadResult, _artifacts) -> float:
+def _speedup(result: WorkloadResult) -> float:
     return result.speedup
 
 
@@ -348,19 +343,18 @@ def _figure2_points(base: Point) -> Labelled:
     ]
 
 
-def _figure2_row(
-    result: WorkloadResult, artifacts: Mapping[str, dict]
-) -> Figure2Point:
-    trace = artifacts["trace"]
+def _figure2_row(result: WorkloadResult) -> Figure2Point:
     return Figure2Point(
         cycles=result.cycles,
         commits=result.commits,
         aborts=result.aborts,
         stall_events=sum(
-            count for name, count in trace["metrics"].items()
+            count for name, count in result.trace["metrics"].items()
             if name.startswith("core.stall_events{")
         ),
-        timeline=render_timeline(EventStream.from_payload(trace), ncores=2),
+        timeline=render_timeline(
+            EventStream.from_payload(result.trace), ncores=2
+        ),
     )
 
 
@@ -882,7 +876,7 @@ def _hybrid_points(base: Point, backend: str = "hybrid-retcon") -> Labelled:
     return out
 
 
-def _hybrid_row(result: WorkloadResult, _artifacts) -> dict[str, str]:
+def _hybrid_row(result: WorkloadResult) -> dict[str, str]:
     """Speedup over sequential, instrumentation instructions per
     commit, the STM fallback rate, aborts attributed to HTM/STM
     synchronization (subscription dooms and owner vetoes), aborts."""
@@ -943,7 +937,7 @@ def _capacity_points(base: Point) -> Labelled:
     return out
 
 
-def _capacity_cell(result: WorkloadResult, _artifacts) -> str:
+def _capacity_cell(result: WorkloadResult) -> str:
     cell = f"{result.speedup:.2f}x"
     cap = result.aborts_by_reason.get("capacity", 0)
     if cap:
@@ -979,15 +973,13 @@ def _service_points(
     ]
 
 
-def _service_row(
-    result: WorkloadResult, artifacts: Mapping[str, dict]
-) -> dict[str, str]:
+def _service_row(result: WorkloadResult) -> dict[str, str]:
     """Speedup over sequential, commit count, abort rate, **repair
     rate** (commits that lost blocks and committed anyway via symbolic
     repair — RETCON's work product on the hot counters), STM fallback
     rate, and p50/p99 transaction latency in cycles from the
     ``txn.duration_cycles`` histogram."""
-    metrics = artifacts["trace"].get("metrics", {})
+    metrics = result.trace.get("metrics", {})
     attempts = result.commits + result.aborts
     abort_rate = result.aborts / attempts if attempts else 0.0
     repaired = metrics.get("txn.repaired_commits", 0)
@@ -1050,7 +1042,7 @@ FIGURES: dict[str, Figure] = {
     ),
     "4": Figure(
         points=_grid(ALL_VARIANTS, ("eager",)),
-        row=lambda result, _artifacts: result.breakdown,
+        row=lambda result: result.breakdown,
         claims=_FIGURE4_CLAIMS,
         **_titled(
             "Figure 4: time breakdown (eager)",
@@ -1070,7 +1062,7 @@ FIGURES: dict[str, Figure] = {
     ),
     "10": Figure(
         points=_grid(ALL_VARIANTS, EVAL_SYSTEMS),
-        row=lambda result, _artifacts: {
+        row=lambda result: {
             "breakdown": result.breakdown, "cycles": result.cycles
         },
         finish=_normalize_to_eager,
@@ -1084,7 +1076,7 @@ FIGURES: dict[str, Figure] = {
     "table3": Figure(
         title="Table 3 — RETCON structure utilization",
         points=_grid(TABLE3_WORKLOADS, ("retcon",)),
-        row=lambda result, _artifacts: {
+        row=lambda result: {
             **result.table3,
             "commit_stall_percent": result.commit_stall_percent,
         },

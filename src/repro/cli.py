@@ -53,7 +53,7 @@ from typing import Sequence
 from repro.analysis import figures as fig
 from repro.analysis.report import format_table
 from repro.exp import Point, ResultCache, run_points, stderr_progress
-from repro.exp.engine import run_point_with_trace
+from repro.exp.engine import OBS_EVENT_LIMIT, run_point_with_trace
 from repro.htm.backends import BACKENDS
 from repro.sim.config import MachineConfig
 from repro.sim.runner import _resolve_workload
@@ -327,10 +327,11 @@ def _run_traced(args, point: Point) -> int:
     """``repro run --trace[=N]``: simulate with an event stream attached.
 
     A traced run is a distinct cache point (``obs="trace"``) whose
-    event payload is persisted as an artifact next to the result, so a
-    warm cache replays the recorded trace instead of re-simulating —
-    and an untraced cache entry can never satisfy a trace request with
-    an empty trace.
+    result carries its event payload, so a warm cache replays the
+    recorded trace instead of re-simulating — and an untraced cache
+    entry can never satisfy a trace request with an empty trace.  The
+    engine records at most ``OBS_EVENT_LIMIT`` events, so ``--trace=0``
+    shows every *recorded* event, with the drops counted.
     """
     from repro.obs.events import EventStream
 
@@ -360,7 +361,7 @@ def _run_traced(args, point: Point) -> int:
 def _trace_source(args):
     """Obtain ``(label, events, metrics)`` for the trace commands: the
     command line's point, run traced through the experiment engine
-    (and its trace-artifact cache)."""
+    (and its result cache)."""
     _result, events, metrics = run_point_with_trace(
         _point_from_args(args), **_engine_opts(args)
     )
@@ -598,7 +599,9 @@ def _show(args) -> int:
     base = _point_from_args(args)
     labelled = figure.points(base, **options)
     _check_points(point for _label, point in labelled)
-    finished = fig.run_pass([labelled], **_engine_opts(args))
+    finished = fig.run_points(
+        [point for _label, point in labelled], **_engine_opts(args)
+    )
     text = figure.render(figure.nest(labelled, finished, base), base.ncores)
     output = getattr(args, "output", None)
     if not output:
@@ -655,7 +658,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace", nargs="?", const=200, default=None, type=int,
         metavar="N",
         help="print the first N simulator trace events (default 200; "
-             "0 = unlimited; bypasses the result cache)",
+             "0 = every recorded event, at most "
+             f"{OBS_EVENT_LIMIT}); traced runs are cached like any point",
     )
     _add_run_args(run)
 

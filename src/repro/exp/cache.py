@@ -5,12 +5,11 @@ Layout (under ``.repro-cache/`` by default, or ``$REPRO_CACHE_DIR``)::
     .repro-cache/
         ab/
             ab3f...e9.json        # one file per point, named by its key
-            ab3f...e9.trace.json  # named artifact beside the result
 
-Each result file stores the point's spec, the simulator version, and
-the serialized :class:`~repro.sim.runner.WorkloadResult`.  Observability
-runs additionally persist named *artifacts* (the trace event payload)
-next to the result under ``<key>.<name>.json``.  Keys come from
+Each file stores the point's spec, the simulator version, and the
+serialized :class:`~repro.sim.runner.WorkloadResult` — for an
+``obs="trace"`` point that includes its trace payload, so a traced
+point is one entry, written once.  Keys come from
 :func:`repro.exp.spec.point_key`: a SHA-256 over the full point spec
 plus ``repro.__version__``, so editing any parameter — or bumping the
 package version — invalidates by construction.  Files are written
@@ -36,31 +35,11 @@ from repro.sim.runner import WorkloadResult
 DEFAULT_CACHE_DIR = ".repro-cache"
 
 #: bump when the on-disk schema changes (independent of repro.__version__)
-SCHEMA = 1
+SCHEMA = 2
 
 
 def default_cache_root() -> Path:
     return Path(os.environ.get("REPRO_CACHE_DIR", DEFAULT_CACHE_DIR))
-
-
-def _write_json(path: Path, payload: dict) -> Path:
-    """Write *payload* to *path* atomically: a temporary file beside it,
-    renamed over it, and removed if anything fails on the way."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(
-        dir=path.parent, prefix=path.stem, suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, sort_keys=True)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    return path
 
 
 class ResultCache:
@@ -74,15 +53,13 @@ class ResultCache:
         self.corrupt = 0
 
     # ------------------------------------------------------------------
-    def path_for(self, point: Point, version: str | None = None) -> Path:
-        key = point_key(point, version=version)
+    def path_for(self, point: Point) -> Path:
+        key = point_key(point)
         return self.root / key[:2] / f"{key}.json"
 
-    def get(
-        self, point: Point, version: str | None = None
-    ) -> Optional[WorkloadResult]:
+    def get(self, point: Point) -> Optional[WorkloadResult]:
         """Return the stored result for *point*, or None on a miss."""
-        path = self.path_for(point, version=version)
+        path = self.path_for(point)
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 payload = json.load(handle)
@@ -95,74 +72,44 @@ class ResultCache:
         except (
             OSError, ValueError, KeyError, TypeError, AttributeError
         ) as exc:
-            self._report_corrupt(path, exc)
+            self.corrupt += 1
+            print(
+                f"repro: corrupt cache entry {path} "
+                f"({type(exc).__name__}: {exc}); re-simulating",
+                file=sys.stderr,
+            )
             return None
         self.hits += 1
         return result
 
-    def _report_corrupt(self, path: Path, exc: Exception) -> None:
-        self.corrupt += 1
-        print(
-            f"repro: corrupt cache entry {path} "
-            f"({type(exc).__name__}: {exc}); re-simulating",
-            file=sys.stderr,
+    def put(self, point: Point, result: WorkloadResult) -> Path:
+        """Store *result* for *point* atomically — a temporary file
+        beside the entry, renamed over it, and removed if anything
+        fails on the way; return the entry's path."""
+        from repro import __version__ as version
+
+        path = self.path_for(point)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(
+            dir=path.parent, prefix=path.stem, suffix=".tmp"
         )
-
-    def put(
-        self,
-        point: Point,
-        result: WorkloadResult,
-        version: str | None = None,
-    ) -> Path:
-        """Store *result* for *point* atomically; return the path."""
-        if version is None:
-            from repro import __version__ as version
-        path = self.path_for(point, version=version)
-        return _write_json(path, {
-            "schema": SCHEMA,
-            "key": path.stem,
-            "version": version,
-            "spec": point.spec_dict(),
-            "result": result.to_dict(),
-        })
-
-    # ------------------------------------------------------------------
-    # Named artifacts (trace payloads etc.) beside the result entry
-    # ------------------------------------------------------------------
-    def artifact_path_for(
-        self, point: Point, name: str, version: str | None = None
-    ) -> Path:
-        key = point_key(point, version=version)
-        return self.root / key[:2] / f"{key}.{name}.json"
-
-    def get_artifact(
-        self, point: Point, name: str, version: str | None = None
-    ) -> Optional[dict]:
-        """Return the named artifact for *point*, or None on a miss."""
-        path = self.artifact_path_for(point, name, version=version)
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-            if not isinstance(payload, dict):
-                raise ValueError("artifact is not an object")
-        except FileNotFoundError:
-            return None
-        except (OSError, ValueError) as exc:
-            self._report_corrupt(path, exc)
-            return None
-        return payload
-
-    def put_artifact(
-        self,
-        point: Point,
-        name: str,
-        payload: dict,
-        version: str | None = None,
-    ) -> Path:
-        """Store *payload* as the named artifact atomically."""
-        return _write_json(
-            self.artifact_path_for(point, name, version=version), payload
-        )
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                json.dump({
+                    "schema": SCHEMA,
+                    "key": path.stem,
+                    "version": version,
+                    "spec": point.spec_dict(),
+                    "result": result.to_dict(),
+                }, handle, sort_keys=True)
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+        return path
 
     # ------------------------------------------------------------------
     def clear(self) -> int:

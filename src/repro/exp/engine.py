@@ -1,8 +1,7 @@
 """The experiment executor: baseline sharing, process pools, caching.
 
-:func:`iter_points` is the single path every figure, table, sweep,
-benchmark, and CLI command funnels through (usually via its ordered
-collector :func:`run_points`).  It
+:func:`run_points` is the single path every figure, table, sweep,
+benchmark, and CLI command funnels through.  It
 
 1. resolves cached points (unless ``refresh``),
 2. groups the misses by :meth:`Point.baseline_key` so each
@@ -10,9 +9,9 @@ collector :func:`run_points`).  It
    runs its sequential baseline exactly once, shared across systems,
 3. executes the groups through :func:`run_tasks` — serially, or on
    its process pool when ``jobs > 1`` — and streams per-point progress,
-4. stores fresh results (and trace artifacts) in the cache and yields
-   them; :func:`run_points` returns an ordered
-   ``{Point: WorkloadResult}`` mapping.
+4. stores fresh results in the cache (one entry per point, the trace
+   of an ``obs="trace"`` point inside its result) and returns an
+   ordered ``{Point: WorkloadResult}`` mapping.
 
 Results are bit-identical between the serial and parallel paths: each
 group runs single-threaded inside one process either way, and the
@@ -72,16 +71,14 @@ def _group_by_baseline(points: Sequence[Point]) -> list[list[Point]]:
     return list(groups.values())
 
 
-def _run_group(
-    group: list[Point],
-) -> list[tuple[Point, WorkloadResult, float, dict]]:
+def _run_group(group: list[Point]) -> list[tuple[Point, WorkloadResult, float]]:
     """Run one baseline-sharing group (in-process; also the pool task).
 
     The workload is generated once and the sequential reference run
     once; every system in the group reuses both (its cycles as the
     speedup baseline, its memory as the golden image when checked).
-    Each tuple's last element maps artifact names to JSON payloads
-    (empty for points without an observability request).
+    An ``obs="trace"`` point's result carries its event payload and
+    metrics snapshot in ``trace``.
     """
     first = group[0]
     config = first.resolved_config()
@@ -123,12 +120,10 @@ def _run_group(
         seconds = time.perf_counter() - start
         if i == 0:
             seconds += baseline_seconds
-        artifacts: dict = {}
         if tracer is not None:
-            payload = tracer.to_payload()
-            payload["metrics"] = metrics.snapshot()
-            artifacts["trace"] = payload
-        out.append((point, result, seconds, artifacts))
+            result.trace = tracer.to_payload()
+            result.trace["metrics"] = metrics.snapshot()
+        out.append((point, result, seconds))
     return out
 
 
@@ -165,7 +160,7 @@ def run_tasks(
     """Fan ``worker(item)`` out across the process pool; yield
     ``(index, item, result)`` tuples as tasks complete.
 
-    :func:`iter_points` feeds its baseline groups through here, the
+    :func:`run_points` feeds its baseline groups through here, the
     fuzz campaign its ``run_case`` tasks.  ``worker`` must be picklable
     (a module-level function or a ``functools.partial`` of one), as
     must every item and result.
@@ -237,63 +232,6 @@ def run_tasks(
                 yield index, item, result
 
 
-def iter_points(
-    points: Iterable[Point],
-    jobs: Optional[int] = None,
-    cache: Optional[ResultCache] = None,
-    refresh: bool = False,
-    progress: Optional[ProgressFn] = None,
-):
-    """Resolve *points*, yielding ``(point, result, artifacts)`` as each
-    completes: cache hits first, then fresh runs in completion order.
-
-    This is the one path a point takes through the engine — cache
-    probe, baseline-shared execution, cache store, progress — and
-    everything else (:func:`run_points`, :func:`run_point_with_trace`,
-    the figure driver) is a thin consumer of it.  ``artifacts`` maps
-    artifact names to JSON payloads (``{"trace": ...}`` for
-    ``obs="trace"`` points, else empty) — the same payloads written to
-    the cache, handed back so callers need not re-read them.
-    """
-    ordered = list(dict.fromkeys(points))
-    total = len(ordered)
-    done = 0
-
-    pending: list[Point] = []
-    for point in ordered:
-        hit = None if (cache is None or refresh) else cache.get(point)
-        artifacts: dict = {}
-        if hit is not None and point.obs:
-            # A result without its observability artifact cannot
-            # satisfy a trace request — re-simulate instead of
-            # returning a result whose trace would be empty.
-            payload = cache.get_artifact(point, point.obs)
-            if payload is None:
-                hit = None
-            else:
-                artifacts[point.obs] = payload
-        if hit is None:
-            pending.append(point)
-            continue
-        done += 1
-        if progress:
-            progress(done, total, point, "cached", 0.0)
-        yield point, hit, artifacts
-
-    for _index, _group, batch in run_tasks(
-        _group_by_baseline(pending), _run_group, jobs=jobs
-    ):
-        for point, result, seconds, artifacts in batch:
-            if cache is not None:
-                cache.put(point, result)
-                for name, payload in artifacts.items():
-                    cache.put_artifact(point, name, payload)
-            done += 1
-            if progress:
-                progress(done, total, point, "ran", seconds)
-            yield point, result, artifacts
-
-
 def run_points(
     points: Iterable[Point],
     jobs: Optional[int] = None,
@@ -303,18 +241,35 @@ def run_points(
 ) -> dict[Point, WorkloadResult]:
     """Execute *points*, returning results keyed by point in input order.
 
+    This is the one path a point takes through the engine — cache
+    probe, baseline-shared execution, cache store, progress.
     ``cache=None`` disables persistence; ``refresh=True`` ignores (and
     overwrites) existing entries.  ``progress``, if given, is invoked
-    once per point with status ``"cached"`` or ``"ran"``.
+    once per point with status ``"cached"`` or ``"ran"``: cache hits
+    first, then fresh runs in completion order.
     """
     ordered = list(dict.fromkeys(points))
-    results = {
-        point: result
-        for point, result, _artifacts in iter_points(
-            ordered, jobs=jobs, cache=cache, refresh=refresh,
-            progress=progress,
-        )
-    }
+    total = len(ordered)
+    results: dict[Point, WorkloadResult] = {}
+    pending: list[Point] = []
+    for point in ordered:
+        hit = None if (cache is None or refresh) else cache.get(point)
+        if hit is None:
+            pending.append(point)
+            continue
+        results[point] = hit
+        if progress:
+            progress(len(results), total, point, "cached", 0.0)
+
+    for _index, _group, batch in run_tasks(
+        _group_by_baseline(pending), _run_group, jobs=jobs
+    ):
+        for point, result, seconds in batch:
+            if cache is not None:
+                cache.put(point, result)
+            results[point] = result
+            if progress:
+                progress(len(results), total, point, "ran", seconds)
     return {point: results[point] for point in ordered}
 
 
@@ -325,22 +280,19 @@ def run_point_with_trace(point: Point, **engine_opts):
     ``metrics`` the registry snapshot dict from the run.  The point is
     promoted to ``obs="trace"`` (a *different* cache key from the
     untraced run), so a warm untraced cache can never short-circuit a
-    trace request; a cache hit requires both the result entry and its
-    trace artifact, and replays the persisted events.  ``engine_opts``
-    are :func:`iter_points`'s (``cache``, ``refresh``, ``progress``).
+    trace request; a cache hit replays the events persisted in the
+    result's ``trace``.  ``engine_opts`` are :func:`run_points`'s
+    (``cache``, ``refresh``, ``progress``).
     """
     from dataclasses import replace
 
     from repro.obs.events import EventStream
 
-    ((_point, result, artifacts),) = iter_points(
-        [replace(point, obs="trace")], **engine_opts
-    )
-    payload = artifacts["trace"]
+    (result,) = run_points([replace(point, obs="trace")], **engine_opts).values()
     return (
         result,
-        EventStream.from_payload(payload),
-        dict(payload.get("metrics", ())),
+        EventStream.from_payload(result.trace),
+        dict(result.trace.get("metrics", ())),
     )
 
 

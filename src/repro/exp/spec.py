@@ -51,8 +51,8 @@ class Point:
     #: attach the correctness oracle + golden-run differ to the run
     check: bool = False
     #: observability request: "" (none) or "trace" (record an event
-    #: stream + metrics and persist them as a cache artifact).  Part of
-    #: the cache key — a traced run and an untraced run are different
+    #: stream + metrics into the result's ``trace``).  Part of the
+    #: cache key — a traced run and an untraced run are different
     #: points, so a warm untraced cache can never satisfy a trace
     #: request with an empty trace.
     obs: str = ""
@@ -137,20 +137,17 @@ def point_key(point: Point, version: str | None = None) -> str:
 
 
 def smoke_spec(
-    scale: float = 0.1,
-    ncores: int = 4,
-    seed: int = 1,
     systems: tuple[str, ...] = ("eager", "lazy-vb", "retcon"),
 ) -> list[Point]:
     """The tiny grid used by ``python -m repro sweep --smoke`` and CI.
 
     Three representative workloads (a repairable one, an unrepairable
-    one, and a phase-barrier one) across the three headline systems —
-    or any ``systems`` override (CI's hybrid smoke runs it on
-    ``hybrid-retcon`` alone).
+    one, and a phase-barrier one) at four cores, seed 1 and scale 0.1,
+    across the three headline systems — or any ``systems`` override
+    (CI's hybrid smoke runs it on ``hybrid-retcon`` alone).
     """
     return [
-        Point(workload, system, ncores=ncores, seed=seed, scale=scale)
+        Point(workload, system, ncores=4, seed=1, scale=0.1)
         for workload in ("python_opt", "genome-sz", "kmeans")
         for system in systems
     ]

@@ -2,7 +2,7 @@
 
 The corpus is the one durable record of what the fuzzer has screened.
 Every key — the generator configuration, the machine-config override,
-the injected fault and its seed, and ``repro.__version__`` — owns one
+the injected fault, and ``repro.__version__`` — owns one
 append-only JSONL file, ``<key>.jsonl``, one line per verdict.  A
 campaign appends, flushes and fsyncs each line the moment
 :func:`repro.fuzz.diff.run_case` returns, so an interrupted campaign

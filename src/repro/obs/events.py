@@ -16,8 +16,8 @@ Two bounding disciplines are supported:
   long runs).
 
 The stream is JSON-round-trippable (:meth:`to_payload` /
-:meth:`from_payload`) so the experiment engine can persist traces as
-artifacts next to cached results.
+:meth:`from_payload`) so the experiment engine can persist a traced
+point's stream inside its cached result (``WorkloadResult.trace``).
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ class TraceEvent:
         return cls(data["kind"], data["core"], dict(data.get("detail", ())))
 
 
-#: on-disk schema of :meth:`EventStream.to_payload` artifacts
+#: on-disk schema of :meth:`EventStream.to_payload` payloads
 PAYLOAD_SCHEMA = 1
 
 
@@ -131,7 +131,7 @@ class EventStream:
 
     # -- persistence -------------------------------------------------------
     def to_payload(self) -> dict:
-        """JSON-safe representation (the engine's trace artifact)."""
+        """JSON-safe representation (a traced result's ``trace``)."""
         return {
             "schema": PAYLOAD_SCHEMA,
             "limit": self.limit,

@@ -51,7 +51,7 @@ def chrome_trace(
     """Build the Trace Event Format payload for *events*.
 
     *events* is anything iterable over :class:`TraceEvent` (an
-    :class:`EventStream`, a list from an artifact payload, ...).  When
+    :class:`EventStream`, a list from a trace payload, ...).  When
     it is an :class:`EventStream` its drop accounting is embedded
     automatically; pass ``dropped_by_kind`` explicitly otherwise.
     """

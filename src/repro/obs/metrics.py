@@ -207,8 +207,8 @@ class MetricsRegistry:
 
 def validate_latency_histogram(snapshot: dict, name: str = "") -> None:
     """Raise ``ValueError`` unless *snapshot* is a structurally valid
-    :meth:`Histogram.snapshot` dict (the form persisted inside trace
-    artifacts and consumed by the service-traffic figure).
+    :meth:`Histogram.snapshot` dict (the form persisted inside traced
+    results and consumed by the service-traffic figure).
 
     Checks the shape CI's service-smoke job schema-validates: every
     summary field present with the right type, internally consistent
@@ -247,7 +247,7 @@ def validate_latency_histogram(snapshot: dict, name: str = "") -> None:
 
 def render_snapshot(snapshot: dict) -> str:
     """ASCII rendering of a :meth:`MetricsRegistry.snapshot` dict (the
-    form persisted inside trace artifacts — scalars for counters and
+    form persisted inside traced results — scalars for counters and
     gauges, summary dicts for histograms)."""
     if not snapshot:
         return "(no metrics recorded)"

@@ -12,7 +12,7 @@ bury:
 
 Both accept anything iterable over :class:`TraceEvent` (a live
 :class:`~repro.obs.events.EventStream`, a list decoded from a trace
-artifact, ...) and render deterministically: same events in, same
+payload, ...) and render deterministically: same events in, same
 bytes out.
 """
 
@@ -118,7 +118,7 @@ def capacity_attribution(
     comes from the abort event's ``structure`` detail; events from
     traces predating structure attribution land under ``"-"``.  The
     workload x backend dimensions of the Kafousis-style attribution
-    live one level up: each trace artifact is a single (workload,
+    live one level up: each trace is a single (workload,
     backend) run, so callers key their aggregation by run.
     """
     counts: dict[tuple[str, str], int] = {}

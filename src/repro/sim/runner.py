@@ -48,6 +48,9 @@ class WorkloadResult:
     #: stm_commits, fallbacks, fallback_rate, barrier_instrs,
     #: subscription_aborts
     stm: dict = field(default_factory=dict)
+    #: an ``obs="trace"`` engine point's ``EventStream.to_payload()``
+    #: with its ``"metrics"`` snapshot; None for every other run
+    trace: Optional[dict] = None
 
     @property
     def speedup(self) -> float:
@@ -103,6 +106,8 @@ class WorkloadResult:
         # pre-HyTM golden stats fixtures.
         if self.stm:
             out["stm"] = dict(self.stm)
+        if self.trace is not None:
+            out["trace"] = self.trace
         return out
 
     @classmethod
@@ -142,6 +147,7 @@ class WorkloadResult:
             oracle_violations=list(data.get("oracle_violations", ())),
             golden=data.get("golden"),
             stm=dict(data.get("stm", ())),
+            trace=data.get("trace"),
         )
 
 

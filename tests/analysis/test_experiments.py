@@ -109,8 +109,8 @@ class TestGenerateReport:
             passes.append(list(points))
             return real(points, **engine_opts)
 
-        real = figures.iter_points
-        monkeypatch.setattr(figures, "iter_points", spy)
+        real = figures.run_points
+        monkeypatch.setattr(figures, "run_points", spy)
         generate_report(ncores=2, seed=4, scale=0.05)
         (asked,) = passes
         assert len(asked) == len(set(asked))

@@ -77,7 +77,7 @@ def test_a_failed_invariant_fails_an_unchecked_figure():
     result = run_workload(
         point.workload, point.system, ncores=2, scale=0.05
     )
-    finished = {point: (result, {})}
+    finished = {point: result}
     figure.nest(labelled, finished, base)  # clean: renders
     result.invariants.append(InvariantResult("size", False, "44 != 52"))
     with pytest.raises(figures.PointFailed, match="44 != 52") as failure:
@@ -92,15 +92,16 @@ def test_a_failed_point_exits_1_naming_it(monkeypatch, capsys):
     from repro.analysis import figures
     from repro.workloads.base import InvariantResult
 
-    real = figures.iter_points
+    real = figures.run_points
 
     def break_retcon(points, **engine_opts):
-        for point, result, artifacts in real(points, **engine_opts):
+        results = real(points, **engine_opts)
+        for point, result in results.items():
             if point.system == "retcon":
                 result.invariants.append(InvariantResult("size", False, "boom"))
-            yield point, result, artifacts
+        return results
 
-    monkeypatch.setattr(figures, "iter_points", break_retcon)
+    monkeypatch.setattr(figures, "run_points", break_retcon)
     tiny = ["--scale", "0.05", "--no-cache", "--jobs", "1"]
     for argv in (
         ["compare", "kmeans", "--cores", "2"],

@@ -22,7 +22,14 @@ GRID_RECORDS = ("1", "3", "4", "9", "10", "table3")
 @pytest.fixture(scope="module")
 def finished():
     """One shared pass over the grid records' points."""
-    return figures.run_pass(FIGURES[name].points(TINY) for name in GRID_RECORDS)
+    return figures.run_points(
+        (
+            point
+            for name in GRID_RECORDS
+            for _label, point in FIGURES[name].points(TINY)
+        ),
+        jobs=1,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -45,13 +52,13 @@ class TestSharedPass:
         for name in ALL_VARIANTS:
             seqs = {
                 result.seq_cycles
-                for point, (result, _artifacts) in finished.items()
+                for point, result in finished.items()
                 if point.workload == name
             }
             assert len(seqs) == 1
 
     def test_invariants_hold_everywhere(self, finished):
-        for point, (result, _artifacts) in finished.items():
+        for point, result in finished.items():
             assert result.invariants_ok, point.label()
 
     def test_collect_is_points_pass_nest(self, data):
@@ -118,10 +125,12 @@ class TestFigure2:
     def test_counter_validated_internally(self):
         record = FIGURES["2"]
         labelled = record.points(TINY)
-        finished = figures.run_pass([labelled])
+        finished = figures.run_points(
+            (point for _label, point in labelled), jobs=1
+        )
         record.nest(labelled, finished, TINY)  # a wrong count fails here
         assert {
-            finished[point][0].commits
+            finished[point].commits
             for (part, _system), point in labelled if part == "timeline"
         } == {4}
 

@@ -1,14 +1,16 @@
 """The core-count sweep record (``repro sweep`` and the ``scaling``
 figure share its point builder and renderer)."""
 
-from repro.analysis.figures import SWEEP, run_pass
+from repro.analysis.figures import SWEEP
+from repro.exp.engine import run_points
 from repro.exp.spec import Point
 
 
 def sweep(workload, scale, **options):
     base = Point(workload, "", ncores=0, scale=scale)
     labelled = SWEEP.points(base, **options)
-    return SWEEP.nest(labelled, run_pass([labelled]), base)
+    finished = run_points((point for _label, point in labelled), jobs=1)
+    return SWEEP.nest(labelled, finished, base)
 
 
 class TestCoreSweep:

@@ -1,57 +1,73 @@
-"""Trace artifacts in the result cache and the trace × cache contract.
+"""Traced results in the result cache and the trace × cache contract.
 
 Regression suite for the bug where a trace-requesting run could be
 satisfied by a warm untraced cache entry and come back with an empty
 trace: traced points carry ``obs="trace"`` (a different cache key),
-their event payload is persisted as an artifact next to the result,
-and a result entry without its artifact is treated as a miss.
+and their event payload rides inside the result (``WorkloadResult
+.trace``), so a traced point is one cache entry, written once.
 """
 
 from dataclasses import replace
-
-import pytest
 
 from repro.exp.cache import ResultCache
 from repro.exp.engine import run_point_with_trace, run_points
 from repro.exp.spec import Point, point_key
 
 POINT = Point("kmeans", "eager", ncores=2, seed=1, scale=0.1)
+TRACED = replace(POINT, obs="trace")
 
 
-class TestArtifactStore:
+def _statuses():
+    """A progress callback and the statuses it has seen."""
+    seen = []
+    return seen, lambda _done, _total, _point, status, _secs: seen.append(
+        status
+    )
+
+
+class TestTracedEntry:
     def test_round_trip(self, tmp_path):
         cache = ResultCache(tmp_path)
-        payload = {"events": [{"kind": "begin", "core": 0}]}
-        assert cache.get_artifact(POINT, "trace") is None
-        path = cache.put_artifact(POINT, "trace", payload)
-        assert path.name.endswith(".trace.json")
-        assert cache.get_artifact(POINT, "trace") == payload
+        result = run_points([TRACED], jobs=1)[TRACED]
+        assert result.trace["events"] and result.trace["metrics"]
+        cache.put(TRACED, result)
+        assert cache.get(TRACED).trace == result.trace
 
-    def test_lives_beside_result_entry(self, tmp_path):
+    def test_is_one_file(self, tmp_path):
+        """A traced point is one file under the cache root, and counts
+        once."""
         cache = ResultCache(tmp_path)
-        artifact = cache.artifact_path_for(POINT, "trace")
-        result = cache.path_for(POINT)
-        assert artifact.parent == result.parent
-        assert artifact.stem.startswith(result.stem)
+        run_points([TRACED], jobs=1, cache=cache)
+        (entry,) = (path for path in tmp_path.rglob("*") if path.is_file())
+        assert entry == cache.path_for(TRACED)
+        assert len(cache) == 1
 
-    def test_corrupt_artifact_is_a_miss(self, tmp_path, capsys):
-        """The engine re-simulates the point; the cache counts the
-        corrupt file and names it on stderr."""
+    def test_corrupt_entry_is_resimulated(self, tmp_path, capsys):
+        """The cache counts the corrupt entry and names it on stderr;
+        the engine re-simulates the point, trace included."""
         cache = ResultCache(tmp_path)
-        path = cache.put_artifact(POINT, "trace", {"a": 1})
+        first = run_points([TRACED], jobs=1, cache=cache)[TRACED]
+        path = cache.path_for(TRACED)
         path.write_text("{not json")
-        assert cache.get_artifact(POINT, "trace") is None
-        assert cache.corrupt == 1
+        seen, progress = _statuses()
+        again = run_points([TRACED], jobs=1, cache=cache, progress=progress)
+        assert seen == ["ran"] and cache.corrupt == 1
         assert f"corrupt cache entry {path}" in capsys.readouterr().err
+        assert again[TRACED].trace == first.trace
+        assert cache.get(TRACED).trace == first.trace
 
 
 class TestObsCacheKey:
     def test_obs_changes_the_key(self):
-        traced = replace(POINT, obs="trace")
-        assert point_key(POINT) != point_key(traced)
+        assert point_key(POINT) != point_key(TRACED)
 
     def test_obs_in_label(self):
-        assert "+trace" in replace(POINT, obs="trace").label()
+        assert "+trace" in TRACED.label()
+
+    def test_untraced_results_carry_no_trace(self):
+        result = run_points([POINT], jobs=1)[POINT]
+        assert result.trace is None
+        assert "trace" not in result.to_dict()
 
 
 class TestRunPointWithTrace:
@@ -67,16 +83,17 @@ class TestRunPointWithTrace:
 
     def test_warm_cache_replays_identical_trace(self, tmp_path):
         """Regression: the second run must hit the cache AND still
-        return the full recorded trace."""
+        return the full recorded trace and metrics."""
         cache = ResultCache(tmp_path)
-        _r1, first, _m1 = run_point_with_trace(POINT, cache=cache)
+        _r1, first, metrics1 = run_point_with_trace(POINT, cache=cache)
         hits_before = cache.hits
-        _r2, second, _m2 = run_point_with_trace(POINT, cache=cache)
+        _r2, second, metrics2 = run_point_with_trace(POINT, cache=cache)
         assert cache.hits > hits_before
         assert len(second) == len(first) > 0
         assert [e.to_dict() for e in second] == [
             e.to_dict() for e in first
         ]
+        assert metrics2 == metrics1
 
     def test_warm_untraced_cache_cannot_satisfy_trace_request(
         self, tmp_path
@@ -89,14 +106,6 @@ class TestRunPointWithTrace:
             POINT, cache=cache
         )
         assert len(events) > 0
-
-    def test_missing_artifact_forces_resimulation(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        _r1, first, _m1 = run_point_with_trace(POINT, cache=cache)
-        traced = replace(POINT, obs="trace")
-        cache.artifact_path_for(traced, "trace").unlink()
-        _r2, second, _m2 = run_point_with_trace(POINT, cache=cache)
-        assert len(second) == len(first) > 0
 
     def test_refresh_bypasses_cache(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -115,29 +124,12 @@ class TestRunPointWithTrace:
 
 
 class TestRunPointsObsGate:
-    def test_obs_point_without_artifact_reruns(self, tmp_path):
+    def test_warm_traced_point_is_a_cached_hit(self, tmp_path):
         cache = ResultCache(tmp_path)
-        traced = replace(POINT, obs="trace")
-        statuses = []
-
-        def progress(_done, _total, _point, status, _secs):
-            statuses.append(status)
-
-        results = run_points(
-            [traced], jobs=1, cache=cache, progress=progress
-        )
-        assert statuses == ["ran"]
-        assert cache.get_artifact(traced, "trace") is not None
-
-        # With result + artifact present: a clean cache hit.
-        statuses.clear()
-        run_points([traced], jobs=1, cache=cache, progress=progress)
-        assert statuses == ["cached"]
-
-        # Artifact deleted: the result alone must not count as a hit.
-        cache.artifact_path_for(traced, "trace").unlink()
-        statuses.clear()
-        run_points([traced], jobs=1, cache=cache, progress=progress)
-        assert statuses == ["ran"]
-        assert cache.get_artifact(traced, "trace") is not None
-        assert results[traced].commits > 0
+        seen, progress = _statuses()
+        cold = run_points([TRACED], jobs=1, cache=cache, progress=progress)
+        warm = run_points([TRACED], jobs=1, cache=cache, progress=progress)
+        assert seen == ["ran", "cached"]
+        assert warm[TRACED].trace == cold[TRACED].trace
+        assert warm[TRACED].to_dict() == cold[TRACED].to_dict()
+        assert cold[TRACED].commits > 0

@@ -1,10 +1,12 @@
 """The content-addressed result cache: hits, misses, invalidation."""
 
+import json
 from dataclasses import replace
 
 import pytest
 
-from repro.exp.cache import ResultCache
+import repro
+from repro.exp.cache import SCHEMA, ResultCache
 from repro.exp.engine import run_points
 from repro.exp.spec import Point
 from repro.sim.config import MachineConfig
@@ -63,11 +65,13 @@ class TestInvalidation:
         cache.put(POINT, result)
         assert cache.get(replace(POINT, **change)) is None
 
-    def test_version_change_misses(self, tmp_path, result):
+    def test_version_change_misses(self, tmp_path, result, monkeypatch):
         cache = ResultCache(tmp_path)
-        cache.put(POINT, result, version="1.0.0")
-        assert cache.get(POINT, version="1.0.0") is not None
-        assert cache.get(POINT, version="2.0.0") is None
+        monkeypatch.setattr(repro, "__version__", "1.0.0")
+        cache.put(POINT, result)
+        assert cache.get(POINT) is not None
+        monkeypatch.setattr(repro, "__version__", "2.0.0")
+        assert cache.get(POINT) is None
 
     def test_corrupt_entry_is_counted_and_reported(
         self, tmp_path, result, capsys
@@ -98,8 +102,24 @@ class TestInvalidation:
     def test_schema_bump_is_a_miss(self, tmp_path, result, monkeypatch):
         cache = ResultCache(tmp_path)
         cache.put(POINT, result)
-        monkeypatch.setattr("repro.exp.cache.SCHEMA", 2)
+        monkeypatch.setattr("repro.exp.cache.SCHEMA", SCHEMA + 1)
         assert cache.get(POINT) is None
+
+    def test_old_schema_entry_is_resimulated_once(
+        self, tmp_path, result, capsys
+    ):
+        """An entry of an older schema is reported once, re-simulated
+        and overwritten; the next pass is a plain hit."""
+        cache = ResultCache(tmp_path)
+        path = cache.put(POINT, result)
+        entry = json.loads(path.read_text())
+        path.write_text(json.dumps({**entry, "schema": SCHEMA - 1}))
+        rerun = run_points([POINT], jobs=1, cache=cache)[POINT]
+        assert rerun.to_dict() == result.to_dict()
+        assert "corrupt cache entry" in capsys.readouterr().err
+        run_points([POINT], jobs=1, cache=cache)
+        assert (cache.corrupt, cache.hits) == (1, 1)
+        assert json.loads(path.read_text())["schema"] == SCHEMA
 
 
 class TestDefaultRoot:

@@ -6,7 +6,8 @@ repair oracle and golden differ attached (``repro figure 2 --check``).
 
 import pytest
 
-from repro.analysis.figures import FIGURE2_SYSTEMS, FIGURES, run_pass
+from repro.analysis.figures import FIGURE2_SYSTEMS, FIGURES
+from repro.exp.engine import run_points
 from repro.exp.spec import Point
 from repro.sim.config import MachineConfig
 
@@ -17,7 +18,7 @@ BASE = Point("", "", check=True)
 @pytest.fixture(scope="module")
 def checked():
     labelled = RECORD.points(BASE)
-    return labelled, run_pass([labelled])
+    return labelled, run_points((p for _label, p in labelled), jobs=1)
 
 
 @pytest.fixture(scope="module")
@@ -33,7 +34,7 @@ class TestFigure2:
         }
         labelled, finished = checked
         for _label, point in labelled:
-            result, _artifacts = finished[point]
+            result = finished[point]
             assert [inv.name for inv in result.invariants] == ["counter"]
             assert result.invariants_ok, result.invariants
 
@@ -52,7 +53,7 @@ class TestFigure2:
     def test_every_commit_reaches_the_oracle(self, checked):
         labelled, finished = checked
         for _label, point in labelled:
-            result, _artifacts = finished[point]
+            result = finished[point]
             assert result.oracle_checked and result.golden is not None
             assert result.oracle_commits == result.commits > 0
             assert result.check_ok, result.oracle_violations
