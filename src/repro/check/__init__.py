@@ -20,7 +20,7 @@ Three pillars (see ``docs/correctness_oracle.md``):
 
 from repro.check.faults import FAULT_POINTS, FaultInjector, FaultPoint
 from repro.check.golden import GoldenDiff, diff_memories, golden_diff
-from repro.check.oracle import OracleError, OracleViolation, RepairOracle
+from repro.check.oracle import OracleViolation, RepairOracle
 from repro.check.replay import ReplayLimitExceeded, ReplayResult, replay_program
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "FaultInjector",
     "FaultPoint",
     "GoldenDiff",
-    "OracleError",
     "OracleViolation",
     "RepairOracle",
     "ReplayLimitExceeded",

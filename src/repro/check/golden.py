@@ -34,6 +34,9 @@ from repro.mem.address import BLOCK_SIZE, block_base, block_of
 from repro.mem.memory import MainMemory
 from repro.workloads.base import GeneratedWorkload
 
+#: differing byte addresses a diff keeps as samples
+MAX_SAMPLES = 16
+
 
 @dataclass
 class GoldenDiff:
@@ -88,14 +91,13 @@ class GoldenDiff:
 
 
 def diff_memories(
-    golden: MainMemory,
-    parallel: MainMemory,
-    max_samples: int = 16,
+    golden: MainMemory, parallel: MainMemory
 ) -> tuple[int, int, int, list[int]]:
     """Byte-diff two memories over the union of their touched blocks.
 
     Returns ``(blocks_compared, blocks_differing, bytes_differing,
-    sample_addrs)``.
+    sample_addrs)``; ``sample_addrs`` holds the first
+    :data:`MAX_SAMPLES` differing byte addresses.
 
     Blocks in the STM metadata region (at or above
     :data:`repro.stm.metadata.STM_META_BASE`) are excluded: orec
@@ -128,7 +130,7 @@ def diff_memories(
         for offset in range(BLOCK_SIZE):
             if a[offset] != b[offset]:
                 bytes_differing += 1
-                if len(samples) < max_samples:
+                if len(samples) < MAX_SAMPLES:
                     samples.append(base + offset)
     return len(blocks), blocks_differing, bytes_differing, samples
 

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 from repro.check.faults import FAULT_POINTS, FaultInjector
-from repro.check.oracle import RepairOracle
 from repro.exp.spec import Point, smoke_spec
 from repro.isa.instructions import Cond
 from repro.isa.program import Assembler, Program
@@ -193,20 +192,20 @@ def run_fault_trial(
     """Run the contended scenario on *system* with *fault* injected
     (None = clean)."""
     scripts, memory, config = fault_scenario()
-    oracle = RepairOracle()
     machine = Machine(
         config,
         system,
         scripts,
         memory,
         label=f"fault:{fault or 'control'}/{system}",
-        check=oracle,
+        check=True,
     )
     injector = None
     if fault is not None:
         injector = FaultInjector(fault)
         machine.system.fault_injector = injector
     machine.run(max_cycles=50_000_000)
+    oracle = machine.oracle
     return FaultTrial(
         fault=fault,
         system=system,

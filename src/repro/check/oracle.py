@@ -33,8 +33,8 @@ replay per commit:
    region.
 
 Divergences become structured :class:`OracleViolation` reports with
-core/transaction/expression context; ``strict=True`` escalates the
-first one to an :class:`OracleError`.
+core/transaction/expression context; the first :data:`MAX_VIOLATIONS`
+are stored, the rest only counted.
 
 The oracle is pull-free: it holds no reference to the machine and is
 driven entirely by the hooks above; every commit hands it the same
@@ -60,6 +60,9 @@ from repro.check.replay import (
 from repro.isa.program import Program
 from repro.mem.address import block_of
 from repro.mem.memory import MainMemory
+
+#: violations a run stores in full; later ones are only counted
+MAX_VIOLATIONS = 100
 
 
 @dataclass(frozen=True)
@@ -90,14 +93,6 @@ class OracleViolation:
         }
 
 
-class OracleError(AssertionError):
-    """Raised in strict mode on the first violation."""
-
-    def __init__(self, violation: OracleViolation) -> None:
-        super().__init__(str(violation))
-        self.violation = violation
-
-
 @dataclass
 class _TxnRecord:
     """What the oracle remembers about one in-flight transaction."""
@@ -112,15 +107,9 @@ class _TxnRecord:
 class RepairOracle:
     """Validates every observed commit against a replay."""
 
-    def __init__(
-        self,
-        strict: bool = False,
-        max_violations: int = 100,
-    ) -> None:
-        self.strict = strict
-        self.max_violations = max_violations
+    def __init__(self) -> None:
         self.violations: list[OracleViolation] = []
-        #: violations beyond ``max_violations`` are counted, not stored
+        #: violations beyond :data:`MAX_VIOLATIONS` are counted, not stored
         self.suppressed = 0
         self.checked_commits = 0
         #: transaction attempts started, restarts included
@@ -295,12 +284,10 @@ class RepairOracle:
             kind=kind, core=core, txn_label=label, detail=detail
         )
         self._by_kind[kind] = self._by_kind.get(kind, 0) + 1
-        if len(self.violations) < self.max_violations:
+        if len(self.violations) < MAX_VIOLATIONS:
             self.violations.append(violation)
         else:
             self.suppressed += 1
-        if self.strict:
-            raise OracleError(violation)
 
     @property
     def total_violations(self) -> int:

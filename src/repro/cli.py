@@ -510,12 +510,14 @@ def _cmd_fuzz(args) -> int:
     """``repro fuzz``: differential fuzzing campaigns.
 
     ``--smoke`` runs the fixed CI batch (210 programs: seeds 0..69 on
-    each of 3 profiles across eager/lazy-vb/retcon); ``--minutes N``
-    fuzzes the lowest seeds the ``.repro-fuzz/`` corpus has no verdict
-    for until the time budget runs out, checked per seed; the default
-    is one batch of ``--seeds`` such seeds per profile.  Every verdict
-    is appended to the corpus as it is reached, so an interrupted
-    campaign resumes when the same command runs again.
+    each of 3 profiles across eager/lazy-vb/retcon).  Otherwise a batch
+    is ``--seeds`` seeds per profile: from ``--seed-start`` if given,
+    else the lowest seeds the ``.repro-fuzz/`` corpus has no verdict
+    for.  The default is one batch; ``--minutes N`` runs batches of
+    unscreened seeds until the time budget runs out, checked per seed
+    (with ``--seed-start``, its one batch stops at the budget).  Every
+    verdict is appended to the corpus as it is reached, so an
+    interrupted campaign resumes when the same command runs again.
     """
     from repro.fuzz.campaign import (
         CampaignOptions,
@@ -531,6 +533,8 @@ def _cmd_fuzz(args) -> int:
                 f"unknown fuzz profile {profile!r}; choose from "
                 f"{sorted(FUZZ_PROFILES)}"
             )
+    if args.seeds < 1:
+        raise UsageError(f"--seeds must be at least 1, not {args.seeds}")
     backends = tuple(
         dict.fromkeys(
             tuple(args.backends) + tuple(args.extra_backends or ())
@@ -760,8 +764,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fuzz.add_argument(
         "--minutes", type=float, default=None, metavar="N",
-        help="fuzz unscreened seeds in batches until N minutes "
-             "elapse",
+        help="run batches of --seeds unscreened seeds per profile "
+             "until N minutes elapse (checked before each seed)",
     )
     fuzz.add_argument(
         "--backends", nargs="+", default=["eager", "lazy-vb", "retcon"],
@@ -785,7 +789,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fuzz.add_argument(
         "--seeds", type=int, default=70,
-        help="seeds per profile in one batch (default 70)",
+        help="seeds per profile in each batch, with or without "
+             "--minutes (default 70)",
     )
     fuzz.add_argument("--cores", type=int, default=4,
                       help="threads per generated program")

@@ -37,6 +37,10 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 #: bump when the on-disk schema changes (independent of repro.__version__)
 SCHEMA = 2
 
+#: an entry's file name, its 64-hex-digit key: a schema-1 trace file
+#: left beside it (``<key>.trace.json``) is not an entry
+_ENTRY_NAME = "[0-9a-f]" * 64 + ".json"
+
 
 def default_cache_root() -> Path:
     return Path(os.environ.get("REPRO_CACHE_DIR", DEFAULT_CACHE_DIR))
@@ -113,7 +117,8 @@ class ResultCache:
 
     # ------------------------------------------------------------------
     def clear(self) -> int:
-        """Delete every cached entry; return how many were removed."""
+        """Delete every ``*.json`` file in the cache, leftovers of older
+        schemas included; return how many were removed."""
         removed = 0
         if not self.root.exists():
             return removed
@@ -125,4 +130,4 @@ class ResultCache:
     def __len__(self) -> int:
         if not self.root.exists():
             return 0
-        return sum(1 for _ in self.root.rglob("*.json"))
+        return sum(1 for _ in self.root.rglob(_ENTRY_NAME))

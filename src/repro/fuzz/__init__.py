@@ -6,8 +6,8 @@ pulls :mod:`repro.fuzz.workload` in at import time, and importing the
 executor/campaign layers here would cycle back through
 ``sim.runner``/``exp``.  Import :mod:`repro.fuzz.diff`,
 :mod:`repro.fuzz.shrink`, :mod:`repro.fuzz.corpus` (the append-only
-verdict log every campaign resumes from), :mod:`repro.fuzz.schedule`,
-and :mod:`repro.fuzz.campaign` directly.
+verdict log every campaign resumes from) and :mod:`repro.fuzz.campaign`
+directly.
 """
 
 from repro.fuzz.gen import (

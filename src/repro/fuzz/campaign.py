@@ -10,17 +10,13 @@ engine's process pool (:func:`repro.exp.engine.run_tasks`; the
 sequential ``--jobs 1`` path yields identical verdicts).  Each verdict
 is appended to the corpus (:mod:`repro.fuzz.corpus`) the moment it
 exists, so every campaign resumes when the same command runs again:
-a fixed range skips the seeds already clean, and ``--minutes``
-batches take the lowest seeds the corpus has no verdict for, which
-picks up whatever an interrupted or deadline-cut batch left unrun.
-
-Open-ended batches split their seed budget across profiles with
-:class:`repro.fuzz.schedule.GeneScheduler` — weighted by which
-(backend, signal) pairs each profile has historically diverged on,
-with an epsilon-greedy floor so no profile starves.  The ``--minutes``
-deadline is enforced before a batch starts and before *each* seed
-(the in-flight seed finishes cleanly), not just between whole
-batches.
+a fixed range skips the seeds already clean, and an open-ended batch
+(``--minutes``, or no ``--seed-start``) takes the ``--seeds`` lowest
+seeds per profile the corpus has no covering verdict for, which picks
+up whatever an interrupted or deadline-cut batch left unrun.  The
+``--minutes`` deadline is enforced before a batch starts and before
+*each* seed (the in-flight seed finishes cleanly), not just between
+whole batches.
 
 On divergence the campaign saves the full case to the corpus, runs
 the ddmin shrinker, emits a regression test under
@@ -42,7 +38,6 @@ from repro.exp.engine import run_tasks
 from repro.fuzz.corpus import Corpus
 from repro.fuzz.diff import DEFAULT_BACKENDS, run_case
 from repro.fuzz.gen import FUZZ_PROFILES, config_hash, generate_case
-from repro.fuzz.schedule import GeneScheduler
 from repro.fuzz.shrink import (
     REGRESSION_DIR,
     divergence_predicate,
@@ -61,9 +56,6 @@ __all__ = [
 #: seeds per profile in one --smoke run: 3 profiles x 70 = 210
 #: programs (the ISSUE acceptance floor is 200 across >= 3 backends)
 SMOKE_SEEDS = 70
-
-#: seeds per batch when fuzzing under a --minutes time budget
-BATCH_SEEDS = 25
 
 
 @dataclass
@@ -96,7 +88,6 @@ class CampaignReport:
     skipped_clean: int = 0
     batches: int = 0
     diverging: list = field(default_factory=list)  # (profile, seed)
-    divergences: list = field(default_factory=list)
     emitted: list = field(default_factory=list)  # Paths
     shrink_summaries: list = field(default_factory=list)
     elapsed: float = 0.0
@@ -123,39 +114,29 @@ def _say(message: str) -> None:
 
 
 def _batch_seeds(
-    opts: CampaignOptions, corpus: Corpus, profile: str, count: int
+    opts: CampaignOptions, corpus: Corpus, profile: str
 ) -> list[int]:
     if opts.seed_start is not None:
-        return list(range(opts.seed_start, opts.seed_start + count))
+        return list(range(opts.seed_start, opts.seed_start + opts.seeds))
     return corpus.unscreened(
-        FUZZ_PROFILES[profile], opts.backends, opts.nthreads, count
+        FUZZ_PROFILES[profile], opts.backends, opts.nthreads, opts.seeds
     )
 
 
-@dataclass(frozen=True)
-class _DeepSettings:
-    """The picklable slice of CampaignOptions a pool worker needs."""
-
-    backends: tuple
-    nthreads: int
-    fault: Optional[str]
-    config: Optional[MachineConfig]
-
-
-def _deep_worker(settings: _DeepSettings, task: tuple):
+def _deep_worker(opts: CampaignOptions, task: tuple):
     """Pool task: expand one (profile, seed) and differentially run it."""
     profile, seed = task
     case = generate_case(
         seed,
         FUZZ_PROFILES[profile],
-        nthreads=settings.nthreads,
+        nthreads=opts.nthreads,
         origin=profile,
     )
     return run_case(
         case,
-        backends=settings.backends,
-        fault=settings.fault,
-        config=settings.config,
+        backends=opts.backends,
+        fault=opts.fault,
+        config=opts.config,
     )
 
 
@@ -185,12 +166,6 @@ def _deep_phase(
             else:
                 tasks.append((profile, seed))
 
-    settings = _DeepSettings(
-        backends=tuple(opts.backends),
-        nthreads=opts.nthreads,
-        fault=opts.fault,
-        config=opts.config,
-    )
     stop = (
         None
         if deadline is None
@@ -198,7 +173,7 @@ def _deep_phase(
     )
     outcomes = []
     for _index, task, outcome in run_tasks(
-        tasks, partial(_deep_worker, settings), jobs=opts.jobs, stop=stop
+        tasks, partial(_deep_worker, opts), jobs=opts.jobs, stop=stop
     ):
         profile, seed = task
         report.programs += 1
@@ -217,7 +192,6 @@ def _deep_phase(
         outcomes, key=lambda entry: (entry[0], entry[1])
     ):
         report.diverging.append((profile, seed))
-        report.divergences.extend(outcome.divergences)
         _say(f"DIVERGENCE {profile} seed={seed}")
         for div in outcome.divergences:
             _say(f"  {div}")
@@ -277,21 +251,11 @@ def run_campaign(opts: CampaignOptions) -> CampaignReport:
         if opts.minutes is not None
         else None
     )
-    batch_size = opts.seeds if deadline is None else BATCH_SEEDS
-    scheduler = None
-    if opts.seed_start is None and len(opts.profiles) > 1:
-        scheduler = GeneScheduler(corpus, opts.profiles)
-
     # A batch can take many minutes: never start one past the budget.
     while deadline is None or time.perf_counter() < deadline:
-        if scheduler is not None:
-            allocation = scheduler.allocate(batch_size * len(opts.profiles))
-        else:
-            allocation = {profile: batch_size for profile in opts.profiles}
         batches = {
-            profile: _batch_seeds(opts, corpus, profile, count)
-            for profile, count in allocation.items()
-            if count > 0
+            profile: _batch_seeds(opts, corpus, profile)
+            for profile in opts.profiles
         }
         for profile, seeds in batches.items():
             _say(

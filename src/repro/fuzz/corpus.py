@@ -178,7 +178,7 @@ class Corpus:
         count: int,
     ) -> list[int]:
         """The *count* lowest seeds with no verdict, clean or diverging,
-        covering *backends* at this thread count (for ``--minutes``
+        covering *backends* at this thread count (for open-ended
         batches: gaps an interrupted batch left come first)."""
         seeds = self.verdicts(config)
         wanted = set(backends)
@@ -190,33 +190,6 @@ class Corpus:
                 found.append(seed)
             seed += 1
         return found
-
-    def profile_stats(self, config: GeneratorConfig) -> dict:
-        """Aggregate screening stats for the campaign scheduler.
-
-        Returns ``{"screened": n, "diverging": n, "signals":
-        {(backend, kind): count}}`` — the (backend, signal) divergence
-        histogram :class:`repro.fuzz.schedule.GeneScheduler` weights
-        profile budgets by.
-        """
-        signals: dict[tuple, int] = {}
-        diverging = 0
-        seeds = self.verdicts(config)
-        for entry in seeds.values():
-            bad = False
-            for verdict in entry.values():
-                if verdict["ok"]:
-                    continue
-                bad = True
-                for div in verdict.get("divergences", ()):
-                    key = (div.get("backend"), div.get("kind"))
-                    signals[key] = signals.get(key, 0) + 1
-            diverging += 1 if bad else 0
-        return {
-            "screened": len(seeds),
-            "diverging": diverging,
-            "signals": signals,
-        }
 
     # ------------------------------------------------------------------
     def save_diverging(self, case: FuzzCase, divergences: list) -> Path:

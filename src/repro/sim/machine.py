@@ -66,7 +66,7 @@ class RunResult:
     memory: MainMemory
     system_name: str
     #: the :class:`repro.check.oracle.RepairOracle` that watched the
-    #: run, when the machine was built with ``check=``
+    #: run, when the machine was built with ``check=True``
     oracle: "object | None" = None
 
     @property
@@ -88,7 +88,7 @@ class Machine:
         scripts: list[ThreadScript],
         memory: MainMemory,
         label: str | None = None,
-        check: "bool | object | None" = None,
+        check: bool = False,
         tracer: "object | None" = None,
         metrics: "object | None" = None,
         scheduler: str = "event",
@@ -123,18 +123,15 @@ class Machine:
         if metrics is not None:
             self.system.bind_metrics(metrics)
             self.stats.bind_metrics(metrics)
-        # check=True attaches a fresh repair oracle; pass a configured
-        # RepairOracle instance for strict mode / custom limits.  It
-        # keeps its own serial state from the initial memory.
+        # check=True attaches a fresh repair oracle (``self.oracle``),
+        # which keeps its own serial state from the initial memory.
         self.oracle = None
         if check:
-            if check is True:
-                from repro.check.oracle import RepairOracle
+            from repro.check.oracle import RepairOracle
 
-                check = RepairOracle()
-            check.start(memory)
-            self.oracle = check
-            self.system.oracle = check
+            self.oracle = RepairOracle()
+            self.oracle.start(memory)
+            self.system.oracle = self.oracle
 
     # ------------------------------------------------------------------
     def run(self, max_cycles: int = 500_000_000) -> RunResult:

@@ -65,6 +65,24 @@ class TestParser:
             with pytest.raises(SystemExit):
                 build_parser().parse_args(["fuzz", gone])
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--profiles", "fuzz-rmw", "no-such-profile"],
+             "unknown fuzz profile 'no-such-profile'"),
+            (["--seeds", "0"], "--seeds must be at least 1"),
+        ],
+        ids=["profile", "seeds"],
+    )
+    def test_fuzz_bad_batch_is_a_usage_error(
+        self, argv, message, tmp_path, capsys
+    ):
+        code = main(["fuzz", *argv, "--minutes", "1", "--corpus",
+                     str(tmp_path)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())  # nothing was screened
+
     def test_fuzz_corrupt_corpus_is_a_usage_error(self, tmp_path, capsys):
         from repro.fuzz.corpus import Corpus
         from repro.fuzz.gen import FUZZ_PROFILES

@@ -14,7 +14,6 @@ from repro.check.matrix import (
     run_fault_matrix,
     run_fault_trial,
 )
-from repro.check.oracle import RepairOracle
 from repro.sim.machine import Machine
 
 
@@ -92,10 +91,10 @@ def test_a_write_buffer_plan_fault_is_caught(system, fault):
     assert control.violations == 0
     assert control.checked_commits == 4 * 32  # every commit replayed
     scripts, memory, config = fault_scenario()
-    oracle = RepairOracle()
-    machine = Machine(config, system, scripts, memory, check=oracle)
+    machine = Machine(config, system, scripts, memory, check=True)
     machine.system.fault_injector = FaultInjector(fault)
     machine.run(max_cycles=50_000_000)
+    oracle = machine.oracle
     # The faulting commit reports first; later commits replay against
     # the serial state it corrupted and report the consequences.
     first = oracle.violations[0]

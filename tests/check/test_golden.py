@@ -4,7 +4,12 @@ from dataclasses import replace
 
 import pytest
 
-from repro.check.golden import GoldenDiff, diff_memories, golden_diff
+from repro.check.golden import (
+    MAX_SAMPLES,
+    GoldenDiff,
+    diff_memories,
+    golden_diff,
+)
 from repro.mem.memory import MainMemory
 from repro.sim.config import MachineConfig
 from repro.sim.machine import Machine
@@ -47,9 +52,9 @@ class TestDiffMemories:
         a.write_bytes(4096, bytes(range(64)))
         b = MainMemory()
         b.write_bytes(4096, bytes(64))
-        _, _, bytes_, samples = diff_memories(a, b, max_samples=4)
+        _, _, bytes_, samples = diff_memories(a, b)
         assert bytes_ == 63  # byte 0 is 0 on both sides
-        assert len(samples) == 4
+        assert samples == list(range(4097, 4097 + MAX_SAMPLES))
 
 
 class TestGoldenDiffVerdict:

@@ -1,32 +1,31 @@
 """The repair oracle: clean runs report nothing, corrupted commits
-report structured violations, strict mode escalates."""
+report structured violations."""
 
 import pytest
 
 from repro.check.faults import FaultInjector
 from repro.check.matrix import fault_scenario
-from repro.check.oracle import OracleError, OracleViolation, RepairOracle
+import repro.check.oracle as oracle_mod
+from repro.check.oracle import OracleViolation, RepairOracle
 from repro.fuzz.diff import FUZZ_MAX_CYCLES, run_case
 from repro.fuzz.gen import FUZZ_PROFILES, generate_case
 from repro.sim.config import MachineConfig
 from repro.sim.machine import Machine
 
 
-def run_scenario(oracle, fault=None, **fault_kwargs):
+def run_scenario(fault=None, **fault_kwargs):
+    """The contended scenario on retcon under the oracle; its oracle."""
     scripts, memory, config = fault_scenario()
-    machine = Machine(
-        config, "retcon", scripts, memory, check=oracle
-    )
+    machine = Machine(config, "retcon", scripts, memory, check=True)
     if fault is not None:
         machine.system.fault_injector = FaultInjector(fault, **fault_kwargs)
     machine.run(max_cycles=50_000_000)
-    return machine
+    return machine.oracle
 
 
 class TestCleanRuns:
     def test_contended_retcon_run_is_violation_free(self):
-        oracle = RepairOracle()
-        run_scenario(oracle)
+        oracle = run_scenario()
         assert oracle.checked_commits > 0
         assert oracle.ok
         assert oracle.violations == []
@@ -120,8 +119,7 @@ class TestAttempts:
 
 class TestViolationReporting:
     def test_plan_store_skew_reports_store_drain(self):
-        oracle = RepairOracle()
-        run_scenario(oracle, fault="plan-store-skew")
+        oracle = run_scenario(fault="plan-store-skew")
         assert not oracle.ok
         # The faulting commit reports first; later commits replay
         # against the serial state it corrupted.
@@ -143,15 +141,16 @@ class TestViolationReporting:
         text = str(violation)
         assert "core 3" in text and "store-drain" in text
 
-    def test_max_violations_caps_storage_not_counting(self):
-        oracle = RepairOracle(max_violations=2)
-        run_scenario(oracle, fault="plan-store-misdirect")
+    def test_max_violations_caps_storage_not_counting(self, monkeypatch):
+        monkeypatch.setattr(oracle_mod, "MAX_VIOLATIONS", 2)
+        oracle = run_scenario(fault="plan-store-misdirect")
         assert len(oracle.violations) == 2
         assert oracle.suppressed > 0
         assert oracle.total_violations == 2 + oracle.suppressed
 
-    def test_by_kind_counts_suppressed_violations(self):
-        oracle = RepairOracle(max_violations=1)
+    def test_by_kind_counts_suppressed_violations(self, monkeypatch):
+        monkeypatch.setattr(oracle_mod, "MAX_VIOLATIONS", 1)
+        oracle = RepairOracle()
         oracle._report("store-drain", 0, "t", addr=1)
         oracle._report("store-drain", 0, "t", addr=2)
         oracle._report("final-memory", -1, "-", bytes=1)
@@ -159,12 +158,6 @@ class TestViolationReporting:
         assert len(oracle.violations) == 1
         assert summary["by_kind"] == {"store-drain": 2, "final-memory": 1}
         assert sum(summary["by_kind"].values()) == summary["violations"] == 3
-
-    def test_strict_mode_escalates_first_violation(self):
-        oracle = RepairOracle(strict=True)
-        with pytest.raises(OracleError) as excinfo:
-            run_scenario(oracle, fault="plan-store-skew")
-        assert excinfo.value.violation.kind == "store-drain"
 
 
 class TestRecordingLifecycle:
@@ -267,27 +260,28 @@ class TestCommitRecord:
 
         # Not a dependent: it never consumed B, so 99 is what the
         # committer left in memory.
-        strict = self.recorded(memory)
-        strict.check_commit(0, CommitPlan(), memory, [])
-        assert {v.kind for v in strict.violations} == {"store-drain"}
+        plain = self.recorded(memory)
+        plain.check_commit(0, CommitPlan(), memory, [])
+        assert {v.kind for v in plain.violations} == {"store-drain"}
 
-    def test_every_checked_backend_hands_over_the_same_record(self):
+    def test_every_checked_backend_hands_over_the_same_record(
+        self, monkeypatch
+    ):
         seen = []
+        check_commit = RepairOracle.check_commit
 
-        class Spy(RepairOracle):
-            def check_commit(self, core, plan, memory, pre_images,
-                             engine=None):
-                seen.append((type(plan).__name__, engine is not None))
-                super().check_commit(core, plan, memory, pre_images, engine)
+        def spy(self, core, plan, memory, pre_images, engine=None):
+            seen.append((type(plan).__name__, engine is not None))
+            check_commit(self, core, plan, memory, pre_images, engine)
 
+        monkeypatch.setattr(RepairOracle, "check_commit", spy)
         for system in ("retcon", "stm", "eager", "lazy", "datm",
                        "retcon-fwd"):
             scripts, memory, config = fault_scenario(
                 ncores=2, txns_per_core=2
             )
-            oracle = Spy()
-            Machine(config, system, scripts, memory, check=oracle).run(
-                max_cycles=50_000_000
-            )
+            machine = Machine(config, system, scripts, memory, check=True)
+            machine.run(max_cycles=50_000_000)
+            oracle = machine.oracle
             assert oracle.checked_commits > 0 and oracle.ok
         assert set(seen) == {("CommitPlan", True), ("CommitPlan", False)}

@@ -46,7 +46,7 @@ def run_counter_machine(
     config: MachineConfig | None = None,
     tracer=None,
     metrics=None,
-    check=None,
+    check=False,
 ):
     """Build and run the shared-counter microbenchmark; return
     (RunResult, final counter value)."""

@@ -46,6 +46,19 @@ class TestRoundTrip:
         assert len(cache) == 0
         assert cache.get(POINT) is None
 
+    def test_len_skips_a_schema_1_trace_file_and_clear_removes_it(
+        self, tmp_path, result
+    ):
+        """A schema-1 cache kept each trace beside its entry as
+        ``<key>.trace.json``; a migrated root still holds them.  Such
+        an orphan is not an entry, but ``clear()`` removes it."""
+        cache = ResultCache(tmp_path)
+        path = cache.put(POINT, result)
+        path.with_name(f"{path.stem}.trace.json").write_text("{}")
+        assert len(cache) == 1
+        assert cache.clear() == 2
+        assert not list(tmp_path.rglob("*.json"))
+
 
 class TestInvalidation:
     @pytest.mark.parametrize(

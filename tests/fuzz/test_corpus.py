@@ -26,7 +26,7 @@ class TestRecordAndReload:
         corpus.record(CFG, 3, True, BACKENDS, 4)
         fresh = Corpus(tmp_path / "corpus")
         assert fresh.is_clean(CFG, 3, BACKENDS, 4)
-        assert fresh.profile_stats(CFG)["screened"] == 1
+        assert list(fresh.verdicts(CFG)) == [3]
 
     def test_divergences_recorded(self, tmp_path):
         corpus = Corpus(tmp_path / "corpus")
@@ -187,31 +187,6 @@ class TestVerdictMerge:
         corpus.record(CFG, 1, False, BACKENDS, 8)
         assert corpus.is_clean(CFG, 1, BACKENDS, 4)
         assert not corpus.is_clean(CFG, 1, BACKENDS, 8)
-
-
-class TestProfileStats:
-    def test_empty_corpus(self, tmp_path):
-        stats = Corpus(tmp_path).profile_stats(CFG)
-        assert stats == {"screened": 0, "diverging": 0, "signals": {}}
-
-    def test_signal_histogram(self, tmp_path):
-        corpus = Corpus(tmp_path)
-        corpus.record(CFG, 1, True, BACKENDS, 4)
-        corpus.record(
-            CFG, 2, False, BACKENDS, 4,
-            divergences=[
-                Divergence("oracle", "retcon", "a"),
-                Divergence("oracle", "retcon", "b"),
-                Divergence("stats", "stm", "c"),
-            ],
-        )
-        stats = corpus.profile_stats(CFG)
-        assert stats["screened"] == 2
-        assert stats["diverging"] == 1
-        assert stats["signals"] == {
-            ("retcon", "oracle"): 2,
-            ("stm", "stats"): 1,
-        }
 
 
 class TestResume:
