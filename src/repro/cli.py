@@ -342,18 +342,17 @@ def _run_traced(args, point: Point) -> int:
     # per-kind drop accounting for everything beyond the bound.
     tracer = EventStream(limit=args.trace if args.trace > 0 else None)
     for event in events:
-        tracer.emit(event.kind, event.core, **event.detail)
+        tracer.record(event.kind, event.core, event.detail)
+    drops = tracer.dropped_by_kind
     for kind, count in events.dropped_by_kind.items():
-        tracer.dropped_by_kind[kind] = (
-            tracer.dropped_by_kind.get(kind, 0) + count
-        )
+        drops[kind] = drops.get(kind, 0) + count
     _print_result(result)
     summary = ", ".join(
         f"{kind}={count}" for kind, count in sorted(tracer.summary().items())
     )
-    print(f"\ntrace: {len(tracer.events)} events ({summary})"
+    print(f"\ntrace: {len(tracer)} events ({summary})"
           + (f", {tracer.dropped} dropped" if tracer.dropped else ""))
-    for event in tracer.events:
+    for event in tracer:
         print(f"  {event}")
     return 0 if result.check_ok else 1
 
@@ -510,8 +509,9 @@ def _cmd_fuzz(args) -> int:
     """``repro fuzz``: differential fuzzing campaigns.
 
     ``--smoke`` runs the fixed CI batch (210 programs: seeds 0..69 on
-    each of 3 profiles across eager/lazy-vb/retcon).  Otherwise a batch
-    is ``--seeds`` seeds per profile: from ``--seed-start`` if given,
+    each of 3 profiles across eager/lazy-vb/retcon) and refuses
+    ``--seeds``, ``--seed-start`` and ``--minutes``.  Otherwise a batch
+    is ``--seeds`` (70) seeds per profile: from ``--seed-start`` if given,
     else the lowest seeds the ``.repro-fuzz/`` corpus has no verdict
     for.  The default is one batch; ``--minutes N`` runs batches of
     unscreened seeds until the time budget runs out, checked per seed
@@ -520,6 +520,7 @@ def _cmd_fuzz(args) -> int:
     interrupted campaign resumes when the same command runs again.
     """
     from repro.fuzz.campaign import (
+        SMOKE_SEEDS,
         CampaignOptions,
         run_campaign,
         smoke_options,
@@ -533,8 +534,14 @@ def _cmd_fuzz(args) -> int:
                 f"unknown fuzz profile {profile!r}; choose from "
                 f"{sorted(FUZZ_PROFILES)}"
             )
-    if args.seeds < 1:
-        raise UsageError(f"--seeds must be at least 1, not {args.seeds}")
+    for name in ("seeds", "seed_start", "minutes"):
+        if args.smoke and getattr(args, name) is not None:
+            flag = "--" + name.replace("_", "-")
+            raise UsageError(f"--smoke runs a fixed batch; {flag} cannot "
+                             "change it")
+    seeds = SMOKE_SEEDS if args.seeds is None else args.seeds
+    if seeds < 1:
+        raise UsageError(f"--seeds must be at least 1, not {seeds}")
     backends = tuple(
         dict.fromkeys(
             tuple(args.backends) + tuple(args.extra_backends or ())
@@ -557,7 +564,7 @@ def _cmd_fuzz(args) -> int:
     else:
         opts = CampaignOptions(
             seed_start=args.seed_start,
-            seeds=args.seeds,
+            seeds=seeds,
             minutes=args.minutes,
             **common,
         )
@@ -760,7 +767,8 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument(
         "--smoke", action="store_true",
         help="fixed CI batch: seeds 0..69 on every profile (210 "
-             "programs across 3 backends)",
+             "programs across 3 backends); takes no --seeds, "
+             "--seed-start or --minutes",
     )
     fuzz.add_argument(
         "--minutes", type=float, default=None, metavar="N",
@@ -788,7 +796,7 @@ def build_parser() -> argparse.ArgumentParser:
              "no verdict for)",
     )
     fuzz.add_argument(
-        "--seeds", type=int, default=70,
+        "--seeds", type=int, default=None,
         help="seeds per profile in each batch, with or without "
              "--minutes (default 70)",
     )

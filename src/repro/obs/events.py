@@ -1,19 +1,15 @@
 """The structured event stream underneath all tracing.
 
-An :class:`EventStream` collects cycle-stamped :class:`TraceEvent`
-records with bounded memory and *per-kind drop accounting*: a bounded
-stream that had to discard events can always say exactly how many of
-each kind it lost, so a truncated trace never silently under-reports
+An :class:`EventStream` collects cycle-stamped events with bounded
+memory and *per-kind drop accounting*: a bounded stream records the
+first *limit* events (you see how a run starts) and counts every later
+one per kind, so a truncated trace never silently under-reports
 (``summary()`` surfaces the losses alongside the recorded counts).
 
-Two bounding disciplines are supported:
-
-* ``keep="first"`` — record the first *limit* events and drop the
-  rest (the historical ``Tracer``/``--trace=N`` behavior: you see how
-  a run starts);
-* ``keep="last"`` — a ring buffer of the most recent *limit* events
-  (you see how a run ends — the right choice for post-mortems of
-  long runs).
+Each recorded event is consecutive slots of one append-only list: kind,
+core, the detail's key tuple (interned per stream), then its values —
+about 60 B, a quarter of a :class:`TraceEvent` plus its own dict.  An
+event object is built only when the stream is read.
 
 The stream is JSON-round-trippable (:meth:`to_payload` /
 :meth:`from_payload`) so the experiment engine can persist a traced
@@ -22,12 +18,11 @@ point's stream inside its cached result (``WorkloadResult.trace``).
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterator, Optional
 
 
 class TraceEvent:
-    """One simulator event (slotted: a traced run builds ~50 k)."""
+    """One simulator event, as read back from an :class:`EventStream`."""
 
     __slots__ = ("kind", "core", "detail")
 
@@ -56,28 +51,22 @@ class TraceEvent:
         return {"kind": self.kind, "core": self.core,
                 "detail": dict(self.detail)}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "TraceEvent":
-        return cls(data["kind"], data["core"], dict(data.get("detail", ())))
-
 
 #: on-disk schema of :meth:`EventStream.to_payload` payloads
 PAYLOAD_SCHEMA = 1
 
 
 class EventStream:
-    """Bounded collector of :class:`TraceEvent` with drop accounting."""
+    """Bounded, append-only collector of events with drop accounting."""
 
-    def __init__(
-        self, limit: Optional[int] = None, keep: str = "first"
-    ) -> None:
-        if keep not in ("first", "last"):
-            raise ValueError(f"keep must be 'first' or 'last', not {keep!r}")
+    def __init__(self, limit: Optional[int] = None) -> None:
         if limit is not None and limit < 0:
             raise ValueError("limit must be non-negative")
         self.limit = limit
-        self.keep = keep
-        self.events: deque[TraceEvent] = deque()
+        #: kind, core, keys (one tuple per shape), *values of each event
+        self._slots: list = []
+        self._shapes: dict[tuple, tuple] = {}
+        self._count = 0
         #: events discarded because of the bound, counted per kind
         self.dropped_by_kind: dict[str, int] = {}
 
@@ -86,17 +75,18 @@ class EventStream:
         self.record(kind, core, detail)
 
     def record(self, kind: str, core: int, detail: dict) -> None:
-        """Append one event, keeping *detail* itself as its payload
-        (the simulator's path: no copy); the only bounding routine."""
-        events = self.events
-        if self.limit is not None and len(events) >= self.limit:
+        """Append one event; the only bounding routine.  *detail*'s
+        keys and values are captured now: the dict itself is not kept,
+        so changing it afterwards does not change the recorded event."""
+        if self._count == self.limit:
             drops = self.dropped_by_kind
-            if self.keep == "first" or not events:
-                drops[kind] = drops.get(kind, 0) + 1
-                return
-            evicted = events.popleft().kind
-            drops[evicted] = drops.get(evicted, 0) + 1
-        events.append(TraceEvent(kind, core, detail))
+            drops[kind] = drops.get(kind, 0) + 1
+            return
+        keys = tuple(detail)
+        slots = self._slots
+        slots.extend((kind, core, self._shapes.setdefault(keys, keys)))
+        slots.extend(detail.values())
+        self._count += 1
 
     @property
     def dropped(self) -> int:
@@ -106,47 +96,69 @@ class EventStream:
     @property
     def total_emitted(self) -> int:
         """Events offered to the stream, recorded or not."""
-        return len(self.events) + self.dropped
+        return self._count + self.dropped
 
     # -- queries -----------------------------------------------------------
-    def of_kind(self, kind: str) -> list[TraceEvent]:
-        return [e for e in self.events if e.kind == kind]
+    def _records(self) -> Iterator[tuple[str, int, tuple, int]]:
+        """``(kind, core, keys, first value slot)`` of each event."""
+        slots, i = self._slots, 0
+        while i < len(slots):
+            kind, core, keys = slots[i:i + 3]
+            yield kind, core, keys, i + 3
+            i += 3 + len(keys)
 
-    def __len__(self) -> int:
-        return len(self.events)
+    def _detail(self, keys: tuple, start: int) -> dict:
+        return dict(zip(keys, self._slots[start:start + len(keys)]))
 
     def __iter__(self) -> Iterator[TraceEvent]:
-        return iter(self.events)
+        for kind, core, keys, start in self._records():
+            yield TraceEvent(kind, core, self._detail(keys, start))
+
+    @property
+    def events(self) -> list[TraceEvent]:
+        """Every recorded event, built afresh (appending records nothing)."""
+        return list(self)
+
+    def of_kind(self, kind: str) -> list[TraceEvent]:
+        return [TraceEvent(kind, core, self._detail(keys, start))
+                for k, core, keys, start in self._records() if k == kind]
+
+    def __len__(self) -> int:
+        return self._count
 
     def summary(self) -> dict[str, int]:
         """Recorded events per kind — plus, for any kind the bound
         forced drops of, a ``"<kind>:dropped"`` entry, so a bounded
         trace can never pass for a complete one."""
         counts: dict[str, int] = {}
-        for event in self.events:
-            counts[event.kind] = counts.get(event.kind, 0) + 1
+        for kind, _core, _keys, _start in self._records():
+            counts[kind] = counts.get(kind, 0) + 1
         for kind, dropped in self.dropped_by_kind.items():
             counts[f"{kind}:dropped"] = dropped
         return counts
 
     # -- persistence -------------------------------------------------------
     def to_payload(self) -> dict:
-        """JSON-safe representation (a traced result's ``trace``)."""
+        """JSON-safe representation (a traced result's ``trace``);
+        ``keep`` is always ``"first"``, as in every earlier payload."""
         return {
             "schema": PAYLOAD_SCHEMA,
             "limit": self.limit,
-            "keep": self.keep,
-            "events": [e.to_dict() for e in self.events],
+            "keep": "first",
+            "events": [
+                {"kind": kind, "core": core,
+                 "detail": self._detail(keys, start)}
+                for kind, core, keys, start in self._records()
+            ],
             "dropped_by_kind": dict(self.dropped_by_kind),
         }
 
     @classmethod
     def from_payload(cls, payload: dict) -> "EventStream":
-        stream = cls(
-            limit=payload.get("limit"), keep=payload.get("keep", "first")
-        )
-        stream.events.extend(
-            TraceEvent.from_dict(e) for e in payload.get("events", ())
-        )
+        stream = cls(limit=payload.get("limit"))
+        for event in payload.get("events", ()):
+            stream.record(
+                event["kind"], event["core"], event.get("detail", {})
+            )
         stream.dropped_by_kind = dict(payload.get("dropped_by_kind", ()))
         return stream

@@ -83,6 +83,28 @@ class TestParser:
         assert message in capsys.readouterr().err
         assert not list(tmp_path.iterdir())  # nothing was screened
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--seeds", "1"), ("--seed-start", "500"), ("--minutes", "1")],
+    )
+    def test_fuzz_smoke_takes_no_batch_flag(
+        self, flag, value, tmp_path, capsys
+    ):
+        code = main(["fuzz", "--smoke", flag, value, "--profiles",
+                     "fuzz-rmw", "--backends", "eager", "--corpus",
+                     str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{flag} cannot change it" in err
+        assert not list(tmp_path.iterdir())  # nothing was screened
+
+    def test_fuzz_smoke_alone_parses(self):
+        args = build_parser().parse_args(["fuzz", "--smoke"])
+        assert args.smoke
+        assert (args.seeds, args.seed_start, args.minutes) == (
+            None, None, None
+        )
+
     def test_fuzz_corrupt_corpus_is_a_usage_error(self, tmp_path, capsys):
         from repro.fuzz.corpus import Corpus
         from repro.fuzz.gen import FUZZ_PROFILES

@@ -81,13 +81,6 @@ class TestEventStreamTracing:
         assert summary["abort:dropped"] == 1
         assert summary["begin"] == 1
 
-    def test_keep_last_ring_buffer(self):
-        tracer = EventStream(limit=2, keep="last")
-        for i in range(4):
-            tracer.emit("begin", 0, n=i)
-        assert [e.detail["n"] for e in tracer.events] == [2, 3]
-        assert tracer.dropped == 2
-
     def test_str_rendering(self):
         tracer = EventStream()
         tracer.emit("steal", 3, block=7, writer=1)
