@@ -19,7 +19,7 @@ import os
 
 import pytest
 
-from repro.analysis.figures import FIGURES, collect
+from repro.analysis.figures import FIGURES, cell_text, collect
 from repro.exp import Point
 
 RECORDS = {name: record for name, record in FIGURES.items() if record.claims}
@@ -42,10 +42,12 @@ def test_paper_claims(name, paper_data):
     banner = "=" * len(record.title)
     # shown with pytest -s, or in the captured output of a failure
     print(f"\n{banner}\n{record.title}\n{banner}\n{record.render(data, NCORES)}\n")
-    failed = [
-        f"{claim.description}: paper {claim.paper!r}, "
-        f"measured {claim.measured(data)!r}"
-        for claim in record.claims
-        if not claim.holds(data, NCORES)
-    ]
+    failed = []
+    for claim in record.claims:
+        holds, cells = claim.judge(data, NCORES)
+        if not holds:
+            failed.append(
+                f"{claim.description}: paper {claim.paper!r}, "
+                f"measured {cell_text(cells)!r}"
+            )
     assert not failed, "\n".join(failed)

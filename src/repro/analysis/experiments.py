@@ -3,14 +3,15 @@
 Walks the registry (:data:`repro.analysis.figures.FIGURES`): every
 record that carries claims gets a section — its title, its rendered
 data, and a table judging each :class:`~repro.analysis.figures.Claim`
-against what was measured.  Invoked as::
+against what was measured: its verdict and the cells its predicate
+read (:meth:`~repro.analysis.figures.Claim.judge`).  Invoked as::
 
     python -m repro experiments [--scale S] [--cores N] [-o FILE]
 """
 
 from __future__ import annotations
 
-from repro.analysis.figures import FIGURES, collect
+from repro.analysis.figures import FIGURES, cell_text, collect
 from repro.exp.spec import Point
 
 
@@ -53,10 +54,10 @@ def generate_report(
             "| shape claim | paper | measured | holds |",
             "|---|---|---|---|",
         ]
-        lines += [
-            f"| {claim.description} | {claim.paper} | "
-            f"{claim.measured(data)} | "
-            f"{'yes' if claim.holds(data, ncores) else '**NO**'} |"
-            for claim in records[name].claims
-        ]
+        for claim in records[name].claims:
+            holds, cells = claim.judge(data, ncores)
+            lines.append(
+                f"| {claim.description} | {claim.paper} | {cell_text(cells)} | "
+                f"{'yes' if holds else '**NO**'} |"
+            )
     return "\n".join(lines) + "\n"

@@ -37,8 +37,9 @@ every subcommand that registers those flags builds its points through
 it.  ``figure``, ``table``, ``compare``, ``sweep`` and ``sweep
 --smoke`` are one driver, ``_show``, over the record the command line
 names in :mod:`repro.analysis.figures`; ``experiments`` walks the same
-registry.  A point that fails a correctness check fails any of them
-the same way: its label on stderr, exit 1.
+registry.  A point that fails a correctness check, or runs into the
+cycle watchdog, fails any of them the same way: its label on stderr,
+exit 1.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ from repro.exp import Point, ResultCache, run_points, stderr_progress
 from repro.exp.engine import OBS_EVENT_LIMIT, run_point_with_trace
 from repro.htm.backends import BACKENDS
 from repro.sim.config import MachineConfig
+from repro.sim.machine import SimulationTimeout
 from repro.sim.runner import _resolve_workload
 from repro.workloads.registry import ALL_VARIANTS, WORKLOADS
 
@@ -905,7 +907,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
-    except fig.PointFailed as exc:
+    except (fig.PointFailed, SimulationTimeout) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 1
 

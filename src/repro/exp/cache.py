@@ -34,8 +34,9 @@ from repro.sim.runner import WorkloadResult
 #: default cache directory (relative to the current working directory)
 DEFAULT_CACHE_DIR = ".repro-cache"
 
-#: bump when the on-disk schema changes (independent of repro.__version__)
-SCHEMA = 2
+#: bump when the on-disk schema changes (independent of repro.__version__);
+#: 3 keeps every mapping in insertion order, so a replay prints as the run
+SCHEMA = 3
 
 #: an entry's file name, its 64-hex-digit key: a schema-1 trace file
 #: left beside it (``<key>.trace.json``) is not an entry
@@ -105,7 +106,7 @@ class ResultCache:
                     "version": version,
                     "spec": point.spec_dict(),
                     "result": result.to_dict(),
-                }, handle, sort_keys=True)
+                }, handle)
             os.replace(tmp, path)
         except BaseException:
             try:

@@ -121,14 +121,7 @@ class WorkloadResult:
             commits=data["commits"],
             aborts=data["aborts"],
             aborts_by_reason=dict(data["aborts_by_reason"]),
-            # The cache stores JSON with sort_keys=True; restore the
-            # canonical busy/conflict/barrier/other order so cached
-            # and live results render identically.
-            breakdown={
-                k: data["breakdown"][k]
-                for k in ("busy", "conflict", "barrier", "other")
-                if k in data["breakdown"]
-            },
+            breakdown=dict(data["breakdown"]),
             table3={
                 k: tuple(v) for k, v in data["table3"].items()
             },

@@ -258,3 +258,44 @@ class TestCommands:
         out = capsys.readouterr().out
         assert code == 0
         assert "txn[capture]" in out
+
+
+class TestReplay:
+    """A cached replay prints exactly what the fresh run printed."""
+
+    @pytest.mark.parametrize("extra", [[], ["--trace=5"]])
+    def test_run_replay_is_byte_identical(
+        self, extra, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        argv = ["run", "kmeans", "--cores", "2", "--scale", "0.1", *extra]
+        assert main(argv) == 0
+        fresh = capsys.readouterr()
+        assert main(argv) == 0
+        replayed = capsys.readouterr()
+        assert "cached" not in fresh.err and "cached" in replayed.err
+        assert replayed.out == fresh.out
+
+
+class TestWatchdog:
+    def test_timeout_is_one_labelled_line(self, monkeypatch, capsys):
+        from repro.sim.machine import Machine
+
+        # the point's own (multi-core) run hits a 1 000-cycle bound;
+        # its sequential baseline keeps the default one
+        run = Machine.run
+        monkeypatch.setattr(
+            Machine, "run",
+            lambda self, max_cycles=500_000_000: run(
+                self, 1_000 if len(self.cores) > 1 else max_cycles
+            ),
+        )
+        code = main(
+            ["run", "kmeans", "--cores", "2", "--scale", "0.1",
+             "--jobs", "1", "--no-cache"]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        (line,) = captured.err.splitlines()
+        assert line.startswith("run: makespan ")
+        assert "1000-cycle watchdog" in line and "[kmeans/" in line

@@ -35,9 +35,18 @@ class TestClaims:
     @pytest.mark.parametrize("name", RECORDS)
     def test_every_claim_evaluates(self, name, tiny_data):
         for c in RECORDS[name].claims:
-            assert isinstance(c.holds(tiny_data[name], 2), bool), c.description
-            assert isinstance(c.measured(tiny_data[name]), str), c.description
+            holds, cells = c.judge(tiny_data[name], 2)
+            assert isinstance(holds, bool), c.description
+            # the view changes what is noted, never what is decided
+            assert holds == c.holds(tiny_data[name], 2), c.description
+            assert isinstance(figures.cell_text(cells), str), c.description
             assert c.description and c.paper
+
+    @pytest.mark.parametrize("name", RECORDS)
+    def test_every_claim_reads_a_cell(self, name, tiny_data):
+        for c in RECORDS[name].claims:
+            _holds, cells = c.judge(tiny_data[name], 2)
+            assert cells, c.description
 
     def test_no_claim_is_stated_twice(self):
         descriptions = [
@@ -45,14 +54,28 @@ class TestClaims:
         ]
         assert len(descriptions) == len(set(descriptions))
 
+    def test_the_view_records_the_cells_that_decided(self):
+        c = figures.Claim(
+            "probe", "—",
+            lambda d, _n: len(d) == 2 and (d["a"] > 0 or d["b"][1] > 0),
+        )
+        data = {"a": 1.0, "b": (2, 3)}
+        assert c.judge(data, 2) == (True, {("keys",): 2, ("a",): 1.0})
+        data["a"] = 0.0  # now the `or` reads its second side
+        assert c.judge(data, 2)[1] == {
+            ("keys",): 2, ("a",): 0.0, ("b", 1): 3,
+        }
+        assert figures.cell_text(c.judge(data, 2)[1]) == "keys 2, a 0.00, b/1 3"
+
     def test_python_opt_claim_holds_on_paper_shaped_data(self):
         matrix = {
             name: {"eager": 1.0, "lazy-vb": 1.2, "retcon": 20.0}
             for name in figures.ALL_VARIANTS
         }
         c = claim("9", "python_opt transformed from no scaling to near-linear")
-        assert c.holds(matrix, 32)
-        assert "20.0x" in c.measured(matrix)
+        holds, cells = c.judge(matrix, 32)
+        assert holds
+        assert "python_opt/retcon 20.0" in figures.cell_text(cells)
         # the bound is core-relative: 20x is not near-linear on 64 cores
         assert not c.holds(matrix, 64)
 
@@ -64,6 +87,17 @@ class TestClaims:
         assert not claim("3", "restructuring rescues intruder").holds(series, 32)
         assert claim("3", "restructuring rescues vacation").holds(series, 32)
 
+    def test_figure3_hashtable_claim_names_every_cell_it_compares(self):
+        series = {
+            "genome": 20.0, "genome-sz": 10.0, "intruder_opt": 20.0,
+            "intruder_opt-sz": 5.0, "vacation_opt": 20.0,
+            "vacation_opt-sz": 5.0,
+        }
+        c = claim("3", "resizable hashtable remains abort-bound on the baseline")
+        holds, cells = c.judge(series, 32)
+        assert holds
+        assert set(cells) == {(name,) for name in series}
+
     def test_table3_claims_hold_on_small_structures(self):
         row = {
             "blocks_tracked": (1.0, 3), "private_stores": (1.0, 4),
@@ -74,8 +108,10 @@ class TestClaims:
         assert all(c.holds(data, 32) for c in FIGURES["table3"].claims)
         data["python"]["private_stores"] = (20.0, 40)  # overflows the SSB
         c = claim("table3", "32-entry symbolic store buffer suffices")
-        assert not c.holds(data, 32)
-        assert c.measured(data) == "max 40"
+        holds, cells = c.judge(data, 32)
+        assert not holds
+        assert cells[("python", "private_stores", 1)] == 40
+        assert "python/private_stores/1 40" in figures.cell_text(cells)
 
     def test_unrepairable_claims_are_two_sided_where_the_paper_says_about(self):
         def yada(retcon, lazy):
