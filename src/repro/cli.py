@@ -38,8 +38,8 @@ it.  ``figure``, ``table``, ``compare``, ``sweep`` and ``sweep
 --smoke`` are one driver, ``_show``, over the record the command line
 names in :mod:`repro.analysis.figures`; ``experiments`` walks the same
 registry.  A point that fails a correctness check, or runs into the
-cycle watchdog, fails any of them the same way: its label on stderr,
-exit 1.
+cycle watchdog, or whose result cannot be written to the cache, fails
+any of them the same way: its label on stderr, exit 1.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ from typing import Sequence
 from repro.analysis import figures as fig
 from repro.analysis.report import format_table
 from repro.exp import Point, ResultCache, run_points, stderr_progress
+from repro.exp.cache import CacheWriteError
 from repro.exp.engine import OBS_EVENT_LIMIT, run_point_with_trace
 from repro.htm.backends import BACKENDS
 from repro.sim.config import MachineConfig
@@ -907,7 +908,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
-    except (fig.PointFailed, SimulationTimeout) as exc:
+    except (fig.PointFailed, SimulationTimeout, CacheWriteError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 1
 

@@ -105,7 +105,7 @@ class RetconEngine:
     commit, stores buffered), but no symbolic repair is performed — a
     changed value always aborts.  Only :meth:`load` reads the flag: it
     mints no root, so no symbolic value reaches the other hooks, and
-    the core runs the plain handler chain (:mod:`repro.sim.decode`).
+    the core runs the plain handlers (:mod:`repro.sim.decode`).
     """
 
     def __init__(

@@ -16,7 +16,9 @@ package version — invalidates by construction.  Files are written
 atomically (tmp + rename).  Only a missing entry is a miss; one that
 exists but cannot be read or parsed is counted in
 :attr:`ResultCache.corrupt` and named on stderr, then re-simulated and
-overwritten like a miss — never an error.
+overwritten like a miss — never an error.  A write that fails
+(disk full, no permission) leaves no temporary file behind and raises
+one :class:`CacheWriteError` naming the point and the entry.
 """
 
 from __future__ import annotations
@@ -41,6 +43,11 @@ SCHEMA = 3
 #: an entry's file name, its 64-hex-digit key: a schema-1 trace file
 #: left beside it (``<key>.trace.json``) is not an entry
 _ENTRY_NAME = "[0-9a-f]" * 64 + ".json"
+
+
+class CacheWriteError(RuntimeError):
+    """A point's result could not be stored: its label, its entry
+    path and the operating system's reason, in one line."""
 
 
 def default_cache_root() -> Path:
@@ -90,30 +97,37 @@ class ResultCache:
     def put(self, point: Point, result: WorkloadResult) -> Path:
         """Store *result* for *point* atomically — a temporary file
         beside the entry, renamed over it, and removed if anything
-        fails on the way; return the entry's path."""
+        fails on the way; return the entry's path.  An ``OSError`` on
+        the way is raised as :class:`CacheWriteError`."""
         from repro import __version__ as version
 
         path = self.path_for(point)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=path.parent, prefix=path.stem, suffix=".tmp"
-        )
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump({
-                    "schema": SCHEMA,
-                    "key": path.stem,
-                    "version": version,
-                    "spec": point.spec_dict(),
-                    "result": result.to_dict(),
-                }, handle)
-            os.replace(tmp, path)
-        except BaseException:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(
+                dir=path.parent, prefix=path.stem, suffix=".tmp"
+            )
             try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+                with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                    json.dump({
+                        "schema": SCHEMA,
+                        "key": path.stem,
+                        "version": version,
+                        "spec": point.spec_dict(),
+                        "result": result.to_dict(),
+                    }, handle)
+                os.replace(tmp, path)
+            except BaseException:
+                try:
+                    os.unlink(tmp)
+                except OSError:
+                    pass
+                raise
+        except OSError as exc:
+            raise CacheWriteError(
+                f"cannot write the cache entry of {point.label()} to "
+                f"{path}: {exc.strerror or exc}"
+            ) from exc
         return path
 
     # ------------------------------------------------------------------

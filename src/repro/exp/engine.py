@@ -30,7 +30,6 @@ also called directly by engine users whose unit of work is not a
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import sys
 import time
@@ -185,6 +184,7 @@ def run_tasks(
             yield index, item, worker(item)
         return
 
+    import multiprocessing
     from concurrent.futures import (
         FIRST_COMPLETED,
         ProcessPoolExecutor,

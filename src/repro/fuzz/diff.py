@@ -120,7 +120,9 @@ def run_case(
     outcome = CaseOutcome(case=case, backends=tuple(backends))
     diverge = outcome.divergences.append
 
-    golden_memory = run_sequential(generated, config).memory
+    golden_memory = run_sequential(
+        generated, config, label=f"fuzz sequential {label}"
+    ).memory
     for inv in generated.check_invariants(golden_memory):
         if not inv.ok:
             diverge(

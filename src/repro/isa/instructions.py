@@ -118,7 +118,10 @@ def apply_op(op: str, lhs: int, rhs: int) -> int:
 
 @dataclass(frozen=True)
 class Instruction:
-    """Base class for all instructions."""
+    """Base class for all instructions.
+
+    The simulator (:mod:`repro.sim.decode`) gives every instruction
+    its compiled handlers as ``run_plain``/``run_sym`` attributes."""
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from repro.htm.events import StallRetry, TxnAborted
 from repro.htm.system import BaseTMSystem
 from repro.isa.instructions import Reg
 from repro.isa.registers import RegisterFile
-from repro.sim.decode import chain_for
+import repro.sim.decode  # noqa: F401  -- gives Instruction run_plain/run_sym
 from repro.sim.script import Barrier, ThreadScript, Txn, Work
 from repro.sim.stats import CoreStats
 
@@ -58,8 +58,7 @@ class Core:
         "consecutive_stalls",
         "_txn_regs",
         "_pc_trace",
-        "_chain_program",
-        "_chain",
+        "program",
         "_burst_env",
     )
 
@@ -98,11 +97,9 @@ class Core:
         self._txn_regs: Optional[list[int]] = None
         # The attached oracle's executed-pc list for the current attempt.
         self._pc_trace: Optional[list[int]] = None
-        # Handler chain of the current transaction's program (chains
-        # are shared across cores via the Program, one symbolic and
-        # one plain variant; see repro.sim.decode).
-        self._chain_program = None
-        self._chain: list = []
+        # The current transaction's program: taken branches and Halt
+        # read its labels and length (see repro.sim.decode).
+        self.program = None
         # Burst-invariant environment, recomputed at each run_until
         # call that finds it unset; the machine clears it at run start
         # (observers like tracers attach between construction and run).
@@ -167,12 +164,9 @@ class Core:
             item = items[idx]
 
             if isinstance(item, Txn):
-                program = item.program
-                if program is not self._chain_program:
-                    self._chain_program = program
-                    self._chain = chain_for(program, symbolic)
-                chain = self._chain
-                n = len(chain)
+                program = self.program = item.program
+                instructions = program.instructions
+                n = len(instructions)
                 # Keep the two per-step accumulators in locals for the
                 # duration of the burst, syncing with the attributes
                 # around every out-of-line call that reads or writes
@@ -236,7 +230,11 @@ class Core:
                     if traced:
                         self.cycle = cycle
                     try:
-                        latency = chain[pc](self, regs)
+                        inst = instructions[pc]
+                        if symbolic:
+                            latency = inst.run_sym(self, regs)
+                        else:
+                            latency = inst.run_plain(self, regs)
                     except StallRetry as stall:
                         self.cycle = cycle
                         self.attempt_busy = busy

@@ -169,18 +169,28 @@ def _resolve_workload(
     return workload.with_traffic(skew=skew, burst=burst)
 
 
+def _label(
+    name: str, system: str, ncores: int, seed: int, scale: float
+) -> str:
+    """A machine's label: what a watchdog error names."""
+    return f"{name}/{system} ncores={ncores} seed={seed} scale={scale}"
+
+
 def run_sequential(
     generated: GeneratedWorkload,
     config: Optional[MachineConfig] = None,
+    label: Optional[str] = None,
 ) -> RunResult:
     """Run the workload's total work on a single core: the paper's
     "seq" baseline that Figures 1, 3, and 9 normalize against, and —
     every thread's transactions back to back cannot lose updates or
-    commit unserializably — the golden final state."""
+    commit unserializably — the golden final state.  *label* names
+    the point in a watchdog error."""
     config = config or MachineConfig()
     sequential = concatenate(generated.scripts)
     machine = Machine(
-        config.with_cores(1), "eager", [sequential], generated.memory.clone()
+        config.with_cores(1), "eager", [sequential],
+        generated.memory.clone(), label=label,
     )
     return machine.run()
 
@@ -232,8 +242,7 @@ def run_workload(
         system,
         generated.scripts,
         generated.memory.clone(),
-        label=f"{name}/{system} ncores={ncores} seed={seed} "
-              f"scale={scale}",
+        label=_label(name, system, ncores, seed, scale),
         check=oracle,
         tracer=tracer,
         metrics=metrics,
@@ -241,7 +250,10 @@ def run_workload(
     parallel = machine.run()
 
     if sequential is None:
-        sequential = run_sequential(generated, config)
+        sequential = run_sequential(
+            generated, config,
+            label=_label(name, "sequential", ncores, seed, scale),
+        )
 
     invariants = (
         generated.check_invariants(parallel.memory) if check else []
@@ -307,4 +319,7 @@ def generate_and_baseline(
     generated = _resolve_workload(name, skew=skew, burst=burst).generate(
         ncores, seed=seed, scale=scale
     )
-    return generated, run_sequential(generated, config)
+    return generated, run_sequential(
+        generated, config,
+        label=_label(name, "sequential", ncores, seed, scale),
+    )

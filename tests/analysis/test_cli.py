@@ -299,3 +299,50 @@ class TestWatchdog:
         (line,) = captured.err.splitlines()
         assert line.startswith("run: makespan ")
         assert "1000-cycle watchdog" in line and "[kmeans/" in line
+
+    def test_a_baseline_timeout_names_its_point(self, monkeypatch, capsys):
+        from repro.sim.machine import Machine
+
+        # only the single-core sequential baseline hits the bound
+        run = Machine.run
+        monkeypatch.setattr(
+            Machine, "run",
+            lambda self, max_cycles=500_000_000: run(
+                self, 1_000 if len(self.cores) == 1 else max_cycles
+            ),
+        )
+        code = main(
+            ["run", "kmeans", "--cores", "2", "--scale", "0.1",
+             "--jobs", "1", "--no-cache"]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        (line,) = captured.err.splitlines()
+        assert line.startswith("run: makespan ")
+        assert line.endswith("[kmeans/sequential ncores=2 seed=1 scale=0.1]")
+
+
+class TestCacheWriteFailure:
+    def test_a_full_disk_is_one_labelled_line(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        import errno
+        import os
+
+        def full(src, dst):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(os, "replace", full)
+        code = main(
+            ["run", "kmeans", "--cores", "2", "--scale", "0.1",
+             "--jobs", "1"]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        (line,) = captured.err.splitlines()
+        assert line.startswith("run: cannot write the cache entry of kmeans/")
+        assert str(tmp_path) in line
+        assert line.endswith(os.strerror(errno.ENOSPC))
+        # neither the temporary file nor the entry is left behind
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == []

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -80,8 +81,8 @@ class TestBaselineSharing:
         sequential_runs = []
         real = runner.run_sequential
 
-        def spy(generated, config=None):
-            result = real(generated, config)
+        def spy(generated, config=None, label=None):
+            result = real(generated, config, label)
             sequential_runs.append(result)
             return result
 
@@ -250,3 +251,18 @@ class TestResolveJobs:
         monkeypatch.delenv("REPRO_JOBS", raising=False)
         assert resolve_jobs(0) == 1
         assert resolve_jobs(None) >= 1
+
+
+def test_importing_the_engine_leaves_multiprocessing_unloaded():
+    """Only a process pool needs ``multiprocessing``; a process that
+    runs points in-process never pays for importing it."""
+    import repro
+
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.exp.engine, repro.sim.machine\n"
+         "print('multiprocessing' in sys.modules)"],
+        capture_output=True, text=True, timeout=60, check=True,
+        env={"PYTHONPATH": str(Path(repro.__file__).parents[1])},
+    )
+    assert done.stdout.strip() == "False"

@@ -2,7 +2,10 @@
 
 from dataclasses import replace
 
+import pytest
+
 from repro.sim.config import MachineConfig
+from repro.sim.machine import SimulationTimeout
 from repro.sim.runner import (
     generate_and_baseline,
     run_sequential,
@@ -105,3 +108,43 @@ class TestRunner:
                               seed=9)
         assert first.cycles == second.cycles
         assert first.aborts == second.aborts
+
+
+class TestBaselineWatchdogLabel:
+    """A watchdog hit in the sequential baseline names its point, not
+    just the ``eager`` machine it runs on."""
+
+    @pytest.fixture(autouse=True)
+    def one_core_bound(self, monkeypatch):
+        from repro.sim.machine import Machine
+
+        run = Machine.run
+        monkeypatch.setattr(
+            Machine, "run",
+            lambda self, max_cycles=500_000_000: run(
+                self, 1_000 if len(self.cores) == 1 else max_cycles
+            ),
+        )
+
+    def test_run_workload(self):
+        with pytest.raises(SimulationTimeout) as excinfo:
+            run_workload("kmeans", "eager", ncores=2, seed=3, scale=0.1)
+        assert excinfo.value.label == (
+            "kmeans/sequential ncores=2 seed=3 scale=0.1"
+        )
+
+    def test_generate_and_baseline(self):
+        with pytest.raises(SimulationTimeout) as excinfo:
+            generate_and_baseline("kmeans", ncores=2, seed=3, scale=0.1)
+        assert excinfo.value.label == (
+            "kmeans/sequential ncores=2 seed=3 scale=0.1"
+        )
+
+    def test_fuzz_case(self):
+        from repro.fuzz.diff import run_case
+        from repro.fuzz.gen import FUZZ_PROFILES, generate_case
+
+        case = generate_case(0, FUZZ_PROFILES["fuzz-mixed"])
+        with pytest.raises(SimulationTimeout) as excinfo:
+            run_case(case, backends=("eager",))
+        assert excinfo.value.label == f"fuzz sequential {case.label()}"
