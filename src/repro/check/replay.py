@@ -97,7 +97,6 @@ def replay_program(
     pc_trace: list[int] = []
     trace = pc_trace.append
     instructions = program.instructions
-    target = program.target
     end = len(instructions)
     cc_lhs = cc_rhs = 0
     cc_valid = False
@@ -150,7 +149,7 @@ def replay_program(
                 regs[inst.rs1],
                 regs[src] if type(src) is Reg else src.value,
             ):
-                pc = target(inst.target)
+                pc = inst.target
                 continue
         elif kind is Nop:
             pass
@@ -163,12 +162,12 @@ def replay_program(
             if not cc_valid:
                 raise RuntimeError("replay: Bcc before any Cmp")
             if evaluate_cond(inst.cond, cc_lhs, cc_rhs):
-                pc = target(inst.target)
+                pc = inst.target
                 continue
         elif kind is Halt:
             break
         elif kind is Jump:
-            pc = target(inst.target)
+            pc = inst.target
             continue
         elif kind is Mov:
             regs[inst.rd] = regs[inst.rs]

@@ -192,12 +192,13 @@ class Cmp(Instruction):
 
 @dataclass(frozen=True)
 class Branch(Instruction):
-    """Compare-and-branch: if ``rs1 cond src2`` jump to ``target``."""
+    """Compare-and-branch: if ``rs1 cond src2`` jump to instruction
+    index ``target``."""
 
     cond: Cond
     rs1: Reg
     src2: Operand
-    target: str
+    target: int
 
 
 @dataclass(frozen=True)
@@ -205,14 +206,14 @@ class Bcc(Instruction):
     """Branch on the condition codes set by the most recent :class:`Cmp`."""
 
     cond: Cond
-    target: str
+    target: int
 
 
 @dataclass(frozen=True)
 class Jump(Instruction):
-    """Unconditional jump to ``target``."""
+    """Unconditional jump to instruction index ``target``."""
 
-    target: str
+    target: int
 
 
 @dataclass(frozen=True)

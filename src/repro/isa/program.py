@@ -1,8 +1,11 @@
 """Programs and a small assembler for building them.
 
-A :class:`Program` is an immutable list of instructions plus a label
-table mapping label names to instruction indices.  The
-:class:`Assembler` provides a fluent builder API used by the workload
+A :class:`Program` is an immutable tuple of instructions, nothing
+else.  Labels exist only while a program is assembled: the
+:class:`Assembler` keeps each branch pending until :meth:`~Assembler.build`
+and then emits it with its target's instruction index, so a taken
+branch jumps to ``inst.target`` and no label table outlives the build.
+The assembler provides a fluent builder API used by the workload
 generators, e.g.::
 
     asm = Assembler()
@@ -18,8 +21,10 @@ generators, e.g.::
 Every emit goes through :func:`_intern`, so a static instruction exists
 once however many programs hold it: equal constructor arguments (of
 equal types, so ``Reg(1)``, ``1`` and ``Imm(1)`` stay apart) return the
-same frozen object.  The pool holds its instructions weakly; an
-instruction dies with the last program that uses it.
+same frozen object.  A branch is interned with its resolved index, so
+two programs share one only where their targets sit at the same index.
+The pool holds its instructions weakly; an instruction dies with the
+last program that uses it.
 """
 
 from __future__ import annotations
@@ -48,22 +53,17 @@ from repro.isa.instructions import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Program:
-    """An immutable instruction sequence with resolved labels."""
+    """An immutable instruction sequence; branch targets are indices."""
 
     instructions: tuple[Instruction, ...]
-    labels: dict[str, int]
 
     def __len__(self) -> int:
         return len(self.instructions)
 
     def __iter__(self) -> Iterator[Instruction]:
         return iter(self.instructions)
-
-    def target(self, label: str) -> int:
-        """Return the instruction index a label refers to."""
-        return self.labels[label]
 
 
 _POOL: "weakref.WeakValueDictionary[tuple, Instruction]" = (
@@ -100,11 +100,12 @@ class Assembler:
 
     All emit methods return ``self`` so calls can be chained.  ``mark``
     defines a label at the current position; branch targets may be
-    marked before or after the branch is emitted.
+    marked before or after the branch is emitted.  Until :meth:`build`
+    a branch is held as ``(cls, *operands, label)``.
     """
 
     def __init__(self) -> None:
-        self._instructions: list[Instruction] = []
+        self._instructions: list["Instruction | tuple"] = []
         self._labels: dict[str, int] = {}
         self._fresh = 0
 
@@ -189,17 +190,15 @@ class Assembler:
     def br(
         self, cond: Cond, rs1: Reg, src2: "int | Reg | Imm", target: str
     ) -> "Assembler":
-        self._instructions.append(
-            _intern(Branch, cond, rs1, _operand(src2), target)
-        )
+        self._instructions.append((Branch, cond, rs1, _operand(src2), target))
         return self
 
     def bcc(self, cond: Cond, target: str) -> "Assembler":
-        self._instructions.append(_intern(Bcc, cond, target))
+        self._instructions.append((Bcc, cond, target))
         return self
 
     def jump(self, target: str) -> "Assembler":
-        self._instructions.append(_intern(Jump, target))
+        self._instructions.append((Jump, target))
         return self
 
     # -- misc ----------------------------------------------------------------
@@ -214,15 +213,17 @@ class Assembler:
 
     # -- build ----------------------------------------------------------------
     def build(self) -> Program:
-        """Validate label references and return the finished program."""
-        for idx, inst in enumerate(self._instructions):
-            target = getattr(inst, "target", None)
-            if target is not None and target not in self._labels:
-                raise AssemblerError(
-                    f"instruction {idx} references undefined label "
-                    f"{target!r}"
-                )
-        return Program(
-            instructions=tuple(self._instructions),
-            labels=dict(self._labels),
-        )
+        """Resolve every branch's label to its instruction index and
+        return the finished program."""
+        instructions = list(self._instructions)
+        for idx, inst in enumerate(instructions):
+            if type(inst) is tuple:
+                cls, *operands, label = inst
+                target = self._labels.get(label)
+                if target is None:
+                    raise AssemblerError(
+                        f"instruction {idx} references undefined label "
+                        f"{label!r}"
+                    )
+                instructions[idx] = _intern(cls, *operands, target)
+        return Program(tuple(instructions))

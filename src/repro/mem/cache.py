@@ -21,12 +21,14 @@ Caches here track tags and metadata only; data lives in
 :class:`~repro.mem.memory.MainMemory`.
 
 Implementation note (hot path): every simulated memory access performs
-several lookups across L1/L2/permissions caches, so sets are stored as
-flat ``dict[block -> CacheLine]`` maps (insertion-ordered, like the
-fill order of a real set) rather than lists — a lookup is one dict
-probe instead of a way scan.  LRU state is a single monotonically
-increasing tick stamped on the touched line; eviction picks the line
-with the smallest stamp.
+several lookups across L1/L2/permissions caches, so a lookup is one
+probe of a flat ``dict[block -> CacheLine]`` over the whole cache.  A
+set is only the list of its resident lines in fill order, kept for
+victim selection, and a set holds a list only while a line is in it:
+with a few dozen blocks per core spread over thousands of L2 sets, a
+container per set costs more than the lines.  LRU state is a single
+monotonically increasing tick stamped on the touched line; eviction
+picks the line with the smallest stamp.
 """
 
 from __future__ import annotations
@@ -56,10 +58,11 @@ class SetAssocCache:
             raise ValueError("cache size must be a multiple of way size")
         self.assoc = assoc
         self.num_sets = size_bytes // (assoc * block_size)
-        self._sets: dict[int, dict[int, CacheLine]] = {}
+        # Set index -> its lines in fill order, for occupancy and
+        # victim selection; an empty set has no entry.
+        self._sets: dict[int, list[CacheLine]] = {}
         # Flat block -> line mirror of _sets, so the (very hot) lookup
-        # path is a single dict probe; _sets remains the authority for
-        # set occupancy and victim selection.
+        # path is a single dict probe.
         self._lines: dict[int, CacheLine] = {}
         self._tick = 0
         #: capacity evictions performed by :meth:`insert` (read by the
@@ -81,15 +84,15 @@ class SetAssocCache:
         return line
 
     def _pick_victim(
-        self, cache_set: dict[int, CacheLine], keep: Sequence[Container[int]]
+        self, cache_set: list[CacheLine], keep: Sequence[Container[int]]
     ) -> CacheLine:
         """LRU victim, preferring a line whose block is in none of the
         *keep* sets; when every line is kept, the LRU kept line."""
         victim: Optional[CacheLine] = None
         fallback: Optional[CacheLine] = None
-        for block, line in cache_set.items():
+        for line in cache_set:
             for blocks in keep:
-                if block in blocks:
+                if line.block in blocks:
                     if fallback is None or line.lru < fallback.lru:
                         fallback = line
                     break
@@ -121,18 +124,17 @@ class SetAssocCache:
         index = block % self.num_sets
         cache_set = self._sets.get(index)
         if cache_set is None:
-            cache_set = {}
-            self._sets[index] = cache_set
+            cache_set = self._sets[index] = []
         evicted: Optional[CacheLine] = None
         if len(cache_set) >= self.assoc:
             evicted = self._pick_victim(cache_set, keep)
-            del cache_set[evicted.block]
+            cache_set.remove(evicted)
             del self._lines[evicted.block]
             self.evictions += 1
 
         line = CacheLine(block=block, writable=writable)
         self._touch(line)
-        cache_set[block] = line
+        cache_set.append(line)
         self._lines[block] = line
         return line, evicted
 
@@ -141,7 +143,11 @@ class SetAssocCache:
         """Drop *block*; return the removed line, or None if absent."""
         line = self._lines.pop(block, None)
         if line is not None:
-            del self._sets[block % self.num_sets][block]
+            index = block % self.num_sets
+            cache_set = self._sets[index]
+            cache_set.remove(line)
+            if not cache_set:
+                del self._sets[index]
         return line
 
     def downgrade(self, block: int) -> None:

@@ -97,8 +97,8 @@ class Core:
         self._txn_regs: Optional[list[int]] = None
         # The attached oracle's executed-pc list for the current attempt.
         self._pc_trace: Optional[list[int]] = None
-        # The current transaction's program: taken branches and Halt
-        # read its labels and length (see repro.sim.decode).
+        # The current transaction's program: Halt reads its length
+        # (see repro.sim.decode).
         self.program = None
         # Burst-invariant environment, recomputed at each run_until
         # call that finds it unset; the machine clears it at run start

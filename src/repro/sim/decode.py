@@ -15,9 +15,9 @@ from the same pc.
 
 A handler depends only on its instruction and the variant: a
 non-control handler ends with ``core.pc += 1``; ``Branch``, ``Bcc`` and
-``Jump`` bind their label and look it up in ``core.program.labels``
-only when taken; ``Halt`` sets ``core.pc`` to the length of
-``core.program``.  So a handler lives on the instruction itself, as
+``Jump`` bind the target index the assembler resolved and set
+``core.pc`` to it when taken; ``Halt`` sets ``core.pc`` to the length
+of ``core.program``.  So a handler lives on the instruction itself, as
 its ``run_sym`` attribute for cores whose RETCON engine does symbolic
 arithmetic and its ``run_plain`` attribute for every other core
 (lazy-vb's engine never mints a symbolic value, so its cores run plain
@@ -37,9 +37,9 @@ not-taken branch arms are most of a program's text, and a fuzz case
 builds hundreds of tiny programs and runs each a handful of times.
 The workload models give each ``Txn`` its own ``Program``, but the
 assembler interns instructions (:mod:`repro.isa.program`), so the
-4 192 programs of ``retcon-repair`` (seed 3) hold 5 107 distinct
-instructions in 135 854 slots, and the 4 648 of them that run there
-compile into 4 648 handlers; nothing is built or indexed per program
+4 192 programs of ``retcon-repair`` (seed 3) hold 5 108 distinct
+instructions in 135 854 slots, and the 4 649 of them that run there
+compile into 4 649 handlers; nothing is built or indexed per program
 or per slot.  A handler lives as long as its instruction; there is no
 global handler table.
 
@@ -349,10 +349,10 @@ def _compile_branch(inst: Branch, symbolic: bool):
     rs1 = int(inst.rs1)
     src2_is_reg, src2 = _operand_pair(inst.src2)
     test = _COND_FN[cond]
-    label = inst.target
+    target = inst.target
     if symbolic:
         def handler(core, regs, test=test, cond=cond, rs1=rs1,
-                    src2_is_reg=src2_is_reg, src2=src2, label=label):
+                    src2_is_reg=src2_is_reg, src2=src2, target=target):
             lhs = regs[rs1]
             rhs = regs[src2] if src2_is_reg else src2
             taken = test(lhs, rhs)
@@ -364,37 +364,37 @@ def _compile_branch(inst: Branch, symbolic: bool):
                 syms[src2] if src2_is_reg else None,
                 lhs, rhs, taken,
             )
-            core.pc = core.program.labels[label] if taken else core.pc + 1
+            core.pc = target if taken else core.pc + 1
             return 1
     else:
         def handler(core, regs, test=test, rs1=rs1,
-                    src2_is_reg=src2_is_reg, src2=src2, label=label):
+                    src2_is_reg=src2_is_reg, src2=src2, target=target):
             taken = test(regs[rs1], regs[src2] if src2_is_reg else src2)
-            core.pc = core.program.labels[label] if taken else core.pc + 1
+            core.pc = target if taken else core.pc + 1
             return 1
     return handler
 
 
 def _compile_bcc(inst: Bcc, symbolic: bool):
     cond = inst.cond
-    label = inst.target
+    target = inst.target
     if symbolic:
-        def handler(core, regs, cond=cond, label=label):
+        def handler(core, regs, cond=cond, target=target):
             taken = core.cc.evaluate(cond)
             core.engine.on_bcc(cond, taken)
-            core.pc = core.program.labels[label] if taken else core.pc + 1
+            core.pc = target if taken else core.pc + 1
             return 1
     else:
-        def handler(core, regs, cond=cond, label=label):
+        def handler(core, regs, cond=cond, target=target):
             taken = core.cc.evaluate(cond)
-            core.pc = core.program.labels[label] if taken else core.pc + 1
+            core.pc = target if taken else core.pc + 1
             return 1
     return handler
 
 
 def _compile_jump(inst: Jump, symbolic: bool):
-    def handler(core, regs, label=inst.target):
-        core.pc = core.program.labels[label]
+    def handler(core, regs, target=inst.target):
+        core.pc = target
         return 1
     return handler
 

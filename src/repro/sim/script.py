@@ -20,7 +20,7 @@ from typing import Union
 from repro.isa.program import Program
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Txn:
     """One transaction to execute atomically."""
 
@@ -28,7 +28,7 @@ class Txn:
     label: str = "txn"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Work:
     """Non-transactional busy time."""
 
@@ -80,18 +80,3 @@ def concatenate(scripts: list[ThreadScript]) -> ThreadScript:
                 merged.items.append(item)
     return merged
 
-
-def interleave(scripts: list[ThreadScript]) -> ThreadScript:
-    """Round-robin merge of per-thread scripts (alternative sequential
-    order; useful for checking serialization-order insensitivity)."""
-    merged = ThreadScript()
-    position = 0
-    remaining = [list(s.items) for s in scripts]
-    while any(remaining):
-        items = remaining[position % len(remaining)]
-        if items:
-            item = items.pop(0)
-            if not isinstance(item, Barrier):
-                merged.items.append(item)
-        position += 1
-    return merged

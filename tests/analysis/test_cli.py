@@ -276,6 +276,31 @@ class TestReplay:
         assert "cached" not in fresh.err and "cached" in replayed.err
         assert replayed.out == fresh.out
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["compare", "kmeans", "--systems", "eager,retcon"],
+            ["timeline", "kmeans"],
+            ["metrics", "kmeans"],
+        ],
+        ids=["compare", "timeline", "metrics"],
+    )
+    def test_every_replaying_subcommand_is_byte_identical(
+        self, command, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        argv = [*command, "--cores", "2", "--scale", "0.1"]
+        assert main(argv) == 0
+        fresh = capsys.readouterr()
+        assert main(argv) == 0
+        replayed = capsys.readouterr()
+        assert "cached" not in fresh.err
+        assert all(
+            line.endswith(": cached") for line in replayed.err.splitlines()
+        )
+        assert replayed.err.count("cached") == fresh.err.count(": ran")
+        assert replayed.out == fresh.out
+
 
 class TestWatchdog:
     def test_timeout_is_one_labelled_line(self, monkeypatch, capsys):

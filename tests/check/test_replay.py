@@ -214,9 +214,9 @@ class TestEveryInstructionClass:
         Store: Store(R3, 0x100),
         Load: Load(R4, 0x100),
         Cmp: Cmp(R4, Imm(6)),
-        Bcc: Bcc(Cond.EQ, "branch"),
-        Branch: Branch(Cond.NE, R4, Imm(0), "jump"),
-        Jump: Jump("nop"),
+        Bcc: Bcc(Cond.EQ, 7),
+        Branch: Branch(Cond.NE, R4, Imm(0), 8),
+        Jump: Jump(9),
         Nop: Nop(),
         Halt: Halt(),
     }
@@ -236,11 +236,8 @@ class TestEveryInstructionClass:
         # Every taken branch lands on the next instruction, so each
         # example executes exactly once.
         instructions = tuple(self.EXAMPLES.values())
-        labels = {"branch": 7, "jump": 8, "nop": 9}
         _, read_fn = make_memory()
-        result = replay_program(
-            Program(instructions, labels), regs0(), read_fn
-        )
+        result = replay_program(Program(instructions), regs0(), read_fn)
         assert result.pc_trace == list(range(len(instructions)))
         assert result.regs[R4] == 6
         assert result.read_overlay(0x100, 8) == 6
@@ -248,4 +245,4 @@ class TestEveryInstructionClass:
     def test_an_unknown_instruction_is_an_error(self):
         _, read_fn = make_memory()
         with pytest.raises(TypeError, match="unknown instruction"):
-            replay_program(Program((object(),), {}), regs0(), read_fn)
+            replay_program(Program((object(),)), regs0(), read_fn)

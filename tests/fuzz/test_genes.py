@@ -12,7 +12,7 @@ from repro.fuzz.genes import (
     genes_from_jsonable,
     genes_to_jsonable,
 )
-from repro.isa.instructions import Halt
+from repro.isa.instructions import Branch, Halt
 
 LAYOUT = Layout()
 
@@ -48,8 +48,8 @@ class TestAssembly:
             [("br", "EQ", 1, 0, 3)], thread=0, layout=LAYOUT
         )
         # prelude movi r1 + branch + halt; skip label resolves to halt
-        label = [name for name in program.labels if "skip" in name][0]
-        assert program.target(label) == len(program) - 1
+        branch = next(i for i in program if isinstance(i, Branch))
+        assert branch.target == len(program) - 1
 
     def test_shrink_closure_random_subsets_assemble(self):
         rng = random.Random(0)

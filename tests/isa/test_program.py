@@ -7,10 +7,12 @@ import pytest
 
 from repro.isa import program as program_module
 from repro.isa.instructions import (
+    Bcc,
     Branch,
     Cmp,
     Cond,
     Imm,
+    Jump,
     Load,
     Movi,
     Nop,
@@ -41,8 +43,9 @@ class TestAssembler:
         asm.jump("top")
         asm.mark("bottom")
         program = asm.build()
-        assert program.target("top") == 0
-        assert program.target("bottom") == 2
+        branch, jump = program.instructions
+        assert branch.target == 2  # "bottom": one past the last slot
+        assert jump.target == 0    # "top"
 
     def test_duplicate_label_rejected(self):
         asm = Assembler().mark("x")
@@ -124,6 +127,21 @@ class TestInterning:
         assert cmp_reg is not cmp_int
         # a bare int is coerced to Imm before the lookup
         assert cmp_int is cmp_imm
+
+    def test_no_label_is_interned(self):
+        """A branch enters the pool only at build, with its label
+        resolved to an index."""
+        asm = Assembler()
+        out = asm.fresh_label("out")
+        asm.br(Cond.EQ, R1, 0x5EED, out).bcc(Cond.NE, out).jump(out)
+        program = asm.mark(out).build()
+        assert [inst.target for inst in program] == [3, 3, 3]
+        assert not any(
+            isinstance(arg, str)
+            for key in list(program_module._POOL.keys())
+            if key[0] in (Branch, Bcc, Jump)
+            for arg in key
+        )
 
     def test_pool_forgets_instructions_of_dropped_programs(self):
         gc.collect()

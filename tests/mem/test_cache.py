@@ -80,6 +80,42 @@ class TestReplacement:
         assert evicted is not None and evicted.block == 1
         assert cache.resident_blocks() == [0, 2, 3, 4]
 
+    def test_victim_order_through_every_rule(self):
+        """One 2-way set through LRU, the keep preference, the
+        all-kept fallback and an invalidate in the middle; the other
+        set is never touched and never built."""
+        cache = make_cache(sets=2, assoc=2)
+
+        def victim(block, keep=()):
+            _, evicted = cache.insert(block, False, keep=keep)
+            return None if evicted is None else evicted.block
+
+        cache.insert(0, False)
+        cache.insert(2, False)
+        cache.lookup(0)
+        assert victim(4) == 2                  # LRU
+        assert victim(6, keep=({0},)) == 4     # 0 is LRU but kept
+        cache.lookup(0)
+        # every line kept: the LRU kept line, second in fill order
+        assert victim(8, keep=({0, 6},)) == 6
+        assert cache.invalidate(0).block == 0
+        assert victim(10) is None              # a free way
+        assert victim(12) == 8                 # LRU
+        assert [line.block for line in cache._sets[0]] == [10, 12]
+        assert list(cache._sets) == [0]
+        assert cache.evictions == 4
+
+    def test_an_emptied_set_leaves_no_entry(self):
+        cache = make_cache(sets=2, assoc=2)
+        for block in (0, 1, 2):
+            cache.insert(block, True)
+        cache.invalidate(1)
+        assert list(cache._sets) == [0]
+        cache.invalidate(0)
+        assert [line.block for line in cache._sets[0]] == [2]
+        cache.invalidate(2)
+        assert cache._sets == {} and cache.resident_blocks() == []
+
     def test_misconfigured_associativity_is_rejected(self):
         with pytest.raises(ValueError, match="associativity"):
             make_cache(sets=1, assoc=0)

@@ -4,12 +4,12 @@ An instruction's ``run_plain``/``run_sym`` starts as the class-level
 default, which compiles the instruction's handler the first time any
 core reaches it, installs it on the instruction instance, and calls
 it.  A handler depends only on its instruction and variant: it binds
-no pc, and taken branches and ``Halt`` read the running core's
-program.  These tests pin the contract: what never runs is never
-compiled, what one core compiled no other core or program compiles
-again, a stalled first call leaves the handler installed, errors
-surface when the bad instruction executes, and a shared instruction
-resolves labels and ends against whichever program runs it.
+no pc, a taken branch jumps to the index the assembler resolved, and
+``Halt`` reads the running core's program.  These tests pin the
+contract: what never runs is never compiled, what one core compiled no
+other core or program compiles again, a stalled first call leaves the
+handler installed, errors surface when the bad instruction executes,
+and a shared instruction ends against whichever program runs it.
 
 Instructions are interned and handlers outlive a run, so the tests
 that look at what was compiled run instructions no other test emits
@@ -79,7 +79,7 @@ def _program_with_cold_arm(cold_inst=None):
     if cold_inst is not None:
         instructions = list(program.instructions)
         instructions[4] = cold_inst
-        program = Program(tuple(instructions), program.labels)
+        program = Program(tuple(instructions))
     return program
 
 
@@ -178,12 +178,12 @@ class TestLazyChain:
         assert _installed(bogus) is None
 
         with pytest.raises(ValueError, match="unknown ALU opcode: 'bogus'"):
-            _run([Program((bogus,), {})], memory)
+            _run([Program((bogus,))], memory)
 
     def test_unknown_instruction_type_raises_when_it_executes(self, memory):
         """It raises every time: the compile fails before anything is
         installed."""
-        hot = Program((_NoCompiler(),), {})
+        hot = Program((_NoCompiler(),))
         for _ in range(2):
             with pytest.raises(TypeError, match="unknown instruction"):
                 _run([hot], memory)
@@ -211,13 +211,14 @@ class TestLazyChain:
 class TestInstalledHandler:
     def test_installed_on_the_instruction_instance(self, memory):
         """The handler is an attribute of the instruction; the program
-        carries nothing but its instructions and labels."""
+        carries nothing but its instructions."""
         program, _addr, _delta = _unseen_program()
         _run([program], memory)
         for inst in program:
             assert inst.run_plain is _installed(inst)
             assert _installed(inst, symbolic=True) is None
-        assert set(vars(program)) == {"instructions", "labels"}
+        assert Program.__slots__ == ("instructions",)
+        assert not hasattr(program, "__dict__")
 
     def test_a_handler_binds_no_pc(self, memory, monkeypatch):
         """One instruction at pc 0 of one program and pc 1 of another
@@ -281,32 +282,38 @@ class TestSharedInstructions:
     """One interned instruction in several programs: one handler per
     variant, whichever program runs it."""
 
-    def test_shared_branch_jumps_to_each_programs_own_label(
+    def test_one_interned_branch_per_resolved_target(
         self, memory, monkeypatch
     ):
+        """A branch carries its target index: programs whose label sits
+        at the same index share one branch and one handler, and the
+        same label one slot further on is another branch."""
         compiled = _spy_on_compile(monkeypatch)
+        value = _fresh()
 
-        def build(filler):
+        def build(fillers, addr):
             asm = Assembler()
-            asm.br(Cond.EQ, R2, 0, "out")   # taken: R2 == 0
-            for value in filler:
+            asm.br(Cond.NE, R2, value, "out")   # taken: R2 == 0
+            for _ in range(fillers):
                 asm.movi(R3, value)
             asm.mark("out")
-            asm.store(R3, 0x6100 + 64 * len(filler))
+            asm.store(R3, addr)
             return asm.build()
 
-        near, far = build([11]), build([11, 12])
+        near, near_too = build(1, 0x6140), build(1, 0x6180)
+        far = build(2, 0x61C0)
         branch = near.instructions[0]
-        assert branch is far.instructions[0]
-        assert near.labels["out"] == 2 and far.labels["out"] == 3
-        memory.write(0x6140, 99)
-        memory.write(0x6180, 99)
-        _run([near, far], memory)
-        assert [inst for inst, _ in compiled].count(branch) <= 1
-        assert _installed(branch) is not None
-        # both runs of the one branch skipped every filler movi
-        assert memory.read(0x6140) == 0
-        assert memory.read(0x6180) == 0
+        assert branch is near_too.instructions[0]
+        assert branch is not far.instructions[0]
+        assert branch.target == 2 and far.instructions[0].target == 3
+        for addr in (0x6140, 0x6180, 0x61C0):
+            memory.write(addr, 99)
+        _run([near, near_too, far], memory)
+        ran = [inst for inst, _ in compiled]
+        assert ran.count(branch) == ran.count(far.instructions[0]) == 1
+        # every run of each branch skipped every filler movi
+        for addr in (0x6140, 0x6180, 0x61C0):
+            assert memory.read(addr) == 0
 
     def test_shared_halt_ends_each_program_at_its_own_length(self, memory):
         """The one Halt runs first in the two-instruction program; in
@@ -355,7 +362,7 @@ class TestSharedInstructions:
     ):
         compiled = _spy_on_compile(monkeypatch)
         a, _addr, _delta = _unseen_program()
-        b = Program(a.instructions, dict(a.labels))
+        b = Program(a.instructions)
         _run([a, b], memory)
         assert compiled == [(inst, False) for inst in a]
 

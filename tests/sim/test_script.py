@@ -7,7 +7,6 @@ from repro.sim.script import (
     Txn,
     Work,
     concatenate,
-    interleave,
 )
 
 
@@ -30,6 +29,13 @@ class TestThreadScript:
         script.add_work(0)
         assert len(script) == 0
 
+    def test_items_and_programs_carry_no_instance_dict(self):
+        """A run holds one Program and one Txn per transaction and one
+        Work per gap: none of them pays for a ``__dict__``."""
+        program = txn()
+        for obj in (program, Txn(program), Work(3)):
+            assert not hasattr(obj, "__dict__"), type(obj).__name__
+
 
 class TestSequentialOrders:
     def make(self):
@@ -48,9 +54,3 @@ class TestSequentialOrders:
         labels = [i.label for i in merged.items if isinstance(i, Txn)]
         assert labels == ["a1", "a2", "b1", "b2"]
         assert not any(isinstance(i, Barrier) for i in merged.items)
-
-    def test_interleave_round_robins(self):
-        merged = interleave(list(self.make()))
-        labels = [i.label for i in merged.items if isinstance(i, Txn)]
-        assert labels == ["a1", "b1", "a2", "b2"]
-        assert merged.txn_count() == 4
