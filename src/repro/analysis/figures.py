@@ -173,8 +173,8 @@ class Figure:
 
     ``points(base, **options)`` stamps workloads, systems, and any
     per-point machine overrides onto *base* (which carries ncores,
-    seed, scale, config, check, skew, burst) and labels each point
-    with the tuple path of its row (the default is an empty grid);
+    seed, scale, config, check) and labels each point with the tuple
+    path of its row (the default is an empty grid);
     ``row(result)`` reduces one finished point (omitted,
     the row is the result itself); ``finish(data, base)``, if set,
     post-processes the nested ``{label[0]: {label[1]: ... row}}`` rows
@@ -928,10 +928,7 @@ def _service_points(
 ) -> Labelled:
     """The service-traffic sweep: every service workload on every
     backend, as traced points so transaction-latency histograms and
-    the repair counter ride along.  The base point's ``skew``/``burst``
-    override the traffic model for every workload in the sweep
-    (cache-key fields, so the overridden sweep memoizes separately).
-    """
+    the repair counter ride along."""
     return [
         (
             (name, backend),

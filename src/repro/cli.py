@@ -32,14 +32,14 @@ How flags become simulations: the machine flags (``--retry-budget``,
 ``--read-set``, ...) are one table, ``_CONFIG_FLAGS``, keyed by
 ``MachineConfig`` field; ``_point_from_args`` is the one place a
 command line becomes a :class:`~repro.exp.Point` (machine flags as
-``Point.config``, ``--skew``/``--burst`` as its traffic fields), and
-every subcommand that registers those flags builds its points through
-it.  ``figure``, ``table``, ``compare``, ``sweep`` and ``sweep
---smoke`` are one driver, ``_show``, over the record the command line
-names in :mod:`repro.analysis.figures`; ``experiments`` walks the same
-registry.  A point that fails a correctness check, or runs into the
-cycle watchdog, or whose result cannot be written to the cache, fails
-any of them the same way: its label on stderr, exit 1.
+``Point.config``), and every subcommand that registers those flags
+builds its points through it.  ``figure``, ``table``, ``compare``,
+``sweep`` and ``sweep --smoke`` are one driver, ``_show``, over the
+record the command line names in :mod:`repro.analysis.figures`;
+``experiments`` walks the same registry.  A point that fails a
+correctness check, or runs into the cycle watchdog, or whose result
+cannot be written to the cache, fails any of them the same way: its
+label on stderr, exit 1.
 """
 
 from __future__ import annotations
@@ -59,8 +59,7 @@ from repro.exp.engine import OBS_EVENT_LIMIT, run_point_with_trace
 from repro.htm.backends import BACKENDS
 from repro.sim.config import MachineConfig
 from repro.sim.machine import SimulationTimeout
-from repro.sim.runner import _resolve_workload
-from repro.workloads.registry import ALL_VARIANTS, WORKLOADS
+from repro.workloads.registry import ALL_VARIANTS, WORKLOADS, get_workload
 
 
 class UsageError(Exception):
@@ -169,21 +168,6 @@ def _config_from_args(args) -> MachineConfig | None:
     return replace(MachineConfig(), **given) if given else None
 
 
-def _add_traffic_args(parser: argparse.ArgumentParser) -> None:
-    from repro.workloads.service.traffic import ARRIVAL_PROFILES
-
-    parser.add_argument(
-        "--skew", type=float, default=None, metavar="S",
-        help="Zipf popularity exponent for the service workloads "
-             "(default: the workload's traffic spec)",
-    )
-    parser.add_argument(
-        "--burst", default=None, choices=sorted(ARRIVAL_PROFILES),
-        help="arrival profile for the service workloads "
-             "(default: the workload's traffic spec)",
-    )
-
-
 def _known_backends(names) -> None:
     """An unknown TM system is a usage error naming the known ones."""
     unknown = [name for name in names if name not in BACKENDS]
@@ -195,14 +179,14 @@ def _known_backends(names) -> None:
 
 
 def _check_points(points) -> None:
-    """An unknown system, or --skew/--burst on a workload with no
-    traffic model, is a usage error up front — before any workload is
-    generated — not a traceback from the middle of the run."""
+    """An unknown system or workload is a usage error up front —
+    before any workload is generated — not a traceback from the
+    middle of the run."""
     for point in points:
         if point.system:  # "" marks a template, stamped later
             _known_backends([point.system])
         try:
-            _resolve_workload(point.workload, point.skew, point.burst)
+            get_workload(point.workload)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
 
@@ -224,8 +208,6 @@ def _point_from_args(args, **extra) -> Point:
         scale=args.scale,
         config=_config_from_args(args),
         check=getattr(args, "check", False),
-        skew=getattr(args, "skew", None),
-        burst=getattr(args, "burst", None),
     )
     point = Point(**{**fields, **extra})
     if point.workload:
@@ -234,28 +216,21 @@ def _point_from_args(args, **extra) -> Point:
 
 
 def _flags_given(args) -> str:
-    """The machine/traffic flags of this command line, as typed (for
+    """The machine flags of this command line, as typed (for
     the 'Regenerate with' line of a figure's markdown header)."""
     flags = ""
     for field, (flag, *_rest) in _CONFIG_FLAGS.items():
         if hasattr(args, field):
             value = getattr(args, field)
             flags += f" {flag} {'unlimited' if value is None else value}"
-    for name in ("skew", "burst"):
-        if getattr(args, name, None) is not None:
-            flags += f" --{name} {getattr(args, name)}"
     return flags
 
 
-def _add_run_args(
-    parser: argparse.ArgumentParser, traffic: bool = True
-) -> None:
+def _add_run_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cores", type=int, default=32)
     parser.add_argument("--scale", type=float, default=1.0)
     parser.add_argument("--seed", type=int, default=1)
     _add_config_args(parser)
-    if traffic:
-        _add_traffic_args(parser)
     _add_engine_args(parser)
 
 
@@ -606,7 +581,7 @@ def _show(args) -> int:
     """Run the command line's record at its point and print it — or,
     with ``-o``, write it under the figure's markdown header (``-o``
     on ``hybrid``/``capacity``/``service`` regenerates the committed
-    ``docs/*.md`` tables).  Every machine/traffic flag reaches every
+    ``docs/*.md`` tables).  Every machine flag reaches every
     point: the figure stamps its grid onto one base point."""
     figure = _record(args)
     options = {name: getattr(args, name) for name in figure.options}
@@ -719,13 +694,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     table = sub.add_parser("table", help="regenerate a paper table")
     table.add_argument("number", type=int)
-    _add_run_args(table, traffic=False)
+    _add_run_args(table)
 
     experiments = sub.add_parser(
         "experiments", help="run everything and write EXPERIMENTS.md"
     )
     experiments.add_argument("-o", "--output", default="EXPERIMENTS.md")
-    _add_run_args(experiments, traffic=False)
+    _add_run_args(experiments)
 
     sweep = sub.add_parser(
         "sweep", help="speedup vs core count for one workload"
@@ -758,7 +733,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="attach the repair oracle + golden differ to every point",
     )
     _add_config_args(sweep)
-    _add_traffic_args(sweep)
     _add_engine_args(sweep)
 
     fuzz = sub.add_parser(

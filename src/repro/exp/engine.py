@@ -88,8 +88,6 @@ def _run_group(group: list[Point]) -> list[tuple[Point, WorkloadResult, float]]:
         seed=first.seed,
         scale=first.scale,
         config=config,
-        skew=first.skew,
-        burst=first.burst,
     )
     baseline_seconds = time.perf_counter() - start
     out = []

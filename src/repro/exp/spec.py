@@ -56,14 +56,6 @@ class Point:
     #: points, so a warm untraced cache can never satisfy a trace
     #: request with an empty trace.
     obs: str = ""
-    #: traffic-model overrides for the service workloads: Zipf skew
-    #: exponent and arrival-profile name (see
-    #: repro.workloads.service.traffic).  None keeps the workload's
-    #: default.  Cache-key and baseline-key fields — they change the
-    #: generated workload, so a skew sweep is a sweep of distinct
-    #: points with distinct baselines.
-    skew: Optional[float] = None
-    burst: Optional[str] = None
 
     def resolved_config(self) -> MachineConfig:
         """The machine configuration this point actually runs with."""
@@ -78,8 +70,6 @@ class Point:
             self.seed,
             self.scale,
             self.resolved_config(),
-            self.skew,
-            self.burst,
         )
 
     def spec_dict(self) -> dict:
@@ -95,8 +85,6 @@ class Point:
             # fields an unchecked run lacks
             "check": self.check,
             "obs": self.obs,
-            "skew": self.skew,
-            "burst": self.burst,
         }
 
     def label(self) -> str:
@@ -112,10 +100,6 @@ class Point:
             if value != default[name]:
                 shown = "unlimited" if value is None else value
                 extras += f" {_SHORT.get(name, name)}={shown}"
-        if self.skew is not None:
-            extras += f" skew={self.skew}"
-        if self.burst is not None:
-            extras += f" burst={self.burst}"
         return (
             f"{self.workload}/{self.system} ncores={self.ncores} "
             f"seed={self.seed} scale={self.scale}{extras}"

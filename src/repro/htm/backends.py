@@ -33,14 +33,12 @@ class Backend:
     kwargs: dict = field(default_factory=dict)
 
 
-_LAZY_VB = {"symbolic_arithmetic": False, "track_all": True}
-
 BACKENDS: dict[str, Backend] = {
     "eager": Backend(BaseTMSystem),
     "eager-abort": Backend(BaseTMSystem, {"policy": "requester-aborts"}),
     "eager-stall": Backend(BaseTMSystem, {"policy": "requester-stalls"}),
     "lazy": Backend(LazyTMSystem),
-    "lazy-vb": Backend(RetconTMSystem, _LAZY_VB),
+    "lazy-vb": Backend(RetconTMSystem, {"track_all": True}),
     "datm": Backend(DATMSystem),
     "retcon": Backend(RetconTMSystem),
     "retcon-fwd": Backend(RetconForwardingSystem, {"cooldown": 50}),
@@ -48,7 +46,7 @@ BACKENDS: dict[str, Backend] = {
     "hybrid-retcon": Backend(STMRetconSystem, {"hybrid": True}),
     "hybrid-eager": Backend(STMSystem, {"hybrid": True}),
     "hybrid-lazy-vb": Backend(
-        STMRetconSystem, {"hybrid": True, **_LAZY_VB}
+        STMRetconSystem, {"hybrid": True, "track_all": True}
     ),
     "progressive": Backend(
         STMRetconSystem, {"hybrid": True, "pessimistic_fallback": True}

@@ -9,9 +9,9 @@ serialization backed by the permissions-only cache.
 :class:`RetconTMSystem` layers the RETCON engine on top: predictor-
 selected blocks are value/symbolically tracked (Figure 6 paths) and
 repaired at commit (Figure 7); all other accesses use the baseline
-machinery unchanged.  Configured with ``symbolic_arithmetic=False``
-and an always-track predictor it becomes the paper's *lazy-vb*
-variant.
+machinery unchanged.  Configured with ``track_all=True`` (an
+always-track predictor whose engines do no symbolic arithmetic) it
+becomes the paper's *lazy-vb* variant.
 
 The simulator's global scheduler interleaves cores between
 instructions, so each TM operation here (including the whole
@@ -637,12 +637,12 @@ class RetconTMSystem(BaseTMSystem):
         fabric: CoherenceFabric,
         stats: MachineStats,
         policy: str = "timestamp",
-        symbolic_arithmetic: bool = True,
         track_all: bool = False,
     ) -> None:
         super().__init__(config, memory, fabric, stats, policy)
-        # track_all (lazy-vb) lifts the IVB, constraint-buffer and SSB
-        # bounds too: lazy-vb runs unbounded, an idealised Figure 9 row
+        # track_all is lazy-vb: every block tracked, value-validated
+        # with no symbolic arithmetic, and the IVB, constraint-buffer
+        # and SSB bounds lifted (an idealised Figure 9 row)
         unlimited = config.idealized or track_all
         self._engines = [
             RetconEngine(
@@ -651,7 +651,7 @@ class RetconTMSystem(BaseTMSystem):
                     None if unlimited else config.constraint_entries
                 ),
                 ssb_capacity=None if unlimited else config.ssb_entries,
-                symbolic_arithmetic=symbolic_arithmetic,
+                symbolic_arithmetic=not track_all,
                 predictor=ConflictPredictor(always_track=track_all),
             )
             for _ in range(config.ncores)

@@ -144,31 +144,6 @@ class WorkloadResult:
         )
 
 
-def _resolve_workload(
-    name: str,
-    skew: Optional[float] = None,
-    burst: Optional[str] = None,
-):
-    """Look up *name*, applying traffic overrides when given.
-
-    ``skew``/``burst`` reshape the workload's
-    :class:`~repro.workloads.service.traffic.TrafficModel`; only the
-    service workloads have one, so passing either for any other
-    workload is a spec error, not a silent no-op.
-    """
-    workload = get_workload(name)
-    if skew is None and burst is None:
-        return workload
-    from repro.workloads.service.base import ServiceWorkload
-
-    if not isinstance(workload, ServiceWorkload):
-        raise ValueError(
-            f"workload {name!r} has no traffic model; skew/burst "
-            "overrides only apply to the service workloads"
-        )
-    return workload.with_traffic(skew=skew, burst=burst)
-
-
 def _label(
     name: str, system: str, ncores: int, seed: int, scale: float
 ) -> str:
@@ -203,14 +178,11 @@ def run_workload(
     scale: float = 1.0,
     config: Optional[MachineConfig] = None,
     sequential: Optional[RunResult] = None,
-    check: bool = True,
     generated: Optional[GeneratedWorkload] = None,
     oracle: bool = False,
     golden: bool = False,
     tracer=None,
     metrics=None,
-    skew: Optional[float] = None,
-    burst: Optional[str] = None,
 ) -> WorkloadResult:
     """Simulate *name* on *system* and compare against sequential.
 
@@ -225,17 +197,12 @@ def run_workload(
     final state against the sequential run's final memory
     (:mod:`repro.check.golden`); ``tracer`` attaches a
     :class:`repro.obs.events.EventStream` to the TM system; ``metrics``
-    attaches a :class:`repro.obs.metrics.MetricsRegistry`.
-
-    ``skew``/``burst`` override the traffic model of a service
-    workload (error for workloads without one; ignored when
-    ``generated`` is supplied, since generation already happened).
+    attaches a :class:`repro.obs.metrics.MetricsRegistry`.  The
+    workload's invariants are always evaluated on the final memory.
     """
     config = (config or MachineConfig()).with_cores(ncores)
     if generated is None:
-        generated = _resolve_workload(name, skew=skew, burst=burst).generate(
-            ncores, seed=seed, scale=scale
-        )
+        generated = get_workload(name).generate(ncores, seed=seed, scale=scale)
 
     machine = Machine(
         config,
@@ -255,9 +222,7 @@ def run_workload(
             label=_label(name, "sequential", ncores, seed, scale),
         )
 
-    invariants = (
-        generated.check_invariants(parallel.memory) if check else []
-    )
+    invariants = generated.check_invariants(parallel.memory)
     oracle = parallel.oracle
     golden_dict = None
     if golden:
@@ -309,16 +274,12 @@ def generate_and_baseline(
     seed: int = 1,
     scale: float = 1.0,
     config: Optional[MachineConfig] = None,
-    skew: Optional[float] = None,
-    burst: Optional[str] = None,
 ) -> tuple[GeneratedWorkload, RunResult]:
     """Generate once and run the sequential reference once (for
     sweeps): its cycles are the speedup baseline and its final memory
     the golden image of every checked point of the group."""
     config = (config or MachineConfig()).with_cores(ncores)
-    generated = _resolve_workload(name, skew=skew, burst=burst).generate(
-        ncores, seed=seed, scale=scale
-    )
+    generated = get_workload(name).generate(ncores, seed=seed, scale=scale)
     return generated, run_sequential(
         generated, config,
         label=_label(name, "sequential", ncores, seed, scale),

@@ -63,21 +63,10 @@ class Workload(abc.ABC):
         """Build initial memory and one script per thread."""
 
     def _begin(
-        self, seed: int = 1, traffic=None
+        self, seed: int = 1
     ) -> tuple[MainMemory, BumpAllocator, random.Random]:
-        """Fresh generation state: memory, allocator, seeded RNG.
-
-        When *traffic* (a :class:`~repro.workloads.service.TrafficModel`)
-        is given, the allocator is the model's **shared** one: every
-        workload generated against the same model draws from a single
-        monotonic allocator and therefore gets simulated-memory ranges
-        disjoint from its co-generated siblings.  A fresh per-workload
-        allocator here would hand two such workloads the same address
-        range — overlapping hot blocks that belong to different
-        workloads is a layout bug, not contention.
-        """
-        alloc = traffic.allocator() if traffic is not None else BumpAllocator()
-        return MainMemory(), alloc, make_rng(seed)
+        """Fresh generation state: memory, allocator, seeded RNG."""
+        return MainMemory(), BumpAllocator(), make_rng(seed)
 
     @staticmethod
     def scaled(count: int, scale: float, minimum: int = 1) -> int:

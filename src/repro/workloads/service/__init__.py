@@ -1,10 +1,10 @@
 """Production-traffic service workloads.
 
-Four backend-shaped workloads driven by a shared, seeded
-:class:`~repro.workloads.service.traffic.TrafficModel` — Zipf user
-popularity over millions of simulated ids, diurnal/burst arrival
-phases, per-request transaction templates.  Together they are the
-"heavy traffic from millions of users" half of the north star: the
+Four backend-shaped workloads, each driven by a seeded
+:class:`~repro.workloads.service.traffic.TrafficModel` of one fixed
+shape — Zipf user popularity over millions of simulated ids, diurnal
+arrival phases, per-request transaction templates.  Together they are
+the "heavy traffic from millions of users" half of the north star: the
 hot shared counters that dominate real service backends are exactly
 the auxiliary-data conflicts RETCON repairs at commit time.
 
@@ -22,10 +22,8 @@ from repro.workloads.service.feed import FeedFanoutWorkload
 from repro.workloads.service.limiter import RateLimiterWorkload
 from repro.workloads.service.session import SessionStoreWorkload
 from repro.workloads.service.traffic import (
-    ARRIVAL_PROFILES,
     Request,
     TrafficModel,
-    TrafficSpec,
     popularity_table,
 )
 
@@ -38,7 +36,6 @@ SERVICE_WORKLOADS = (
 )
 
 __all__ = [
-    "ARRIVAL_PROFILES",
     "SERVICE_WORKLOADS",
     "CheckoutWorkload",
     "FeedFanoutWorkload",
@@ -47,6 +44,5 @@ __all__ = [
     "ServiceWorkload",
     "SessionStoreWorkload",
     "TrafficModel",
-    "TrafficSpec",
     "popularity_table",
 ]

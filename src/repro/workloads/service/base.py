@@ -1,70 +1,28 @@
 """Shared base for the service workloads.
 
 A :class:`ServiceWorkload` is a normal :class:`~repro.workloads.base.Workload`
-whose request stream comes from a :class:`~repro.workloads.service.traffic.TrafficModel`
-instead of hand-rolled per-workload RNG draws.  The split matters for
-the experiment engine: the traffic knobs (``skew``, ``burst``) are
-run-parameters like ``seed`` and ``scale`` — a sweep varies them per
-:class:`~repro.exp.spec.Point` via :meth:`with_traffic` without
-registering a new workload name per knob setting.
-
-``generate`` builds a private model from the workload's spec; the
-engine's traffic-override path goes through :meth:`with_traffic`
-first.  :meth:`generate_with` is the real generator and also accepts
-an externally shared model, which is how co-generated workloads get
-correlated traffic and disjoint memory ranges (see
-``Workload._begin``).
+whose request stream comes from a
+:class:`~repro.workloads.service.traffic.TrafficModel` instead of
+hand-rolled per-workload RNG draws.  Each ``generate`` builds its own
+``TrafficModel(seed)`` and deals the workload's sub-stream to the
+threads with :meth:`ServiceWorkload._stream`.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Optional
-
-from repro.workloads.base import GeneratedWorkload, Workload
-from repro.workloads.service.traffic import TrafficModel, TrafficSpec
+from repro.workloads.base import Workload
+from repro.workloads.service.traffic import TrafficModel
 
 
 class ServiceWorkload(Workload):
     """A workload driven by a seeded :class:`TrafficModel`."""
 
-    #: per-workload stream salt: workloads sharing one model draw
-    #: reproducible but distinct request sub-streams
+    #: per-workload stream salt: each workload draws a reproducible
+    #: but distinct request sub-stream from the same seed
     STREAM_SALT = 0
     #: requests per thread at scale 1.0
     REQUESTS_PER_THREAD = 24
 
-    traffic_spec: TrafficSpec = TrafficSpec()
-
-    def with_traffic(
-        self,
-        skew: Optional[float] = None,
-        burst: Optional[str] = None,
-    ) -> "ServiceWorkload":
-        """A copy of this workload with traffic knobs overridden."""
-        if skew is None and burst is None:
-            return self
-        clone = self.__class__()
-        spec = self.traffic_spec
-        if skew is not None:
-            spec = replace(spec, skew=skew)
-        if burst is not None:
-            spec = replace(spec, burst=burst)
-        clone.traffic_spec = spec
-        return clone
-
-    def generate(
-        self, nthreads: int, seed: int = 1, scale: float = 1.0
-    ) -> GeneratedWorkload:
-        traffic = TrafficModel(self.traffic_spec, seed)
-        return self.generate_with(traffic, nthreads, scale=scale)
-
-    def generate_with(
-        self, traffic: TrafficModel, nthreads: int, scale: float = 1.0
-    ) -> GeneratedWorkload:
-        raise NotImplementedError
-
-    # ------------------------------------------------------------------
     def _stream(
         self, traffic: TrafficModel, nthreads: int, scale: float
     ):
@@ -72,9 +30,9 @@ class ServiceWorkload(Workload):
 
         Returns ``(requests, owner)`` where ``owner[i]`` is the thread
         executing request *i*.  Round-robin dealing keeps the stream
-        itself independent of ``nthreads`` — the same (spec, seed)
-        traffic hits the same keys at every core count, so scaling
-        curves vary contention handling, not the traffic.
+        itself independent of ``nthreads`` — the same seed's traffic
+        hits the same keys at every core count, so scaling curves vary
+        contention handling, not the traffic.
         """
         per_thread = self.scaled(self.REQUESTS_PER_THREAD, scale)
         requests = traffic.requests(

@@ -59,10 +59,11 @@ class CheckoutWorkload(ServiceWorkload):
             ),
         )
 
-    def generate_with(
-        self, traffic: TrafficModel, nthreads: int, scale: float = 1.0
+    def generate(
+        self, nthreads: int, seed: int = 1, scale: float = 1.0
     ) -> GeneratedWorkload:
-        memory, alloc, _rng = self._begin(traffic=traffic)
+        memory, alloc, _rng = self._begin()
+        traffic = TrafficModel(seed)
         requests, owner = self._stream(traffic, nthreads, scale)
 
         orders_addr = alloc.alloc_block(8)

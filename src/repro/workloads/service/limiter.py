@@ -56,10 +56,11 @@ class RateLimiterWorkload(ServiceWorkload):
             parameters=f"buckets {self.NBUCKETS}, limit {self.LIMIT}",
         )
 
-    def generate_with(
-        self, traffic: TrafficModel, nthreads: int, scale: float = 1.0
+    def generate(
+        self, nthreads: int, seed: int = 1, scale: float = 1.0
     ) -> GeneratedWorkload:
-        memory, alloc, _rng = self._begin(traffic=traffic)
+        memory, alloc, _rng = self._begin()
+        traffic = TrafficModel(seed)
         requests, owner = self._stream(traffic, nthreads, scale)
 
         total_addr = alloc.alloc_block(8)

@@ -1,4 +1,4 @@
-"""The shared traffic-model generator behind the service workloads.
+"""The traffic model behind the service workloads.
 
 Real backend load has three statistical signatures the Table 2
 workloads do not model:
@@ -6,26 +6,26 @@ workloads do not model:
 * **popularity skew** — a few of millions of users/keys receive most
   of the traffic (Zipf), so a handful of cache blocks are hot while
   the key space is effectively unbounded;
-* **arrival phases** — request rate is not stationary: diurnal swells
-  and flash bursts compress inter-arrival gaps exactly when the hot
-  keys are hottest;
+* **arrival phases** — request rate is not stationary: a diurnal
+  swell compresses inter-arrival gaps exactly when the hot keys are
+  hottest;
 * **template mixes** — every request instantiates one of a small set
   of transaction templates (touch a session, take a token, fan an
   event out, decrement stock) against the skewed key space.
 
-:class:`TrafficModel` packages all three behind one seeded generator:
-``requests(n)`` expands ``(spec, seed)`` into a deterministic stream
-of :class:`Request` records that is byte-identical across processes
-(:meth:`Request.encode` / :meth:`TrafficModel.stream_digest` make that
-property testable).  The four workloads in this package consume one
-stream each; a single model may also be shared between workloads, in
-which case its :meth:`allocator` hands every consumer disjoint
-simulated-memory ranges (see ``Workload._begin``).
+The model's shape is fixed (:data:`USERS`, :data:`SKEW`,
+:data:`HOT_RANKS`, :data:`BASE_GAP`, :data:`DIURNAL`); only the seed
+varies.  :class:`TrafficModel` expands a seed into a deterministic
+stream of :class:`Request` records that is byte-identical across
+processes (:meth:`Request.encode` / :meth:`TrafficModel.stream_digest`
+make that property testable).  Each of the four workloads in this
+package builds its own model and draws one sub-stream from it, keyed
+by its ``STREAM_SALT``.
 
 Popularity is drawn from a **bounded table** rather than a
-full-universe CDF: the top :attr:`TrafficSpec.hot_ranks` ranks get an
-exact Zipf CDF (the millions-sized tail would cost O(users) memory per
-draw table), and the entire cold tail is folded into one final bucket
+full-universe CDF: the top :data:`HOT_RANKS` ranks get an exact Zipf
+CDF (the millions-sized tail would cost O(users) memory per draw
+table), and the entire cold tail is folded into one final bucket
 whose analytic mass closes the table at exactly 1.0 — the same
 pinned-tail discipline as :func:`repro.workloads.base.zipf_indices`
 (PR 3): floating-point rounding must never leave a dead zone above
@@ -42,62 +42,27 @@ import random
 import struct
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Optional
 
-from repro.mem.allocator import BumpAllocator
-
-#: named arrival profiles: (phase name, fraction of requests, intensity).
-#: Intensity multiplies the request rate, i.e. divides the mean
-#: inter-arrival gap; fractions must sum to 1.0 per profile.
-ARRIVAL_PROFILES: dict[str, tuple[tuple[str, float, float], ...]] = {
-    # stationary load (the control profile)
-    "steady": (("steady", 1.0, 1.0),),
-    # night / morning ramp / peak / evening decay
-    "diurnal": (
-        ("night", 0.25, 0.4),
-        ("morning", 0.25, 1.0),
-        ("peak", 0.30, 2.5),
-        ("evening", 0.20, 1.0),
-    ),
-    # baseline traffic punctured by two flash bursts (a push
-    # notification, a flash sale): short windows at 8x rate
-    "bursty": (
-        ("calm", 0.30, 0.7),
-        ("burst", 0.05, 8.0),
-        ("calm2", 0.30, 0.7),
-        ("burst2", 0.05, 8.0),
-        ("calm3", 0.30, 0.7),
-    ),
-}
-
-
-@dataclass(frozen=True)
-class TrafficSpec:
-    """All knobs of one traffic model (JSON-stable, hence cache-safe)."""
-
-    #: size of the simulated user-id universe.  Ids double as
-    #: popularity ranks: id 0 is the most popular user.
-    users: int = 2_000_000
-    #: Zipf exponent of user/key popularity
-    skew: float = 1.1
-    #: ranks covered exactly by the popularity table; everything
-    #: beyond shares the analytic tail bucket
-    hot_ranks: int = 512
-    #: arrival profile name (a key of :data:`ARRIVAL_PROFILES`)
-    burst: str = "diurnal"
-    #: mean inter-arrival gap in cycles at intensity 1.0
-    base_gap: int = 48
-
-    def __post_init__(self) -> None:
-        if self.users < 1:
-            raise ValueError(f"users must be >= 1, got {self.users}")
-        if self.burst not in ARRIVAL_PROFILES:
-            raise ValueError(
-                f"unknown arrival profile {self.burst!r}; choose from "
-                f"{sorted(ARRIVAL_PROFILES)}"
-            )
-        if self.skew <= 0:
-            raise ValueError(f"skew must be positive, got {self.skew}")
+#: size of the simulated user-id universe.  Ids double as popularity
+#: ranks: id 0 is the most popular user.
+USERS = 2_000_000
+#: Zipf exponent of user/key popularity
+SKEW = 1.1
+#: ranks covered exactly by the popularity table; everything beyond
+#: shares the analytic tail bucket
+HOT_RANKS = 512
+#: mean inter-arrival gap in cycles at intensity 1.0
+BASE_GAP = 48
+#: the arrival profile, night / morning ramp / peak / evening decay
+#: (25/25/30/20 % of the stream): (end of the phase as a fraction of
+#: the stream, phase name, intensity).  Intensity multiplies the
+#: request rate, i.e. divides the mean inter-arrival gap.
+DIURNAL = (
+    (0.25, "night", 0.4),
+    (0.5, "morning", 1.0),
+    (0.8, "peak", 2.5),
+    (1.0, "evening", 1.0),
+)
 
 
 def _harmonic_tail(hot: int, users: int, skew: float) -> float:
@@ -144,6 +109,10 @@ def popularity_table(
     return table
 
 
+#: the popularity CDF every model draws from
+_TABLE = popularity_table(SKEW, HOT_RANKS, USERS)
+
+
 @dataclass(frozen=True)
 class Request:
     """One request in the traffic stream."""
@@ -171,87 +140,31 @@ class Request:
 
 
 class TrafficModel:
-    """A seeded, deterministic request-stream generator.
+    """A seeded, deterministic request-stream generator: each
+    :meth:`requests` call with a distinct ``salt`` yields an
+    independent (but reproducible) sub-stream."""
 
-    One model instance may drive several workloads (correlated
-    traffic); each :meth:`requests` call with a distinct ``salt``
-    yields an independent (but reproducible) sub-stream, and
-    :meth:`allocator` exposes a single shared bump allocator so
-    co-generated workloads can never collide on simulated-memory
-    ranges.
-    """
-
-    def __init__(self, spec: TrafficSpec, seed: int = 1) -> None:
-        self.spec = spec
+    def __init__(self, seed: int = 1) -> None:
         self.seed = seed
-        self._table = popularity_table(
-            spec.skew, spec.hot_ranks, spec.users
-        )
-        self._hot = len(self._table) - 1
-        #: cumulative (boundary, name, intensity) phase schedule
-        profile = ARRIVAL_PROFILES[spec.burst]
-        total = sum(fraction for _name, fraction, _i in profile)
-        self._phases = []
-        acc = 0.0
-        for name, fraction, intensity in profile:
-            acc += fraction / total
-            self._phases.append((acc, name, intensity))
-        self._alloc: Optional[BumpAllocator] = None
 
-    # ------------------------------------------------------------------
-    # Shared layout
-    # ------------------------------------------------------------------
-    def allocator(self) -> BumpAllocator:
-        """The model's shared allocator, created on first use.
-
-        Every workload generated against this model allocates from
-        this single monotonic allocator (see ``Workload._begin``), so
-        two workloads sharing one model receive disjoint address
-        ranges by construction.
-        """
-        if self._alloc is None:
-            self._alloc = BumpAllocator()
-        return self._alloc
-
-    # ------------------------------------------------------------------
-    # Popularity
-    # ------------------------------------------------------------------
     def draw_user(self, rng: random.Random) -> int:
         """One Zipf-popular user id (0 = hottest)."""
-        u = rng.random()
-        rank = bisect_left(self._table, u)
-        if rank < self._hot:
+        rank = bisect_left(_TABLE, rng.random())
+        if rank < HOT_RANKS:
             return rank
-        if self._hot >= self.spec.users:
-            # Degenerate universe (users <= hot_ranks): the tail
-            # bucket is massless but float rounding can still land
-            # here; the last real rank absorbs it.
-            return self.spec.users - 1
-        return rng.randrange(self._hot, self.spec.users)
+        return rng.randrange(HOT_RANKS, USERS)
 
-    # ------------------------------------------------------------------
-    # Arrival
-    # ------------------------------------------------------------------
-    def _phase_at(self, position: float) -> tuple[str, float]:
-        for boundary, name, intensity in self._phases:
-            if position < boundary:
-                return name, intensity
-        name, intensity = self._phases[-1][1:]
-        return name, intensity
-
-    def _gap(self, rng: random.Random, intensity: float) -> int:
-        """Integer inter-arrival gap with mean ~ base_gap/intensity.
+    @staticmethod
+    def _gap(rng: random.Random, intensity: float) -> int:
+        """Integer inter-arrival gap with mean ~ BASE_GAP/intensity.
 
         Integer arithmetic only: ``randrange`` over twice the mean is
         platform-exact, where an exponential draw would ride libm's
         last-ulp behavior into the determinism contract.
         """
-        span = max(1, int(2 * self.spec.base_gap / intensity))
+        span = max(1, int(2 * BASE_GAP / intensity))
         return 1 + rng.randrange(span)
 
-    # ------------------------------------------------------------------
-    # The stream
-    # ------------------------------------------------------------------
     def _rng(self, salt: int) -> random.Random:
         # Mix without hash(): PYTHONHASHSEED must not reach the stream.
         return random.Random((self.seed * 0x9E3779B1) ^ (salt * 0x85EBCA77))
@@ -261,8 +174,10 @@ class TrafficModel:
         rng = self._rng(salt)
         out = []
         for index in range(count):
-            position = index / count if count else 0.0
-            phase, intensity = self._phase_at(position)
+            position = index / count
+            _end, phase, intensity = next(
+                entry for entry in DIURNAL if position < entry[0]
+            )
             out.append(
                 Request(
                     index=index,
@@ -276,8 +191,8 @@ class TrafficModel:
 
     def stream_digest(self, count: int, salt: int = 0) -> str:
         """SHA-256 over the canonical byte stream — the cross-process
-        determinism contract: same (spec, seed, count, salt), same
-        digest, in any process on any run."""
+        determinism contract: same (seed, count, salt), same digest,
+        in any process on any run."""
         digest = hashlib.sha256()
         for request in self.requests(count, salt=salt):
             digest.update(request.encode())

@@ -1,4 +1,4 @@
-"""Every machine/traffic flag a subcommand registers reaches its points.
+"""Every machine flag a subcommand registers reaches its points.
 
 The flags used to be hand-copied per subcommand and most copies were
 missing: ``compare``, ``figure 1|3|4|9|10``, ``table 3`` and
@@ -53,19 +53,6 @@ MACHINE_COMMANDS = {
     "timeline": ["timeline", "kmeans", "--cores", "2"],
     "metrics": ["metrics", "kmeans", "--cores", "2"],
 }
-
-#: the service-workload spellings of every subcommand that registers
-#: the traffic flags
-TRAFFIC_COMMANDS = {
-    "run": ["run", "service-limiter", "--cores", "2"],
-    "compare": ["compare", "service-limiter", "--cores", "2"],
-    "figure service": ["figure", "service", "--cores", "2"],
-    "sweep": ["sweep", "service-limiter", "--core-counts", "1,2"],
-    "trace export": ["trace", "export", "service-limiter", "--cores", "2"],
-    "timeline": ["timeline", "service-limiter", "--cores", "2"],
-    "metrics": ["metrics", "service-limiter", "--cores", "2"],
-}
-
 
 @pytest.mark.parametrize("command", MACHINE_COMMANDS)
 def test_machine_flags_reach_every_point(
@@ -135,39 +122,6 @@ def test_fuzz_machine_flags_reach_every_point(monkeypatch, tmp_path):
     ] == [(6, 6)]
 
 
-@pytest.mark.parametrize("command", TRAFFIC_COMMANDS)
-def test_traffic_flags_reach_every_point(command, dispatched):
-    argv = TRAFFIC_COMMANDS[command] + TINY + [
-        "--skew", "1.7", "--burst", "bursty",
-    ]
-    with pytest.raises(_Captured):
-        main(argv)
-    assert dispatched
-    assert {(p.skew, p.burst) for p in dispatched} == {(1.7, "bursty")}
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["sweep", "--smoke", "--skew", "9", "--burst", "bursty"],
-        ["sweep", "--smoke", "--skew", "9"],
-        ["run", "kmeans", "--burst", "bursty"],
-        ["compare", "kmeans", "--skew", "2"],
-        ["figure", "9", "--skew", "2"],
-        ["figure", "hybrid", "--burst", "steady"],
-    ],
-    ids=" ".join,
-)
-def test_traffic_flags_on_a_plain_workload_are_a_usage_error(
-    argv, dispatched, capsys
-):
-    """Used to be accepted and ignored (sweep --smoke) or a traceback
-    from inside the run; now nothing runs and the exit code is 2."""
-    assert main(argv + ["--no-cache", "--jobs", "1"]) == 2
-    assert "has no traffic model" in capsys.readouterr().err
-    assert not dispatched
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -222,15 +176,29 @@ def test_fuzz_on_a_forwarding_row_keeps_its_golden_and_stats_signals(
     assert "[retcon-fwd] golden:" in out.out + out.err
 
 
-@pytest.mark.parametrize("command", ["table", "experiments"])
-def test_commands_without_service_workloads_take_no_traffic_flags(
-    command, capsys
-):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "service-limiter"],
+        ["compare", "service-limiter"],
+        ["figure", "service"],
+        ["sweep", "service-limiter"],
+        ["trace", "export", "service-limiter"],
+        ["timeline", "service-limiter"],
+        ["metrics", "service-limiter"],
+        ["table", "3"],
+        ["experiments"],
+    ],
+    ids=" ".join,
+)
+def test_no_command_takes_a_traffic_flag(argv, dispatched, capsys):
+    """The service traffic has one shape: --skew (and --burst) are
+    unknown flags on every subcommand, refused before anything runs."""
     with pytest.raises(SystemExit) as exit_info:
-        main([command, "3", "--skew", "2"] if command == "table"
-             else [command, "--skew", "2"])
+        main(argv + ["--skew", "2"])
     assert exit_info.value.code == 2
     assert "--skew" in capsys.readouterr().err
+    assert not dispatched
 
 
 def test_regenerate_line_repeats_the_flags(tmp_path, monkeypatch):
@@ -239,11 +207,11 @@ def test_regenerate_line_repeats_the_flags(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(
         ["figure", "service", "--cores", "2", "--scale", "0.05",
-         "--backends", "retcon", "--skew", "1.7", "--ssb", "unlimited",
+         "--backends", "retcon", "--ssb", "unlimited",
          "--no-cache", "--jobs", "1", "-o", "svc.md"]
     ) == 0
     text = (tmp_path / "svc.md").read_text()
     assert (
         "python -m repro figure service --cores 2 --scale 0.05 --seed 1"
-        " --ssb unlimited --skew 1.7 -o svc.md"
+        " --ssb unlimited -o svc.md"
     ) in text

@@ -128,24 +128,24 @@ class TestLabel:
 
 class TestCacheKeyStability:
     """Literal digests of keys hashed with version 1.7.3, re-recorded
-    when ``MachineConfig`` lost its ten fields nothing set (the
-    predictor's training, the stall retry and abort cycles, the STM
-    orec count and barrier costs, now constants): the key hashes
-    ``asdict(config)``, so every earlier entry misses once."""
+    when ``Point`` lost its ``skew`` and ``burst`` traffic fields (the
+    service traffic has one shape, so nothing set them): the key
+    hashes ``spec_dict()``, which no longer carries those two keys,
+    so every earlier entry misses once."""
 
     PINNED = {
-        "5ce52521b4f883ffe1ea42943456c7a98c8410ad9e8217af2e1397c3bf0fed91":
+        "66ac15db7bb2f9926bb50762aa69973c85ee959f6c21067e5545cc65520f8bde":
             Point("python_opt", "retcon"),
-        "99ff28e5c2587efff5c87777cf5d72f6b565d01cad8cf01116e0311953c879d6":
+        "d0b446632440011ecb8a5013c949d52f5b0a7973d66c6cde187557b748f7a952":
             Point("python_opt", "retcon", check=True),
-        "644863239fffa6eb076da00dd42b5a5b8023ae480fbedad26927c583b87cf2ca":
+        "92faf87ace8e7ab732f0e019ccf8b6d23ae009e31f27dab25d03028e3bfbd9ea":
             Point("python_opt", "retcon", obs="trace"),
         # was Point(..., retry_budget=2)
-        "09926def088471afa91089fc2804ec49e86217c39e351741ccce7c10bc160ca8":
+        "cd7078d2a240cd46111fe5372010b6a5a4e505569ea5d4a3fe38f762e359fedd":
             Point("kmeans", "hybrid-retcon", ncores=4, scale=0.1,
                   config=_with(retry_budget=2)),
         # was Point(..., read_set_entries=4, write_set_entries=4)
-        "6a3a49cf382d48a2fe5d3d2dfd4cae2aeaef56832aabccfe181639c10cde002f":
+        "0640de4b8e1a2e015e9641705837ce26563af5a6e925b5e2223753161fc145ee":
             Point("genome-sz", "eager", ncores=4, scale=0.1,
                   config=_with(read_set_entries=4, write_set_entries=4)),
     }
@@ -165,54 +165,3 @@ class TestCacheKeyStability:
         assert config["tool"]["setuptools"]["dynamic"]["version"] == {
             "attr": "repro.__version__"
         }
-
-
-class TestTrafficOverrides:
-    """The service-traffic knobs (skew, burst) must be cache-key
-    material: two points differing only in traffic shape run different
-    workload bytes, so they can never share a cached result or a
-    sequential baseline."""
-
-    def test_skew_changes_the_point_key(self):
-        base = Point(workload="service-limiter", system="retcon")
-        swept = Point(
-            workload="service-limiter", system="retcon", skew=1.6
-        )
-        assert point_key(base) != point_key(swept)
-        assert point_key(swept) != point_key(
-            Point(workload="service-limiter", system="retcon", skew=2.0)
-        )
-
-    def test_burst_changes_the_point_key(self):
-        base = Point(workload="service-session", system="eager")
-        swept = Point(
-            workload="service-session", system="eager", burst="bursty"
-        )
-        assert point_key(base) != point_key(swept)
-
-    def test_traffic_enters_the_baseline_key(self):
-        """The sequential baseline is regenerated per traffic shape —
-        a skewed stream has different work than the default one."""
-        base = Point(workload="service-feed", system="retcon")
-        swept = Point(
-            workload="service-feed", system="retcon",
-            skew=1.6, burst="steady",
-        )
-        assert base.baseline_key() != swept.baseline_key()
-        # ...but the baseline is shared across systems at equal traffic
-        other = Point(
-            workload="service-feed", system="eager",
-            skew=1.6, burst="steady",
-        )
-        assert swept.baseline_key() == other.baseline_key()
-
-    def test_traffic_shows_in_the_label(self):
-        point = Point(
-            workload="service-checkout", system="retcon",
-            skew=1.6, burst="bursty",
-        )
-        assert "skew=1.6" in point.label()
-        assert "burst=bursty" in point.label()
-        plain = Point(workload="service-checkout", system="retcon")
-        assert "skew=" not in plain.label()
-        assert "burst=" not in plain.label()

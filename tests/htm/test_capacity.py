@@ -31,9 +31,10 @@ from repro.sim.runner import run_workload
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
-#: tiny grid shared by the enforcement tests (check=True runs the
-#: workload's final-state invariants, so invariants_ok is load-bearing)
-RUN = dict(ncores=4, seed=1, scale=0.05, check=True)
+#: tiny grid shared by the enforcement tests (run_workload always
+#: evaluates the workload's final-state invariants, so invariants_ok
+#: is load-bearing)
+RUN = dict(ncores=4, seed=1, scale=0.05)
 
 
 def bounded(**overrides) -> MachineConfig:

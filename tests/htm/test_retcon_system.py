@@ -97,9 +97,7 @@ class TestStealingAndRepair:
         assert latency > 0
 
     def test_lazy_vb_aborts_on_changed_value(self):
-        system, memory = make_retcon(
-            symbolic_arithmetic=False, track_all=True
-        )
+        system, memory = make_retcon(track_all=True)
         memory.write(ADDR, 10)
         system.begin(0)
         system.load(0, ADDR, 8)
@@ -108,9 +106,7 @@ class TestStealingAndRepair:
             system.commit(0)
 
     def test_lazy_vb_commits_on_silent_remote_write(self):
-        system, memory = make_retcon(
-            symbolic_arithmetic=False, track_all=True
-        )
+        system, memory = make_retcon(track_all=True)
         memory.write(ADDR, 10)
         system.begin(0)
         system.load(0, ADDR, 8)
@@ -118,9 +114,7 @@ class TestStealingAndRepair:
         system.commit(0)  # byte-precise validation passes
 
     def test_lazy_vb_ignores_false_sharing(self):
-        system, memory = make_retcon(
-            symbolic_arithmetic=False, track_all=True
-        )
+        system, memory = make_retcon(track_all=True)
         system.begin(0)
         system.load(0, ADDR, 8)
         # Remote write to a *different word* of the same block.

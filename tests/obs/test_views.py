@@ -99,7 +99,7 @@ class TestByteStability:
         tracer = EventStream()
         run_workload(
             "python_opt", "retcon", ncores=4, seed=3, scale=0.05,
-            check=False, tracer=tracer,
+            tracer=tracer,
         )
         return tracer
 
